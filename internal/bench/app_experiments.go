@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/result"
 	"repro/internal/sweep"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -138,14 +137,4 @@ func init() {
 			return collect(tabs)
 		},
 	})
-}
-
-// mixByName returns a YCSB mix by its name (CLI convenience).
-func mixByName(name string) (workload.Mix, bool) {
-	for _, m := range []workload.Mix{workload.WriteHeavy, workload.ReadHeavy, workload.ReadOnly, workload.UpdateOnly} {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return workload.Mix{}, false
 }

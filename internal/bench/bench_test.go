@@ -84,23 +84,6 @@ func TestMicroDynamicWorkload(t *testing.T) {
 	}
 }
 
-func TestHTRunsTiny(t *testing.T) {
-	r := RunHT(HTConfig{
-		Opts: core.Smart(), ThreadsPerBlade: 4, Keys: 5_000,
-		Theta: 0.9, Mix: workload.WriteHeavy, Seed: 3,
-		Warmup: 500 * sim.Microsecond, Measure: sim.Millisecond,
-	})
-	if r.Ops == 0 || r.MOPS <= 0 {
-		t.Fatalf("no HT ops: %+v", r)
-	}
-	if r.Median <= 0 || r.P99 < r.Median {
-		t.Fatalf("latency stats inconsistent: p50=%v p99=%v", r.Median, r.P99)
-	}
-	if r.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
 func TestHTTargetThrottling(t *testing.T) {
 	free := RunHT(HTConfig{
 		Opts: core.Smart(), ThreadsPerBlade: 16, Keys: 20_000,
@@ -118,25 +101,6 @@ func TestHTTargetThrottling(t *testing.T) {
 	}
 }
 
-func TestBTRunsTiny(t *testing.T) {
-	for _, v := range []BTVariant{ShermanPlus, ShermanPlusSL, SmartBT} {
-		r := RunBT(BTConfig{
-			Variant: v, ThreadsPerBlade: 4, Keys: 5_000,
-			Theta: 0.9, Mix: workload.ReadHeavy, Seed: 5,
-			Warmup: 500 * sim.Microsecond, Measure: sim.Millisecond,
-		})
-		if r.Ops == 0 {
-			t.Fatalf("%v produced no ops", v)
-		}
-		if v == ShermanPlus && r.SpecHit != 0 {
-			t.Fatalf("Sherman+ must not use the spec cache: hit=%v", r.SpecHit)
-		}
-		if v != ShermanPlus && r.SpecHit == 0 {
-			t.Fatalf("%v never hit the spec cache", v)
-		}
-	}
-}
-
 func TestBTVariantStrings(t *testing.T) {
 	if ShermanPlus.String() != "Sherman+" || ShermanPlusSL.String() != "Sherman+ w/SL" ||
 		SmartBT.String() != "SMART-BT" || BTVariant(9).String() != "?" {
@@ -144,24 +108,6 @@ func TestBTVariantStrings(t *testing.T) {
 	}
 	if ShermanPlus.Speculative() || !SmartBT.Speculative() {
 		t.Fatal("Speculative() wrong")
-	}
-}
-
-func TestDTXRunsTiny(t *testing.T) {
-	for _, wl := range []DTXWorkload{SmallBank, TATP} {
-		r := RunDTX(DTXConfig{
-			Workload: wl, Threads: 4, Records: 2_000, Seed: 6,
-			Warmup: 500 * sim.Microsecond, Measure: sim.Millisecond,
-		})
-		if r.Txns == 0 {
-			t.Fatalf("%v produced no transactions", wl)
-		}
-		if r.String() == "" {
-			t.Fatal("empty String()")
-		}
-	}
-	if SmallBank.String() != "SmallBank" || TATP.String() != "TATP" {
-		t.Fatal("workload strings wrong")
 	}
 }
 
@@ -203,24 +149,6 @@ func TestGroupsForScalesWithKeys(t *testing.T) {
 	}
 	if groupsFor(10_000_000) <= groupsFor(100_000) {
 		t.Fatal("groups must grow with key count")
-	}
-}
-
-func TestUpdateShare(t *testing.T) {
-	if got := updateShare(workload.WriteHeavy, 100); got != 50 {
-		t.Fatalf("updateShare = %v", got)
-	}
-	if got := updateShare(workload.ReadOnly, 100); got != 0 {
-		t.Fatalf("updateShare read-only = %v", got)
-	}
-}
-
-func TestMixByName(t *testing.T) {
-	if m, ok := mixByName("read-heavy"); !ok || m.UpdateFrac != 0.05 {
-		t.Fatalf("mixByName = %+v, %v", m, ok)
-	}
-	if _, ok := mixByName("bogus"); ok {
-		t.Fatal("bogus mix resolved")
 	}
 }
 

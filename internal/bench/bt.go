@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sherman"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -81,115 +80,72 @@ func (r BTResult) String() string {
 	return fmt.Sprintf("%.2f MOPS  p50=%v p99=%v  spec-hit=%.2f", r.MOPS, r.Median, r.P99, r.SpecHit)
 }
 
-func (cfg *BTConfig) setWindows(warmup, measure sim.Time) {
-	cfg.Warmup, cfg.Measure = warmup, measure
-}
-
 // RunBT executes one B⁺Tree experiment point.
 func RunBT(cfg BTConfig) BTResult {
-	if cfg.Servers <= 0 {
-		cfg.Servers = 1
-	}
-	if cfg.ThreadsPerBlade <= 0 {
-		cfg.ThreadsPerBlade = 16
-	}
+	cfg.Servers = max(cfg.Servers, 1)
 	if cfg.Keys == 0 {
 		cfg.Keys = 200_000
 	}
 	if cfg.Mix.Name == "" {
 		cfg.Mix = workload.ReadOnly
 	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 5 * sim.Millisecond
-	}
-	if cfg.Measure == 0 {
-		cfg.Measure = 4 * sim.Millisecond
-	}
-	opts := ScaleAdaptation(cfg.Variant.Options())
-
-	cl := cluster.New(cluster.Config{
-		ComputeBlades: cfg.Servers,
-		MemoryBlades:  cfg.Servers,
-		BladeCapacity: cfg.Keys*40/uint64(cfg.Servers) + (64 << 20),
-		Seed:          cfg.Seed,
-	})
-	defer cl.Stop()
-	eng := cl.Eng
-
-	keys := make([]uint64, cfg.Keys)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-	}
-	tree := sherman.BulkLoad(cl.Targets(), keys, 0.7)
-
-	horizon := cfg.Warmup + cfg.Measure
-	lat := stats.NewHist()
-	var ops uint64
-	var runtimes []*core.Runtime
+	speculative := cfg.Variant.Speculative()
 	var clients []*sherman.Client
-
-	for b, comp := range cl.Computes {
-		rt := core.MustNew(comp.NIC, cl.Targets(), cfg.ThreadsPerBlade, opts)
-		runtimes = append(runtimes, rt)
-		client := sherman.NewClient(tree, eng, cfg.Variant.Speculative())
-		if cfg.SpecCacheEntries > 0 {
-			client.SetSpecCacheEntries(cfg.SpecCacheEntries)
-		}
-		clients = append(clients, client)
-		depth := rt.Options().Depth
-		for ti := 0; ti < cfg.ThreadsPerBlade; ti++ {
-			th := rt.Thread(ti)
-			for d := 0; d < depth; d++ {
-				seed := cfg.Seed + int64(b)*999_983 + int64(ti)*1_013 + int64(d)*17 + 1
-				gen := workload.NewYCSB(rand.New(rand.NewSource(seed)), cfg.Keys, cfg.Theta, cfg.Mix)
-				th.Spawn(fmt.Sprintf("bt-b%d-t%d-c%d", b, ti, d), func(c *core.Ctx) {
-					for c.Now() < horizon {
+	r := runApp(app{
+		name: "bt",
+		cluster: cluster.Config{
+			ComputeBlades: cfg.Servers,
+			MemoryBlades:  cfg.Servers,
+			BladeCapacity: cfg.Keys*40/uint64(cfg.Servers) + (64 << 20),
+			Seed:          cfg.Seed,
+		},
+		threads: cfg.ThreadsPerBlade,
+		opts:    cfg.Variant.Options(),
+		warmup:  cfg.Warmup,
+		measure: cfg.Measure,
+		load: func(cl *cluster.Cluster) newBladeFunc {
+			keys := make([]uint64, cfg.Keys)
+			for i := range keys {
+				keys[i] = uint64(i + 1)
+			}
+			tree := sherman.BulkLoad(cl.Targets(), keys, 0.7)
+			return func(b int) newCoroFunc {
+				client := sherman.NewClient(tree, cl.Eng, speculative)
+				if cfg.SpecCacheEntries > 0 {
+					client.SetSpecCacheEntries(cfg.SpecCacheEntries)
+				}
+				clients = append(clients, client)
+				return func(ti, d int) opFunc {
+					seed := cfg.Seed + int64(b)*999_983 + int64(ti)*1_013 + int64(d)*17 + 1
+					gen := workload.NewYCSB(rand.New(rand.NewSource(seed)), cfg.Keys, cfg.Theta, cfg.Mix)
+					return func(c *core.Ctx, start sim.Time) int {
 						op, key := gen.Next()
 						key++ // tree keys are 1-based
-						start := c.Now()
 						if op == workload.Update {
 							client.Update(c, key, uint64(start))
-						} else if cfg.Variant.Speculative() {
+						} else if speculative {
 							client.LookupSpec(c, key)
 						} else {
 							client.Lookup(c, key)
 						}
-						if start >= cfg.Warmup && c.Now() <= horizon {
-							ops++
-							lat.Add(c.Now() - start)
-						}
+						return noCount
 					}
-				})
+				}
 			}
-		}
-	}
-
-	var verbsAtWarmup uint64
-	eng.Schedule(cfg.Warmup, func() {
-		for _, comp := range cl.Computes {
-			verbsAtWarmup += comp.NIC.Snapshot().Completed
-		}
+		},
 	})
-	eng.Run(horizon)
-	var verbs, hits, misses uint64
-	for _, rt := range runtimes {
-		rt.Stop()
+
+	res := BTResult{
+		MOPS:     r.mops,
+		Median:   r.p50,
+		P99:      r.p99,
+		Ops:      r.ops,
+		VerbMOPS: r.verbMOPS,
 	}
-	for _, comp := range cl.Computes {
-		verbs += comp.NIC.Snapshot().Completed
-	}
+	var hits, misses uint64
 	for _, c := range clients {
 		hits += c.SpecHits
 		misses += c.SpecMisses
-	}
-
-	sum := lat.Summary()
-	res := BTResult{
-		MOPS:     float64(ops) / (float64(cfg.Measure) / 1e3),
-		Median:   sum.P50,
-		P99:      sum.P99,
-		Ops:      ops,
-		VerbMOPS: float64(verbs-verbsAtWarmup) / (float64(cfg.Measure) / 1e3),
 	}
 	if hits+misses > 0 {
 		res.SpecHit = float64(hits) / float64(hits+misses)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ford"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // DTXWorkload selects the OLTP benchmark (§6.2.2).
@@ -58,101 +57,59 @@ func (r DTXResult) String() string {
 	return fmt.Sprintf("%.2f MTPS  p50=%v p99=%v  aborts/txn=%.3f", r.MTPS, r.Median, r.P99, r.AbortRate)
 }
 
-func (cfg *DTXConfig) setWindows(warmup, measure sim.Time) {
-	cfg.Warmup, cfg.Measure = warmup, measure
-}
-
 // RunDTX executes one distributed-transaction experiment point.
 func RunDTX(cfg DTXConfig) DTXResult {
-	if cfg.Threads <= 0 {
-		cfg.Threads = 16
-	}
 	if cfg.MemoryBlades <= 0 {
 		cfg.MemoryBlades = 2
 	}
 	if cfg.Records == 0 {
 		cfg.Records = 100_000
 	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 5 * sim.Millisecond
-	}
-	if cfg.Measure == 0 {
-		cfg.Measure = 4 * sim.Millisecond
-	}
 	opts := core.Smart()
 	if cfg.FORDPlus {
 		opts = core.Baseline(core.PerThreadQP)
 	}
-	opts = ScaleAdaptation(opts)
-
-	cl := cluster.New(cluster.Config{
-		ComputeBlades: 1,
-		MemoryBlades:  cfg.MemoryBlades,
-		MemoryKind:    blade.NVM,
-		BladeCapacity: cfg.Records*600/uint64(cfg.MemoryBlades) + (128 << 20),
-		Seed:          cfg.Seed,
-	})
-	defer cl.Stop()
-	eng := cl.Eng
-
-	var runTxn func(c *core.Ctx, rng *rand.Rand) int
-	switch cfg.Workload {
-	case TATP:
-		tp := ford.NewTATP(cl.Targets(), cfg.Records)
-		tp.Load()
-		runTxn = tp.RunOne
-	default:
-		sb := ford.NewSmallBank(cl.Targets(), cfg.Records)
-		sb.Load()
-		runTxn = sb.RunOne
-	}
-
-	horizon := cfg.Warmup + cfg.Measure
-	lat := stats.NewHist()
-	var txns, aborts uint64
-
-	rt := core.MustNew(cl.Computes[0].NIC, cl.Targets(), cfg.Threads, opts)
-	defer rt.Stop()
-	depth := rt.Options().Depth
-	tasks := cfg.Threads * depth
-	var interval sim.Time
-	if cfg.TargetMTPS > 0 {
-		interval = sim.Time(float64(tasks) / (cfg.TargetMTPS / 1e3))
-	}
-
-	for ti := 0; ti < cfg.Threads; ti++ {
-		th := rt.Thread(ti)
-		for d := 0; d < depth; d++ {
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(ti)*1_021 + int64(d)*19 + 1))
-			th.Spawn(fmt.Sprintf("dtx-t%d-c%d", ti, d), func(c *core.Ctx) {
-				for c.Now() < horizon {
-					start := c.Now()
-					a := runTxn(c, rng)
-					if start >= cfg.Warmup && c.Now() <= horizon {
-						txns++
-						aborts += uint64(a)
-						lat.Add(c.Now() - start)
-					}
-					if interval > 0 {
-						if spent := c.Now() - start; spent < interval {
-							c.Proc().Sleep(interval - spent)
-						}
-					}
+	r := runApp(app{
+		name: "dtx",
+		cluster: cluster.Config{
+			ComputeBlades: 1,
+			MemoryBlades:  cfg.MemoryBlades,
+			MemoryKind:    blade.NVM,
+			BladeCapacity: cfg.Records*600/uint64(cfg.MemoryBlades) + (128 << 20),
+			Seed:          cfg.Seed,
+		},
+		threads:    cfg.Threads,
+		opts:       opts,
+		warmup:     cfg.Warmup,
+		measure:    cfg.Measure,
+		targetRate: cfg.TargetMTPS,
+		load: func(cl *cluster.Cluster) newBladeFunc {
+			var runTxn func(c *core.Ctx, rng *rand.Rand) (aborts int)
+			switch cfg.Workload {
+			case TATP:
+				tp := ford.NewTATP(cl.Targets(), cfg.Records)
+				tp.Load()
+				runTxn = tp.RunOne
+			default:
+				sb := ford.NewSmallBank(cl.Targets(), cfg.Records)
+				sb.Load()
+				runTxn = sb.RunOne
+			}
+			// The database handle is the only client state, so the
+			// coroutines of the (single) compute blade share it.
+			return func(int) newCoroFunc {
+				return func(ti, d int) opFunc {
+					rng := rand.New(rand.NewSource(cfg.Seed + int64(ti)*1_021 + int64(d)*19 + 1))
+					return func(c *core.Ctx, _ sim.Time) int { return runTxn(c, rng) }
 				}
-			})
-		}
+			}
+		},
+	})
+	return DTXResult{
+		MTPS:      r.mops,
+		Median:    r.p50,
+		P99:       r.p99,
+		AbortRate: r.counts.Mean(), // every transaction reports its aborts
+		Txns:      r.ops,
 	}
-
-	eng.Run(horizon)
-	sum := lat.Summary()
-	res := DTXResult{
-		MTPS:   float64(txns) / (float64(cfg.Measure) / 1e3),
-		Median: sum.P50,
-		P99:    sum.P99,
-		Txns:   txns,
-	}
-	if txns > 0 {
-		res.AbortRate = float64(aborts) / float64(txns)
-	}
-	return res
 }

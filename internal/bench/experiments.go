@@ -134,46 +134,28 @@ func quickWindows(quick bool) (warmup, measure sim.Time) {
 	return 0, 0 // runner defaults (5 ms / 4 ms)
 }
 
-// quickWindowed is satisfied by pointers to the app experiment
-// configs, all of which carry Warmup/Measure fields.
-type quickWindowed interface {
-	setWindows(warmup, measure sim.Time)
-}
-
-// quickRun applies the quick-mode measurement windows to a point's
-// config before running it — the one generic helper behind runHTQ,
-// runBTQ, and runDTXQ (plain functions, not package vars, so the
-// runner package holds no mutable state for sharedstate to flag).
-func quickRun[C any, PC interface {
-	quickWindowed
-	*C
-}, R any](run func(C) R, quick bool, cfg C) R {
-	PC(&cfg).setWindows(quickWindows(quick))
-	return run(cfg)
-}
-
-func runHTQ(quick bool, cfg HTConfig) HTResult {
-	return quickRun[HTConfig, *HTConfig](RunHT, quick, cfg)
-}
-func runBTQ(quick bool, cfg BTConfig) BTResult {
-	return quickRun[BTConfig, *BTConfig](RunBT, quick, cfg)
-}
-func runDTXQ(quick bool, cfg DTXConfig) DTXResult {
-	return quickRun[DTXConfig, *DTXConfig](RunDTX, quick, cfg)
-}
-
 // htPoint, btPoint, and dtxPoint bind quick into the config→result
-// run funcs that sweep.Add expects when enumerating app points.
+// run funcs that sweep.Add expects when enumerating app points: the
+// quick-mode windows replace whatever the point's config carried.
 func htPoint(quick bool) func(HTConfig) HTResult {
-	return func(cfg HTConfig) HTResult { return runHTQ(quick, cfg) }
+	return func(cfg HTConfig) HTResult {
+		cfg.Warmup, cfg.Measure = quickWindows(quick)
+		return RunHT(cfg)
+	}
 }
 
 func btPoint(quick bool) func(BTConfig) BTResult {
-	return func(cfg BTConfig) BTResult { return runBTQ(quick, cfg) }
+	return func(cfg BTConfig) BTResult {
+		cfg.Warmup, cfg.Measure = quickWindows(quick)
+		return RunBT(cfg)
+	}
 }
 
 func dtxPoint(quick bool) func(DTXConfig) DTXResult {
-	return func(cfg DTXConfig) DTXResult { return runDTXQ(quick, cfg) }
+	return func(cfg DTXConfig) DTXResult {
+		cfg.Warmup, cfg.Measure = quickWindows(quick)
+		return RunDTX(cfg)
+	}
 }
 
 // collect dereferences the tables accumulated during enumeration,

@@ -62,17 +62,13 @@ func (r HTResult) String() string {
 		r.MOPS, r.Median, r.P99, r.AvgRetries)
 }
 
-func (cfg *HTConfig) setWindows(warmup, measure sim.Time) {
-	cfg.Warmup, cfg.Measure = warmup, measure
-}
-
-func (cfg *HTConfig) withDefaults() {
-	if cfg.ComputeBlades <= 0 {
-		cfg.ComputeBlades = 1
-	}
-	if cfg.ThreadsPerBlade <= 0 {
-		cfg.ThreadsPerBlade = 16
-	}
+// RunHT executes one hash-table experiment point. The table layout and
+// access protocol are RACE's; cfg.Opts selects between the RACE
+// baseline (per-thread QP, no SMART techniques) and SMART-HT
+// (thread-aware allocation + throttling + conflict avoidance), or any
+// intermediate breakdown configuration (Fig. 8).
+func RunHT(cfg HTConfig) HTResult {
+	cfg.ComputeBlades = max(cfg.ComputeBlades, 1)
 	if cfg.MemoryBlades <= 0 {
 		cfg.MemoryBlades = 2
 	}
@@ -82,152 +78,60 @@ func (cfg *HTConfig) withDefaults() {
 	if cfg.Mix.Name == "" {
 		cfg.Mix = workload.ReadOnly
 	}
-	if cfg.Opts.Depth == 0 {
-		cfg.Opts.Depth = 8 // match core's default so task counts are right
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 5 * sim.Millisecond
-	}
-	if cfg.Measure == 0 {
-		cfg.Measure = 4 * sim.Millisecond
-	}
-	cfg.Opts = ScaleAdaptation(cfg.Opts)
-}
-
-// ScaleAdaptation shrinks SMART's adaptive time constants so that both
-// mechanisms converge within the short simulated measurement windows
-// (the paper runs real minutes; we simulate milliseconds). The ratios
-// between the constants — Δ, the 60Δ stable phase, and the γ window —
-// are preserved; see EXPERIMENTS.md for the time-scale substitution.
-func ScaleAdaptation(o core.Options) core.Options {
-	if o.UpdateDelta == 0 {
-		o.UpdateDelta = 400 * sim.Microsecond
-	}
-	if o.RetryWindow == 0 {
-		o.RetryWindow = 250 * sim.Microsecond
-	}
-	return o
-}
-
-// RunHT executes one hash-table experiment point. The table layout and
-// access protocol are RACE's; cfg.Opts selects between the RACE
-// baseline (per-thread QP, no SMART techniques) and SMART-HT
-// (thread-aware allocation + throttling + conflict avoidance), or any
-// intermediate breakdown configuration (Fig. 8).
-func RunHT(cfg HTConfig) HTResult {
-	cfg.withDefaults()
-	cl := cluster.New(cluster.Config{
-		ComputeBlades: cfg.ComputeBlades,
-		MemoryBlades:  cfg.MemoryBlades,
-		BladeCapacity: bladeCapacityFor(cfg.Keys, cfg.MemoryBlades),
-		Seed:          cfg.Seed,
-	})
-	defer cl.Stop()
-	eng := cl.Eng
-
-	tbl := race.Create(cl.Targets(), race.Config{
-		Groups:       groupsFor(cfg.Keys),
-		InitialDepth: 3,
-		MaxDepth:     8,
-	})
-	for k := uint64(0); k < cfg.Keys; k++ {
-		tbl.LoadDirect(k, k)
-	}
-
-	horizon := cfg.Warmup + cfg.Measure
-	lat := stats.NewHist()
-	retry := stats.NewCountDist()
-	var ops uint64
-
-	tasks := cfg.ComputeBlades * cfg.ThreadsPerBlade * maxInt(cfg.Opts.Depth, 1)
-	var interval sim.Time
-	if cfg.TargetMOPS > 0 {
-		// ns between ops per task so the aggregate hits TargetMOPS.
-		interval = sim.Time(float64(tasks) / (cfg.TargetMOPS / 1e3))
-	}
-
-	var runtimes []*core.Runtime
-	for b, comp := range cl.Computes {
-		opts := cfg.Opts
-		opts.Telemetry = cfg.Telemetry
-		if cfg.Telemetry != nil && cfg.ComputeBlades > 1 {
-			opts.TelemetryPrefix = fmt.Sprintf("b%d/", b)
-		}
-		rt := core.MustNew(comp.NIC, cl.Targets(), cfg.ThreadsPerBlade, opts)
-		runtimes = append(runtimes, rt)
-		client := race.NewClient(tbl)
-		depth := rt.Options().Depth
-		for ti := 0; ti < cfg.ThreadsPerBlade; ti++ {
-			th := rt.Thread(ti)
-			for d := 0; d < depth; d++ {
-				seed := cfg.Seed + int64(b)*1_000_003 + int64(ti)*1_009 + int64(d)*13 + 1
-				gen := workload.NewYCSB(rand.New(rand.NewSource(seed)), cfg.Keys, cfg.Theta, cfg.Mix)
-				th.Spawn(fmt.Sprintf("ht-b%d-t%d-c%d", b, ti, d), func(c *core.Ctx) {
-					for c.Now() < horizon {
-						op, key := gen.Next()
-						start := c.Now()
-						var retries int
-						if op == workload.Update {
-							retries = client.Update(c, key, uint64(start))
-						} else {
-							client.Lookup(c, key)
-						}
-						if start >= cfg.Warmup && c.Now() <= horizon {
-							ops++
-							lat.Add(c.Now() - start)
-							if op == workload.Update {
-								retry.Add(retries)
-							}
-						}
-						if interval > 0 {
-							if spent := c.Now() - start; spent < interval {
-								c.Proc().Sleep(interval - spent)
-							}
-						}
-					}
-				})
+	r := runApp(app{
+		name: "ht",
+		cluster: cluster.Config{
+			ComputeBlades: cfg.ComputeBlades,
+			MemoryBlades:  cfg.MemoryBlades,
+			BladeCapacity: bladeCapacityFor(cfg.Keys, cfg.MemoryBlades),
+			Seed:          cfg.Seed,
+		},
+		threads:    cfg.ThreadsPerBlade,
+		opts:       cfg.Opts,
+		warmup:     cfg.Warmup,
+		measure:    cfg.Measure,
+		targetRate: cfg.TargetMOPS,
+		telemetry:  cfg.Telemetry,
+		load: func(cl *cluster.Cluster) newBladeFunc {
+			tbl := race.Create(cl.Targets(), race.Config{
+				Groups:       groupsFor(cfg.Keys),
+				InitialDepth: 3,
+				MaxDepth:     8,
+			})
+			for k := uint64(0); k < cfg.Keys; k++ {
+				tbl.LoadDirect(k, k)
 			}
-		}
-	}
-
-	var failedAtWarmup, verbsAtWarmup uint64
-	eng.Schedule(cfg.Warmup, func() {
-		for _, rt := range runtimes {
-			failedAtWarmup += rt.TotalStats().CASFailed
-		}
-		for _, comp := range cl.Computes {
-			verbsAtWarmup += comp.NIC.Snapshot().Completed
-		}
+			return func(b int) newCoroFunc {
+				client := race.NewClient(tbl)
+				return func(ti, d int) opFunc {
+					seed := cfg.Seed + int64(b)*1_000_003 + int64(ti)*1_009 + int64(d)*13 + 1
+					gen := workload.NewYCSB(rand.New(rand.NewSource(seed)), cfg.Keys, cfg.Theta, cfg.Mix)
+					return func(c *core.Ctx, start sim.Time) int {
+						op, key := gen.Next()
+						if op != workload.Update {
+							client.Lookup(c, key)
+							return noCount
+						}
+						return client.Update(c, key, uint64(start))
+					}
+				}
+			}
+		},
 	})
-	eng.Run(horizon)
-	var failed, verbs uint64
-	for _, rt := range runtimes {
-		failed += rt.TotalStats().CASFailed
-		rt.Stop()
-		rt.Collect(cfg.Telemetry)
-	}
-	for _, comp := range cl.Computes {
-		verbs += comp.NIC.Snapshot().Completed
-	}
 
-	sum := lat.Summary()
 	res := HTResult{
-		MOPS:      float64(ops) / (float64(cfg.Measure) / 1e3),
-		Median:    sum.P50,
-		P99:       sum.P99,
-		RetryDist: retry,
-		Ops:       ops,
-		VerbMOPS:  float64(verbs-verbsAtWarmup) / (float64(cfg.Measure) / 1e3),
+		MOPS:      r.mops,
+		Median:    r.p50,
+		P99:       r.p99,
+		RetryDist: r.counts,
+		Ops:       r.ops,
+		VerbMOPS:  r.verbMOPS,
 	}
-	if updates := updateShare(cfg.Mix, ops); updates > 0 {
-		res.AvgRetries = float64(failed-failedAtWarmup) / updates
+	// The share of completed ops that were updates is taken from the mix.
+	if updates := float64(r.ops) * cfg.Mix.UpdateFrac; updates > 0 {
+		res.AvgRetries = float64(r.casFailed) / updates
 	}
 	return res
-}
-
-// updateShare estimates how many of the completed ops were updates.
-func updateShare(mix workload.Mix, ops uint64) float64 {
-	return float64(ops) * mix.UpdateFrac
 }
 
 // groupsFor sizes segments so the load fits without splits at a
@@ -235,26 +139,12 @@ func updateShare(mix workload.Mix, ops uint64) float64 {
 func groupsFor(keys uint64) int {
 	// 8 initial-depth segments, 14 usable slots per group, ~60% fill.
 	per := keys / 8
-	g := int(float64(per) / (14 * 0.6))
-	if g < 64 {
-		g = 64
-	}
-	return g
+	return max(int(float64(per)/(14*0.6)), 64)
 }
 
 func bladeCapacityFor(keys uint64, blades int) uint64 {
 	per := keys * 64 / uint64(blades)
-	if per < (64 << 20) {
-		per = 64 << 20
-	}
-	return per + (64 << 20)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return max(per, 64<<20) + (64 << 20)
 }
 
 // RACEBaseline returns the configuration the paper labels "RACE":

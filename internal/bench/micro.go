@@ -1,8 +1,11 @@
-// Package bench contains one experiment runner per table and figure of
-// the paper, plus the shared machinery (workload drivers, measurement
-// windows, result formatting). Each runner prints the same rows or
-// series the paper reports; bench_test.go and cmd/smartbench expose
-// them as testing.B benchmarks and a CLI respectively.
+// Package bench holds the measurement harnesses and, on top of them,
+// one experiment runner per table and figure of the paper. RunMicro
+// (this file) is the §3.1 bench tool; RunHT, RunBT and RunDTX describe
+// the three applications to the one application harness, runApp
+// (app.go). Each runner enumerates its points into a sweep.Set and
+// fills typed result tables with the rows or series the paper reports;
+// the root bench_test.go and cmd/smartbench expose the runners as
+// testing.B benchmarks and a CLI respectively.
 package bench
 
 import (
