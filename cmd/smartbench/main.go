@@ -16,6 +16,14 @@
 //	smartbench -exp all -parallel 4 \
 //	    -stats bench_stats.json            # sweep points on 4 workers
 //
+// Every flag reaches a simulation by one route: run parses the flags
+// into a single bench.Env (sweeper, seed, quick, the three scenario
+// templates, and — for an instrumented re-run — a telemetry registry),
+// and every selection, a registered experiment or a -spec scenario
+// wrapped as one, goes through the same loop calling e.Run(env).
+// Nothing is installed in package state, so concurrent run calls in
+// one process do not see each other's flags.
+//
 // -parallel N runs each experiment's sweep points on N workers
 // (default 0 = GOMAXPROCS; 1 = sequential). Results merge in point
 // order, so every document — text, JSON, telemetry — is byte-identical
@@ -35,11 +43,12 @@
 // for digging into regressions the gate reports.
 //
 // -telemetry additionally runs the instrumented (software Neo-Host)
-// variant of each selected experiment that has one and writes the
+// variant of each selected experiment that has one — the same Run,
+// with a fresh telemetry registry on its Env — and writes the
 // harvested counters and controller trajectories as a JSON document to
-// the given path. -trace N keeps the last N telemetry events of a
-// single instrumented run and dumps them, sim-time-stamped, to the
-// progress stream.
+// the given path. -trace N gives that registry an event ring: the last
+// N telemetry events of a single instrumented run are dumped,
+// sim-time-stamped, to the progress stream.
 //
 // -faults installs a fault plan on the chaos experiment's RNIC:
 // "default" for the built-in plan, or a rule spec like
@@ -72,12 +81,13 @@
 // -out, -seed, -parallel, -stats, -telemetry/-trace (for scenarios
 // with an instrumented variant), and the profile flags. -faults,
 // -arrival, and -batching override the corresponding spec field
-// before validation. -dryrun parses and validates the spec, lowers it
-// through a probing sweeper (enumeration only, nothing executes), and
-// prints the point count — CI's spec-validate job runs exactly that
-// over every golden spec. Golden specs for fig3, fig13, serving, and
-// batching live under internal/bench/testdata/specs/ and reproduce
-// those experiments byte-identically.
+// before validation. A validated spec is first lowered through a
+// probing sweeper (enumeration only, nothing executes), which is where
+// a spec that cannot compile becomes a usage error; -dryrun stops
+// there and prints the point count — CI's spec-validate job runs
+// exactly that over every golden spec. Golden specs for fig3, fig13,
+// serving, and batching live under internal/bench/testdata/specs/ and
+// reproduce those experiments byte-identically.
 //
 // Exit status: 0 on success, 1 when -check finds shape violations or
 // -perf-baseline finds a throughput regression, 2 on usage errors (no
@@ -100,6 +110,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -227,48 +238,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The three scenario-template flags share one validation path:
 	// parse the value with its leaf grammar (exit 2 on a malformed
-	// spec), then check applicability — against the -exp selection in
-	// experiment mode, or by re-validating the spec document (which
-	// knows which scenarios read which template) in -spec mode, where
-	// each flag overrides the corresponding spec field.
-	var overrides bench.Overrides
-	overridden := false
+	// spec) into the Env every selected experiment runs with, then
+	// check applicability — against the -exp selection in experiment
+	// mode, or by re-validating the spec document (which knows which
+	// scenarios read which template) in -spec mode, where each flag
+	// overrides the corresponding spec field instead.
+	env := bench.Env{Env: spec.Env{Seed: *seed}, Quick: *quick}
 	for _, tf := range []struct {
 		name, value, expID string
 		parse              func(string) error
 	}{
-		{"faults", *faults, "chaos", func(v string) error {
-			p, err := fault.Parse(v)
-			if err != nil {
-				return err
-			}
-			overrides.Faults = p
+		{"faults", *faults, "chaos", func(v string) (err error) {
+			env.Faults, err = fault.Parse(v)
 			if scenario != nil {
 				scenario.Faults = v
 			}
-			return nil
+			return err
 		}},
-		{"arrival", *arrv, "serving", func(v string) error {
-			a, err := arrival.Parse(v)
-			if err != nil {
-				return err
-			}
-			overrides.Arrival = a
+		{"arrival", *arrv, "serving", func(v string) (err error) {
+			env.Arrival, err = arrival.Parse(v)
 			if scenario != nil {
 				scenario.Arrival = v
 			}
-			return nil
+			return err
 		}},
-		{"batching", *batching, "batching", func(v string) error {
-			b, err := verbs.ParseBatching(v)
-			if err != nil {
-				return err
-			}
-			overrides.Batching = b
+		{"batching", *batching, "batching", func(v string) (err error) {
+			env.Batching, err = verbs.ParseBatching(v)
 			if scenario != nil {
 				scenario.Batching = v
 			}
-			return nil
+			return err
 		}},
 	} {
 		if tf.value == "" {
@@ -278,30 +277,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "smartbench: -%s: %v\n", tf.name, err)
 			return 2
 		}
-		overridden = true
 		if scenario != nil {
 			continue
 		}
-		applies := false
-		for _, e := range selected {
-			if e.ID == tf.expID {
-				applies = true
-			}
-		}
-		if !applies {
+		if !slices.ContainsFunc(selected, func(e *bench.Experiment) bool { return e.ID == tf.expID }) {
 			fmt.Fprintf(stderr, "smartbench: -%s only applies to the %s experiment; add %s to -exp\n",
 				tf.name, tf.expID, tf.expID)
 			return 2
 		}
 	}
+	// A valid spec joins the selection as one more experiment; from
+	// here on both CLI modes are the same loop over the same values.
 	if scenario != nil {
 		if err := scenario.Validate(); err != nil {
 			fmt.Fprintf(stderr, "smartbench: -spec %s: %v\n", *specPath, err)
 			return 2
 		}
-	} else if overridden {
-		bench.SetOverrides(overrides)
-		defer bench.SetOverrides(bench.Overrides{})
+		selected = append(selected, specExperiment(scenario))
 	}
 
 	// -telemetry and -trace only make sense against experiments (or a
@@ -310,12 +302,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// document.
 	instrumented := 0
 	for _, e := range selected {
-		if bench.HasTelemetry(e.ID) {
+		if e.Instrumented {
 			instrumented++
 		}
-	}
-	if scenario != nil && spec.Instrumented(scenario.Scenario) {
-		instrumented++
 	}
 	if *telem != "" && instrumented == 0 {
 		if scenario != nil {
@@ -324,7 +313,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		fmt.Fprintf(stderr, "smartbench: -telemetry needs an instrumented experiment; have: %s\n",
-			strings.Join(bench.TelemetryExperiments(), ", "))
+			instrumentedIDs())
 		return 2
 	}
 	if *trace > 0 && instrumented != 1 {
@@ -334,7 +323,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		fmt.Fprintf(stderr, "smartbench: -trace follows a single instrumented run; select exactly one of: %s\n",
-			strings.Join(bench.TelemetryExperiments(), ", "))
+			instrumentedIDs())
 		return 2
 	}
 
@@ -349,20 +338,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// -dryrun lowers the spec through a probing sweeper: full
-	// enumeration (labels, seeds, counts), zero execution. A spec that
-	// fails to compile is a usage error, same as a spec that fails to
-	// parse.
-	if *dryrun {
+	// Every spec is first lowered through a probing sweeper: full
+	// enumeration (labels, seeds, counts), zero execution. Lowering
+	// errors all surface during enumeration, so a spec that fails to
+	// compile is a usage error here, same as one that fails to parse,
+	// and the real run below cannot fail. -dryrun stops after the probe.
+	if scenario != nil {
 		points := 0
 		probe := sweep.Probe(func(s *sweep.Set) { points += s.Len() })
 		if _, err := spec.Compile(scenario, spec.Env{Sweeper: probe, Seed: *seed}); err != nil {
 			fmt.Fprintf(stderr, "smartbench: -spec: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "smartbench: spec %s (%s scenario) enumerates %d points\n",
-			scenario.Name, scenario.Scenario, points)
-		return 0
+		if *dryrun {
+			fmt.Fprintf(stdout, "smartbench: spec %s (%s scenario) enumerates %d points\n",
+				scenario.Name, scenario.Scenario, points)
+			return 0
+		}
 	}
 
 	// The baseline is read before any sweep time is spent: an
@@ -439,67 +431,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// hook fires in merge order, so the completed/total lines are
 	// byte-identical across worker counts (only the timing lines vary).
 	sw := sweep.New(*parallel)
+	env.Sweeper = sw
 	rec := &perf.Record{Schema: perf.SchemaVersion, Bench: benchSeq, Workers: sw.Workers(), Quick: *quick}
 	totalStart := time.Now()
 	var violations []bench.Violation
-	if scenario != nil {
-		title := scenario.Title
-		if title == "" {
-			title = scenario.Name
-		}
-		start := time.Now()
-		fmt.Fprintf(progress, "\n################ %s: %s\n", scenario.Name, title)
-		points := 0
-		sw.OnPoint(func(done, total int, p *sweep.Point) {
-			points++
-			fmt.Fprintf(progress, "[%s %d/%d %s]\n", scenario.Name, done, total, p.Label)
-		})
-		tables, err := spec.Compile(scenario, spec.Env{Sweeper: sw, Seed: *seed})
-		if err != nil {
-			fmt.Fprintf(stderr, "smartbench: -spec: %v\n", err)
-			return 2
-		}
-		doc.Experiments = append(doc.Experiments, result.Experiment{
-			ID: scenario.Name, Title: title, Tables: tables,
-		})
-		if *format == "text" {
-			result.Text(render, tables)
-		}
-		if *check {
-			for _, c := range scenario.Checks {
-				violations = append(violations, bench.Check(c, tables)...)
-			}
-		}
-		if telemetryWanted {
-			fmt.Fprintf(progress, "\n[%s: running instrumented variant]\n", scenario.Name)
-			reg := telemetry.New()
-			if *trace > 0 {
-				reg.EnableTrace(*trace)
-			}
-			ttables, err := spec.Compile(scenario, spec.Env{Sweeper: sw, Seed: *seed, Telemetry: reg})
-			if err != nil {
-				fmt.Fprintf(stderr, "smartbench: -spec: %v\n", err)
-				return 2
-			}
-			telemDoc.Experiments = append(telemDoc.Experiments, result.Experiment{
-				ID: scenario.Name, Title: title, Tables: ttables,
-			})
-			if *check {
-				for _, c := range scenario.Checks {
-					violations = append(violations, bench.CheckTelemetry(c, ttables)...)
-				}
-			}
-			if *trace > 0 {
-				reg.Trace().Write(progress)
-			}
-		}
-		wallMS := time.Since(start).Milliseconds()
-		rec.Experiments = append(rec.Experiments, perf.Experiment{
-			ID: scenario.Name, Points: points, WallMS: wallMS, PointsPerSec: perf.PerSec(points, wallMS),
-		})
-		rec.TotalPoints += points
-		fmt.Fprintf(progress, "\n[%s done in %v]\n", scenario.Name, time.Since(start).Round(time.Millisecond))
-	}
 	for _, e := range selected {
 		start := time.Now()
 		fmt.Fprintf(progress, "\n################ %s: %s\n", e.ID, e.Title)
@@ -508,7 +443,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			points++
 			fmt.Fprintf(progress, "[%s %d/%d %s]\n", e.ID, done, total, p.Label)
 		})
-		tables := e.Run(sw, *quick, *seed)
+		tables := e.Run(env)
 		doc.Experiments = append(doc.Experiments, result.Experiment{
 			ID: e.ID, Title: e.Title, Tables: tables,
 		})
@@ -516,19 +451,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 			result.Text(render, tables)
 		}
 		if *check {
-			violations = append(violations, bench.Check(e.ID, tables)...)
+			for _, c := range e.Checks {
+				violations = append(violations, bench.Check(c, tables)...)
+			}
 		}
-		if telemetryWanted && bench.HasTelemetry(e.ID) {
+		if telemetryWanted && e.Instrumented {
 			fmt.Fprintf(progress, "\n[%s: running instrumented variant]\n", e.ID)
-			reg, ttables, _ := bench.RunTelemetry(sw, e.ID, *quick, *seed, *trace)
+			// A registry on the Env asks Run for the instrumented
+			// variant; each gets its own, with -trace's event ring.
+			tenv := env
+			tenv.Telemetry = telemetry.New()
+			if *trace > 0 {
+				tenv.Telemetry.EnableTrace(*trace)
+			}
+			ttables := e.Run(tenv)
 			telemDoc.Experiments = append(telemDoc.Experiments, result.Experiment{
 				ID: e.ID, Title: e.Title, Tables: ttables,
 			})
 			if *check {
-				violations = append(violations, bench.CheckTelemetry(e.ID, ttables)...)
+				for _, c := range e.Checks {
+					violations = append(violations, bench.CheckTelemetry(c, ttables)...)
+				}
 			}
 			if *trace > 0 {
-				reg.Trace().Write(progress)
+				tenv.Telemetry.Trace().Write(progress)
 			}
 		}
 		wallMS := time.Since(start).Milliseconds()
@@ -624,7 +570,7 @@ func printList(w io.Writer) {
 				first = false
 			}
 			mark := " "
-			if bench.HasTelemetry(e.ID) {
+			if e.Instrumented {
 				mark = "*"
 			}
 			fmt.Fprintf(w, "  %-12s %s %s\n", e.ID, mark, e.Title)
@@ -642,6 +588,40 @@ func printList(w io.Writer) {
 	fmt.Fprintln(w, "Alternatively, -spec <file.json> runs a declarative scenario spec")
 	fmt.Fprintln(w, "(see internal/spec and internal/bench/testdata/specs) instead of a")
 	fmt.Fprintln(w, "registered experiment; -dryrun prints its point count and exits.")
+}
+
+// specExperiment wraps a validated scenario spec as an experiment, so
+// a -spec run and a registered figure go through the same loop. run
+// probe-compiles the spec first and lowering errors all surface during
+// enumeration, so a compile error in Run is a bug, not a usage error.
+func specExperiment(s *spec.Spec) *bench.Experiment {
+	title := s.Title
+	if title == "" {
+		title = s.Name
+	}
+	return &bench.Experiment{
+		ID: s.Name, Title: title, Checks: s.Checks,
+		Instrumented: spec.Instrumented(s.Scenario),
+		Run: func(env bench.Env) []result.Table {
+			tables, err := spec.Compile(s, env.Env)
+			if err != nil {
+				panic(fmt.Sprintf("smartbench: spec %s failed to compile after its probe passed: %v", s.Name, err))
+			}
+			return tables
+		},
+	}
+}
+
+// instrumentedIDs lists the registered experiments with an
+// instrumented variant, in ID order, for the usage errors.
+func instrumentedIDs() string {
+	var ids []string
+	for _, e := range bench.All() {
+		if e.Instrumented {
+			ids = append(ids, e.ID)
+		}
+	}
+	return strings.Join(ids, ", ")
 }
 
 // nearestID returns the registered experiment ID with the smallest

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/perf"
@@ -404,6 +406,53 @@ func TestChaosRunEndToEnd(t *testing.T) {
 	}
 	if v, ok := counters.GetLabel("value", "fault/injected"); !ok || v == 0 {
 		t.Errorf("fault/injected = %g (ok=%v), want nonzero", v, ok)
+	}
+}
+
+// TestOverridesAreCallScoped pins the one-Env contract: a template
+// flag reaches only the run it was passed to. Two CLI invocations of
+// the same experiment — one with the flag, one on the calibrated
+// default — run concurrently in this process, and each must render
+// exactly the document it renders alone. A template parked in package
+// state shows up as a byte diff, or as a race report under -race (how
+// CI runs this test).
+func TestOverridesAreCallScoped(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the chaos and serving quick sweeps four times each")
+	}
+	for _, tc := range []struct{ exp, flag, value string }{
+		{"chaos", "-faults", "delay@2ms-3ms:x=6;fail@3ms-4ms:kind=cas,p=0.7"},
+		{"serving", "-arrival", "mmpp"},
+	} {
+		t.Run(tc.exp, func(t *testing.T) {
+			base := []string{"-exp", tc.exp, "-quick", "-format", "json"}
+			argv := [2][]string{append(slices.Clip(base), tc.flag, tc.value), base}
+			var alone, together [2]string
+			for i, args := range argv {
+				code, stdout, stderr := runCLI(args...)
+				if code != 0 {
+					t.Fatalf("%v: exit %d; stderr:\n%s", args, code, stderr)
+				}
+				alone[i] = stdout
+			}
+			if alone[0] == alone[1] {
+				t.Fatalf("%s %s changed nothing; the test needs a template with a visible effect", tc.flag, tc.value)
+			}
+			var wg sync.WaitGroup
+			for i, args := range argv {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, together[i], _ = runCLI(args...)
+				}()
+			}
+			wg.Wait()
+			for i, args := range argv {
+				if together[i] != alone[i] {
+					t.Errorf("%v rendered a different document next to a concurrent run than alone", args)
+				}
+			}
+		})
 	}
 }
 

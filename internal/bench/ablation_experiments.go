@@ -22,9 +22,9 @@ func init() {
 		ID:       "abl-db",
 		Category: "ablations",
 		Title:    "Ablation: medium-latency doorbell count vs 96-thread READ throughput",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			counts := []int{1, 2, 4, 8, 12, 24, 48, 96, 192, 512}
-			if quick {
+			if env.Quick {
 				counts = []int{4, 12, 96}
 			}
 			t := result.NewTable("abl-db",
@@ -37,15 +37,15 @@ func init() {
 				p := rnic.Default()
 				p.MaxDoorbells = n
 				p.DefaultMediumDBs = minInt(n, p.DefaultMediumDBs)
-				sweep.Add(set, fmt.Sprintf("abl-db/n=%d", n), 41+seed,
+				sweep.Add(set, fmt.Sprintf("abl-db/n=%d", n), 41+env.Seed,
 					MicroConfig{
 						Opts: core.Baseline(core.PerThreadDoorbell), Threads: 96, Batch: 8,
-						Op: rnic.OpRead, Seed: 41 + seed, Params: &p,
+						Op: rnic.OpRead, Seed: 41 + env.Seed, Params: &p,
 					},
 					RunMicro,
 					func(r MicroResult) { t.Add("MOPS", float64(n), r.MOPS) })
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect([]*result.Table{t})
 		},
 	})
@@ -54,9 +54,9 @@ func init() {
 		ID:       "abl-wqe",
 		Category: "ablations",
 		Title:    "Ablation: WQE cache size vs throughput at 96 threads x 32 OWRs",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			sizes := []int{256, 512, 1024, 2048, 4096, 8192}
-			if quick {
+			if env.Quick {
 				sizes = []int{512, 1024, 4096}
 			}
 			t := result.NewTable("abl-wqe",
@@ -67,10 +67,10 @@ func init() {
 			for _, n := range sizes {
 				p := rnic.Default()
 				p.WQECacheEntries = n
-				sweep.Add(set, fmt.Sprintf("abl-wqe/n=%d", n), 42+seed,
+				sweep.Add(set, fmt.Sprintf("abl-wqe/n=%d", n), 42+env.Seed,
 					MicroConfig{
 						Opts: core.Baseline(core.PerThreadDoorbell), Threads: 96, Batch: 32,
-						Op: rnic.OpRead, Seed: 42 + seed, Params: &p,
+						Op: rnic.OpRead, Seed: 42 + env.Seed, Params: &p,
 					},
 					RunMicro,
 					func(r MicroResult) {
@@ -78,7 +78,7 @@ func init() {
 						t.Add("DMA", float64(n), r.DMABytesPerWR)
 					})
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect([]*result.Table{t})
 		},
 	})
@@ -87,11 +87,11 @@ func init() {
 		ID:       "abl-gamma",
 		Category: "ablations",
 		Title:    "Ablation: conflict-avoidance watermarks under 100% skewed updates (96 threads)",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			marks := []struct{ hi, lo float64 }{
 				{0.25, 0.05}, {0.5, 0.1}, {0.75, 0.25}, {0.9, 0.5},
 			}
-			if quick {
+			if env.Quick {
 				marks = marks[:2]
 			}
 			t := result.NewTable("abl-gamma",
@@ -104,18 +104,18 @@ func init() {
 				opts.GammaHigh, opts.GammaLow = m.hi, m.lo
 				label := fmt.Sprintf("%.2f/%.2f", m.hi, m.lo)
 				m := m
-				sweep.Add(set, "abl-gamma/"+label, 43+seed,
+				sweep.Add(set, "abl-gamma/"+label, 43+env.Seed,
 					HTConfig{
 						Opts: opts, ThreadsPerBlade: 96,
-						Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 43 + seed,
+						Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 43 + env.Seed,
 					},
-					htPoint(quick),
+					htPoint(env.Quick),
 					func(r HTResult) {
 						t.AddLabeled("MOPS", m.hi, label, r.MOPS)
 						t.AddLabeled("retries/upd", m.hi, label, r.AvgRetries)
 					})
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect([]*result.Table{t})
 		},
 	})
@@ -124,9 +124,9 @@ func init() {
 		ID:       "abl-t0",
 		Category: "ablations",
 		Title:    "Ablation: backoff unit t0 under 100% skewed updates (96 threads)",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			units := []sim.Time{800, 1600, 3300, 6600, 13200}
-			if quick {
+			if env.Quick {
 				units = []sim.Time{1600, 3300, 13200}
 			}
 			t := result.NewTable("abl-t0",
@@ -140,19 +140,19 @@ func init() {
 				opts := core.Smart()
 				opts.BackoffUnit = t0
 				x := float64(t0)
-				sweep.Add(set, fmt.Sprintf("abl-t0/t0=%d", t0), 44+seed,
+				sweep.Add(set, fmt.Sprintf("abl-t0/t0=%d", t0), 44+env.Seed,
 					HTConfig{
 						Opts: opts, ThreadsPerBlade: 96,
-						Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 44 + seed,
+						Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 44 + env.Seed,
 					},
-					htPoint(quick),
+					htPoint(env.Quick),
 					func(r HTResult) {
 						t.Add("MOPS", x, r.MOPS)
 						t.Add("p50", x, us(r.Median))
 						t.Add("retries/upd", x, r.AvgRetries)
 					})
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect([]*result.Table{t})
 		},
 	})
@@ -161,9 +161,9 @@ func init() {
 		ID:       "abl-spec",
 		Category: "ablations",
 		Title:    "Ablation: speculative-lookup cache size (SMART-BT, read-only, 48 threads)",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			sizes := []int{256, 1024, 4096, 16384, 65536}
-			if quick {
+			if env.Quick {
 				sizes = []int{1024, 16384}
 			}
 			t := result.NewTable("abl-spec",
@@ -173,19 +173,19 @@ func init() {
 			set := &sweep.Set{}
 			for _, n := range sizes {
 				n := n
-				sweep.Add(set, fmt.Sprintf("abl-spec/n=%d", n), 45+seed,
+				sweep.Add(set, fmt.Sprintf("abl-spec/n=%d", n), 45+env.Seed,
 					BTConfig{
 						Variant: SmartBT, ThreadsPerBlade: 48,
-						Theta: 0.99, Mix: workload.ReadOnly, Keys: htKeys, Seed: 45 + seed,
+						Theta: 0.99, Mix: workload.ReadOnly, Keys: htKeys, Seed: 45 + env.Seed,
 						SpecCacheEntries: n,
 					},
-					btPoint(quick),
+					btPoint(env.Quick),
 					func(r BTResult) {
 						t.Add("MOPS", float64(n), r.MOPS)
 						t.Add("hit rate", float64(n), r.SpecHit)
 					})
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect([]*result.Table{t})
 		},
 	})
@@ -196,9 +196,9 @@ func init() {
 		ID:       "abl-payload",
 		Category: "ablations",
 		Title:    "Ablation: payload size — the IOPS-bound to bandwidth-bound transition (§3.1)",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			sizes := []int{8, 16, 32, 64, 128, 256, 512, 1024}
-			if quick {
+			if env.Quick {
 				sizes = []int{8, 64, 512}
 			}
 			t := result.NewTable("abl-payload",
@@ -209,10 +209,10 @@ func init() {
 			set := &sweep.Set{}
 			for _, n := range sizes {
 				n := n
-				sweep.Add(set, fmt.Sprintf("abl-payload/n=%d", n), 46+seed,
+				sweep.Add(set, fmt.Sprintf("abl-payload/n=%d", n), 46+env.Seed,
 					MicroConfig{
 						Opts: core.Baseline(core.PerThreadDoorbell), Threads: 96, Batch: 8,
-						Op: rnic.OpRead, Payload: n, Seed: 46 + seed,
+						Op: rnic.OpRead, Payload: n, Seed: 46 + env.Seed,
 					},
 					RunMicro,
 					func(r MicroResult) {
@@ -220,7 +220,7 @@ func init() {
 						t.Add("Gbps", float64(n), r.MOPS*float64(n)*8/1e3)
 					})
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect([]*result.Table{t})
 		},
 	})

@@ -11,7 +11,7 @@ func init() {
 	register(&Experiment{
 		ID:    "fig10",
 		Title: "Fig. 10: distributed transaction throughput, FORD+ vs SMART-DTX",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			systems := []struct {
 				name     string
 				fordPlus bool
@@ -23,16 +23,16 @@ func init() {
 					fmt.Sprintf("Fig. 10 — %s: MTPS vs threads", wl), "threads")
 				t.YUnit = "MTPS"
 				tabs = append(tabs, t)
-				for _, thr := range threadGrid(quick) {
+				for _, thr := range threadGrid(env.Quick) {
 					for _, sys := range systems {
-						sweep.Add(set, fmt.Sprintf("%s/%s/thr=%d", t.ID, sys.name, thr), 31+seed,
-							DTXConfig{Workload: wl, FORDPlus: sys.fordPlus, Threads: thr, Seed: 31 + seed},
-							dtxPoint(quick),
+						sweep.Add(set, fmt.Sprintf("%s/%s/thr=%d", t.ID, sys.name, thr), 31+env.Seed,
+							DTXConfig{Workload: wl, FORDPlus: sys.fordPlus, Threads: thr, Seed: 31 + env.Seed},
+							dtxPoint(env.Quick),
 							func(r DTXResult) { t.Add(sys.name, float64(thr), r.MTPS) })
 					}
 				}
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect(tabs)
 		},
 	})
@@ -40,12 +40,12 @@ func init() {
 	register(&Experiment{
 		ID:    "fig11",
 		Title: "Fig. 11: throughput vs latency for distributed transactions (96x8 tasks)",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			targets := map[DTXWorkload][]float64{
 				SmallBank: {0.5, 1, 2, 4, 8, 0},
 				TATP:      {1, 2, 4, 8, 16, 0},
 			}
-			if quick {
+			if env.Quick {
 				targets = map[DTXWorkload][]float64{
 					SmallBank: {1, 0},
 					TATP:      {4, 0},
@@ -69,10 +69,10 @@ func init() {
 							label = "max"
 						}
 						tgt := tgt
-						sweep.Add(set, fmt.Sprintf("%s/target=%g", t.ID, tgt), 32+seed,
+						sweep.Add(set, fmt.Sprintf("%s/target=%g", t.ID, tgt), 32+env.Seed,
 							DTXConfig{Workload: wl, FORDPlus: sys.fordPlus,
-								Threads: 96, Seed: 32 + seed, TargetMTPS: tgt},
-							dtxPoint(quick),
+								Threads: 96, Seed: 32 + env.Seed, TargetMTPS: tgt},
+							dtxPoint(env.Quick),
 							func(r DTXResult) {
 								t.AddLabeled("MTPS", tgt, label, r.MTPS)
 								t.AddLabeled("p50", tgt, label, us(r.Median))
@@ -81,7 +81,7 @@ func init() {
 					}
 				}
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect(tabs)
 		},
 	})
@@ -89,10 +89,10 @@ func init() {
 	register(&Experiment{
 		ID:    "fig12",
 		Title: "Fig. 12: B+Tree throughput, Sherman+ vs Sherman+ w/SL vs SMART-BT",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			variants := []BTVariant{ShermanPlus, ShermanPlusSL, SmartBT}
 			grid := []int{8, 16, 32, 48, 64, 94}
-			if quick {
+			if env.Quick {
 				grid = []int{8, 48, 94}
 			}
 			set := &sweep.Set{}
@@ -104,17 +104,17 @@ func init() {
 				tabs = append(tabs, t)
 				for _, thr := range grid {
 					for _, v := range variants {
-						sweep.Add(set, fmt.Sprintf("%s/%s/thr=%d", t.ID, v, thr), 33+seed,
+						sweep.Add(set, fmt.Sprintf("%s/%s/thr=%d", t.ID, v, thr), 33+env.Seed,
 							BTConfig{Variant: v, ThreadsPerBlade: thr,
-								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 33 + seed},
-							btPoint(quick),
+								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 33 + env.Seed},
+							btPoint(env.Quick),
 							func(r BTResult) { t.Add(v.String(), float64(thr), r.MOPS) })
 					}
 				}
 			}
 			servers := []int{1, 2, 4, 6, 8}
 			threads := 94
-			if quick {
+			if env.Quick {
 				servers = []int{1, 4}
 				threads = 32
 			}
@@ -125,15 +125,15 @@ func init() {
 				tabs = append(tabs, t)
 				for _, s := range servers {
 					for _, v := range variants {
-						sweep.Add(set, fmt.Sprintf("%s/%s/servers=%d", t.ID, v, s), 33+seed,
+						sweep.Add(set, fmt.Sprintf("%s/%s/servers=%d", t.ID, v, s), 33+env.Seed,
 							BTConfig{Variant: v, Servers: s, ThreadsPerBlade: threads,
-								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 33 + seed},
-							btPoint(quick),
+								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 33 + env.Seed},
+							btPoint(env.Quick),
 							func(r BTResult) { t.Add(v.String(), float64(s), r.MOPS) })
 					}
 				}
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect(tabs)
 		},
 	})

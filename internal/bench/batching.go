@@ -2,7 +2,6 @@ package bench
 
 import (
 	"repro/internal/result"
-	"repro/internal/sweep"
 	"repro/internal/verbs"
 )
 
@@ -14,22 +13,14 @@ import (
 // so the tables isolate what amortizing the doorbell MMIO buys and how
 // it interacts with the §4.2 credit controller.
 
-// batchingKnobs is the CLI's -batching template: its sharedcq bit and
-// batch=/deadline= values override the sweep's defaults for the
-// batched mode variants (the mode axis itself is what the ablation
-// sweeps, so the template's mode bits are ignored). The shape checks
-// are calibrated against the zero template.
-//
-//smartlint:ignore sharedstate — written only by CLI setup before any sweep runs
-var batchingKnobs verbs.Batching
-
-// setBatching installs the -batching template; the zero value restores
-// the defaults.
-func setBatching(b verbs.Batching) { batchingKnobs = b }
-
 // batchingFor builds one swept point's batching config: the mode's
 // postlist/coalesce bits, the point's coalesce threshold, and the knob
-// template's overrides.
+// template's overrides. The template is env.Batching (-batching) or a
+// spec's batching field: its sharedcq bit and batch=/deadline= values
+// override the sweep's defaults for the batched mode variants (the
+// mode axis itself is what the ablation sweeps, so the template's mode
+// bits are ignored). The shape checks are calibrated against the zero
+// template.
 func batchingFor(knobs, mode verbs.Batching, coalesceBatch int) verbs.Batching {
 	b := mode
 	b.SharedCQPoll = b.SharedCQPoll || knobs.SharedCQPoll
@@ -67,8 +58,8 @@ func init() {
 		ID:       "batching",
 		Category: "ablations",
 		Title:    "Ablation: WR postlist batching + doorbell coalescing (§3.1 model, DESIGN.md §16)",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
-			return runBatchingSection(sw, batchingSpec(quick).Ablation, batchingKnobs, seed)
+		Run: func(env Env) []result.Table {
+			return runBatchingSection(env.Sweeper, batchingSpec(env.Quick).Ablation, env.Batching, env.Seed)
 		},
 	})
 }

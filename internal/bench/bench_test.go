@@ -9,6 +9,7 @@ import (
 	"repro/internal/result"
 	"repro/internal/rnic"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -118,7 +119,7 @@ func TestExperimentQuickSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep")
 	}
-	tables := ByID("fig4").RunSeq(true, 0)
+	tables := ByID("fig4").Run(quickEnv(sweep.Sequential()))
 	if len(tables) != 2 {
 		t.Fatalf("fig4 returned %d tables, want 2", len(tables))
 	}

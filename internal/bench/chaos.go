@@ -29,24 +29,6 @@ import (
 //     for the whole window and retries are off, so every injected
 //     failure surfaces to BackoffCASSync as a conflict and drives γ.
 
-// chaosPlan is the fault plan the chaos experiment injects; the CLI
-// overrides it via SetOverrides (-faults). The shape checks are
-// calibrated against fault.Default() — custom plans run fine but may
-// legitimately fail -check. Plans are stateless (Decide draws from the
-// caller's rng), so concurrent points may share one safely.
-//
-//smartlint:ignore sharedstate — written only by CLI setup before any sweep runs
-var chaosPlan = fault.Default()
-
-// setChaosFaults installs the plan the chaos experiment uses; nil
-// restores the default.
-func setChaosFaults(p *fault.Plan) {
-	if p == nil {
-		p = fault.Default()
-	}
-	chaosPlan = p
-}
-
 // chaosSample is the counter-sampling period of the recovery
 // trajectories.
 const chaosSample = 250 * sim.Microsecond
@@ -83,13 +65,28 @@ func phaseRate(samples []chaosSamplePoint, from, to sim.Time) float64 {
 // runChaos executes the family: the faulted READ run, its fault-free
 // twin, and the CAS storm, returning the derived tables followed by
 // the registry's export (counters incl. fault/*, storm trajectories).
+// env.Faults is the injected plan (-faults); nil means fault.Default(),
+// which the shape checks are calibrated against — custom plans run
+// fine but may legitimately fail -check. Plans are stateless (Decide
+// draws from the caller's rng), so concurrent points may share one
+// safely. env.Telemetry, when non-nil, is the registry the faulted run
+// and the storm harvest into (the caller keeps it for the trace ring);
+// nil gets a private one, since the export is part of the tables
+// either way.
 //
 // The family enumerates as two sweep points: the faulted run and the
 // storm share reg, so they stay in one point (execs within a point run
 // sequentially, preserving the registry's write order); the fault-free
 // twin touches no shared state and runs concurrently with them.
-func runChaos(sw *sweep.Sweeper, quick bool, seed int64, reg *telemetry.Registry) []result.Table {
-	plan := chaosPlan
+func runChaos(env Env) []result.Table {
+	quick, seed := env.Quick, env.Seed
+	plan, reg := env.Faults, env.Telemetry
+	if plan == nil {
+		plan = fault.Default()
+	}
+	if reg == nil {
+		reg = telemetry.New()
+	}
 	wStart, wEnd := plan.Envelope()
 	warmup := sim.Millisecond
 	horizon := wEnd + 3*sim.Millisecond
@@ -134,7 +131,7 @@ func runChaos(sw *sweep.Sweeper, quick bool, seed int64, reg *telemetry.Registry
 	set.AddFunc("chaos/fault-free", 41+seed, func() {
 		clean = run(false, nil)
 	}, nil)
-	sw.Run(set)
+	env.Sweeper.Run(set)
 
 	traj := result.NewTable("chaos-throughput",
 		"READ throughput trajectory through the fault window", "time")
@@ -253,15 +250,10 @@ func runStorm(quick bool, seed int64, reg *telemetry.Registry, plan *fault.Plan,
 
 func init() {
 	register(&Experiment{
-		ID:       "chaos",
-		Category: "chaos",
-		Title:    "Recovery under injected RNIC faults (fault window + CAS storm)",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
-			return runChaos(sw, quick, seed, telemetry.New())
-		},
-	})
-	registerTelemetry("chaos", func(sw *sweep.Sweeper, quick bool, seed int64, trace int) (*telemetry.Registry, []result.Table) {
-		reg := newTelemetryRegistry(trace)
-		return reg, runChaos(sw, quick, seed, reg)
+		ID:           "chaos",
+		Category:     "chaos",
+		Title:        "Recovery under injected RNIC faults (fault window + CAS storm)",
+		Instrumented: true,
+		Run:          runChaos,
 	})
 }

@@ -8,8 +8,8 @@ import (
 	"repro/internal/result"
 	"repro/internal/rnic"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/sweep"
-	"repro/internal/telemetry"
 )
 
 // TestMicroDeterminism is the regression test behind every number this
@@ -70,7 +70,7 @@ func TestChaosDeterminism(t *testing.T) {
 			Quick:     true,
 			Seed:      seed,
 			Experiments: []result.Experiment{
-				{ID: "chaos", Tables: runChaos(sweep.New(2), true, seed, telemetry.New())},
+				{ID: "chaos", Tables: runChaos(Env{Env: spec.Env{Sweeper: sweep.New(2), Seed: seed}, Quick: true})},
 			},
 		}
 		var buf bytes.Buffer

@@ -3,13 +3,39 @@ package bench
 import (
 	"sort"
 
+	"repro/internal/arrival"
+	"repro/internal/fault"
 	"repro/internal/result"
 	"repro/internal/sim"
-	"repro/internal/sweep"
-	"repro/internal/telemetry"
+	"repro/internal/spec"
+	"repro/internal/verbs"
 )
 
-// Experiment is one reproducible table or figure from the paper.
+// Env is everything an experiment's Run takes from its caller — the
+// one path from a CLI flag (or a test) to a simulation. The embedded
+// spec.Env carries the sweeper whose worker pool executes the points,
+// the seed offset (0 reproduces the published numbers and the golden
+// files), and, when non-nil, the telemetry registry that asks for the
+// instrumented variant. The three templates are read by one
+// experiment family each; nil or zero means its calibrated default.
+type Env struct {
+	spec.Env
+
+	// Quick trades sweep density for runtime (used by the testing.B
+	// wrappers and the shape-check gate); the full sweep is the CLI
+	// default.
+	Quick bool
+	// Faults is the chaos experiment's injected plan (-faults).
+	Faults *fault.Plan
+	// Arrival is the template the serving sweep rescales per point
+	// (-arrival).
+	Arrival *arrival.Spec
+	// Batching is the batching ablation's knob template (-batching).
+	Batching verbs.Batching
+}
+
+// Experiment is one reproducible table or figure from the paper;
+// smartbench wraps a -spec scenario as one too.
 type Experiment struct {
 	ID    string
 	Title string
@@ -17,23 +43,20 @@ type Experiment struct {
 	// (the default — the paper's tables and figures), "ablations",
 	// "chaos", or "serving".
 	Category string
+	// Instrumented marks experiments with a software Neo-Host variant:
+	// Run with a non-nil env.Telemetry harvests into that registry and
+	// returns its exported tables. The other experiments never read
+	// env.Telemetry, so callers gate on this field.
+	Instrumented bool
+	// Checks names the shape-check groups that apply to the tables
+	// (default: the experiment's own ID).
+	Checks []string
 	// Run executes the experiment and returns its typed tables (one
 	// per panel). The body enumerates the sweep's points into a
-	// sweep.Set and executes them through sw — points run on sw's
-	// worker pool, results merge in enumeration order, so the returned
-	// tables are byte-identical for every worker count. quick trades
-	// sweep density for runtime (used by the testing.B wrappers and
-	// the shape-check gate); the full sweep is the CLI default. seed
-	// offsets every built-in workload seed — 0 reproduces the
-	// published numbers and the golden files.
-	Run func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table
-}
-
-// RunSeq executes the experiment on a single worker — the historical
-// sequential semantics, and the reference the parallel goldens are
-// compared against.
-func (e *Experiment) RunSeq(quick bool, seed int64) []result.Table {
-	return e.Run(sweep.Sequential(), quick, seed)
+	// sweep.Set and executes them through env.Sweeper — points run on
+	// its worker pool, results merge in enumeration order, so the
+	// returned tables are byte-identical for every worker count.
+	Run func(env Env) []result.Table
 }
 
 // registry holds all experiments, keyed by ID. Populated only from
@@ -46,6 +69,9 @@ var registry = map[string]*Experiment{}
 func register(e *Experiment) {
 	if e.Category == "" {
 		e.Category = "figures"
+	}
+	if e.Checks == nil {
+		e.Checks = []string{e.ID}
 	}
 	registry[e.ID] = e
 }
@@ -70,50 +96,6 @@ func All() []*Experiment {
 		out[i] = registry[id]
 	}
 	return out
-}
-
-// TelemetryRunner executes an experiment's instrumented variant: a
-// representative run (or small sweep, executed through sw like the
-// base experiment) with a telemetry registry attached, returning the
-// registry's exported tables. trace > 0 enables an event ring of that
-// capacity on the registry.
-type TelemetryRunner func(sw *sweep.Sweeper, quick bool, seed int64, trace int) (*telemetry.Registry, []result.Table)
-
-// telemetryRunners is kept separate from the experiment registry so
-// registration order cannot depend on file-init order; runners are
-// looked up by experiment ID at call time. Like registry, it is
-// written only during init.
-//
-//smartlint:ignore sharedstate — written only during init, read-only while sweeps run
-var telemetryRunners = map[string]TelemetryRunner{}
-
-func registerTelemetry(id string, r TelemetryRunner) { telemetryRunners[id] = r }
-
-// HasTelemetry reports whether the experiment has an instrumented
-// variant.
-func HasTelemetry(id string) bool { return telemetryRunners[id] != nil }
-
-// TelemetryExperiments returns the IDs with instrumented variants, in
-// ID order.
-func TelemetryExperiments() []string {
-	ids := make([]string, 0, len(telemetryRunners))
-	//smartlint:ignore maporder — ids are sorted on the next line
-	for id := range telemetryRunners {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// RunTelemetry executes the instrumented variant of experiment id on
-// sw's worker pool. The boolean is false when the experiment has none.
-func RunTelemetry(sw *sweep.Sweeper, id string, quick bool, seed int64, trace int) (*telemetry.Registry, []result.Table, bool) {
-	r := telemetryRunners[id]
-	if r == nil {
-		return nil, nil, false
-	}
-	reg, tables := r(sw, quick, seed, trace)
-	return reg, tables, true
 }
 
 // threadGrid returns the paper's thread-count sweep (or a sparse one).
@@ -168,6 +150,6 @@ func collect(ts []*result.Table) []result.Table {
 	return out
 }
 
-// usPerNs converts the sim.Time nanosecond clock into the microsecond
+// us converts the sim.Time nanosecond clock into the microsecond
 // latencies the tables report.
 func us(t sim.Time) float64 { return float64(t) / 1e3 }

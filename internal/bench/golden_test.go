@@ -25,8 +25,8 @@ func TestFig3QuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep twice")
 	}
-	first := ByID("fig3").RunSeq(true, 0)
-	second := ByID("fig3").Run(sweep.New(4), true, 0)
+	first := ByID("fig3").Run(quickEnv(sweep.Sequential()))
+	second := ByID("fig3").Run(quickEnv(sweep.New(4)))
 
 	var a, b bytes.Buffer
 	result.Text(&a, first)

@@ -53,19 +53,19 @@ func init() {
 	register(&Experiment{
 		ID:    "fig5",
 		Title: "Fig. 5: RACE hash-table update performance vs threads and vs skew",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			a := result.NewTable("fig5a", "Fig. 5a — RACE 100% updates, Zipf 0.99: MOPS / p50 / p99 vs threads (depth 8)", "threads")
 			defLatencySeries(a, "MOPS")
 			a.Def("retries/upd", "", 2)
 			set := &sweep.Set{}
-			for _, thr := range threadGrid(quick) {
+			for _, thr := range threadGrid(env.Quick) {
 				x := float64(thr)
-				sweep.Add(set, fmt.Sprintf("fig5a/thr=%d", thr), 21+seed,
+				sweep.Add(set, fmt.Sprintf("fig5a/thr=%d", thr), 21+env.Seed,
 					HTConfig{
 						Opts: RACEBaseline(), ThreadsPerBlade: thr,
-						Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 21 + seed,
+						Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 21 + env.Seed,
 					},
-					htPoint(quick),
+					htPoint(env.Quick),
 					func(r HTResult) {
 						a.Add("MOPS", x, r.MOPS)
 						a.Add("p50", x, us(r.Median))
@@ -75,25 +75,25 @@ func init() {
 			}
 
 			thetas := []float64{0, 0.5, 0.9, 0.99}
-			if quick {
+			if env.Quick {
 				thetas = []float64{0, 0.99}
 			}
 			b := result.NewTable("fig5b", "Fig. 5b — RACE 100% updates, 16 threads: latency vs Zipf theta", "theta")
 			defLatencySeries(b, "MOPS")
 			for _, th := range thetas {
-				sweep.Add(set, fmt.Sprintf("fig5b/theta=%g", th), 21+seed,
+				sweep.Add(set, fmt.Sprintf("fig5b/theta=%g", th), 21+env.Seed,
 					HTConfig{
 						Opts: RACEBaseline(), ThreadsPerBlade: 16,
-						Theta: th, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 21 + seed,
+						Theta: th, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 21 + env.Seed,
 					},
-					htPoint(quick),
+					htPoint(env.Quick),
 					func(r HTResult) {
 						b.Add("MOPS", th, r.MOPS)
 						b.Add("p50", th, us(r.Median))
 						b.Add("p99", th, us(r.P99))
 					})
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect([]*result.Table{a, b})
 		},
 	})
@@ -101,7 +101,7 @@ func init() {
 	register(&Experiment{
 		ID:    "fig7",
 		Title: "Fig. 7: hash table throughput, RACE vs SMART-HT (scale-up and scale-out)",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			systems := []struct {
 				name string
 				opts core.Options
@@ -113,19 +113,19 @@ func init() {
 					fmt.Sprintf("Fig. 7(a-c) — %s, 1 compute blade: MOPS vs threads", mix.Name), "threads")
 				t.YUnit = "MOPS"
 				tabs = append(tabs, t)
-				for _, thr := range threadGrid(quick) {
+				for _, thr := range threadGrid(env.Quick) {
 					for _, sys := range systems {
-						sweep.Add(set, fmt.Sprintf("%s/%s/thr=%d", t.ID, sys.name, thr), 22+seed,
+						sweep.Add(set, fmt.Sprintf("%s/%s/thr=%d", t.ID, sys.name, thr), 22+env.Seed,
 							HTConfig{Opts: sys.opts, ThreadsPerBlade: thr,
-								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 22 + seed},
-							htPoint(quick),
+								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 22 + env.Seed},
+							htPoint(env.Quick),
 							func(r HTResult) { t.Add(sys.name, float64(thr), r.MOPS) })
 					}
 				}
 			}
 			blades := []int{1, 2, 3, 4, 5, 6}
 			threads := 96
-			if quick {
+			if env.Quick {
 				blades = []int{1, 4}
 				threads = 32
 			}
@@ -136,15 +136,15 @@ func init() {
 				tabs = append(tabs, t)
 				for _, b := range blades {
 					for _, sys := range systems {
-						sweep.Add(set, fmt.Sprintf("%s/%s/blades=%d", t.ID, sys.name, b), 22+seed,
+						sweep.Add(set, fmt.Sprintf("%s/%s/blades=%d", t.ID, sys.name, b), 22+env.Seed,
 							HTConfig{Opts: sys.opts, ComputeBlades: b, ThreadsPerBlade: threads,
-								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 22 + seed},
-							htPoint(quick),
+								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 22 + env.Seed},
+							htPoint(env.Quick),
 							func(r HTResult) { t.Add(sys.name, float64(b), r.MOPS) })
 					}
 				}
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect(tabs)
 		},
 	})
@@ -152,7 +152,7 @@ func init() {
 	register(&Experiment{
 		ID:    "fig8",
 		Title: "Fig. 8: performance breakdown of SMART-HT's techniques",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			configs := fig8Configs()
 			set := &sweep.Set{}
 			var tabs []*result.Table
@@ -161,17 +161,17 @@ func init() {
 					fmt.Sprintf("Fig. 8 — %s: MOPS vs threads, cumulative techniques", mix.Name), "threads")
 				t.YUnit = "MOPS"
 				tabs = append(tabs, t)
-				for _, thr := range threadGrid(quick) {
+				for _, thr := range threadGrid(env.Quick) {
 					for _, c := range configs {
-						sweep.Add(set, fmt.Sprintf("%s/%s/thr=%d", t.ID, c.name, thr), 23+seed,
+						sweep.Add(set, fmt.Sprintf("%s/%s/thr=%d", t.ID, c.name, thr), 23+env.Seed,
 							HTConfig{Opts: c.opts, ThreadsPerBlade: thr,
-								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 23 + seed},
-							htPoint(quick),
+								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 23 + env.Seed},
+							htPoint(env.Quick),
 							func(r HTResult) { t.Add(c.name, float64(thr), r.MOPS) })
 					}
 				}
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect(tabs)
 		},
 	})
@@ -179,9 +179,9 @@ func init() {
 	register(&Experiment{
 		ID:    "fig9",
 		Title: "Fig. 9: throughput vs latency, read-only hash table, 96 threads",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			targets := []float64{2, 4, 8, 12, 16, 20, 0} // 0 = unthrottled
-			if quick {
+			if env.Quick {
 				targets = []float64{4, 12, 0}
 			}
 			set := &sweep.Set{}
@@ -201,11 +201,11 @@ func init() {
 						label = "max"
 					}
 					tgt := tgt
-					sweep.Add(set, fmt.Sprintf("%s/target=%g", t.ID, tgt), 24+seed,
+					sweep.Add(set, fmt.Sprintf("%s/target=%g", t.ID, tgt), 24+env.Seed,
 						HTConfig{Opts: sys.opts, ThreadsPerBlade: 96,
-							Theta: 0.99, Mix: workload.ReadOnly, Keys: htKeys, Seed: 24 + seed,
+							Theta: 0.99, Mix: workload.ReadOnly, Keys: htKeys, Seed: 24 + env.Seed,
 							TargetMOPS: tgt},
-						htPoint(quick),
+						htPoint(env.Quick),
 						func(r HTResult) {
 							t.AddLabeled("MOPS", tgt, label, r.MOPS)
 							t.AddLabeled("p50", tgt, label, us(r.Median))
@@ -213,15 +213,19 @@ func init() {
 						})
 				}
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect(tabs)
 		},
 	})
 
 	register(&Experiment{
-		ID:    "fig14",
-		Title: "Fig. 14: conflict avoidance breakdown (100% updates, Zipf 0.99)",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		ID:           "fig14",
+		Title:        "Fig. 14: conflict avoidance breakdown (100% updates, Zipf 0.99)",
+		Instrumented: true,
+		Run: func(env Env) []result.Table {
+			if env.Telemetry != nil {
+				return fig14Telemetry(env)
+			}
 			noCA := core.Smart()
 			noCA.Backoff, noCA.DynamicLimit, noCA.CoroThrottle = false, false, false
 			bo := core.Smart()
@@ -244,13 +248,13 @@ func init() {
 			dist := result.NewTable("fig14c", "Fig. 14c — retry-count distribution at 96 threads (completed ops, %)", "retries")
 			dist.YUnit, dist.Prec = "%", 1
 			set := &sweep.Set{}
-			for _, thr := range threadGrid(quick) {
+			for _, thr := range threadGrid(env.Quick) {
 				for _, c := range configs {
 					thr := thr
-					sweep.Add(set, fmt.Sprintf("fig14/%s/thr=%d", c.name, thr), 25+seed,
+					sweep.Add(set, fmt.Sprintf("fig14/%s/thr=%d", c.name, thr), 25+env.Seed,
 						HTConfig{Opts: c.opts, ThreadsPerBlade: thr,
-							Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 25 + seed},
-						htPoint(quick),
+							Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 25 + env.Seed},
+						htPoint(env.Quick),
 						func(r HTResult) {
 							mops.Add(c.name, float64(thr), r.MOPS)
 							retries.Add(c.name, float64(thr), r.AvgRetries)
@@ -264,7 +268,7 @@ func init() {
 						})
 				}
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect([]*result.Table{mops, retries, dist})
 		},
 	})

@@ -14,20 +14,24 @@ import (
 
 func init() {
 	register(&Experiment{
-		ID:    "fig3",
-		Title: "Fig. 3: throughput of 8-byte READ/WRITE under different QP allocation policies (depth 8)",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
-			return mustTables(runMicroPanels(sw, fig3Spec(quick).Micro, nil, verbs.Batching{}, seed))
+		ID:           "fig3",
+		Title:        "Fig. 3: throughput of 8-byte READ/WRITE under different QP allocation policies (depth 8)",
+		Instrumented: true,
+		Run: func(env Env) []result.Table {
+			if env.Telemetry != nil {
+				return fig3Telemetry(env)
+			}
+			return mustTables(runMicroPanels(env.Sweeper, fig3Spec(env.Quick).Micro, nil, verbs.Batching{}, env.Seed))
 		},
 	})
 
 	register(&Experiment{
 		ID:    "fig4",
 		Title: "Fig. 4: throughput and DRAM traffic vs thread count x outstanding work requests",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			threads := []int{16, 36, 64, 96}
 			owrs := []int{1, 2, 4, 8, 16, 32, 64}
-			if quick {
+			if env.Quick {
 				threads = []int{36, 96}
 				owrs = []int{2, 8, 32}
 			}
@@ -39,10 +43,10 @@ func init() {
 			for _, t := range threads {
 				for _, o := range owrs {
 					col := fmt.Sprintf("owr=%d", o)
-					sweep.Add(set, fmt.Sprintf("thr=%d/%s", t, col), 12+seed,
+					sweep.Add(set, fmt.Sprintf("thr=%d/%s", t, col), 12+env.Seed,
 						MicroConfig{
 							Opts:    core.Baseline(core.PerThreadDoorbell),
-							Threads: t, Batch: o, Op: rnic.OpRead, Seed: 12 + seed,
+							Threads: t, Batch: o, Op: rnic.OpRead, Seed: 12 + env.Seed,
 						},
 						RunMicro,
 						func(r MicroResult) {
@@ -51,23 +55,27 @@ func init() {
 						})
 				}
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect([]*result.Table{mops, dma})
 		},
 	})
 
 	register(&Experiment{
-		ID:    "fig13",
-		Title: "Fig. 13: SMART's allocation and throttling techniques in the micro-benchmark",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
-			return mustTables(runMicroPanels(sw, fig13Spec(quick).Micro, nil, verbs.Batching{}, seed))
+		ID:           "fig13",
+		Title:        "Fig. 13: SMART's allocation and throttling techniques in the micro-benchmark",
+		Instrumented: true,
+		Run: func(env Env) []result.Table {
+			if env.Telemetry != nil {
+				return fig13Telemetry(env)
+			}
+			return mustTables(runMicroPanels(env.Sweeper, fig13Spec(env.Quick).Micro, nil, verbs.Batching{}, env.Seed))
 		},
 	})
 
 	register(&Experiment{
 		ID:    "tab1",
 		Title: "Table 1: 8-byte READ MOPS under dynamically changing thread counts (batch 64)",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
+		Run: func(env Env) []result.Table {
 			// Time-scale substitution: the paper's epoch is 512 ms
 			// against changing intervals of 32–2048 ms; we scale both
 			// by 1/16 (epoch ≈ 16 ms within reach of simulation) and
@@ -78,7 +86,7 @@ func init() {
 				64 * sim.Millisecond, 128 * sim.Millisecond,
 			}
 			paperMS := []int{32, 64, 128, 256, 512, 1024, 2048}
-			if quick {
+			if env.Quick {
 				intervals = []sim.Time{4 * sim.Millisecond, 16 * sim.Millisecond}
 				paperMS = []int{64, 256}
 			}
@@ -99,23 +107,23 @@ func init() {
 			} {
 				for i, iv := range intervals {
 					measure := 8 * iv
-					if quick {
+					if env.Quick {
 						measure = 4 * iv
 					}
 					if measure < 16*sim.Millisecond {
 						measure = 16 * sim.Millisecond
 					}
-					sweep.Add(set, fmt.Sprintf("%s/interval=%dms", strings.TrimSpace(row.name), paperMS[i]), 14+seed,
+					sweep.Add(set, fmt.Sprintf("%s/interval=%dms", strings.TrimSpace(row.name), paperMS[i]), 14+env.Seed,
 						MicroConfig{
 							Opts: row.opts, Threads: 96, Batch: 64, Op: rnic.OpRead,
-							Seed: 14 + seed, Measure: measure, Warmup: 2 * sim.Millisecond,
+							Seed: 14 + env.Seed, Measure: measure, Warmup: 2 * sim.Millisecond,
 							DynamicInterval: iv, DynamicMin: 36,
 						},
 						RunMicro,
 						func(r MicroResult) { t.Add(row.name, float64(paperMS[i]), r.MOPS) })
 				}
 			}
-			sw.Run(set)
+			env.Sweeper.Run(set)
 			return collect([]*result.Table{t})
 		},
 	})

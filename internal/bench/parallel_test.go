@@ -19,8 +19,8 @@ func TestParallelSweepUnderRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep twice")
 	}
-	seq := ByID("fig4").RunSeq(true, 0)
-	par := ByID("fig4").Run(sweep.New(4), true, 0)
+	seq := ByID("fig4").Run(quickEnv(sweep.Sequential()))
+	par := ByID("fig4").Run(quickEnv(sweep.New(4)))
 
 	var a, b bytes.Buffer
 	result.Text(&a, seq)
@@ -41,7 +41,9 @@ func TestSweepLabelsAreUnique(t *testing.T) {
 		for _, e := range All() {
 			var labels []string
 			probe := sweep.Probe(func(s *sweep.Set) { labels = append(labels, s.Labels()...) })
-			e.Run(probe, quick, 0)
+			env := quickEnv(probe)
+			env.Quick = quick
+			e.Run(env)
 			seen := make(map[string]bool, len(labels))
 			for _, l := range labels {
 				if seen[l] {

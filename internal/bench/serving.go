@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/arrival"
 	"repro/internal/result"
-	"repro/internal/sweep"
-	"repro/internal/telemetry"
 )
 
 // The serving experiment is the open-loop capacity-planning study
@@ -31,28 +29,9 @@ const servingPerThreadCapacity = 1.15
 const servingTxnFrac = 0.2
 
 // defaultServingArrival returns the calibrated Poisson template the
-// serving sweep rescales per point when no override is installed.
+// serving sweep rescales per point when env.Arrival is nil.
 func defaultServingArrival() *arrival.Spec {
 	return &arrival.Spec{Kind: arrival.KindPoisson, Rate: 4}
-}
-
-// servingArrival is the arrival-process template the serving sweep
-// rescales per point (WithMeanRate); the CLI overrides it via
-// SetOverrides (-arrival). Specs are immutable after parse and
-// New draws from each point's own rand stream, so concurrent points
-// may share one safely. The burst-comparison table always runs its
-// own poisson and mmpp specs regardless of the template.
-//
-//smartlint:ignore sharedstate — written only by CLI setup before any sweep runs
-var servingArrival = defaultServingArrival()
-
-// setServingArrival installs the arrival template the serving
-// experiment sweeps; nil restores the Poisson default.
-func setServingArrival(s *arrival.Spec) {
-	if s == nil {
-		s = defaultServingArrival()
-	}
-	servingArrival = s
 }
 
 // servingTopo is one blade/thread configuration of the capacity grid.
@@ -83,30 +62,28 @@ func servingGrid(quick bool) (topos []servingTopo, fracs []float64) {
 
 func init() {
 	register(&Experiment{
-		ID:       "serving",
-		Title:    "Open-loop serving capacity: SLO percentiles and goodput vs offered load x topology",
-		Category: "serving",
-		Run: func(sw *sweep.Sweeper, quick bool, seed int64) []result.Table {
-			return runServing(sw, quick, seed, nil)
-		},
-	})
-	registerTelemetry("serving", func(sw *sweep.Sweeper, quick bool, seed int64, trace int) (*telemetry.Registry, []result.Table) {
-		reg := newTelemetryRegistry(trace)
-		return reg, runServingTelemetry(sw, quick, seed, reg)
+		ID:           "serving",
+		Title:        "Open-loop serving capacity: SLO percentiles and goodput vs offered load x topology",
+		Category:     "serving",
+		Instrumented: true,
+		Run:          runServing,
 	})
 }
 
-// runServing runs the built-in serving section (servingSpec) with the
-// installed arrival template; the same section runner serves -spec
-// runs, so the golden serving spec reproduces this output
-// byte-identically.
-func runServing(sw *sweep.Sweeper, quick bool, seed int64, reg *telemetry.Registry) []result.Table {
-	return mustTables(runServingSection(sw, servingSpec(quick).Serving, servingArrival, seed, reg))
-}
-
-// runServingTelemetry is the instrumented serving variant: the full
-// sweep plus a telemetry-carrying overload point whose registry
-// export rides along after the result tables.
-func runServingTelemetry(sw *sweep.Sweeper, quick bool, seed int64, reg *telemetry.Registry) []result.Table {
-	return runServing(sw, quick, seed, reg)
+// runServing runs the built-in serving section (servingSpec); the
+// same section runner serves -spec runs, so the golden serving spec
+// reproduces this output byte-identically. env.Arrival is the template
+// the sweep rescales per point (-arrival; nil means the calibrated
+// Poisson default). Specs are immutable after parse and New draws from
+// each point's own rand stream, so concurrent points may share one
+// safely; the burst-comparison table always runs its own poisson and
+// mmpp specs regardless of the template. A non-nil env.Telemetry adds
+// the instrumented overload point, whose registry export rides along
+// after the result tables.
+func runServing(env Env) []result.Table {
+	template := env.Arrival
+	if template == nil {
+		template = defaultServingArrival()
+	}
+	return mustTables(runServingSection(env.Sweeper, servingSpec(env.Quick).Serving, template, env.Seed, env.Telemetry))
 }

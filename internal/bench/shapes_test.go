@@ -34,7 +34,7 @@ func TestShapesQuick(t *testing.T) {
 			if e == nil {
 				t.Fatalf("experiment %q not registered", id)
 			}
-			tables := e.Run(sweep.New(0), true, 0)
+			tables := e.Run(quickEnv(sweep.New(0)))
 			for _, v := range Check(id, tables) {
 				t.Errorf("shape violation %s: %s", v.Check, v.Detail)
 			}

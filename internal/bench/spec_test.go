@@ -110,7 +110,7 @@ func TestSpecProbeEnumeration(t *testing.T) {
 				}
 			})
 			fromExp := enumerate(func(sw *sweep.Sweeper) {
-				ByID(g.expID).Run(sw, true, 0)
+				ByID(g.expID).Run(quickEnv(sw))
 			})
 			if len(fromSpec) == 0 {
 				t.Fatal("spec enumerated no points")
@@ -140,7 +140,7 @@ func TestGoldenSpecsMatchRunners(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := ByID(g.expID).RunSeq(true, 0)
+			ref := ByID(g.expID).Run(quickEnv(sweep.Sequential()))
 
 			var a, b bytes.Buffer
 			result.Text(&a, tables)

@@ -4,11 +4,45 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/result"
+	"repro/internal/spec"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
+
+// quickEnv is the tests' standard environment: quick density, seed 0,
+// no telemetry, default templates.
+func quickEnv(sw *sweep.Sweeper) Env {
+	return Env{Env: spec.Env{Sweeper: sw}, Quick: true}
+}
+
+// runInstrumented runs experiment id's instrumented variant at quick
+// density into a fresh registry with a trace ring of the given
+// capacity, the way smartbench does.
+func runInstrumented(sw *sweep.Sweeper, id string, trace int) (*telemetry.Registry, []result.Table) {
+	env := quickEnv(sw)
+	env.Telemetry = telemetry.New()
+	if trace > 0 {
+		env.Telemetry.EnableTrace(trace)
+	}
+	return env.Telemetry, ByID(id).Run(env)
+}
+
+// instrumentedIDs returns the experiments with an instrumented
+// variant, in ID order.
+func instrumentedIDs() []string {
+	var ids []string
+	for _, e := range All() {
+		if e.Instrumented {
+			ids = append(ids, e.ID)
+		}
+	}
+	return ids
+}
 
 // telemetryDoc wraps an instrumented run's tables the way smartbench
 // does, so byte comparisons cover the full rendered document.
@@ -23,27 +57,34 @@ func telemetryDoc(id string, tables []result.Table) *result.Document {
 	}
 }
 
-// TestTelemetryRegistry pins the instrumented-variant registry: every
-// runner is attached to a registered experiment, lookups agree, and
-// unknown IDs report cleanly.
+// TestTelemetryRegistry pins the instrumented set: exactly the five
+// experiments with a software Neo-Host variant are marked, unknown IDs
+// report cleanly, and an unmarked experiment ignores a registry — same
+// points enumerated, nothing recorded (checked on a probe, so nothing
+// executes) — which is why callers gate on Instrumented.
 func TestTelemetryRegistry(t *testing.T) {
-	ids := TelemetryExperiments()
-	if len(ids) == 0 {
-		t.Fatal("no instrumented experiments registered")
+	if got, want := strings.Join(instrumentedIDs(), " "), "chaos fig13 fig14 fig3 serving"; got != want {
+		t.Errorf("instrumented experiments = %q, want %q", got, want)
 	}
-	for _, id := range ids {
-		if ByID(id) == nil {
-			t.Errorf("telemetry runner %q has no base experiment", id)
-		}
-		if !HasTelemetry(id) {
-			t.Errorf("HasTelemetry(%q) = false for a registered runner", id)
-		}
-	}
-	if HasTelemetry("fig4") {
+	if ByID("fig4").Instrumented {
 		t.Error("fig4 should not have an instrumented variant")
 	}
-	if _, _, ok := RunTelemetry(sweep.Sequential(), "no-such-exp", true, 0, 0); ok {
-		t.Error("RunTelemetry for an unknown ID reported ok")
+	if ByID("no-such-exp") != nil {
+		t.Error("an unknown ID resolved to an experiment")
+	}
+	enumerate := func(reg *telemetry.Registry) []string {
+		var labels []string
+		env := quickEnv(sweep.Probe(func(s *sweep.Set) { labels = append(labels, s.Labels()...) }))
+		env.Telemetry = reg
+		ByID("fig4").Run(env)
+		return labels
+	}
+	reg := telemetry.New()
+	if plain, with := enumerate(nil), enumerate(reg); !reflect.DeepEqual(plain, with) {
+		t.Errorf("fig4 enumerates different points with a registry:\n%v\n%v", plain, with)
+	}
+	if tables := reg.Tables(""); len(tables) != 0 {
+		t.Errorf("fig4 recorded %d telemetry tables into a registry it should ignore", len(tables))
 	}
 }
 
@@ -56,11 +97,8 @@ func TestTelemetryDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs an instrumented 96-thread run twice")
 	}
-	reg1, tables1, ok := RunTelemetry(sweep.Sequential(), "fig13", true, 0, 32)
-	if !ok {
-		t.Fatal("fig13 has no telemetry runner")
-	}
-	reg2, tables2, _ := RunTelemetry(sweep.New(4), "fig13", true, 0, 32)
+	reg1, tables1 := runInstrumented(sweep.Sequential(), "fig13", 32)
+	reg2, tables2 := runInstrumented(sweep.New(4), "fig13", 32)
 
 	var j1, j2 bytes.Buffer
 	if err := result.JSON(&j1, telemetryDoc("fig13", tables1)); err != nil {
@@ -88,10 +126,7 @@ func TestTelemetryGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs an instrumented 96-thread run")
 	}
-	_, tables, ok := RunTelemetry(sweep.Sequential(), "fig13", true, 0, 0)
-	if !ok {
-		t.Fatal("fig13 has no telemetry runner")
-	}
+	_, tables := runInstrumented(sweep.Sequential(), "fig13", 0)
 
 	var text bytes.Buffer
 	result.Text(&text, tables)
@@ -134,13 +169,10 @@ func TestTelemetryShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full instrumented sweeps")
 	}
-	for _, id := range TelemetryExperiments() {
+	for _, id := range instrumentedIDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			_, tables, ok := RunTelemetry(sweep.New(0), id, true, 0, 0)
-			if !ok {
-				t.Fatalf("%s has no telemetry runner", id)
-			}
+			_, tables := runInstrumented(sweep.New(0), id, 0)
 			for _, v := range CheckTelemetry(id, tables) {
 				t.Errorf("%s: %s", v.Check, v.Detail)
 			}

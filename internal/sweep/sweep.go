@@ -26,7 +26,9 @@
 package sweep
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
 
@@ -40,6 +42,19 @@ type Point struct {
 
 	exec  func() // runs the point, filling its result slot
 	merge func() // consumes the slot; called in enumeration order
+}
+
+// run executes the point and reports a panicking exec as the message
+// Run re-raises on its caller's goroutine: the point's label and seed,
+// the panic value, and the stack of the goroutine that panicked.
+func (p *Point) run() (failure string) {
+	defer func() {
+		if v := recover(); v != nil {
+			failure = fmt.Sprintf("sweep: point %q (seed %d) panicked: %v\n\n%s", p.Label, p.Seed, v, debug.Stack())
+		}
+	}()
+	p.exec()
+	return ""
 }
 
 // A Set is the ordered enumeration of one sweep's points. The zero
@@ -142,6 +157,10 @@ func (sw *Sweeper) OnPoint(fn func(done, total int, p *Point)) { sw.onPoint = fn
 // which execs complete; with a single worker the execs themselves run
 // interleaved with their merges on the caller's goroutine, so a
 // sequential sweep spawns no goroutines at all.
+//
+// A point whose exec panics fails the whole sweep, attributed: Run
+// panics on the caller's goroutine with the point's label and seed,
+// after every earlier point has merged and before any later one does.
 func (sw *Sweeper) Run(s *Set) {
 	if sw.probe != nil {
 		sw.probe(s)
@@ -157,7 +176,9 @@ func (sw *Sweeper) Run(s *Set) {
 	}
 	if workers <= 1 {
 		for i, p := range s.points {
-			p.exec()
+			if failure := p.run(); failure != "" {
+				panic(failure)
+			}
 			sw.finish(i, n, p)
 		}
 		return
@@ -171,7 +192,9 @@ func (sw *Sweeper) Run(s *Set) {
 
 	// One done channel per point: closing it publishes the point's
 	// result slot to the merging goroutine (channel close/receive is
-	// the happens-before edge the slot read relies on).
+	// the happens-before edge the slot read relies on), and its
+	// failure message if the exec panicked.
+	failures := make([]string, n)
 	done := make([]chan struct{}, n)
 	for i := range done {
 		done[i] = make(chan struct{})
@@ -182,13 +205,18 @@ func (sw *Sweeper) Run(s *Set) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				s.points[i].exec()
+				failures[i] = s.points[i].run()
 				close(done[i])
 			}
 		}()
 	}
 	for i, p := range s.points {
 		<-done[i]
+		if failures[i] != "" {
+			// Terminal for the process, so the pool is not drained
+			// or awaited: the report should not wait on other points.
+			panic(failures[i])
+		}
 		sw.finish(i, n, p)
 	}
 	wg.Wait()

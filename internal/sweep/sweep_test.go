@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -192,6 +193,39 @@ func TestNilExecPanics(t *testing.T) {
 		}
 	}()
 	(&Set{}).AddFunc("p", 0, nil, nil)
+}
+
+// TestPanickingPointIsAttributed: a panicking exec fails the sweep on
+// the caller's goroutine with the point's label, seed, panic value and
+// original stack, after the earlier points merged and before any later
+// one does — at one worker and on a pool.
+func TestPanickingPointIsAttributed(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			set := &Set{}
+			var merges []int
+			for i := 0; i < 6; i++ {
+				exec := func() {}
+				if i == 3 {
+					exec = func() { panic("boom at three") }
+				}
+				set.AddFunc(fmt.Sprintf("p%d", i), int64(40+i), exec, func() { merges = append(merges, i) })
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				for _, want := range []string{`sweep: point "p3" (seed 43) panicked: boom at three`, "goroutine ", "sweep_test.go"} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("panic message lacks %q:\n%s", want, msg)
+					}
+				}
+				if fmt.Sprint(merges) != "[0 1 2]" {
+					t.Errorf("merged %v before the panic surfaced, want [0 1 2]", merges)
+				}
+			}()
+			New(workers).Run(set)
+			t.Fatal("Run returned despite a panicking point")
+		})
+	}
 }
 
 // TestMoreWorkersThanPoints: the pool must clamp to the point count
