@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/result"
 	"repro/internal/rnic"
-	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -26,7 +25,7 @@ func runExperiment(b *testing.B, id string) {
 	if e == nil {
 		b.Fatalf("unknown experiment %q", id)
 	}
-	env := bench.Env{Env: spec.Env{Sweeper: sweep.Sequential()}, Quick: true}
+	env := bench.Env{Sweeper: sweep.Sequential(), Quick: true}
 	for i := 0; i < b.N; i++ {
 		result.Text(os.Stdout, e.Run(env))
 	}

@@ -17,10 +17,10 @@
 //	    -stats bench_stats.json            # sweep points on 4 workers
 //
 // Every flag reaches a simulation by one route: run parses the flags
-// into a single bench.Env (sweeper, seed, quick, the three scenario
-// templates, and — for an instrumented re-run — a telemetry registry),
-// and every selection, a registered experiment or a -spec scenario
-// wrapped as one, goes through the same loop calling e.Run(env).
+// into a single bench.Env (sweeper, seed, quick, the chaos fault plan,
+// and — for an instrumented re-run — a telemetry registry), and every
+// selection, a registered experiment or a -spec scenario lowered to
+// one by bench.FromSpec, goes through the same loop calling e.Run(env).
 // Nothing is installed in package state, so concurrent run calls in
 // one process do not see each other's flags.
 //
@@ -74,20 +74,25 @@
 //
 // -spec FILE runs a declarative scenario spec (internal/spec) instead
 // of a registered experiment: a versioned JSON document carrying the
-// scenario, its sweep grids and seeds, and the same fault/arrival/
-// batching templates as embedded sub-specs. -spec is mutually
+// scenario, its sweep grids and seeds, and the fault/arrival/batching
+// templates as embedded sub-specs (faults on micro scenarios, arrival
+// on serving, batching on micro and batching). -spec is mutually
 // exclusive with -exp and -quick (a spec's grids are its density) and
 // composes with -check (the spec names its check groups), -format,
 // -out, -seed, -parallel, -stats, -telemetry/-trace (for scenarios
 // with an instrumented variant), and the profile flags. -faults,
-// -arrival, and -batching override the corresponding spec field
-// before validation. A validated spec is first lowered through a
-// probing sweeper (enumeration only, nothing executes), which is where
-// a spec that cannot compile becomes a usage error; -dryrun stops
-// there and prints the point count — CI's spec-validate job runs
-// exactly that over every golden spec. Golden specs for fig3, fig13,
-// serving, and batching live under internal/bench/testdata/specs/ and
-// reproduce those experiments byte-identically.
+// -arrival, and -batching override the corresponding spec field —
+// under -exp they set the same field on the serving or batching
+// experiment's own spec. Either way bench.FromSpec validates and
+// lowers the result once, and everything that can be wrong with it —
+// a malformed or inapplicable template, a batching template no
+// profile's policy can run — is a usage error there, so the run
+// itself cannot fail. -dryrun enumerates the lowered spec on a probing
+// sweeper (nothing executes) and prints the point count — CI's
+// spec-validate job runs exactly that over every golden spec. Golden
+// specs for fig3, fig13, serving, and batching live under
+// internal/bench/testdata/specs/ and reproduce those experiments
+// byte-identically.
 //
 // Exit status: 0 on success, 1 when -check finds shape violations or
 // -perf-baseline finds a throughput regression, 2 on usage errors (no
@@ -110,11 +115,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/arrival"
 	"repro/internal/bench"
 	"repro/internal/fault"
 	"repro/internal/perf"
@@ -122,7 +125,6 @@ import (
 	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
-	"repro/internal/verbs"
 )
 
 // benchSeq is the sequence number stamped into the perf records this
@@ -236,64 +238,62 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scenario = s
 	}
 
-	// The three scenario-template flags share one validation path:
-	// parse the value with its leaf grammar (exit 2 on a malformed
-	// spec) into the Env every selected experiment runs with, then
-	// check applicability — against the -exp selection in experiment
-	// mode, or by re-validating the spec document (which knows which
-	// scenarios read which template) in -spec mode, where each flag
-	// overrides the corresponding spec field instead.
-	env := bench.Env{Env: spec.Env{Seed: *seed}, Quick: *quick}
+	// The three scenario-template flags set a string field on a spec —
+	// the -spec document, or a fresh copy of the selected experiment's
+	// own spec — and bench.FromSpec, the one place a spec is validated
+	// and lowered, turns a malformed or inapplicable value into the
+	// usage error. chaos has no spec, so -faults in experiment mode is
+	// parsed here and rides on the Env instead.
+	env := bench.Env{Seed: *seed, Quick: *quick}
 	for _, tf := range []struct {
 		name, value, expID string
-		parse              func(string) error
+		field              func(*spec.Spec) *string
 	}{
-		{"faults", *faults, "chaos", func(v string) (err error) {
-			env.Faults, err = fault.Parse(v)
-			if scenario != nil {
-				scenario.Faults = v
-			}
-			return err
-		}},
-		{"arrival", *arrv, "serving", func(v string) (err error) {
-			env.Arrival, err = arrival.Parse(v)
-			if scenario != nil {
-				scenario.Arrival = v
-			}
-			return err
-		}},
-		{"batching", *batching, "batching", func(v string) (err error) {
-			env.Batching, err = verbs.ParseBatching(v)
-			if scenario != nil {
-				scenario.Batching = v
-			}
-			return err
-		}},
+		{"faults", *faults, "chaos", func(s *spec.Spec) *string { return &s.Faults }},
+		{"arrival", *arrv, "serving", func(s *spec.Spec) *string { return &s.Arrival }},
+		{"batching", *batching, "batching", func(s *spec.Spec) *string { return &s.Batching }},
 	} {
 		if tf.value == "" {
 			continue
 		}
-		if err := tf.parse(tf.value); err != nil {
-			fmt.Fprintf(stderr, "smartbench: -%s: %v\n", tf.name, err)
-			return 2
-		}
 		if scenario != nil {
+			*tf.field(scenario) = tf.value
 			continue
 		}
-		if !slices.ContainsFunc(selected, func(e *bench.Experiment) bool { return e.ID == tf.expID }) {
+		applied := false
+		for i, e := range selected {
+			if e.ID != tf.expID {
+				continue
+			}
+			applied = true
+			var err error
+			if e.Spec == nil {
+				env.Faults, err = fault.Parse(tf.value)
+			} else {
+				s := e.Spec(*quick)
+				*tf.field(s) = tf.value
+				selected[i], err = withSpec(e, s)
+			}
+			if err != nil {
+				fmt.Fprintf(stderr, "smartbench: -%s: %v\n", tf.name, err)
+				return 2
+			}
+		}
+		if !applied {
 			fmt.Fprintf(stderr, "smartbench: -%s only applies to the %s experiment; add %s to -exp\n",
 				tf.name, tf.expID, tf.expID)
 			return 2
 		}
 	}
-	// A valid spec joins the selection as one more experiment; from
-	// here on both CLI modes are the same loop over the same values.
+	// A spec that lowers joins the selection as one more experiment;
+	// from here on both CLI modes are the same loop over the same values.
 	if scenario != nil {
-		if err := scenario.Validate(); err != nil {
-			fmt.Fprintf(stderr, "smartbench: -spec %s: %v\n", *specPath, err)
+		e, err := bench.FromSpec(scenario)
+		if err != nil {
+			fmt.Fprintf(stderr, "smartbench: -spec: %s: %v\n", *specPath, err)
 			return 2
 		}
-		selected = append(selected, specExperiment(scenario))
+		selected = append(selected, e)
 	}
 
 	// -telemetry and -trace only make sense against experiments (or a
@@ -338,23 +338,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Every spec is first lowered through a probing sweeper: full
-	// enumeration (labels, seeds, counts), zero execution. Lowering
-	// errors all surface during enumeration, so a spec that fails to
-	// compile is a usage error here, same as one that fails to parse,
-	// and the real run below cannot fail. -dryrun stops after the probe.
-	if scenario != nil {
+	// -dryrun runs the lowered spec on a probing sweeper: full
+	// enumeration (labels, seeds, counts), zero execution.
+	if *dryrun {
 		points := 0
-		probe := sweep.Probe(func(s *sweep.Set) { points += s.Len() })
-		if _, err := spec.Compile(scenario, spec.Env{Sweeper: probe, Seed: *seed}); err != nil {
-			fmt.Fprintf(stderr, "smartbench: -spec: %v\n", err)
-			return 2
-		}
-		if *dryrun {
-			fmt.Fprintf(stdout, "smartbench: spec %s (%s scenario) enumerates %d points\n",
-				scenario.Name, scenario.Scenario, points)
-			return 0
-		}
+		env.Sweeper = sweep.Probe(func(s *sweep.Set) { points += s.Len() })
+		selected[0].Run(env) // -spec excludes -exp: the spec is the whole selection
+		fmt.Fprintf(stdout, "smartbench: spec %s (%s scenario) enumerates %d points\n",
+			scenario.Name, scenario.Scenario, points)
+		return 0
 	}
 
 	// The baseline is read before any sweep time is spent: an
@@ -590,26 +582,17 @@ func printList(w io.Writer) {
 	fmt.Fprintln(w, "registered experiment; -dryrun prints its point count and exits.")
 }
 
-// specExperiment wraps a validated scenario spec as an experiment, so
-// a -spec run and a registered figure go through the same loop. run
-// probe-compiles the spec first and lowering errors all surface during
-// enumeration, so a compile error in Run is a bug, not a usage error.
-func specExperiment(s *spec.Spec) *bench.Experiment {
-	title := s.Title
-	if title == "" {
-		title = s.Name
+// withSpec returns a copy of the registered experiment e that runs s,
+// its own spec with a template overridden: ID, title and checks stay
+// e's, and the registry's value is not touched.
+func withSpec(e *bench.Experiment, s *spec.Spec) (*bench.Experiment, error) {
+	lowered, err := bench.FromSpec(s)
+	if err != nil {
+		return nil, err
 	}
-	return &bench.Experiment{
-		ID: s.Name, Title: title, Checks: s.Checks,
-		Instrumented: spec.Instrumented(s.Scenario),
-		Run: func(env bench.Env) []result.Table {
-			tables, err := spec.Compile(s, env.Env)
-			if err != nil {
-				panic(fmt.Sprintf("smartbench: spec %s failed to compile after its probe passed: %v", s.Name, err))
-			}
-			return tables
-		},
-	}
+	override := *e
+	override.Run = lowered.Run
+	return &override, nil
 }
 
 // instrumentedIDs lists the registered experiments with an

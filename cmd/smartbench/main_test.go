@@ -26,6 +26,11 @@ func goldenSpec(name string) string {
 	return filepath.Join("..", "..", "internal", "bench", "testdata", "specs", name)
 }
 
+// seedSpec resolves one of FuzzScenarioSpecParse's seed documents.
+func seedSpec(name string) string {
+	return filepath.Join("..", "..", "internal", "spec", "testdata", "seeds", name)
+}
+
 func TestUsageErrorsExit2(t *testing.T) {
 	cases := []struct {
 		name string
@@ -480,6 +485,13 @@ func TestSpecFileErrorsExit2(t *testing.T) {
 		{"malformed json", []string{"-spec", badJSON}, "-spec"},
 		{"schema violation", []string{"-spec", badSchema}, "unknown scenario"},
 		{"unknown check group", []string{"-spec", badCheck, "-check"}, "no shape checks registered"},
+		// Documents that parse but cannot run are usage errors too, with
+		// -dryrun (what CI's spec-validate runs) and without it.
+		{"sharedcq on a shared CQ", []string{"-spec", seedSpec("micro_sharedcq_shared_qp.json")}, "SharedCQPoll requires a per-thread-CQ policy"},
+		{"sharedcq on a shared CQ, dryrun", []string{"-spec", seedSpec("micro_sharedcq_shared_qp.json"), "-dryrun"}, "SharedCQPoll requires a per-thread-CQ policy"},
+		{"faults on batching", []string{"-spec", seedSpec("batching_faults.json")}, "faults only apply to micro scenarios"},
+		{"faults on batching, dryrun", []string{"-spec", seedSpec("batching_faults.json"), "-dryrun"}, "faults only apply to micro scenarios"},
+		{"faults flag on batching spec", []string{"-spec", goldenSpec("batching_quick.json"), "-faults", "default", "-dryrun"}, "faults only apply to micro scenarios"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -489,6 +501,9 @@ func TestSpecFileErrorsExit2(t *testing.T) {
 			}
 			if !strings.Contains(stderr, c.want) {
 				t.Errorf("stderr missing %q:\n%s", c.want, stderr)
+			}
+			if !strings.HasPrefix(stderr, "smartbench: -spec") || strings.Count(stderr, "\n") != 1 {
+				t.Errorf("want a one-line smartbench: -spec message, got:\n%s", stderr)
 			}
 		})
 	}

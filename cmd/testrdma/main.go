@@ -47,20 +47,9 @@ func main() {
 		kind = rnic.OpWrite
 	}
 
-	var pol core.Policy
-	switch *policy {
-	case "shared-qp":
-		pol = core.SharedQP
-	case "multiplexed-qp":
-		pol = core.MultiplexedQP
-	case "per-thread-qp":
-		pol = core.PerThreadQP
-	case "per-thread-context":
-		pol = core.PerThreadContext
-	case "per-thread-doorbell":
-		pol = core.PerThreadDoorbell
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
+	pol, err := core.ParsePolicy(*policy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	opts := core.Baseline(pol)

@@ -62,9 +62,9 @@ func Parse(spec string) (*Spec, error) {
 			case key == "low" && s.Kind == KindMMPP:
 				s.Low, err = parseRate(key, val)
 			case key == "on" && s.Kind == KindMMPP:
-				s.On, err = parseDuration(val)
+				s.On, err = sim.ParseDuration(val)
 			case key == "off" && s.Kind == KindMMPP:
-				s.Off, err = parseDuration(val)
+				s.Off, err = sim.ParseDuration(val)
 			case key == "gaps" && s.Kind == KindTrace:
 				s.Gaps, err = parseGaps(val)
 				seenGaps = true
@@ -72,7 +72,7 @@ func Parse(spec string) (*Spec, error) {
 				return nil, fmt.Errorf("arrival: option %q does not apply to %s specs", key, s.Kind)
 			}
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("arrival: %w", err)
 			}
 		}
 	}
@@ -88,7 +88,7 @@ func Parse(spec string) (*Spec, error) {
 func parseRate(key, val string) (float64, error) {
 	r, err := strconv.ParseFloat(val, 64)
 	if err != nil {
-		return 0, fmt.Errorf("arrival: %s=%q is not a number", key, val)
+		return 0, fmt.Errorf("%s=%q is not a number", key, val)
 	}
 	return r, nil
 }
@@ -97,44 +97,11 @@ func parseGaps(val string) ([]sim.Time, error) {
 	parts := strings.Split(val, "+")
 	gaps := make([]sim.Time, 0, len(parts))
 	for _, p := range parts {
-		g, err := parseDuration(p)
+		g, err := sim.ParseDuration(p)
 		if err != nil {
 			return nil, err
 		}
 		gaps = append(gaps, g)
 	}
 	return gaps, nil
-}
-
-// parseDuration parses a non-negative sim duration with a mandatory
-// unit suffix (ns, us, ms, s), mirroring the -faults grammar.
-func parseDuration(s string) (sim.Time, error) {
-	s = strings.TrimSpace(s)
-	unit := sim.Time(0)
-	digits := s
-	switch {
-	case strings.HasSuffix(s, "ns"):
-		unit, digits = sim.Nanosecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "us"):
-		unit, digits = sim.Microsecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "ms"):
-		unit, digits = sim.Millisecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "s"):
-		unit, digits = sim.Second, s[:len(s)-1]
-	default:
-		return 0, fmt.Errorf("arrival: duration %q has no unit suffix (ns, us, ms, s)", s)
-	}
-	n, err := strconv.ParseInt(digits, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("arrival: duration %q is not an integer", s)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("arrival: duration %q is negative", s)
-	}
-	// Reject magnitudes that would overflow sim.Time arithmetic: no
-	// arrival gap or phase mean outlives an hour of virtual time.
-	if sim.Time(n) > 3600*sim.Second/unit {
-		return 0, fmt.Errorf("arrival: duration %q is implausibly large", s)
-	}
-	return sim.Time(n) * unit, nil
 }

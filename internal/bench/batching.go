@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"repro/internal/result"
-	"repro/internal/verbs"
-)
+import "repro/internal/verbs"
 
 // The batching ablation (DESIGN.md §16): WR postlist submission and
 // doorbell coalescing against the plain per-WR submission path, on the
@@ -15,8 +12,8 @@ import (
 
 // batchingFor builds one swept point's batching config: the mode's
 // postlist/coalesce bits, the point's coalesce threshold, and the knob
-// template's overrides. The template is env.Batching (-batching) or a
-// spec's batching field: its sharedcq bit and batch=/deadline= values
+// template's overrides. The template is the spec's batching field
+// (which -batching sets): its sharedcq bit and batch=/deadline= values
 // override the sweep's defaults for the batched mode variants (the
 // mode axis itself is what the ablation sweeps, so the template's mode
 // bits are ignored). The shape checks are calibrated against the zero
@@ -58,8 +55,6 @@ func init() {
 		ID:       "batching",
 		Category: "ablations",
 		Title:    "Ablation: WR postlist batching + doorbell coalescing (§3.1 model, DESIGN.md §16)",
-		Run: func(env Env) []result.Table {
-			return runBatchingSection(env.Sweeper, batchingSpec(env.Quick).Ablation, env.Batching, env.Seed)
-		},
+		Spec:     batchingSpec,
 	})
 }

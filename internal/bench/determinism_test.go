@@ -8,7 +8,6 @@ import (
 	"repro/internal/result"
 	"repro/internal/rnic"
 	"repro/internal/sim"
-	"repro/internal/spec"
 	"repro/internal/sweep"
 )
 
@@ -70,7 +69,7 @@ func TestChaosDeterminism(t *testing.T) {
 			Quick:     true,
 			Seed:      seed,
 			Experiments: []result.Experiment{
-				{ID: "chaos", Tables: runChaos(Env{Env: spec.Env{Sweeper: sweep.New(2), Seed: seed}, Quick: true})},
+				{ID: "chaos", Tables: runChaos(Env{Sweeper: sweep.New(2), Seed: seed, Quick: true})},
 			},
 		}
 		var buf bytes.Buffer

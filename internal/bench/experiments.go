@@ -3,39 +3,38 @@ package bench
 import (
 	"sort"
 
-	"repro/internal/arrival"
 	"repro/internal/fault"
 	"repro/internal/result"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/verbs"
+	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 // Env is everything an experiment's Run takes from its caller — the
-// one path from a CLI flag (or a test) to a simulation. The embedded
-// spec.Env carries the sweeper whose worker pool executes the points,
-// the seed offset (0 reproduces the published numbers and the golden
-// files), and, when non-nil, the telemetry registry that asks for the
-// instrumented variant. The three templates are read by one
-// experiment family each; nil or zero means its calibrated default.
+// one path from a CLI flag (or a test) to a simulation.
 type Env struct {
-	spec.Env
-
+	// Sweeper's worker pool executes the points Run enumerates.
+	Sweeper *sweep.Sweeper
+	// Seed offsets every built-in seed; 0 reproduces the published
+	// numbers and the golden files.
+	Seed int64
+	// Telemetry, when non-nil, asks an Instrumented experiment for its
+	// instrumented variant, harvested into this registry.
+	Telemetry *telemetry.Registry
 	// Quick trades sweep density for runtime (used by the testing.B
 	// wrappers and the shape-check gate); the full sweep is the CLI
 	// default.
 	Quick bool
-	// Faults is the chaos experiment's injected plan (-faults).
+	// Faults is the chaos experiment's injected plan (-faults; nil
+	// means fault.Default()). It is the one template Env carries,
+	// because chaos has no spec for it to ride in: -arrival and
+	// -batching are fields of the serving and batching specs.
 	Faults *fault.Plan
-	// Arrival is the template the serving sweep rescales per point
-	// (-arrival).
-	Arrival *arrival.Spec
-	// Batching is the batching ablation's knob template (-batching).
-	Batching verbs.Batching
 }
 
-// Experiment is one reproducible table or figure from the paper;
-// smartbench wraps a -spec scenario as one too.
+// Experiment is one reproducible table or figure from the paper, or
+// what FromSpec makes of a scenario spec.
 type Experiment struct {
 	ID    string
 	Title string
@@ -51,6 +50,12 @@ type Experiment struct {
 	// Checks names the shape-check groups that apply to the tables
 	// (default: the experiment's own ID).
 	Checks []string
+	// Spec, when set, builds the experiment's sweep as data at the
+	// given density, and Run is that spec lowered through FromSpec
+	// (register derives it when Run is left nil) — so the CLI's
+	// -arrival/-batching apply by setting a field on a fresh spec,
+	// exactly as they override a -spec file.
+	Spec func(quick bool) *spec.Spec
 	// Run executes the experiment and returns its typed tables (one
 	// per panel). The body enumerates the sweep's points into a
 	// sweep.Set and executes them through env.Sweeper — points run on
@@ -72,6 +77,9 @@ func register(e *Experiment) {
 	}
 	if e.Checks == nil {
 		e.Checks = []string{e.ID}
+	}
+	if e.Run == nil {
+		e.Run = func(env Env) []result.Table { return runSpec(e.Spec, env) }
 	}
 	registry[e.ID] = e
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/verbs"
 )
 
 func init() {
@@ -17,11 +16,12 @@ func init() {
 		ID:           "fig3",
 		Title:        "Fig. 3: throughput of 8-byte READ/WRITE under different QP allocation policies (depth 8)",
 		Instrumented: true,
+		Spec:         fig3Spec,
 		Run: func(env Env) []result.Table {
 			if env.Telemetry != nil {
 				return fig3Telemetry(env)
 			}
-			return mustTables(runMicroPanels(env.Sweeper, fig3Spec(env.Quick).Micro, nil, verbs.Batching{}, env.Seed))
+			return runSpec(fig3Spec, env)
 		},
 	})
 
@@ -64,11 +64,12 @@ func init() {
 		ID:           "fig13",
 		Title:        "Fig. 13: SMART's allocation and throttling techniques in the micro-benchmark",
 		Instrumented: true,
+		Spec:         fig13Spec,
 		Run: func(env Env) []result.Table {
 			if env.Telemetry != nil {
 				return fig13Telemetry(env)
 			}
-			return mustTables(runMicroPanels(env.Sweeper, fig13Spec(env.Quick).Micro, nil, verbs.Batching{}, env.Seed))
+			return runSpec(fig13Spec, env)
 		},
 	})
 

@@ -1,11 +1,6 @@
 package bench
 
-import (
-	"fmt"
-
-	"repro/internal/arrival"
-	"repro/internal/result"
-)
+import "fmt"
 
 // The serving experiment is the open-loop capacity-planning study
 // over internal/serve: sweep the offered arrival rate × the
@@ -27,12 +22,6 @@ const servingPerThreadCapacity = 1.15
 // servingTxnFrac is the transaction mix of the serving workload: one
 // in five requests is a READ+FAA transaction.
 const servingTxnFrac = 0.2
-
-// defaultServingArrival returns the calibrated Poisson template the
-// serving sweep rescales per point when env.Arrival is nil.
-func defaultServingArrival() *arrival.Spec {
-	return &arrival.Spec{Kind: arrival.KindPoisson, Rate: 4}
-}
 
 // servingTopo is one blade/thread configuration of the capacity grid.
 type servingTopo struct {
@@ -60,30 +49,19 @@ func servingGrid(quick bool) (topos []servingTopo, fracs []float64) {
 	return topos, fracs
 }
 
+// The serving experiment is its spec (servingSpec) lowered by
+// FromSpec, so the golden serving spec reproduces this output
+// byte-identically. -arrival sets the spec's arrival template; the
+// burst-comparison table always runs its own poisson and mmpp specs
+// regardless of it. A non-nil env.Telemetry adds the instrumented
+// overload point, whose registry export rides along after the result
+// tables.
 func init() {
 	register(&Experiment{
 		ID:           "serving",
 		Title:        "Open-loop serving capacity: SLO percentiles and goodput vs offered load x topology",
 		Category:     "serving",
 		Instrumented: true,
-		Run:          runServing,
+		Spec:         servingSpec,
 	})
-}
-
-// runServing runs the built-in serving section (servingSpec); the
-// same section runner serves -spec runs, so the golden serving spec
-// reproduces this output byte-identically. env.Arrival is the template
-// the sweep rescales per point (-arrival; nil means the calibrated
-// Poisson default). Specs are immutable after parse and New draws from
-// each point's own rand stream, so concurrent points may share one
-// safely; the burst-comparison table always runs its own poisson and
-// mmpp specs regardless of the template. A non-nil env.Telemetry adds
-// the instrumented overload point, whose registry export rides along
-// after the result tables.
-func runServing(env Env) []result.Table {
-	template := env.Arrival
-	if template == nil {
-		template = defaultServingArrival()
-	}
-	return mustTables(runServingSection(env.Sweeper, servingSpec(env.Quick).Serving, template, env.Seed, env.Telemetry))
 }

@@ -16,89 +16,118 @@ import (
 	"repro/internal/verbs"
 )
 
-// The scenario compilers: each lowers one validated spec.Spec section
-// onto the sweep point model. The registered experiments (fig3, fig13,
-// serving, batching) and `smartbench -spec` share these section
-// runners verbatim — an experiment's Run builds its section in code
-// (fig3Spec and friends, which also pin the golden spec files under
-// testdata/specs/), a -spec run parses the same section from JSON —
-// so a golden spec reproduces its figure byte-identically by
-// construction, at any worker count.
+// A spec is an experiment: FromSpec is the one lowering from a
+// spec.Spec onto the sweep point model. The registered experiments
+// with a Spec builder (fig3, fig13, serving, batching — whose in-code
+// sections also pin the golden spec files under testdata/specs/) and
+// `smartbench -spec` both run what FromSpec returns, so a golden spec
+// reproduces its figure byte-identically by construction, at any
+// worker count.
 
-func init() {
-	spec.RegisterScenario("micro", false, compileMicro)
-	spec.RegisterScenario("serving", true, compileServing)
-	spec.RegisterScenario("batching", false, compileBatching)
+// FromSpec validates s and lowers it to an experiment named after it.
+// Everything that can be wrong with a spec is an error here: the
+// embedded sub-spec strings (faults, arrival, batching, burst
+// arrivals, profile policies) are resolved once, into typed values the
+// returned Run closes over, and every profile's options are checked
+// against what a runtime can be built from. Run therefore cannot fail:
+// it only enumerates the section's grid into a sweep.Set — in order,
+// every point isolated, merged in order — and executes it on
+// env.Sweeper. s must not be modified after the call.
+func FromSpec(s *spec.Spec) (*Experiment, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	e := &Experiment{ID: s.Name, Title: s.Title, Checks: s.Checks}
+	if e.Title == "" {
+		e.Title = s.Name
+	}
+	var knobs verbs.Batching
+	if s.Batching != "" {
+		var err error
+		if knobs, err = verbs.ParseBatching(s.Batching); err != nil {
+			return nil, err
+		}
+	}
+	switch s.Scenario {
+	case "micro":
+		// Assigned only when a plan is present: a typed nil in the
+		// interface would defeat RunMicro's Faults==nil fast path.
+		var faults rnic.Injector
+		if s.Faults != "" {
+			plan, err := fault.Parse(s.Faults)
+			if err != nil {
+				return nil, err
+			}
+			faults = plan
+		}
+		series := make([]core.Options, len(s.Micro.Profiles))
+		for i := range s.Micro.Profiles {
+			prof := &s.Micro.Profiles[i]
+			opts, err := prof.Options()
+			if err != nil {
+				return nil, err
+			}
+			if knobs.Enabled() {
+				opts.Batching = knobs.WithDefaults()
+			}
+			if err := opts.Validate(); err != nil {
+				return nil, fmt.Errorf("spec: profile %q with batching %q: %w", prof.Name, s.Batching, err)
+			}
+			series[i] = opts
+		}
+		e.Run = func(env Env) []result.Table {
+			return runMicroPanels(env.Sweeper, s.Micro, series, faults, env.Seed)
+		}
+	case "serving":
+		// The embedded arrival sub-spec (or the calibrated Poisson
+		// default) is the template the sweep rescales per point. Specs
+		// are immutable after parse and New draws from each point's own
+		// rand stream, so concurrent points may share one safely.
+		template := &arrival.Spec{Kind: arrival.KindPoisson, Rate: 4}
+		if s.Arrival != "" {
+			var err error
+			if template, err = arrival.Parse(s.Arrival); err != nil {
+				return nil, err
+			}
+		}
+		var bursts []*arrival.Spec
+		if b := s.Serving.Burst; b != nil {
+			for _, na := range b.Arrivals {
+				a, err := arrival.Parse(na.Spec)
+				if err != nil {
+					return nil, err
+				}
+				bursts = append(bursts, a)
+			}
+		}
+		e.Instrumented = true
+		e.Run = func(env Env) []result.Table {
+			return runServingSection(env.Sweeper, s.Serving, template, bursts, env.Seed, env.Telemetry)
+		}
+	case "batching":
+		e.Run = func(env Env) []result.Table {
+			return runBatchingSection(env.Sweeper, s.Ablation, knobs, env.Seed)
+		}
+	}
+	return e, nil
 }
 
-// mustTables unwraps a section runner's result for the registered
-// experiments, whose in-code sections are valid by construction.
-func mustTables(tables []result.Table, err error) []result.Table {
+// runSpec lowers a registered experiment's in-code spec and runs it.
+// The builders are valid by construction — TestGoldenSpecsPinned
+// round-trips each through Parse — so a lowering error is a bug.
+func runSpec(build func(quick bool) *spec.Spec, env Env) []result.Table {
+	e, err := FromSpec(build(env.Quick))
 	if err != nil {
-		panic(fmt.Sprintf("bench: in-code spec section failed to compile: %v", err))
+		panic(fmt.Sprintf("bench: in-code spec does not lower: %v", err))
 	}
-	return tables
-}
-
-// compileMicro lowers a micro spec: panel grids over the §3.1
-// micro-benchmark, with the spec's fault plan and batching template
-// applied to every point.
-func compileMicro(s *spec.Spec, env spec.Env) ([]result.Table, error) {
-	var inj rnic.Injector
-	if s.Faults != "" {
-		plan, err := fault.Parse(s.Faults)
-		if err != nil {
-			return nil, err
-		}
-		// Assigned only when non-nil: a typed nil in the interface
-		// would defeat RunMicro's Faults==nil fast path.
-		inj = plan
-	}
-	var knobs verbs.Batching
-	if s.Batching != "" {
-		b, err := verbs.ParseBatching(s.Batching)
-		if err != nil {
-			return nil, err
-		}
-		knobs = b
-	}
-	return runMicroPanels(env.Sweeper, s.Micro, inj, knobs, env.Seed)
-}
-
-// compileServing lowers a serving spec; the embedded arrival sub-spec
-// (or the calibrated Poisson default) is the template the sweep
-// rescales per point.
-func compileServing(s *spec.Spec, env spec.Env) ([]result.Table, error) {
-	template := defaultServingArrival()
-	if s.Arrival != "" {
-		t, err := arrival.Parse(s.Arrival)
-		if err != nil {
-			return nil, err
-		}
-		template = t
-	}
-	return runServingSection(env.Sweeper, s.Serving, template, env.Seed, env.Telemetry)
-}
-
-// compileBatching lowers a batching-ablation spec; the embedded
-// batching sub-spec is the knob template whose overrides apply to the
-// swept modes.
-func compileBatching(s *spec.Spec, env spec.Env) ([]result.Table, error) {
-	var knobs verbs.Batching
-	if s.Batching != "" {
-		b, err := verbs.ParseBatching(s.Batching)
-		if err != nil {
-			return nil, err
-		}
-		knobs = b
-	}
-	return runBatchingSection(env.Sweeper, s.Ablation, knobs, env.Seed), nil
+	return e.Run(env)
 }
 
 // runMicroPanels runs one micro section: every panel enumerates its
 // profile × grid cross into one shared set (tables fill in merge
 // order), then a single Run executes all panels' points together.
-func runMicroPanels(sw *sweep.Sweeper, m *spec.Micro, faults rnic.Injector, knobs verbs.Batching, seed int64) ([]result.Table, error) {
+// series[i] is profile i's resolved options, batching template applied.
+func runMicroPanels(sw *sweep.Sweeper, m *spec.Micro, series []core.Options, faults rnic.Injector, seed int64) []result.Table {
 	set := &sweep.Set{}
 	var tabs []*result.Table
 	for i := range m.Panels {
@@ -119,30 +148,20 @@ func runMicroPanels(sw *sweep.Sweeper, m *spec.Micro, faults rnic.Injector, knob
 			if p.X == "batch" {
 				threads, batch = p.Threads[0], v
 			}
-			for _, prof := range m.Profiles {
-				opts, err := prof.Options()
-				if err != nil {
-					return nil, err
-				}
-				if knobs.Enabled() {
-					opts.Batching = knobs.WithDefaults()
-				}
-				cfg := MicroConfig{
-					Opts: opts, Threads: threads, Batch: batch, Op: op,
-					Seed: p.Seed + seed,
-				}
-				if faults != nil {
-					cfg.Faults = faults
-				}
+			for si, prof := range m.Profiles {
 				t, v, name := t, v, prof.Name
 				sweep.Add(set, fmt.Sprintf("%s/%s/%s=%d", p.ID, name, xShort, v), p.Seed+seed,
-					cfg, RunMicro,
+					MicroConfig{
+						Opts: series[si], Threads: threads, Batch: batch, Op: op,
+						Seed: p.Seed + seed, Faults: faults,
+					},
+					RunMicro,
 					func(r MicroResult) { t.Add(name, float64(v), r.MOPS) })
 			}
 		}
 	}
 	sw.Run(set)
-	return collect(tabs), nil
+	return collect(tabs)
 }
 
 // servingSectionConfig builds one serving point's serve configuration
@@ -164,10 +183,11 @@ func servingSectionConfig(sv *spec.Serving, topo spec.Topo, aspec *arrival.Spec,
 }
 
 // runServingSection runs one serving section: the topology ×
-// load-fraction grid, the optional burstiness panel, and — when reg is
-// non-nil — the section's instrumented overload point, whose registry
-// tables ride along after the result tables.
-func runServingSection(sw *sweep.Sweeper, sv *spec.Serving, template *arrival.Spec, seed int64, reg *telemetry.Registry) ([]result.Table, error) {
+// load-fraction grid, the optional burstiness panel (bursts[i] is
+// sv.Burst.Arrivals[i] resolved), and — when reg is non-nil — the
+// section's instrumented overload point, whose registry tables ride
+// along after the result tables.
+func runServingSection(sw *sweep.Sweeper, sv *spec.Serving, template *arrival.Spec, bursts []*arrival.Spec, seed int64, reg *telemetry.Registry) []result.Table {
 	nominal := func(t spec.Topo) float64 {
 		return sv.CapacityPerThread * float64(t.Runtimes*t.Threads)
 	}
@@ -225,12 +245,8 @@ func runServingSection(sw *sweep.Sweeper, sv *spec.Serving, template *arrival.Sp
 			fmt.Sprintf("Serving — arrival burstiness vs op p99 at matched mean rate (%s)", b.Topology.Label()), "load")
 		burst.XUnit, burst.YUnit, burst.Prec = "x capacity", "us", 2
 		tabs = append(tabs, burst)
-		for _, na := range b.Arrivals {
-			name := na.Name
-			bspec, err := arrival.Parse(na.Spec)
-			if err != nil {
-				return nil, err
-			}
+		for i, bspec := range bursts {
+			name := b.Arrivals[i].Name
 			for _, frac := range b.Fracs {
 				frac := frac
 				aspec := bspec.WithMeanRate(frac * nominal(b.Topology))
@@ -265,7 +281,7 @@ func runServingSection(sw *sweep.Sweeper, sv *spec.Serving, template *arrival.Sp
 	if reg != nil {
 		tables = append(tables, reg.Tables("")...)
 	}
-	return tables, nil
+	return tables
 }
 
 // runBatchingSection runs one batching-ablation section: the four

@@ -104,11 +104,11 @@ func TestSpecProbeEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromSpec := enumerate(func(sw *sweep.Sweeper) {
-				if _, err := spec.Compile(s, spec.Env{Sweeper: sw}); err != nil {
-					t.Fatal(err)
-				}
-			})
+			e, err := FromSpec(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromSpec := enumerate(func(sw *sweep.Sweeper) { e.Run(Env{Sweeper: sw}) })
 			fromExp := enumerate(func(sw *sweep.Sweeper) {
 				ByID(g.expID).Run(quickEnv(sw))
 			})
@@ -136,10 +136,11 @@ func TestGoldenSpecsMatchRunners(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tables, err := spec.Compile(s, spec.Env{Sweeper: sweep.Sequential()})
+			e, err := FromSpec(s)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tables := e.Run(Env{Sweeper: sweep.Sequential()})
 			ref := ByID(g.expID).Run(quickEnv(sweep.Sequential()))
 
 			var a, b bytes.Buffer
@@ -153,18 +154,19 @@ func TestGoldenSpecsMatchRunners(t *testing.T) {
 }
 
 // TestSpecCompileDeterminism extends the sweep scheduler's merge-order
-// contract to spec lowering: the same spec, compiled twice and at
+// contract to spec lowering: the same lowered spec, run twice and at
 // 1 vs 4 workers, renders byte-identical JSON documents.
 func TestSpecCompileDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep three times")
 	}
 	s := fig3Spec(true)
+	e, err := FromSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	render := func(workers int) []byte {
-		tables, err := spec.Compile(s, spec.Env{Sweeper: sweep.New(workers), Seed: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tables := e.Run(Env{Sweeper: sweep.New(workers)})
 		doc := &result.Document{
 			Generator:   "smartbench",
 			Quick:       true,
@@ -179,10 +181,57 @@ func TestSpecCompileDeterminism(t *testing.T) {
 	first := render(1)
 	again := render(1)
 	if !bytes.Equal(first, again) {
-		t.Error("compiling the same spec twice rendered different documents")
+		t.Error("running the same spec twice rendered different documents")
 	}
 	par := render(4)
 	if !bytes.Equal(first, par) {
-		t.Errorf("1-worker and 4-worker compilations rendered different documents:\n--- sequential\n%s\n--- parallel\n%s", first, par)
+		t.Errorf("1-worker and 4-worker runs rendered different documents:\n--- sequential\n%s\n--- parallel\n%s", first, par)
 	}
+}
+
+// TestFromSpecRunCannotFail pins FromSpec's contract: whatever Parse
+// accepts either fails to lower — with an error, up front — or
+// returns a Run that cannot fail. Every golden spec must enumerate
+// through a probe (executing them is TestGoldenSpecsMatchRunners), and
+// FuzzScenarioSpecParse's seed documents, which are a few points each,
+// are executed for real: they include the specs only lowering can
+// reject — shared-CQ polling on a policy whose threads share one CQ
+// validates as a document and used to panic a sweep worker in
+// core.MustNew.
+func TestFromSpecRunCannotFail(t *testing.T) {
+	run := func(pattern string, sw func(points *int) *sweep.Sweeper) {
+		files, err := filepath.Glob(pattern)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no specs match %s (err %v)", pattern, err)
+		}
+		for _, file := range files {
+			t.Run(filepath.Base(file), func(t *testing.T) {
+				s, err := spec.Load(file)
+				if err != nil {
+					t.Skipf("rejected by the schema: %v", err)
+				}
+				e, err := FromSpec(s)
+				if err != nil {
+					t.Logf("rejected by lowering: %v", err)
+					return
+				}
+				points := 0
+				e.Run(Env{Sweeper: sw(&points)})
+				if points == 0 {
+					t.Error("lowered spec enumerated no points")
+				}
+			})
+		}
+	}
+	run(filepath.Join("testdata", "specs", "*.json"), func(points *int) *sweep.Sweeper {
+		return sweep.Probe(func(set *sweep.Set) { *points += set.Len() })
+	})
+	if testing.Short() {
+		return
+	}
+	run(filepath.Join("..", "spec", "testdata", "seeds", "*.json"), func(points *int) *sweep.Sweeper {
+		sw := sweep.New(0)
+		sw.OnPoint(func(int, int, *sweep.Point) { *points++ })
+		return sw
+	})
 }

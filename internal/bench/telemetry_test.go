@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/result"
-	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
@@ -17,7 +16,7 @@ import (
 // quickEnv is the tests' standard environment: quick density, seed 0,
 // no telemetry, default templates.
 func quickEnv(sw *sweep.Sweeper) Env {
-	return Env{Env: spec.Env{Sweeper: sw}, Quick: true}
+	return Env{Sweeper: sw, Quick: true}
 }
 
 // runInstrumented runs experiment id's instrumented variant at quick

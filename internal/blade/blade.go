@@ -75,9 +75,6 @@ func New(id int, kind Kind, capacity uint64) *Blade {
 // Capacity returns the blade's total memory in bytes.
 func (b *Blade) Capacity() uint64 { return uint64(len(b.mem)) }
 
-// Allocated returns the number of bytes handed out by Alloc.
-func (b *Blade) Allocated() uint64 { return b.next }
-
 // Alloc carves size bytes (8-byte aligned) out of the blade and
 // returns their global address. It panics when the blade is full;
 // sizing is a configuration decision, not a runtime condition.

@@ -431,6 +431,11 @@ func TestPolicyStrings(t *testing.T) {
 		if p.String() != want {
 			t.Errorf("%d.String() = %q, want %q", p, p.String(), want)
 		}
+		// ParsePolicy inverts String on every real policy and nothing else.
+		back, err := ParsePolicy(want)
+		if real := want != "?"; (err == nil) != real || (real && back != p) {
+			t.Errorf("ParsePolicy(%q) = %v, %v", want, back, err)
+		}
 	}
 }
 

@@ -23,6 +23,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/verbs"
@@ -66,6 +68,17 @@ func (p Policy) String() string {
 		return "per-thread-doorbell"
 	}
 	return "?"
+}
+
+// ParsePolicy is the inverse of Policy.String: it resolves a policy's
+// canonical name, for the spec files and CLI flags that carry one.
+func ParsePolicy(name string) (Policy, error) {
+	for _, p := range []Policy{SharedQP, MultiplexedQP, PerThreadQP, PerThreadContext, PerThreadDoorbell} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want shared-qp, multiplexed-qp, per-thread-qp, per-thread-context, or per-thread-doorbell)", name)
 }
 
 // Options configures a Runtime. The zero value is a plain per-thread-QP
@@ -150,6 +163,21 @@ func Smart() Options {
 		DynamicLimit:    true,
 		CoroThrottle:    true,
 	}
+}
+
+// Validate reports option combinations no runtime can be built from;
+// New calls it, and spec lowering calls it up front so an impossible
+// configuration is a usage error rather than a panicking sweep point.
+func (o Options) Validate() error {
+	if o.Batching.SharedCQPoll {
+		switch o.Policy {
+		case SharedQP, MultiplexedQP:
+			// A per-thread polling loop over a CQ shared across threads
+			// would steal the other threads' completions.
+			return fmt.Errorf("core: Batching.SharedCQPoll requires a per-thread-CQ policy, not %v", o.Policy)
+		}
+	}
+	return nil
 }
 
 // withDefaults fills unset fields in place.

@@ -32,13 +32,8 @@ func New(nic *rnic.RNIC, targets []verbs.Target, nThreads int, opts Options) (*R
 		return nil, fmt.Errorf("core: need at least one memory blade")
 	}
 	opts.withDefaults()
-	if opts.Batching.SharedCQPoll {
-		switch opts.Policy {
-		case SharedQP, MultiplexedQP:
-			// A per-thread polling loop over a CQ shared across threads
-			// would steal the other threads' completions.
-			return nil, fmt.Errorf("core: Batching.SharedCQPoll requires a per-thread-CQ policy, not %v", opts.Policy)
-		}
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	rt := &Runtime{eng: nic.Engine(), nic: nic, targets: targets, opts: opts}
 

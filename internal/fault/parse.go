@@ -76,10 +76,10 @@ func parseRule(s string) (Rule, error) {
 		return Rule{}, fmt.Errorf("window %q is not start-end", window)
 	}
 	var err error
-	if r.Start, err = parseDuration(from); err != nil {
+	if r.Start, err = sim.ParseDuration(from); err != nil {
 		return Rule{}, fmt.Errorf("window start: %w", err)
 	}
-	if r.End, err = parseDuration(to); err != nil {
+	if r.End, err = sim.ParseDuration(to); err != nil {
 		return Rule{}, fmt.Errorf("window end: %w", err)
 	}
 
@@ -153,49 +153,4 @@ func parseKinds(s string) (KindMask, error) {
 		}
 	}
 	return m, nil
-}
-
-// parseDuration parses a non-negative sim duration with a mandatory
-// unit suffix: ns, us, ms, or s.
-func parseDuration(s string) (sim.Time, error) {
-	s = strings.TrimSpace(s)
-	unit := sim.Time(0)
-	digits := s
-	switch {
-	case strings.HasSuffix(s, "ns"):
-		unit, digits = sim.Nanosecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "us"):
-		unit, digits = sim.Microsecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "ms"):
-		unit, digits = sim.Millisecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "s"):
-		unit, digits = sim.Second, s[:len(s)-1]
-	default:
-		return 0, fmt.Errorf("duration %q has no unit suffix (ns, us, ms, s)", s)
-	}
-	n, err := strconv.ParseInt(digits, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("duration %q is not an integer count of %s", s, unitName(unit))
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("duration %q is negative", s)
-	}
-	// Reject magnitudes that would overflow sim.Time arithmetic: no
-	// real window outlives an hour of virtual time.
-	if sim.Time(n) > 3600*sim.Second/unit {
-		return 0, fmt.Errorf("duration %q is implausibly large", s)
-	}
-	return sim.Time(n) * unit, nil
-}
-
-func unitName(u sim.Time) string {
-	switch u {
-	case sim.Nanosecond:
-		return "ns"
-	case sim.Microsecond:
-		return "us"
-	case sim.Millisecond:
-		return "ms"
-	}
-	return "s"
 }

@@ -220,7 +220,3 @@ func (tx *Tx) Abort() {
 		tx.c.Sync()
 	}
 }
-
-// ReadSetSize and WriteSetSize expose set sizes for tests.
-func (tx *Tx) ReadSetSize() int  { return len(tx.rs) }
-func (tx *Tx) WriteSetSize() int { return len(tx.ws) }

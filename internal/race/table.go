@@ -81,9 +81,6 @@ func (t *Table) Config() Config { return t.cfg }
 // Targets returns the memory blades backing the table.
 func (t *Table) Targets() []verbs.Target { return t.targets }
 
-// DirAddr returns the directory's base address (used by clients).
-func (t *Table) DirAddr() blade.Addr { return t.dirAddr }
-
 func (t *Table) mem(bladeID int) *blade.Blade {
 	for _, tgt := range t.targets {
 		if tgt.Mem.ID == bladeID {

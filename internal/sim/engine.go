@@ -25,6 +25,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // Time is a point in virtual time, in nanoseconds.
@@ -49,6 +51,40 @@ func (t Time) String() string {
 	default:
 		return fmt.Sprintf("%dns", int64(t))
 	}
+}
+
+// ParseDuration parses the suffixed-integer duration grammar every
+// spec format shares (-faults, -arrival, -batching, scenario specs):
+// a non-negative integer with a mandatory unit suffix (ns, us, ms, s),
+// surrounding whitespace ignored. Magnitudes past an hour of virtual
+// time are rejected so no caller's Time arithmetic can overflow.
+// Errors carry no package prefix; callers wrap them with their own.
+func ParseDuration(s string) (Time, error) {
+	s = strings.TrimSpace(s)
+	unit, digits := Time(0), s
+	switch {
+	case strings.HasSuffix(s, "ns"):
+		unit, digits = Nanosecond, s[:len(s)-2]
+	case strings.HasSuffix(s, "us"):
+		unit, digits = Microsecond, s[:len(s)-2]
+	case strings.HasSuffix(s, "ms"):
+		unit, digits = Millisecond, s[:len(s)-2]
+	case strings.HasSuffix(s, "s"):
+		unit, digits = Second, s[:len(s)-1]
+	default:
+		return 0, fmt.Errorf("duration %q has no unit suffix (ns, us, ms, s)", s)
+	}
+	n, err := strconv.ParseInt(digits, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("duration %q is not an integer", s)
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("duration %q is negative", s)
+	}
+	if Time(n) > 3600*Second/unit {
+		return 0, fmt.Errorf("duration %q is implausibly large", s)
+	}
+	return Time(n) * unit, nil
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -168,6 +169,31 @@ func TestTimeString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("%d.String() = %q, want %q", int64(c.t), got, c.want)
+		}
+	}
+}
+
+func TestParseDuration(t *testing.T) {
+	for in, want := range map[string]Time{
+		"0s": 0, "500ns": 500, "2us": 2 * Microsecond, "3ms": 3 * Millisecond,
+		"3600s": 3600 * Second, " 7us ": 7 * Microsecond,
+	} {
+		if got, err := ParseDuration(in); err != nil || got != want {
+			t.Errorf("ParseDuration(%q) = %d, %v; want %d", in, int64(got), err, int64(want))
+		}
+	}
+	for in, want := range map[string]string{
+		"":       "no unit suffix",
+		"400":    "no unit suffix",
+		"us":     "not an integer",
+		"1.5ms":  "not an integer",
+		"1e3us":  "not an integer",
+		"-5us":   "is negative",
+		"3601s":  "implausibly large",
+		"1ms2us": "not an integer",
+	} {
+		if _, err := ParseDuration(in); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseDuration(%q) error = %v, want one containing %q", in, err, want)
 		}
 	}
 }

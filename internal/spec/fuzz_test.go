@@ -12,22 +12,30 @@ import (
 // arbitrary bytes: it returns a validated spec or an error (never
 // panics), and every accepted spec round-trips — the canonical
 // encoding reparses to an equal spec and is itself a fixed point.
-// Seeded from the checked-in golden specs plus targeted malformed
-// documents; CI runs a short -fuzz smoke on top of the seed corpus.
+// Seeded from the checked-in golden specs, the documents under
+// testdata/seeds (valid specs the goldens do not cover, and the ones
+// only lowering rejects — bench's TestFromSpecRunCannotFail walks the
+// same files), plus targeted malformed documents; CI runs a short
+// -fuzz smoke on top of the seed corpus.
 func FuzzScenarioSpecParse(f *testing.F) {
-	golden, err := filepath.Glob(filepath.Join("..", "bench", "testdata", "specs", "*.json"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	if len(golden) == 0 {
-		f.Fatal("no golden specs found to seed the corpus")
-	}
-	for _, path := range golden {
-		data, err := os.ReadFile(path)
+	for _, pattern := range []string{
+		filepath.Join("..", "bench", "testdata", "specs", "*.json"),
+		filepath.Join("testdata", "seeds", "*.json"),
+	} {
+		files, err := filepath.Glob(pattern)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
+		if len(files) == 0 {
+			f.Fatalf("no specs match %s to seed the corpus", pattern)
+		}
+		for _, path := range files {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
 	}
 	for _, s := range []string{
 		"",

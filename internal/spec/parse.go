@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -47,43 +45,12 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &s); err != nil {
 		return fmt.Errorf("spec: duration must be a string like \"200us\" (ns, us, ms, s)")
 	}
-	t, err := parseDuration(s)
+	t, err := sim.ParseDuration(s)
 	if err != nil {
-		return err
+		return fmt.Errorf("spec: %w", err)
 	}
 	*d = Duration(t)
 	return nil
-}
-
-// parseDuration parses a non-negative sim duration with a mandatory
-// unit suffix (ns, us, ms, s), mirroring the -faults/-arrival
-// grammar, bounded to an hour of virtual time.
-func parseDuration(s string) (sim.Time, error) {
-	unit := sim.Time(0)
-	digits := s
-	switch {
-	case strings.HasSuffix(s, "ns"):
-		unit, digits = sim.Nanosecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "us"):
-		unit, digits = sim.Microsecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "ms"):
-		unit, digits = sim.Millisecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "s"):
-		unit, digits = sim.Second, s[:len(s)-1]
-	default:
-		return 0, fmt.Errorf("spec: duration %q has no unit suffix (ns, us, ms, s)", s)
-	}
-	n, err := strconv.ParseInt(digits, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("spec: duration %q is not an integer", s)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("spec: duration %q is negative", s)
-	}
-	if sim.Time(n) > 3600*sim.Second/unit {
-		return 0, fmt.Errorf("spec: duration %q is implausibly large", s)
-	}
-	return sim.Time(n) * unit, nil
 }
 
 // Parse decodes and validates one spec document. Decoding is strict —

@@ -1,9 +1,15 @@
 // Package spec defines the declarative scenario-spec layer: a
 // versioned, validated JSON description of a full experiment —
 // arrival process, fault plan, batching template, thread/blade
-// topology, sweep grids — that smartbench -spec compiles onto the
-// internal/sweep point model and runs exactly like a hand-written
-// runner (ROADMAP item 5; DESIGN.md §17).
+// topology, sweep grids — that bench.FromSpec lowers onto the
+// internal/sweep point model and smartbench -spec runs exactly like a
+// hand-written runner (DESIGN.md §17).
+//
+// The package is schema only — the types, Parse, Validate, Canonical —
+// and knows nothing of how a spec executes: it imports the leaf
+// grammars it validates against and never the runner, sweep,
+// telemetry, or result packages (CI pins that), so the fuzz target
+// holds Parse/Validate without linking the simulator.
 //
 // A spec is data, not code: opening a new experiment variant means
 // writing a JSON file, not a new Go runner. The three CLI template
@@ -77,7 +83,7 @@ type Spec struct {
 
 	// Faults is an embedded fault-plan sub-spec (fault.Parse grammar:
 	// "default" or rule lists). It installs the plan on every point's
-	// compute RNIC. Applies to micro and batching scenarios only.
+	// compute RNIC. Applies to micro scenarios only.
 	Faults string `json:"faults,omitempty"`
 
 	// Arrival is an embedded arrival-process sub-spec (arrival.Parse
@@ -136,7 +142,7 @@ type Profile struct {
 
 // Options resolves the profile onto a core.Options value.
 func (p *Profile) Options() (core.Options, error) {
-	pol, err := policyByName(p.Policy)
+	pol, err := core.ParsePolicy(p.Policy)
 	if err != nil {
 		return core.Options{}, err
 	}
@@ -148,18 +154,6 @@ func (p *Profile) Options() (core.Options, error) {
 		o.UpdateDelta = p.UpdateDelta.Time()
 	}
 	return o, nil
-}
-
-func policyByName(name string) (core.Policy, error) {
-	for _, pol := range []core.Policy{
-		core.SharedQP, core.MultiplexedQP, core.PerThreadQP,
-		core.PerThreadContext, core.PerThreadDoorbell,
-	} {
-		if pol.String() == name {
-			return pol, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown policy %q (want shared-qp, multiplexed-qp, per-thread-qp, per-thread-context, or per-thread-doorbell)", name)
 }
 
 // MicroPanel is one table of a micro scenario: an x-axis (threads or
@@ -318,8 +312,8 @@ func (s *Spec) Validate() error {
 	// Embedded sub-specs: leaf-decoded by their own grammars, and only
 	// where the scenario can apply them.
 	if s.Faults != "" {
-		if s.Scenario == "serving" {
-			return fmt.Errorf("spec: faults do not apply to serving scenarios")
+		if s.Scenario != "micro" {
+			return fmt.Errorf("spec: faults only apply to micro scenarios")
 		}
 		if _, err := fault.Parse(s.Faults); err != nil {
 			return fmt.Errorf("spec: faults: %w", err)
@@ -378,7 +372,7 @@ func (m *Micro) validate() error {
 			return fmt.Errorf("spec: duplicate profile name %q", p.Name)
 		}
 		seen[p.Name] = true
-		if _, err := policyByName(p.Policy); err != nil {
+		if _, err := core.ParsePolicy(p.Policy); err != nil {
 			return fmt.Errorf("spec: profile %q: %w", p.Name, err)
 		}
 		if !(p.UpdateDelta >= 0) {

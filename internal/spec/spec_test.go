@@ -3,6 +3,8 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,6 +37,16 @@ func mustJSON(t *testing.T, s *Spec) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// seed reads one of the documents FuzzScenarioSpecParse is seeded from.
+func seed(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "seeds", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestParseValidSpec(t *testing.T) {
@@ -73,6 +85,7 @@ func TestParseRejections(t *testing.T) {
 		{"missing section", mustJSON(t, noSection), "needs a \"micro\" section"},
 		{"two sections", mustJSON(t, twoSections), "exactly one scenario section"},
 		{"arrival on micro", []byte(`{"spec":1,"name":"t","scenario":"micro","arrival":"poisson:rate=4","micro":{"profiles":[{"name":"b","policy":"per-thread-qp"}],"panels":[{"id":"p","title":"x","op":"read","x":"threads","threads":[8],"batch":[8],"seed":1}]}}`), "arrival only applies to serving"},
+		{"faults on batching", seed(t, "batching_faults.json"), "faults only apply to micro scenarios"},
 		{"bad faults grammar", []byte(`{"spec":1,"name":"t","scenario":"micro","faults":"explode@1ms-2ms","micro":{"profiles":[{"name":"b","policy":"per-thread-qp"}],"panels":[{"id":"p","title":"x","op":"read","x":"threads","threads":[8],"batch":[8],"seed":1}]}}`), "faults"},
 		{"bad duration", []byte(`{"spec":1,"name":"t","scenario":"micro","micro":{"profiles":[{"name":"b","policy":"per-thread-qp","update_delta":"400"}],"panels":[{"id":"p","title":"x","op":"read","x":"threads","threads":[8],"batch":[8],"seed":1}]}}`), "unit suffix"},
 		{"numeric duration", []byte(`{"spec":1,"name":"t","scenario":"micro","micro":{"profiles":[{"name":"b","policy":"per-thread-qp","update_delta":400}],"panels":[{"id":"p","title":"x","op":"read","x":"threads","threads":[8],"batch":[8],"seed":1}]}}`), "must be a string"},
@@ -183,20 +196,5 @@ func TestProfileOptions(t *testing.T) {
 	bad := Profile{Name: "z", Policy: "hyper-qp"}
 	if _, err := bad.Options(); err == nil {
 		t.Error("unknown policy accepted")
-	}
-}
-
-func TestCompileDispatch(t *testing.T) {
-	s := minimalMicro()
-	s.Scenario = "micro"
-	// The spec package itself registers no scenarios — lowering lives
-	// in internal/bench — so compiling here must fail cleanly, not
-	// panic or silently no-op.
-	if _, err := Compile(s, Env{}); err == nil ||
-		!strings.Contains(err.Error(), "no registered compiler") {
-		t.Errorf("unregistered scenario error = %v", err)
-	}
-	if Instrumented("micro") {
-		t.Error("unregistered scenario reported as instrumented")
 	}
 }

@@ -132,9 +132,9 @@ func ParseBatching(spec string) (Batching, error) {
 				}
 				b.CoalesceBatch = n
 			case isKV && key == "deadline":
-				d, err := parseBatchDuration(val)
+				d, err := sim.ParseDuration(val)
 				if err != nil {
-					return Batching{}, err
+					return Batching{}, fmt.Errorf("batching: %w", err)
 				}
 				if d <= 0 {
 					return Batching{}, fmt.Errorf("batching: deadline must be positive")
@@ -149,37 +149,6 @@ func ParseBatching(spec string) (Batching, error) {
 		return Batching{}, fmt.Errorf("batching: batch=/deadline= only apply to coalesce/both modes")
 	}
 	return b.WithDefaults(), nil
-}
-
-// parseBatchDuration parses a positive sim duration with a mandatory
-// unit suffix (ns, us, ms, s), mirroring the -faults/-arrival grammar.
-func parseBatchDuration(s string) (sim.Time, error) {
-	s = strings.TrimSpace(s)
-	unit := sim.Time(0)
-	digits := s
-	switch {
-	case strings.HasSuffix(s, "ns"):
-		unit, digits = sim.Nanosecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "us"):
-		unit, digits = sim.Microsecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "ms"):
-		unit, digits = sim.Millisecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "s"):
-		unit, digits = sim.Second, s[:len(s)-1]
-	default:
-		return 0, fmt.Errorf("batching: duration %q has no unit suffix (ns, us, ms, s)", s)
-	}
-	n, err := strconv.ParseInt(digits, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("batching: duration %q is not an integer", s)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("batching: duration %q is negative", s)
-	}
-	if sim.Time(n) > 3600*sim.Second/unit {
-		return 0, fmt.Errorf("batching: duration %q is implausibly large", s)
-	}
-	return sim.Time(n) * unit, nil
 }
 
 // RingN posts one doorbell update covering a chain of n linked work
