@@ -5,20 +5,23 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
-// app describes one application point to runApp: how big a cluster it
+// app describes one closed-loop point to runApp: how big a cluster it
 // needs, how it is configured, and how its state and coroutines are
-// built. RunHT, RunBT and RunDTX each map their config onto one of
-// these; everything else about running a point is runApp's.
+// built. RunMicro, RunHT, RunBT, RunDTX and the chaos storm each map
+// their config onto one of these; everything else about running a point
+// is runApp's.
 type app struct {
 	name    string         // coroutine-name prefix
 	cluster cluster.Config // blade counts, memory kind and size, seed
 	threads int            // per compute blade; zero = 16
-	opts    core.Options   // before ScaleAdaptation
+	coros   int            // coroutines per thread; zero = the runtime's Depth
+	opts    core.Options   // as the runtimes get them; the applications apply ScaleAdaptation first
 
 	warmup, measure sim.Time // zero = 5 ms / 4 ms
 
@@ -31,14 +34,28 @@ type app struct {
 	// with several compute blades each one's names are prefixed "b<i>/".
 	telemetry *telemetry.Registry
 
+	// faults, when set, is installed on every compute blade's RNIC for
+	// the whole run. nil keeps the cards byte-identical to the
+	// fault-free model.
+	faults rnic.Injector
+
+	// sampleEvery and onSample, when both set, hand onSample a snapshot
+	// of each compute RNIC's lifetime counters (blade order) every
+	// sampleEvery of virtual time, until the horizon.
+	sampleEvery sim.Time
+	onSample    func(now sim.Time, snap rnic.Counters)
+
 	// load preloads the application onto the cluster's memory blades
 	// and returns the per-compute-blade client constructor.
 	load func(cl *cluster.Cluster) newBladeFunc
 }
 
 // newBladeFunc builds compute blade b's client (the state its
-// coroutines share) and returns that blade's coroutine constructor.
-type newBladeFunc func(b int) newCoroFunc
+// coroutines share) on the blade's runtime and returns that blade's
+// coroutine constructor. It runs once the runtime, injector and sampler
+// are in place and before the blade's coroutines are spawned, so a
+// process it starts precedes them.
+type newBladeFunc func(b int, rt *core.Runtime) newCoroFunc
 
 // newCoroFunc builds coroutine d of thread ti — its generator, seeded
 // with the protocol's own stride — and returns its one-operation body.
@@ -54,15 +71,18 @@ type opFunc func(c *core.Ctx, start sim.Time) int
 
 const noCount = -1
 
-// appResult is what every application point measures. All of it is
-// taken over the measurement window only.
+// appResult is what every point measures. All of it is taken over the
+// measurement window only.
 type appResult struct {
 	ops       uint64 // operations that started after warm-up and finished by the horizon
 	mops      float64
 	p50, p99  sim.Time
-	verbMOPS  float64 // work requests completed per microsecond, all compute blades
-	casFailed uint64  // unsuccessful CAS attempts, all runtimes
+	casFailed uint64 // unsuccessful CAS attempts, all runtimes
 	counts    *stats.CountDist
+
+	// Compute-RNIC counters, summed over the compute blades.
+	completed, dmaBytes, wqeMisses uint64
+	verbMOPS                       float64 // completed per microsecond
 }
 
 // ScaleAdaptation shrinks SMART's adaptive time constants so that both
@@ -80,9 +100,12 @@ func ScaleAdaptation(o core.Options) core.Options {
 	return o
 }
 
-// runApp executes one application point: a closed loop of
-// threads × depth coroutines per compute blade, each issuing a's
-// operations back to back (or paced to a.targetRate) until the horizon.
+// runApp executes one point: a closed loop of threads × coros
+// coroutines per compute blade, each issuing a's operations back to
+// back (or paced to a.targetRate) until the horizon. The order of its
+// engine calls — per blade: runtime, injector, sampler, newBlade, then
+// spawns thread-major — fixes event sequence numbers and with them
+// every published number (DESIGN.md §12.1).
 func runApp(a app) appResult {
 	if a.threads <= 0 {
 		a.threads = 16
@@ -94,8 +117,7 @@ func runApp(a app) appResult {
 		a.measure = 4 * sim.Millisecond
 	}
 	horizon := a.warmup + a.measure
-	opts := ScaleAdaptation(a.opts)
-	opts.Telemetry = a.telemetry
+	a.opts.Telemetry = a.telemetry
 
 	cl := cluster.New(a.cluster)
 	defer cl.Stop()
@@ -129,15 +151,25 @@ func runApp(a app) appResult {
 	tasks := 0
 	for b, comp := range cl.Computes {
 		if a.telemetry != nil && len(cl.Computes) > 1 {
-			opts.TelemetryPrefix = fmt.Sprintf("b%d/", b)
+			a.opts.TelemetryPrefix = fmt.Sprintf("b%d/", b)
 		}
-		rt := core.MustNew(comp.NIC, cl.Targets(), a.threads, opts)
+		rt := core.MustNew(comp.NIC, cl.Targets(), a.threads, a.opts)
 		runtimes[b] = rt
-		depth := rt.Options().Depth // with core's default applied
-		newCoro := newBlade(b)
+		if a.faults != nil {
+			comp.NIC.SetFault(a.faults)
+		}
+		if a.sampleEvery > 0 && a.onSample != nil {
+			nic := comp.NIC
+			cl.Eng.Every(a.sampleEvery, horizon, func(now sim.Time) { a.onSample(now, nic.Snapshot()) })
+		}
+		coros := a.coros
+		if coros == 0 {
+			coros = rt.Options().Depth // with core's default applied
+		}
+		newCoro := newBlade(b, rt)
 		for ti := 0; ti < a.threads; ti++ {
 			th := rt.Thread(ti)
-			for d := 0; d < depth; d++ {
+			for d := 0; d < coros; d++ {
 				th.Spawn(fmt.Sprintf("%s-b%d-t%d-c%d", a.name, b, ti, d), loop(newCoro(ti, d)))
 				tasks++
 			}
@@ -150,19 +182,21 @@ func runApp(a app) appResult {
 	// The window's counters are the difference between two snapshots.
 	// The warm-up one is taken from an event, which only reads: it
 	// changes no state another event could observe.
-	snapshot := func() (casFailed, verbs uint64) {
-		for _, rt := range runtimes {
+	snapshot := func() (casFailed uint64, nic rnic.Counters) {
+		for b, rt := range runtimes {
 			casFailed += rt.TotalStats().CASFailed
+			s := cl.Computes[b].NIC.Snapshot()
+			nic.Completed += s.Completed
+			nic.DMABytes += s.DMABytes
+			nic.WQEMisses += s.WQEMisses
 		}
-		for _, comp := range cl.Computes {
-			verbs += comp.NIC.Snapshot().Completed
-		}
-		return casFailed, verbs
+		return casFailed, nic
 	}
-	var failedAtWarmup, verbsAtWarmup uint64
-	cl.Eng.Schedule(a.warmup, func() { failedAtWarmup, verbsAtWarmup = snapshot() })
+	var failedAtWarmup uint64
+	var nicAtWarmup rnic.Counters
+	cl.Eng.Schedule(a.warmup, func() { failedAtWarmup, nicAtWarmup = snapshot() })
 	cl.Eng.Run(horizon)
-	failed, verbs := snapshot()
+	failed, nic := snapshot()
 	for _, rt := range runtimes {
 		rt.Stop()
 		rt.Collect(a.telemetry)
@@ -170,13 +204,17 @@ func runApp(a app) appResult {
 
 	sum := lat.Summary()
 	windowUs := float64(a.measure) / 1e3
+	completed := nic.Completed - nicAtWarmup.Completed
 	return appResult{
 		ops:       ops,
 		mops:      float64(ops) / windowUs,
 		p50:       sum.P50,
 		p99:       sum.P99,
-		verbMOPS:  float64(verbs-verbsAtWarmup) / windowUs,
 		casFailed: failed - failedAtWarmup,
 		counts:    counts,
+		completed: completed,
+		dmaBytes:  nic.DMABytes - nicAtWarmup.DMABytes,
+		wqeMisses: nic.WQEMisses - nicAtWarmup.WQEMisses,
+		verbMOPS:  float64(completed) / windowUs,
 	}
 }

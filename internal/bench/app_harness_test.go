@@ -1,12 +1,18 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/result"
+	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/verbs"
 	"repro/internal/workload"
 )
 
@@ -56,11 +62,13 @@ func pinDTX(cfg DTXConfig) func(*testing.T) (pinned, string) {
 	}
 }
 
-// TestAppHarnessPinned freezes the three application harnesses' full
-// result structs on a table of small points, compared with == against
-// literals (captured at commit aca7988, before the harnesses shared
-// runApp). The harness is under every published application number, so
-// a change that moves any of these has moved a figure. Each row covers
+// TestAppHarnessPinned freezes the full result structs of everything
+// that runs on runApp, on a table of small points, compared with ==
+// against literals. The application rows were captured at commit
+// aca7988, before the harnesses shared runApp; the micro and storm rows
+// are described where they start. The harness is under every published
+// closed-loop number, so a change that moves any of these has moved a
+// figure. Each application row covers
 // a branch the descriptors must preserve: blade prefixing and seed
 // strides, pacing at the default and an explicit depth, the retry
 // accounting, variant dispatch, the spec-cache bound, NVM blades and
@@ -145,7 +153,147 @@ func TestAppHarnessPinned(t *testing.T) {
 	if SmallBank.String() != "SmallBank" || TATP.String() != "TATP" {
 		t.Error("workload strings wrong")
 	}
+
+	// The §3.1 bench tool and the chaos storm, captured at commit
+	// 55838db while each still built its own cluster and runtime. The
+	// rows cover what their descriptors must carry through runApp: one
+	// coroutine per thread, the seed stride, several memory blades, the
+	// caller's own Δ (CMaxMean moves with it) and RNIC parameters, the
+	// dyn-controller's place in the spawn order, batching, the injector
+	// and the sampler.
+	throttled := core.Baseline(core.PerThreadDoorbell)
+	throttled.WorkReqThrottle = true
+	throttled.UpdateDelta = 20 * sim.Microsecond
+	batched := core.Baseline(core.PerThreadDoorbell)
+	batched.Batching = verbs.Batching{Postlist: true, Coalesce: true}
+	recovering := core.Baseline(core.PerThreadDoorbell)
+	recovering.WRTimeout = 100 * sim.Microsecond
+	recovering.MaxWRRetries = 3
+	plan := fault.MustPlan([]fault.Rule{
+		{Start: 300 * sim.Microsecond, End: 500 * sim.Microsecond, Kinds: fault.MaskRead, Prob: 1,
+			Action: rnic.ActDelay, Factor: 6},
+		{Start: 500 * sim.Microsecond, End: 600 * sim.Microsecond, Kinds: fault.MaskRead, Prob: 0.3,
+			Action: rnic.ActBlackhole},
+	})
+	smallCache := rnic.Default()
+	smallCache.WQECacheEntries = 8
+	type sample struct {
+		ns        int64 // plain integer, as in pinned
+		completed uint64
+	}
+	var sampled []sample
+	wantSampled := []sample{{100000, 401}, {200000, 816}, {300000, 1232}, {400000, 1312}, {500000, 1394}, {600000, 1417}, {700000, 1808}, {800000, 2224}}
+	micro := []struct {
+		name string
+		cfg  MicroConfig
+		want MicroResult
+	}{
+		{"micro/read", MicroConfig{Opts: core.Baseline(core.PerThreadDoorbell), Threads: 4, Batch: 4,
+			Op: rnic.OpRead, Seed: 1, Warmup: 200 * sim.Microsecond, Measure: 500 * sim.Microsecond},
+			MicroResult{MOPS: 4.128, DMABytesPerWR: 95.01550387596899, Completed: 2064}},
+		{"micro/write", MicroConfig{Opts: core.Baseline(core.PerThreadDoorbell), Threads: 4, Batch: 4,
+			Op: rnic.OpWrite, Payload: 256, Params: &smallCache, Seed: 1, Warmup: 200 * sim.Microsecond, Measure: 500 * sim.Microsecond},
+			MicroResult{MOPS: 3.9, DMABytesPerWR: 378.8410256410256, WQEMissRate: 0.2794871794871795, Completed: 1950}},
+		{"micro/read/throttled/2-memory-blades", MicroConfig{Opts: throttled, Threads: 8, Batch: 16, Blades: 2,
+			Op: rnic.OpRead, Seed: 2, Warmup: 200 * sim.Microsecond, Measure: 500 * sim.Microsecond},
+			MicroResult{MOPS: 17.544, DMABytesPerWR: 95.05015959872321, Completed: 8772, CMaxMean: 12}},
+		{"micro/write/throttled/2-memory-blades", MicroConfig{Opts: throttled, Threads: 8, Batch: 16, Blades: 2,
+			Op: rnic.OpWrite, Seed: 2, Warmup: 200 * sim.Microsecond, Measure: 500 * sim.Microsecond},
+			MicroResult{MOPS: 17.53, DMABytesPerWR: 95.05179691956646, Completed: 8765, CMaxMean: 12}},
+		{"micro/read/throttled/dynamic", MicroConfig{Opts: throttled, Threads: 8, Batch: 8,
+			Op: rnic.OpRead, Seed: 2, Warmup: 200 * sim.Microsecond, Measure: 2 * sim.Millisecond,
+			DynamicInterval: 300 * sim.Microsecond, DynamicMin: 2},
+			MicroResult{MOPS: 8.645, DMABytesPerWR: 94.93221515326779, Completed: 17290, CMaxMean: 7}},
+		{"micro/read/postlist+coalesce", MicroConfig{Opts: batched, Threads: 4, Batch: 8,
+			Op: rnic.OpRead, Seed: 5, Warmup: 200 * sim.Microsecond, Measure: 500 * sim.Microsecond},
+			MicroResult{MOPS: 8.642, DMABytesPerWR: 94.68849803286277, Completed: 4321}},
+		{"micro/read/faults+sampler", MicroConfig{Opts: recovering, Threads: 4, Batch: 4,
+			Op: rnic.OpRead, Seed: 6, Warmup: 200 * sim.Microsecond, Measure: 600 * sim.Microsecond,
+			Faults: plan, SampleEvery: 100 * sim.Microsecond,
+			OnSample: func(now sim.Time, snap rnic.Counters) { sampled = append(sampled, sample{int64(now), snap.Completed}) }},
+			MicroResult{MOPS: 2.3466666666666667, DMABytesPerWR: 94.86363636363636, Completed: 1408}},
+	}
+	for _, row := range micro {
+		t.Run(row.name, func(t *testing.T) {
+			got := RunMicro(row.cfg)
+			if got != row.want {
+				t.Errorf("result moved:\n got %#v\nwant %#v", got, row.want)
+			}
+			if got.Completed == 0 || got.MOPS <= 0 {
+				t.Errorf("no throughput measured: %+v", got)
+			}
+			if row.cfg.OnSample != nil && !slices.Equal(sampled, wantSampled) {
+				t.Errorf("sampled (t, Completed) series moved:\n got %v\nwant %v", sampled, wantSampled)
+			}
+		})
+	}
+	t.Run("chaos/storm", func(t *testing.T) {
+		reg := telemetry.New()
+		stormPlan := fault.MustPlan([]fault.Rule{{Start: 400 * sim.Microsecond, End: 800 * sim.Microsecond,
+			Kinds: fault.MaskAtomic, Prob: 0.7, Action: rnic.ActFail, Status: rnic.StatusRemoteAccessErr}})
+		runStorm(true, 3, reg, stormPlan, 1200*sim.Microsecond)
+		tables := reg.Tables("")
+		var got bytes.Buffer
+		for _, id := range []string{"counters", "storm/tmax-trajectory", "storm/gamma"} {
+			result.Text(&got, []result.Table{*result.Find(tables, id)})
+		}
+		if got.String() != stormExport {
+			t.Errorf("storm registry export moved:\n--- got\n%s\n--- want\n%s", got.String(), stormExport)
+		}
+	})
 }
+
+// stormExport is the chaos storm's registry export — every counter,
+// then the t_max and γ trajectories — as result.Text renders it.
+const stormExport = `
+=== Telemetry counters (software Neo-Host totals) ===
+                    counter   value
+        storm/nic/completed    1936
+   storm/nic/completed-read     917
+  storm/nic/completed-write       0
+    storm/nic/completed-cas    1019
+    storm/nic/completed-faa       0
+        storm/nic/dma-bytes  207889
+       storm/nic/wqe-misses       0
+       storm/nic/mtt-misses      79
+       storm/nic/atomic-ops       0
+        storm/nic/bytes-out   85958
+         storm/nic/bytes-in   83182
+         storm/nic/contexts       1
+       storm/db/rings-total    2189
+storm/db/acquisitions-total    2189
+   storm/db/contended-total       0
+  storm/db/hold-ticks-total  240790
+               engine/parks    6974
+               engine/wakes    6974
+             storm/core/ops     913
+             storm/core/wrs    2181
+       storm/core/cas-total    1264
+      storm/core/cas-failed     351
+       storm/fault/injected     245
+    storm/fault/retransmits       0
+         storm/fault/errors     245
+        storm/fault/retries       0
+      storm/fault/abandoned     245
+       storm/fault/timeouts       0
+
+=== Backoff ceiling t_max over time (§4.3) ===
+time (us)    t0    t1    t2     t3    t4     t5    t6     t7
+        0  3.30  3.30  3.30   3.30  3.30   3.30  3.30   3.30
+      800  6.60     -     -  13.20     -  13.20     -  13.20
+     1000  3.30     -     -      -  3.30   6.60  3.30   6.60
+      600     -  6.60  6.60   6.60  6.60   6.60  6.60   6.60
+     1200     -  3.30  3.30   6.60     -   3.30     -   3.30
+
+=== Observed CAS retry rate γ per window (§4.3) ===
+time (us)      t0     t1      t2     t3     t4     t5      t6      t7
+      200   0.000  0.000   0.037  0.036  0.000  0.036   0.000   0.120
+      400   0.115  0.036   0.034  0.036  0.000  0.036   0.115   0.036
+      800  10.500      -       -  8.500      -  1.500       -   2.333
+     1000   0.077  0.125   0.167  0.182  0.036  0.074   0.077   0.083
+     1200   0.036  0.071   0.000  0.000  0.000  0.036   0.000   0.000
+      600       -  7.000  22.000  7.000  7.000  7.333  11.000  11.500
+`
 
 // TestAppHarnessTelemetryPrefix pins how the harness namespaces a
 // run's counters: one compute blade harvests unprefixed names (what the

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/result"
-	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -45,43 +44,6 @@ func TestThreadGrid(t *testing.T) {
 			}
 			last = v
 		}
-	}
-}
-
-func TestMicroRunsTiny(t *testing.T) {
-	r := RunMicro(MicroConfig{
-		Opts: core.Baseline(core.PerThreadDoorbell), Threads: 4, Batch: 4,
-		Op: rnic.OpRead, Seed: 1,
-		Warmup: 200 * sim.Microsecond, Measure: 500 * sim.Microsecond,
-	})
-	if r.MOPS <= 0 || r.Completed == 0 {
-		t.Fatalf("no throughput measured: %+v", r)
-	}
-	if r.DMABytesPerWR < 80 {
-		t.Fatalf("DMA bytes/WR = %.1f, below model baseline", r.DMABytesPerWR)
-	}
-}
-
-func TestMicroWriteOp(t *testing.T) {
-	r := RunMicro(MicroConfig{
-		Opts: core.Baseline(core.PerThreadDoorbell), Threads: 4, Batch: 4,
-		Op: rnic.OpWrite, Seed: 1,
-		Warmup: 200 * sim.Microsecond, Measure: 500 * sim.Microsecond,
-	})
-	if r.MOPS <= 0 {
-		t.Fatal("write micro produced no throughput")
-	}
-}
-
-func TestMicroDynamicWorkload(t *testing.T) {
-	r := RunMicro(MicroConfig{
-		Opts: core.Baseline(core.PerThreadDoorbell), Threads: 8, Batch: 8,
-		Op: rnic.OpRead, Seed: 2,
-		Warmup: 200 * sim.Microsecond, Measure: 2 * sim.Millisecond,
-		DynamicInterval: 300 * sim.Microsecond, DynamicMin: 2,
-	})
-	if r.MOPS <= 0 {
-		t.Fatal("dynamic micro produced no throughput")
 	}
 }
 

@@ -100,7 +100,7 @@ func RunBT(cfg BTConfig) BTResult {
 			Seed:          cfg.Seed,
 		},
 		threads: cfg.ThreadsPerBlade,
-		opts:    cfg.Variant.Options(),
+		opts:    ScaleAdaptation(cfg.Variant.Options()),
 		warmup:  cfg.Warmup,
 		measure: cfg.Measure,
 		load: func(cl *cluster.Cluster) newBladeFunc {
@@ -109,7 +109,7 @@ func RunBT(cfg BTConfig) BTResult {
 				keys[i] = uint64(i + 1)
 			}
 			tree := sherman.BulkLoad(cl.Targets(), keys, 0.7)
-			return func(b int) newCoroFunc {
+			return func(b int, _ *core.Runtime) newCoroFunc {
 				client := sherman.NewClient(tree, cl.Eng, speculative)
 				if cfg.SpecCacheEntries > 0 {
 					client.SetSpecCacheEntries(cfg.SpecCacheEntries)

@@ -190,62 +190,64 @@ func runStorm(quick bool, seed int64, reg *telemetry.Registry, plan *fault.Plan,
 	if quick {
 		threads = 8
 	}
-	cl := cluster.New(cluster.Config{
-		ComputeBlades: 1,
-		MemoryBlades:  1,
-		BladeCapacity: 1 << 16,
-		Seed:          97 + seed,
-	})
-	defer cl.Stop()
-	nic := cl.Computes[0].NIC
-	nic.SetFault(plan)
-
-	opts := core.Options{
-		Policy:       core.PerThreadDoorbell,
-		Backoff:      true,
-		DynamicLimit: true,
-		RetryWindow:  200 * sim.Microsecond,
-		// The watchdog covers the reads (the plan blackholes READs late
-		// in its window); MaxWRRetries stays 0 so a NAKed CAS is never
-		// reposted by Sync — it surfaces to BackoffCASSync as an
-		// unsuccessful attempt and feeds γ.
-		WRTimeout:       100 * sim.Microsecond,
-		Telemetry:       reg,
-		TelemetryPrefix: "storm/",
-	}
-	rt := core.MustNew(nic, cl.Targets(), threads, opts)
-	defer rt.Stop()
-
-	region := cl.Memories[0].Mem.Alloc(8 * stormHotSlots)
-	for i := 0; i < threads; i++ {
-		th := rt.Thread(i)
-		rng := rand.New(rand.NewSource(seed + int64(i)*727 + 5))
-		th.Spawn("storm", func(c *core.Ctx) {
-			buf := make([]byte, 8)
-			for c.Now() < horizon {
-				addr := region.Add(uint64(rng.Intn(stormHotSlots)) * 8)
-				c.BeginOp()
-				// Learn the counter's current value first, so an
-				// unperturbed CAS almost always swaps on the first try
-				// and the pre-window retry rate stays low.
-				c.ReadSync(addr, buf)
-				expect := binary.LittleEndian.Uint64(buf)
-				for c.Now() < horizon {
-					old, swapped := c.BackoffCASSync(addr, expect, expect+1)
-					if swapped {
-						break
+	runApp(app{
+		name: "storm",
+		cluster: cluster.Config{
+			ComputeBlades: 1,
+			MemoryBlades:  1,
+			BladeCapacity: 1 << 16,
+			Seed:          97 + seed,
+		},
+		threads: threads,
+		coros:   1,
+		opts: core.Options{
+			Policy:       core.PerThreadDoorbell,
+			Backoff:      true,
+			DynamicLimit: true,
+			RetryWindow:  200 * sim.Microsecond,
+			// The watchdog covers the reads (the plan blackholes READs late
+			// in its window); MaxWRRetries stays 0 so a NAKed CAS is never
+			// reposted by Sync — it surfaces to BackoffCASSync as an
+			// unsuccessful attempt and feeds γ.
+			WRTimeout:       100 * sim.Microsecond,
+			TelemetryPrefix: "storm/",
+		},
+		// The storm reports lifetime trajectories, not a window, so only
+		// the sum of the two matters.
+		warmup:    horizon / 2,
+		measure:   horizon - horizon/2,
+		telemetry: reg,
+		faults:    plan,
+		load: func(cl *cluster.Cluster) newBladeFunc {
+			region := cl.Memories[0].Mem.Alloc(8 * stormHotSlots)
+			return func(int, *core.Runtime) newCoroFunc {
+				return func(ti, _ int) opFunc {
+					rng := rand.New(rand.NewSource(seed + int64(ti)*727 + 5))
+					buf := make([]byte, 8)
+					return func(c *core.Ctx, _ sim.Time) int {
+						addr := region.Add(uint64(rng.Intn(stormHotSlots)) * 8)
+						c.BeginOp()
+						// Learn the counter's current value first, so an
+						// unperturbed CAS almost always swaps on the first try
+						// and the pre-window retry rate stays low.
+						c.ReadSync(addr, buf)
+						expect := binary.LittleEndian.Uint64(buf)
+						for c.Now() < horizon {
+							old, swapped := c.BackoffCASSync(addr, expect, expect+1)
+							if swapped {
+								break
+							}
+							// An abandoned (injected) failure reports Result 0;
+							// the next organic attempt relearns the real value.
+							expect = old
+						}
+						c.EndOp()
+						return noCount
 					}
-					// An abandoned (injected) failure reports Result 0;
-					// the next organic attempt relearns the real value.
-					expect = old
 				}
-				c.EndOp()
 			}
-		})
-	}
-	cl.Eng.Run(horizon)
-	rt.Stop()
-	rt.Collect(reg)
+		},
+	})
 }
 
 func init() {

@@ -79,7 +79,7 @@ func RunDTX(cfg DTXConfig) DTXResult {
 			Seed:          cfg.Seed,
 		},
 		threads:    cfg.Threads,
-		opts:       opts,
+		opts:       ScaleAdaptation(opts),
 		warmup:     cfg.Warmup,
 		measure:    cfg.Measure,
 		targetRate: cfg.TargetMTPS,
@@ -97,7 +97,7 @@ func RunDTX(cfg DTXConfig) DTXResult {
 			}
 			// The database handle is the only client state, so the
 			// coroutines of the (single) compute blade share it.
-			return func(int) newCoroFunc {
+			return func(int, *core.Runtime) newCoroFunc {
 				return func(ti, d int) opFunc {
 					rng := rand.New(rand.NewSource(cfg.Seed + int64(ti)*1_021 + int64(d)*19 + 1))
 					return func(c *core.Ctx, _ sim.Time) int { return runTxn(c, rng) }

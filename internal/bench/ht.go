@@ -87,7 +87,7 @@ func RunHT(cfg HTConfig) HTResult {
 			Seed:          cfg.Seed,
 		},
 		threads:    cfg.ThreadsPerBlade,
-		opts:       cfg.Opts,
+		opts:       ScaleAdaptation(cfg.Opts),
 		warmup:     cfg.Warmup,
 		measure:    cfg.Measure,
 		targetRate: cfg.TargetMOPS,
@@ -101,7 +101,7 @@ func RunHT(cfg HTConfig) HTResult {
 			for k := uint64(0); k < cfg.Keys; k++ {
 				tbl.LoadDirect(k, k)
 			}
-			return func(b int) newCoroFunc {
+			return func(b int, _ *core.Runtime) newCoroFunc {
 				client := race.NewClient(tbl)
 				return func(ti, d int) opFunc {
 					seed := cfg.Seed + int64(b)*1_000_003 + int64(ti)*1_009 + int64(d)*13 + 1

@@ -1,11 +1,14 @@
 // Package bench holds the measurement harnesses and, on top of them,
-// one experiment runner per table and figure of the paper. RunMicro
-// (this file) is the §3.1 bench tool; RunHT, RunBT and RunDTX describe
-// the three applications to the one application harness, runApp
-// (app.go). Each runner enumerates its points into a sweep.Set and
-// fills typed result tables with the rows or series the paper reports;
-// the root bench_test.go and cmd/smartbench expose the runners as
-// testing.B benchmarks and a CLI respectively.
+// one experiment runner per table and figure of the paper. There are two
+// harnesses: runApp (app.go), the closed loop every point but serving
+// runs on, and internal/serve's open loop. RunMicro (this file, the
+// §3.1 bench tool), RunHT, RunBT, RunDTX and the chaos storm each
+// describe themselves to runApp — cluster sizing, options, how to load
+// and what one operation is — and map its result onto their own. Each
+// runner enumerates its points into a sweep.Set and fills typed result
+// tables with the rows or series the paper reports; the root
+// bench_test.go and cmd/smartbench expose the runners as testing.B
+// benchmarks and a CLI respectively.
 package bench
 
 import (
@@ -73,7 +76,9 @@ type MicroResult struct {
 }
 
 // RunMicro executes the micro-benchmark and returns the measured
-// point.
+// point: one coroutine per thread, each operation one post round. Unlike
+// the applications it leaves cfg.Opts' adaptive time constants alone —
+// callers that throttle pick their own Δ.
 func RunMicro(cfg MicroConfig) MicroResult {
 	if cfg.Blades <= 0 {
 		cfg.Blades = 1
@@ -90,127 +95,103 @@ func RunMicro(cfg MicroConfig) MicroResult {
 	if cfg.Payload == 0 {
 		cfg.Payload = 8
 	}
-	cl := cluster.New(cluster.Config{
-		ComputeBlades: 1,
-		MemoryBlades:  cfg.Blades,
-		BladeCapacity: cfg.Region + (1 << 16),
-		Seed:          cfg.Seed,
-		Params:        cfg.Params,
-		Batching:      cfg.Opts.Batching,
-	})
-	defer cl.Stop()
-	eng := cl.Eng
-
-	regions := make([]blade.Addr, cfg.Blades)
-	for i, m := range cl.Memories {
-		regions[i] = m.Mem.Alloc(cfg.Region)
-	}
-
-	cfg.Opts.Telemetry = cfg.Telemetry
-	// The cluster is the source of truth for the batching config (the
-	// cfg.Opts value seeded it above; reading it back picks up the
-	// filled defaults) — the same wiring path smartbench -batching uses.
-	cfg.Opts.Batching = cl.Batching
-	rt := core.MustNew(cl.Computes[0].NIC, cl.Targets(), cfg.Threads, cfg.Opts)
-	defer rt.Stop()
-
 	horizon := cfg.Warmup + cfg.Measure
-	nic := cl.Computes[0].NIC
-	if cfg.Faults != nil {
-		nic.SetFault(cfg.Faults)
-	}
-	if cfg.SampleEvery > 0 && cfg.OnSample != nil {
-		var tick func()
-		tick = func() {
-			cfg.OnSample(eng.Now(), nic.Snapshot())
-			if eng.Now() < horizon {
-				eng.Schedule(cfg.SampleEvery, tick)
-			}
-		}
-		eng.Schedule(cfg.SampleEvery, tick)
-	}
-
-	// Per-thread activity gates for the dynamic workload.
-	active := make([]bool, cfg.Threads)
-	gates := make([]*sim.WaitQueue, cfg.Threads)
-	for i := range gates {
-		active[i] = true
-		gates[i] = sim.NewWaitQueue(eng)
-	}
-	if cfg.DynamicInterval > 0 {
-		if cfg.DynamicMin <= 0 {
-			cfg.DynamicMin = 1
-		}
-		ctlRng := rand.New(rand.NewSource(cfg.Seed + 7777))
-		eng.Go("dyn-controller", func(p *sim.Proc) {
-			for p.Now() < horizon {
-				p.Sleep(cfg.DynamicInterval)
-				n := cfg.DynamicMin + ctlRng.Intn(cfg.Threads-cfg.DynamicMin+1)
-				for i := range active {
-					wasActive := active[i]
-					active[i] = i < n
-					if active[i] && !wasActive {
-						gates[i].Broadcast()
-					}
-				}
-			}
-		})
-	}
-
 	slots := cfg.Region / uint64(cfg.Payload)
-	for i := 0; i < cfg.Threads; i++ {
-		i := i
-		th := rt.Thread(i)
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1009 + 1))
-		th.Spawn("bench", func(c *core.Ctx) {
-			buf := make([]byte, cfg.Payload)
-			for c.Now() < horizon {
-				for !active[i] && c.Now() < horizon {
-					gates[i].Wait(c.Proc())
+	var rt *core.Runtime
+	r := runApp(app{
+		name: "bench",
+		cluster: cluster.Config{
+			ComputeBlades: 1,
+			MemoryBlades:  cfg.Blades,
+			BladeCapacity: cfg.Region + (1 << 16),
+			Seed:          cfg.Seed,
+			Params:        cfg.Params,
+		},
+		threads:     cfg.Threads,
+		coros:       1,
+		opts:        cfg.Opts,
+		warmup:      cfg.Warmup,
+		measure:     cfg.Measure,
+		telemetry:   cfg.Telemetry,
+		faults:      cfg.Faults,
+		sampleEvery: cfg.SampleEvery,
+		onSample:    cfg.OnSample,
+		load: func(cl *cluster.Cluster) newBladeFunc {
+			regions := make([]blade.Addr, cfg.Blades)
+			for i, m := range cl.Memories {
+				regions[i] = m.Mem.Alloc(cfg.Region)
+			}
+			return func(_ int, bladeRT *core.Runtime) newCoroFunc {
+				rt = bladeRT
+
+				// The dynamic workload: threads [0, active) run, the rest
+				// wait at their gate.
+				active := cfg.Threads
+				gates := make([]*sim.WaitQueue, cfg.Threads)
+				for i := range gates {
+					gates[i] = sim.NewWaitQueue(cl.Eng)
 				}
-				// Each post round is one "operation" for the stats and
-				// latency layer. Pure bookkeeping for the micro configs
-				// (none enable coroutine throttling), so instrumented and
-				// uninstrumented runs schedule identical events.
-				c.BeginOp()
-				for k := 0; k < cfg.Batch; k++ {
-					b := rng.Intn(cfg.Blades)
-					off := uint64(rng.Int63n(int64(slots))) * uint64(cfg.Payload)
-					addr := regions[b].Add(off)
-					switch cfg.Op {
-					case rnic.OpWrite:
-						c.Write(addr, buf)
-					default:
-						c.Read(addr, buf)
+				if cfg.DynamicInterval > 0 {
+					if cfg.DynamicMin <= 0 {
+						cfg.DynamicMin = 1
+					}
+					ctlRng := rand.New(rand.NewSource(cfg.Seed + 7777))
+					cl.Eng.Go("dyn-controller", func(p *sim.Proc) {
+						for p.Now() < horizon {
+							p.Sleep(cfg.DynamicInterval)
+							was := active
+							active = cfg.DynamicMin + ctlRng.Intn(cfg.Threads-cfg.DynamicMin+1)
+							for i := was; i < active; i++ {
+								gates[i].Broadcast()
+							}
+						}
+					})
+				}
+
+				return func(ti, _ int) opFunc {
+					rng := rand.New(rand.NewSource(cfg.Seed + int64(ti)*1009 + 1))
+					buf := make([]byte, cfg.Payload)
+					return func(c *core.Ctx, _ sim.Time) int {
+						for ti >= active && c.Now() < horizon {
+							gates[ti].Wait(c.Proc())
+						}
+						// Each post round is one "operation" for the stats and
+						// latency layer. Pure bookkeeping for the micro configs
+						// (none enable coroutine throttling), so instrumented and
+						// uninstrumented runs schedule identical events.
+						c.BeginOp()
+						for k := 0; k < cfg.Batch; k++ {
+							b := rng.Intn(cfg.Blades)
+							off := uint64(rng.Int63n(int64(slots))) * uint64(cfg.Payload)
+							addr := regions[b].Add(off)
+							switch cfg.Op {
+							case rnic.OpWrite:
+								c.Write(addr, buf)
+							default:
+								c.Read(addr, buf)
+							}
+						}
+						c.PostSend()
+						c.Sync()
+						c.EndOp()
+						return noCount
 					}
 				}
-				c.PostSend()
-				c.Sync()
-				c.EndOp()
 			}
-		})
-	}
+		},
+	})
 
-	var s0 rnic.Counters
-	eng.Schedule(cfg.Warmup, func() { s0 = nic.Snapshot() })
-	eng.Run(horizon)
-	s1 := nic.Snapshot()
-	rt.Stop()
-	rt.Collect(cfg.Telemetry)
-
-	completed := s1.Completed - s0.Completed
-	res := MicroResult{Completed: completed}
-	if cfg.Opts.WorkReqThrottle && cfg.Threads > 0 {
+	res := MicroResult{MOPS: r.verbMOPS, Completed: r.completed}
+	if cfg.Opts.WorkReqThrottle {
 		sum := 0
-		for i := 0; i < cfg.Threads; i++ {
-			sum += rt.Thread(i).CMax()
+		for _, th := range rt.Threads() {
+			sum += th.CMax()
 		}
-		res.CMaxMean = float64(sum) / float64(cfg.Threads)
+		res.CMaxMean = float64(sum) / float64(len(rt.Threads()))
 	}
-	res.MOPS = float64(completed) / (float64(cfg.Measure) / 1e3)
-	if completed > 0 {
-		res.DMABytesPerWR = float64(s1.DMABytes-s0.DMABytes) / float64(completed)
-		res.WQEMissRate = float64(s1.WQEMisses-s0.WQEMisses) / float64(completed)
+	if r.completed > 0 {
+		res.DMABytesPerWR = float64(r.dmaBytes) / float64(r.completed)
+		res.WQEMissRate = float64(r.wqeMisses) / float64(r.completed)
 	}
 	return res
 }

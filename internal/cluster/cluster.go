@@ -37,12 +37,6 @@ type Config struct {
 	// rnic.Default().
 	Params *rnic.Params
 
-	// Batching configures the submission-path batching techniques
-	// (postlist, doorbell coalescing, shared-CQ polling) for every
-	// runtime built on the cluster. The zero value — batching off —
-	// keeps the submission path identical to the pre-batching model.
-	Batching verbs.Batching
-
 	// Seed seeds the simulation engine.
 	Seed int64
 }
@@ -76,11 +70,6 @@ type Cluster struct {
 	Computes []*Compute
 	Memories []*Memory
 	Clients  []*Client
-
-	// Batching is the cluster-wide submission-path batching config
-	// (cfg.Batching with defaults filled); runtimes built on the
-	// cluster adopt it through their core.Options.
-	Batching verbs.Batching
 }
 
 // New builds a cluster per cfg, with a fresh simulation engine.
@@ -96,7 +85,7 @@ func New(cfg Config) *Cluster {
 		params = *cfg.Params
 	}
 	eng := sim.New(cfg.Seed)
-	c := &Cluster{Eng: eng, Batching: cfg.Batching.WithDefaults()}
+	c := &Cluster{Eng: eng}
 	for i := 0; i < cfg.ComputeBlades; i++ {
 		c.Computes = append(c.Computes, &Compute{
 			ID:  i,

@@ -69,13 +69,12 @@ func runBatchDiff(t *testing.T, b verbs.Batching, faulted bool) diffRecord {
 		MemoryBlades:  1,
 		BladeCapacity: 1 << 20,
 		Seed:          123,
-		Batching:      b,
 	})
 	defer cl.Stop()
 	opts := Baseline(PerThreadDoorbell)
 	opts.WRTimeout = 12 * sim.Microsecond
 	opts.MaxWRRetries = 2
-	opts.Batching = cl.Batching
+	opts.Batching = b
 	rt, err := New(cl.Computes[0].NIC, cl.Targets(), 1, opts)
 	if err != nil {
 		t.Fatal(err)

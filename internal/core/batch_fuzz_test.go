@@ -54,13 +54,12 @@ func runCoalesceFuzz(t *testing.T, b verbs.Batching, plan *fault.Plan, rounds in
 		MemoryBlades:  1,
 		BladeCapacity: 1 << 20,
 		Seed:          321,
-		Batching:      b,
 	})
 	defer cl.Stop()
 	opts := Baseline(PerThreadDoorbell)
 	opts.WRTimeout = 60 * sim.Microsecond
 	opts.MaxWRRetries = 2
-	opts.Batching = cl.Batching
+	opts.Batching = b
 	rt, err := New(cl.Computes[0].NIC, cl.Targets(), 1, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -28,10 +28,9 @@ func TestCoalescerStopHoldsUnflushedWRs(t *testing.T) {
 			MemoryBlades:  1,
 			BladeCapacity: 1 << 20,
 			Seed:          7,
-			Batching:      b,
 		})
 		opts := Baseline(PerThreadDoorbell)
-		opts.Batching = cl.Batching
+		opts.Batching = b
 		rt, err := New(cl.Computes[0].NIC, cl.Targets(), 1, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -213,11 +213,6 @@ func Run(cfg Config) Result {
 		}
 		runtimes[i] = core.MustNew(cb.NIC, cl.Targets(), cfg.ThreadsPerRuntime, opts)
 	}
-	defer func() {
-		for _, rt := range runtimes {
-			rt.Stop()
-		}
-	}()
 
 	queues := make([]*queue, cfg.Runtimes)
 	for i := range queues {
@@ -242,17 +237,12 @@ func Run(cfg Config) Result {
 		if interval < sim.Microsecond {
 			interval = sim.Microsecond
 		}
-		var tick func()
-		tick = func() {
-			x := float64(eng.Now()) / 1e3
+		eng.Every(interval, horizon, func(now sim.Time) {
+			x := float64(now) / 1e3
 			for i, q := range queues {
 				g.Series(fmt.Sprintf("r%d", i)).Record(x, float64(q.n))
 			}
-			if eng.Now() < horizon {
-				eng.Schedule(interval, tick)
-			}
-		}
-		eng.Schedule(interval, tick)
+		})
 	}
 
 	// route picks the runtime queue for the next request.
@@ -375,11 +365,7 @@ func Run(cfg Config) Result {
 	eng.Run(horizon)
 	for _, rt := range runtimes {
 		rt.Stop()
-	}
-	if cfg.Telemetry != nil {
-		for _, rt := range runtimes {
-			rt.Collect(cfg.Telemetry)
-		}
+		rt.Collect(cfg.Telemetry)
 	}
 
 	us := float64(cfg.Measure) / 1e3

@@ -166,6 +166,20 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 	e.eq.push(event{at: at, seq: e.seq, fn: fn})
 }
 
+// Every calls fn at period, 2·period, … from now, each call re-arming
+// the next while the clock is still before until — so the last call is
+// the first one at or after until. It is the periodic sampler's
+// schedule: a sampler's fn only reads, so it cannot perturb the run it
+// observes. Must be called from engine context.
+func (e *Engine) Every(period, until Time, fn func(now Time)) {
+	e.Schedule(period, func() {
+		fn(e.now)
+		if e.now < until {
+			e.Every(period, until, fn)
+		}
+	})
+}
+
 // enqueueRun queues a same-timestamp activation for p. It shares the
 // sequence counter with ScheduleAt, so run-queue entries and heap
 // events at the same timestamp interleave exactly as if both had gone

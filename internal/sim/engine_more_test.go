@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestPendingCount(t *testing.T) {
 	e := New(1)
@@ -99,5 +102,49 @@ func TestServerManyJobsOrder(t *testing.T) {
 		if order[i] != i {
 			t.Fatalf("FIFO violated at %d: %v", i, order[:i+1])
 		}
+	}
+}
+
+// TestEveryFireTimes pins the ticker's schedule, which sampled
+// trajectories (chaos recovery, serve/qdepth) are built on: first call
+// one period from the installing instant, re-armed while the clock is
+// before until — so the last call is the first at or after until — and
+// each re-arm queued when the previous call ran, behind anything
+// already waiting at that timestamp.
+func TestEveryFireTimes(t *testing.T) {
+	const ns = Nanosecond
+	for _, tc := range []struct {
+		at, period, until Time
+		want              []Time
+	}{
+		{0, 300 * ns, 1000 * ns, []Time{300 * ns, 600 * ns, 900 * ns, 1200 * ns}},
+		{0, 250 * ns, 1000 * ns, []Time{250 * ns, 500 * ns, 750 * ns, 1000 * ns}},
+		{100 * ns, 200 * ns, 500 * ns, []Time{300 * ns, 500 * ns}},
+		{0, 400 * ns, 100 * ns, []Time{400 * ns}},
+	} {
+		e := New(1)
+		var got []Time
+		e.Schedule(tc.at, func() {
+			e.Every(tc.period, tc.until, func(now Time) {
+				if now != e.Now() {
+					t.Errorf("fn got now=%v, clock reads %v", now, e.Now())
+				}
+				got = append(got, now)
+			})
+		})
+		e.Run(0)
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("Every(%d, %d) from %d fired at %v, want %v", tc.period, tc.until, tc.at, got, tc.want)
+		}
+	}
+
+	e := New(1)
+	var order []string
+	e.Every(250*ns, 500*ns, func(Time) { order = append(order, "tick") })
+	e.Schedule(250*ns, func() { order = append(order, "after-install") })
+	e.Schedule(500*ns, func() { order = append(order, "before-rearm") })
+	e.Run(0)
+	if want := []string{"tick", "after-install", "before-rearm", "tick"}; !slices.Equal(order, want) {
+		t.Fatalf("same-timestamp order = %v, want %v", order, want)
 	}
 }
