@@ -2,102 +2,43 @@
 // Sherman B+Tree. The same read-only workload runs against Sherman+
 // (full 1 KiB leaf READs, bandwidth-bound) and SMART-BT (16-byte
 // speculative READs through SMART, IOPS-bound), printing throughput,
-// bytes moved, and the fast-path hit rate.
+// latency, the fast-path hit rate, and the verb rate. Both runs are
+// one bench.RunBT point, the harness every B+Tree figure uses;
+// examples/quickstart shows the SMART API itself.
 package main
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/sherman"
+	"repro/internal/bench"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// params sizes one run; main_test.go shrinks them to check that equal
-// seeds reproduce identical results.
-type params struct {
-	keys    uint64
-	threads int
-	horizon sim.Time
-	seed    int64
+// defaults sizes both runs; main_test.go shrinks it to check that equal
+// seeds reproduce identical results. As in §6.2.3 every server is both
+// a compute and a memory blade.
+var defaults = bench.BTConfig{
+	Servers:         2,
+	ThreadsPerBlade: 24,
+	Keys:            50_000,
+	Theta:           0.99,
+	Mix:             workload.ReadOnly,
+	Warmup:          4 * sim.Millisecond,
+	Measure:         4 * sim.Millisecond,
+	Seed:            9,
 }
 
-var defaults = params{keys: 50_000, threads: 48, horizon: 8 * sim.Millisecond, seed: 9}
-
-// result is everything the demo prints, in checkable form.
-type result struct {
-	ops        uint64
-	wireBytes  uint64
-	specHits   uint64
-	specMisses uint64
-}
-
-func run(speculative bool, opts core.Options, p params) result {
-	cl := cluster.New(cluster.Config{
-		ComputeBlades: 1,
-		MemoryBlades:  2,
-		BladeCapacity: 128 << 20,
-		Seed:          p.seed,
-	})
-	defer cl.Stop()
-
-	ks := make([]uint64, p.keys)
-	for i := range ks {
-		ks[i] = uint64(i + 1)
-	}
-	tree := sherman.BulkLoad(cl.Targets(), ks, 0.7)
-	client := sherman.NewClient(tree, cl.Eng, speculative)
-
-	opts.UpdateDelta = 400 * sim.Microsecond
-	rt := core.MustNew(cl.Computes[0].NIC, cl.Targets(), p.threads, opts)
-	defer rt.Stop()
-
-	var ops uint64
-	for ti := 0; ti < p.threads; ti++ {
-		for d := 0; d < rt.Options().Depth; d++ {
-			gen := workload.NewZipf(rand.New(rand.NewSource(p.seed+int64(ti*131+d))), p.keys, 0.99)
-			rt.Thread(ti).Spawn("reader", func(c *core.Ctx) {
-				for c.Now() < p.horizon {
-					key := gen.Next() + 1
-					if speculative {
-						client.LookupSpec(c, key)
-					} else {
-						client.Lookup(c, key)
-					}
-					ops++
-				}
-			})
-		}
-	}
-	cl.Eng.Run(p.horizon)
-
-	nic := cl.Computes[0].NIC.Snapshot()
-	return result{
-		ops:        ops,
-		wireBytes:  nic.BytesOnIn + nic.BytesOnOut,
-		specHits:   client.SpecHits,
-		specMisses: client.SpecMisses,
-	}
-}
-
-func report(name string, p params, r result) {
-	hitRate := 0.0
-	if t := r.specHits + r.specMisses; t > 0 {
-		hitRate = float64(r.specHits) / float64(t)
-	}
-	fmt.Printf("%-22s %8.2f MOPS   %6.1f Gbps on the wire   spec-hit %.0f%%\n",
-		name,
-		float64(r.ops)/float64(p.horizon)*1e3,
-		float64(r.wireBytes)*8/float64(p.horizon),
-		100*hitRate)
+func run(v bench.BTVariant, cfg bench.BTConfig) bench.BTResult {
+	cfg.Variant = v
+	return bench.RunBT(cfg)
 }
 
 func main() {
-	p := defaults
-	fmt.Printf("read-only Zipf θ=0.99 lookups, %d threads x 8 coroutines, %d keys\n\n", p.threads, p.keys)
-	report("Sherman+ (1KiB leaf)", p, run(false, core.Baseline(core.PerThreadQP), p))
-	report("SMART-BT (spec 16B)", p, run(true, core.Smart(), p))
+	cfg := defaults
+	fmt.Printf("%s Zipf θ=%.2f lookups, %d servers x %d threads x 8 coroutines, %d keys\n\n", cfg.Mix.Name, cfg.Theta, cfg.Servers, cfg.ThreadsPerBlade, cfg.Keys)
+	for _, v := range []bench.BTVariant{bench.ShermanPlus, bench.SmartBT} {
+		r := run(v, cfg)
+		fmt.Printf("%-10s %v  %.2f verbs/µs\n", v, r, r.VerbMOPS)
+	}
 }

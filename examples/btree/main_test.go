@@ -3,7 +3,7 @@ package main
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/bench"
 	"repro/internal/sim"
 )
 
@@ -11,15 +11,17 @@ import (
 // explicit seeded *rand.Rand (the seededrand analyzer enforces this),
 // the demo's output is a pure function of its parameters.
 func TestExampleDeterminism(t *testing.T) {
-	p := params{keys: 2_000, threads: 4, horizon: sim.Millisecond, seed: 9}
-	for _, speculative := range []bool{false, true} {
-		a := run(speculative, core.Smart(), p)
-		b := run(speculative, core.Smart(), p)
+	cfg := defaults
+	cfg.Keys, cfg.ThreadsPerBlade = 2_000, 2
+	cfg.Warmup, cfg.Measure = sim.Millisecond/2, sim.Millisecond/2
+	for _, v := range []bench.BTVariant{bench.ShermanPlus, bench.SmartBT} {
+		a := run(v, cfg)
+		b := run(v, cfg)
 		if a != b {
-			t.Errorf("speculative=%v: same seed, different results:\n  %+v\n  %+v", speculative, a, b)
+			t.Errorf("%v: same seed, different results:\n  %+v\n  %+v", v, a, b)
 		}
-		if a.ops == 0 {
-			t.Errorf("speculative=%v: no lookups completed", speculative)
+		if a.Ops == 0 {
+			t.Errorf("%v: no lookups completed", v)
 		}
 	}
 }

@@ -1,88 +1,36 @@
 // Dtx: run SmallBank transactions over FORD-style one-sided
 // transactions on NVM memory blades, comparing FORD+ with SMART-DTX at
-// a high thread count — the Fig. 10 story in miniature. Also checks
-// that concurrent SendPayment transactions conserve money.
+// a high thread count — the Fig. 10 story in miniature. Both runs are
+// one bench.RunDTX point, the harness every transaction figure uses;
+// examples/quickstart shows the SMART API itself.
 package main
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/blade"
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/ford"
+	"repro/internal/bench"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
-// params sizes one run; main_test.go shrinks them to check that equal
+// defaults sizes both runs; main_test.go shrinks it to check that equal
 // seeds reproduce identical results.
-type params struct {
-	accounts uint64
-	threads  int
-	horizon  sim.Time
-	seed     int64
+var defaults = bench.DTXConfig{
+	Workload: bench.SmallBank,
+	Threads:  64,
+	Records:  20_000,
+	Warmup:   4 * sim.Millisecond,
+	Measure:  4 * sim.Millisecond,
+	Seed:     5,
 }
 
-var defaults = params{accounts: 20_000, threads: 64, horizon: 8 * sim.Millisecond, seed: 5}
-
-// result is everything the demo prints, in checkable form.
-type result struct {
-	txns     uint64
-	aborts   uint64
-	p50, p99 sim.Time
-}
-
-func run(opts core.Options, p params) result {
-	cl := cluster.New(cluster.Config{
-		ComputeBlades: 1,
-		MemoryBlades:  2,
-		MemoryKind:    blade.NVM,
-		BladeCapacity: 128 << 20,
-		Seed:          p.seed,
-	})
-	defer cl.Stop()
-
-	sb := ford.NewSmallBank(cl.Targets(), p.accounts)
-	sb.Load()
-
-	opts.UpdateDelta = 400 * sim.Microsecond
-	opts.RetryWindow = 250 * sim.Microsecond
-	rt := core.MustNew(cl.Computes[0].NIC, cl.Targets(), p.threads, opts)
-	defer rt.Stop()
-
-	lat := stats.NewHist()
-	var txns, aborts uint64
-	for ti := 0; ti < p.threads; ti++ {
-		for d := 0; d < rt.Options().Depth; d++ {
-			rng := rand.New(rand.NewSource(p.seed + int64(ti*211+d)))
-			rt.Thread(ti).Spawn("txn", func(c *core.Ctx) {
-				for c.Now() < p.horizon {
-					start := c.Now()
-					aborts += uint64(sb.RunOne(c, rng))
-					txns++
-					lat.Add(c.Now() - start)
-				}
-			})
-		}
-	}
-	cl.Eng.Run(p.horizon)
-
-	return result{txns: txns, aborts: aborts, p50: lat.Median(), p99: lat.P99()}
-}
-
-func report(name string, p params, r result) {
-	fmt.Printf("%-10s %8.2f M txn/s   p50 %-10v p99 %-10v aborts/txn %.3f\n",
-		name,
-		float64(r.txns)/float64(p.horizon)*1e3,
-		r.p50, r.p99,
-		float64(r.aborts)/float64(r.txns))
+func run(fordPlus bool, cfg bench.DTXConfig) bench.DTXResult {
+	cfg.FORDPlus = fordPlus
+	return bench.RunDTX(cfg)
 }
 
 func main() {
-	p := defaults
-	fmt.Printf("SmallBank over FORD-style one-sided transactions on NVM, %d threads x 8 coroutines\n\n", p.threads)
-	report("FORD+", p, run(core.Baseline(core.PerThreadQP), p))
-	report("SMART-DTX", p, run(core.Smart(), p))
+	cfg := defaults
+	fmt.Printf("%v over FORD-style one-sided transactions on NVM, %d threads x 8 coroutines\n\n", cfg.Workload, cfg.Threads)
+	fmt.Printf("%-10s %v\n", "FORD+", run(true, cfg))
+	fmt.Printf("%-10s %v\n", "SMART-DTX", run(false, cfg))
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -11,13 +10,15 @@ import (
 // parameters because all randomness flows from explicit seeded
 // generators (enforced by the seededrand analyzer).
 func TestExampleDeterminism(t *testing.T) {
-	p := params{accounts: 2_000, threads: 4, horizon: sim.Millisecond, seed: 5}
-	a := run(core.Smart(), p)
-	b := run(core.Smart(), p)
+	cfg := defaults
+	cfg.Records, cfg.Threads = 2_000, 4
+	cfg.Warmup, cfg.Measure = sim.Millisecond/2, sim.Millisecond/2
+	a := run(false, cfg)
+	b := run(false, cfg)
 	if a != b {
 		t.Errorf("same seed, different results:\n  %+v\n  %+v", a, b)
 	}
-	if a.txns == 0 {
+	if a.Txns == 0 {
 		t.Error("no transactions completed")
 	}
 }

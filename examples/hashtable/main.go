@@ -2,105 +2,40 @@
 // twice — once with the RACE baseline configuration (per-thread QP,
 // default doorbells, no throttling or backoff) and once as SMART-HT —
 // and print the throughput, latency, and retry comparison that
-// motivates Figures 7 and 14.
+// motivates Figures 7 and 14. Both runs are one bench.RunHT point, the
+// harness every hash-table figure uses; examples/quickstart shows the
+// SMART API itself.
 package main
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/cluster"
+	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/race"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// params sizes one run; main_test.go shrinks them to check that equal
+// defaults sizes both runs; main_test.go shrinks it to check that equal
 // seeds reproduce identical results.
-type params struct {
-	keys    uint64
-	threads int
-	theta   float64
-	horizon sim.Time
-	seed    int64
+var defaults = bench.HTConfig{
+	ThreadsPerBlade: 32,
+	Keys:            50_000,
+	Theta:           0.99,
+	Mix:             workload.WriteHeavy,
+	Warmup:          4 * sim.Millisecond,
+	Measure:         4 * sim.Millisecond,
+	Seed:            7,
 }
 
-var defaults = params{keys: 50_000, threads: 32, theta: 0.99, horizon: 8 * sim.Millisecond, seed: 7}
-
-// result is everything the demo prints, in checkable form.
-type result struct {
-	ops       uint64
-	p50, p99  sim.Time
-	casFailed uint64
-	casTotal  uint64
-}
-
-func run(opts core.Options, p params) result {
-	cl := cluster.New(cluster.Config{
-		ComputeBlades: 1,
-		MemoryBlades:  2,
-		BladeCapacity: 128 << 20,
-		Seed:          p.seed,
-	})
-	defer cl.Stop()
-
-	// Build and bulk-load the table (extendible hashing with combined
-	// bucket groups, as in RACE).
-	tbl := race.Create(cl.Targets(), race.Config{Groups: 1024, InitialDepth: 3, MaxDepth: 8})
-	for k := uint64(0); k < p.keys; k++ {
-		tbl.LoadDirect(k, k)
-	}
-	client := race.NewClient(tbl)
-
-	opts.UpdateDelta = 400 * sim.Microsecond // converge within the short run
-	opts.RetryWindow = 250 * sim.Microsecond
-	rt := core.MustNew(cl.Computes[0].NIC, cl.Targets(), p.threads, opts)
-	defer rt.Stop()
-
-	lat := stats.NewHist()
-	var ops uint64
-	for ti := 0; ti < p.threads; ti++ {
-		for d := 0; d < rt.Options().Depth; d++ {
-			gen := workload.NewYCSB(rand.New(rand.NewSource(p.seed+int64(ti*101+d))), p.keys, p.theta, workload.WriteHeavy)
-			rt.Thread(ti).Spawn("worker", func(c *core.Ctx) {
-				for c.Now() < p.horizon {
-					op, key := gen.Next()
-					start := c.Now()
-					if op == workload.Update {
-						client.Update(c, key, uint64(start))
-					} else {
-						client.Lookup(c, key)
-					}
-					ops++
-					lat.Add(c.Now() - start)
-				}
-			})
-		}
-	}
-	cl.Eng.Run(p.horizon)
-
-	s := rt.TotalStats()
-	return result{
-		ops:       ops,
-		p50:       lat.Median(),
-		p99:       lat.P99(),
-		casFailed: s.CASFailed,
-		casTotal:  s.CASTotal,
-	}
-}
-
-func report(name string, p params, r result) {
-	fmt.Printf("%-10s %8.2f MOPS   p50 %-10v p99 %-10v CAS retries/attempts %d/%d\n",
-		name,
-		float64(r.ops)/float64(p.horizon)*1e3,
-		r.p50, r.p99, r.casFailed, r.casTotal)
+func run(opts core.Options, cfg bench.HTConfig) bench.HTResult {
+	cfg.Opts = opts
+	return bench.RunHT(cfg)
 }
 
 func main() {
-	p := defaults
-	fmt.Printf("write-heavy YCSB, Zipf θ=%.2f, %d threads x 8 coroutines, %d keys\n\n", p.theta, p.threads, p.keys)
-	report("RACE", p, run(core.Baseline(core.PerThreadQP), p))
-	report("SMART-HT", p, run(core.Smart(), p))
+	cfg := defaults
+	fmt.Printf("%s YCSB, Zipf θ=%.2f, %d threads x 8 coroutines, %d keys\n\n", cfg.Mix.Name, cfg.Theta, cfg.ThreadsPerBlade, cfg.Keys)
+	fmt.Printf("%-10s %v\n", "RACE", run(bench.RACEBaseline(), cfg))
+	fmt.Printf("%-10s %v\n", "SMART-HT", run(core.Smart(), cfg))
 }

@@ -11,13 +11,19 @@ import (
 // parameters because all randomness flows from explicit seeded
 // generators (enforced by the seededrand analyzer).
 func TestExampleDeterminism(t *testing.T) {
-	p := params{keys: 2_000, threads: 4, theta: 0.99, horizon: sim.Millisecond, seed: 7}
-	a := run(core.Smart(), p)
-	b := run(core.Smart(), p)
+	cfg := defaults
+	cfg.Keys, cfg.ThreadsPerBlade = 2_000, 4
+	cfg.Warmup, cfg.Measure = sim.Millisecond/2, sim.Millisecond/2
+	a := run(core.Smart(), cfg)
+	b := run(core.Smart(), cfg)
+	if a.RetryDist.String() != b.RetryDist.String() {
+		t.Errorf("same seed, different retry distributions:\n  %v\n  %v", a.RetryDist, b.RetryDist)
+	}
+	a.RetryDist, b.RetryDist = nil, nil // compared by value above; the pointers always differ
 	if a != b {
 		t.Errorf("same seed, different results:\n  %+v\n  %+v", a, b)
 	}
-	if a.ops == 0 {
+	if a.Ops == 0 {
 		t.Error("no operations completed")
 	}
 }

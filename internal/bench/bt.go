@@ -109,6 +109,8 @@ func RunBT(cfg BTConfig) BTResult {
 				keys[i] = uint64(i + 1)
 			}
 			tree := sherman.BulkLoad(cl.Targets(), keys, 0.7)
+			// ζ(Keys, Theta) is O(Keys): summed once here, not per coroutine.
+			ycsb := workload.NewYCSB(nil, cfg.Keys, cfg.Theta, cfg.Mix)
 			return func(b int, _ *core.Runtime) newCoroFunc {
 				client := sherman.NewClient(tree, cl.Eng, speculative)
 				if cfg.SpecCacheEntries > 0 {
@@ -117,7 +119,7 @@ func RunBT(cfg BTConfig) BTResult {
 				clients = append(clients, client)
 				return func(ti, d int) opFunc {
 					seed := cfg.Seed + int64(b)*999_983 + int64(ti)*1_013 + int64(d)*17 + 1
-					gen := workload.NewYCSB(rand.New(rand.NewSource(seed)), cfg.Keys, cfg.Theta, cfg.Mix)
+					gen := ycsb.WithRand(rand.New(rand.NewSource(seed)))
 					return func(c *core.Ctx, start sim.Time) int {
 						op, key := gen.Next()
 						key++ // tree keys are 1-based

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/result"
+	"repro/internal/spec"
 	"repro/internal/sweep"
 )
 
@@ -15,24 +16,33 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite the checked-in golden files")
 
 // TestFig3QuickGolden extends the same-seed determinism contract to
-// the output layer: the fig3 quick sweep, run sequentially and then on
-// a 4-worker pool with the fixed built-in seed, must render to
-// identical text — the sweep scheduler's merge-order guarantee made
-// concrete — and that text must match the checked-in golden byte for
-// byte. Regenerate with
+// the output layer: the fig3 quick sweep, run sequentially from the
+// registry and then on a 4-worker pool from its golden spec file
+// lowered by FromSpec, must render to identical text — the sweep
+// scheduler's merge-order guarantee and "the spec file is the
+// experiment" made concrete in one executed pair — and that text must
+// match the checked-in golden byte for byte. Regenerate with
 // `go test ./internal/bench -run Fig3QuickGolden -update-golden`.
 func TestFig3QuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep twice")
 	}
 	first := ByID("fig3").Run(quickEnv(sweep.Sequential()))
-	second := ByID("fig3").Run(quickEnv(sweep.New(4)))
+	s, err := spec.Load(filepath.Join("testdata", "specs", "fig3_quick.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := FromSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := fromFile.Run(Env{Sweeper: sweep.New(4)})
 
 	var a, b bytes.Buffer
 	result.Text(&a, first)
 	result.Text(&b, second)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("sequential and 4-worker sweeps rendered differently:\n--- sequential\n%s\n--- parallel\n%s", a.String(), b.String())
+		t.Fatalf("the sequential registered sweep and the 4-worker golden-spec sweep rendered differently:\n--- registered, sequential\n%s\n--- spec file, parallel\n%s", a.String(), b.String())
 	}
 
 	golden := filepath.Join("testdata", "fig3_quick.golden")

@@ -101,11 +101,13 @@ func RunHT(cfg HTConfig) HTResult {
 			for k := uint64(0); k < cfg.Keys; k++ {
 				tbl.LoadDirect(k, k)
 			}
+			// ζ(Keys, Theta) is O(Keys): summed once here, not per coroutine.
+			ycsb := workload.NewYCSB(nil, cfg.Keys, cfg.Theta, cfg.Mix)
 			return func(b int, _ *core.Runtime) newCoroFunc {
 				client := race.NewClient(tbl)
 				return func(ti, d int) opFunc {
 					seed := cfg.Seed + int64(b)*1_000_003 + int64(ti)*1_009 + int64(d)*13 + 1
-					gen := workload.NewYCSB(rand.New(rand.NewSource(seed)), cfg.Keys, cfg.Theta, cfg.Mix)
+					gen := ycsb.WithRand(rand.New(rand.NewSource(seed)))
 					return func(c *core.Ctx, start sim.Time) int {
 						op, key := gen.Next()
 						if op != workload.Update {

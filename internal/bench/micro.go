@@ -6,9 +6,8 @@
 // describe themselves to runApp — cluster sizing, options, how to load
 // and what one operation is — and map its result onto their own. Each
 // runner enumerates its points into a sweep.Set and fills typed result
-// tables with the rows or series the paper reports; the root
-// bench_test.go and cmd/smartbench expose the runners as testing.B
-// benchmarks and a CLI respectively.
+// tables with the rows or series the paper reports; cmd/smartbench is
+// the CLI over the registry.
 package bench
 
 import (

@@ -63,12 +63,13 @@ func TestServingKneeMatchesErlangC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serving runs in -short")
 	}
-	topo := servingTopo{1, 8}
+	topo := spec.Topo{Runtimes: 1, Threads: 8}
 	sv := servingSpec(true).Serving
+	nominal := sv.CapacityPerThread * float64(topo.Runtimes*topo.Threads) // ops/us, as runServingSection computes it
 	run := func(frac float64) serve.Result {
 		aspec := (&arrival.Spec{Kind: arrival.KindPoisson, Rate: 4}).
-			WithMeanRate(frac * topo.nominal())
-		return serve.Run(servingSectionConfig(sv, spec.Topo{Runtimes: topo.runtimes, Threads: topo.threads}, aspec, 0))
+			WithMeanRate(frac * nominal)
+		return serve.Run(servingSectionConfig(sv, topo, aspec, 0))
 	}
 	sub := run(0.5)  // comfortably below the knee
 	near := run(0.8) // approaching it
@@ -77,7 +78,7 @@ func TestServingKneeMatchesErlangC(t *testing.T) {
 	// The station: c parallel servers (threads x worker coroutines),
 	// per-server rate from the measured sub-knee mean service time
 	// (ns -> ops/us).
-	c := topo.threads * 4
+	c := topo.Threads * 4
 	if sub.Service.Mean <= 0 {
 		t.Fatalf("no service samples at 0.5x load")
 	}
@@ -86,9 +87,9 @@ func TestServingKneeMatchesErlangC(t *testing.T) {
 
 	// The calibrated capacity constant must agree with c*mu — otherwise
 	// every load fraction below is mislabeled.
-	if cap := float64(c) * mu; cap < 0.75*topo.nominal() || cap > 1.25*topo.nominal() {
+	if cap := float64(c) * mu; cap < 0.75*nominal || cap > 1.25*nominal {
 		t.Errorf("c*mu = %.2f ops/us vs calibrated nominal %.2f (want within 25%%)",
-			cap, topo.nominal())
+			cap, nominal)
 	}
 
 	predict := func(r serve.Result) float64 { return MMCWait(c, r.OfferedRate, mu) }

@@ -1,6 +1,6 @@
 package bench
 
-import "fmt"
+import "repro/internal/spec"
 
 // The serving experiment is the open-loop capacity-planning study
 // over internal/serve: sweep the offered arrival rate × the
@@ -23,27 +23,14 @@ const servingPerThreadCapacity = 1.15
 // in five requests is a READ+FAA transaction.
 const servingTxnFrac = 0.2
 
-// servingTopo is one blade/thread configuration of the capacity grid.
-type servingTopo struct {
-	runtimes int // compute blades = memory blades
-	threads  int // per runtime
-}
-
-func (t servingTopo) label() string { return fmt.Sprintf("%dx%d", t.runtimes, t.threads) }
-
-// nominal returns the topology's calibrated capacity in ops/us.
-func (t servingTopo) nominal() float64 {
-	return servingPerThreadCapacity * float64(t.runtimes*t.threads)
-}
-
 // servingGrid returns the topology × load-fraction grid. The quick
 // grid keeps the exact fractions and the two smaller topologies the
 // shape checks reference, so -quick -check exercises every predicate.
-func servingGrid(quick bool) (topos []servingTopo, fracs []float64) {
-	topos = []servingTopo{{1, 8}, {2, 16}}
+func servingGrid(quick bool) (topos []spec.Topo, fracs []float64) {
+	topos = []spec.Topo{{Runtimes: 1, Threads: 8}, {Runtimes: 2, Threads: 16}}
 	fracs = []float64{0.25, 0.5, 1.5, 2.5}
 	if !quick {
-		topos = append(topos, servingTopo{4, 32})
+		topos = append(topos, spec.Topo{Runtimes: 4, Threads: 32})
 		fracs = []float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5}
 	}
 	return topos, fracs

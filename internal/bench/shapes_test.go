@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -14,20 +13,15 @@ import (
 // wall-clock on multi-core runners and to exercise the parallel
 // scheduler in the tier-1 suite — and asserts that every encoded
 // qualitative outcome of the paper still holds. The two most expensive
-// sweeps (fig8 ≈6 CPU-minutes, tab1 ≈3) would push the package past go
-// test's default 10-minute binary timeout on a single core, so they
-// only run when SMART_SHAPES_ALL is set; CI's dedicated gates
-// (`smartbench -exp all -quick -check` and the full-shapes job) cover
-// all of them.
+// checked sweeps (fig8 ≈6 CPU-minutes, tab1 ≈3) would push the package
+// past go test's default 10-minute binary timeout on a single core, so
+// they are left to CI's `smartbench -exp all -quick -check` step, which
+// gates every checked experiment.
 func TestShapesQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real quick sweeps")
 	}
-	ids := []string{"fig4", "fig3", "fig13", "fig14", "chaos", "serving"}
-	if os.Getenv("SMART_SHAPES_ALL") != "" {
-		ids = append(ids, "tab1", "fig8")
-	}
-	for _, id := range ids {
+	for _, id := range []string{"fig4", "fig3", "fig13", "fig14", "chaos", "serving", "batching"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			e := ByID(id)

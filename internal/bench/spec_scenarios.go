@@ -467,10 +467,6 @@ func fig13Spec(quick bool) *spec.Spec {
 // servingSpec is the open-loop capacity study as a spec.
 func servingSpec(quick bool) *spec.Spec {
 	topos, fracs := servingGrid(quick)
-	specTopos := make([]spec.Topo, len(topos))
-	for i, t := range topos {
-		specTopos[i] = spec.Topo{Runtimes: t.runtimes, Threads: t.threads}
-	}
 	warmup, measure := 400*sim.Microsecond, 2*sim.Millisecond
 	if quick {
 		warmup, measure = 200*sim.Microsecond, sim.Millisecond
@@ -487,7 +483,7 @@ func servingSpec(quick bool) *spec.Spec {
 		Serving: &spec.Serving{
 			CapacityPerThread: servingPerThreadCapacity,
 			TxnFrac:           servingTxnFrac,
-			Topologies:        specTopos,
+			Topologies:        topos,
 			LoadFracs:         fracs,
 			Warmup:            spec.Duration(warmup),
 			Measure:           spec.Duration(measure),

@@ -7,13 +7,12 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/result"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 )
 
 // goldenSpecs pairs each golden spec file with the in-code builder it
-// pins and the registered experiment it must reproduce.
+// pins and the registered experiment it describes.
 func goldenSpecs() []struct {
 	file  string // under testdata/specs
 	expID string
@@ -79,9 +78,10 @@ func TestGoldenSpecsPinned(t *testing.T) {
 // TestSpecProbeEnumeration compares enumerations without executing a
 // single point: each golden spec, lowered through a probing sweeper,
 // must enumerate exactly the labels and seeds of the registered
-// experiment it mirrors. This is the fast equivalence check; the
-// byte-identity of actual output is pinned by
-// TestGoldenSpecsMatchRunners.
+// experiment it mirrors. With TestGoldenSpecsPinned (file = in-code
+// spec, which is what the registered experiment lowers) this makes
+// equal output a matter of construction; TestFig3QuickGolden executes
+// one golden file against checked-in bytes as the witness.
 func TestSpecProbeEnumeration(t *testing.T) {
 	type point struct {
 		label string
@@ -122,77 +122,11 @@ func TestSpecProbeEnumeration(t *testing.T) {
 	}
 }
 
-// TestGoldenSpecsMatchRunners is the acceptance criterion made a test:
-// every golden spec file, compiled and run, renders byte-identically
-// to the registered experiment it mirrors at quick density.
-func TestGoldenSpecsMatchRunners(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every quick sweep twice")
-	}
-	for _, g := range goldenSpecs() {
-		g := g
-		t.Run(g.expID, func(t *testing.T) {
-			s, err := spec.Load(filepath.Join("testdata", "specs", g.file))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := FromSpec(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tables := e.Run(Env{Sweeper: sweep.Sequential()})
-			ref := ByID(g.expID).Run(quickEnv(sweep.Sequential()))
-
-			var a, b bytes.Buffer
-			result.Text(&a, tables)
-			result.Text(&b, ref)
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Errorf("spec output differs from the %s runner:\n--- spec\n%s\n--- runner\n%s", g.expID, a.String(), b.String())
-			}
-		})
-	}
-}
-
-// TestSpecCompileDeterminism extends the sweep scheduler's merge-order
-// contract to spec lowering: the same lowered spec, run twice and at
-// 1 vs 4 workers, renders byte-identical JSON documents.
-func TestSpecCompileDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real sweep three times")
-	}
-	s := fig3Spec(true)
-	e, err := FromSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	render := func(workers int) []byte {
-		tables := e.Run(Env{Sweeper: sweep.New(workers)})
-		doc := &result.Document{
-			Generator:   "smartbench",
-			Quick:       true,
-			Experiments: []result.Experiment{{ID: s.Name, Title: s.Title, Tables: tables}},
-		}
-		var buf bytes.Buffer
-		if err := result.JSON(&buf, doc); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	first := render(1)
-	again := render(1)
-	if !bytes.Equal(first, again) {
-		t.Error("running the same spec twice rendered different documents")
-	}
-	par := render(4)
-	if !bytes.Equal(first, par) {
-		t.Errorf("1-worker and 4-worker runs rendered different documents:\n--- sequential\n%s\n--- parallel\n%s", first, par)
-	}
-}
-
 // TestFromSpecRunCannotFail pins FromSpec's contract: whatever Parse
 // accepts either fails to lower — with an error, up front — or
 // returns a Run that cannot fail. Every golden spec must enumerate
-// through a probe (executing them is TestGoldenSpecsMatchRunners), and
+// through a probe (the registered experiments execute the same
+// lowerings in TestShapesQuick and TestFig3QuickGolden), and
 // FuzzScenarioSpecParse's seed documents, which are a few points each,
 // are executed for real: they include the specs only lowering can
 // reject — shared-CQ polling on a policy whose threads share one CQ

@@ -29,23 +29,30 @@ var (
 // loaded key space, operations Bernoulli over the mix.
 type YCSB struct {
 	mix  Mix
-	keys *Zipf
-	rng  *rand.Rand
+	keys Zipf // keys.rng also draws the operation
 }
 
 // NewYCSB returns a generator over n keys with the given skew and mix.
+// Like NewZipf it is O(n) for theta > 0.
 func NewYCSB(rng *rand.Rand, n uint64, theta float64, mix Mix) *YCSB {
-	return &YCSB{mix: mix, keys: NewZipf(rng, n, theta), rng: rng}
+	return &YCSB{mix: mix, keys: *NewZipf(rng, n, theta)}
+}
+
+// WithRand returns a generator with y's key distribution and mix that
+// draws from rng: what NewYCSB(rng, n, theta, mix) would return, in
+// O(1). The two share only immutable constants, so y may be a template
+// built on a nil rng from which every coroutine's generator is derived.
+func (y *YCSB) WithRand(rng *rand.Rand) *YCSB {
+	c := *y
+	c.keys.rng = rng
+	return &c
 }
 
 // Next draws the next operation.
 func (y *YCSB) Next() (OpType, uint64) {
 	op := Lookup
-	if y.rng.Float64() < y.mix.UpdateFrac {
+	if y.keys.rng.Float64() < y.mix.UpdateFrac {
 		op = Update
 	}
 	return op, y.keys.Next()
 }
-
-// Mix returns the generator's configured mix.
-func (y *YCSB) Mix() Mix { return y.mix }

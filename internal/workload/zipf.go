@@ -29,17 +29,15 @@ type Zipf struct {
 func zeta(n uint64, theta float64) float64 {
 	var s float64
 	for i := uint64(1); i <= n; i++ {
-		s += 1.0 / pow(float64(i), theta)
+		s += 1.0 / math.Pow(float64(i), theta)
 	}
 	return s
 }
 
-// pow is x^y; split out so zeta and Next share one spelling.
-func pow(x, y float64) float64 { return math.Pow(x, y) }
-
 // NewZipf returns a generator over [0, n) with the given skew. For
-// large n the constructor is O(n) (computing zeta); generators are
-// cached per (n, theta) by callers that build many of them.
+// theta > 0 the constructor is O(n) (computing zeta) and nothing here
+// caches it: a caller that needs many generators over one (n, theta)
+// builds one YCSB and derives the rest with YCSB.WithRand.
 func NewZipf(rng *rand.Rand, n uint64, theta float64) *Zipf {
 	if n == 0 {
 		panic("workload: Zipf over empty domain")
@@ -54,15 +52,9 @@ func NewZipf(rng *rand.Rand, n uint64, theta float64) *Zipf {
 	z.zetan = zeta(n, theta)
 	zeta2 := zeta(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - pow(2.0/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
+	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
 	return z
 }
-
-// N returns the domain size.
-func (z *Zipf) N() uint64 { return z.n }
-
-// Theta returns the skew parameter.
-func (z *Zipf) Theta() float64 { return z.theta }
 
 // Next draws the next key.
 func (z *Zipf) Next() uint64 {
@@ -74,8 +66,8 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+pow(0.5, z.theta) {
+	if uz < 1.0+math.Pow(0.5, z.theta) {
 		return 1
 	}
-	return uint64(float64(z.n) * pow(z.eta*u-z.eta+1, z.alpha))
+	return uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 }

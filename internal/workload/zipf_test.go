@@ -94,19 +94,9 @@ func TestZipfRejectsBadArgs(t *testing.T) {
 	}
 }
 
-func TestZipfAccessors(t *testing.T) {
-	z := NewZipf(rand.New(rand.NewSource(1)), 42, 0.5)
-	if z.N() != 42 || z.Theta() != 0.5 {
-		t.Fatalf("N=%d Theta=%v", z.N(), z.Theta())
-	}
-}
-
 func TestYCSBMixRatios(t *testing.T) {
 	for _, mix := range []Mix{WriteHeavy, ReadHeavy, ReadOnly, UpdateOnly} {
 		y := NewYCSB(rand.New(rand.NewSource(3)), 1000, 0.99, mix)
-		if y.Mix().Name != mix.Name {
-			t.Fatalf("Mix() = %v", y.Mix())
-		}
 		updates := 0
 		const draws = 50000
 		for i := 0; i < draws; i++ {
@@ -121,6 +111,43 @@ func TestYCSBMixRatios(t *testing.T) {
 		got := float64(updates) / draws
 		if got < mix.UpdateFrac-0.02 || got > mix.UpdateFrac+0.02 {
 			t.Fatalf("%s: update fraction = %.3f, want ≈%.2f", mix.Name, got, mix.UpdateFrac)
+		}
+	}
+}
+
+// TestWithRandMatchesNewYCSB is the differential check behind building
+// ζ(n, θ) once per point: a generator derived from a shared template
+// draws exactly what a fresh NewYCSB on an equally seeded rng draws,
+// and derived generators share no RNG state — each stream is unmoved
+// by draws on its sibling or by a later derivation from the template.
+func TestWithRandMatchesNewYCSB(t *testing.T) {
+	const n, draws = 5000, 10000
+	for _, theta := range []float64{0, 0.5, 0.99} {
+		for _, mix := range []Mix{WriteHeavy, ReadHeavy} {
+			tmpl := NewYCSB(nil, n, theta, mix)
+			a := tmpl.WithRand(rand.New(rand.NewSource(41)))
+			b := tmpl.WithRand(rand.New(rand.NewSource(42)))
+			freshA := NewYCSB(rand.New(rand.NewSource(41)), n, theta, mix)
+			freshB := NewYCSB(rand.New(rand.NewSource(42)), n, theta, mix)
+			for i := 0; i < draws; i++ {
+				// Interleaved, and b drawn twice per round: any state a and
+				// b shared would pull one of them off its reference.
+				opA, keyA := a.Next()
+				wantOpA, wantKeyA := freshA.Next()
+				if opA != wantOpA || keyA != wantKeyA {
+					t.Fatalf("θ=%v %s draw %d: derived (%v, %d), fresh (%v, %d)", theta, mix.Name, i, opA, keyA, wantOpA, wantKeyA)
+				}
+				for j := 0; j < 2; j++ {
+					opB, keyB := b.Next()
+					wantOpB, wantKeyB := freshB.Next()
+					if opB != wantOpB || keyB != wantKeyB {
+						t.Fatalf("θ=%v %s draw %d: sibling (%v, %d), fresh (%v, %d)", theta, mix.Name, 2*i+j, opB, keyB, wantOpB, wantKeyB)
+					}
+				}
+				if i == draws/2 {
+					tmpl.WithRand(rand.New(rand.NewSource(43))).Next()
+				}
+			}
 		}
 	}
 }
