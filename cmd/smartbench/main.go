@@ -130,7 +130,7 @@ import (
 // benchSeq is the sequence number stamped into the perf records this
 // build writes: -stats produces the BENCH_<benchSeq>.json document.
 // Bump it in the PR that re-records the perf trajectory.
-const benchSeq = 9
+const benchSeq = 24
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))

@@ -6,10 +6,12 @@ import "testing"
 // executes exactly one kernel "event" per b.N iteration — a timer
 // firing, a park/wake baton pass, a mutex handoff — so ns/op is
 // directly the kernel's per-event cost and allocs/op is the per-event
-// allocation rate the refactor targets. BENCH_7.json records a
-// pre/post pair of these numbers; rerun with
+// allocation rate the refactor targets; BenchmarkSpawnStop is the
+// exception, one iteration being a whole point's process set-up and
+// teardown. DESIGN.md §14 records pre/post pairs of these numbers;
+// rerun with
 //
-//	go test ./internal/sim -run '^$' -bench 'Schedule|ParkWake|Mutex' -benchmem
+//	go test ./internal/sim -run '^$' -bench . -benchmem
 //
 // to reproduce them.
 
@@ -154,4 +156,21 @@ func BenchmarkWaitQueuePingPong(b *testing.B) {
 	e.Run(0)
 	b.StopTimer()
 	e.Stop()
+}
+
+// BenchmarkSpawnStop measures what a process costs outside the steady
+// state: each iteration spawns 864 processes (one e2ebench ht_write
+// point's worth), runs each to its first park, and Stops the engine,
+// which unwinds them one by one.
+func BenchmarkSpawnStop(b *testing.B) {
+	const procs = 864
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New(1)
+		for j := 0; j < procs; j++ {
+			e.Go("parked", func(p *Proc) { p.Suspend() })
+		}
+		e.Run(0)
+		e.Stop()
+	}
 }

@@ -1,15 +1,18 @@
 // Package sim implements the discrete-event simulation kernel that the
 // whole reproduction runs on. It provides a virtual clock, an event
-// queue, goroutine-backed simulated processes (used for compute-blade
+// queue, coroutine-backed simulated processes (used for compute-blade
 // threads and coroutines), and FCFS synchronization primitives with
 // waiter accounting (used to model driver spinlocks, credits, and
 // completion queues).
 //
 // The engine is strictly single-threaded: at any instant either the
-// event loop or exactly one simulated process is running. Processes
-// hand control back to the engine whenever they sleep or block, so no
-// further synchronization is needed inside models built on top of the
-// kernel, and runs are fully deterministic for a given seed.
+// event loop or exactly one simulated process is running. A process is
+// a runtime coroutine (iter.Pull, see Proc): the engine switches into
+// it, and it switches back whenever it sleeps or blocks — a direct
+// goroutine-to-goroutine switch with no run queue or channel in
+// between — so no further synchronization is needed inside models
+// built on top of the kernel, and runs are fully deterministic for a
+// given seed.
 //
 // Hot-path design (DESIGN.md §14): timed callbacks live in a
 // value-typed 4-ary min-heap ([]event, branchless comparisons, no
@@ -95,7 +98,6 @@ type Engine struct {
 	runq    runQueue
 	seq     uint64
 	rng     *rand.Rand
-	yield   chan struct{} // process -> engine: the baton is back
 	stopped bool
 	procs   int     // live (started, not finished) processes, for diagnostics
 	live    []*Proc // every process ever spawned; Stop unwinds the parked ones
@@ -107,10 +109,7 @@ type Engine struct {
 // New returns an engine whose clock starts at zero and whose random
 // stream is seeded with seed. Equal seeds give identical runs.
 func New(seed int64) *Engine {
-	return &Engine{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -204,26 +203,14 @@ func (e *Engine) runqFirst() bool {
 		return true
 	}
 	top := &e.eq[0]
-	return top.at > e.now || top.seq > e.runq.headSeq()
-}
-
-// activateRun resumes a run-queue process from the engine loop and
-// waits for the baton to come back. Activations for processes that
-// finished in the meantime are dropped without counting, exactly as
-// the old heap-scheduled activation events were.
-func (e *Engine) activateRun(p *Proc) {
-	if p.done {
-		return
-	}
-	e.wakes++
-	p.resume <- struct{}{}
-	<-e.yield
+	return top.at > e.now || top.seq > e.runq.first().seq
 }
 
 // Run executes events in timestamp order until the queue drains or the
 // clock passes until (if until > 0). It returns the virtual time at
 // which it stopped. After Stop, Run is a no-op that reports the time
-// the simulation stopped at.
+// the simulation stopped at. A panic in a process body propagates, with
+// its value, to Run's caller; the engine can then only be Stopped.
 func (e *Engine) Run(until Time) Time {
 	if e.stopped {
 		return e.now
@@ -235,7 +222,7 @@ func (e *Engine) Run(until Time) Time {
 				return e.now
 			}
 			e.events++
-			e.activateRun(e.runq.pop())
+			e.runq.pop().activate()
 			continue
 		}
 		if len(e.eq) == 0 {
@@ -258,16 +245,14 @@ func (e *Engine) Run(until Time) Time {
 
 // Step executes the single next event, if any, and reports whether one
 // was executed. It is mostly useful in tests. A run-queue activation
-// counts as one event; process activations chained through the
-// direct-handoff fast path (see Proc.park) execute within that one
-// step. After Stop, Step reports false.
+// counts as one event. After Stop, Step reports false.
 func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
 	if e.runqFirst() {
 		e.events++
-		e.activateRun(e.runq.pop())
+		e.runq.pop().activate()
 		return true
 	}
 	if len(e.eq) == 0 {
@@ -281,21 +266,22 @@ func (e *Engine) Step() bool {
 }
 
 // Stop terminates the simulation: all parked processes are unwound and
-// their goroutines exit. After Stop the engine must not be reused:
+// their coroutines exit. After Stop the engine must not be reused:
 // Schedule and Wake become no-ops, Run returns immediately, and Step
 // reports false. Stop is idempotent. It must be called from outside
 // the simulation (never from a process body or event callback), and
 // deferred cleanup in process bodies must not block on simulation
 // primitives.
 //
-// Processes are unwound ONE AT A TIME: each parked process's kill
-// channel is closed and Stop waits for its goroutine to finish
-// unwinding (dead closes) before touching the next. Deferred cleanups
-// in process bodies (credit releases, per-thread stats in
-// core.Ctx.EndOp) write state shared by a thread's coroutines, so
-// waking every parked process at once — the obvious close-a-global-
-// channel design — makes those defers race with each other during
-// teardown even though the live baton discipline is sound.
+// Processes are unwound ONE AT A TIME: stop switches into the parked
+// coroutine, whose park raises killProc, and returns once the body's
+// deferred cleanups have run and the coroutine has exited (a process
+// never activated exits without running its body; a finished one is
+// skipped). Those cleanups (credit releases, per-thread stats in
+// core.Ctx.EndOp) write state shared by a thread's coroutines, so they
+// must not overlap — and cannot, since Stop is suspended while each
+// runs. A cleanup that panics re-raises in Stop's caller, as a body's
+// panic does in Run's.
 func (e *Engine) Stop() {
 	if e.stopped {
 		return
@@ -304,10 +290,7 @@ func (e *Engine) Stop() {
 	e.eq = nil
 	e.runq.reset()
 	for _, p := range e.live {
-		if !p.done {
-			close(p.kill)
-			<-p.dead
-		}
+		p.stop()
 	}
 	e.live = nil
 }

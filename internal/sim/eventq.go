@@ -134,9 +134,9 @@ func (q *runQueue) empty() bool { return q.head == len(q.buf) }
 
 func (q *runQueue) len() int { return len(q.buf) - q.head }
 
-// headSeq returns the sequence number of the oldest pending
-// activation. The queue must be non-empty.
-func (q *runQueue) headSeq() uint64 { return q.buf[q.head].seq }
+// first returns the oldest pending activation. The queue must be
+// non-empty.
+func (q *runQueue) first() runEntry { return q.buf[q.head] }
 
 // pop removes and returns the oldest pending activation's process.
 // The queue must be non-empty. The backing array is reset (not

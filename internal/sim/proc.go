@@ -1,57 +1,54 @@
+//go:build go1.23
+
 package sim
 
-// Proc is a simulated process: a goroutine that runs in lockstep with
-// the engine. Exactly one of {engine, some process} executes at a time.
-// Compute-blade threads and SMART coroutines are both modeled as Procs.
+import "iter"
+
+// Proc is a simulated process: a runtime coroutine (iter.Pull) that
+// runs in lockstep with the engine. Exactly one of {engine, some
+// process} executes at a time. Compute-blade threads and SMART
+// coroutines are both modeled as Procs.
 //
-// Race-freedom of the handoff. Although every Proc is a real
-// goroutine, engine state (Engine.now, the event queues, Engine.procs)
-// and process state (Proc.done) are accessed without locks. This is
-// sound because control is passed like a baton over unbuffered
-// channels, and each baton pass is a happens-before edge:
+// Race-freedom of the handoff. Engine state (Engine.now, the event
+// queues, Engine.procs) and process state (Proc.done) are accessed
+// without locks. This is sound because a coroutine switch suspends the
+// switching side before the other side continues — the two are never
+// runnable at once, on any number of Ps — and iter.Pull brackets every
+// switch with a release/acquire pair the race detector sees:
 //
-//   - engine -> process: the activation's send on p.resume
-//     happens-before block's receive, so every engine-side write
+//   - engine -> process: activate's next() happens-before the return of
+//     the yield the process is parked in, so every engine-side write
 //     (queue pops, clock advance) is visible to the process when it
 //     resumes;
-//   - process -> process: when a parking process hands the baton
-//     directly to the next same-timestamp runnable (the run-queue fast
-//     path), its send on next.resume happens-before next's receive,
-//     so all of the parker's writes are visible to the next process
-//     without the engine goroutine ever waking;
-//   - process -> engine: when no direct handoff applies, park's (or
-//     the final handoff's) send on the engine's shared yield channel
-//     happens-before the engine's receive in the activation that
-//     started the chain, so every process-side write (events
-//     scheduled via Schedule, procs--, done = true) is visible to the
-//     engine before it runs again;
-//   - shutdown: Stop closes one parked process's kill channel at a
-//     time and waits for that goroutine's dead channel to close before
-//     unwinding the next, so the close(kill) -> select receive ->
-//     killProc unwind -> close(dead) -> Stop's receive chain serializes
-//     teardown: deferred cleanups in process bodies (which touch state
-//     shared by a thread's coroutines) never run concurrently, and all
-//     of their writes are visible when Stop returns.
+//   - process -> engine: park's yield happens-before next() returns, so
+//     every process-side write (events scheduled via Schedule, procs--,
+//     done = true) is visible to the engine before it runs again;
+//   - process -> process: there is no direct edge. Every switch has the
+//     engine on one side, so one process's writes reach the next
+//     through the two edges above;
+//   - shutdown: Stop calls one process's stop at a time. stop resumes
+//     the parked coroutine with a false yield, park raises killProc,
+//     the body's deferred cleanups run, and only when the coroutine has
+//     exited does stop return. Teardown is serial by construction — no
+//     two cleanups (which touch state shared by a thread's coroutines)
+//     can overlap, and their writes are visible when Stop returns.
 //
-// The engine goroutine blocks on the shared yield channel from the
-// moment it activates a process until some process in the ensuing
-// handoff chain yields; every chain performs exactly one yield-send.
-// A process goroutine only runs between a resume-receive and its next
-// handoff or yield-send, so the baton chain alternates strictly and no
-// two accesses to shared state are ever concurrent. `go test -race
-// ./internal/sim/...` (wired into CI) checks this invariant.
+// A panic in a process body is re-raised by next() (or stop()) on the
+// goroutine that called Run (or Stop), where the caller can recover and
+// attribute it. `go test -race -cpu 1,4 ./internal/sim` (wired into CI)
+// checks the invariant at one P and across Ps.
 type Proc struct {
 	eng        *Engine
 	name       string
-	resume     chan struct{} // predecessor in the baton chain -> process: continue running
-	kill       chan struct{} // closed by Stop: unwind via killProc
-	dead       chan struct{} // closed by the goroutine once fully unwound
-	activateFn func()        // pre-bound activate, reused by every timed wake
+	next       func() (struct{}, bool) // engine -> process: run until the next park
+	yield      func(struct{}) bool     // process -> engine; false once Stop unwinds us
+	stop       func()                  // unwind a parked (or never started) process
+	activateFn func()                  // pre-bound activate, reused by every timed wake
 	done       bool
 }
 
 // killProc is panicked inside a parked process when the engine shuts
-// down, unwinding the goroutine so long-lived simulations do not leak.
+// down, unwinding the coroutine so long-lived simulations do not leak.
 type killProc struct{}
 
 // Go spawns a simulated process that begins executing at the current
@@ -59,34 +56,25 @@ type killProc struct{}
 // body runs entirely in virtual time; it must block only through Proc
 // methods or the sim synchronization primitives.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		kill:   make(chan struct{}),
-		dead:   make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	// One method-value allocation per process, reused by every
 	// Sleep-scheduled activation for its whole lifetime.
 	p.activateFn = p.activate
-	e.procs++
-	e.live = append(e.live, p)
-	go func() {
-		defer close(p.dead) // runs last: the goroutine is fully unwound
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(killProc); ok {
-					return // engine shut down; exit quietly
+				if _, ok := r.(killProc); !ok {
+					panic(r) // re-raised by next/stop in Run's/Stop's caller
 				}
-				panic(r)
 			}
 		}()
-		p.block() // wait for first activation
+		p.yield = yield
 		body(p)
 		p.done = true
-		p.eng.procs--
-		p.eng.yield <- struct{}{} // final handoff back to the engine
-	}()
+		e.procs--
+	})
+	e.procs++
+	e.live = append(e.live, p)
 	e.enqueueRun(p)
 	return p
 }
@@ -103,65 +91,52 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// activate resumes the process and waits for the baton to come back to
-// the engine. It is the pre-bound callback (activateFn) that timed
-// wakes schedule on the event heap; it must run in engine context.
+// activate resumes the process and returns when it has parked again or
+// finished. It runs in engine context, from the run queue or as the
+// pre-bound callback (activateFn) that timed wakes schedule on the
+// event heap.
 func (p *Proc) activate() {
 	if p.done {
 		return // spurious wake after the process finished
 	}
-	e := p.eng
-	e.wakes++
-	p.resume <- struct{}{}
-	<-e.yield
+	p.eng.wakes++
+	p.next()
 }
 
-// block waits for the baton to be handed to this process. Called from
-// the process's own goroutine.
-func (p *Proc) block() {
-	select {
-	case <-p.resume:
-	case <-p.kill:
-		panic(killProc{})
-	}
-}
-
-// park hands the baton onward and waits to be activated again. Whoever
-// wants to wake the process must have arranged an activation (event or
-// queue signal) before the park, or must do so from engine context
-// later.
+// park hands the baton back to the engine and waits to be activated
+// again. Whoever wants to wake the process must have arranged an
+// activation (event or queue signal) before the park, or must do so
+// from engine context later.
 //
-// Fast path: when the next thing the engine would do is activate a
-// run-queue process at this same timestamp, the parking process hands
-// the baton straight to it (or simply keeps running, when that process
-// is itself), skipping the engine-goroutine round trip. The run queue
-// head is taken only when it precedes the heap top in (timestamp, seq)
-// order, so the execution order — and the Parks/Wakes telemetry — is
-// identical to the slow path's.
+// Self-wake short-circuit: when the next thing the engine would do is
+// activate this very process at this same timestamp (Sleep(0), or a
+// wake arranged before parking), control would bounce engine -> this
+// process at once, so park takes its own run-queue entry and keeps
+// running. The entry is taken only when it precedes the heap top in
+// (timestamp, seq) order, and is counted as the event and the wake the
+// engine would have counted, so the execution order and the
+// Events/Parks/Wakes telemetry are those of a real switch.
 func (p *Proc) park() {
 	e := p.eng
-	// Safe without a lock: the counter write happens strictly before
-	// the baton pass onward.
 	e.parks++
 	for e.runqFirst() {
-		next := e.runq.pop()
-		if next.done {
-			continue // spurious wake after the process finished
+		head := e.runq.first().p
+		if head != p && !head.done {
+			break // a live process is due first: the engine activates it
 		}
-		e.wakes++
-		e.events++
-		if next == p {
-			// Self-wake at the current timestamp (Sleep(0), or a wake
-			// arranged before parking): control would bounce
-			// engine -> this process immediately, so just keep running.
+		e.runq.pop()
+		if head == p {
+			e.wakes++
+			e.events++
 			return
 		}
-		next.resume <- struct{}{}
-		p.block()
-		return
+		// Else a stale wake of a finished process ahead of ours, dropped
+		// here without counting an event: the pinned Events totals (the
+		// goldens' telemetry) were taken with it dropped at this point.
 	}
-	e.yield <- struct{}{}
-	p.block()
+	if !p.yield(struct{}{}) {
+		panic(killProc{})
+	}
 }
 
 // Sleep suspends the process for d of virtual time. Zero and negative

@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"errors"
+	"runtime"
+	"slices"
+	"testing"
+)
 
 func TestProcSleep(t *testing.T) {
 	e := New(1)
@@ -134,4 +139,145 @@ func TestProcName(t *testing.T) {
 		t.Fatal("Engine() mismatch")
 	}
 	e.Run(0)
+}
+
+// TestBodyPanicReachesRunCaller: a panic in a process body surfaces on
+// the goroutine that called Run, with the body's own panic value, and
+// leaves the engine in a state Stop can still tear down — every other
+// parked process unwinds, its deferred cleanup running exactly once
+// and never overlapping another's.
+func TestBodyPanicReachesRunCaller(t *testing.T) {
+	e := New(1)
+	const parked = 16
+	cleanups, inCleanup := 0, false
+	for i := 0; i < parked; i++ {
+		e.Go("parked", func(p *Proc) {
+			defer func() {
+				if inCleanup {
+					t.Error("two unwind cleanups overlap")
+				}
+				inCleanup = true
+				cleanups++
+				inCleanup = false
+			}()
+			p.Suspend()
+		})
+	}
+	boom := errors.New("boom in a process body")
+	e.Go("faulty", func(p *Proc) {
+		p.Sleep(10 * Nanosecond)
+		panic(boom)
+	})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		e.Run(0)
+		return nil
+	}()
+	if got != boom {
+		t.Fatalf("Run's caller recovered %v, want the body's own panic value %v", got, boom)
+	}
+	if cleanups != 0 {
+		t.Fatalf("%d parked processes unwound before Stop", cleanups)
+	}
+	e.Stop()
+	if cleanups != parked {
+		t.Fatalf("after Stop, %d cleanups ran, want %d", cleanups, parked)
+	}
+}
+
+// TestStopBeforeFirstActivation: a process spawned but never activated
+// is discarded by Stop without its body (or anything it defers) ever
+// running.
+func TestStopBeforeFirstActivation(t *testing.T) {
+	e := New(1)
+	ran := false
+	p := e.Go("never", func(p *Proc) { ran = true })
+	e.Stop()
+	e.Run(0)
+	if ran || p.Done() {
+		t.Fatalf("body ran = %v, Done = %v after Stop before the first activation; want neither", ran, p.Done())
+	}
+}
+
+// TestStopLeavesNoGoroutines: every process is backed by a runtime
+// goroutine, and Stop must retire all of them whatever state they are
+// in — finished, parked on a timer, suspended, or spawned and never
+// activated.
+func TestStopLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New(1)
+	for i := 0; i < 32; i++ {
+		e.Go("finishes", func(p *Proc) { p.Sleep(1 * Nanosecond) })
+		e.Go("sleeps", func(p *Proc) { p.Sleep(Second) })
+		e.Go("suspends", func(p *Proc) { p.Suspend() })
+	}
+	e.Run(100 * Nanosecond)
+	for i := 0; i < 32; i++ {
+		e.Go("never-activated", func(p *Proc) {})
+	}
+	if got := runtime.NumGoroutine(); got <= before {
+		t.Fatalf("NumGoroutine = %d with 96 live processes, %d before: this test no longer measures anything", got, before)
+	}
+	e.Stop()
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("NumGoroutine = %d after Stop, want the pre-spawn %d", got, before)
+	}
+}
+
+// TestGoFromInsideProcess: a running process may spawn another. The
+// child starts at the spawning timestamp, behind whatever was already
+// queued there, and the parent keeps running until it parks.
+func TestGoFromInsideProcess(t *testing.T) {
+	e := New(1)
+	defer e.Stop()
+	var order []string
+	e.Go("parent", func(p *Proc) {
+		p.Sleep(5 * Nanosecond)
+		e.Schedule(0, func() { order = append(order, "queued-first") })
+		e.Go("child", func(c *Proc) {
+			order = append(order, "child@"+c.Now().String())
+			c.Sleep(1 * Nanosecond)
+			order = append(order, "child-done")
+		})
+		order = append(order, "parent-continues")
+		p.Sleep(0)
+		order = append(order, "parent-after-child")
+	})
+	e.Run(0)
+	want := []string{"parent-continues", "queued-first", "child@5ns", "parent-after-child", "child-done"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if e.Procs() != 0 {
+		t.Fatalf("Procs = %d after both finished, want 0", e.Procs())
+	}
+}
+
+// TestFinishWhileOthersParked: a process that returns while others
+// stay parked drops out of the live count at once, the parked ones are
+// still wakeable afterwards, and Stop unwinds only what is left.
+func TestFinishWhileOthersParked(t *testing.T) {
+	e := New(1)
+	unwound := 0
+	var parked []*Proc
+	for i := 0; i < 3; i++ {
+		parked = append(parked, e.Go("parked", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Suspend()
+		}))
+	}
+	short := e.Go("short", func(p *Proc) { p.Sleep(2 * Nanosecond) })
+	e.Run(0)
+	if !short.Done() || e.Procs() != 3 {
+		t.Fatalf("short.Done = %v, Procs = %d; want true, 3", short.Done(), e.Procs())
+	}
+	e.Schedule(0, parked[0].Wake)
+	e.Run(0)
+	if !parked[0].Done() || unwound != 1 || e.Procs() != 2 {
+		t.Fatalf("after waking one: Done = %v, unwound = %d, Procs = %d; want true, 1, 2", parked[0].Done(), unwound, e.Procs())
+	}
+	e.Stop()
+	if unwound != 3 {
+		t.Fatalf("after Stop, %d deferred cleanups ran in total, want 3 (each exactly once)", unwound)
+	}
 }

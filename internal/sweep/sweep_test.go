@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestMergeOrderIsEnumerationOrder is the scheduler's core contract:
@@ -200,20 +202,42 @@ func TestNilExecPanics(t *testing.T) {
 // original stack, after the earlier points merged and before any later
 // one does — at one worker and on a pool.
 func TestPanickingPointIsAttributed(t *testing.T) {
+	testPanickingPoint(t, func() { panic("boom at three") }, "boom at three")
+}
+
+// TestPanickingProcessBodyIsAttributed: the same holds when the panic
+// is raised inside a simulated process of the point's engine — the
+// kernel re-raises it from Engine.Run, on the worker running the point.
+func TestPanickingProcessBodyIsAttributed(t *testing.T) {
+	testPanickingPoint(t, func() {
+		e := sim.New(43)
+		defer e.Stop()
+		e.Go("bystander", func(p *sim.Proc) { p.Suspend() })
+		e.Go("faulty", func(p *sim.Proc) {
+			p.Sleep(sim.Microsecond)
+			panic("boom in a process")
+		})
+		e.Run(0)
+	}, "boom in a process")
+}
+
+// testPanickingPoint sweeps six points whose fourth runs exec, which
+// must panic with value, at 1 and 4 workers.
+func testPanickingPoint(t *testing.T, exec func(), value string) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			set := &Set{}
 			var merges []int
 			for i := 0; i < 6; i++ {
-				exec := func() {}
-				if i == 3 {
-					exec = func() { panic("boom at three") }
+				exec := exec
+				if i != 3 {
+					exec = func() {}
 				}
 				set.AddFunc(fmt.Sprintf("p%d", i), int64(40+i), exec, func() { merges = append(merges, i) })
 			}
 			defer func() {
 				msg, _ := recover().(string)
-				for _, want := range []string{`sweep: point "p3" (seed 43) panicked: boom at three`, "goroutine ", "sweep_test.go"} {
+				for _, want := range []string{`sweep: point "p3" (seed 43) panicked: ` + value, "goroutine ", "sweep_test.go"} {
 					if !strings.Contains(msg, want) {
 						t.Errorf("panic message lacks %q:\n%s", want, msg)
 					}
