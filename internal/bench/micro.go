@@ -21,9 +21,12 @@ import (
 	"repro/internal/telemetry"
 )
 
+// microRegion is the bytes of target region per memory blade.
+const microRegion = 16 << 20
+
 // MicroConfig drives the §3.1 bench tool: every thread repeatedly
-// posts Batch work requests to uniformly random addresses in a large
-// region and waits for all of them.
+// posts Batch work requests to uniformly random addresses in a
+// microRegion-byte region per blade and waits for all of them.
 type MicroConfig struct {
 	Opts    core.Options
 	Threads int
@@ -31,7 +34,6 @@ type MicroConfig struct {
 	Op      rnic.OpKind // OpRead or OpWrite
 	Payload int         // bytes per request (8 in the paper's figures)
 	Blades  int         // memory blades (default 1)
-	Region  uint64      // bytes of target region per blade (default 16 MiB)
 	Warmup  sim.Time    // excluded from measurement (default 1 ms)
 	Measure sim.Time    // measurement window (default 3 ms)
 	Seed    int64
@@ -82,9 +84,6 @@ func RunMicro(cfg MicroConfig) MicroResult {
 	if cfg.Blades <= 0 {
 		cfg.Blades = 1
 	}
-	if cfg.Region == 0 {
-		cfg.Region = 16 << 20
-	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = sim.Millisecond
 	}
@@ -95,14 +94,14 @@ func RunMicro(cfg MicroConfig) MicroResult {
 		cfg.Payload = 8
 	}
 	horizon := cfg.Warmup + cfg.Measure
-	slots := cfg.Region / uint64(cfg.Payload)
+	slots := microRegion / uint64(cfg.Payload)
 	var rt *core.Runtime
 	r := runApp(app{
 		name: "bench",
 		cluster: cluster.Config{
 			ComputeBlades: 1,
 			MemoryBlades:  cfg.Blades,
-			BladeCapacity: cfg.Region + (1 << 16),
+			BladeCapacity: microRegion + (1 << 16),
 			Seed:          cfg.Seed,
 			Params:        cfg.Params,
 		},
@@ -118,7 +117,7 @@ func RunMicro(cfg MicroConfig) MicroResult {
 		load: func(cl *cluster.Cluster) newBladeFunc {
 			regions := make([]blade.Addr, cfg.Blades)
 			for i, m := range cl.Memories {
-				regions[i] = m.Mem.Alloc(cfg.Region)
+				regions[i] = m.Mem.Alloc(microRegion)
 			}
 			return func(_ int, bladeRT *core.Runtime) newCoroFunc {
 				rt = bladeRT

@@ -157,6 +157,32 @@ var shapeChecks = []shapeCheck{
 		db := v.at("fig3-read", "per-thread-doorbell", 96)
 		return fmt.Sprintf("READ doorbell@96thr: %.1f MOPS (need >= 85)", db), db >= 85
 	}},
+	{"fig3", "fig3/policies-tie-at-few-threads", func(v *tv) (string, bool) {
+		// Paper: with fewer threads than the 12 default doorbells no two
+		// threads share one, so per-thread QP and per-thread doorbell
+		// perform alike.
+		for _, id := range []string{"fig3-read", "fig3-write"} {
+			qp, db := v.at(id, "per-thread-qp", 8), v.at(id, "per-thread-doorbell", 8)
+			if qp < 0.7*db || qp > 1.3*db {
+				return fmt.Sprintf("%s@8thr: per-thread-qp %.1f vs doorbell %.1f (need within [0.7,1.3]x)", id, qp, db), false
+			}
+		}
+		return "per-thread-qp within [0.7,1.3]x of doorbell at 8 threads (READ and WRITE)", true
+	}},
+
+	// Fig. 7 — hash table, RACE vs SMART-HT (§6.2.1).
+	{"fig7", "fig7/smart-ht-beats-race-write-heavy", func(v *tv) (string, bool) {
+		// Paper: 5.7 vs RACE's 2.8 MOP/s peak; by 48 threads RACE has
+		// collapsed on conflicts while SMART-HT keeps scaling.
+		smart, race := v.at("fig7-scaleup-write-heavy", "SMART-HT", 48), v.at("fig7-scaleup-write-heavy", "RACE", 48)
+		return ratio("write-heavy@48thr SMART-HT vs RACE", smart, race, 1.5)
+	}},
+	{"fig7", "fig7/smart-ht-beats-race-read-only", func(v *tv) (string, bool) {
+		// Paper: without conflicts the win is thread-aware allocation
+		// alone — smaller, but still clear at 48 threads.
+		smart, race := v.at("fig7-scaleup-read-only", "SMART-HT", 48), v.at("fig7-scaleup-read-only", "RACE", 48)
+		return ratio("read-only@48thr SMART-HT vs RACE", smart, race, 1.3)
+	}},
 
 	// Fig. 4 — WQE cache thrashing from outstanding work requests.
 	{"fig4", "fig4/best-near-96x8", func(v *tv) (string, bool) {

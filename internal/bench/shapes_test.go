@@ -12,8 +12,8 @@ import (
 // runs the quick sweeps — on a GOMAXPROCS-wide sweeper, both to cut
 // wall-clock on multi-core runners and to exercise the parallel
 // scheduler in the tier-1 suite — and asserts that every encoded
-// qualitative outcome of the paper still holds. The two most expensive
-// checked sweeps (fig8 ≈6 CPU-minutes, tab1 ≈3) would push the package
+// qualitative outcome of the paper still holds. The three most
+// expensive checked sweeps (fig7, fig8, tab1) would push the package
 // past go test's default 10-minute binary timeout on a single core, so
 // they are left to CI's `smartbench -exp all -quick -check` step, which
 // gates every checked experiment.
@@ -39,7 +39,7 @@ func TestShapesQuick(t *testing.T) {
 func TestCheckRegistry(t *testing.T) {
 	// The required coverage: at least 10 named checks spanning the
 	// experiments EXPERIMENTS.md calls out.
-	required := []string{"fig3", "fig4", "fig8", "fig13", "tab1", "fig14", "chaos", "serving", "batching"}
+	required := []string{"fig3", "fig4", "fig7", "fig8", "fig13", "tab1", "fig14", "chaos", "serving", "batching"}
 	total := 0
 	seen := map[string]bool{}
 	for _, id := range required {

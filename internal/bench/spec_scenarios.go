@@ -172,7 +172,6 @@ func servingSectionConfig(sv *spec.Serving, topo spec.Topo, aspec *arrival.Spec,
 	return serve.Config{
 		Runtimes:          topo.Runtimes,
 		ThreadsPerRuntime: topo.Threads,
-		MemoryBlades:      topo.Runtimes,
 		Arrival:           aspec,
 		TxnFrac:           sv.TxnFrac,
 		Warmup:            sv.Warmup.Time(),

@@ -12,18 +12,11 @@ const (
 	flushSync
 )
 
-// coalEntry is one buffered posting: the WR plus the context that
-// posted it (the context's bookkeeping already ran at post time; only
-// submission is deferred).
-type coalEntry struct {
-	c  *Ctx
-	wr *verbs.WR
-}
-
 // coalescer is the per-thread doorbell coalescing buffer (DESIGN.md
-// §16): post() enqueues instead of submitting, and the buffer is
-// flushed — WRs submitted to the card, in enqueue order — when it
-// fills to CoalesceBatch, when the oldest entry's FlushDeadline
+// §16): post() enqueues instead of submitting (the posting context's
+// bookkeeping has already run), and the buffer is flushed — WRs
+// submitted to the card, in enqueue order — when it fills to
+// CoalesceBatch, when the oldest entry's FlushDeadline
 // expires (an engine timer wakes the thread's flusher process), or
 // explicitly at Sync, which is what keeps the happens-before contract:
 // a coroutine entering Sync has everything it posted submitted before
@@ -34,9 +27,8 @@ type coalEntry struct {
 // timer callbacks, which the engine serializes by construction.
 type coalescer struct {
 	t       *Thread
-	buf     []coalEntry
-	spare   []coalEntry // recycled buffer, so steady-state flushing does not allocate
-	scratch []*verbs.WR // recycled postlist chain, same purpose
+	buf     []*verbs.WR
+	spare   []*verbs.WR // recycled buffer, so steady-state flushing does not allocate
 	firstAt sim.Time    // enqueue time of the oldest buffered entry
 	gen     uint64      // bumped per flush; invalidates stale deadline timers
 	due     bool
@@ -81,14 +73,14 @@ func (co *coalescer) Buffered() int { return len(co.buf) }
 // enqueue buffers one posting, arming the deadline timer on the first
 // entry and flushing inline (in the posting coroutine's context) when
 // the buffer fills.
-func (co *coalescer) enqueue(c *Ctx, wr *verbs.WR) {
-	co.buf = append(co.buf, coalEntry{c: c, wr: wr})
+func (co *coalescer) enqueue(p *sim.Proc, wr *verbs.WR) {
+	co.buf = append(co.buf, wr)
 	if len(co.buf) == 1 {
 		co.firstAt = co.t.rt.eng.Now()
 		co.armTimer()
 	}
 	if len(co.buf) >= co.t.rt.opts.Batching.CoalesceBatch {
-		co.flush(c.proc, flushFull)
+		co.flush(p, flushFull)
 	}
 }
 
@@ -129,10 +121,8 @@ func (co *coalescer) run(p *sim.Proc) {
 	}
 }
 
-// flush detaches the buffer and submits every entry in enqueue order,
-// chaining consecutive same-QP runs through PostList when postlist
-// submission is also enabled (one doorbell ring per chain) and falling
-// back to per-WR PostSend otherwise. Detaching first makes the flush
+// flush detaches the buffer and submits it in enqueue order, one
+// same-QP run at a time. Detaching first makes the flush
 // reentrancy-safe: submission sleeps on the QP lock and doorbell, and
 // other coroutines of this thread may enqueue — or even trigger the
 // next flush — meanwhile.
@@ -141,50 +131,25 @@ func (co *coalescer) flush(p *sim.Proc, reason int) {
 		return
 	}
 	t := co.t
-	b := &t.rt.opts.Batching
-	ents := co.buf
+	wrs := co.buf
 	co.buf = co.spare[:0]
 	co.spare = nil
 	co.gen++
 	co.due = false
 	co.flushes[reason]++
-	co.coalesced += uint64(len(ents))
-	if d := b.FlushDeadline; d > 0 && t.rt.eng.Now() > co.firstAt+d {
+	co.coalesced += uint64(len(wrs))
+	if d := t.rt.opts.Batching.FlushDeadline; d > 0 && t.rt.eng.Now() > co.firstAt+d {
 		co.overruns++
 	}
-	for i := 0; i < len(ents); {
-		qp := t.qps[t.rt.bladeIndex(ents[i].wr.Remote.Blade)]
+	for i := 0; i < len(wrs); {
+		qp := t.qpFor(wrs[i])
 		j := i + 1
-		for j < len(ents) && t.qps[t.rt.bladeIndex(ents[j].wr.Remote.Blade)] == qp {
+		for j < len(wrs) && t.qpFor(wrs[j]) == qp {
 			j++
 		}
-		if b.Postlist {
-			// The chain buffer is detached for the duration of the
-			// (sleeping) PostList call, so a reentrant flush allocates
-			// its own rather than aliasing this one.
-			chain := co.scratch[:0]
-			co.scratch = nil
-			for k := i; k < j; k++ {
-				chain = append(chain, ents[k].wr)
-			}
-			qp.PostList(p, chain...)
-			for k := range chain {
-				chain[k] = nil
-			}
-			co.scratch = chain[:0]
-		} else {
-			for k := i; k < j; k++ {
-				qp.PostSend(p, ents[k].wr)
-			}
-		}
-		for k := i; k < j; k++ {
-			t.noteOWR(1)
-			t.armWatchdog(qp, ents[k].wr)
-		}
+		t.submit(p, qp, wrs[i:j])
 		i = j
 	}
-	for i := range ents {
-		ents[i] = coalEntry{}
-	}
-	co.spare = ents[:0]
+	clear(wrs)
+	co.spare = wrs[:0]
 }

@@ -67,23 +67,11 @@ func (rt *Runtime) Collect(reg *telemetry.Registry) {
 	reg.Counter(pre + "db/contended-total").Set(contT)
 	reg.Counter(pre + "db/hold-ticks-total").Set(holdT)
 
-	// Submission-path batching counters (DESIGN.md §16): doorbell
-	// coalescing degree and the coalescer's flush-trigger breakdown.
-	// Only emitted when a batching technique is configured, so
-	// batching-off telemetry documents (and their goldens) stay
-	// byte-identical to the pre-batching model.
+	// Submission-path batching counters (DESIGN.md §16): the
+	// coalescer's flush-trigger breakdown. Only emitted when a batching
+	// technique is configured, so batching-off telemetry documents (and
+	// their goldens) stay byte-identical to the pre-batching model.
 	if rt.opts.Batching.Enabled() {
-		cw := dbg.Series("coalesced")
-		var cwT uint64
-		ci := 0
-		for _, ctx := range rt.ctxs {
-			for _, d := range ctx.Doorbells() {
-				cw.Record(float64(ci), float64(d.CoalescedWRs))
-				cwT += d.CoalescedWRs
-				ci++
-			}
-		}
-		reg.Counter(pre + "db/coalesced-total").Set(cwT)
 		var cs CoalesceStats
 		for _, t := range rt.threads {
 			s := t.CoalesceStats()

@@ -15,11 +15,8 @@ func TestOptionFactories(t *testing.T) {
 		!s.DynamicLimit || !s.CoroThrottle {
 		t.Fatalf("Smart() = %+v", s)
 	}
-	if !s.ConflictAvoidance() {
-		t.Fatal("Smart must report conflict avoidance")
-	}
 	b := Baseline(PerThreadQP)
-	if b.WorkReqThrottle || b.ConflictAvoidance() {
+	if b.WorkReqThrottle || b.Backoff || b.DynamicLimit || b.CoroThrottle {
 		t.Fatalf("Baseline() enables techniques: %+v", b)
 	}
 }
@@ -27,17 +24,14 @@ func TestOptionFactories(t *testing.T) {
 func TestOptionDefaults(t *testing.T) {
 	o := Smart()
 	o.withDefaults()
-	if o.Depth != 8 || o.CMax != 8 || o.MultiplexQ != 4 {
+	if o.Depth != 8 || o.CMax != 8 {
 		t.Fatalf("defaults: %+v", o)
 	}
-	if len(o.CMaxCandidates) != 5 || o.CMaxCandidates[0] != 4 || o.CMaxCandidates[4] != 12 {
-		t.Fatalf("candidates: %v", o.CMaxCandidates)
+	if o.UpdateDelta != 8*sim.Millisecond {
+		t.Fatalf("epoch constant: Δ=%v", o.UpdateDelta)
 	}
-	if o.UpdateDelta != 8*sim.Millisecond || o.StableEpochs != 60 {
-		t.Fatalf("epoch constants: Δ=%v stable=%d", o.UpdateDelta, o.StableEpochs)
-	}
-	if o.BackoffMax != 1024*o.BackoffUnit {
-		t.Fatalf("t_M = %v, want 1024*t0", o.BackoffMax)
+	if o.backoffMax() != 1024*o.BackoffUnit {
+		t.Fatalf("t_M = %v, want 1024*t0", o.backoffMax())
 	}
 	if o.GammaHigh != 0.5 || o.GammaLow != 0.1 {
 		t.Fatalf("watermarks: %v/%v", o.GammaHigh, o.GammaLow)
@@ -124,7 +118,10 @@ func TestBackoffDisabledDoesNotSleep(t *testing.T) {
 }
 
 func TestBackoffTruncatedAtTMax(t *testing.T) {
-	opts := Options{Policy: PerThreadDoorbell, Backoff: true, StaticLimit: 10 * sim.Microsecond}
+	// Without the dynamic limit t_max is pinned at t_M = 1024·t0; a small
+	// t0 keeps the 12-attempt run short while the exponent still
+	// overshoots t_M.
+	opts := Options{Policy: PerThreadDoorbell, Backoff: true, BackoffUnit: 10 * sim.Nanosecond}
 	cl, rt := testRig(t, 1, 1, opts)
 	mem := cl.Memories[0].Mem
 	addr := mem.Alloc(8)
@@ -140,7 +137,8 @@ func TestBackoffTruncatedAtTMax(t *testing.T) {
 		}
 	})
 	cl.Eng.Run(10 * sim.Second)
-	limit := rt.Options().StaticLimit + rt.Options().BackoffUnit + 10*sim.Microsecond
+	o := rt.Options()
+	limit := o.backoffMax() + o.BackoffUnit + 10*sim.Microsecond
 	if worst > limit {
 		t.Fatalf("worst attempt %v exceeds truncated limit %v", worst, limit)
 	}

@@ -84,9 +84,7 @@ func TestSharedQPSingleQP(t *testing.T) {
 }
 
 func TestMultiplexedQPGroups(t *testing.T) {
-	opts := Baseline(MultiplexedQP)
-	opts.MultiplexQ = 4
-	_, rt := testRig(t, 10, 1, opts)
+	_, rt := testRig(t, 10, 1, Baseline(MultiplexedQP))
 	if rt.Thread(0).qps[0] != rt.Thread(3).qps[0] {
 		t.Fatal("threads 0 and 3 must share a QP with q=4")
 	}
@@ -374,7 +372,7 @@ func TestRetryTickerShrinksCoroDepth(t *testing.T) {
 
 func TestCmaxTunerRuns(t *testing.T) {
 	opts := Options{Policy: PerThreadDoorbell, WorkReqThrottle: true, CMax: 8,
-		UpdateDelta: 100 * sim.Microsecond, StableEpochs: 5}
+		UpdateDelta: 100 * sim.Microsecond}
 	cl, rt := testRig(t, 1, 1, opts)
 	addr := cl.Memories[0].Mem.Alloc(8)
 	seen := map[int]bool{}

@@ -82,56 +82,47 @@ func (c *Ctx) PostSend() {
 			wr.OnComplete = c.onComplete
 		}
 	}
-	if t.rt.opts.Batching.Postlist && t.coal == nil {
-		c.postChained(wrs)
-		for i := range wrs {
-			wrs[i] = nil // the card owns the WRs now; don't retain them here
-		}
-	} else {
-		for i, wr := range wrs {
-			wrs[i] = nil // the card owns the WR now; don't retain it here
-			c.post(wr)
-		}
-	}
+	c.post(wrs, t.rt.opts.Batching.Postlist && t.coal == nil)
+	clear(wrs) // the card owns the WRs now; don't retain them here
 	// Reclaim the batch buffer for the next Read/Write/CAS/FAA round:
 	// only this coroutine appends to it, and the coroutine was parked
-	// inside the loop above, so nothing else touched c.buf meanwhile.
+	// inside post, so nothing else touched c.buf meanwhile.
 	c.buf = wrs[:0]
 }
 
-// postChained is PostSend's submission loop when postlist batching is
-// on (and coalescing is not layered over it): consecutive same-QP work
-// requests submit as one linked chain — one QP lock, one doorbell ring
-// — instead of one of each per WR. Under work-request throttling the
-// chain only extends while a credit is immediately available, so the
-// coroutine stalls at exactly the same points (and the same credit-
-// acquisition order holds) as the per-WR path; a batch larger than the
-// free credit balance slides through as several chains.
-func (c *Ctx) postChained(wrs []*verbs.WR) {
+// post sends WRs through the throttler to the card, shared by PostSend
+// and Sync's transparent retry. Each WR first takes the pending count,
+// a throttling credit (possibly stalling) and, under shared-CQ polling,
+// its ownership entry. With chain set (postlist batching without
+// coalescing) consecutive same-QP WRs submit as one linked chain, which
+// extends only while a credit is immediately available — so the
+// coroutine stalls at exactly the same points, in the same credit-
+// acquisition order, as one WR at a time, and a batch larger than the
+// free credit balance slides through as several chains. Under doorbell
+// coalescing each WR is buffered instead; the coalescer submits it at
+// flush time.
+func (c *Ctx) post(wrs []*verbs.WR, chain bool) {
 	t := c.T
 	for i := 0; i < len(wrs); {
-		qp := t.qps[t.rt.bladeIndex(wrs[i].Remote.Blade)]
-		c.acquireOne(wrs[i])
+		qp := t.qpFor(wrs[i])
+		c.acquire(wrs[i])
 		j := i + 1
-		for j < len(wrs) &&
-			t.qps[t.rt.bladeIndex(wrs[j].Remote.Blade)] == qp &&
+		for chain && j < len(wrs) && t.qpFor(wrs[j]) == qp &&
 			(t.credits == nil || (t.credits.Waiters() == 0 && t.credits.Available() >= 1)) {
-			c.acquireOne(wrs[j])
+			c.acquire(wrs[j])
 			j++
 		}
-		qp.PostList(c.proc, wrs[i:j]...)
-		for k := i; k < j; k++ {
-			t.noteOWR(1)
-			t.armWatchdog(qp, wrs[k])
+		if t.coal != nil {
+			t.coal.enqueue(c.proc, wrs[i])
+		} else {
+			t.submit(c.proc, qp, wrs[i:j])
 		}
 		i = j
 	}
 }
 
-// acquireOne runs the pre-submission bookkeeping for one WR: the
-// pending count, the throttling credit (possibly stalling), and the
-// shared-CQ ownership registration.
-func (c *Ctx) acquireOne(wr *verbs.WR) {
+// acquire runs one WR's pre-submission bookkeeping (see post).
+func (c *Ctx) acquire(wr *verbs.WR) {
 	t := c.T
 	c.pending++
 	if t.credits != nil {
@@ -140,24 +131,6 @@ func (c *Ctx) acquireOne(wr *verbs.WR) {
 	if t.pollOwner != nil {
 		t.pollOwner[wr] = c
 	}
-}
-
-// post sends one WR through the throttler to the card and, when the
-// watchdog is configured, arms a timeout against exactly this attempt.
-// Shared by PostSend and Sync's transparent retry.
-func (c *Ctx) post(wr *verbs.WR) {
-	t := c.T
-	c.acquireOne(wr)
-	if t.coal != nil {
-		// Doorbell coalescing: buffer the posting; the coalescer
-		// submits (and arms the watchdog) at flush time.
-		t.coal.enqueue(c, wr)
-		return
-	}
-	qp := t.qps[t.rt.bladeIndex(wr.Remote.Blade)]
-	qp.PostSend(c.proc, wr)
-	t.noteOWR(1)
-	t.armWatchdog(qp, wr)
 }
 
 // onComplete runs in engine context when one of this coroutine's WRs
@@ -218,9 +191,7 @@ func (c *Ctx) Sync() {
 		retry := c.failed
 		c.failed = nil
 		t.Stats.FaultRetries += uint64(len(retry))
-		for _, wr := range retry {
-			c.post(wr)
-		}
+		c.post(retry, false)
 		if t.coal != nil {
 			t.coal.flush(c.proc, flushSync)
 		}

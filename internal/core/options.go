@@ -38,7 +38,7 @@ type Policy int
 const (
 	// SharedQP gives all threads a single QP per memory blade.
 	SharedQP Policy = iota
-	// MultiplexedQP shares each QP among MultiplexQ threads
+	// MultiplexedQP shares each QP among multiplexQ threads
 	// (FaRM/LITE-style connection multiplexing).
 	MultiplexedQP
 	// PerThreadQP gives each thread its own QPs but leaves the driver's
@@ -81,11 +81,16 @@ func ParsePolicy(name string) (Policy, error) {
 	return 0, fmt.Errorf("unknown policy %q (want shared-qp, multiplexed-qp, per-thread-qp, per-thread-context, or per-thread-doorbell)", name)
 }
 
+// The framework constants no caller varies.
+const (
+	multiplexQ   = 4  // threads per QP under MultiplexedQP
+	stableEpochs = 60 // Algorithm 1's stable phase, in units of Δ
+)
+
 // Options configures a Runtime. The zero value is a plain per-thread-QP
 // baseline; use Smart for the full framework.
 type Options struct {
-	Policy     Policy
-	MultiplexQ int // threads per QP under MultiplexedQP (default 4)
+	Policy Policy
 
 	// Depth is the number of coroutines spawned per thread by the
 	// applications (the concurrency depth). Default 8, as in §6.1.
@@ -95,9 +100,7 @@ type Options struct {
 
 	WorkReqThrottle bool
 	CMax            int      // initial C_max (default 8)
-	CMaxCandidates  []int    // Algorithm 1's target_list (default 4,6,8,10,12)
 	UpdateDelta     sim.Time // Δ, the per-candidate measuring window
-	StableEpochs    int      // stable phase length in units of Δ (default 60)
 	AdaptCMax       *bool    // run the epoch tuner (default: WorkReqThrottle)
 
 	// --- Conflict avoidance (§4.3) ---
@@ -106,8 +109,6 @@ type Options struct {
 	DynamicLimit bool     // adapt t_max from the retry rate
 	CoroThrottle bool     // adapt the coroutine credit ceiling c_max
 	BackoffUnit  sim.Time // t0 (default ≈ one RDMA round trip)
-	BackoffMax   sim.Time // t_M, the largest allowed t_max (default 1024*t0)
-	StaticLimit  sim.Time // t_max when DynamicLimit is off (default t_M/4)
 	RetryWindow  sim.Time // γ sampling period (default 1 ms)
 	GammaHigh    float64  // γ_H (default 0.5)
 	GammaLow     float64  // γ_L (default 0.1)
@@ -182,23 +183,14 @@ func (o Options) Validate() error {
 
 // withDefaults fills unset fields in place.
 func (o *Options) withDefaults() {
-	if o.MultiplexQ <= 0 {
-		o.MultiplexQ = 4
-	}
 	if o.Depth <= 0 {
 		o.Depth = 8
 	}
 	if o.CMax <= 0 {
 		o.CMax = 8
 	}
-	if len(o.CMaxCandidates) == 0 {
-		o.CMaxCandidates = []int{4, 6, 8, 10, 12}
-	}
 	if o.UpdateDelta <= 0 {
 		o.UpdateDelta = 8 * sim.Millisecond
-	}
-	if o.StableEpochs <= 0 {
-		o.StableEpochs = 60
 	}
 	if o.AdaptCMax == nil {
 		v := o.WorkReqThrottle
@@ -208,17 +200,6 @@ func (o *Options) withDefaults() {
 		// t0 = 4096 CPU cycles in the paper, "close to the time of an
 		// RDMA roundtrip"; our simulated round trip is ≈3.3 µs.
 		o.BackoffUnit = 3300
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 1024 * o.BackoffUnit
-	}
-	if o.StaticLimit <= 0 {
-		// Plain truncated backoff without the dynamic limit pins the
-		// ceiling at t_M: collisions stay rare, but operations
-		// oversleep under light contention — the performance the
-		// dynamic limit recovers (§4.3: "a larger one also leads to
-		// lower performance").
-		o.StaticLimit = o.BackoffMax
 	}
 	if o.RetryWindow <= 0 {
 		o.RetryWindow = sim.Millisecond
@@ -232,8 +213,5 @@ func (o *Options) withDefaults() {
 	o.Batching = o.Batching.WithDefaults()
 }
 
-// ConflictAvoidance reports whether any conflict-avoidance mechanism
-// is on.
-func (o *Options) ConflictAvoidance() bool {
-	return o.Backoff || o.DynamicLimit || o.CoroThrottle
-}
+// backoffMax is t_M, the largest allowed t_max: 1024·t0.
+func (o *Options) backoffMax() sim.Time { return 1024 * o.BackoffUnit }

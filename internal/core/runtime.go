@@ -41,86 +41,62 @@ func New(nic *rnic.RNIC, targets []verbs.Target, nThreads int, opts Options) (*R
 		rt.threads = append(rt.threads, newThread(rt, i))
 	}
 
+	// Threads share one CQ and one QP per blade in groups: every thread
+	// under SharedQP, multiplexQ threads under MultiplexedQP, one
+	// thread otherwise.
+	group := 1
 	switch opts.Policy {
 	case SharedQP:
-		ctx := rt.open()
-		cq := ctx.CreateCQ()
-		qps := make([]*verbs.QP, len(targets))
-		for j, tgt := range targets {
-			qps[j] = ctx.CreateQP(cq, tgt)
-		}
-		for _, t := range rt.threads {
-			t.cq, t.qps = cq, qps
-		}
-
+		group = nThreads
 	case MultiplexedQP:
-		ctx := rt.open()
-		for g := 0; g < nThreads; g += opts.MultiplexQ {
-			cq := ctx.CreateCQ()
-			qps := make([]*verbs.QP, len(targets))
-			for j, tgt := range targets {
-				qps[j] = ctx.CreateQP(cq, tgt)
-			}
-			for i := g; i < g+opts.MultiplexQ && i < nThreads; i++ {
-				rt.threads[i].cq, rt.threads[i].qps = cq, qps
-			}
-		}
-
-	case PerThreadQP:
-		// One shared context with the driver's default doorbells; each
-		// thread creates its own CQ and QPs, in thread order, so the
-		// round-robin mapping implicitly shares doorbells (§3.1).
-		ctx := rt.open()
-		for _, t := range rt.threads {
-			t.cq = ctx.CreateCQ()
-			t.qps = make([]*verbs.QP, len(targets))
-			for j, tgt := range targets {
-				t.qps[j] = ctx.CreateQP(t.cq, tgt)
-			}
-		}
-
-	case PerThreadContext:
-		// A private device context per thread avoids doorbell sharing
-		// but multiplies memory registrations (MTT/MPT pressure).
-		for _, t := range rt.threads {
-			ctx := rt.open()
-			t.cq = ctx.CreateCQ()
-			t.qps = make([]*verbs.QP, len(targets))
-			for j, tgt := range targets {
-				t.qps[j] = ctx.CreateQP(t.cq, tgt)
-			}
-		}
-
-	case PerThreadDoorbell:
-		// SMART's thread-aware allocation: one shared context whose
-		// medium-latency doorbell count is raised to the thread count
-		// (the MLX5_TOTAL_UUARS tuning plus driver patch). QPs are
-		// created in blade-major rounds so the deterministic
-		// round-robin assignment lands every one of thread i's QPs on
-		// doorbell i.
-		ctx := rt.open()
-		dbs := nThreads
-		if dbs < nic.P.DefaultMediumDBs {
-			dbs = nic.P.DefaultMediumDBs
-		}
-		if max := nic.P.MaxDoorbells; dbs > max {
-			dbs = max // beyond the hardware limit threads share (fn. 4)
-		}
+		group = multiplexQ
+	case PerThreadQP, PerThreadContext, PerThreadDoorbell:
+	default:
+		return nil, fmt.Errorf("core: unknown policy %v", opts.Policy)
+	}
+	// Every policy but PerThreadContext shares one device context. Under
+	// PerThreadQP it keeps the driver's default doorbells, and creating
+	// each thread's QPs in thread order makes the round-robin mapping
+	// share doorbells implicitly (§3.1).
+	var ctx *verbs.Context
+	if opts.Policy != PerThreadContext {
+		ctx = rt.open()
+	}
+	if opts.Policy == PerThreadDoorbell {
+		// SMART's thread-aware allocation raises the shared context's
+		// medium-latency doorbell count to the thread count (the
+		// MLX5_TOTAL_UUARS tuning plus driver patch); beyond the
+		// hardware limit threads share (fn. 4).
+		dbs := min(max(nThreads, nic.P.DefaultMediumDBs), nic.P.MaxDoorbells)
 		if err := ctx.SetMediumDoorbells(dbs); err != nil {
 			return nil, err
 		}
-		for _, t := range rt.threads {
-			t.cq = ctx.CreateCQ()
-			t.qps = make([]*verbs.QP, len(targets))
+	}
+	for g := 0; g < nThreads; g += group {
+		if opts.Policy == PerThreadContext {
+			// A private device context per thread avoids doorbell sharing
+			// but multiplies memory registrations (MTT/MPT pressure).
+			ctx = rt.open()
 		}
+		cq, qps := ctx.CreateCQ(), make([]*verbs.QP, len(targets))
+		if opts.Policy != PerThreadDoorbell {
+			for j, tgt := range targets {
+				qps[j] = ctx.CreateQP(cq, tgt)
+			}
+		}
+		for _, t := range rt.threads[g:min(g+group, nThreads)] {
+			t.cq, t.qps = cq, qps
+		}
+	}
+	if opts.Policy == PerThreadDoorbell {
+		// QPs are created in blade-major rounds so the deterministic
+		// round-robin assignment lands every one of thread i's QPs on
+		// doorbell i.
 		for j, tgt := range targets {
 			for _, t := range rt.threads {
 				t.qps[j] = ctx.CreateQP(t.cq, tgt)
 			}
 		}
-
-	default:
-		return nil, fmt.Errorf("core: unknown policy %v", opts.Policy)
 	}
 
 	for _, t := range rt.threads {

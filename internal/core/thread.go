@@ -90,7 +90,12 @@ func newThread(rt *Runtime, id int) *Thread {
 	if o.DynamicLimit {
 		t.tmax = o.BackoffUnit
 	} else {
-		t.tmax = o.StaticLimit
+		// Plain truncated backoff without the dynamic limit pins the
+		// ceiling at t_M: collisions stay rare, but operations
+		// oversleep under light contention — the performance the
+		// dynamic limit recovers (§4.3: "a larger one also leads to
+		// lower performance").
+		t.tmax = o.backoffMax()
 	}
 	t.tel = o.Telemetry
 	if t.tel != nil && id < telTrajectoryThreads {
@@ -181,14 +186,25 @@ func (t *Thread) poller(p *sim.Proc) {
 	}
 }
 
-// armWatchdog arms the per-WR software timeout against the WR's
-// current attempt. It must run after the WR is launched (launch bumps
-// the attempt), which is why the coalescer calls it at flush time
-// rather than post time.
-func (t *Thread) armWatchdog(qp *verbs.QP, wr *verbs.WR) {
-	if d := t.rt.opts.WRTimeout; d > 0 {
-		cq, attempt := qp.CQ(), wr.Attempt()
-		t.rt.eng.Schedule(d, func() { cq.Expire(wr, attempt) })
+// submit is the one place the framework hands work requests to a QP
+// (DESIGN.md §16): a same-QP run posts as one linked chain under
+// postlist batching and one WR at a time otherwise. Only after the
+// whole run is posted does each WR enter the outstanding-WR gauge and,
+// when configured, arm its watchdog — against the attempt the post just
+// launched, which is why the coalescer submits at flush time rather
+// than post time.
+func (t *Thread) submit(p *sim.Proc, qp *verbs.QP, wrs []*verbs.WR) {
+	if t.rt.opts.Batching.Postlist {
+		qp.PostList(p, wrs...)
+	} else {
+		qp.PostSend(p, wrs...)
+	}
+	for _, wr := range wrs {
+		t.noteOWR(1)
+		if d := t.rt.opts.WRTimeout; d > 0 {
+			cq, attempt := qp.CQ(), wr.Attempt()
+			t.rt.eng.Schedule(d, func() { cq.Expire(wr, attempt) })
+		}
 	}
 }
 
@@ -205,6 +221,9 @@ func (t *Thread) CMaxCoro() int { return t.cmaxCoro }
 
 // QP returns the thread's queue pair for the given blade ID.
 func (t *Thread) QP(bladeID int) *verbs.QP { return t.qps[t.rt.bladeIndex(bladeID)] }
+
+// qpFor returns the thread's queue pair for the WR's target blade.
+func (t *Thread) qpFor(wr *verbs.WR) *verbs.QP { return t.QP(wr.Remote.Blade) }
 
 // Spawn starts a coroutine on this thread and returns its context.
 // All of a thread's coroutines share its QPs, CQ, and doorbell.
@@ -225,13 +244,13 @@ func (t *Thread) updateCMax(target int) {
 
 // cmaxTuner is Algorithm 1's UPDATE loop: each epoch, measure the
 // completed-WR throughput under every candidate C_max for Δ, adopt the
-// best, then hold it for the stable phase (60Δ by default).
+// best, then hold it for the stable phase (stableEpochs·Δ).
 func (t *Thread) cmaxTuner(p *sim.Proc) {
 	o := &t.rt.opts
 	for !t.rt.stopped {
 		best, bestP := t.cmax, uint64(0)
 		first := true
-		for _, target := range o.CMaxCandidates {
+		for _, target := range [...]int{4, 6, 8, 10, 12} { // Algorithm 1's target_list
 			t.updateCMax(target)
 			start := t.wrCompleted
 			p.Sleep(o.UpdateDelta)
@@ -250,7 +269,7 @@ func (t *Thread) cmaxTuner(p *sim.Proc) {
 			t.tel.Emit(t.rt.eng.Now(), "cmax-adopt",
 				fmt.Sprintf("t%d C_max=%d (best epoch throughput %d WRs)", t.ID, best, bestP))
 		}
-		p.Sleep(sim.Time(o.StableEpochs) * o.UpdateDelta)
+		p.Sleep(stableEpochs * o.UpdateDelta)
 	}
 }
 
@@ -279,11 +298,8 @@ func (t *Thread) retryTicker(p *sim.Proc) {
 		case gamma > o.GammaHigh:
 			if o.CoroThrottle && t.cmaxCoro > 1 {
 				t.setCMaxCoro(t.cmaxCoro / 2)
-			} else if o.DynamicLimit && t.tmax < o.BackoffMax {
-				t.tmax *= 2
-				if t.tmax > o.BackoffMax {
-					t.tmax = o.BackoffMax
-				}
+			} else if tM := o.backoffMax(); o.DynamicLimit && t.tmax < tM {
+				t.tmax = min(2*t.tmax, tM)
 			}
 		case gamma < o.GammaLow:
 			if o.CoroThrottle && t.cmaxCoro < o.Depth {

@@ -13,9 +13,12 @@
 //     is shed immediately (load is dropped, never buffered without
 //     bound), which is what keeps latency finite past saturation.
 //   - Routing is deterministic: join-shortest-queue with lowest-index
-//     tie-break (default) or round-robin.
-//   - Each runtime owns one bounded FIFO; its worker coroutines park
-//     on a wait queue when it drains.
+//     tie-break.
+//   - Each runtime owns one bounded FIFO; its corosPerThread worker
+//     coroutines per thread park on a wait queue when it drains.
+//
+// The cluster has one memory blade per runtime; each request READs
+// payload bytes at a uniformly drawn slot of a uniformly drawn blade.
 //
 // Latency is accounted in two parts so overload is diagnosable: queue
 // wait (admission to dequeue) and service time (dequeue to
@@ -38,36 +41,21 @@ import (
 	"repro/internal/blade"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
-// Route selects the admission stage's routing policy.
-type Route int
-
 const (
-	// RouteJSQ joins the shortest runtime queue, breaking ties toward
-	// the lowest runtime index.
-	RouteJSQ Route = iota
-	// RouteRR routes round-robin regardless of queue depth.
-	RouteRR
+	corosPerThread = 4       // worker coroutines per thread
+	payload        = 8       // bytes per READ
+	region         = 1 << 20 // bytes of request targets per memory blade
 )
-
-func (r Route) String() string {
-	if r == RouteRR {
-		return "rr"
-	}
-	return "jsq"
-}
 
 // Config describes one open-loop serving run.
 type Config struct {
 	Runtimes          int // compute blades, one core.Runtime each
 	ThreadsPerRuntime int
-	CorosPerThread    int // worker coroutines per thread (default 4)
-	MemoryBlades      int // default: Runtimes
 	Clients           int // client machines (default 4)
 
 	// Arrival is the aggregate arrival spec across all clients; each
@@ -78,16 +66,13 @@ type Config struct {
 	// READ followed by a FAA) rather than plain READs.
 	TxnFrac float64
 
-	Payload    int // bytes per READ (default 8)
 	QueueDepth int // per-runtime admission queue bound (default 64×threads)
-	Route      Route
 
 	Warmup  sim.Time // excluded from measurement (default 200 µs)
 	Measure sim.Time // measurement window (default 2 ms)
 	Seed    int64
 
-	Opts   core.Options // runtime configuration (policy, SMART knobs)
-	Params *rnic.Params
+	Opts core.Options // runtime configuration (policy, SMART knobs)
 
 	// Telemetry, when set, receives serve/* admission counters, a
 	// serve/qdepth trajectory group, and every runtime's layer harvest
@@ -164,17 +149,8 @@ func Run(cfg Config) Result {
 	if !(cfg.TxnFrac >= 0 && cfg.TxnFrac <= 1) {
 		panic("serve: TxnFrac must be in [0, 1]")
 	}
-	if cfg.CorosPerThread <= 0 {
-		cfg.CorosPerThread = 4
-	}
-	if cfg.MemoryBlades <= 0 {
-		cfg.MemoryBlades = cfg.Runtimes
-	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 4
-	}
-	if cfg.Payload <= 0 {
-		cfg.Payload = 8
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64 * cfg.ThreadsPerRuntime
@@ -185,21 +161,18 @@ func Run(cfg Config) Result {
 	if cfg.Measure == 0 {
 		cfg.Measure = 2 * sim.Millisecond
 	}
-	const region = 1 << 20
-
 	cl := cluster.New(cluster.Config{
 		ComputeBlades: cfg.Runtimes,
-		MemoryBlades:  cfg.MemoryBlades,
+		MemoryBlades:  cfg.Runtimes,
 		Clients:       cfg.Clients,
 		BladeCapacity: region + (1 << 16),
 		Seed:          cfg.Seed,
-		Params:        cfg.Params,
 	})
 	defer cl.Stop()
 	eng := cl.Eng
 	horizon := cfg.Warmup + cfg.Measure
 
-	regions := make([]blade.Addr, cfg.MemoryBlades)
+	regions := make([]blade.Addr, cfg.Runtimes)
 	for i, m := range cl.Memories {
 		regions[i] = m.Mem.Alloc(region)
 	}
@@ -221,7 +194,7 @@ func Run(cfg Config) Result {
 
 	res := Result{
 		PerRuntime: make([]uint64, cfg.Runtimes),
-		PerBlade:   make([]uint64, cfg.MemoryBlades),
+		PerBlade:   make([]uint64, cfg.Runtimes),
 	}
 	opHist, txnHist := stats.NewHist(), stats.NewHist()
 	waitHist, svcHist := stats.NewHist(), stats.NewHist()
@@ -245,14 +218,9 @@ func Run(cfg Config) Result {
 		})
 	}
 
-	// route picks the runtime queue for the next request.
-	var rrNext int
+	// route picks the runtime queue for the next request: the shortest,
+	// ties to the lowest index.
 	route := func() int {
-		if cfg.Route == RouteRR {
-			i := rrNext
-			rrNext = (rrNext + 1) % cfg.Runtimes
-			return i
-		}
 		best := 0
 		for i := 1; i < cfg.Runtimes; i++ {
 			if queues[i].n < queues[best].n {
@@ -301,7 +269,7 @@ func Run(cfg Config) Result {
 	// be reported at or below QueueDepth; the backpressure test pins
 	// that shedding, not buffering, absorbs overload.
 
-	slots := uint64(region / cfg.Payload)
+	const slots = region / payload
 	for ci := range cl.Clients {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(ci)*9973 + 101))
 		proc := cfg.Arrival.New(rng, cfg.Clients)
@@ -311,8 +279,8 @@ func Run(cfg Config) Result {
 				if p.Now() >= horizon {
 					return
 				}
-				b := rng.Intn(cfg.MemoryBlades)
-				off := uint64(rng.Int63n(int64(slots))) * uint64(cfg.Payload)
+				b := rng.Intn(cfg.Runtimes)
+				off := uint64(rng.Int63n(slots)) * payload
 				admit(request{
 					at:     p.Now(),
 					txn:    rng.Float64() < cfg.TxnFrac,
@@ -327,9 +295,9 @@ func Run(cfg Config) Result {
 		q := queues[ri]
 		for ti := 0; ti < cfg.ThreadsPerRuntime; ti++ {
 			th := rt.Thread(ti)
-			for k := 0; k < cfg.CorosPerThread; k++ {
+			for k := 0; k < corosPerThread; k++ {
 				th.Spawn("serve-worker", func(c *core.Ctx) {
-					buf := make([]byte, cfg.Payload)
+					buf := make([]byte, payload)
 					for {
 						for q.n == 0 {
 							q.wq.Wait(c.Proc())

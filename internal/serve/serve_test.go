@@ -142,25 +142,6 @@ func TestUnderloadKeepsUp(t *testing.T) {
 	}
 }
 
-// TestRoundRobinRoute exercises the RR policy: with equal-capacity
-// runtimes both must receive an equal share (±1 in-flight skew is
-// absorbed by the 2% tolerance).
-func TestRoundRobinRoute(t *testing.T) {
-	cfg := baseConfig(17)
-	cfg.Route = RouteRR
-	r := Run(cfg)
-	if len(r.PerRuntime) != 2 || r.Admitted == 0 {
-		t.Fatalf("unexpected shape: %+v", r)
-	}
-	lo, hi := r.PerRuntime[0], r.PerRuntime[1]
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if float64(hi-lo) > 0.02*float64(r.Admitted)+1 {
-		t.Fatalf("round-robin skew: %v of %d admitted", r.PerRuntime, r.Admitted)
-	}
-}
-
 // TestTelemetryCounters checks the serve/* instrumentation: admission
 // counters cover the whole run (warmup included) and reconcile, the
 // qdepth trajectory exists, and per-runtime harvests are namespaced.

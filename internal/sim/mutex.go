@@ -32,16 +32,6 @@ func (m *Mutex) Lock(p *Proc) {
 	// Ownership was transferred to us by Unlock before the wake.
 }
 
-// TryLock acquires the mutex if it is free and reports whether it did.
-func (m *Mutex) TryLock() bool {
-	if m.held {
-		return false
-	}
-	m.held = true
-	m.Acquisitions++
-	return true
-}
-
 // Unlock releases the mutex, handing it directly to the oldest waiter
 // if any. Must be called by the current holder, from engine context or
 // the holding process.
@@ -59,9 +49,6 @@ func (m *Mutex) Unlock() {
 	// The mutex stays held; ownership passes to next.
 	next.Wake()
 }
-
-// Held reports whether the mutex is currently held.
-func (m *Mutex) Held() bool { return m.held }
 
 // Waiters returns the number of processes queued on the mutex.
 func (m *Mutex) Waiters() int { return len(m.q) }

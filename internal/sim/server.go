@@ -38,12 +38,3 @@ func (s *Server) Submit(service Time, done func()) Time {
 	}
 	return s.busyUntil
 }
-
-// QueueDelay returns how long a job submitted now would wait before
-// entering service.
-func (s *Server) QueueDelay() Time {
-	if s.busyUntil <= s.eng.now {
-		return 0
-	}
-	return s.busyUntil - s.eng.now
-}

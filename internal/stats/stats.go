@@ -153,41 +153,6 @@ func (h *Hist) Summary() Summary {
 	}
 }
 
-// Quantiles returns the quantile at each of qs, in order.
-func (h *Hist) Quantiles(qs ...float64) []sim.Time {
-	out := make([]sim.Time, len(qs))
-	for i, q := range qs {
-		out[i] = h.Quantile(q)
-	}
-	return out
-}
-
-// Reset clears all samples.
-func (h *Hist) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.sum, h.max = 0, 0, 0
-	h.min = math.MaxInt64
-}
-
-// Merge adds all of o's samples into h.
-func (h *Hist) Merge(o *Hist) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.total > 0 {
-		if o.min < h.min {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-}
-
 // CountDist is a distribution over small non-negative integers, used
 // for per-operation retry counts.
 type CountDist struct {
@@ -242,37 +207,6 @@ func (d *CountDist) FracAtLeast(v int) float64 {
 		}
 	}
 	return float64(n) / float64(d.total)
-}
-
-// Bucket is one exported count-distribution entry.
-type Bucket struct {
-	Value int
-	Count uint64
-}
-
-// Export returns the buckets in ascending value order — the stable
-// series form the result tables and shape checks consume.
-func (d *CountDist) Export() []Bucket {
-	keys := make([]int, 0, len(d.counts))
-	//smartlint:ignore maporder — keys are sorted on the next line
-	for k := range d.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]Bucket, len(keys))
-	for i, k := range keys {
-		out[i] = Bucket{Value: k, Count: d.counts[k]}
-	}
-	return out
-}
-
-// Merge adds all of o's observations into d.
-func (d *CountDist) Merge(o *CountDist) {
-	for k, c := range o.counts {
-		d.counts[k] += c
-	}
-	d.total += o.total
-	d.sum += o.sum
 }
 
 // String renders the distribution in ascending value order.

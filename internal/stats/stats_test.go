@@ -85,25 +85,6 @@ func TestHistQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestHistResetAndMerge(t *testing.T) {
-	a, b := NewHist(), NewHist()
-	a.Add(100 * sim.Nanosecond)
-	b.Add(300 * sim.Nanosecond)
-	b.Add(500 * sim.Nanosecond)
-	a.Merge(b)
-	if a.Count() != 3 || a.Min() != 100 || a.Max() != 500 {
-		t.Fatalf("after merge: count=%d min=%v max=%v", a.Count(), a.Min(), a.Max())
-	}
-	a.Reset()
-	if a.Count() != 0 || a.Max() != 0 {
-		t.Fatal("reset did not clear")
-	}
-	a.Add(7 * sim.Nanosecond)
-	if a.Min() != 7 {
-		t.Fatal("min wrong after reset")
-	}
-}
-
 func TestCountDist(t *testing.T) {
 	d := NewCountDist()
 	for _, v := range []int{0, 0, 0, 1, 1, 4, -3} {
@@ -121,18 +102,24 @@ func TestCountDist(t *testing.T) {
 	if got := d.Mean(); got < 0.85 || got > 0.86 { // (1+1+4)/7
 		t.Fatalf("Mean = %v", got)
 	}
+	if got, want := d.String(), "0:57.1% 1:28.6% 4:14.3% "; got != want {
+		t.Fatalf("String = %q, want %q (ascending value order)", got, want)
+	}
 }
 
+// Observations from several sources land in one shared CountDist, and
+// String renders every value they contributed.
 func TestCountDistMergeAndString(t *testing.T) {
-	a, b := NewCountDist(), NewCountDist()
-	a.Add(0)
-	b.Add(2)
-	b.Add(2)
-	a.Merge(b)
-	if a.Total() != 3 || a.Frac(2) < 0.6 {
-		t.Fatalf("merge wrong: total=%d frac2=%v", a.Total(), a.Frac(2))
+	d := NewCountDist()
+	for _, src := range [][]int{{0}, {2, 2}} {
+		for _, v := range src {
+			d.Add(v)
+		}
 	}
-	s := a.String()
+	if d.Total() != 3 || d.Frac(2) < 0.6 {
+		t.Fatalf("merge wrong: total=%d frac2=%v", d.Total(), d.Frac(2))
+	}
+	s := d.String()
 	if !strings.Contains(s, "0:") || !strings.Contains(s, "2:") {
 		t.Fatalf("String = %q", s)
 	}
@@ -181,53 +168,5 @@ func TestHistP999SeparatesTail(t *testing.T) {
 	}
 	if p999 := h.P999(); p999 < 50*sim.Microsecond {
 		t.Fatalf("P999 = %v, want in the 100us outlier range", p999)
-	}
-}
-
-func TestHistQuantiles(t *testing.T) {
-	h := NewHist()
-	for i := 1; i <= 1000; i++ {
-		h.Add(sim.Time(i))
-	}
-	qs := h.Quantiles(0.1, 0.5, 0.99)
-	if len(qs) != 3 {
-		t.Fatalf("Quantiles returned %d values", len(qs))
-	}
-	if qs[0] > qs[1] || qs[1] > qs[2] {
-		t.Fatalf("Quantiles not monotone: %v", qs)
-	}
-	if qs[1] != h.Quantile(0.5) || qs[2] != h.Quantile(0.99) {
-		t.Fatalf("Quantiles disagree with Quantile: %v", qs)
-	}
-	if got := h.Quantiles(); len(got) != 0 {
-		t.Fatalf("Quantiles() = %v, want empty", got)
-	}
-}
-
-func TestCountDistExport(t *testing.T) {
-	d := NewCountDist()
-	for _, v := range []int{5, 0, 5, 2, 0, 0} {
-		d.Add(v)
-	}
-	got := d.Export()
-	want := []Bucket{{0, 3}, {2, 1}, {5, 2}}
-	if len(got) != len(want) {
-		t.Fatalf("Export = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Export[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Stable across calls — the exported order is the contract that
-	// lets renderers stay deterministic.
-	again := d.Export()
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatal("Export order not stable")
-		}
-	}
-	if NewCountDist().Export() != nil && len(NewCountDist().Export()) != 0 {
-		t.Fatal("empty Export must be empty")
 	}
 }

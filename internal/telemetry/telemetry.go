@@ -101,19 +101,6 @@ func (g *Group) SeriesDef(name, unit string, prec int) *Series {
 	return s
 }
 
-// Sum returns the sum of the named series' values (0 when absent).
-func (g *Group) Sum(name string) float64 {
-	i, ok := g.index[name]
-	if !ok {
-		return 0
-	}
-	var t float64
-	for _, p := range g.series[i].pts {
-		t += p.V
-	}
-	return t
-}
-
 // Registry is the software Neo-Host: every counter, series group, and
 // (optionally) the event trace of one instrumented run.
 type Registry struct {
@@ -163,14 +150,6 @@ func (r *Registry) Group(id, title, xlabel string) *Group {
 	r.gindex[id] = len(r.groups)
 	r.groups = append(r.groups, g)
 	return g
-}
-
-// FindGroup returns the named group, or nil.
-func (r *Registry) FindGroup(id string) *Group {
-	if i, ok := r.gindex[id]; ok {
-		return r.groups[i]
-	}
-	return nil
 }
 
 // Tables exports the registry as result tables: one "counters" table

@@ -68,18 +68,6 @@ func TestGroupSeriesAndTables(t *testing.T) {
 	if g.Series("t0").Len() != 2 {
 		t.Errorf("t0 len = %d, want 2", g.Series("t0").Len())
 	}
-	if got := g.Sum("t0"); got != 14 {
-		t.Errorf("Sum(t0) = %v, want 14", got)
-	}
-	if got := g.Sum("nope"); got != 0 {
-		t.Errorf("Sum(nope) = %v, want 0", got)
-	}
-	if r.FindGroup("cmax") != g {
-		t.Error("FindGroup did not return the registered group")
-	}
-	if r.FindGroup("nope") != nil {
-		t.Error("FindGroup(nope) != nil")
-	}
 
 	tabs := r.Tables("fig13")
 	if len(tabs) != 1 {
@@ -130,9 +118,6 @@ func TestTablesDeterministic(t *testing.T) {
 
 func TestTraceRing(t *testing.T) {
 	tr := NewTrace(3)
-	if tr.Cap() != 3 {
-		t.Fatalf("Cap = %d", tr.Cap())
-	}
 	tr.Emit(1*sim.Nanosecond, "a", "")
 	tr.Emit(2*sim.Nanosecond, "b", "x")
 	got := tr.Events()
@@ -166,10 +151,7 @@ func TestTraceRing(t *testing.T) {
 }
 
 func TestTraceMinCapacity(t *testing.T) {
-	tr := NewTrace(0)
-	if tr.Cap() != 1 {
-		t.Errorf("Cap = %d, want clamped to 1", tr.Cap())
-	}
+	tr := NewTrace(0) // clamped to a capacity of 1
 	tr.Emit(1*sim.Nanosecond, "a", "")
 	tr.Emit(2*sim.Nanosecond, "b", "")
 	got := tr.Events()

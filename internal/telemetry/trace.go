@@ -60,9 +60,6 @@ func (t *Trace) Events() []Event {
 // lifetime, including evicted ones.
 func (t *Trace) Total() uint64 { return t.total }
 
-// Cap returns the ring capacity.
-func (t *Trace) Cap() int { return t.cap }
-
 // Write renders the retained events as one line each
 // ("t=<ns> <kind> <detail>"), preceded by a summary header.
 func (t *Trace) Write(w io.Writer) {

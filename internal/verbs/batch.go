@@ -152,17 +152,18 @@ func ParseBatching(spec string) (Batching, error) {
 }
 
 // RingN posts one doorbell update covering a chain of n linked work
-// requests: one spinlock acquisition, one MMIO write, and n WQE writes
-// under the lock. The amortization is the point of postlist submission
-// — per-chain cost is DBHold + (n-1)·DBChainedHold rather than
-// n·DBHold, and the spinlock is contended once instead of n times.
+// requests: it takes the spinlock, holds it for one MMIO write and n
+// WQE writes (inflated by present waiters), and releases it. Called
+// with the QP lock held, as in mlx5. The amortization is the point of
+// postlist submission — per-chain cost is DBHold + (n-1)·DBChainedHold
+// rather than n·DBHold, and the spinlock is contended once instead of
+// n times.
 func (d *Doorbell) RingN(p *sim.Proc, n int) {
 	d.mu.Lock(p)
 	waiters := d.mu.Waiters()
 	hold := d.p.DBHold + sim.Time(n-1)*d.p.DBChainedHold + sim.Time(waiters)*d.p.DBBouncePerWaiter
 	p.Sleep(hold)
 	d.Rings++
-	d.CoalescedWRs += uint64(n)
 	d.HoldTicks += hold
 	d.mu.Unlock()
 }
@@ -170,8 +171,8 @@ func (d *Doorbell) RingN(p *sim.Proc, n int) {
 // PostList posts a chain of linked work requests as one submission:
 // the calling thread pays the userspace QP lock once and the doorbell
 // ring once for the whole chain, then every WR travels through the
-// card model individually, exactly as if posted by PostSend. Batching
-// changes when work is submitted, never what completes.
+// card model individually. PostSend is PostList one WR at a time.
+// Batching changes when work is submitted, never what completes.
 func (q *QP) PostList(p *sim.Proc, wrs ...*WR) {
 	if len(wrs) == 0 {
 		return

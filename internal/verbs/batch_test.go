@@ -68,22 +68,20 @@ func TestBatchingWithDefaults(t *testing.T) {
 	}
 }
 
-// TestRingNAccounting pins the chained doorbell cost model: one ring,
-// n coalesced WRs, and a hold of DBHold + (n-1)*DBChainedHold.
+// TestRingNAccounting pins the chained doorbell cost model: one ring
+// per chain and a hold of DBHold + (n-1)*DBChainedHold, so a chain of
+// one costs exactly the plain per-WR DBHold.
 func TestRingNAccounting(t *testing.T) {
 	r := newRig(3)
 	defer r.eng.Stop()
 	db := r.ctx.Doorbells()[0]
 	r.eng.Go("ringer", func(p *sim.Proc) {
-		db.Ring(p)
+		db.RingN(p, 1)
 		db.RingN(p, 8)
 	})
 	r.eng.Run(0)
 	if db.Rings != 2 {
 		t.Errorf("Rings = %d, want 2", db.Rings)
-	}
-	if db.CoalescedWRs != 8 {
-		t.Errorf("CoalescedWRs = %d, want 8 (plain Ring must not count)", db.CoalescedWRs)
 	}
 	par := rnic.Default()
 	want := 2*par.DBHold + 7*par.DBChainedHold
@@ -115,7 +113,7 @@ func TestPostListValidatesBlade(t *testing.T) {
 // must produce byte-identical per-WR outcomes (Status, Result, read
 // bytes, final memory) to per-WR PostSend — only the doorbell
 // accounting may differ, and it must differ exactly as specified: one
-// ring per chain, every WR counted coalesced.
+// ring per chain versus one per WR.
 func TestPostListEquivalence(t *testing.T) {
 	type outcome struct {
 		kind   rnic.OpKind
@@ -124,7 +122,7 @@ func TestPostListEquivalence(t *testing.T) {
 		data   byte   // first byte read, READ only
 	}
 
-	run := func(chained bool) (out []outcome, final []byte, rings, coalesced, posted uint64) {
+	run := func(chained bool) (out []outcome, final []byte, rings, posted uint64) {
 		r := newRig(5)
 		defer r.eng.Stop()
 		region := r.mem.Alloc(4096)
@@ -172,15 +170,14 @@ func TestPostListEquivalence(t *testing.T) {
 			}
 			final = make([]byte, 4096)
 			r.mem.ReadInto(region.Offset, final)
-			db := qp.Doorbell()
-			rings, coalesced, posted = db.Rings, db.CoalescedWRs, qp.Posted
+			rings, posted = qp.Doorbell().Rings, qp.Posted
 		})
 		r.eng.Run(0)
-		return out, final, rings, coalesced, posted
+		return out, final, rings, posted
 	}
 
-	seq, seqMem, seqRings, seqCoal, seqPosted := run(false)
-	chn, chnMem, chnRings, chnCoal, chnPosted := run(true)
+	seq, seqMem, seqRings, seqPosted := run(false)
+	chn, chnMem, chnRings, chnPosted := run(true)
 
 	if len(seq) != len(chn) {
 		t.Fatalf("completion counts differ: %d vs %d", len(seq), len(chn))
@@ -197,12 +194,6 @@ func TestPostListEquivalence(t *testing.T) {
 	}
 	if seqPosted != chnPosted {
 		t.Errorf("posted %d per-WR vs %d chained", seqPosted, chnPosted)
-	}
-	if seqCoal != 0 {
-		t.Errorf("per-WR path counted %d coalesced WRs, want 0", seqCoal)
-	}
-	if chnCoal != chnPosted {
-		t.Errorf("chained path coalesced %d of %d posted WRs", chnCoal, chnPosted)
 	}
 	if chnRings != 20 {
 		t.Errorf("chained path rang %d times, want one ring per chain (20)", chnRings)

@@ -44,28 +44,10 @@ type Doorbell struct {
 
 	Rings uint64
 
-	// CoalescedWRs counts work requests submitted through chained
-	// (RingN) doorbell updates — the numerator of the "coalesced WRs
-	// per ring" telemetry. Zero on the plain per-WR Ring path.
-	CoalescedWRs uint64
-
 	// HoldTicks accumulates virtual time spent holding the spinlock
 	// across all rings — the Neo-Host-style signal that separates "many
 	// rings" from "many slow rings" (waiter-inflated holds, §3.1).
 	HoldTicks sim.Time
-}
-
-// Ring posts one work request's doorbell update: it takes the
-// spinlock, holds it for the MMIO write (inflated by present waiters),
-// and releases it. Called with the QP lock held, as in mlx5.
-func (d *Doorbell) Ring(p *sim.Proc) {
-	d.mu.Lock(p)
-	waiters := d.mu.Waiters()
-	hold := d.p.DBHold + sim.Time(waiters)*d.p.DBBouncePerWaiter
-	p.Sleep(hold)
-	d.Rings++
-	d.HoldTicks += hold
-	d.mu.Unlock()
 }
 
 // Waiters reports the number of threads currently queued on the
@@ -428,25 +410,15 @@ func (q *QP) Remote() Target { return q.remote }
 // CQ returns the completion queue the QP reports into.
 func (q *QP) CQ() *CQ { return q.cq }
 
-// PostSend posts the work requests to the card. For each WR the
-// calling thread pays the userspace QP lock (contended when several
-// threads share the QP) and the doorbell ring (contended when several
-// threads' QPs share a doorbell register), then the WR travels through
-// the card model and eventually completes into the QP's CQ.
+// PostSend posts the work requests to the card one at a time, each a
+// chain of one: for each WR the calling thread pays the userspace QP
+// lock (contended when several threads share the QP) and the doorbell
+// ring (contended when several threads' QPs share a doorbell
+// register), then the WR travels through the card model and eventually
+// completes into the QP's CQ.
 func (q *QP) PostSend(p *sim.Proc, wrs ...*WR) {
-	par := &q.ctx.nic.P
-	for _, wr := range wrs {
-		if wr.Remote.Blade != q.remote.Mem.ID {
-			panic(fmt.Sprintf("verbs: WR for blade %d posted on QP connected to blade %d",
-				wr.Remote.Blade, q.remote.Mem.ID))
-		}
-		q.lock.Lock(p)
-		hold := par.QPLockHold + sim.Time(q.lock.Waiters())*par.QPBouncePerWaiter
-		p.Sleep(hold)
-		q.db.Ring(p)
-		q.lock.Unlock()
-		q.Posted++
-		q.launch(wr)
+	for i := range wrs {
+		q.PostList(p, wrs[i:i+1]...)
 	}
 }
 
