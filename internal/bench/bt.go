@@ -96,6 +96,8 @@ func RunBT(cfg BTConfig) BTResult {
 		cluster: cluster.Config{
 			ComputeBlades: cfg.Servers,
 			MemoryBlades:  cfg.Servers,
+			// The +64 MB of slack is an OOM guard, not a memory cost:
+			// blades only commit the bytes written.
 			BladeCapacity: cfg.Keys*40/uint64(cfg.Servers) + (64 << 20),
 			Seed:          cfg.Seed,
 		},

@@ -75,6 +75,8 @@ func RunDTX(cfg DTXConfig) DTXResult {
 			ComputeBlades: 1,
 			MemoryBlades:  cfg.MemoryBlades,
 			MemoryKind:    blade.NVM,
+			// +128 MB of slack for undo logs: an OOM guard, not a memory
+			// cost, since blades only commit the bytes written.
 			BladeCapacity: cfg.Records*600/uint64(cfg.MemoryBlades) + (128 << 20),
 			Seed:          cfg.Seed,
 		},

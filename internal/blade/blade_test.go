@@ -2,6 +2,7 @@ package blade
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -144,5 +145,37 @@ func TestCASProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A blade costs host memory for what is written to it, not for its
+// capacity: building a 1 GiB blade and reading untouched offsets
+// across it allocates almost nothing, and a failed CAS past the
+// written prefix does not grow it.
+func TestNewCommitsNoCapacity(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := New(1, DRAM, 1<<30)
+	var dst [64]byte
+	for off := uint64(0); off < b.Capacity(); off += 1 << 24 {
+		b.ReadInto(off, dst[:])
+		b.Read(off, 8)
+		b.Load8(off)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("New + untouched reads allocated %d bytes, want < 1 MiB", grew)
+	}
+	if b.Capacity() != 1<<30 {
+		t.Fatalf("Capacity = %d, want %d", b.Capacity(), 1<<30)
+	}
+
+	b.Store8(64, 7)
+	n := len(b.mem)
+	if _, ok := b.CAS(1<<29, 1, 2); ok {
+		t.Fatal("CAS on untouched memory matched a nonzero expect")
+	}
+	if len(b.mem) != n {
+		t.Fatalf("failed CAS grew mem from %d to %d bytes", n, len(b.mem))
 	}
 }
