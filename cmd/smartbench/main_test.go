@@ -492,6 +492,7 @@ func TestSpecFileErrorsExit2(t *testing.T) {
 		{"faults on batching", []string{"-spec", seedSpec("batching_faults.json")}, "faults only apply to micro scenarios"},
 		{"faults on batching, dryrun", []string{"-spec", seedSpec("batching_faults.json"), "-dryrun"}, "faults only apply to micro scenarios"},
 		{"faults flag on batching spec", []string{"-spec", goldenSpec("batching_quick.json"), "-faults", "default", "-dryrun"}, "faults only apply to micro scenarios"},
+		{"serving load past the arrival rate cap", []string{"-spec", seedSpec("serving_rate_over_cap.json")}, "topology 1x4 at load 5: serve: arrival: poisson rate 2000"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -65,7 +65,7 @@ func TestServingKneeMatchesErlangC(t *testing.T) {
 	}
 	topo := spec.Topo{Runtimes: 1, Threads: 8}
 	sv := servingSpec(true).Serving
-	nominal := sv.CapacityPerThread * float64(topo.Runtimes*topo.Threads) // ops/us, as runServingSection computes it
+	nominal := servingNominal(sv, topo) // ops/us
 	run := func(frac float64) serve.Result {
 		aspec := (&arrival.Spec{Kind: arrival.KindPoisson, Rate: 4}).
 			WithMeanRate(frac * nominal)

@@ -90,8 +90,9 @@ func FromSpec(s *spec.Spec) (*Experiment, error) {
 				return nil, err
 			}
 		}
+		sv := s.Serving
 		var bursts []*arrival.Spec
-		if b := s.Serving.Burst; b != nil {
+		if b := sv.Burst; b != nil {
 			for _, na := range b.Arrivals {
 				a, err := arrival.Parse(na.Spec)
 				if err != nil {
@@ -100,9 +101,40 @@ func FromSpec(s *spec.Spec) (*Experiment, error) {
 				bursts = append(bursts, a)
 			}
 		}
+		// Every point must be a configuration serve.Run accepts: a load
+		// fraction of a large nominal capacity can push the rescaled
+		// arrival past its rate cap.
+		check := func(topo spec.Topo, a *arrival.Spec, frac float64) error {
+			cfg := servingSectionConfig(sv, topo, a.WithMeanRate(frac*servingNominal(sv, topo)), 0)
+			if err := cfg.Validate(); err != nil {
+				return fmt.Errorf("spec: serving: topology %s at load %v: %w", topo.Label(), frac, err)
+			}
+			return nil
+		}
+		for _, topo := range sv.Topologies {
+			for _, frac := range sv.LoadFracs {
+				if err := check(topo, template, frac); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if b := sv.Burst; b != nil {
+			for _, a := range bursts {
+				for _, frac := range b.Fracs {
+					if err := check(b.Topology, a, frac); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+		if o := sv.Overload; o != nil {
+			if err := check(o.Topology, template, o.Frac); err != nil {
+				return nil, err
+			}
+		}
 		e.Instrumented = true
 		e.Run = func(env Env) []result.Table {
-			return runServingSection(env.Sweeper, s.Serving, template, bursts, env.Seed, env.Telemetry)
+			return runServingSection(env.Sweeper, sv, template, bursts, env.Seed, env.Telemetry)
 		}
 	case "batching":
 		e.Run = func(env Env) []result.Table {
@@ -181,15 +213,18 @@ func servingSectionConfig(sv *spec.Serving, topo spec.Topo, aspec *arrival.Spec,
 	}
 }
 
+// servingNominal is topology t's calibrated capacity in ops/µs: the
+// unit of a serving section's load fractions.
+func servingNominal(sv *spec.Serving, t spec.Topo) float64 {
+	return sv.CapacityPerThread * float64(t.Runtimes*t.Threads)
+}
+
 // runServingSection runs one serving section: the topology ×
 // load-fraction grid, the optional burstiness panel (bursts[i] is
 // sv.Burst.Arrivals[i] resolved), and — when reg is non-nil — the
 // section's instrumented overload point, whose registry tables ride
 // along after the result tables.
 func runServingSection(sw *sweep.Sweeper, sv *spec.Serving, template *arrival.Spec, bursts []*arrival.Spec, seed int64, reg *telemetry.Registry) []result.Table {
-	nominal := func(t spec.Topo) float64 {
-		return sv.CapacityPerThread * float64(t.Runtimes*t.Threads)
-	}
 	config := func(topo spec.Topo, aspec *arrival.Spec) serve.Config {
 		return servingSectionConfig(sv, topo, aspec, seed)
 	}
@@ -213,7 +248,7 @@ func runServingSection(sw *sweep.Sweeper, sv *spec.Serving, template *arrival.Sp
 		cfgLabel := topo.Label()
 		for _, frac := range sv.LoadFracs {
 			frac := frac
-			aspec := template.WithMeanRate(frac * nominal(topo))
+			aspec := template.WithMeanRate(frac * servingNominal(sv, topo))
 			sweep.Add(set, fmt.Sprintf("serving/%s/load=%.2f", cfgLabel, frac), sv.Seed+seed,
 				config(topo, aspec),
 				serve.Run,
@@ -248,7 +283,7 @@ func runServingSection(sw *sweep.Sweeper, sv *spec.Serving, template *arrival.Sp
 			name := b.Arrivals[i].Name
 			for _, frac := range b.Fracs {
 				frac := frac
-				aspec := bspec.WithMeanRate(frac * nominal(b.Topology))
+				aspec := bspec.WithMeanRate(frac * servingNominal(sv, b.Topology))
 				cfg := config(b.Topology, aspec)
 				// A small fixed client count (one in the built-in
 				// section) keeps bursty on-phases correlated —
@@ -268,7 +303,7 @@ func runServingSection(sw *sweep.Sweeper, sv *spec.Serving, template *arrival.Sp
 	// owns reg exclusively.
 	if reg != nil && sv.Overload != nil {
 		o := sv.Overload
-		aspec := template.WithMeanRate(o.Frac * nominal(o.Topology))
+		aspec := template.WithMeanRate(o.Frac * servingNominal(sv, o.Topology))
 		cfg := config(o.Topology, aspec)
 		cfg.Telemetry = reg
 		sweep.Add(set, fmt.Sprintf("serving/telemetry/%s/load=%.2f", o.Topology.Label(), o.Frac), sv.Seed+seed,

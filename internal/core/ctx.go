@@ -14,10 +14,14 @@ import (
 // post_send posts them through the throttler, sync suspends the
 // coroutine until everything posted completes, and backoff_cas_sync
 // adds conflict avoidance. BeginOp/EndOp bracket one application
-// operation for the coroutine-depth throttle and the statistics.
+// operation for the coroutine-depth throttle and the statistics, and
+// scope the op's memory: the WRs and Buf buffers an op takes are the
+// Ctx's to reuse once EndOp has run (DESIGN.md §14, "Op-path
+// allocation").
 type Ctx struct {
-	T    *Thread
-	proc *sim.Proc
+	T      *Thread
+	proc   *sim.Proc
+	onDone func(*verbs.WR) // c.onComplete, bound once by Thread.Spawn
 
 	buf     []*verbs.WR
 	pending int
@@ -28,7 +32,18 @@ type Ctx struct {
 	opStart     sim.Time // BeginOp timestamp, for the latency histogram
 	opRetries   int
 	casAttempts int // consecutive failed CAS, drives the backoff exponent
+
+	// Op-scoped memory, reused across this coroutine's ops.
+	opWRs    []*verbs.WR // WRs taken since BeginOp
+	freeWRs  []*verbs.WR // WRs earlier ops released
+	arena    []byte      // Buf's backing store, rewound by EndOp
+	arenaOff int
+	timedOut bool // some completion since the last EndOp was a watchdog timeout
 }
+
+// arenaMin is the smallest arena Buf allocates; it grows by doubling
+// to the largest op footprint the coroutine has seen.
+const arenaMin = 1 << 10
 
 // Proc returns the coroutine's simulated process, for callers that
 // need to sleep or block directly.
@@ -38,31 +53,78 @@ func (c *Ctx) Proc() *sim.Proc { return c.proc }
 func (c *Ctx) Now() sim.Time { return c.proc.Now() }
 
 // Read buffers a READ work request fetching len(buf) bytes from addr.
+// Inside BeginOp…EndOp the returned WR belongs to the op: it is valid
+// until EndOp, which recycles it. Outside an op it is the caller's.
 func (c *Ctx) Read(addr blade.Addr, buf []byte) *verbs.WR {
-	wr := verbs.Read(addr, buf)
-	c.buf = append(c.buf, wr)
+	wr := c.newWR(rnic.OpRead, addr)
+	wr.Local = buf
 	return wr
 }
 
-// Write buffers a WRITE work request storing src at addr.
+// Write buffers a WRITE work request storing src at addr. The returned
+// WR's lifetime is Read's.
 func (c *Ctx) Write(addr blade.Addr, src []byte) *verbs.WR {
-	wr := verbs.Write(addr, src)
-	c.buf = append(c.buf, wr)
+	wr := c.newWR(rnic.OpWrite, addr)
+	wr.Local = src
 	return wr
 }
 
-// CAS buffers an 8-byte compare-and-swap work request.
+// CAS buffers an 8-byte compare-and-swap work request. The returned
+// WR's lifetime is Read's.
 func (c *Ctx) CAS(addr blade.Addr, compare, swap uint64) *verbs.WR {
-	wr := verbs.CAS(addr, compare, swap)
+	wr := c.newWR(rnic.OpCAS, addr)
+	wr.Compare, wr.Swap = compare, swap
+	return wr
+}
+
+// FAA buffers an 8-byte fetch-and-add work request. The returned WR's
+// lifetime is Read's.
+func (c *Ctx) FAA(addr blade.Addr, add uint64) *verbs.WR {
+	wr := c.newWR(rnic.OpFAA, addr)
+	wr.Add = add
+	return wr
+}
+
+// newWR is core's one WR allocator: it returns a cleared WR of the
+// given kind on remote, already buffered for the next PostSend. Inside
+// an op it takes a WR an earlier op released (verbs.WR.Reset keeps the
+// attempt counter, so completions still in flight for the WR's past
+// attempts stay stale) and records it for EndOp. Outside an op — the
+// preload paths — it allocates.
+func (c *Ctx) newWR(kind rnic.OpKind, remote blade.Addr) *verbs.WR {
+	var wr *verbs.WR
+	if n := len(c.freeWRs); c.inOp && n > 0 {
+		wr = c.freeWRs[n-1]
+		c.freeWRs = c.freeWRs[:n-1]
+		wr.Reset()
+	} else {
+		wr = new(verbs.WR)
+	}
+	if c.inOp {
+		c.opWRs = append(c.opWRs, wr)
+	}
+	wr.Kind, wr.Remote = kind, remote
 	c.buf = append(c.buf, wr)
 	return wr
 }
 
-// FAA buffers an 8-byte fetch-and-add work request.
-func (c *Ctx) FAA(addr blade.Addr, add uint64) *verbs.WR {
-	wr := verbs.FAA(addr, add)
-	c.buf = append(c.buf, wr)
-	return wr
+// Buf returns a zeroed n-byte buffer for a READ destination or WRITE
+// source. Inside BeginOp…EndOp it is carved from the coroutine's arena
+// and valid only until EndOp: a cache or result that outlives the op
+// must copy out of it. Outside an op it is a plain make.
+func (c *Ctx) Buf(n int) []byte {
+	if !c.inOp {
+		return make([]byte, n)
+	}
+	if c.arenaOff+n > len(c.arena) {
+		// Earlier carvings keep the old chunk alive until they die.
+		c.arena = make([]byte, max(2*len(c.arena), n, arenaMin))
+		c.arenaOff = 0
+	}
+	b := c.arena[c.arenaOff : c.arenaOff+n : c.arenaOff+n]
+	c.arenaOff += n
+	clear(b)
+	return b
 }
 
 // PostSend posts every buffered work request. With work request
@@ -79,11 +141,13 @@ func (c *Ctx) PostSend() {
 	// completions via the ownership map instead of callbacks.
 	if t.pollOwner == nil {
 		for _, wr := range wrs {
-			wr.OnComplete = c.onComplete
+			wr.OnComplete = c.onDone
 		}
 	}
 	c.post(wrs, t.rt.opts.Batching.Postlist && t.coal == nil)
-	clear(wrs) // the card owns the WRs now; don't retain them here
+	// Posted WRs are tracked by the card and, inside an op, by opWRs
+	// until EndOp; the batch buffer must not keep them alive as well.
+	clear(wrs)
 	// Reclaim the batch buffer for the next Read/Write/CAS/FAA round:
 	// only this coroutine appends to it, and the coroutine was parked
 	// inside post, so nothing else touched c.buf meanwhile.
@@ -152,6 +216,7 @@ func (c *Ctx) onComplete(wr *verbs.WR) {
 		c.failed = append(c.failed, wr)
 		if wr.Status == rnic.StatusTimeout {
 			t.Stats.FaultTimeouts++
+			c.timedOut = true
 		}
 		if t.tel.Tracing() {
 			t.tel.Emit(t.rt.eng.Now(), "wr-error",
@@ -328,13 +393,28 @@ func (c *Ctx) BeginOpSince(start sim.Time) {
 
 // EndOp closes the operation bracket, releasing the operation credit
 // and returning how many unsuccessful CAS retries the operation
-// performed.
+// performed. It also ends the lifetime of every WR and Buf buffer the
+// op took: the next op reuses them, so the application must hold none
+// past this call. The exception is an op the card may still write
+// into — one with a watchdog timeout (a timed-out launch can execute
+// late) or one ending with WRs pending, buffered or awaiting retry.
+// Its WRs and arena are left to the garbage collector instead, so a
+// late execution lands in memory nobody reads.
 func (c *Ctx) EndOp() (retries int) {
 	t := c.T
 	if t.coroCredits != nil {
 		t.coroCredits.Release(1)
 	}
 	c.inOp = false
+	if c.timedOut || c.pending > 0 || len(c.buf) > 0 || len(c.failed) > 0 {
+		clear(c.opWRs)
+		c.arena = nil
+	} else {
+		c.freeWRs = append(c.freeWRs, c.opWRs...)
+	}
+	c.opWRs = c.opWRs[:0]
+	c.arenaOff = 0
+	c.timedOut = false
 	t.Stats.Ops++
 	t.winOps++
 	t.lat.Add(t.rt.eng.Now() - c.opStart)

@@ -1,0 +1,136 @@
+package core
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"repro/internal/blade"
+	"repro/internal/rnic"
+	"repro/internal/sim"
+	"repro/internal/verbs"
+)
+
+// TestOpPathAllocsZero pins the op path at zero heap allocations in
+// steady state: inside BeginOp…EndOp the WRs come from the coroutine's
+// free list, Buf from its arena, and the completion callback is the
+// one bound at Spawn.
+func TestOpPathAllocsZero(t *testing.T) {
+	for _, b := range []verbs.Batching{{}, {Postlist: true}} {
+		t.Run(b.String(), func(t *testing.T) {
+			opts := Baseline(PerThreadDoorbell)
+			opts.Batching = b
+			cl, rt := testRig(t, 1, 1, opts)
+			addr := cl.Memories[0].Mem.Alloc(1024)
+			buf := make([]byte, 8)
+			ops := []struct {
+				name string
+				op   func(c *Ctx)
+			}{
+				{"ReadSync", func(c *Ctx) { c.ReadSync(addr, buf) }},
+				{"CASSync", func(c *Ctx) { c.CASSync(addr, 0, 0) }},
+				{"FAASync", func(c *Ctx) { c.FAASync(addr, 1) }},
+				{"Read×4+PostSend+Sync", func(c *Ctx) {
+					for i := uint64(0); i < 4; i++ {
+						c.Read(addr.Add(8*i), buf)
+					}
+					c.PostSend()
+					c.Sync()
+				}},
+				{"Buf", func(c *Ctx) {
+					c.ReadSync(addr, c.Buf(1024))
+					c.WriteSync(addr.Add(8), c.Buf(8))
+				}},
+			}
+
+			// The coroutine runs one op per wake; each measured call wakes
+			// it and runs the engine until it parks again.
+			var op func(*Ctx)
+			c := rt.Thread(0).Spawn("ops", func(c *Ctx) {
+				for {
+					c.Proc().Suspend()
+					c.BeginOp()
+					op(c)
+					c.EndOp()
+				}
+			})
+			cl.Eng.Run(0)
+			for _, o := range ops {
+				op = o.op
+				before := rt.Thread(0).Stats.Ops
+				allocs := testing.AllocsPerRun(100, func() {
+					c.Proc().Wake()
+					cl.Eng.Run(0)
+				})
+				if ran := rt.Thread(0).Stats.Ops - before; ran != 101 {
+					t.Fatalf("%s: %d ops ran, want 101", o.name, ran)
+				}
+				if allocs != 0 {
+					t.Errorf("%s: %v allocs per op, want 0", o.name, allocs)
+				}
+			}
+		})
+	}
+}
+
+// TestTimedOutOpIsNotReused pins EndOp's exception: an op one of whose
+// WRs timed out may still be executed by the card, so its WR and Buf
+// are dropped, not recycled. A delay fault well past WRTimeout makes
+// the card's READ land after the op has ended; it must land in the
+// dropped buffer while the next op works on fresh memory.
+func TestTimedOutOpIsNotReused(t *testing.T) {
+	cl, rt := testRig(t, 1, 1, faultOpts(10*sim.Microsecond, 0))
+	inj := &countInjector{}
+	cl.Computes[0].NIC.SetFault(inj)
+	mem := cl.Memories[0].Mem
+	slow, fast := mem.Alloc(8), mem.Alloc(8)
+	mem.Store8(slow.Offset, 42)
+	mem.Store8(fast.Offset, 7)
+
+	type opMem struct {
+		wr     *verbs.WR
+		buf    []byte
+		atEnd  uint64 // buf's contents when EndOp ran
+		status rnic.Status
+	}
+	read := func(c *Ctx, addr blade.Addr) opMem {
+		c.BeginOp()
+		buf := c.Buf(8)
+		wr := c.Read(addr, buf)
+		c.PostSend()
+		c.Sync()
+		m := opMem{wr: wr, buf: buf, atEnd: binary.LittleEndian.Uint64(buf), status: wr.Status}
+		c.EndOp()
+		return m
+	}
+	var warm1, warm2, late, next opMem
+	rt.Thread(0).Spawn("w", func(c *Ctx) {
+		warm1 = read(c, fast)
+		warm2 = read(c, fast)
+		inj.n, inj.verdict = 1, rnic.Verdict{Action: rnic.ActDelay, Factor: 50}
+		late = read(c, slow)
+		next = read(c, fast)
+	})
+	cl.Eng.Run(sim.Millisecond)
+
+	if warm2.wr != warm1.wr || &warm2.buf[0] != &warm1.buf[0] {
+		t.Fatal("a cleanly ended op's WR and Buf were not reused")
+	}
+	if late.status != rnic.StatusTimeout || late.atEnd != 0 {
+		t.Fatalf("delayed READ: status %v, data %d at EndOp; want a timeout before any data", late.status, late.atEnd)
+	}
+	if next.wr == late.wr || &next.buf[0] == &late.buf[0] {
+		t.Error("the op after a timeout reused the timed-out op's WR or Buf")
+	}
+	if got := binary.LittleEndian.Uint64(late.buf); got != 42 {
+		t.Errorf("late card READ never landed in the dropped buffer: %d", got)
+	}
+	if next.status != rnic.StatusSuccess || next.atEnd != 7 || binary.LittleEndian.Uint64(next.buf) != 7 {
+		t.Errorf("next op: status %v, data %d at EndOp, %d after the late READ; want 7 both times",
+			next.status, next.atEnd, binary.LittleEndian.Uint64(next.buf))
+	}
+	// The three clean ops' watchdogs fire after their completions, and
+	// the timed-out READ's card completion arrives after its watchdog.
+	if s := rt.Thread(0).cq.Stale; s != 4 {
+		t.Errorf("CQ.Stale = %d, want 4", s)
+	}
+}

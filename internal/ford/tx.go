@@ -3,7 +3,7 @@ package ford
 import (
 	"encoding/binary"
 	"errors"
-	"sort"
+	"slices"
 
 	"repro/internal/blade"
 	"repro/internal/core"
@@ -54,7 +54,9 @@ func (tx *Tx) lockTag() uint64 { return uint64(tx.c.T.ID)<<8 | 1 }
 
 // Read adds (table, key) to the read set and returns its payload.
 // Reads of keys already in the transaction's own write set are served
-// locally (read-own-writes) without touching the network.
+// locally (read-own-writes) without touching the network. Inside a
+// c.BeginOp…EndOp bracket the payload is op-scoped (core.Ctx.Buf):
+// valid until EndOp. ReadForUpdate's payload is too.
 func (tx *Tx) Read(table string, key uint64) ([]byte, error) {
 	for i := range tx.ws {
 		if tx.ws[i].table == table && tx.ws[i].key == key {
@@ -65,7 +67,7 @@ func (tx *Tx) Read(table string, key uint64) ([]byte, error) {
 		}
 	}
 	addr, rec := tx.db.recordAddr(table, key)
-	buf := make([]byte, rec)
+	buf := tx.c.Buf(rec)
 	tx.c.ReadSync(addr, buf)
 	e := rsEntry{
 		table:   table,
@@ -90,7 +92,7 @@ func (tx *Tx) ReadForUpdate(table string, key uint64) ([]byte, error) {
 	if _, ok := tx.c.BackoffCASSync(addr, 0, tx.lockTag()); !ok {
 		return nil, ErrConflict
 	}
-	buf := make([]byte, rec)
+	buf := tx.c.Buf(rec)
 	tx.c.ReadSync(addr, buf)
 	e := wsEntry{
 		table:   table,
@@ -131,15 +133,14 @@ func (tx *Tx) Commit() error {
 
 	// Validation: re-read read-set version words in one batch.
 	if len(tx.rs) > 0 {
-		bufs := make([][]byte, len(tx.rs))
+		vers := c.Buf(8 * len(tx.rs))
 		for i, e := range tx.rs {
-			bufs[i] = make([]byte, 8)
-			c.Read(e.addr.Add(8), bufs[i])
+			c.Read(e.addr.Add(8), vers[8*i:8*i+8])
 		}
 		c.PostSend()
 		c.Sync()
 		for i, e := range tx.rs {
-			if binary.LittleEndian.Uint64(bufs[i]) != e.version {
+			if binary.LittleEndian.Uint64(vers[8*i:]) != e.version {
 				tx.Abort()
 				return ErrConflict
 			}
@@ -151,30 +152,36 @@ func (tx *Tx) Commit() error {
 		return nil // read-only: validated, done
 	}
 
-	// Undo log: one WRITE per involved blade carrying the old images,
-	// persisted on NVM before any in-place update.
-	perBlade := map[int][]byte{}
+	// Undo log: one WRITE per involved blade carrying the old images
+	// [key | version | payload] in write-set order, persisted on NVM
+	// before any in-place update. Blades go in ascending ID order: the
+	// order these WRITEs are posted is visible to the simulator's event
+	// schedule.
+	var ids [8]int
+	bladeIDs := ids[:0]
 	for _, e := range tx.ws {
-		img := make([]byte, 16+len(e.data))
-		binary.LittleEndian.PutUint64(img[0:8], e.key)
-		binary.LittleEndian.PutUint64(img[8:16], e.version)
-		copy(img[16:], e.data)
-		perBlade[e.addr.Blade] = append(perBlade[e.addr.Blade], img...)
+		if !slices.Contains(bladeIDs, e.addr.Blade) {
+			bladeIDs = append(bladeIDs, e.addr.Blade)
+		}
 	}
-	// Iterate blades in sorted order: map order is randomized per run,
-	// and the order these WRITEs are posted is visible to the simulator's
-	// event schedule, so ranging the map directly would make same-seed
-	// runs diverge.
-	bladeIDs := make([]int, 0, len(perBlade))
-	//smartlint:ignore maporder — bladeIDs is sorted immediately below
-	for bladeID := range perBlade {
-		bladeIDs = append(bladeIDs, bladeID)
-	}
-	sort.Ints(bladeIDs)
+	slices.Sort(bladeIDs)
 	for _, bladeID := range bladeIDs {
-		img := perBlade[bladeID]
+		n := 0
+		for _, e := range tx.ws {
+			if e.addr.Blade == bladeID {
+				n += 16 + len(e.data)
+			}
+		}
+		img, off := c.Buf(n), 0
+		for _, e := range tx.ws {
+			if e.addr.Blade == bladeID {
+				binary.LittleEndian.PutUint64(img[off:], e.key)
+				binary.LittleEndian.PutUint64(img[off+8:], e.version)
+				off += 16 + copy(img[off+16:], e.data)
+			}
+		}
 		l := tx.db.logFor(c.T.ID, bladeID)
-		c.Write(l.next(uint64(len(img))), img)
+		c.Write(l.next(uint64(n)), img)
 	}
 	c.PostSend()
 	c.Sync()
@@ -187,7 +194,7 @@ func (tx *Tx) Commit() error {
 		if payload == nil {
 			payload = e.data // locked but unmodified: write back as-is
 		}
-		rec := make([]byte, e.rec)
+		rec := c.Buf(e.rec)
 		binary.LittleEndian.PutUint64(rec[8:16], e.version+1)
 		copy(rec[recHdr:], payload)
 		c.Write(e.addr, rec)
@@ -207,11 +214,11 @@ func (tx *Tx) Abort() {
 		return
 	}
 	tx.done = true
-	var zero [8]byte
+	zero := tx.c.Buf(8)
 	n := 0
 	for _, e := range tx.ws {
 		if e.locked {
-			tx.c.Write(e.addr, zero[:])
+			tx.c.Write(e.addr, zero)
 			n++
 		}
 	}

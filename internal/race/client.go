@@ -74,12 +74,12 @@ func (cl *Client) entry(c *core.Ctx, key uint64) dirEntry {
 
 // refresh re-reads the global depth and the key's directory entry.
 func (cl *Client) refresh(c *core.Ctx, key uint64) dirEntry {
-	var buf [8]byte
-	c.ReadSync(cl.t.dirAddr.Add(dirGDOff), buf[:])
-	cl.gd = int(binary.LittleEndian.Uint64(buf[:]))
+	buf := c.Buf(8)
+	c.ReadSync(cl.t.dirAddr.Add(dirGDOff), buf)
+	cl.gd = int(binary.LittleEndian.Uint64(buf))
 	idx := dirIndex(key, cl.gd)
-	c.ReadSync(cl.t.dirEntryAddr(idx), buf[:])
-	e := dirEntry(binary.LittleEndian.Uint64(buf[:]))
+	c.ReadSync(cl.t.dirEntryAddr(idx), buf)
+	e := dirEntry(binary.LittleEndian.Uint64(buf))
 	cl.dir[idx] = e
 	return e
 }
@@ -103,12 +103,13 @@ func fresh(h header, key uint64) bool {
 }
 
 // readPairs fetches both candidate bucket pairs for key (plus an
-// optional extra WR batched into the same doorbell ring).
+// optional extra WR batched into the same doorbell ring). The views
+// are op-scoped (core.Ctx.Buf): valid until EndOp.
 func (cl *Client) readPairs(c *core.Ctx, e dirEntry, key uint64) [2]pairView {
 	prs := pairsFor(key, groupsBase(e.segAddr()), cl.t.cfg.Groups)
 	var views [2]pairView
 	for i, pr := range prs {
-		views[i] = pairView{raw: make([]byte, PairBytes), ref: pr}
+		views[i] = pairView{raw: c.Buf(PairBytes), ref: pr}
 		c.Read(pr.addr, views[i].raw)
 	}
 	c.PostSend()
@@ -118,7 +119,7 @@ func (cl *Client) readPairs(c *core.Ctx, e dirEntry, key uint64) [2]pairView {
 
 // readKV fetches and decodes the KV block a slot points at.
 func (cl *Client) readKV(c *core.Ctx, bladeID int, s slot) (key, val uint64) {
-	buf := make([]byte, KVBytes)
+	buf := c.Buf(KVBytes)
 	c.ReadSync(blade.Addr{Blade: bladeID, Offset: s.kvOff()}, buf)
 	return decodeKV(buf)
 }
@@ -163,7 +164,7 @@ func (cl *Client) Update(c *core.Ctx, key, val uint64) (retries int) {
 	for {
 		e := cl.entry(c, key)
 		kvAddr := cl.alloc(c.T.ID, e.bladeID())
-		c.Write(kvAddr, encodeKV(key, val))
+		c.Write(kvAddr, encodeKV(c.Buf(KVBytes), key, val))
 		views := cl.readPairs(c, e, key) // batches the KV WRITE too
 		if !fresh(views[0].headerOfMain(), key) {
 			cl.refresh(c, key)
@@ -248,9 +249,9 @@ func (cl *Client) slotHoldsKey(c *core.Ctx, e dirEntry, v pairView, key uint64, 
 	return cl.swapExisting(c, e, key, newSlot, [2]pairView{v, v})
 }
 
-// refetch re-reads one bucket pair.
+// refetch re-reads one bucket pair into an op-scoped view.
 func (cl *Client) refetch(c *core.Ctx, v pairView) pairView {
-	nv := pairView{raw: make([]byte, PairBytes), ref: v.ref}
+	nv := pairView{raw: c.Buf(PairBytes), ref: v.ref}
 	c.ReadSync(v.ref.addr, nv.raw)
 	return nv
 }

@@ -165,9 +165,9 @@ func (v pairView) slotAt(i int) (slot, blade.Addr) {
 // totalSlots is the number of slots reachable through one pair.
 const totalSlots = 2 * SlotsPerBucket
 
-// encodeKV serializes a key/value block.
-func encodeKV(key, val uint64) []byte {
-	b := make([]byte, KVBytes)
+// encodeKV serializes a key/value block into b (KVBytes long) and
+// returns it.
+func encodeKV(b []byte, key, val uint64) []byte {
 	binary.LittleEndian.PutUint64(b[0:8], key)
 	binary.LittleEndian.PutUint64(b[8:16], val)
 	return b

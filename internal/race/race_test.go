@@ -54,7 +54,7 @@ func TestFingerprintNeverZero(t *testing.T) {
 }
 
 func TestKVCodec(t *testing.T) {
-	k, v := decodeKV(encodeKV(0xdead, 0xbeef))
+	k, v := decodeKV(encodeKV(make([]byte, KVBytes), 0xdead, 0xbeef))
 	if k != 0xdead || v != 0xbeef {
 		t.Fatalf("kv roundtrip: %x %x", k, v)
 	}

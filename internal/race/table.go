@@ -179,7 +179,8 @@ func (t *Table) tryPutDirect(e dirEntry, key, val uint64) bool {
 			if !s.empty() && s.fp() == fp {
 				if k, _ := decodeKV(mem.Read(s.kvOff(), KVBytes)); k == key {
 					kv := mem.Alloc(KVBytes)
-					mem.Write(kv.Offset, encodeKV(key, val))
+					var kvb [KVBytes]byte
+					mem.Write(kv.Offset, encodeKV(kvb[:], key, val))
 					mem.Store8(addr.Offset, makeSlot(fp, kv.Offset).word())
 					return true
 				}
@@ -196,7 +197,8 @@ func (t *Table) tryPutDirect(e dirEntry, key, val uint64) bool {
 		for i := 0; i < totalSlots; i++ {
 			if s, addr := v.slotAt(i); s.empty() {
 				kv := mem.Alloc(KVBytes)
-				mem.Write(kv.Offset, encodeKV(key, val))
+				var kvb [KVBytes]byte
+				mem.Write(kv.Offset, encodeKV(kvb[:], key, val))
 				mem.Store8(addr.Offset, makeSlot(fp, kv.Offset).word())
 				return true
 			}
@@ -275,7 +277,8 @@ func (t *Table) splitDirect(idx int) {
 					// position (same group/bucket/slot is free there).
 					nOff := newBase.Offset + uint64(g*GroupBytes+b*BucketBytes) + 8*uint64(1+s)
 					kv := newMem.Alloc(KVBytes)
-					newMem.Write(kv.Offset, encodeKV(k, v))
+					var kvb [KVBytes]byte
+					newMem.Write(kv.Offset, encodeKV(kvb[:], k, v))
 					newMem.Store8(nOff, makeSlot(fingerprint(k), kv.Offset).word())
 				}
 			}

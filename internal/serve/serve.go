@@ -134,20 +134,31 @@ func (q *queue) pop() request {
 	return r
 }
 
-// Run executes one open-loop serving simulation and returns its
-// measured Result.
-func Run(cfg Config) Result {
+// Validate reports a configuration Run cannot execute. Spec lowering
+// (bench.FromSpec) calls it for every point up front, so a bad document
+// is a usage error rather than a panicking sweep point.
+func (cfg Config) Validate() error {
 	if cfg.Runtimes < 1 || cfg.ThreadsPerRuntime < 1 {
-		panic("serve: need at least one runtime and one thread")
+		return fmt.Errorf("serve: need at least one runtime and one thread")
 	}
 	if cfg.Arrival == nil {
-		panic("serve: Config.Arrival is required")
+		return fmt.Errorf("serve: Config.Arrival is required")
 	}
 	if err := cfg.Arrival.Validate(); err != nil {
-		panic(fmt.Sprintf("serve: %v", err))
+		return fmt.Errorf("serve: %w", err)
 	}
 	if !(cfg.TxnFrac >= 0 && cfg.TxnFrac <= 1) {
-		panic("serve: TxnFrac must be in [0, 1]")
+		return fmt.Errorf("serve: TxnFrac must be in [0, 1]")
+	}
+	return nil
+}
+
+// Run executes one open-loop serving simulation and returns its
+// measured Result. It panics with Validate's error on a configuration
+// that cannot run.
+func Run(cfg Config) Result {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 4

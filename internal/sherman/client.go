@@ -129,14 +129,15 @@ func (cl *Client) walkPath(key uint64) (path []*cachedInternal, leaf uint64, ok 
 
 // refreshPath re-reads the root pointer and the internal nodes along
 // key's path from their authoritative remote copies, repairing a stale
-// index cache after another blade's split.
+// index cache after another blade's split. The images are op-scoped
+// (core.Ctx.Buf): parseInternal copies what the cache keeps.
 func (cl *Client) refreshPath(c *core.Ctx, key uint64) {
-	var w [8]byte
-	c.ReadSync(cl.t.rootPtrAddr(), w[:])
-	rootPacked := binary.LittleEndian.Uint64(w[:])
+	w := c.Buf(8)
+	c.ReadSync(cl.t.rootPtrAddr(), w)
+	rootPacked := binary.LittleEndian.Uint64(w)
 	addr := unpackAddr(rootPacked)
 	for {
-		buf := make([]byte, NodeBytes)
+		buf := c.Buf(NodeBytes)
 		c.ReadSync(addr, buf)
 		n := parseInternal(addr, buf)
 		cl.nodes[packAddr(addr)] = n
@@ -150,10 +151,10 @@ func (cl *Client) refreshPath(c *core.Ctx, key uint64) {
 	}
 }
 
-// readLeaf fetches a full 1 KiB leaf image.
+// readLeaf fetches a full 1 KiB leaf image, valid until the op's EndOp.
 func (cl *Client) readLeaf(c *core.Ctx, packed uint64) leafView {
 	addr := unpackAddr(packed)
-	v := leafView{raw: make([]byte, NodeBytes), addr: addr}
+	v := leafView{raw: c.Buf(NodeBytes), addr: addr}
 	c.ReadSync(addr, v.raw)
 	return v
 }
@@ -198,9 +199,9 @@ func (cl *Client) LookupSpec(c *core.Ctx, key uint64) (uint64, bool) {
 	c.BeginOp()
 	defer c.EndOp()
 	if e, ok := cl.spec[key]; ok {
-		var buf [16]byte
+		buf := c.Buf(16)
 		addr := unpackAddr(e.leaf).Add(entryOff(e.slot))
-		c.ReadSync(addr, buf[:])
+		c.ReadSync(addr, buf)
 		if binary.LittleEndian.Uint64(buf[0:8]) == key {
 			cl.SpecHits++
 			return binary.LittleEndian.Uint64(buf[8:16]), true
@@ -231,8 +232,7 @@ func (cl *Client) lockLeaf(c *core.Ctx, leaf uint64) *sim.Mutex {
 // unlock WRITE may be batched with payload WRITEs by the caller; this
 // helper issues it alone.
 func (cl *Client) unlockLeaf(c *core.Ctx, leaf uint64, local *sim.Mutex) {
-	var zero [8]byte
-	c.WriteSync(unpackAddr(leaf).Add(leafLockOff), zero[:])
+	c.WriteSync(unpackAddr(leaf).Add(leafLockOff), c.Buf(8))
 	local.Unlock()
 }
 
@@ -260,12 +260,11 @@ func (cl *Client) Update(c *core.Ctx, key, val uint64) {
 		case found:
 			// In-place value update: entry WRITE + unlock WRITE,
 			// ordered by the QP, in one post.
-			var entry [16]byte
+			entry := c.Buf(16)
 			binary.LittleEndian.PutUint64(entry[0:8], key)
 			binary.LittleEndian.PutUint64(entry[8:16], val)
-			var zero [8]byte
-			c.Write(v.addr.Add(entryOff(i)), entry[:])
-			c.Write(v.addr.Add(leafLockOff), zero[:])
+			c.Write(v.addr.Add(entryOff(i)), entry)
+			c.Write(v.addr.Add(leafLockOff), c.Buf(8))
 			c.PostSend()
 			c.Sync()
 			local.Unlock()
@@ -314,7 +313,8 @@ func (cl *Client) Delete(c *core.Ctx, key uint64) bool {
 			return false
 		}
 		n := v.n()
-		buf := append([]byte(nil), v.raw...)
+		buf := c.Buf(NodeBytes)
+		copy(buf, v.raw)
 		copy(buf[entryOff(i):entryOff(n-1)+16], v.raw[entryOff(i)+16:entryOff(n)+16])
 		binary.LittleEndian.PutUint64(buf[entryOff(n-1):], 0)
 		binary.LittleEndian.PutUint64(buf[entryOff(n-1)+8:], 0)
@@ -335,7 +335,8 @@ func (cl *Client) Delete(c *core.Ctx, key uint64) bool {
 // releases the remote lock in the same batch.
 func (cl *Client) insertInLeaf(c *core.Ctx, v leafView, i int, key, val uint64) {
 	n := v.n()
-	buf := append([]byte(nil), v.raw...)
+	buf := c.Buf(NodeBytes)
+	copy(buf, v.raw)
 	copy(buf[entryOff(i)+16:entryOff(n)+16], v.raw[entryOff(i):entryOff(n)])
 	binary.LittleEndian.PutUint64(buf[entryOff(i):], key)
 	binary.LittleEndian.PutUint64(buf[entryOff(i)+8:], val)

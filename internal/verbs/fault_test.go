@@ -219,6 +219,64 @@ func TestExpireAndStaleCompletions(t *testing.T) {
 	}
 }
 
+// TestResetKeepsAttemptMonotone pins what makes WR reuse safe: Reset
+// keeps the attempt counter and completion latch, so the card's late
+// CQE for an expired attempt, and a watchdog armed for it, are stale
+// for the reset WR — before and after it is reposted.
+func TestResetKeepsAttemptMonotone(t *testing.T) {
+	r := newRig(27)
+	defer r.eng.Stop()
+	addr := r.mem.Alloc(8)
+	r.mem.Store8(addr.Offset, 5)
+	var cqRef *CQ
+	r.eng.Go("client", func(p *sim.Proc) {
+		cq := r.ctx.CreateCQ()
+		cqRef = cq
+		qp := r.ctx.CreateQP(cq, r.tgt)
+		wr := Read(addr, make([]byte, 8))
+		wr.ID = 99
+		qp.PostSend(p, wr)
+		att := wr.Attempt()
+		cq.Expire(wr, att) // the watchdog beats the card
+		cq.Recycle(cq.WaitN(p, 1))
+
+		wr.Reset()
+		if wr.Attempt() != att {
+			t.Fatalf("Reset moved the attempt counter %d -> %d", att, wr.Attempt())
+		}
+		if wr.Kind != 0 || wr.Local != nil || wr.ID != 0 || wr.Status != rnic.StatusSuccess {
+			t.Errorf("Reset left exported fields set: %+v", wr)
+		}
+		// Attempt att's card completion lands while the reset WR sits
+		// unposted, then its watchdog fires again: neither is delivered.
+		p.Sleep(100 * sim.Microsecond)
+		cq.Expire(wr, att)
+		if n := cq.Len(); n != 0 {
+			t.Fatalf("reset WR received %d completions of an earlier attempt", n)
+		}
+
+		wr.Kind, wr.Remote, wr.Local = rnic.OpRead, addr, make([]byte, 8)
+		qp.PostSend(p, wr)
+		if wr.Attempt() != att+1 {
+			t.Fatalf("repost after Reset: attempt %d, want %d", wr.Attempt(), att+1)
+		}
+		ces := cq.WaitN(p, 1)
+		if ces[0].Status != rnic.StatusSuccess || r.mem.Load8(addr.Offset) != 5 || wr.Local[0] != 5 {
+			t.Errorf("reposted READ: status %v, data %v", ces[0].Status, wr.Local)
+		}
+		cq.Expire(wr, att)
+		if cq.Len() != 0 || wr.Status != rnic.StatusSuccess {
+			t.Errorf("stale Expire after repost delivered or rewrote status %v", wr.Status)
+		}
+	})
+	r.eng.Run(0)
+	// Stale: the card's attempt-1 CQE and the two attempt-1 Expires.
+	// Delivered: the first timeout and the reposted READ.
+	if cqRef.Stale != 3 || cqRef.Delivered != 2 {
+		t.Errorf("Stale = %d, Delivered = %d; want 3 and 2", cqRef.Stale, cqRef.Delivered)
+	}
+}
+
 func TestErrorCompletionRoutesToOnComplete(t *testing.T) {
 	r := newRig(26)
 	defer r.eng.Stop()

@@ -288,7 +288,7 @@ type WR struct {
 	// attempt and completed implement the repost/timeout protocol:
 	// each launch bumps attempt, and the CQ delivers at most one
 	// completion per attempt (late card CQEs after a watchdog Expire
-	// are dropped as stale).
+	// are dropped as stale). Both survive Reset.
 	attempt   uint64
 	completed bool
 }
@@ -316,6 +316,15 @@ func FAA(remote blade.Addr, add uint64) *WR {
 // Attempt returns the WR's current attempt number. A watchdog armed
 // after posting captures it so its Expire targets exactly that launch.
 func (w *WR) Attempt() uint64 { return w.attempt }
+
+// Reset clears every exported field so w can be filled in as a new work
+// request, keeping only its attempt counter and completion latch. A
+// completion still in flight for one of w's earlier attempts — a late
+// card CQE, or a watchdog armed for that attempt — therefore stays
+// stale: CQ.Stale counts it and nothing is delivered, whether or not w
+// has been reposted since. Rewinding the counter would let such a
+// completion pass the attempt guard of the reused request.
+func (w *WR) Reset() { *w = WR{attempt: w.attempt, completed: w.completed} }
 
 // Succeeded reports whether a CAS work request completed successfully
 // and swapped. A CAS that erred or timed out never executed at the
