@@ -159,6 +159,7 @@ type RNIC struct {
 	atomicUnit *sim.Server
 	linkOut    *sim.Server
 	linkIn     *sim.Server
+	wire       *sim.Line // one-way hop of P.OneWayLatency, either direction
 
 	outstanding int // posted but not yet completed WRs (WQE cache load)
 	contexts    int // open device contexts (MTT/MPT pressure)
@@ -242,6 +243,7 @@ func New(eng *sim.Engine, name string, p Params) *RNIC {
 		atomicUnit: sim.NewServer(eng),
 		linkOut:    sim.NewServer(eng),
 		linkIn:     sim.NewServer(eng),
+		wire:       sim.NewLine(eng, p.OneWayLatency),
 	}
 }
 
@@ -403,8 +405,15 @@ func (f *flight) afterReqPipe() {
 	f.r.linkOut.Submit(f.r.linkTime(f.outBytes), f.fnAfterLinkOut)
 }
 
+// afterLinkOut puts the request on the wire. The plain hop rides the
+// card's wire line; an MTT miss, a retransmission or an injected delay
+// lengthens it, and that hop goes through the event heap instead.
 func (f *flight) afterLinkOut() {
-	f.r.eng.Schedule(f.owl+f.extraLat, f.fnAtResponder)
+	if d := f.owl + f.extraLat; d == f.r.wire.Delay() {
+		f.r.wire.Schedule(f.fnAtResponder)
+	} else {
+		f.r.eng.Schedule(d, f.fnAtResponder)
+	}
 }
 
 // The responder stages. The memory side effect (op.Exec) happens here,
@@ -449,9 +458,14 @@ func (f *flight) fire() {
 	if f.op.Exec != nil {
 		f.op.Exec()
 	}
-	// Response travels back; charge the requester's inbound link, then
-	// process the completion.
-	f.r.eng.Schedule(f.owl, f.fnAfterReturnWire)
+	// Response travels back (on the requester's wire line unless an
+	// injected delay lengthened the hop); charge the requester's inbound
+	// link, then process the completion.
+	if f.owl == f.r.wire.Delay() {
+		f.r.wire.Schedule(f.fnAfterReturnWire)
+	} else {
+		f.r.eng.Schedule(f.owl, f.fnAfterReturnWire)
+	}
 }
 
 func (f *flight) afterReturnWire() {

@@ -51,6 +51,43 @@ func BenchmarkScheduleChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkServerBacklog measures the lane path under the RNIC's load
+// shape: one saturated Server keeps ~512 jobs queued (a requester
+// pipeline's backlog), and each departure resubmits a job and puts one
+// entry on a Line that holds ~256 in flight (the wire). A departure
+// and a line arrival are one event each.
+func BenchmarkServerBacklog(b *testing.B) {
+	e := New(1)
+	defer e.Stop()
+	const service, backlog = 2 * Nanosecond, 512
+	s, l := NewServer(e), NewLine(e, 256*service)
+	left, fired := b.N, 0 // left: events still to create
+	arrive := func() { fired++ }
+	var depart func()
+	depart = func() {
+		fired++
+		if left > 0 {
+			left--
+			s.Submit(service, depart)
+		}
+		if left > 0 {
+			left--
+			l.Schedule(arrive)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < backlog && left > 0; i++ {
+		left--
+		s.Submit(service, depart)
+	}
+	e.Run(0)
+	b.StopTimer()
+	if fired != b.N {
+		b.Fatalf("fired %d events, want %d", fired, b.N)
+	}
+}
+
 // BenchmarkParkWakeBaton measures the same-timestamp park/wake baton:
 // each iteration is one Sleep(0) — the process arranges its own
 // immediate wake and hands the baton back. This is the path every CQE

@@ -16,13 +16,16 @@
 //
 // Hot-path design (DESIGN.md §14): timed callbacks live in a
 // value-typed 4-ary min-heap ([]event, branchless comparisons, no
-// per-event allocation), while
-// same-timestamp process activations (Proc.Wake, zero Sleeps — every
-// CQE delivery and mutex handoff) bypass the heap through a FIFO run
-// queue. Both structures share one sequence counter, and the engine
-// always executes whichever head has the smaller (timestamp, seq), so
-// the firing order is bit-for-bit the order a single heap would
-// produce — the determinism contract the golden files pin.
+// per-event allocation); same-timestamp process activations
+// (Proc.Wake, zero Sleeps — every CQE delivery and mutex handoff)
+// bypass the heap through a FIFO run queue; and monotone streams —
+// Server departures and fixed-delay Lines, the RNIC pipelines and wire
+// hops that carry most in-flight WRs — bypass it through per-source
+// FIFO lanes, whose heads a small lane heap orders. All three share one
+// sequence counter, and the engine always executes whichever of the
+// three heads has the smallest (timestamp, seq), so the firing order is
+// bit-for-bit the order a single heap would produce — the determinism
+// contract the golden files pin.
 package sim
 
 import (
@@ -96,6 +99,7 @@ type Engine struct {
 	now     Time
 	eq      eventQueue
 	runq    runQueue
+	lanes   laneHeap // the non-empty lanes, by head (see lane)
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -122,9 +126,15 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Procs reports the number of live simulated processes.
 func (e *Engine) Procs() int { return e.procs }
 
-// Pending reports the number of queued events, counting both timed
-// events and pending same-timestamp activations.
-func (e *Engine) Pending() int { return len(e.eq) + e.runq.len() }
+// Pending reports the number of queued events, counting timed events
+// (in the heap and in lanes) and pending same-timestamp activations.
+func (e *Engine) Pending() int {
+	n := len(e.eq) + e.runq.len()
+	for _, h := range e.lanes {
+		n += h.l.n
+	}
+	return n
+}
 
 // Parks reports how many times any process parked (handed the baton
 // back to the engine) over the engine's lifetime. Telemetry reads it
@@ -191,19 +201,40 @@ func (e *Engine) enqueueRun(p *Proc) {
 	e.runq.push(e.seq, p)
 }
 
-// runqFirst reports whether the run-queue head fires before the heap
-// top. Run-queue entries are always stamped at the current virtual
-// time, so the head precedes any strictly later heap event, and seq
-// decides against heap events at the same timestamp.
+// runqFirst reports whether the run-queue head fires before both timed
+// heads. Run-queue entries are always stamped at the current virtual
+// time, so the head precedes any strictly later timed event, and seq
+// decides against timed events at the same timestamp.
 func (e *Engine) runqFirst() bool {
 	if e.runq.empty() {
 		return false
 	}
-	if len(e.eq) == 0 {
-		return true
+	seq := e.runq.first().seq
+	if len(e.eq) > 0 && e.eq[0].at <= e.now && e.eq[0].seq < seq {
+		return false
 	}
-	top := &e.eq[0]
-	return top.at > e.now || top.seq > e.runq.first().seq
+	return len(e.lanes) == 0 || e.lanes[0].at > e.now || e.lanes[0].seq > seq
+}
+
+// laneFirst reports whether the next timed event is a lane head rather
+// than the event-heap top: the lane heap is non-empty and its top fires
+// before the heap's.
+func (e *Engine) laneFirst() bool {
+	return len(e.lanes) > 0 && (len(e.eq) == 0 || e.lanes[0].before(e.eq[0].at, e.eq[0].seq))
+}
+
+// fireTimed pops the next timed event — from the lane heap if fromLane,
+// else from the event heap — advances the clock to it and runs it.
+func (e *Engine) fireTimed(fromLane bool) {
+	var ev event
+	if fromLane {
+		ev = e.popLane()
+	} else {
+		ev = e.eq.pop()
+	}
+	e.now = ev.at
+	e.events++
+	ev.fn()
 }
 
 // Run executes events in timestamp order until the queue drains or the
@@ -225,22 +256,25 @@ func (e *Engine) Run(until Time) Time {
 			e.runq.pop().activate()
 			continue
 		}
-		if len(e.eq) == 0 {
-			break
+		fromLane := e.laneFirst()
+		var at Time
+		switch {
+		case fromLane:
+			at = e.lanes[0].at
+		case len(e.eq) > 0:
+			at = e.eq[0].at
+		default:
+			if until > e.now {
+				e.now = until
+			}
+			return e.now
 		}
-		if until > 0 && e.eq[0].at > until {
+		if until > 0 && at > until {
 			e.now = until
 			return e.now
 		}
-		ev := e.eq.pop()
-		e.now = ev.at
-		e.events++
-		ev.fn()
+		e.fireTimed(fromLane)
 	}
-	if until > e.now {
-		e.now = until
-	}
-	return e.now
 }
 
 // Step executes the single next event, if any, and reports whether one
@@ -255,13 +289,11 @@ func (e *Engine) Step() bool {
 		e.runq.pop().activate()
 		return true
 	}
-	if len(e.eq) == 0 {
+	fromLane := e.laneFirst()
+	if !fromLane && len(e.eq) == 0 {
 		return false
 	}
-	ev := e.eq.pop()
-	e.now = ev.at
-	e.events++
-	ev.fn()
+	e.fireTimed(fromLane)
 	return true
 }
 
@@ -289,6 +321,10 @@ func (e *Engine) Stop() {
 	e.stopped = true
 	e.eq = nil
 	e.runq.reset()
+	for _, h := range e.lanes {
+		h.l.reset()
+	}
+	e.lanes = nil
 	for _, p := range e.live {
 		p.stop()
 	}

@@ -5,9 +5,11 @@ package sim
 // server for its service duration. It is implemented without a
 // process, in O(1) per job, and is used for the RNIC execution
 // pipeline and link-bandwidth models where per-job goroutines would be
-// too expensive.
+// too expensive. Departures never precede earlier ones (busyUntil
+// never decreases), so they queue in the server's own lane rather than
+// taking an event-heap entry per queued job.
 type Server struct {
-	eng       *Engine
+	lane      lane
 	busyUntil Time
 
 	// Jobs counts submissions; Busy accumulates occupied virtual time,
@@ -17,7 +19,7 @@ type Server struct {
 }
 
 // NewServer returns an idle server bound to e.
-func NewServer(e *Engine) *Server { return &Server{eng: e} }
+func NewServer(e *Engine) *Server { return &Server{lane: lane{eng: e, name: "Server"}} }
 
 // Submit enqueues a job with the given service time. done (if non-nil)
 // runs when the job leaves the server. Returns the job's departure
@@ -26,7 +28,7 @@ func (s *Server) Submit(service Time, done func()) Time {
 	if service < 0 {
 		service = 0
 	}
-	start := s.eng.now
+	start := s.lane.eng.now
 	if s.busyUntil > start {
 		start = s.busyUntil
 	}
@@ -34,7 +36,7 @@ func (s *Server) Submit(service Time, done func()) Time {
 	s.Jobs++
 	s.Busy += service
 	if done != nil {
-		s.eng.ScheduleAt(s.busyUntil, done)
+		s.lane.push(s.busyUntil, done)
 	}
 	return s.busyUntil
 }
