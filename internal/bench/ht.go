@@ -139,7 +139,8 @@ func RunHT(cfg HTConfig) HTResult {
 // groupsFor sizes segments so the load fits without splits at a
 // realistic fill factor.
 func groupsFor(keys uint64) int {
-	// 8 initial-depth segments, 14 usable slots per group, ~60% fill.
+	// 8 initial-depth segments, 14*0.6 = 8.4 keys per group: 60% of the
+	// 14 slots a key's pair reaches, ~40% of a group's 21 slots.
 	per := keys / 8
 	return max(int(float64(per)/(14*0.6)), 64)
 }

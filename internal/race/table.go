@@ -1,6 +1,7 @@
 package race
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/blade"
@@ -120,20 +121,19 @@ func (t *Table) newSegment(localDepth uint8, suffix uint32) blade.Addr {
 	return seg
 }
 
-// initSegment writes fresh bucket headers (and zero slots) in place.
+// initSegment writes fresh bucket headers (and zero slots) in place,
+// one group image per write.
 func (t *Table) initSegment(seg blade.Addr, localDepth uint8, suffix uint32) {
 	mem := t.mem(seg.Blade)
 	mem.Store8(seg.Offset, 0) // lock word
+	var group [GroupBytes]byte
 	h := makeHeader(localDepth, suffix).word()
+	for b := 0; b < 3; b++ {
+		binary.LittleEndian.PutUint64(group[b*BucketBytes:], h)
+	}
 	base := seg.Offset + 8
 	for g := 0; g < t.cfg.Groups; g++ {
-		for b := 0; b < 3; b++ {
-			off := base + uint64(g*GroupBytes+b*BucketBytes)
-			mem.Store8(off, h)
-			for s := 0; s < SlotsPerBucket; s++ {
-				mem.Store8(off+8*uint64(1+s), 0)
-			}
-		}
+		mem.Write(base+uint64(g*GroupBytes), group[:])
 	}
 }
 
@@ -163,48 +163,73 @@ func (t *Table) LoadDirect(key, val uint64) {
 }
 
 // tryPutDirect attempts the put in segment e; false means "segment
-// candidates full, split needed".
+// candidates full, split needed". Insertion order fixes the layout, so
+// it makes the RDMA client's decisions in the client's order: an
+// existing key is updated in place (pair 0 searched before pair 1),
+// otherwise the key goes to the lowest empty slot, in slotAt scan
+// order, of the emptier pair (pair 0 on a tie). Each pair is read once
+// into a stack copy and scanned once.
 func (t *Table) tryPutDirect(e dirEntry, key, val uint64) bool {
 	mem := t.mem(e.bladeID())
 	pairs := pairsFor(key, groupsBase(e.segAddr()), t.cfg.Groups)
 	fp := fingerprint(key)
-	views := [2]pairView{}
-	for i, pr := range pairs {
-		views[i] = pairView{raw: mem.Read(pr.addr.Offset, PairBytes), ref: pr}
+	var raw [2][PairBytes]byte
+	for p, pr := range pairs {
+		mem.ReadInto(pr.addr.Offset, raw[p][:])
 	}
-	// Update in place if the key exists.
-	for _, v := range views {
-		for i := 0; i < totalSlots; i++ {
-			s, addr := v.slotAt(i)
-			if !s.empty() && s.fp() == fp {
-				if k, _ := decodeKV(mem.Read(s.kvOff(), KVBytes)); k == key {
-					kv := mem.Alloc(KVBytes)
-					var kvb [KVBytes]byte
-					mem.Write(kv.Offset, encodeKV(kvb[:], key, val))
-					mem.Store8(addr.Offset, makeSlot(fp, kv.Offset).word())
-					return true
+	var used [2]int
+	free := [2]int{-1, -1} // byte offset in the pair of the first empty slot
+	for p, pr := range pairs {
+		main, ovf := 0, BucketBytes
+		if !pr.mainFirst {
+			main, ovf = ovf, main
+		}
+		for _, bucket := range [2]int{main, ovf} {
+			for off := bucket + 8; off < bucket+BucketBytes; off += 8 {
+				s := slot(binary.LittleEndian.Uint64(raw[p][off:]))
+				if s.empty() {
+					if free[p] < 0 {
+						free[p] = off
+					}
+					continue
 				}
+				if s.fp() == fp {
+					if k, _ := readKV(mem, s); k == key {
+						putKV(mem, pr.addr.Offset+uint64(off), key, val)
+						return true
+					}
+				}
+				used[p]++
 			}
 		}
 	}
-	// Insert into the first empty slot of the emptier pair.
-	order := [2]int{0, 1}
-	if countUsed(views[1]) < countUsed(views[0]) {
-		order = [2]int{1, 0}
+	p := 0
+	if used[1] < used[0] {
+		p = 1
 	}
-	for _, vi := range order {
-		v := views[vi]
-		for i := 0; i < totalSlots; i++ {
-			if s, addr := v.slotAt(i); s.empty() {
-				kv := mem.Alloc(KVBytes)
-				var kvb [KVBytes]byte
-				mem.Write(kv.Offset, encodeKV(kvb[:], key, val))
-				mem.Store8(addr.Offset, makeSlot(fp, kv.Offset).word())
-				return true
-			}
+	for _, q := range [2]int{p, 1 - p} {
+		if free[q] >= 0 {
+			putKV(mem, pairs[q].addr.Offset+uint64(free[q]), key, val)
+			return true
 		}
 	}
 	return false
+}
+
+// readKV reads the KV block slot s points at.
+func readKV(mem *blade.Blade, s slot) (key, val uint64) {
+	var kv [KVBytes]byte
+	mem.ReadInto(s.kvOff(), kv[:])
+	return decodeKV(kv[:])
+}
+
+// putKV allocates a KV block for key/val on mem, writes it, and points
+// the slot word at slotOff (on the same blade) to it.
+func putKV(mem *blade.Blade, slotOff, key, val uint64) {
+	kv := mem.Alloc(KVBytes)
+	var b [KVBytes]byte
+	mem.Write(kv.Offset, encodeKV(b[:], key, val))
+	mem.Store8(slotOff, makeSlot(fingerprint(key), kv.Offset).word())
 }
 
 func countUsed(v pairView) int {
@@ -222,11 +247,13 @@ func (t *Table) GetDirect(key uint64) (uint64, bool) {
 	e := t.readDirEntry(dirIndex(key, t.gd()))
 	mem := t.mem(e.bladeID())
 	fp := fingerprint(key)
+	var raw [PairBytes]byte
 	for _, pr := range pairsFor(key, groupsBase(e.segAddr()), t.cfg.Groups) {
-		v := pairView{raw: mem.Read(pr.addr.Offset, PairBytes), ref: pr}
+		mem.ReadInto(pr.addr.Offset, raw[:])
+		v := pairView{raw: raw[:], ref: pr}
 		for i := 0; i < totalSlots; i++ {
 			if s, _ := v.slotAt(i); !s.empty() && s.fp() == fp {
-				if k, val := decodeKV(mem.Read(s.kvOff(), KVBytes)); k == key {
+				if k, val := readKV(mem, s); k == key {
 					return val, true
 				}
 			}
@@ -270,16 +297,13 @@ func (t *Table) splitDirect(idx int) {
 				if sl.empty() {
 					continue
 				}
-				k, v := decodeKV(oldMem.Read(sl.kvOff(), KVBytes))
+				k, v := readKV(oldMem, sl)
 				if dirIndex(k, ld+1) == newSuffix {
 					oldMem.Store8(sOff, 0)
 					// Re-insert into the new segment at the mirrored
 					// position (same group/bucket/slot is free there).
 					nOff := newBase.Offset + uint64(g*GroupBytes+b*BucketBytes) + 8*uint64(1+s)
-					kv := newMem.Alloc(KVBytes)
-					var kvb [KVBytes]byte
-					newMem.Write(kv.Offset, encodeKV(kvb[:], k, v))
-					newMem.Store8(nOff, makeSlot(fingerprint(k), kv.Offset).word())
+					putKV(newMem, nOff, k, v)
 				}
 			}
 		}
