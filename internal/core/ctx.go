@@ -16,8 +16,8 @@ import (
 // adds conflict avoidance. BeginOp/EndOp bracket one application
 // operation for the coroutine-depth throttle and the statistics, and
 // scope the op's memory: the WRs and Buf buffers an op takes are the
-// Ctx's to reuse once EndOp has run (DESIGN.md §14, "Op-path
-// allocation").
+// Ctx's to reuse once EndOp has run, and a *Sync helper's WR once the
+// helper returns (DESIGN.md §14, "Op-path allocation").
 type Ctx struct {
 	T      *Thread
 	proc   *sim.Proc
@@ -267,18 +267,39 @@ func (c *Ctx) Sync() {
 	}
 }
 
-// ReadSync is Read + PostSend + Sync.
+// ReadSync is Read + PostSend + Sync. The *Sync helpers hand their WR
+// back as they return (see releaseHelper), so a retry chain inside one
+// op reuses one WR instead of taking a new one per round.
 func (c *Ctx) ReadSync(addr blade.Addr, buf []byte) {
-	c.Read(addr, buf)
+	wr := c.Read(addr, buf)
 	c.PostSend()
 	c.Sync()
+	c.releaseHelper(wr)
 }
 
 // WriteSync is Write + PostSend + Sync.
 func (c *Ctx) WriteSync(addr blade.Addr, src []byte) {
-	c.Write(addr, src)
+	wr := c.Write(addr, src)
 	c.PostSend()
 	c.Sync()
+	c.releaseHelper(wr)
+}
+
+// releaseHelper ends the life of wr, the one WR a *Sync helper took,
+// when the helper returns: the caller never saw it, so nothing can
+// read it later. It applies EndOp's rule — inside an op, with no
+// timeout seen and nothing pending, buffered or awaiting retry — and
+// only to the op's newest WR; otherwise wr stays in opWRs for EndOp
+// to decide.
+func (c *Ctx) releaseHelper(wr *verbs.WR) {
+	n := len(c.opWRs)
+	if !c.inOp || n == 0 || c.opWRs[n-1] != wr ||
+		c.timedOut || c.pending > 0 || len(c.buf) > 0 || len(c.failed) > 0 {
+		return
+	}
+	c.opWRs[n-1] = nil
+	c.opWRs = c.opWRs[:n-1]
+	c.freeWRs = append(c.freeWRs, wr)
 }
 
 // CASSync performs one CAS and waits for it, recording retry
@@ -288,11 +309,14 @@ func (c *Ctx) CASSync(addr blade.Addr, compare, swap uint64) (old uint64, swappe
 	wr := c.CAS(addr, compare, swap)
 	c.PostSend()
 	c.Sync()
+	swapped = wr.Succeeded()
+	old = wr.Result
+	c.releaseHelper(wr)
 	t := c.T
 	t.Stats.CASTotal++
-	if wr.Succeeded() {
+	if swapped {
 		c.casAttempts = 0
-		return wr.Result, true
+		return old, true
 	}
 	t.winRetries++
 	t.Stats.CASFailed++
@@ -303,7 +327,7 @@ func (c *Ctx) CASSync(addr blade.Addr, compare, swap uint64) (old uint64, swappe
 		t.tel.Emit(t.rt.eng.Now(), "cas-retry",
 			fmt.Sprintf("t%d blade=%d off=%d attempt=%d", t.ID, addr.Blade, addr.Offset, c.casAttempts+1))
 	}
-	return wr.Result, false
+	return old, false
 }
 
 // FAASync performs one FAA and waits for it. A request the fault
@@ -314,10 +338,11 @@ func (c *Ctx) FAASync(addr blade.Addr, add uint64) (old uint64) {
 	wr := c.FAA(addr, add)
 	c.PostSend()
 	c.Sync()
-	if wr.Status != rnic.StatusSuccess {
-		return 0
+	if wr.Status == rnic.StatusSuccess {
+		old = wr.Result
 	}
-	return wr.Result
+	c.releaseHelper(wr)
+	return old
 }
 
 // BackoffCASSync is the conflict-avoidance CAS (§4.3): semantically

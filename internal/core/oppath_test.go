@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/blade"
@@ -72,11 +73,55 @@ func TestOpPathAllocsZero(t *testing.T) {
 	}
 }
 
+// TestHelperChainReusesOneWR pins the helper release: ReadSync,
+// WriteSync, CASSync and FAASync hand their WR back as they return, so
+// a long CAS-retry chain inside one op reuses one WR instead of growing
+// the coroutine's free list to the chain's length.
+func TestHelperChainReusesOneWR(t *testing.T) {
+	cl, rt := testRig(t, 1, 1, Baseline(PerThreadDoorbell))
+	mem := cl.Memories[0].Mem
+	addr := mem.Alloc(8)
+	mem.Store8(addr.Offset, 1)
+	buf := make([]byte, 8)
+	c := rt.Thread(0).Spawn("chain", func(c *Ctx) {
+		for {
+			c.Proc().Suspend()
+			c.BeginOp()
+			for i := 0; i < 64; i++ {
+				if _, ok := c.CASSync(addr, 0, 2); ok {
+					panic("CAS against a mismatched compare swapped")
+				}
+				c.ReadSync(addr, buf)
+			}
+			c.EndOp()
+		}
+	})
+	cl.Eng.Run(0)
+	c.Proc().Wake() // warm-up op
+	cl.Eng.Run(0)
+	failedBefore := rt.Thread(0).Stats.CASFailed
+	allocs := testing.AllocsPerRun(20, func() {
+		c.Proc().Wake()
+		cl.Eng.Run(0)
+	})
+	if got := rt.Thread(0).Stats.CASFailed - failedBefore; got != 21*64 {
+		t.Fatalf("%d failed CAS rounds, want %d", got, 21*64)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocs per 64-round op, want 0", allocs)
+	}
+	if n := len(c.freeWRs); n > 2 {
+		t.Errorf("free list holds %d WRs after the chains, want at most 2", n)
+	}
+}
+
 // TestTimedOutOpIsNotReused pins EndOp's exception: an op one of whose
 // WRs timed out may still be executed by the card, so its WR and Buf
 // are dropped, not recycled. A delay fault well past WRTimeout makes
 // the card's READ land after the op has ended; it must land in the
-// dropped buffer while the next op works on fresh memory.
+// dropped buffer while the next op works on fresh memory. The *Sync
+// helpers that run later in the timed-out op keep their WRs in the op
+// too, instead of releasing them early.
 func TestTimedOutOpIsNotReused(t *testing.T) {
 	cl, rt := testRig(t, 1, 1, faultOpts(10*sim.Microsecond, 0))
 	inj := &countInjector{}
@@ -91,24 +136,43 @@ func TestTimedOutOpIsNotReused(t *testing.T) {
 		buf    []byte
 		atEnd  uint64 // buf's contents when EndOp ran
 		status rnic.Status
+		opWRs  []*verbs.WR // the op's WRs still held at EndOp
 	}
-	read := func(c *Ctx, addr blade.Addr) opMem {
+	read := func(c *Ctx, addr blade.Addr, then func()) opMem {
 		c.BeginOp()
 		buf := c.Buf(8)
 		wr := c.Read(addr, buf)
 		c.PostSend()
 		c.Sync()
 		m := opMem{wr: wr, buf: buf, atEnd: binary.LittleEndian.Uint64(buf), status: wr.Status}
+		if then != nil {
+			then()
+		}
+		m.opWRs = slices.Clone(c.opWRs)
 		c.EndOp()
 		return m
 	}
 	var warm1, warm2, late, next opMem
+	var nextFree []*verbs.WR // the free list once the next op's helpers ran
 	rt.Thread(0).Spawn("w", func(c *Ctx) {
-		warm1 = read(c, fast)
-		warm2 = read(c, fast)
+		warm1 = read(c, fast, nil)
+		warm2 = read(c, fast, nil)
 		inj.n, inj.verdict = 1, rnic.Verdict{Action: rnic.ActDelay, Factor: 50}
-		late = read(c, slow)
-		next = read(c, fast)
+		late = read(c, slow, func() {
+			freeBefore := len(c.freeWRs)
+			c.ReadSync(fast, make([]byte, 8))
+			c.CASSync(fast, 0, 0)
+			c.FAASync(fast, 0)
+			if len(c.freeWRs) != freeBefore {
+				t.Error("a helper after the timeout released its WR early")
+			}
+		})
+		next = read(c, fast, func() {
+			// These helpers release early; their WR is on the free list.
+			c.ReadSync(fast, make([]byte, 8))
+			c.CASSync(fast, 0, 0)
+			nextFree = slices.Clone(c.freeWRs)
+		})
 	})
 	cl.Eng.Run(sim.Millisecond)
 
@@ -121,6 +185,17 @@ func TestTimedOutOpIsNotReused(t *testing.T) {
 	if next.wr == late.wr || &next.buf[0] == &late.buf[0] {
 		t.Error("the op after a timeout reused the timed-out op's WR or Buf")
 	}
+	if len(late.opWRs) != 4 || late.opWRs[0] != late.wr {
+		t.Fatalf("timed-out op held %d WRs at its end, want its READ and three helpers", len(late.opWRs))
+	}
+	if len(nextFree) != 1 {
+		t.Errorf("next op's helpers left %d WRs on the free list, want 1", len(nextFree))
+	}
+	for _, wr := range append(next.opWRs, nextFree...) {
+		if slices.Contains(late.opWRs, wr) {
+			t.Error("the op after a timeout reused a WR the timed-out op took")
+		}
+	}
 	if got := binary.LittleEndian.Uint64(late.buf); got != 42 {
 		t.Errorf("late card READ never landed in the dropped buffer: %d", got)
 	}
@@ -128,9 +203,10 @@ func TestTimedOutOpIsNotReused(t *testing.T) {
 		t.Errorf("next op: status %v, data %d at EndOp, %d after the late READ; want 7 both times",
 			next.status, next.atEnd, binary.LittleEndian.Uint64(next.buf))
 	}
-	// The three clean ops' watchdogs fire after their completions, and
-	// the timed-out READ's card completion arrives after its watchdog.
-	if s := rt.Thread(0).cq.Stale; s != 4 {
-		t.Errorf("CQ.Stale = %d, want 4", s)
+	// The eight clean WRs' watchdogs (three ops' READs, five helpers)
+	// fire after their completions, and the timed-out READ's card
+	// completion arrives after its watchdog.
+	if s := rt.Thread(0).cq.Stale; s != 9 {
+		t.Errorf("CQ.Stale = %d, want 9", s)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"repro/internal/blade"
+	"repro/internal/core"
 	"repro/internal/verbs"
 )
 
@@ -53,6 +54,7 @@ type DB struct {
 	targets []verbs.Target
 	tables  map[string]*tableMeta
 	logs    map[logKey]*logRegion
+	freeTxs []*Tx // finished transactions, for Begin to reuse
 }
 
 type logKey struct {
@@ -190,6 +192,15 @@ func (db *DB) VersionDirect(table string, key uint64) uint64 {
 // PutU64 encodes v as an 8-byte payload.
 func PutU64(v uint64) []byte {
 	b := make([]byte, 8)
+	binary.LittleEndian.PutUint64(b, v)
+	return b
+}
+
+// writeU64 is PutU64 into an 8-byte c.Buf: inside an op the payload is
+// op-scoped, which is long enough because Commit copies every staged
+// payload into the record image it installs.
+func writeU64(c *core.Ctx, v uint64) []byte {
+	b := c.Buf(8)
 	binary.LittleEndian.PutUint64(b, v)
 	return b
 }

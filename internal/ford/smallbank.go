@@ -1,6 +1,7 @@
 package ford
 
 import (
+	"encoding/binary"
 	"math/rand"
 
 	"repro/internal/core"
@@ -44,9 +45,11 @@ func NewSmallBank(targets []verbs.Target, accounts uint64) *SmallBank {
 
 // Load initializes every account with a starting balance.
 func (sb *SmallBank) Load() {
+	var bal [8]byte
+	binary.LittleEndian.PutUint64(bal[:], 10_000)
 	for k := uint64(0); k < sb.N; k++ {
-		sb.DB.LoadDirect("savings", k, PutU64(10_000))
-		sb.DB.LoadDirect("checking", k, PutU64(10_000))
+		sb.DB.LoadDirect("savings", k, bal[:])
+		sb.DB.LoadDirect("checking", k, bal[:])
 	}
 }
 
@@ -112,9 +115,9 @@ func (sb *SmallBank) exec(c *core.Ctx, kind int, a, b, amount uint64) error {
 				chkB, err = tx.ReadForUpdate("checking", b)
 				if err == nil {
 					total := U64(sav) + U64(chkA)
-					tx.Write("savings", a, PutU64(0))
-					tx.Write("checking", a, PutU64(0))
-					tx.Write("checking", b, PutU64(U64(chkB)+total))
+					tx.Write("savings", a, writeU64(c, 0))
+					tx.Write("checking", a, writeU64(c, 0))
+					tx.Write("checking", b, writeU64(c, U64(chkB)+total))
 				}
 			}
 		}
@@ -125,26 +128,26 @@ func (sb *SmallBank) exec(c *core.Ctx, kind int, a, b, amount uint64) error {
 	case sbDepositChecking:
 		var chk []byte
 		if chk, err = tx.ReadForUpdate("checking", a); err == nil {
-			tx.Write("checking", a, PutU64(U64(chk)+amount))
+			tx.Write("checking", a, writeU64(c, U64(chk)+amount))
 		}
 	case sbSendPayment:
 		var chkA, chkB []byte
 		if chkA, err = tx.ReadForUpdate("checking", a); err == nil {
 			if chkB, err = tx.ReadForUpdate("checking", b); err == nil {
-				tx.Write("checking", a, PutU64(U64(chkA)-amount))
-				tx.Write("checking", b, PutU64(U64(chkB)+amount))
+				tx.Write("checking", a, writeU64(c, U64(chkA)-amount))
+				tx.Write("checking", b, writeU64(c, U64(chkB)+amount))
 			}
 		}
 	case sbTransactSavings:
 		var sav []byte
 		if sav, err = tx.ReadForUpdate("savings", a); err == nil {
-			tx.Write("savings", a, PutU64(U64(sav)+amount))
+			tx.Write("savings", a, writeU64(c, U64(sav)+amount))
 		}
 	case sbWriteCheck:
 		var chk []byte
 		if _, err = tx.Read("savings", a); err == nil {
 			if chk, err = tx.ReadForUpdate("checking", a); err == nil {
-				tx.Write("checking", a, PutU64(U64(chk)-amount))
+				tx.Write("checking", a, writeU64(c, U64(chk)-amount))
 			}
 		}
 	}

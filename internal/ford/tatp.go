@@ -1,6 +1,7 @@
 package ford
 
 import (
+	"encoding/binary"
 	"math/rand"
 
 	"repro/internal/core"
@@ -39,18 +40,19 @@ func NewTATP(targets []verbs.Target, subscribers uint64) *TATP {
 	return &TATP{DB: db, N: subscribers}
 }
 
-// Load populates all tables.
+// Load populates all tables. Each row is the key in its first 8 bytes
+// and zeros after; LoadDirect copies, so one array per width serves
+// every row.
 func (tp *TATP) Load() {
-	pay := func(n int, v uint64) []byte {
-		b := make([]byte, n)
-		copy(b, PutU64(v))
-		return b
-	}
+	var sub [256]byte
+	var row [64]byte
 	for k := uint64(0); k < tp.N; k++ {
-		tp.DB.LoadDirect("subscriber", k, pay(256, k))
-		tp.DB.LoadDirect("access_info", k, pay(64, k))
-		tp.DB.LoadDirect("special_facility", k, pay(64, k))
-		tp.DB.LoadDirect("call_forwarding", k, pay(64, k))
+		binary.LittleEndian.PutUint64(sub[:], k)
+		binary.LittleEndian.PutUint64(row[:], k)
+		tp.DB.LoadDirect("subscriber", k, sub[:])
+		tp.DB.LoadDirect("access_info", k, row[:])
+		tp.DB.LoadDirect("special_facility", k, row[:])
+		tp.DB.LoadDirect("call_forwarding", k, row[:])
 	}
 }
 
@@ -106,32 +108,34 @@ func (tp *TATP) exec(c *core.Ctx, kind int, sid, loc uint64) error {
 		var sub []byte
 		if sub, err = tx.ReadForUpdate("subscriber", sid); err == nil {
 			if _, err = tx.ReadForUpdate("special_facility", sid); err == nil {
-				ns := append([]byte(nil), sub...)
-				copy(ns, PutU64(loc))
+				ns := c.Buf(len(sub))
+				copy(ns, sub)
+				binary.LittleEndian.PutUint64(ns, loc)
 				tx.Write("subscriber", sid, ns)
-				sf := make([]byte, 64)
-				copy(sf, PutU64(loc))
+				sf := c.Buf(64)
+				binary.LittleEndian.PutUint64(sf, loc)
 				tx.Write("special_facility", sid, sf)
 			}
 		}
 	case tatpUpdateLocation:
 		var sub []byte
 		if sub, err = tx.ReadForUpdate("subscriber", sid); err == nil {
-			ns := append([]byte(nil), sub...)
-			copy(ns[8:], PutU64(loc))
+			ns := c.Buf(len(sub))
+			copy(ns, sub)
+			binary.LittleEndian.PutUint64(ns[8:], loc)
 			tx.Write("subscriber", sid, ns)
 		}
 	case tatpInsertCallForwarding:
 		if _, err = tx.Read("special_facility", sid); err == nil {
 			if _, err = tx.ReadForUpdate("call_forwarding", sid); err == nil {
-				cf := make([]byte, 64)
-				copy(cf, PutU64(loc|1))
+				cf := c.Buf(64)
+				binary.LittleEndian.PutUint64(cf, loc|1)
 				tx.Write("call_forwarding", sid, cf)
 			}
 		}
 	case tatpDeleteCallForwarding:
 		if _, err = tx.ReadForUpdate("call_forwarding", sid); err == nil {
-			tx.Write("call_forwarding", sid, make([]byte, 64))
+			tx.Write("call_forwarding", sid, c.Buf(64))
 		}
 	}
 	if err != nil {

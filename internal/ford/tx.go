@@ -32,7 +32,9 @@ type wsEntry struct {
 	locked  bool
 }
 
-// Tx is one transaction attempt. It must end in Commit or Abort.
+// Tx is one transaction attempt. It must end in Commit or Abort, and
+// must not be used once either has returned: the DB hands a finished
+// Tx out again, so a stale handle would act on someone else's attempt.
 type Tx struct {
 	db   *DB
 	c    *core.Ctx
@@ -44,9 +46,31 @@ type Tx struct {
 // Begin starts a transaction attempt on the coroutine c. The caller is
 // expected to bracket attempts of one logical transaction between
 // c.BeginOp and c.EndOp so conflict-avoidance statistics and the
-// coroutine throttle see it as one operation.
+// coroutine throttle see it as one operation. A finished Tx is reused,
+// read and write sets emptied but their capacity kept, so retried
+// attempts allocate nothing.
 func (db *DB) Begin(c *core.Ctx) *Tx {
-	return &Tx{db: db, c: c}
+	n := len(db.freeTxs)
+	if n == 0 {
+		return &Tx{db: db, c: c}
+	}
+	tx := db.freeTxs[n-1]
+	db.freeTxs[n-1] = nil
+	db.freeTxs = db.freeTxs[:n-1]
+	tx.c, tx.done = c, false
+	return tx
+}
+
+// finish marks tx done and hands it back to its DB. Clearing the
+// entries drops every payload reference, which points into the op's
+// Buf arena or the caller's staged data.
+func (tx *Tx) finish() {
+	tx.done = true
+	clear(tx.rs)
+	clear(tx.ws)
+	tx.rs, tx.ws = tx.rs[:0], tx.ws[:0]
+	tx.c = nil
+	tx.db.freeTxs = append(tx.db.freeTxs, tx)
 }
 
 // lockTag is the value written into record lock words.
@@ -148,7 +172,7 @@ func (tx *Tx) Commit() error {
 	}
 
 	if len(tx.ws) == 0 {
-		tx.done = true
+		tx.finish()
 		return nil // read-only: validated, done
 	}
 
@@ -204,7 +228,7 @@ func (tx *Tx) Commit() error {
 	}
 	c.PostSend()
 	c.Sync()
-	tx.done = true
+	tx.finish()
 	return nil
 }
 
@@ -213,7 +237,6 @@ func (tx *Tx) Abort() {
 	if tx.done {
 		return
 	}
-	tx.done = true
 	zero := tx.c.Buf(8)
 	n := 0
 	for _, e := range tx.ws {
@@ -226,4 +249,5 @@ func (tx *Tx) Abort() {
 		tx.c.PostSend()
 		tx.c.Sync()
 	}
+	tx.finish()
 }

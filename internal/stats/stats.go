@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/sim"
@@ -35,13 +36,51 @@ func NewHist() *Hist {
 	return &Hist{counts: make([]uint64, histBucket), min: math.MaxInt64}
 }
 
-func bucketOf(v sim.Time) int {
+// histLo[b] is the smallest sample bucketFormula puts in bucket b or
+// above, and histFirst[k] the bucket of 1<<k. Both are computed once
+// from the formula, so bucketOf is a table walk with no math.Log on
+// the Add path, and exact (TestBucketOfMatchesFormula).
+var histLo, histFirst = histTables()
+
+func histTables() (lo [histBucket]sim.Time, first [63]int) {
+	for b := 1; b < histBucket; b++ {
+		v := sim.Time(math.Exp(float64(b) * histLogBase))
+		for v > 1 && bucketFormula(v-1) >= b {
+			v--
+		}
+		for bucketFormula(v) < b {
+			v++
+		}
+		lo[b] = v
+	}
+	for k := range first {
+		first[k] = bucketFormula(sim.Time(1) << k)
+	}
+	return lo, first
+}
+
+// bucketFormula is the histogram's definition of a sample's bucket.
+func bucketFormula(v sim.Time) int {
 	if v < 1 {
 		return 0
 	}
 	b := int(math.Log(float64(v)) / histLogBase)
 	if b >= histBucket {
 		b = histBucket - 1
+	}
+	return b
+}
+
+// bucketOf is bucketFormula by table: start at the bucket of v's top
+// bit and step up while v reaches the next bucket's lowest sample (at
+// most the ~10 buckets a doubling spans).
+func bucketOf(v sim.Time) int {
+	if v < 1 {
+		return 0
+	}
+	b := histFirst[bits.Len64(uint64(v))-1]
+	for b+1 < histBucket && histLo[b+1] <= v {
+		b++
 	}
 	return b
 }

@@ -22,6 +22,7 @@ type Zipf struct {
 	alpha float64
 	zetan float64
 	eta   float64
+	half  float64 // 1 + 0.5^theta, the bound below which Next draws key 1
 	rng   *rand.Rand
 }
 
@@ -53,6 +54,7 @@ func NewZipf(rng *rand.Rand, n uint64, theta float64) *Zipf {
 	zeta2 := zeta(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
+	z.half = 1.0 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -66,7 +68,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < z.half {
 		return 1
 	}
 	return uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
