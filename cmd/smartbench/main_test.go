@@ -532,7 +532,6 @@ func TestSpecDryRunGoldens(t *testing.T) {
 		t.Fatal("no golden specs found")
 	}
 	for _, f := range files {
-		f := f
 		t.Run(filepath.Base(f), func(t *testing.T) {
 			code, stdout, stderr := runCLI("-spec", f, "-dryrun")
 			if code != 0 {

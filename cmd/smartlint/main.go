@@ -25,13 +25,9 @@
 //	-vet=false            skip the go vet passes
 //	-list                 list the analyzers and exit
 //	-format text|json     diagnostic output format (default text)
-//	-baseline FILE        adopt pre-existing diagnostics from FILE;
-//	                      a missing file is an empty baseline
-//	-write-baseline       rewrite the -baseline file from this run's
-//	                      diagnostics and exit 0
 //
-// The exit status is 1 if any non-baselined diagnostic is reported or
-// a vet pass fails, 2 if the module cannot be loaded, 0 otherwise.
+// The exit status is 1 if any diagnostic is reported or a vet pass
+// fails, 2 if the module cannot be loaded, 0 otherwise.
 // Individual findings can be suppressed with a
 // `//smartlint:ignore <analyzer> — <reason>` comment on, or directly
 // above, the flagged line; the ignoreaudit analyzer holds those
@@ -91,8 +87,6 @@ func run(dir string, stdout, stderr io.Writer, argv []string) int {
 	vet := fs.Bool("vet", true, "also run selected go vet passes")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	format := fs.String("format", "text", "diagnostic output format: text or json")
-	baselinePath := fs.String("baseline", "", "baseline `file` adopting pre-existing diagnostics (missing file = empty baseline)")
-	writeBaseline := fs.Bool("write-baseline", false, "rewrite the -baseline file from this run's diagnostics and exit 0")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: smartlint [flags] [package pattern ...]\n\n")
 		fs.PrintDefaults()
@@ -111,10 +105,6 @@ func run(dir string, stdout, stderr io.Writer, argv []string) int {
 	}
 	if *format != "text" && *format != "json" {
 		fmt.Fprintf(stderr, "smartlint: unknown -format %q (want text or json)\n", *format)
-		return 2
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "smartlint: -write-baseline requires -baseline")
 		return 2
 	}
 
@@ -152,26 +142,6 @@ func run(dir string, stdout, stderr io.Writer, argv []string) int {
 		}
 	}
 
-	if *writeBaseline {
-		if err := framework.WriteBaseline(filepath.Join(dir, *baselinePath), findings); err != nil {
-			fmt.Fprintln(stderr, "smartlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "smartlint: baseline %s adopted %d diagnostic(s)\n", *baselinePath, len(findings))
-		return 0
-	}
-
-	if *baselinePath != "" {
-		baseline, err := framework.LoadBaseline(filepath.Join(dir, *baselinePath))
-		if err != nil {
-			fmt.Fprintln(stderr, "smartlint:", err)
-			return 2
-		}
-		for i := range findings {
-			findings[i].Baselined = baseline.Match(findings[i])
-		}
-	}
-
 	// Vet output goes to stderr in both formats so stdout carries
 	// nothing but the findings (text) or the report (json).
 	vetStatus := "skipped"
@@ -191,11 +161,7 @@ func run(dir string, stdout, stderr io.Writer, argv []string) int {
 	switch *format {
 	case "text":
 		for _, f := range report.Findings {
-			if f.Baselined {
-				fmt.Fprintf(stdout, "%s (baselined)\n", f)
-			} else {
-				fmt.Fprintln(stdout, f)
-			}
+			fmt.Fprintln(stdout, f)
 		}
 	case "json":
 		data, err := json.MarshalIndent(report, "", "  ")
@@ -209,10 +175,9 @@ func run(dir string, stdout, stderr io.Writer, argv []string) int {
 	// Distinct summaries: "which gate failed" must be readable off
 	// stderr alone.
 	failed := false
-	if report.Summary.Fresh > 0 {
+	if report.Summary.Total > 0 {
 		failed = true
-		fmt.Fprintf(stderr, "smartlint: %d diagnostic(s): %d fresh, %d baselined\n",
-			report.Summary.Total, report.Summary.Fresh, report.Summary.Baselined)
+		fmt.Fprintf(stderr, "smartlint: %d diagnostic(s)\n", report.Summary.Total)
 	}
 	if vetStatus == "failed" {
 		failed = true

@@ -57,8 +57,8 @@ func TestFreshFindingTextOutput(t *testing.T) {
 	if !strings.Contains(stdout, "p/p.go:5:2: maporder:") {
 		t.Errorf("stdout missing text diagnostic:\n%s", stdout)
 	}
-	if !strings.Contains(stderr, "1 fresh") {
-		t.Errorf("stderr missing fresh-diagnostics summary:\n%s", stderr)
+	if !strings.Contains(stderr, "smartlint: 1 diagnostic(s)") {
+		t.Errorf("stderr missing diagnostics summary:\n%s", stderr)
 	}
 	if strings.Contains(stderr, "go vet failed") {
 		t.Errorf("stderr claims a vet failure for a skipped vet run:\n%s", stderr)
@@ -81,39 +81,11 @@ func TestJSONReport(t *testing.T) {
 	if len(rep.Analyzers) != 8 {
 		t.Errorf("report lists %d analyzers, want 8: %v", len(rep.Analyzers), rep.Analyzers)
 	}
-	if rep.Summary.Total != 1 || rep.Summary.Fresh != 1 || rep.Summary.Baselined != 0 {
-		t.Errorf("summary = %+v, want 1 total / 1 fresh / 0 baselined", rep.Summary)
+	if rep.Summary.Total != 1 {
+		t.Errorf("summary = %+v, want 1 total", rep.Summary)
 	}
 	if len(rep.Findings) != 1 || rep.Findings[0].Analyzer != "maporder" || rep.Findings[0].File != "p/p.go" {
 		t.Errorf("findings = %+v", rep.Findings)
-	}
-}
-
-func TestBaselineAdoptionRoundTrip(t *testing.T) {
-	dir := writeModule(t, map[string]string{"p/p.go": mapOrderViolation})
-	code, _, stderr := runCmd(t, dir, "-vet=false", "-baseline", "bl.json", "-write-baseline")
-	if code != 0 {
-		t.Fatalf("write-baseline exit = %d, want 0\nstderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "adopted 1 diagnostic") {
-		t.Errorf("write-baseline summary missing:\n%s", stderr)
-	}
-	code, stdout, stderr := runCmd(t, dir, "-vet=false", "-baseline", "bl.json")
-	if code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "(baselined)") {
-		t.Errorf("baselined finding not marked in text output:\n%s", stdout)
-	}
-	// The baseline is a budget keyed by file: the same violation
-	// appearing in a second file must still fail.
-	second := strings.Replace(mapOrderViolation, "func Order(", "func Order2(", 1)
-	if err := os.WriteFile(filepath.Join(dir, "p", "q.go"), []byte(second), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, _ = runCmd(t, dir, "-vet=false", "-baseline", "bl.json")
-	if code != 1 {
-		t.Fatalf("run with an extra violation exit = %d, want 1", code)
 	}
 }
 
@@ -141,7 +113,7 @@ func TestVetFailureDistinctSummary(t *testing.T) {
 	if !strings.Contains(stderr, "go vet failed") {
 		t.Errorf("stderr missing vet-failure summary:\n%s", stderr)
 	}
-	if strings.Contains(stderr, "fresh") {
+	if strings.Contains(stderr, "diagnostic(s)") {
 		t.Errorf("stderr reports analyzer diagnostics for a vet-only failure:\n%s", stderr)
 	}
 }
@@ -158,8 +130,5 @@ func TestListAndBadFormat(t *testing.T) {
 	}
 	if code, _, _ := runCmd(t, t.TempDir(), "-format", "xml"); code != 2 {
 		t.Errorf("-format xml exit = %d, want 2", code)
-	}
-	if code, _, _ := runCmd(t, t.TempDir(), "-write-baseline"); code != 2 {
-		t.Errorf("-write-baseline without -baseline exit = %d, want 2", code)
 	}
 }

@@ -145,7 +145,6 @@ func runAnalyzer(a *Analyzer, pkg *Package, audit *Audit) ([]Diagnostic, error) 
 	}
 	for _, f := range pkg.Files {
 		for _, d := range ParseDirectives(pkg.Fset, f) {
-			d := d
 			pass.AllDirectives = append(pass.AllDirectives, d)
 			if !d.Covers(a.Name) {
 				continue

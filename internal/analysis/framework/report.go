@@ -1,23 +1,16 @@
 package framework
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"sort"
-)
+import "fmt"
 
 // A Finding is one diagnostic rendered for reporting: positions are
-// resolved, the file path is slash-separated and relative to the
-// invocation directory, and a baseline verdict is attached. It is the
-// unit of both the JSON report and the baseline file.
+// resolved, and the file path is slash-separated and relative to the
+// invocation directory. It is the unit of the JSON report.
 type Finding struct {
-	Analyzer  string `json:"analyzer"`
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Col       int    `json:"col"`
-	Message   string `json:"message"`
-	Baselined bool   `json:"baselined,omitempty"`
+	Analyzer string `json:"analyzer"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Message  string `json:"message"`
 }
 
 // String renders the finding in the classic file:line:col form.
@@ -37,12 +30,11 @@ type Report struct {
 	Summary ReportSummary `json:"summary"`
 }
 
-// ReportSummary are the counts a CI gate needs: Fresh is the number
-// of diagnostics not adopted by the baseline — the failure condition.
+// ReportSummary is what a CI gate needs: any diagnostic fails it. The
+// reviewed-exception path is a //smartlint:ignore directive, which
+// suppresses the finding before it is reported.
 type ReportSummary struct {
-	Total     int `json:"total"`
-	Baselined int `json:"baselined"`
-	Fresh     int `json:"fresh"`
+	Total int `json:"total"`
 }
 
 // NewReport assembles a report from findings, filling the summary.
@@ -51,107 +43,6 @@ func NewReport(analyzers []string, findings []Finding, vet string) *Report {
 	if r.Findings == nil {
 		r.Findings = []Finding{}
 	}
-	for _, f := range r.Findings {
-		r.Summary.Total++
-		if f.Baselined {
-			r.Summary.Baselined++
-		} else {
-			r.Summary.Fresh++
-		}
-	}
+	r.Summary.Total = len(r.Findings)
 	return r
-}
-
-// A BaselineEntry adopts Count diagnostics matching (Analyzer, File,
-// Message). Line and column are deliberately not part of the key:
-// unrelated edits move diagnostics around a file, and a baseline that
-// churns on every edit would train people to regenerate it blindly.
-type BaselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-	Count    int    `json:"count"`
-}
-
-type baselineFile struct {
-	Version int             `json:"version"`
-	Entries []BaselineEntry `json:"entries"`
-}
-
-// A Baseline is a budget of adopted diagnostics: each Match spends
-// one unit of the corresponding entry, so a file that grows a second
-// identical finding still fails the gate.
-type Baseline struct {
-	remaining map[BaselineEntry]int
-}
-
-func baselineKey(f Finding) BaselineEntry {
-	return BaselineEntry{Analyzer: f.Analyzer, File: f.File, Message: f.Message}
-}
-
-// LoadBaseline reads a baseline file. A missing file is an empty
-// baseline (the strict default), not an error.
-func LoadBaseline(path string) (*Baseline, error) {
-	b := &Baseline{remaining: make(map[BaselineEntry]int)}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return b, nil
-	} else if err != nil {
-		return nil, err
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", path, err)
-	}
-	for _, e := range bf.Entries {
-		n := e.Count
-		if n <= 0 {
-			n = 1
-		}
-		e.Count = 0
-		b.remaining[e] += n
-	}
-	return b, nil
-}
-
-// Match reports whether the baseline adopts this finding, consuming
-// one unit of the matching entry's count.
-func (b *Baseline) Match(f Finding) bool {
-	k := baselineKey(f)
-	if b.remaining[k] > 0 {
-		b.remaining[k]--
-		return true
-	}
-	return false
-}
-
-// WriteBaseline adopts the given findings into a baseline file,
-// aggregating identical findings into counted entries, sorted so the
-// file is byte-stable for a given diagnostic set.
-func WriteBaseline(path string, findings []Finding) error {
-	counts := make(map[BaselineEntry]int)
-	for _, f := range findings {
-		counts[baselineKey(f)]++
-	}
-	bf := baselineFile{Version: 1, Entries: []BaselineEntry{}}
-	//smartlint:ignore maporder — entries are sorted immediately below
-	for e, n := range counts {
-		e.Count = n
-		bf.Entries = append(bf.Entries, e)
-	}
-	sort.Slice(bf.Entries, func(i, j int) bool {
-		a, b := bf.Entries[i], bf.Entries[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
-	data, err := json.MarshalIndent(&bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,80 +2,16 @@ package framework
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	findings := []Finding{
-		{Analyzer: "cqestatus", File: "internal/a/a.go", Line: 10, Col: 2, Message: "m1"},
-		{Analyzer: "cqestatus", File: "internal/a/a.go", Line: 40, Col: 2, Message: "m1"}, // duplicate key, distinct line
-		{Analyzer: "pointisolation", File: "internal/b/b.go", Line: 5, Col: 1, Message: "m2"},
-	}
-	if err := WriteBaseline(path, findings); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The two identical (analyzer, file, message) findings consume one
-	// count each; a third identical finding must NOT match.
-	for i, f := range findings {
-		if !b.Match(f) {
-			t.Errorf("finding %d not adopted by its own baseline", i)
-		}
-	}
-	if b.Match(findings[0]) {
-		t.Error("baseline adopted a third identical finding beyond its count budget")
-	}
-	if b.Match(Finding{Analyzer: "cqestatus", File: "internal/a/a.go", Message: "other"}) {
-		t.Error("baseline adopted a finding with a different message")
-	}
-}
-
-func TestLoadBaselineMissingFileIsEmpty(t *testing.T) {
-	b, err := LoadBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Match(Finding{Analyzer: "x", File: "y", Message: "z"}) {
-		t.Error("empty baseline matched a finding")
-	}
-}
-
-func TestWriteBaselineIsByteStable(t *testing.T) {
-	dir := t.TempDir()
-	findings := []Finding{
-		{Analyzer: "b", File: "f2.go", Message: "m"},
-		{Analyzer: "a", File: "f1.go", Message: "m"},
-		{Analyzer: "a", File: "f1.go", Message: "m"},
-	}
-	p1, p2 := filepath.Join(dir, "one.json"), filepath.Join(dir, "two.json")
-	if err := WriteBaseline(p1, findings); err != nil {
-		t.Fatal(err)
-	}
-	// Reversed input order must serialize identically.
-	rev := []Finding{findings[2], findings[1], findings[0]}
-	if err := WriteBaseline(p2, rev); err != nil {
-		t.Fatal(err)
-	}
-	d1, _ := os.ReadFile(p1)
-	d2, _ := os.ReadFile(p2)
-	if string(d1) != string(d2) {
-		t.Errorf("baseline bytes differ across input orders:\n%s\nvs\n%s", d1, d2)
-	}
-}
-
 func TestReportSummaryAndJSONShape(t *testing.T) {
 	findings := []Finding{
-		{Analyzer: "cqestatus", File: "a.go", Line: 1, Col: 1, Message: "m", Baselined: true},
+		{Analyzer: "cqestatus", File: "a.go", Line: 1, Col: 1, Message: "m"},
 		{Analyzer: "pointisolation", File: "b.go", Line: 2, Col: 2, Message: "n"},
 	}
 	r := NewReport([]string{"cqestatus", "pointisolation"}, findings, "ok")
-	if r.Summary.Total != 2 || r.Summary.Baselined != 1 || r.Summary.Fresh != 1 {
+	if r.Summary.Total != 2 {
 		t.Fatalf("summary = %+v", r.Summary)
 	}
 	data, err := json.Marshal(r)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/result"
 	"repro/internal/rnic"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -27,26 +26,24 @@ func init() {
 			if env.Quick {
 				counts = []int{4, 12, 96}
 			}
-			t := result.NewTable("abl-db",
+			g := newGrid(env)
+			t := g.table("abl-db",
 				"Ablation — MOPS vs doorbell registers (96 threads, per-thread QPs, batch 8)", "doorbells")
 			t.YUnit, t.Prec = "MOPS", 1
-			set := &sweep.Set{}
 			for _, n := range counts {
 				// Pin the doorbell count by cloning params: the policy
 				// raises medium DBs to min(threads, MaxDoorbells).
 				p := rnic.Default()
 				p.MaxDoorbells = n
 				p.DefaultMediumDBs = minInt(n, p.DefaultMediumDBs)
-				sweep.Add(set, fmt.Sprintf("abl-db/n=%d", n), 41+env.Seed,
+				add(g, fmt.Sprintf("abl-db/n=%d", n), 41,
 					MicroConfig{
 						Opts: core.Baseline(core.PerThreadDoorbell), Threads: 96, Batch: 8,
-						Op: rnic.OpRead, Seed: 41 + env.Seed, Params: &p,
+						Op: rnic.OpRead, Params: &p,
 					},
-					RunMicro,
 					func(r MicroResult) { t.Add("MOPS", float64(n), r.MOPS) })
 			}
-			env.Sweeper.Run(set)
-			return collect([]*result.Table{t})
+			return g.run()
 		},
 	})
 
@@ -59,27 +56,25 @@ func init() {
 			if env.Quick {
 				sizes = []int{512, 1024, 4096}
 			}
-			t := result.NewTable("abl-wqe",
+			g := newGrid(env)
+			t := g.table("abl-wqe",
 				"Ablation — MOPS and DMA bytes/WR vs WQE cache entries (96x32)", "entries")
 			t.Def("MOPS", "", 1)
 			t.Def("DMA", "B/WR", 0)
-			set := &sweep.Set{}
 			for _, n := range sizes {
 				p := rnic.Default()
 				p.WQECacheEntries = n
-				sweep.Add(set, fmt.Sprintf("abl-wqe/n=%d", n), 42+env.Seed,
+				add(g, fmt.Sprintf("abl-wqe/n=%d", n), 42,
 					MicroConfig{
 						Opts: core.Baseline(core.PerThreadDoorbell), Threads: 96, Batch: 32,
-						Op: rnic.OpRead, Seed: 42 + env.Seed, Params: &p,
+						Op: rnic.OpRead, Params: &p,
 					},
-					RunMicro,
 					func(r MicroResult) {
 						t.Add("MOPS", float64(n), r.MOPS)
 						t.Add("DMA", float64(n), r.DMABytesPerWR)
 					})
 			}
-			env.Sweeper.Run(set)
-			return collect([]*result.Table{t})
+			return g.run()
 		},
 	})
 
@@ -94,29 +89,23 @@ func init() {
 			if env.Quick {
 				marks = marks[:2]
 			}
-			t := result.NewTable("abl-gamma",
+			g := newGrid(env)
+			t := g.table("abl-gamma",
 				"Ablation — γ_H/γ_L sensitivity (SMART-HT, update-only, Zipf 0.99)", "γ_H/γ_L")
 			t.Def("MOPS", "", 2)
 			t.Def("retries/upd", "", 2)
-			set := &sweep.Set{}
 			for _, m := range marks {
 				opts := core.Smart()
 				opts.GammaHigh, opts.GammaLow = m.hi, m.lo
 				label := fmt.Sprintf("%.2f/%.2f", m.hi, m.lo)
-				m := m
-				sweep.Add(set, "abl-gamma/"+label, 43+env.Seed,
-					HTConfig{
-						Opts: opts, ThreadsPerBlade: 96,
-						Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 43 + env.Seed,
-					},
-					htPoint(env.Quick),
+				add(g, "abl-gamma/"+label, 43,
+					HTConfig{Opts: opts, ThreadsPerBlade: 96, Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys},
 					func(r HTResult) {
 						t.AddLabeled("MOPS", m.hi, label, r.MOPS)
 						t.AddLabeled("retries/upd", m.hi, label, r.AvgRetries)
 					})
 			}
-			env.Sweeper.Run(set)
-			return collect([]*result.Table{t})
+			return g.run()
 		},
 	})
 
@@ -129,31 +118,26 @@ func init() {
 			if env.Quick {
 				units = []sim.Time{1600, 3300, 13200}
 			}
-			t := result.NewTable("abl-t0",
+			g := newGrid(env)
+			t := g.table("abl-t0",
 				"Ablation — backoff unit sensitivity (SMART-HT, update-only, Zipf 0.99)", "t0")
 			t.XUnit = "ns"
 			t.Def("MOPS", "", 2)
 			t.Def("p50", "us", 1)
 			t.Def("retries/upd", "", 2)
-			set := &sweep.Set{}
 			for _, t0 := range units {
 				opts := core.Smart()
 				opts.BackoffUnit = t0
 				x := float64(t0)
-				sweep.Add(set, fmt.Sprintf("abl-t0/t0=%d", t0), 44+env.Seed,
-					HTConfig{
-						Opts: opts, ThreadsPerBlade: 96,
-						Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 44 + env.Seed,
-					},
-					htPoint(env.Quick),
+				add(g, fmt.Sprintf("abl-t0/t0=%d", t0), 44,
+					HTConfig{Opts: opts, ThreadsPerBlade: 96, Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys},
 					func(r HTResult) {
 						t.Add("MOPS", x, r.MOPS)
 						t.Add("p50", x, us(r.Median))
 						t.Add("retries/upd", x, r.AvgRetries)
 					})
 			}
-			env.Sweeper.Run(set)
-			return collect([]*result.Table{t})
+			return g.run()
 		},
 	})
 
@@ -166,27 +150,24 @@ func init() {
 			if env.Quick {
 				sizes = []int{1024, 16384}
 			}
-			t := result.NewTable("abl-spec",
+			g := newGrid(env)
+			t := g.table("abl-spec",
 				"Ablation — spec cache entries vs MOPS and hit rate", "entries")
 			t.Def("MOPS", "", 2)
 			t.Def("hit rate", "", 2)
-			set := &sweep.Set{}
 			for _, n := range sizes {
-				n := n
-				sweep.Add(set, fmt.Sprintf("abl-spec/n=%d", n), 45+env.Seed,
+				add(g, fmt.Sprintf("abl-spec/n=%d", n), 45,
 					BTConfig{
 						Variant: SmartBT, ThreadsPerBlade: 48,
-						Theta: 0.99, Mix: workload.ReadOnly, Keys: htKeys, Seed: 45 + env.Seed,
+						Theta: 0.99, Mix: workload.ReadOnly, Keys: htKeys,
 						SpecCacheEntries: n,
 					},
-					btPoint(env.Quick),
 					func(r BTResult) {
 						t.Add("MOPS", float64(n), r.MOPS)
 						t.Add("hit rate", float64(n), r.SpecHit)
 					})
 			}
-			env.Sweeper.Run(set)
-			return collect([]*result.Table{t})
+			return g.run()
 		},
 	})
 }
@@ -201,27 +182,24 @@ func init() {
 			if env.Quick {
 				sizes = []int{8, 64, 512}
 			}
-			t := result.NewTable("abl-payload",
+			g := newGrid(env)
+			t := g.table("abl-payload",
 				"Ablation — READ MOPS and Gbps vs payload (96 threads, per-thread doorbell, batch 8)", "payload")
 			t.XUnit = "B"
 			t.Def("MOPS", "", 1)
 			t.Def("Gbps", "", 1)
-			set := &sweep.Set{}
 			for _, n := range sizes {
-				n := n
-				sweep.Add(set, fmt.Sprintf("abl-payload/n=%d", n), 46+env.Seed,
+				add(g, fmt.Sprintf("abl-payload/n=%d", n), 46,
 					MicroConfig{
 						Opts: core.Baseline(core.PerThreadDoorbell), Threads: 96, Batch: 8,
-						Op: rnic.OpRead, Payload: n, Seed: 46 + env.Seed,
+						Op: rnic.OpRead, Payload: n,
 					},
-					RunMicro,
 					func(r MicroResult) {
 						t.Add("MOPS", float64(n), r.MOPS)
 						t.Add("Gbps", float64(n), r.MOPS*float64(n)*8/1e3)
 					})
 			}
-			env.Sweeper.Run(set)
-			return collect([]*result.Table{t})
+			return g.run()
 		},
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/result"
 	"repro/internal/rnic"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -62,6 +61,51 @@ func phaseRate(samples []chaosSamplePoint, from, to sim.Time) float64 {
 	return float64(c1-c0) / (float64(t1-t0) / 1e3)
 }
 
+// chaosSeed is the family's built-in seed: both points run at
+// chaosSeed + env.Seed, and the storm's own seeds offset env.Seed.
+const chaosSeed = 41
+
+// chaosPoint is one of the family's two points: the READ
+// micro-benchmark over [0, horizon], faulted by plan and harvested
+// into reg when they are set; the faulted point then runs the CAS
+// storm into the same registry.
+type chaosPoint struct {
+	warmup, horizon sim.Time
+	plan            *fault.Plan
+	reg             *telemetry.Registry
+}
+
+// run returns the point's completed-WR samples, one per chaosSample.
+func (c chaosPoint) run(seed int64, quick bool) []chaosSamplePoint {
+	threads := 48
+	if quick {
+		threads = 24
+	}
+	var samples []chaosSamplePoint
+	opts := core.Baseline(core.PerThreadDoorbell)
+	opts.WRTimeout = 300 * sim.Microsecond
+	opts.MaxWRRetries = 3
+	cfg := MicroConfig{
+		Opts: opts, Threads: threads, Batch: 8, Op: rnic.OpRead,
+		Warmup: c.warmup, Measure: c.horizon - c.warmup,
+		Telemetry:   c.reg,
+		SampleEvery: chaosSample,
+		OnSample: func(now sim.Time, snap rnic.Counters) {
+			samples = append(samples, chaosSamplePoint{now, snap.Completed})
+		},
+	}
+	if c.plan != nil {
+		// Assigned only when set: a typed nil in the interface would
+		// defeat RunMicro's Faults==nil fast path.
+		cfg.Faults = c.plan
+	}
+	cfg.run(seed, quick)
+	if c.plan != nil {
+		runStorm(quick, seed-chaosSeed, c.reg, c.plan, c.horizon)
+	}
+	return samples
+}
+
 // runChaos executes the family: the faulted READ run, its fault-free
 // twin, and the CAS storm, returning the derived tables followed by
 // the registry's export (counters incl. fault/*, storm trajectories).
@@ -77,9 +121,9 @@ func phaseRate(samples []chaosSamplePoint, from, to sim.Time) float64 {
 // The family enumerates as two sweep points: the faulted run and the
 // storm share reg, so they stay in one point (execs within a point run
 // sequentially, preserving the registry's write order); the fault-free
-// twin touches no shared state and runs concurrently with them.
+// twin touches no shared state and runs concurrently with them. Each
+// point returns its samples, and the merges hand them to the tables.
 func runChaos(env Env) []result.Table {
-	quick, seed := env.Quick, env.Seed
 	plan, reg := env.Faults, env.Telemetry
 	if plan == nil {
 		plan = fault.Default()
@@ -94,44 +138,15 @@ func runChaos(env Env) []result.Table {
 		horizon = warmup + 2*sim.Millisecond
 	}
 
-	threads := 48
-	if quick {
-		threads = 24
-	}
-
-	run := func(inject bool, tel *telemetry.Registry) []chaosSamplePoint {
-		var samples []chaosSamplePoint
-		opts := core.Baseline(core.PerThreadDoorbell)
-		opts.WRTimeout = 300 * sim.Microsecond
-		opts.MaxWRRetries = 3
-		cfg := MicroConfig{
-			Opts: opts, Threads: threads, Batch: 8, Op: rnic.OpRead,
-			Warmup: warmup, Measure: horizon - warmup,
-			Seed: 41 + seed, Telemetry: tel,
-			SampleEvery: chaosSample,
-			OnSample: func(now sim.Time, snap rnic.Counters) {
-				samples = append(samples, chaosSamplePoint{now, snap.Completed})
-			},
-		}
-		if inject {
-			cfg.Faults = plan
-		}
-		RunMicro(cfg)
-		return samples
-	}
-
 	var faulted, clean []chaosSamplePoint
-	set := &sweep.Set{}
-	//smartlint:ignore pointisolation — reviewed: this point deliberately owns reg, plan, and faulted (see the comment above runChaos); the twin point shares nothing with it
-	set.AddFunc("chaos/faulted+storm", 41+seed, func() {
-		faulted = run(true, reg)
-		runStorm(quick, seed, reg, plan, horizon)
-	}, nil)
-	//smartlint:ignore pointisolation — reviewed: clean is written by this point alone and read only after Run returns
-	set.AddFunc("chaos/fault-free", 41+seed, func() {
-		clean = run(false, nil)
-	}, nil)
-	env.Sweeper.Run(set)
+	g := newGrid(env)
+	add(g, "chaos/faulted+storm", chaosSeed,
+		chaosPoint{warmup: warmup, horizon: horizon, plan: plan, reg: reg},
+		func(s []chaosSamplePoint) { faulted = s })
+	add(g, "chaos/fault-free", chaosSeed,
+		chaosPoint{warmup: warmup, horizon: horizon},
+		func(s []chaosSamplePoint) { clean = s })
+	g.run()
 
 	traj := result.NewTable("chaos-throughput",
 		"READ throughput trajectory through the fault window", "time")

@@ -57,8 +57,8 @@ type Experiment struct {
 	// exactly as they override a -spec file.
 	Spec func(quick bool) *spec.Spec
 	// Run executes the experiment and returns its typed tables (one
-	// per panel). The body enumerates the sweep's points into a
-	// sweep.Set and executes them through env.Sweeper — points run on
+	// per panel). The body enumerates the sweep's points through a
+	// grid (grid.go) and executes them on env.Sweeper — points run on
 	// its worker pool, results merge in enumeration order, so the
 	// returned tables are byte-identical for every worker count.
 	Run func(env Env) []result.Table
@@ -112,50 +112,6 @@ func threadGrid(quick bool) []int {
 		return []int{8, 48, 96}
 	}
 	return []int{4, 8, 16, 24, 32, 48, 64, 80, 96}
-}
-
-// quickWindows shrinks an app config's measurement windows for quick
-// sweeps; adaptation still converges (warmup covers the scaled tuner
-// epoch and ~12 γ windows).
-func quickWindows(quick bool) (warmup, measure sim.Time) {
-	if quick {
-		return 3 * sim.Millisecond, 2 * sim.Millisecond
-	}
-	return 0, 0 // runner defaults (5 ms / 4 ms)
-}
-
-// htPoint, btPoint, and dtxPoint bind quick into the config→result
-// run funcs that sweep.Add expects when enumerating app points: the
-// quick-mode windows replace whatever the point's config carried.
-func htPoint(quick bool) func(HTConfig) HTResult {
-	return func(cfg HTConfig) HTResult {
-		cfg.Warmup, cfg.Measure = quickWindows(quick)
-		return RunHT(cfg)
-	}
-}
-
-func btPoint(quick bool) func(BTConfig) BTResult {
-	return func(cfg BTConfig) BTResult {
-		cfg.Warmup, cfg.Measure = quickWindows(quick)
-		return RunBT(cfg)
-	}
-}
-
-func dtxPoint(quick bool) func(DTXConfig) DTXResult {
-	return func(cfg DTXConfig) DTXResult {
-		cfg.Warmup, cfg.Measure = quickWindows(quick)
-		return RunDTX(cfg)
-	}
-}
-
-// collect dereferences the tables accumulated during enumeration,
-// after the sweep's merges have filled them.
-func collect(ts []*result.Table) []result.Table {
-	out := make([]result.Table, len(ts))
-	for i, t := range ts {
-		out[i] = *t
-	}
-	return out
 }
 
 // us converts the sim.Time nanosecond clock into the microsecond

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/result"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -54,18 +53,14 @@ func init() {
 		ID:    "fig5",
 		Title: "Fig. 5: RACE hash-table update performance vs threads and vs skew",
 		Run: func(env Env) []result.Table {
-			a := result.NewTable("fig5a", "Fig. 5a — RACE 100% updates, Zipf 0.99: MOPS / p50 / p99 vs threads (depth 8)", "threads")
+			g := newGrid(env)
+			a := g.table("fig5a", "Fig. 5a — RACE 100% updates, Zipf 0.99: MOPS / p50 / p99 vs threads (depth 8)", "threads")
 			defLatencySeries(a, "MOPS")
 			a.Def("retries/upd", "", 2)
-			set := &sweep.Set{}
 			for _, thr := range threadGrid(env.Quick) {
 				x := float64(thr)
-				sweep.Add(set, fmt.Sprintf("fig5a/thr=%d", thr), 21+env.Seed,
-					HTConfig{
-						Opts: RACEBaseline(), ThreadsPerBlade: thr,
-						Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 21 + env.Seed,
-					},
-					htPoint(env.Quick),
+				add(g, fmt.Sprintf("fig5a/thr=%d", thr), 21,
+					HTConfig{Opts: RACEBaseline(), ThreadsPerBlade: thr, Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys},
 					func(r HTResult) {
 						a.Add("MOPS", x, r.MOPS)
 						a.Add("p50", x, us(r.Median))
@@ -78,23 +73,18 @@ func init() {
 			if env.Quick {
 				thetas = []float64{0, 0.99}
 			}
-			b := result.NewTable("fig5b", "Fig. 5b — RACE 100% updates, 16 threads: latency vs Zipf theta", "theta")
+			b := g.table("fig5b", "Fig. 5b — RACE 100% updates, 16 threads: latency vs Zipf theta", "theta")
 			defLatencySeries(b, "MOPS")
 			for _, th := range thetas {
-				sweep.Add(set, fmt.Sprintf("fig5b/theta=%g", th), 21+env.Seed,
-					HTConfig{
-						Opts: RACEBaseline(), ThreadsPerBlade: 16,
-						Theta: th, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 21 + env.Seed,
-					},
-					htPoint(env.Quick),
+				add(g, fmt.Sprintf("fig5b/theta=%g", th), 21,
+					HTConfig{Opts: RACEBaseline(), ThreadsPerBlade: 16, Theta: th, Mix: workload.UpdateOnly, Keys: htKeys},
 					func(r HTResult) {
 						b.Add("MOPS", th, r.MOPS)
 						b.Add("p50", th, us(r.Median))
 						b.Add("p99", th, us(r.P99))
 					})
 			}
-			env.Sweeper.Run(set)
-			return collect([]*result.Table{a, b})
+			return g.run()
 		},
 	})
 
@@ -106,19 +96,15 @@ func init() {
 				name string
 				opts core.Options
 			}{{"RACE", RACEBaseline()}, {"SMART-HT", core.Smart()}}
-			set := &sweep.Set{}
-			var tabs []*result.Table
+			g := newGrid(env)
 			for _, mix := range htMixes() {
-				t := result.NewTable("fig7-scaleup-"+mix.Name,
+				t := g.table("fig7-scaleup-"+mix.Name,
 					fmt.Sprintf("Fig. 7(a-c) — %s, 1 compute blade: MOPS vs threads", mix.Name), "threads")
 				t.YUnit = "MOPS"
-				tabs = append(tabs, t)
 				for _, thr := range threadGrid(env.Quick) {
 					for _, sys := range systems {
-						sweep.Add(set, fmt.Sprintf("%s/%s/thr=%d", t.ID, sys.name, thr), 22+env.Seed,
-							HTConfig{Opts: sys.opts, ThreadsPerBlade: thr,
-								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 22 + env.Seed},
-							htPoint(env.Quick),
+						add(g, fmt.Sprintf("%s/%s/thr=%d", t.ID, sys.name, thr), 22,
+							HTConfig{Opts: sys.opts, ThreadsPerBlade: thr, Theta: 0.99, Mix: mix, Keys: htKeys},
 							func(r HTResult) { t.Add(sys.name, float64(thr), r.MOPS) })
 					}
 				}
@@ -130,22 +116,18 @@ func init() {
 				threads = 32
 			}
 			for _, mix := range htMixes() {
-				t := result.NewTable("fig7-scaleout-"+mix.Name,
+				t := g.table("fig7-scaleout-"+mix.Name,
 					fmt.Sprintf("Fig. 7(d-f) — %s, %d threads/blade: MOPS vs compute blades", mix.Name, threads), "blades")
 				t.YUnit = "MOPS"
-				tabs = append(tabs, t)
 				for _, b := range blades {
 					for _, sys := range systems {
-						sweep.Add(set, fmt.Sprintf("%s/%s/blades=%d", t.ID, sys.name, b), 22+env.Seed,
-							HTConfig{Opts: sys.opts, ComputeBlades: b, ThreadsPerBlade: threads,
-								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 22 + env.Seed},
-							htPoint(env.Quick),
+						add(g, fmt.Sprintf("%s/%s/blades=%d", t.ID, sys.name, b), 22,
+							HTConfig{Opts: sys.opts, ComputeBlades: b, ThreadsPerBlade: threads, Theta: 0.99, Mix: mix, Keys: htKeys},
 							func(r HTResult) { t.Add(sys.name, float64(b), r.MOPS) })
 					}
 				}
 			}
-			env.Sweeper.Run(set)
-			return collect(tabs)
+			return g.run()
 		},
 	})
 
@@ -154,25 +136,20 @@ func init() {
 		Title: "Fig. 8: performance breakdown of SMART-HT's techniques",
 		Run: func(env Env) []result.Table {
 			configs := fig8Configs()
-			set := &sweep.Set{}
-			var tabs []*result.Table
+			g := newGrid(env)
 			for _, mix := range htMixes() {
-				t := result.NewTable("fig8-"+mix.Name,
+				t := g.table("fig8-"+mix.Name,
 					fmt.Sprintf("Fig. 8 — %s: MOPS vs threads, cumulative techniques", mix.Name), "threads")
 				t.YUnit = "MOPS"
-				tabs = append(tabs, t)
 				for _, thr := range threadGrid(env.Quick) {
 					for _, c := range configs {
-						sweep.Add(set, fmt.Sprintf("%s/%s/thr=%d", t.ID, c.name, thr), 23+env.Seed,
-							HTConfig{Opts: c.opts, ThreadsPerBlade: thr,
-								Theta: 0.99, Mix: mix, Keys: htKeys, Seed: 23 + env.Seed},
-							htPoint(env.Quick),
+						add(g, fmt.Sprintf("%s/%s/thr=%d", t.ID, c.name, thr), 23,
+							HTConfig{Opts: c.opts, ThreadsPerBlade: thr, Theta: 0.99, Mix: mix, Keys: htKeys},
 							func(r HTResult) { t.Add(c.name, float64(thr), r.MOPS) })
 					}
 				}
 			}
-			env.Sweeper.Run(set)
-			return collect(tabs)
+			return g.run()
 		},
 	})
 
@@ -184,28 +161,22 @@ func init() {
 			if env.Quick {
 				targets = []float64{4, 12, 0}
 			}
-			set := &sweep.Set{}
-			var tabs []*result.Table
+			g := newGrid(env)
 			for _, sys := range []struct {
 				name string
 				opts core.Options
 			}{{"RACE", RACEBaseline()}, {"SMART-HT", core.Smart()}} {
-				t := result.NewTable("fig9-"+sys.name,
+				t := g.table("fig9-"+sys.name,
 					fmt.Sprintf("Fig. 9 — %s: achieved MOPS, p50, p99 per target", sys.name), "target")
 				t.XUnit = "MOPS"
 				defLatencySeries(t, "MOPS")
-				tabs = append(tabs, t)
 				for _, tgt := range targets {
 					label := ""
 					if tgt == 0 {
 						label = "max"
 					}
-					tgt := tgt
-					sweep.Add(set, fmt.Sprintf("%s/target=%g", t.ID, tgt), 24+env.Seed,
-						HTConfig{Opts: sys.opts, ThreadsPerBlade: 96,
-							Theta: 0.99, Mix: workload.ReadOnly, Keys: htKeys, Seed: 24 + env.Seed,
-							TargetMOPS: tgt},
-						htPoint(env.Quick),
+					add(g, fmt.Sprintf("%s/target=%g", t.ID, tgt), 24,
+						HTConfig{Opts: sys.opts, ThreadsPerBlade: 96, Theta: 0.99, Mix: workload.ReadOnly, Keys: htKeys, TargetMOPS: tgt},
 						func(r HTResult) {
 							t.AddLabeled("MOPS", tgt, label, r.MOPS)
 							t.AddLabeled("p50", tgt, label, us(r.Median))
@@ -213,8 +184,7 @@ func init() {
 						})
 				}
 			}
-			env.Sweeper.Run(set)
-			return collect(tabs)
+			return g.run()
 		},
 	})
 
@@ -241,20 +211,17 @@ func init() {
 				{"+DynLimit", dyn},
 				{"+CoroThrot", core.Smart()},
 			}
-			mops := result.NewTable("fig14a", "Fig. 14a — MOPS vs threads", "threads")
+			g := newGrid(env)
+			mops := g.table("fig14a", "Fig. 14a — MOPS vs threads", "threads")
 			mops.YUnit = "MOPS"
-			retries := result.NewTable("fig14b", "Fig. 14b — avg retries/update vs threads", "threads")
+			retries := g.table("fig14b", "Fig. 14b — avg retries/update vs threads", "threads")
 			retries.YUnit = "retries/upd"
-			dist := result.NewTable("fig14c", "Fig. 14c — retry-count distribution at 96 threads (completed ops, %)", "retries")
+			dist := g.table("fig14c", "Fig. 14c — retry-count distribution at 96 threads (completed ops, %)", "retries")
 			dist.YUnit, dist.Prec = "%", 1
-			set := &sweep.Set{}
 			for _, thr := range threadGrid(env.Quick) {
 				for _, c := range configs {
-					thr := thr
-					sweep.Add(set, fmt.Sprintf("fig14/%s/thr=%d", c.name, thr), 25+env.Seed,
-						HTConfig{Opts: c.opts, ThreadsPerBlade: thr,
-							Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Seed: 25 + env.Seed},
-						htPoint(env.Quick),
+					add(g, fmt.Sprintf("fig14/%s/thr=%d", c.name, thr), 25,
+						HTConfig{Opts: c.opts, ThreadsPerBlade: thr, Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys},
 						func(r HTResult) {
 							mops.Add(c.name, float64(thr), r.MOPS)
 							retries.Add(c.name, float64(thr), r.AvgRetries)
@@ -268,8 +235,7 @@ func init() {
 						})
 				}
 			}
-			env.Sweeper.Run(set)
-			return collect([]*result.Table{mops, retries, dist})
+			return g.run()
 		},
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/result"
 	"repro/internal/rnic"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
 func init() {
@@ -35,28 +34,23 @@ func init() {
 				threads = []int{36, 96}
 				owrs = []int{2, 8, 32}
 			}
-			mops := result.NewTable("fig4a", "Fig. 4a — READ MOPS (rows: threads, cols: OWRs/thread)", "threads")
+			g := newGrid(env)
+			mops := g.table("fig4a", "Fig. 4a — READ MOPS (rows: threads, cols: OWRs/thread)", "threads")
 			mops.YUnit, mops.Prec = "MOPS", 1
-			dma := result.NewTable("fig4b", "Fig. 4b — DRAM bytes per work request", "threads")
+			dma := g.table("fig4b", "Fig. 4b — DRAM bytes per work request", "threads")
 			dma.YUnit, dma.Prec = "B/WR", 0
-			set := &sweep.Set{}
 			for _, t := range threads {
 				for _, o := range owrs {
 					col := fmt.Sprintf("owr=%d", o)
-					sweep.Add(set, fmt.Sprintf("thr=%d/%s", t, col), 12+env.Seed,
-						MicroConfig{
-							Opts:    core.Baseline(core.PerThreadDoorbell),
-							Threads: t, Batch: o, Op: rnic.OpRead, Seed: 12 + env.Seed,
-						},
-						RunMicro,
+					add(g, fmt.Sprintf("thr=%d/%s", t, col), 12,
+						MicroConfig{Opts: core.Baseline(core.PerThreadDoorbell), Threads: t, Batch: o, Op: rnic.OpRead},
 						func(r MicroResult) {
 							mops.Add(col, float64(t), r.MOPS)
 							dma.Add(col, float64(t), r.DMABytesPerWR)
 						})
 				}
 			}
-			env.Sweeper.Run(set)
-			return collect([]*result.Table{mops, dma})
+			return g.run()
 		},
 	})
 
@@ -96,9 +90,9 @@ func init() {
 			throttled.UpdateDelta = 250 * sim.Microsecond // epoch ≈ 16.25 ms
 			plain := core.Baseline(core.PerThreadDoorbell)
 
-			t := result.NewTable("tab1", "Table 1 — MOPS vs changing interval (paper-equivalent ms)", "interval")
+			g := newGrid(env)
+			t := g.table("tab1", "Table 1 — MOPS vs changing interval (paper-equivalent ms)", "interval")
 			t.XUnit, t.YUnit, t.Prec = "paper ms", "MOPS", 1
-			set := &sweep.Set{}
 			for _, row := range []struct {
 				name string
 				opts core.Options
@@ -114,18 +108,16 @@ func init() {
 					if measure < 16*sim.Millisecond {
 						measure = 16 * sim.Millisecond
 					}
-					sweep.Add(set, fmt.Sprintf("%s/interval=%dms", strings.TrimSpace(row.name), paperMS[i]), 14+env.Seed,
+					add(g, fmt.Sprintf("%s/interval=%dms", strings.TrimSpace(row.name), paperMS[i]), 14,
 						MicroConfig{
 							Opts: row.opts, Threads: 96, Batch: 64, Op: rnic.OpRead,
-							Seed: 14 + env.Seed, Measure: measure, Warmup: 2 * sim.Millisecond,
+							Measure: measure, Warmup: 2 * sim.Millisecond,
 							DynamicInterval: iv, DynamicMin: 36,
 						},
-						RunMicro,
 						func(r MicroResult) { t.Add(row.name, float64(paperMS[i]), r.MOPS) })
 				}
 			}
-			env.Sweeper.Run(set)
-			return collect([]*result.Table{t})
+			return g.run()
 		},
 	})
 }

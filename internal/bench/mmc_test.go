@@ -69,7 +69,7 @@ func TestServingKneeMatchesErlangC(t *testing.T) {
 	run := func(frac float64) serve.Result {
 		aspec := (&arrival.Spec{Kind: arrival.KindPoisson, Rate: 4}).
 			WithMeanRate(frac * nominal)
-		return serve.Run(servingSectionConfig(sv, topo, aspec, 0))
+		return servingSectionConfig(sv, topo, aspec).run(sv.Seed, true)
 	}
 	sub := run(0.5)  // comfortably below the knee
 	near := run(0.8) // approaching it

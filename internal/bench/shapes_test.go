@@ -22,7 +22,6 @@ func TestShapesQuick(t *testing.T) {
 		t.Skip("runs real quick sweeps")
 	}
 	for _, id := range []string{"fig4", "fig3", "fig13", "fig14", "chaos", "serving", "batching"} {
-		id := id
 		t.Run(id, func(t *testing.T) {
 			e := ByID(id)
 			if e == nil {

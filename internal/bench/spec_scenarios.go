@@ -11,7 +11,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/verbs"
 )
@@ -76,7 +75,7 @@ func FromSpec(s *spec.Spec) (*Experiment, error) {
 			series[i] = opts
 		}
 		e.Run = func(env Env) []result.Table {
-			return runMicroPanels(env.Sweeper, s.Micro, series, faults, env.Seed)
+			return runMicroPanels(env, s.Micro, series, faults)
 		}
 	case "serving":
 		// The embedded arrival sub-spec (or the calibrated Poisson
@@ -105,8 +104,8 @@ func FromSpec(s *spec.Spec) (*Experiment, error) {
 		// fraction of a large nominal capacity can push the rescaled
 		// arrival past its rate cap.
 		check := func(topo spec.Topo, a *arrival.Spec, frac float64) error {
-			cfg := servingSectionConfig(sv, topo, a.WithMeanRate(frac*servingNominal(sv, topo)), 0)
-			if err := cfg.Validate(); err != nil {
+			cfg := servingSectionConfig(sv, topo, a.WithMeanRate(frac*servingNominal(sv, topo)))
+			if err := serve.Config(cfg).Validate(); err != nil {
 				return fmt.Errorf("spec: serving: topology %s at load %v: %w", topo.Label(), frac, err)
 			}
 			return nil
@@ -134,11 +133,11 @@ func FromSpec(s *spec.Spec) (*Experiment, error) {
 		}
 		e.Instrumented = true
 		e.Run = func(env Env) []result.Table {
-			return runServingSection(env.Sweeper, sv, template, bursts, env.Seed, env.Telemetry)
+			return runServingSection(env, sv, template, bursts)
 		}
 	case "batching":
 		e.Run = func(env Env) []result.Table {
-			return runBatchingSection(env.Sweeper, s.Ablation, knobs, env.Seed)
+			return runBatchingSection(env, s.Ablation, knobs)
 		}
 	}
 	return e, nil
@@ -159,14 +158,12 @@ func runSpec(build func(quick bool) *spec.Spec, env Env) []result.Table {
 // profile × grid cross into one shared set (tables fill in merge
 // order), then a single Run executes all panels' points together.
 // series[i] is profile i's resolved options, batching template applied.
-func runMicroPanels(sw *sweep.Sweeper, m *spec.Micro, series []core.Options, faults rnic.Injector, seed int64) []result.Table {
-	set := &sweep.Set{}
-	var tabs []*result.Table
+func runMicroPanels(env Env, m *spec.Micro, series []core.Options, faults rnic.Injector) []result.Table {
+	g := newGrid(env)
 	for i := range m.Panels {
 		p := &m.Panels[i]
-		t := result.NewTable(p.ID, p.Title, p.X)
+		t := g.table(p.ID, p.Title, p.X)
 		t.YUnit, t.Prec = "MOPS", 1
-		tabs = append(tabs, t)
 		op := rnic.OpRead
 		if p.Op == "write" {
 			op = rnic.OpWrite
@@ -181,34 +178,27 @@ func runMicroPanels(sw *sweep.Sweeper, m *spec.Micro, series []core.Options, fau
 				threads, batch = p.Threads[0], v
 			}
 			for si, prof := range m.Profiles {
-				t, v, name := t, v, prof.Name
-				sweep.Add(set, fmt.Sprintf("%s/%s/%s=%d", p.ID, name, xShort, v), p.Seed+seed,
-					MicroConfig{
-						Opts: series[si], Threads: threads, Batch: batch, Op: op,
-						Seed: p.Seed + seed, Faults: faults,
-					},
-					RunMicro,
-					func(r MicroResult) { t.Add(name, float64(v), r.MOPS) })
+				add(g, fmt.Sprintf("%s/%s/%s=%d", p.ID, prof.Name, xShort, v), p.Seed,
+					MicroConfig{Opts: series[si], Threads: threads, Batch: batch, Op: op, Faults: faults},
+					func(r MicroResult) { t.Add(prof.Name, float64(v), r.MOPS) })
 			}
 		}
 	}
-	sw.Run(set)
-	return collect(tabs)
+	return g.run()
 }
 
-// servingSectionConfig builds one serving point's serve configuration
-// from its section: topology topo offered aspec's aggregate rate. The
-// M/M/c sanity test shares it, so the analytic knee check measures the
-// exact station the section sweeps.
-func servingSectionConfig(sv *spec.Serving, topo spec.Topo, aspec *arrival.Spec, seed int64) serve.Config {
-	return serve.Config{
+// servingSectionConfig builds one serving point from its section:
+// topology topo offered aspec's aggregate rate, seeded by the grid (at
+// sv.Seed). The M/M/c sanity test shares it, so the analytic knee
+// check measures the exact station the section sweeps.
+func servingSectionConfig(sv *spec.Serving, topo spec.Topo, aspec *arrival.Spec) servePoint {
+	return servePoint{
 		Runtimes:          topo.Runtimes,
 		ThreadsPerRuntime: topo.Threads,
 		Arrival:           aspec,
 		TxnFrac:           sv.TxnFrac,
 		Warmup:            sv.Warmup.Time(),
 		Measure:           sv.Measure.Time(),
-		Seed:              sv.Seed + seed,
 		Opts:              core.Baseline(core.PerThreadDoorbell),
 	}
 }
@@ -221,37 +211,32 @@ func servingNominal(sv *spec.Serving, t spec.Topo) float64 {
 
 // runServingSection runs one serving section: the topology ×
 // load-fraction grid, the optional burstiness panel (bursts[i] is
-// sv.Burst.Arrivals[i] resolved), and — when reg is non-nil — the
-// section's instrumented overload point, whose registry tables ride
-// along after the result tables.
-func runServingSection(sw *sweep.Sweeper, sv *spec.Serving, template *arrival.Spec, bursts []*arrival.Spec, seed int64, reg *telemetry.Registry) []result.Table {
-	config := func(topo spec.Topo, aspec *arrival.Spec) serve.Config {
-		return servingSectionConfig(sv, topo, aspec, seed)
-	}
+// sv.Burst.Arrivals[i] resolved), and — when env.Telemetry is non-nil
+// — the section's instrumented overload point, whose registry tables
+// ride along after the result tables.
+func runServingSection(env Env, sv *spec.Serving, template *arrival.Spec, bursts []*arrival.Spec) []result.Table {
 	breakdown := sv.Breakdown.Label()
 
-	p99 := result.NewTable("serving-p99",
+	g := newGrid(env)
+	p99 := g.table("serving-p99",
 		"Serving — op p99 latency vs offered load (fraction of nominal capacity)", "load")
 	p99.XUnit, p99.YUnit, p99.Prec = "x capacity", "us", 2
-	good := result.NewTable("serving-goodput",
+	good := g.table("serving-goodput",
 		"Serving — goodput (and offered load) vs load fraction", "load")
 	good.XUnit, good.YUnit, good.Prec = "x capacity", "ops/us", 2
-	shed := result.NewTable("serving-shed",
+	shed := g.table("serving-shed",
 		"Serving — shed fraction vs load fraction", "load")
 	shed.XUnit, shed.YUnit, shed.Prec = "x capacity", "frac", 4
-	lat := result.NewTable("serving-latency",
+	lat := g.table("serving-latency",
 		fmt.Sprintf("Serving — latency breakdown on the %s topology", breakdown), "load")
 	lat.XUnit, lat.YUnit, lat.Prec = "x capacity", "us", 2
 
-	set := &sweep.Set{}
 	for _, topo := range sv.Topologies {
 		cfgLabel := topo.Label()
 		for _, frac := range sv.LoadFracs {
-			frac := frac
 			aspec := template.WithMeanRate(frac * servingNominal(sv, topo))
-			sweep.Add(set, fmt.Sprintf("serving/%s/load=%.2f", cfgLabel, frac), sv.Seed+seed,
-				config(topo, aspec),
-				serve.Run,
+			add(g, fmt.Sprintf("serving/%s/load=%.2f", cfgLabel, frac), sv.Seed,
+				servingSectionConfig(sv, topo, aspec),
 				func(r serve.Result) {
 					p99.Add(cfgLabel, frac, us(r.Op.P99))
 					good.Add(cfgLabel, frac, r.Goodput)
@@ -273,26 +258,22 @@ func runServingSection(sw *sweep.Sweeper, sv *spec.Serving, template *arrival.Sp
 	// on one topology. The bursty processes transiently exceed capacity,
 	// so the tail must suffer even though the mean load is below the
 	// knee.
-	tabs := []*result.Table{p99, good, shed, lat}
 	if b := sv.Burst; b != nil {
-		burst := result.NewTable("serving-burst",
+		burst := g.table("serving-burst",
 			fmt.Sprintf("Serving — arrival burstiness vs op p99 at matched mean rate (%s)", b.Topology.Label()), "load")
 		burst.XUnit, burst.YUnit, burst.Prec = "x capacity", "us", 2
-		tabs = append(tabs, burst)
 		for i, bspec := range bursts {
 			name := b.Arrivals[i].Name
 			for _, frac := range b.Fracs {
-				frac := frac
 				aspec := bspec.WithMeanRate(frac * servingNominal(sv, b.Topology))
-				cfg := config(b.Topology, aspec)
+				cfg := servingSectionConfig(sv, b.Topology, aspec)
 				// A small fixed client count (one in the built-in
 				// section) keeps bursty on-phases correlated —
 				// independent per-client phases would smooth the
 				// aggregate back toward Poisson.
 				cfg.Clients = b.Clients
-				sweep.Add(set, fmt.Sprintf("serving/burst/%s/load=%.2f", name, frac), sv.Seed+seed,
-					cfg, serve.Run,
-					func(r serve.Result) { burst.Add(name, frac, us(r.Op.P99)) })
+				add(g, fmt.Sprintf("serving/burst/%s/load=%.2f", name, frac), sv.Seed,
+					cfg, func(r serve.Result) { burst.Add(name, frac, us(r.Op.P99)) })
 			}
 		}
 	}
@@ -300,18 +281,18 @@ func runServingSection(sw *sweep.Sweeper, sv *spec.Serving, template *arrival.Sp
 	// Instrumented variant: one overloaded point carries the registry
 	// (admission counters, qdepth trajectory, runtime harvests).
 	// Enumerated last so the plain grid above is untouched; the point
-	// owns reg exclusively.
+	// owns the registry exclusively.
+	reg := env.Telemetry
 	if reg != nil && sv.Overload != nil {
 		o := sv.Overload
 		aspec := template.WithMeanRate(o.Frac * servingNominal(sv, o.Topology))
-		cfg := config(o.Topology, aspec)
+		cfg := servingSectionConfig(sv, o.Topology, aspec)
 		cfg.Telemetry = reg
-		sweep.Add(set, fmt.Sprintf("serving/telemetry/%s/load=%.2f", o.Topology.Label(), o.Frac), sv.Seed+seed,
-			cfg, serve.Run, func(serve.Result) {})
+		add(g, fmt.Sprintf("serving/telemetry/%s/load=%.2f", o.Topology.Label(), o.Frac), sv.Seed,
+			cfg, nil)
 	}
 
-	sw.Run(set)
-	tables := collect(tabs)
+	tables := g.run()
 	if reg != nil {
 		tables = append(tables, reg.Tables("")...)
 	}
@@ -322,17 +303,18 @@ func runServingSection(sw *sweep.Sweeper, sv *spec.Serving, template *arrival.Sp
 // submission modes over the depth and thread grids plus the §4.2
 // C_max coupling panel, with the knob template's overrides applied to
 // the swept modes.
-func runBatchingSection(sw *sweep.Sweeper, ab *spec.Ablation, knobs verbs.Batching, seed int64) []result.Table {
-	depth := result.NewTable("batching-depth",
+func runBatchingSection(env Env, ab *spec.Ablation, knobs verbs.Batching) []result.Table {
+	g := newGrid(env)
+	depth := g.table("batching-depth",
 		fmt.Sprintf("Batching — READ MOPS vs post batch (%d threads, per-thread QP)", ab.FixedThreads), "batch")
 	depth.YUnit, depth.Prec = "MOPS", 1
-	cont := result.NewTable("batching-contention",
+	cont := g.table("batching-contention",
 		fmt.Sprintf("Batching — contended doorbell acquisitions per posted WR vs batch (%d threads, per-thread QP)", ab.FixedThreads), "batch")
 	cont.Prec = 4
-	thr := result.NewTable("batching-threads",
+	thr := g.table("batching-threads",
 		fmt.Sprintf("Batching — READ MOPS vs threads (batch %d, per-thread QP)", ab.FixedBatch), "threads")
 	thr.YUnit, thr.Prec = "MOPS", 1
-	cmaxT := result.NewTable("batching-cmax",
+	cmaxT := g.table("batching-cmax",
 		fmt.Sprintf("Batching — adopted C_max under §4.2 throttling (%d threads, per-thread QP)", ab.FixedThreads), "mode")
 	cmaxT.Def("cmax-mean", "", 2)
 	cmaxT.Def("MOPS", "", 1)
@@ -342,24 +324,17 @@ func runBatchingSection(sw *sweep.Sweeper, ab *spec.Ablation, knobs verbs.Batchi
 		thr.Def(m.name, "", 1)
 	}
 
-	set := &sweep.Set{}
-
 	// Depth sweep + contention fractions: every point harvests into its
 	// own probe registry (per-point isolation); the shared tables are
 	// written in the merges, on the caller's goroutine, in enumeration
 	// order.
 	for _, b := range ab.Batches {
 		for _, m := range batchingModes() {
-			b, m := b, m
 			probe := telemetry.New()
 			opts := core.Baseline(core.PerThreadQP)
 			opts.Batching = batchingFor(knobs, m.b, b)
-			sweep.Add(set, fmt.Sprintf("batching/depth/%s/b=%d", m.name, b), ab.DepthSeed+seed,
-				MicroConfig{
-					Opts: opts, Threads: ab.FixedThreads, Batch: b, Op: rnic.OpRead,
-					Seed: ab.DepthSeed + seed, Telemetry: probe,
-				},
-				RunMicro,
+			add(g, fmt.Sprintf("batching/depth/%s/b=%d", m.name, b), ab.DepthSeed,
+				MicroConfig{Opts: opts, Threads: ab.FixedThreads, Batch: b, Op: rnic.OpRead, Telemetry: probe},
 				func(r MicroResult) {
 					depth.Add(m.name, float64(b), r.MOPS)
 					contended := probe.Value("db/contended-total")
@@ -376,15 +351,10 @@ func runBatchingSection(sw *sweep.Sweeper, ab *spec.Ablation, knobs verbs.Batchi
 	// Thread sweep at a fixed post batch.
 	for _, n := range ab.Threads {
 		for _, m := range batchingModes() {
-			n, m := n, m
 			opts := core.Baseline(core.PerThreadQP)
 			opts.Batching = batchingFor(knobs, m.b, ab.FixedBatch)
-			sweep.Add(set, fmt.Sprintf("batching/threads/%s/thr=%d", m.name, n), ab.ThreadSeed+seed,
-				MicroConfig{
-					Opts: opts, Threads: n, Batch: ab.FixedBatch, Op: rnic.OpRead,
-					Seed: ab.ThreadSeed + seed,
-				},
-				RunMicro,
+			add(g, fmt.Sprintf("batching/threads/%s/thr=%d", m.name, n), ab.ThreadSeed,
+				MicroConfig{Opts: opts, Threads: n, Batch: ab.FixedBatch, Op: rnic.OpRead},
 				func(r MicroResult) { thr.Add(m.name, float64(n), r.MOPS) })
 		}
 	}
@@ -397,25 +367,19 @@ func runBatchingSection(sw *sweep.Sweeper, ab *spec.Ablation, knobs verbs.Batchi
 	// when the controller grants enough credits, which is the coupling
 	// the check pins.
 	for i, m := range batchingModes() {
-		i, m := i, m
 		opts := core.Baseline(core.PerThreadQP)
 		opts.WorkReqThrottle = true
 		opts.UpdateDelta = ab.CMaxUpdateDelta.Time()
 		opts.Batching = batchingFor(knobs, m.b, ab.CMaxCoalesceBatch)
-		sweep.Add(set, "batching/cmax/"+m.name, ab.CMaxSeed+seed,
-			MicroConfig{
-				Opts: opts, Threads: ab.FixedThreads, Batch: ab.FixedBatch, Op: rnic.OpRead,
-				Seed: ab.CMaxSeed + seed,
-			},
-			RunMicro,
+		add(g, "batching/cmax/"+m.name, ab.CMaxSeed,
+			MicroConfig{Opts: opts, Threads: ab.FixedThreads, Batch: ab.FixedBatch, Op: rnic.OpRead},
 			func(r MicroResult) {
 				cmaxT.AddLabeled("cmax-mean", float64(i), m.name, r.CMaxMean)
 				cmaxT.AddLabeled("MOPS", float64(i), m.name, r.MOPS)
 			})
 	}
 
-	sw.Run(set)
-	return collect([]*result.Table{depth, cont, thr, cmaxT})
+	return g.run()
 }
 
 // The in-code spec builders. The registered experiments run exactly

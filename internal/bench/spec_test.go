@@ -37,7 +37,6 @@ func goldenSpecs() []struct {
 // `go test ./internal/bench -run GoldenSpecsPinned -update-golden`.
 func TestGoldenSpecsPinned(t *testing.T) {
 	for _, g := range goldenSpecs() {
-		g := g
 		t.Run(g.expID, func(t *testing.T) {
 			s := g.build(true)
 			want, err := s.Canonical()
@@ -98,7 +97,6 @@ func TestSpecProbeEnumeration(t *testing.T) {
 		return pts
 	}
 	for _, g := range goldenSpecs() {
-		g := g
 		t.Run(g.expID, func(t *testing.T) {
 			s, err := spec.Load(filepath.Join("testdata", "specs", g.file))
 			if err != nil {

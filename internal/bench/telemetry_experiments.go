@@ -7,7 +7,6 @@ import (
 	"repro/internal/result"
 	"repro/internal/rnic"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -35,7 +34,7 @@ import (
 // grid and reports the contended fraction of doorbell acquisitions.
 func fig3Telemetry(env Env) []result.Table {
 	reg := env.Telemetry
-	grid := threadGrid(env.Quick)
+	threads := threadGrid(env.Quick)
 	cg := reg.Group("db-contention",
 		"Contended fraction of doorbell spinlock acquisitions (§3.1)", "threads")
 	cg.Prec = 3
@@ -48,9 +47,9 @@ func fig3Telemetry(env Env) []result.Table {
 		{"per-thread-qp", core.Baseline(core.PerThreadQP)},
 		{"per-thread-doorbell", core.Baseline(core.PerThreadDoorbell)},
 	}
-	last := grid[len(grid)-1]
-	set := &sweep.Set{}
-	for _, thr := range grid {
+	last := threads[len(threads)-1]
+	g := newGrid(env)
+	for _, thr := range threads {
 		for _, p := range policies {
 			// Each sweep point harvests into a throwaway probe; the
 			// heaviest contended point (per-thread-qp at the top of
@@ -64,12 +63,8 @@ func fig3Telemetry(env Env) []result.Table {
 			if thr == last && p.opts.Policy == core.PerThreadQP {
 				probe = reg
 			}
-			sweep.Add(set, fmt.Sprintf("fig3-telemetry/%s/thr=%d", p.name, thr), 11+env.Seed,
-				MicroConfig{
-					Opts: p.opts, Threads: thr, Batch: 8, Op: rnic.OpRead,
-					Seed: 11 + env.Seed, Telemetry: probe,
-				},
-				RunMicro,
+			add(g, fmt.Sprintf("fig3-telemetry/%s/thr=%d", p.name, thr), 11,
+				MicroConfig{Opts: p.opts, Threads: thr, Batch: 8, Op: rnic.OpRead, Telemetry: probe},
 				func(MicroResult) {
 					acq := probe.Value("db/acquisitions-total")
 					cont := probe.Value("db/contended-total")
@@ -82,7 +77,7 @@ func fig3Telemetry(env Env) []result.Table {
 				})
 		}
 	}
-	env.Sweeper.Run(set)
+	g.run()
 	return reg.Tables("")
 }
 
@@ -93,14 +88,11 @@ func fig13Telemetry(env Env) []result.Table {
 	throttled := core.Baseline(core.PerThreadDoorbell)
 	throttled.WorkReqThrottle = true
 	throttled.UpdateDelta = 400 * sim.Microsecond
-	set := &sweep.Set{}
-	sweep.Add(set, "fig13-telemetry/thr=96", 13+env.Seed,
-		MicroConfig{
-			Opts: throttled, Threads: 96, Batch: 16, Op: rnic.OpRead,
-			Seed: 13 + env.Seed, Telemetry: env.Telemetry,
-		},
-		RunMicro, nil)
-	env.Sweeper.Run(set)
+	g := newGrid(env)
+	add(g, "fig13-telemetry/thr=96", 13,
+		MicroConfig{Opts: throttled, Threads: 96, Batch: 16, Op: rnic.OpRead, Telemetry: env.Telemetry},
+		nil)
+	g.run()
 	return env.Telemetry.Tables("")
 }
 
@@ -108,15 +100,13 @@ func fig13Telemetry(env Env) []result.Table {
 // contended update-only workload: it records γ samples and the
 // c_max/t_max responses.
 func fig14Telemetry(env Env) []result.Table {
-	set := &sweep.Set{}
-	sweep.Add(set, "fig14-telemetry/thr=96", 25+env.Seed,
+	g := newGrid(env)
+	add(g, "fig14-telemetry/thr=96", 25,
 		HTConfig{
 			Opts: core.Smart(), ThreadsPerBlade: 96,
-			Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys,
-			Seed: 25 + env.Seed, Telemetry: env.Telemetry,
+			Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys, Telemetry: env.Telemetry,
 		},
-		htPoint(env.Quick),
 		nil)
-	env.Sweeper.Run(set)
+	g.run()
 	return env.Telemetry.Tables("")
 }

@@ -169,7 +169,6 @@ func TestTelemetryShapes(t *testing.T) {
 		t.Skip("runs full instrumented sweeps")
 	}
 	for _, id := range instrumentedIDs() {
-		id := id
 		t.Run(id, func(t *testing.T) {
 			_, tables := runInstrumented(sweep.New(0), id, 0)
 			for _, v := range CheckTelemetry(id, tables) {

@@ -203,7 +203,6 @@ func TestBatchingDifferentialFaultFree(t *testing.T) {
 		t.Fatalf("fault-free oracle saw retries=%d abandoned=%d", oracle.retries, oracle.abandoned)
 	}
 	for _, m := range diffModes() {
-		m := m
 		t.Run(m.name, func(t *testing.T) {
 			assertDiffEqual(t, m.name, diffSlots, oracle, runBatchDiff(t, m.b, false))
 		})
@@ -223,7 +222,6 @@ func TestBatchingDifferentialUnderFaults(t *testing.T) {
 		t.Fatal("no stale completions: the delay window should outlive the watchdog")
 	}
 	for _, m := range diffModes() {
-		m := m
 		t.Run(m.name, func(t *testing.T) {
 			assertDiffEqual(t, m.name, diffSlots, oracle, runBatchDiff(t, m.b, true))
 		})

@@ -24,7 +24,7 @@ func TestOptionFactories(t *testing.T) {
 func TestOptionDefaults(t *testing.T) {
 	o := Smart()
 	o.withDefaults()
-	if o.Depth != 8 || o.CMax != 8 {
+	if o.Depth != 8 || initialCMax != 8 {
 		t.Fatalf("defaults: %+v", o)
 	}
 	if o.UpdateDelta != 8*sim.Millisecond {
@@ -35,9 +35,6 @@ func TestOptionDefaults(t *testing.T) {
 	}
 	if o.GammaHigh != 0.5 || o.GammaLow != 0.1 {
 		t.Fatalf("watermarks: %v/%v", o.GammaHigh, o.GammaLow)
-	}
-	if o.AdaptCMax == nil || !*o.AdaptCMax {
-		t.Fatal("AdaptCMax should default to WorkReqThrottle")
 	}
 }
 

@@ -163,10 +163,12 @@ func TestBatchPostSync(t *testing.T) {
 }
 
 func TestCreditThrottleBoundsOutstanding(t *testing.T) {
-	opts := Options{Policy: PerThreadDoorbell, WorkReqThrottle: true, CMax: 4}
-	adapt := false
-	opts.AdaptCMax = &adapt
-	cl, rt := testRig(t, 2, 1, opts)
+	cl, rt := testRig(t, 2, 1, Options{Policy: PerThreadDoorbell, WorkReqThrottle: true})
+	// Pin C_max at 4 before the run. The tuner's first candidate is
+	// also 4, held for Δ (8 ms by default), longer than the run.
+	for _, th := range rt.Threads() {
+		th.updateCMax(4)
+	}
 	addr := cl.Memories[0].Mem.Alloc(8)
 	maxOut := 0
 	cl.Eng.Go("sampler", func(p *sim.Proc) {
@@ -178,7 +180,6 @@ func TestCreditThrottleBoundsOutstanding(t *testing.T) {
 		}
 	})
 	for _, th := range rt.Threads() {
-		th := th
 		th.Spawn("w", func(c *Ctx) {
 			buf := make([]byte, 8)
 			for c.Now() < 3*sim.Millisecond {
@@ -229,10 +230,8 @@ func TestNoThrottleAllowsDeepBatches(t *testing.T) {
 }
 
 func TestUpdateCMaxShiftsCredits(t *testing.T) {
-	opts := Options{Policy: PerThreadDoorbell, WorkReqThrottle: true, CMax: 8}
-	adapt := false
-	opts.AdaptCMax = &adapt
-	_, rt := testRig(t, 1, 1, opts)
+	// The engine never runs, so the tuner never moves the ceiling.
+	_, rt := testRig(t, 1, 1, Options{Policy: PerThreadDoorbell, WorkReqThrottle: true})
 	th := rt.Thread(0)
 	if th.CMax() != 8 || th.credits.Available() != 8 {
 		t.Fatalf("initial cmax=%d credits=%d", th.CMax(), th.credits.Available())
@@ -371,8 +370,7 @@ func TestRetryTickerShrinksCoroDepth(t *testing.T) {
 }
 
 func TestCmaxTunerRuns(t *testing.T) {
-	opts := Options{Policy: PerThreadDoorbell, WorkReqThrottle: true, CMax: 8,
-		UpdateDelta: 100 * sim.Microsecond}
+	opts := Options{Policy: PerThreadDoorbell, WorkReqThrottle: true, UpdateDelta: 100 * sim.Microsecond}
 	cl, rt := testRig(t, 1, 1, opts)
 	addr := cl.Memories[0].Mem.Alloc(8)
 	seen := map[int]bool{}

@@ -84,6 +84,7 @@ func ParsePolicy(name string) (Policy, error) {
 // The framework constants no caller varies.
 const (
 	multiplexQ   = 4  // threads per QP under MultiplexedQP
+	initialCMax  = 8  // C_max before Algorithm 1's first epoch
 	stableEpochs = 60 // Algorithm 1's stable phase, in units of Δ
 )
 
@@ -98,10 +99,10 @@ type Options struct {
 
 	// --- Adaptive work request throttling (§4.2) ---
 
+	// WorkReqThrottle gates each thread's WR credits at C_max, which
+	// starts at 8 and is moved by Algorithm 1's epoch tuner.
 	WorkReqThrottle bool
-	CMax            int      // initial C_max (default 8)
 	UpdateDelta     sim.Time // Δ, the per-candidate measuring window
-	AdaptCMax       *bool    // run the epoch tuner (default: WorkReqThrottle)
 
 	// --- Conflict avoidance (§4.3) ---
 
@@ -186,15 +187,8 @@ func (o *Options) withDefaults() {
 	if o.Depth <= 0 {
 		o.Depth = 8
 	}
-	if o.CMax <= 0 {
-		o.CMax = 8
-	}
 	if o.UpdateDelta <= 0 {
 		o.UpdateDelta = 8 * sim.Millisecond
-	}
-	if o.AdaptCMax == nil {
-		v := o.WorkReqThrottle
-		o.AdaptCMax = &v
 	}
 	if o.BackoffUnit <= 0 {
 		// t0 = 4096 CPU cycles in the paper, "close to the time of an

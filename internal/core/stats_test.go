@@ -18,7 +18,6 @@ func TestThreadStatsAccumulation(t *testing.T) {
 	addr := blade.Addr{Blade: 1, Offset: 64}
 	const opsPer = 5
 	for _, th := range rt.Threads() {
-		th := th
 		th.Spawn("worker", func(c *Ctx) {
 			buf := make([]byte, 8)
 			for i := 0; i < opsPer; i++ {
@@ -103,12 +102,11 @@ func TestZeroOpThreadStats(t *testing.T) {
 // EndOp exactly once during the unwind, so op counts and latency
 // sample counts stay paired and nothing double-counts.
 func TestStatsAfterStopUnwind(t *testing.T) {
-	opts := Smart()
-	opts.AdaptCMax = new(bool) // keep the tuner out of this test
-	cl, rt := testRig(t, 3, 1, opts)
+	// The C_max tuner holds its first candidate for Δ (8 ms), so the
+	// ceiling stays put over this 200 µs run.
+	cl, rt := testRig(t, 3, 1, Smart())
 	addr := blade.Addr{Blade: 1, Offset: 8}
 	for _, th := range rt.Threads() {
-		th := th
 		for k := 0; k < 2; k++ {
 			th.Spawn("looper", func(c *Ctx) {
 				buf := make([]byte, 8)
@@ -161,7 +159,6 @@ func TestCollectIdempotentAndDeterministic(t *testing.T) {
 	_, rt := testRig(t, 4, 2, opts)
 	addr := blade.Addr{Blade: 1, Offset: 0}
 	for _, th := range rt.Threads() {
-		th := th
 		th.Spawn("w", func(c *Ctx) {
 			buf := make([]byte, 8)
 			for i := 0; i < 3; i++ {

@@ -80,8 +80,8 @@ func newThread(rt *Runtime, id int) *Thread {
 	t := &Thread{rt: rt, ID: id, lat: stats.NewHist()}
 	o := &rt.opts
 	if o.WorkReqThrottle {
-		t.cmax = o.CMax
-		t.credits = sim.NewCredits(rt.eng, int64(o.CMax))
+		t.cmax = initialCMax
+		t.credits = sim.NewCredits(rt.eng, initialCMax)
 	}
 	if o.CoroThrottle {
 		t.cmaxCoro = o.Depth
@@ -112,7 +112,7 @@ func (t *Thread) initTrajectories() {
 	o := &t.rt.opts
 	pre := o.TelemetryPrefix
 	name := fmt.Sprintf("t%d", t.ID)
-	if o.WorkReqThrottle && *o.AdaptCMax {
+	if o.WorkReqThrottle {
 		g := t.tel.Group(pre+"cmax-trajectory",
 			"C_max ceiling per epoch (Algorithm 1)", "time")
 		g.XUnit = "us"
@@ -148,7 +148,7 @@ func (t *Thread) usNow() float64 { return float64(t.rt.eng.Now()) / 1000 }
 // start launches the thread's housekeeping processes.
 func (t *Thread) start() {
 	o := &t.rt.opts
-	if o.WorkReqThrottle && *o.AdaptCMax {
+	if o.WorkReqThrottle {
 		t.rt.eng.Go(fmt.Sprintf("t%d-cmax-tuner", t.ID), t.cmaxTuner)
 	}
 	if o.DynamicLimit || o.CoroThrottle {

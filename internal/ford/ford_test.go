@@ -30,7 +30,6 @@ func runOne(t *testing.T, cl *cluster.Cluster, threads int, fn func(ti int, c *c
 	rt := core.MustNew(cl.Computes[0].NIC, cl.Targets(), threads, core.Smart())
 	done := 0
 	for i := 0; i < threads; i++ {
-		i := i
 		rt.Thread(i).Spawn("tx", func(c *core.Ctx) {
 			fn(i, c)
 			done++

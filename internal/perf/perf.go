@@ -217,7 +217,6 @@ func runScheduleChurn(events int) uint64 {
 	fns := make([]func(), window)
 	for i := range fns {
 		d := sim.Time(1+i*37%199) * sim.Nanosecond
-		i := i
 		fns[i] = func() {
 			fired++
 			if fired <= reschedules {

@@ -31,7 +31,6 @@ func BenchmarkScheduleChurn(b *testing.B) {
 	fns := make([]func(), seeds)
 	for i := range fns {
 		d := Time(1+i*37%199) * Nanosecond
-		i := i
 		fns[i] = func() {
 			fired++
 			if fired <= reschedules {

@@ -93,7 +93,6 @@ func TestServerManyJobsOrder(t *testing.T) {
 	var order []int
 	e.Schedule(0, func() {
 		for i := 0; i < 50; i++ {
-			i := i
 			s.Submit(Time(i%3+1), func() { order = append(order, i) })
 		}
 	})

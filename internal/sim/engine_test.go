@@ -28,7 +28,6 @@ func TestScheduleSameTimeFIFO(t *testing.T) {
 	e := New(1)
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
 		e.Schedule(5*Nanosecond, func() { got = append(got, i) })
 	}
 	e.Run(0)

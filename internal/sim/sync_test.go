@@ -47,7 +47,6 @@ func TestMutexFCFS(t *testing.T) {
 		m.Unlock()
 	})
 	for i := 0; i < 5; i++ {
-		i := i
 		e.Go("w", func(p *Proc) {
 			p.Sleep(Time(i + 1)) // stagger arrivals: 1,2,3,4,5
 			m.Lock(p)

@@ -229,11 +229,11 @@ func testPanickingPoint(t *testing.T, exec func(), value string) {
 			set := &Set{}
 			var merges []int
 			for i := 0; i < 6; i++ {
-				exec := exec
-				if i != 3 {
-					exec = func() {}
+				run := func() {}
+				if i == 3 {
+					run = exec
 				}
-				set.AddFunc(fmt.Sprintf("p%d", i), int64(40+i), exec, func() { merges = append(merges, i) })
+				set.AddFunc(fmt.Sprintf("p%d", i), int64(40+i), run, func() { merges = append(merges, i) })
 			}
 			defer func() {
 				msg, _ := recover().(string)
