@@ -9,7 +9,7 @@
 //	smartbench -exp all -quick -check \
 //	    -format json -out bench_quick.json # machine-readable + shape gate
 //	smartbench -exp fig3 -quick \
-//	    -telemetry telem.json              # + instrumented run, counters to file
+//	    -telemetry telem.json              # + the run's counters to a file
 //	smartbench -exp fig13 -quick -trace 64 # dump the last 64 telemetry events
 //	smartbench -exp chaos -quick -check \
 //	    -faults default -seed 7            # fault injection + recovery gate
@@ -18,9 +18,10 @@
 //
 // Every flag reaches a simulation by one route: run parses the flags
 // into a single bench.Env (sweeper, seed, quick, the chaos fault plan,
-// and — for an instrumented re-run — a telemetry registry), and every
-// selection, a registered experiment or a -spec scenario lowered to
-// one by bench.FromSpec, goes through the same loop calling e.Run(env).
+// and — for an instrumented experiment under -telemetry or -trace — a
+// telemetry registry), and every selection, a registered experiment or
+// a -spec scenario lowered to one by bench.FromSpec, goes through the
+// same loop calling e.Run(env) once.
 // Nothing is installed in package state, so concurrent run calls in
 // one process do not see each other's flags.
 //
@@ -42,13 +43,15 @@
 // -cpuprofile and -memprofile write pprof profiles of the whole run,
 // for digging into regressions the gate reports.
 //
-// -telemetry additionally runs the instrumented (software Neo-Host)
-// variant of each selected experiment that has one — the same Run,
-// with a fresh telemetry registry on its Env — and writes the
-// harvested counters and controller trajectories as a JSON document to
-// the given path. -trace N gives that registry an event ring: the last
-// N telemetry events of a single instrumented run are dumped,
-// sim-time-stamped, to the progress stream.
+// -telemetry reads the software Neo-Host during the run that produces
+// the results, as the paper reads its counters: each selected
+// instrumented experiment runs once, with a fresh telemetry registry on
+// its Env, and the harvested counters and controller trajectories go
+// as a JSON document to the given path. The registry changes no result
+// table, so the results document is the same with or without it. -trace
+// N gives that registry an event ring: the last N telemetry events of a
+// single instrumented experiment are dumped, sim-time-stamped, to the
+// progress stream after its run.
 //
 // -faults installs a fault plan on the chaos experiment's RNIC:
 // "default" for the built-in plan, or a rule spec like
@@ -79,8 +82,8 @@
 // on serving, batching on micro and batching). -spec is mutually
 // exclusive with -exp and -quick (a spec's grids are its density) and
 // composes with -check (the spec names its check groups), -format,
-// -out, -seed, -parallel, -stats, -telemetry/-trace (for scenarios
-// with an instrumented variant), and the profile flags. -faults,
+// -out, -seed, -parallel, -stats, -telemetry/-trace (for serving
+// scenarios with an overload point), and the profile flags. -faults,
 // -arrival, and -batching override the corresponding spec field —
 // under -exp they set the same field on the serving or batching
 // experiment's own spec. Either way bench.FromSpec validates and
@@ -149,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out      = fs.String("out", "", "write rendered output to this file instead of stdout")
 		check    = fs.Bool("check", false, "assert the paper's qualitative shapes; exit 1 on violations")
 		seed     = fs.Int64("seed", 0, "offset every experiment's built-in seeds (0 = published numbers)")
-		telem    = fs.String("telemetry", "", "also run instrumented variants; write their counters as JSON to this file")
+		telem    = fs.String("telemetry", "", "harvest instrumented experiments' counters during their run; write them as JSON to this file")
 		trace    = fs.Int("trace", 0, "keep the last N telemetry events of one instrumented run and dump them")
 		faults   = fs.String("faults", "", "fault plan for the chaos experiment: 'default' or a rule spec (see internal/fault)")
 		arrv     = fs.String("arrival", "", "arrival template for the serving experiment: e.g. 'poisson:rate=4' or 'mmpp' (see internal/arrival)")
@@ -296,8 +299,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		selected = append(selected, e)
 	}
 
-	// -telemetry and -trace only make sense against experiments (or a
-	// spec scenario) with instrumented variants; reject empty
+	// -telemetry and -trace only make sense against instrumented
+	// experiments (or an instrumented spec scenario); reject empty
 	// selections up front rather than silently writing an empty
 	// document.
 	instrumented := 0
@@ -435,7 +438,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			points++
 			fmt.Fprintf(progress, "[%s %d/%d %s]\n", e.ID, done, total, p.Label)
 		})
-		tables := e.Run(env)
+		// An instrumented experiment fills a fresh registry (with
+		// -trace's event ring) during its one run.
+		renv := env
+		if telemetryWanted && e.Instrumented {
+			renv.Telemetry = telemetry.New()
+			if *trace > 0 {
+				renv.Telemetry.EnableTrace(*trace)
+			}
+		}
+		tables := e.Run(renv)
 		doc.Experiments = append(doc.Experiments, result.Experiment{
 			ID: e.ID, Title: e.Title, Tables: tables,
 		})
@@ -447,16 +459,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				violations = append(violations, bench.Check(c, tables)...)
 			}
 		}
-		if telemetryWanted && e.Instrumented {
-			fmt.Fprintf(progress, "\n[%s: running instrumented variant]\n", e.ID)
-			// A registry on the Env asks Run for the instrumented
-			// variant; each gets its own, with -trace's event ring.
-			tenv := env
-			tenv.Telemetry = telemetry.New()
-			if *trace > 0 {
-				tenv.Telemetry.EnableTrace(*trace)
-			}
-			ttables := e.Run(tenv)
+		if reg := renv.Telemetry; reg != nil {
+			ttables := reg.Tables("")
 			telemDoc.Experiments = append(telemDoc.Experiments, result.Experiment{
 				ID: e.ID, Title: e.Title, Tables: ttables,
 			})
@@ -466,7 +470,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 			}
 			if *trace > 0 {
-				tenv.Telemetry.Trace().Write(progress)
+				reg.Trace().Write(progress)
 			}
 		}
 		wallMS := time.Since(start).Milliseconds()
@@ -568,9 +572,9 @@ func printList(w io.Writer) {
 			fmt.Fprintf(w, "  %-12s %s %s\n", e.ID, mark, e.Title)
 		}
 	}
-	fmt.Fprintln(w, "\n'*' marks experiments with an instrumented (software Neo-Host)")
-	fmt.Fprintln(w, "variant: add -telemetry <file.json> to harvest its counters and")
-	fmt.Fprintln(w, "controller trajectories, and -trace <N> to dump its last N events.")
+	fmt.Fprintln(w, "\n'*' marks instrumented (software Neo-Host) experiments: add")
+	fmt.Fprintln(w, "-telemetry <file.json> to harvest their counters and controller")
+	fmt.Fprintln(w, "trajectories from the same run, and -trace <N> to dump one's last N events.")
 	fmt.Fprintln(w, "The chaos experiment accepts -faults <spec> ('default' or a rule")
 	fmt.Fprintln(w, "spec; see internal/fault) to choose the injected fault plan; the")
 	fmt.Fprintln(w, "serving experiment accepts -arrival <spec> (see internal/arrival)")
@@ -595,8 +599,8 @@ func withSpec(e *bench.Experiment, s *spec.Spec) (*bench.Experiment, error) {
 	return &override, nil
 }
 
-// instrumentedIDs lists the registered experiments with an
-// instrumented variant, in ID order, for the usage errors.
+// instrumentedIDs lists the instrumented registered experiments, in ID
+// order, for the usage errors.
 func instrumentedIDs() string {
 	var ids []string
 	for _, e := range bench.All() {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/perf"
 	"repro/internal/result"
+	"repro/internal/spec"
 )
 
 // runCLI invokes run with captured output streams.
@@ -32,6 +33,21 @@ func seedSpec(name string) string {
 }
 
 func TestUsageErrorsExit2(t *testing.T) {
+	// A serving spec without an overload point reads no registry, so it
+	// is not instrumented.
+	noOverload := filepath.Join(t.TempDir(), "serving_no_overload.json")
+	s, err := spec.Load(goldenSpec("serving_quick.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Serving.Overload = nil
+	data, err := s.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(noOverload, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -68,6 +84,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"malformed faults on spec", []string{"-spec", goldenSpec("fig3_quick.json"), "-faults", "explode@1ms-2ms"}, "unknown action"},
 		{"telemetry on uninstrumented spec", []string{"-spec", goldenSpec("fig3_quick.json"), "-telemetry", "t.json"}, "has no instrumented variant"},
 		{"trace on uninstrumented spec", []string{"-spec", goldenSpec("fig3_quick.json"), "-trace", "16"}, "has no instrumented variant"},
+		{"telemetry on serving spec without overload", []string{"-spec", noOverload, "-telemetry", "t.json"}, "has no instrumented variant"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -150,9 +167,10 @@ func TestListGroupsByCategory(t *testing.T) {
 }
 
 // TestTelemetryRunEndToEnd exercises the full -telemetry/-trace path:
-// the instrumented fig13 run must write a parseable telemetry document
-// containing the C_max trajectory, dump a trace to the progress
-// stream, and keep the -format json stdout pure.
+// fig13 must run once — its plain sweep, with the registry riding it —
+// write a parseable telemetry document containing the C_max
+// trajectory, dump a trace to the progress stream, and keep the
+// -format json stdout pure.
 func TestTelemetryRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real instrumented experiment")
@@ -172,6 +190,9 @@ func TestTelemetryRunEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "trace:") || !strings.Contains(stderr, "op-end") {
 		t.Errorf("progress stream missing the event trace:\n%s", stderr)
+	}
+	if sweeps, points := strings.Count(stderr, "[fig13 1/"), strings.Count(stderr, "/24 fig13"); sweeps != 1 || points != 24 {
+		t.Errorf("fig13 ran %d sweeps with %d of 24 plain points reported, want one sweep of 24:\n%s", sweeps, points, stderr)
 	}
 
 	f, err := os.Open(telem)

@@ -13,8 +13,8 @@ import (
 
 // TestEnumerationPinned pins every experiment's points — label and
 // seed, in enumeration order — at both densities with a non-zero
-// Env.Seed, plus the telemetry variant of each instrumented
-// experiment. The sweeps run on a probe, so nothing executes and the
+// Env.Seed; an instrumented experiment's both without and with a
+// registry. The sweeps run on a probe, so nothing executes and the
 // whole registry enumerates in milliseconds. Regenerate with
 // `go test ./internal/bench -run EnumerationPinned -update-golden`.
 func TestEnumerationPinned(t *testing.T) {

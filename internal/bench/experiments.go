@@ -19,8 +19,9 @@ type Env struct {
 	// Seed offsets every built-in seed; 0 reproduces the published
 	// numbers and the golden files.
 	Seed int64
-	// Telemetry, when non-nil, asks an Instrumented experiment for its
-	// instrumented variant, harvested into this registry.
+	// Telemetry, when non-nil, is the registry an Instrumented
+	// experiment fills during its one run. It changes no returned
+	// table: the caller exports it with Telemetry.Tables("").
 	Telemetry *telemetry.Registry
 	// Quick trades sweep density for runtime (used by the testing.B
 	// wrappers and the shape-check gate); the full sweep is the CLI
@@ -31,6 +32,11 @@ type Env struct {
 	// because chaos has no spec for it to ride in: -arrival and
 	// -batching are fields of the serving and batching specs.
 	Faults *fault.Plan
+	// probes hands a registry to the micro points with these labels:
+	// runMicroPanels copies each into its point's config. fig3 and
+	// fig13 are spec-lowered, so this is how their runners attach
+	// telemetry to points they do not build.
+	probes map[string]*telemetry.Registry
 }
 
 // Experiment is one reproducible table or figure from the paper, or
@@ -42,10 +48,11 @@ type Experiment struct {
 	// (the default — the paper's tables and figures), "ablations",
 	// "chaos", or "serving".
 	Category string
-	// Instrumented marks experiments with a software Neo-Host variant:
-	// Run with a non-nil env.Telemetry harvests into that registry and
-	// returns its exported tables. The other experiments never read
-	// env.Telemetry, so callers gate on this field.
+	// Instrumented marks experiments that read software Neo-Host
+	// telemetry: Run with a non-nil env.Telemetry fills that registry
+	// during the same run and returns the same tables. The other
+	// experiments never read env.Telemetry, so callers gate on this
+	// field.
 	Instrumented bool
 	// Checks names the shape-check groups that apply to the tables
 	// (default: the experiment's own ID).

@@ -10,14 +10,16 @@ import (
 	"repro/internal/result"
 	"repro/internal/spec"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 //smartlint:ignore sharedstate — test flag, written only by the flag package before tests run
 var updateGolden = flag.Bool("update-golden", false, "rewrite the checked-in golden files")
 
 // TestFig3QuickGolden extends the same-seed determinism contract to
-// the output layer: the fig3 quick sweep, run sequentially from the
-// registry and then on a 4-worker pool from its golden spec file
+// the output layer: the fig3 quick sweep, run sequentially as the
+// registered experiment (with a telemetry registry, which must change
+// no table) and then on a 4-worker pool from its golden spec file
 // lowered by FromSpec, must render to identical text — the sweep
 // scheduler's merge-order guarantee and "the spec file is the
 // experiment" made concrete in one executed pair — and that text must
@@ -27,7 +29,9 @@ func TestFig3QuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep twice")
 	}
-	first := ByID("fig3").Run(quickEnv(sweep.Sequential()))
+	env := quickEnv(sweep.Sequential())
+	env.Telemetry = telemetry.New()
+	first := ByID("fig3").Run(env)
 	s, err := spec.Load(filepath.Join("testdata", "specs", "fig3_quick.json"))
 	if err != nil {
 		t.Fatal(err)

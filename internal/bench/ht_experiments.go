@@ -193,9 +193,6 @@ func init() {
 		Title:        "Fig. 14: conflict avoidance breakdown (100% updates, Zipf 0.99)",
 		Instrumented: true,
 		Run: func(env Env) []result.Table {
-			if env.Telemetry != nil {
-				return fig14Telemetry(env)
-			}
 			noCA := core.Smart()
 			noCA.Backoff, noCA.DynamicLimit, noCA.CoroThrottle = false, false, false
 			bo := core.Smart()
@@ -220,8 +217,14 @@ func init() {
 			dist.YUnit, dist.Prec = "%", 1
 			for _, thr := range threadGrid(env.Quick) {
 				for _, c := range configs {
-					add(g, fmt.Sprintf("fig14/%s/thr=%d", c.name, thr), 25,
-						HTConfig{Opts: c.opts, ThreadsPerBlade: thr, Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys},
+					cfg := HTConfig{Opts: c.opts, ThreadsPerBlade: thr, Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys}
+					// §4.3 adapts c_max and t_max from the observed retry
+					// rate γ: the full stack at 96 threads records all
+					// three trajectories (nil without a registry).
+					if c.name == "+CoroThrot" && thr == 96 {
+						cfg.Telemetry = env.Telemetry
+					}
+					add(g, fmt.Sprintf("fig14/%s/thr=%d", c.name, thr), 25, cfg,
 						func(r HTResult) {
 							mops.Add(c.name, float64(thr), r.MOPS)
 							retries.Add(c.name, float64(thr), r.AvgRetries)

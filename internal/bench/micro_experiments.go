@@ -8,6 +8,7 @@ import (
 	"repro/internal/result"
 	"repro/internal/rnic"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func init() {
@@ -16,12 +17,7 @@ func init() {
 		Title:        "Fig. 3: throughput of 8-byte READ/WRITE under different QP allocation policies (depth 8)",
 		Instrumented: true,
 		Spec:         fig3Spec,
-		Run: func(env Env) []result.Table {
-			if env.Telemetry != nil {
-				return fig3Telemetry(env)
-			}
-			return runSpec(fig3Spec, env)
-		},
+		Run:          runFig3,
 	})
 
 	register(&Experiment{
@@ -60,9 +56,10 @@ func init() {
 		Instrumented: true,
 		Spec:         fig13Spec,
 		Run: func(env Env) []result.Table {
-			if env.Telemetry != nil {
-				return fig13Telemetry(env)
-			}
+			// §4.2's Algorithm 1 is a feedback controller: the throttled
+			// profile at the top thread count records its epoch-by-epoch
+			// C_max trajectory, which the throughput table cannot show.
+			env.probes = map[string]*telemetry.Registry{"fig13a/+WorkReqThrot/thr=96": env.Telemetry}
 			return runSpec(fig13Spec, env)
 		},
 	})
@@ -120,4 +117,49 @@ func init() {
 			return g.run()
 		},
 	})
+}
+
+// runFig3 runs the fig3 spec. With a registry it also measures what
+// §3.1 blames the per-thread-QP collapse on: the contended fraction of
+// doorbell spinlock acquisitions. Every fig3-read per-thread-qp and
+// per-thread-doorbell point harvests into its own probe, except the
+// heaviest contended one (per-thread-qp at the top of the grid), which
+// harvests into the registry itself as the representative run whose
+// full counter set and trace the registry exports. The two groups are
+// registered first, so they export first, and recorded from the probes
+// after the sweep, in enumeration order.
+func runFig3(env Env) []result.Table {
+	reg := env.Telemetry
+	if reg == nil {
+		return runSpec(fig3Spec, env)
+	}
+	cg := reg.Group("db-contention",
+		"Contended fraction of doorbell spinlock acquisitions (§3.1)", "threads")
+	cg.Prec = 3
+	raw := reg.Group("db-contended",
+		"Contended doorbell acquisitions (raw count)", "threads")
+	threads := threadGrid(env.Quick)
+	policies := []string{"per-thread-qp", "per-thread-doorbell"}
+	label := func(policy string, thr int) string { return fmt.Sprintf("fig3-read/%s/thr=%d", policy, thr) }
+	env.probes = map[string]*telemetry.Registry{}
+	for _, thr := range threads {
+		for _, p := range policies {
+			env.probes[label(p, thr)] = telemetry.New()
+		}
+	}
+	env.probes[label("per-thread-qp", threads[len(threads)-1])] = reg
+	tables := runSpec(fig3Spec, env)
+	for _, thr := range threads {
+		for _, p := range policies {
+			probe := env.probes[label(p, thr)]
+			acq, cont := probe.Value("db/acquisitions-total"), probe.Value("db/contended-total")
+			frac := 0.0
+			if acq > 0 {
+				frac = float64(cont) / float64(acq)
+			}
+			cg.SeriesDef(p, "", 3).Record(float64(thr), frac)
+			raw.Series(p).Record(float64(thr), float64(cont))
+		}
+	}
+	return tables
 }

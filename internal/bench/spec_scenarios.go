@@ -131,7 +131,8 @@ func FromSpec(s *spec.Spec) (*Experiment, error) {
 				return nil, err
 			}
 		}
-		e.Instrumented = true
+		// Only the overload point reads a registry.
+		e.Instrumented = sv.Overload != nil
 		e.Run = func(env Env) []result.Table {
 			return runServingSection(env, sv, template, bursts)
 		}
@@ -158,6 +159,7 @@ func runSpec(build func(quick bool) *spec.Spec, env Env) []result.Table {
 // profile × grid cross into one shared set (tables fill in merge
 // order), then a single Run executes all panels' points together.
 // series[i] is profile i's resolved options, batching template applied.
+// A point whose label env.probes names harvests into that registry.
 func runMicroPanels(env Env, m *spec.Micro, series []core.Options, faults rnic.Injector) []result.Table {
 	g := newGrid(env)
 	for i := range m.Panels {
@@ -178,8 +180,9 @@ func runMicroPanels(env Env, m *spec.Micro, series []core.Options, faults rnic.I
 				threads, batch = p.Threads[0], v
 			}
 			for si, prof := range m.Profiles {
-				add(g, fmt.Sprintf("%s/%s/%s=%d", p.ID, prof.Name, xShort, v), p.Seed,
-					MicroConfig{Opts: series[si], Threads: threads, Batch: batch, Op: op, Faults: faults},
+				label := fmt.Sprintf("%s/%s/%s=%d", p.ID, prof.Name, xShort, v)
+				add(g, label, p.Seed,
+					MicroConfig{Opts: series[si], Threads: threads, Batch: batch, Op: op, Faults: faults, Telemetry: env.probes[label]},
 					func(r MicroResult) { t.Add(prof.Name, float64(v), r.MOPS) })
 			}
 		}
@@ -212,8 +215,8 @@ func servingNominal(sv *spec.Serving, t spec.Topo) float64 {
 // runServingSection runs one serving section: the topology ×
 // load-fraction grid, the optional burstiness panel (bursts[i] is
 // sv.Burst.Arrivals[i] resolved), and — when env.Telemetry is non-nil
-// — the section's instrumented overload point, whose registry tables
-// ride along after the result tables.
+// — the section's instrumented overload point, which fills the
+// registry and adds no table.
 func runServingSection(env Env, sv *spec.Serving, template *arrival.Spec, bursts []*arrival.Spec) []result.Table {
 	breakdown := sv.Breakdown.Label()
 
@@ -278,25 +281,19 @@ func runServingSection(env Env, sv *spec.Serving, template *arrival.Spec, bursts
 		}
 	}
 
-	// Instrumented variant: one overloaded point carries the registry
-	// (admission counters, qdepth trajectory, runtime harvests).
-	// Enumerated last so the plain grid above is untouched; the point
-	// owns the registry exclusively.
-	reg := env.Telemetry
-	if reg != nil && sv.Overload != nil {
-		o := sv.Overload
+	// With a registry, one overloaded point carries it (admission
+	// counters, qdepth trajectory, runtime harvests). Enumerated last so
+	// the plain grid above is untouched; the point owns the registry
+	// exclusively.
+	if o := sv.Overload; o != nil && env.Telemetry != nil {
 		aspec := template.WithMeanRate(o.Frac * servingNominal(sv, o.Topology))
 		cfg := servingSectionConfig(sv, o.Topology, aspec)
-		cfg.Telemetry = reg
+		cfg.Telemetry = env.Telemetry
 		add(g, fmt.Sprintf("serving/telemetry/%s/load=%.2f", o.Topology.Label(), o.Frac), sv.Seed,
 			cfg, nil)
 	}
 
-	tables := g.run()
-	if reg != nil {
-		tables = append(tables, reg.Tables("")...)
-	}
-	return tables
+	return g.run()
 }
 
 // runBatchingSection runs one batching-ablation section: the four
