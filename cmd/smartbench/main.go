@@ -91,8 +91,8 @@
 // a malformed or inapplicable template, a batching template no
 // profile's policy can run — is a usage error there, so the run
 // itself cannot fail. -dryrun enumerates the lowered spec on a probing
-// sweeper (nothing executes) and prints the point count — CI's
-// spec-validate job runs exactly that over every golden spec. Golden
+// sweeper (nothing executes) and prints the point count —
+// TestSpecDryRunGoldens runs exactly that over every golden spec. Golden
 // specs for fig3, fig13, serving, and batching live under
 // internal/bench/testdata/specs/ and reproduce those experiments
 // byte-identically.

@@ -233,49 +233,88 @@ func TestTelemetryRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestParallelByteIdentity is the CLI face of the sweep scheduler's
-// merge-order contract: the same experiment, run with -parallel 1 and
-// -parallel 3, must write byte-identical result documents. The -stats
-// sidecar carries the wall-clock/worker bookkeeping precisely so the
-// documents can stay identical.
-func TestParallelByteIdentity(t *testing.T) {
+// fig4Run is one memoized `-exp fig4 -quick -format json` CLI run: its
+// exit status, streams, -out document and -stats record.
+type fig4Run struct {
+	parallel       string
+	code           int
+	stdout, stderr string
+	doc            []byte
+	stats          *perf.Record
+	err            error // from the scratch directory or reading -out/-stats back
+}
+
+var fig4Pair struct {
+	once sync.Once
+	runs [2]fig4Run
+}
+
+// fig4Runs runs `-exp fig4 -quick` once per test binary at -parallel 1
+// and at -parallel 4, each with -format json, -out and -stats, and
+// hands the pair to every test that compares worker counts.
+func fig4Runs(t *testing.T) (seq, par *fig4Run) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("runs a real sweep twice")
 	}
-	dir := t.TempDir()
-	render := func(parallel string) []byte {
-		out := filepath.Join(dir, "out_p"+parallel+".json")
-		code, stdout, stderr := runCLI(
-			"-exp", "fig4", "-quick", "-format", "json", "-out", out,
-			"-parallel", parallel, "-stats", filepath.Join(dir, "stats_p"+parallel+".json"))
-		if code != 0 {
-			t.Fatalf("-parallel %s: exit %d, want 0; stderr:\n%s", parallel, code, stderr)
+	fig4Pair.once.Do(func() {
+		dir, err := os.MkdirTemp("", "smartbench-fig4-")
+		defer os.RemoveAll(dir)
+		for i, parallel := range []string{"1", "4"} {
+			r := &fig4Pair.runs[i]
+			r.parallel = parallel
+			if r.err = err; err != nil {
+				continue
+			}
+			out := filepath.Join(dir, "out_p"+parallel+".json")
+			stats := filepath.Join(dir, "stats_p"+parallel+".json")
+			r.code, r.stdout, r.stderr = runCLI(
+				"-exp", "fig4", "-quick", "-format", "json", "-out", out,
+				"-parallel", parallel, "-stats", stats)
+			if r.code != 0 {
+				continue
+			}
+			if r.doc, r.err = os.ReadFile(out); r.err == nil {
+				r.stats, r.err = perf.Load(stats)
+			}
 		}
-		if stdout != "" {
-			t.Fatalf("-parallel %s: -out set but stdout not empty:\n%s", parallel, stdout)
+	})
+	for i := range fig4Pair.runs {
+		r := &fig4Pair.runs[i]
+		if r.err != nil {
+			t.Fatalf("-parallel %s: %v", r.parallel, r.err)
 		}
-		b, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
+		if r.code != 0 {
+			t.Fatalf("-parallel %s: exit %d, want 0; stderr:\n%s", r.parallel, r.code, r.stderr)
 		}
-		return b
 	}
-	seq, par := render("1"), render("3")
-	if !bytes.Equal(seq, par) {
-		t.Errorf("-parallel 1 and -parallel 3 rendered different documents:\n--- sequential\n%s\n--- parallel\n%s", seq, par)
+	return &fig4Pair.runs[0], &fig4Pair.runs[1]
+}
+
+// TestParallelByteIdentity is the CLI face of the sweep scheduler's
+// merge-order contract: the same experiment, run with -parallel 1 and
+// -parallel 4, must write byte-identical result documents. The -stats
+// sidecar carries the wall-clock/worker bookkeeping precisely so the
+// documents can stay identical.
+func TestParallelByteIdentity(t *testing.T) {
+	seq, par := fig4Runs(t)
+	for _, r := range []*fig4Run{seq, par} {
+		if r.stdout != "" {
+			t.Fatalf("-parallel %s: -out set but stdout not empty:\n%s", r.parallel, r.stdout)
+		}
+	}
+	if !bytes.Equal(seq.doc, par.doc) {
+		t.Errorf("-parallel 1 and -parallel 4 rendered different documents:\n--- sequential\n%s\n--- parallel\n%s", seq.doc, par.doc)
 	}
 
 	// The perf record must carry the worker count, point count, and
 	// kernel hot-path stats under the versioned schema.
-	st, err := perf.Load(filepath.Join(dir, "stats_p3.json"))
-	if err != nil {
-		t.Fatalf("stats file is not a valid perf record: %v", err)
-	}
+	st := par.stats
 	if st.Schema != perf.SchemaVersion {
 		t.Errorf("stats schema = %d, want %d", st.Schema, perf.SchemaVersion)
 	}
-	if st.Workers != 3 {
-		t.Errorf("stats workers = %d, want 3", st.Workers)
+	if st.Workers != 4 {
+		t.Errorf("stats workers = %d, want 4", st.Workers)
 	}
 	if len(st.Experiments) != 1 || st.Experiments[0].ID != "fig4" || st.Experiments[0].Points == 0 {
 		t.Errorf("stats experiments = %+v, want one fig4 entry with points > 0", st.Experiments)
@@ -361,16 +400,7 @@ func TestProfileFlagsWriteFiles(t *testing.T) {
 // completed/total lines: the hook fires in merge order, so the point
 // lines are identical at any worker count (only timing lines differ).
 func TestParallelProgressIsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real sweep twice")
-	}
-	pointLines := func(parallel string) []string {
-		out := filepath.Join(t.TempDir(), "out.json")
-		code, _, stderr := runCLI(
-			"-exp", "fig4", "-quick", "-format", "json", "-out", out, "-parallel", parallel)
-		if code != 0 {
-			t.Fatalf("-parallel %s: exit %d; stderr:\n%s", parallel, code, stderr)
-		}
+	pointLines := func(stderr string) []string {
 		var lines []string
 		for _, l := range strings.Split(stderr, "\n") {
 			// "[fig4 3/6 thr=96/owr=2]" — but not the wall-clock
@@ -381,7 +411,8 @@ func TestParallelProgressIsDeterministic(t *testing.T) {
 		}
 		return lines
 	}
-	seq, par := pointLines("1"), pointLines("4")
+	seqRun, parRun := fig4Runs(t)
+	seq, par := pointLines(seqRun.stderr), pointLines(parRun.stderr)
 	if len(seq) == 0 {
 		t.Fatal("no per-point progress lines on the progress stream")
 	}
@@ -391,9 +422,11 @@ func TestParallelProgressIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosRunEndToEnd is the CI chaos-quick job in miniature: the
-// chaos experiment under the default fault plan must pass its own
-// recovery shape checks and emit the recovery and fault-counter tables.
+// TestChaosRunEndToEnd is CI's chaos gate in miniature (the quick-sweep
+// step and telemetry-determinism's seed-7 run both run chaos with
+// -check): the chaos experiment under the default fault plan must pass
+// its own recovery shape checks and emit the recovery and
+// fault-counter tables.
 func TestChaosRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real chaos experiment")
@@ -507,7 +540,7 @@ func TestSpecFileErrorsExit2(t *testing.T) {
 		{"schema violation", []string{"-spec", badSchema}, "unknown scenario"},
 		{"unknown check group", []string{"-spec", badCheck, "-check"}, "no shape checks registered"},
 		// Documents that parse but cannot run are usage errors too, with
-		// -dryrun (what CI's spec-validate runs) and without it.
+		// -dryrun (what TestSpecDryRunGoldens runs) and without it.
 		{"sharedcq on a shared CQ", []string{"-spec", seedSpec("micro_sharedcq_shared_qp.json")}, "SharedCQPoll requires a per-thread-CQ policy"},
 		{"sharedcq on a shared CQ, dryrun", []string{"-spec", seedSpec("micro_sharedcq_shared_qp.json"), "-dryrun"}, "SharedCQPoll requires a per-thread-CQ policy"},
 		{"faults on batching", []string{"-spec", seedSpec("batching_faults.json")}, "faults only apply to micro scenarios"},
@@ -541,9 +574,10 @@ func TestSpecFileErrorsExit2(t *testing.T) {
 	}
 }
 
-// TestSpecDryRunGoldens is CI's spec-validate job in miniature: every
-// checked-in golden spec parses, validates, and lowers through the
-// probing sweeper without executing a point.
+// TestSpecDryRunGoldens is the golden-spec gate: `smartbench -spec FILE
+// -dryrun` over every checked-in golden spec, which must parse,
+// validate, and lower through the probing sweeper to a positive point
+// count without executing a point.
 func TestSpecDryRunGoldens(t *testing.T) {
 	files, err := filepath.Glob(goldenSpec("*.json"))
 	if err != nil {
@@ -566,8 +600,11 @@ func TestSpecDryRunGoldens(t *testing.T) {
 }
 
 // TestSpecRunEndToEnd runs the fig3 golden spec through the CLI with
-// checks and JSON output: the document must carry the spec's name as
-// its experiment ID and the panel tables the spec declares.
+// checks and JSON output on two workers: the document must carry the
+// spec's name as its experiment ID and the panel tables the spec
+// declares, and those tables must render to the fig3 quick golden the
+// registered experiment is held to (internal/bench's
+// TestFig3QuickGolden) — the spec file executes to the checked-in bytes.
 func TestSpecRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep")
@@ -601,6 +638,15 @@ func TestSpecRunEndToEnd(t *testing.T) {
 		if result.Find(doc.Experiments[0].Tables, id) == nil {
 			t.Errorf("spec document missing table %q", id)
 		}
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "bench", "testdata", "fig3_quick.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	result.Text(&got, doc.Experiments[0].Tables)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("spec tables drifted from the fig3 quick golden:\n--- got\n%s\n--- want\n%s", got.String(), want)
 	}
 }
 

@@ -8,45 +8,35 @@ import (
 	"testing"
 
 	"repro/internal/result"
-	"repro/internal/spec"
 	"repro/internal/sweep"
-	"repro/internal/telemetry"
 )
 
 //smartlint:ignore sharedstate — test flag, written only by the flag package before tests run
 var updateGolden = flag.Bool("update-golden", false, "rewrite the checked-in golden files")
 
 // TestFig3QuickGolden extends the same-seed determinism contract to
-// the output layer: the fig3 quick sweep, run sequentially as the
-// registered experiment (with a telemetry registry, which must change
-// no table) and then on a 4-worker pool from its golden spec file
-// lowered by FromSpec, must render to identical text — the sweep
-// scheduler's merge-order guarantee and "the spec file is the
-// experiment" made concrete in one executed pair — and that text must
-// match the checked-in golden byte for byte. Regenerate with
+// the output layer: the fig3 quick sweep, run sequentially without a
+// registry and as quickRun's shared GOMAXPROCS-wide run with one (which
+// must change no table), must render to identical text — the sweep
+// scheduler's merge-order guarantee and telemetry neutrality made
+// concrete in one executed pair — and that text must match the
+// checked-in golden byte for byte. The golden spec file
+// testdata/specs/fig3_quick.json is pinned to this experiment by
+// TestGoldenSpecsPinned and executed against the same golden by
+// smartbench's TestSpecRunEndToEnd. Regenerate with
 // `go test ./internal/bench -run Fig3QuickGolden -update-golden`.
 func TestFig3QuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep twice")
 	}
-	env := quickEnv(sweep.Sequential())
-	env.Telemetry = telemetry.New()
-	first := ByID("fig3").Run(env)
-	s, err := spec.Load(filepath.Join("testdata", "specs", "fig3_quick.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := FromSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := fromFile.Run(Env{Sweeper: sweep.New(4)})
+	first := ByID("fig3").Run(quickEnv(sweep.Sequential()))
+	second := quickRun(t, "fig3").tables
 
 	var a, b bytes.Buffer
 	result.Text(&a, first)
 	result.Text(&b, second)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("the sequential registered sweep and the 4-worker golden-spec sweep rendered differently:\n--- registered, sequential\n%s\n--- spec file, parallel\n%s", a.String(), b.String())
+		t.Fatalf("the sequential sweep and the shared parallel instrumented sweep rendered differently:\n--- sequential\n%s\n--- parallel, instrumented\n%s", a.String(), b.String())
 	}
 
 	golden := filepath.Join("testdata", "fig3_quick.golden")

@@ -29,7 +29,8 @@ var quickRuns struct {
 // runners and to exercise the parallel scheduler (and the
 // probe-registry isolation, under -race) in the tier-1 suite. An
 // instrumented experiment runs with a registry, as smartbench runs it.
-// TestShapesQuick checks the tables, TestTelemetryShapes and
+// TestShapesQuick checks the tables (TestFig3QuickGolden also diffs
+// fig3's against a sequential run), TestTelemetryShapes and
 // TestTelemetryGolden the registry's export of the same run.
 func quickRun(t *testing.T, id string) *quickOutcome {
 	t.Helper()

@@ -79,8 +79,9 @@ func TestGoldenSpecsPinned(t *testing.T) {
 // must enumerate exactly the labels and seeds of the registered
 // experiment it mirrors. With TestGoldenSpecsPinned (file = in-code
 // spec, which is what the registered experiment lowers) this makes
-// equal output a matter of construction; TestFig3QuickGolden executes
-// one golden file against checked-in bytes as the witness.
+// equal output a matter of construction; smartbench's
+// TestSpecRunEndToEnd executes one golden file against checked-in bytes
+// as the witness.
 func TestSpecProbeEnumeration(t *testing.T) {
 	type point struct {
 		label string

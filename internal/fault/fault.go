@@ -277,8 +277,8 @@ func maxTime(a, b sim.Time) sim.Time {
 	return b
 }
 
-// Default returns the canonical chaos plan the `chaos` experiment and
-// the CI `chaos-quick` job use (spelled "default" in a -faults spec):
+// Default returns the canonical chaos plan the `chaos` experiment uses
+// when no -faults spec is given (spelled "default" in a -faults spec):
 // a 2 ms fault window starting at t=2ms that degrades the link 6x,
 // then drops request packets, then blackholes a fraction of requests
 // (READ/WRITE), while CAS/FAA ops NAK with remote-access errors for
