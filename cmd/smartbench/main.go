@@ -69,11 +69,11 @@
 // but may legitimately fail -check.
 //
 // -batching installs a WR-batching template on the batching ablation:
-// a spec like "both:batch=32,deadline=4us" or "coalesce:sharedcq"
+// a spec like "both:batch=32,deadline=4us" or "coalesce:batch=8"
 // (grammar in internal/verbs). The ablation sweeps the mode axis
-// itself, so only the template's batch=/deadline=/sharedcq overrides
-// apply. The batching shape checks are calibrated against the default
-// knobs; overridden knobs run fine but may legitimately fail -check.
+// itself, so only the template's batch=/deadline= overrides apply.
+// The batching shape checks are calibrated against the default knobs;
+// overridden knobs run fine but may legitimately fail -check.
 //
 // -spec FILE runs a declarative scenario spec (internal/spec) instead
 // of a registered experiment: a versioned JSON document carrying the
@@ -88,9 +88,9 @@
 // under -exp they set the same field on the serving or batching
 // experiment's own spec. Either way bench.FromSpec validates and
 // lowers the result once, and everything that can be wrong with it —
-// a malformed or inapplicable template, a batching template no
-// profile's policy can run — is a usage error there, so the run
-// itself cannot fail. -dryrun enumerates the lowered spec on a probing
+// a malformed or inapplicable template, a serving load past its
+// arrival's rate cap — is a usage error there, so the run itself
+// cannot fail. -dryrun enumerates the lowered spec on a probing
 // sweeper (nothing executes) and prints the point count —
 // TestSpecDryRunGoldens runs exactly that over every golden spec. Golden
 // specs for fig3, fig13, serving, and batching live under

@@ -69,6 +69,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"arrival without serving selected", []string{"-exp", "fig4", "-arrival", "poisson:rate=4"}, "only applies to the serving experiment"},
 		{"malformed batching spec", []string{"-exp", "batching", "-batching", "turbo:batch=32"}, "unknown mode"},
 		{"batching spec with bad batch", []string{"-exp", "batching", "-batching", "coalesce:batch=0"}, "out of range"},
+		{"batching spec with sharedcq", []string{"-exp", "batching", "-quick", "-batching", "both:sharedcq"}, "unknown option"},
 		{"batching without batching selected", []string{"-exp", "fig4", "-batching", "both"}, "only applies to the batching experiment"},
 		{"perf tolerance too high", []string{"-exp", "fig4", "-perf-tolerance", "1.5"}, "out of range"},
 		{"perf tolerance negative", []string{"-exp", "fig4", "-perf-tolerance", "-0.1"}, "out of range"},
@@ -530,6 +531,7 @@ func TestSpecFileErrorsExit2(t *testing.T) {
 	badJSON := write("bad.json", "{ not json")
 	badSchema := write("schema.json", `{"spec":1,"name":"x","scenario":"quantum"}`)
 	badCheck := write("check.json", `{"spec":1,"name":"x","scenario":"micro","micro":{"profiles":[{"name":"b","policy":"per-thread-qp"}],"panels":[{"id":"p","title":"t","op":"read","x":"threads","threads":[8],"batch":[8],"seed":1}]},"checks":["nonesuch"]}`)
+	sharedCQ := write("sharedcq.json", `{"spec":1,"name":"x","scenario":"micro","batching":"coalesce:sharedcq","micro":{"profiles":[{"name":"b","policy":"per-thread-qp"}],"panels":[{"id":"p","title":"t","op":"read","x":"threads","threads":[8],"batch":[8],"seed":1}]}}`)
 
 	cases := []struct {
 		name string
@@ -539,14 +541,14 @@ func TestSpecFileErrorsExit2(t *testing.T) {
 		{"malformed json", []string{"-spec", badJSON}, "-spec"},
 		{"schema violation", []string{"-spec", badSchema}, "unknown scenario"},
 		{"unknown check group", []string{"-spec", badCheck, "-check"}, "no shape checks registered"},
+		{"sharedcq batching template", []string{"-spec", sharedCQ}, "unknown option"},
 		// Documents that parse but cannot run are usage errors too, with
 		// -dryrun (what TestSpecDryRunGoldens runs) and without it.
-		{"sharedcq on a shared CQ", []string{"-spec", seedSpec("micro_sharedcq_shared_qp.json")}, "SharedCQPoll requires a per-thread-CQ policy"},
-		{"sharedcq on a shared CQ, dryrun", []string{"-spec", seedSpec("micro_sharedcq_shared_qp.json"), "-dryrun"}, "SharedCQPoll requires a per-thread-CQ policy"},
 		{"faults on batching", []string{"-spec", seedSpec("batching_faults.json")}, "faults only apply to micro scenarios"},
 		{"faults on batching, dryrun", []string{"-spec", seedSpec("batching_faults.json"), "-dryrun"}, "faults only apply to micro scenarios"},
 		{"faults flag on batching spec", []string{"-spec", goldenSpec("batching_quick.json"), "-faults", "default", "-dryrun"}, "faults only apply to micro scenarios"},
 		{"serving load past the arrival rate cap", []string{"-spec", seedSpec("serving_rate_over_cap.json")}, "topology 1x4 at load 5: serve: arrival: poisson rate 2000"},
+		{"serving load past the arrival rate cap, dryrun", []string{"-spec", seedSpec("serving_rate_over_cap.json"), "-dryrun"}, "topology 1x4 at load 5: serve: arrival: poisson rate 2000"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -13,14 +13,12 @@ import "repro/internal/verbs"
 // batchingFor builds one swept point's batching config: the mode's
 // postlist/coalesce bits, the point's coalesce threshold, and the knob
 // template's overrides. The template is the spec's batching field
-// (which -batching sets): its sharedcq bit and batch=/deadline= values
-// override the sweep's defaults for the batched mode variants (the
-// mode axis itself is what the ablation sweeps, so the template's mode
-// bits are ignored). The shape checks are calibrated against the zero
-// template.
+// (which -batching sets): its batch=/deadline= values override the
+// sweep's defaults for the batched mode variants (the mode axis itself
+// is what the ablation sweeps, so the template's mode bits are
+// ignored). The shape checks are calibrated against the zero template.
 func batchingFor(knobs, mode verbs.Batching, coalesceBatch int) verbs.Batching {
 	b := mode
-	b.SharedCQPoll = b.SharedCQPoll || knobs.SharedCQPoll
 	if b.Coalesce {
 		b.CoalesceBatch = coalesceBatch
 		if knobs.CoalesceBatch > 0 {

@@ -27,11 +27,10 @@ import (
 // Everything that can be wrong with a spec is an error here: the
 // embedded sub-spec strings (faults, arrival, batching, burst
 // arrivals, profile policies) are resolved once, into typed values the
-// returned Run closes over, and every profile's options are checked
-// against what a runtime can be built from. Run therefore cannot fail:
-// it only enumerates the section's grid into a sweep.Set — in order,
-// every point isolated, merged in order — and executes it on
-// env.Sweeper. s must not be modified after the call.
+// returned Run closes over. Run therefore cannot fail: it only
+// enumerates the section's grid into a sweep.Set — in order, every
+// point isolated, merged in order — and executes it on env.Sweeper. s
+// must not be modified after the call.
 func FromSpec(s *spec.Spec) (*Experiment, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -66,12 +65,7 @@ func FromSpec(s *spec.Spec) (*Experiment, error) {
 			if err != nil {
 				return nil, err
 			}
-			if knobs.Enabled() {
-				opts.Batching = knobs.WithDefaults()
-			}
-			if err := opts.Validate(); err != nil {
-				return nil, fmt.Errorf("spec: profile %q with batching %q: %w", prof.Name, s.Batching, err)
-			}
+			opts.Batching = knobs
 			series[i] = opts
 		}
 		e.Run = func(env Env) []result.Table {

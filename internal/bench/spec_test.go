@@ -127,11 +127,11 @@ func TestSpecProbeEnumeration(t *testing.T) {
 // through a probe (the registered experiments execute the same
 // lowerings in TestShapesQuick and TestFig3QuickGolden), and
 // FuzzScenarioSpecParse's seed documents, which are a few points each,
-// are executed for real: they include the specs only lowering can
-// reject — shared-CQ polling on a policy whose threads share one CQ
-// validates as a document and used to panic a sweep worker in
-// core.MustNew.
+// are executed for real. Exactly one of them is a document that
+// passes the schema but fails at lowering: a serving load past the
+// arrival model's rate cap, which serve.Config.Validate rejects.
 func TestFromSpecRunCannotFail(t *testing.T) {
+	const lowerReject = "serving_rate_over_cap.json"
 	run := func(pattern string, sw func(points *int) *sweep.Sweeper) {
 		files, err := filepath.Glob(pattern)
 		if err != nil || len(files) == 0 {
@@ -144,8 +144,10 @@ func TestFromSpecRunCannotFail(t *testing.T) {
 					t.Skipf("rejected by the schema: %v", err)
 				}
 				e, err := FromSpec(s)
+				if wantErr := filepath.Base(file) == lowerReject; (err != nil) != wantErr {
+					t.Fatalf("FromSpec error = %v; only %s fails at lowering", err, lowerReject)
+				}
 				if err != nil {
-					t.Logf("rejected by lowering: %v", err)
 					return
 				}
 				points := 0

@@ -168,7 +168,6 @@ func diffModes() []struct {
 		{"postlist", verbs.Batching{Postlist: true}},
 		{"coalesce", verbs.Batching{Coalesce: true, CoalesceBatch: 4}},
 		{"both", verbs.Batching{Postlist: true, Coalesce: true, CoalesceBatch: 4}},
-		{"both+sharedcq", verbs.Batching{Postlist: true, Coalesce: true, CoalesceBatch: 4, SharedCQPoll: true}},
 	}
 }
 

@@ -213,20 +213,19 @@ func fuzzPlan(t *testing.T, action, prob, extra uint8, atomicFail bool) *fault.P
 }
 
 func FuzzDoorbellCoalescing(f *testing.F) {
-	// batch, deadline, rounds, action, prob, extra, kindMix, atomicFail, postlist, sharedcq
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), false, false, false)
-	f.Add(uint8(31), uint8(4), uint8(1), uint8(0), uint8(0), uint8(0), uint16(0x1e1e), false, true, false)
-	f.Add(uint8(3), uint8(19), uint8(5), uint8(3), uint8(3), uint8(0), uint16(0x9c3a), true, true, false)
-	f.Add(uint8(7), uint8(49), uint8(3), uint8(1), uint8(2), uint8(6), uint16(0xb7b7), true, false, true)
-	f.Add(uint8(15), uint8(24), uint8(4), uint8(2), uint8(1), uint8(1), uint16(0x4d2d), false, true, true)
+	// batch, deadline, rounds, action, prob, extra, kindMix, atomicFail, postlist
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), false, false)
+	f.Add(uint8(31), uint8(4), uint8(1), uint8(0), uint8(0), uint8(0), uint16(0x1e1e), false, true)
+	f.Add(uint8(3), uint8(19), uint8(5), uint8(3), uint8(3), uint8(0), uint16(0x9c3a), true, true)
+	f.Add(uint8(7), uint8(49), uint8(3), uint8(1), uint8(2), uint8(6), uint16(0xb7b7), true, false)
+	f.Add(uint8(15), uint8(24), uint8(4), uint8(2), uint8(1), uint8(1), uint16(0x4d2d), false, true)
 
-	f.Fuzz(func(t *testing.T, batch, deadline, rounds, action, prob, extra uint8, kindMix uint16, atomicFail, postlist, sharedcq bool) {
+	f.Fuzz(func(t *testing.T, batch, deadline, rounds, action, prob, extra uint8, kindMix uint16, atomicFail, postlist bool) {
 		b := verbs.Batching{
 			Postlist:      postlist,
 			Coalesce:      true,
 			CoalesceBatch: 1 + int(batch)%32,
 			FlushDeadline: sim.Time(1+int(deadline)%50) * sim.Microsecond,
-			SharedCQPoll:  sharedcq,
 		}
 		nr := 1 + int(rounds)%6
 		plan := fuzzPlan(t, action, prob, extra, atomicFail)

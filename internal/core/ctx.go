@@ -86,11 +86,14 @@ func (c *Ctx) FAA(addr blade.Addr, add uint64) *verbs.WR {
 }
 
 // newWR is core's one WR allocator: it returns a cleared WR of the
-// given kind on remote, already buffered for the next PostSend. Inside
-// an op it takes a WR an earlier op released (verbs.WR.Reset keeps the
-// attempt counter, so completions still in flight for the WR's past
-// attempts stay stale) and records it for EndOp. Outside an op — the
-// preload paths — it allocates.
+// given kind on remote, already buffered for the next PostSend and
+// bound to this coroutine's onComplete — the only route by which a
+// completion reaches a coroutine (Sync's retries repost the same WRs,
+// so the binding survives them). Inside an op it takes a WR an earlier
+// op released (verbs.WR.Reset keeps the attempt counter, so
+// completions still in flight for the WR's past attempts stay stale)
+// and records it for EndOp. Outside an op — the preload paths — it
+// allocates.
 func (c *Ctx) newWR(kind rnic.OpKind, remote blade.Addr) *verbs.WR {
 	var wr *verbs.WR
 	if n := len(c.freeWRs); c.inOp && n > 0 {
@@ -103,7 +106,7 @@ func (c *Ctx) newWR(kind rnic.OpKind, remote blade.Addr) *verbs.WR {
 	if c.inOp {
 		c.opWRs = append(c.opWRs, wr)
 	}
-	wr.Kind, wr.Remote = kind, remote
+	wr.Kind, wr.Remote, wr.OnComplete = kind, remote, c.onDone
 	c.buf = append(c.buf, wr)
 	return wr
 }
@@ -137,13 +140,6 @@ func (c *Ctx) PostSend() {
 	wrs := c.buf
 	c.buf = nil
 	t := c.T
-	// Under shared-CQ polling the thread's poller loop dispatches
-	// completions via the ownership map instead of callbacks.
-	if t.pollOwner == nil {
-		for _, wr := range wrs {
-			wr.OnComplete = c.onDone
-		}
-	}
 	c.post(wrs, t.rt.opts.Batching.Postlist && t.coal == nil)
 	// Posted WRs are tracked by the card and, inside an op, by opWRs
 	// until EndOp; the batch buffer must not keep them alive as well.
@@ -155,25 +151,24 @@ func (c *Ctx) PostSend() {
 }
 
 // post sends WRs through the throttler to the card, shared by PostSend
-// and Sync's transparent retry. Each WR first takes the pending count,
-// a throttling credit (possibly stalling) and, under shared-CQ polling,
-// its ownership entry. With chain set (postlist batching without
-// coalescing) consecutive same-QP WRs submit as one linked chain, which
-// extends only while a credit is immediately available — so the
-// coroutine stalls at exactly the same points, in the same credit-
-// acquisition order, as one WR at a time, and a batch larger than the
-// free credit balance slides through as several chains. Under doorbell
-// coalescing each WR is buffered instead; the coalescer submits it at
-// flush time.
+// and Sync's transparent retry. Each WR first takes the pending count
+// and a throttling credit (possibly stalling). With chain set (postlist
+// batching without coalescing) consecutive same-QP WRs submit as one
+// linked chain, which extends only while a credit is immediately
+// available — so the coroutine stalls at exactly the same points, in
+// the same credit-acquisition order, as one WR at a time, and a batch
+// larger than the free credit balance slides through as several
+// chains. Under doorbell coalescing each WR is buffered instead; the
+// coalescer submits it at flush time.
 func (c *Ctx) post(wrs []*verbs.WR, chain bool) {
 	t := c.T
 	for i := 0; i < len(wrs); {
 		qp := t.qpFor(wrs[i])
-		c.acquire(wrs[i])
+		c.acquire()
 		j := i + 1
 		for chain && j < len(wrs) && t.qpFor(wrs[j]) == qp &&
 			(t.credits == nil || (t.credits.Waiters() == 0 && t.credits.Available() >= 1)) {
-			c.acquire(wrs[j])
+			c.acquire()
 			j++
 		}
 		if t.coal != nil {
@@ -186,14 +181,11 @@ func (c *Ctx) post(wrs []*verbs.WR, chain bool) {
 }
 
 // acquire runs one WR's pre-submission bookkeeping (see post).
-func (c *Ctx) acquire(wr *verbs.WR) {
+func (c *Ctx) acquire() {
 	t := c.T
 	c.pending++
 	if t.credits != nil {
 		t.credits.Acquire(c.proc, 1)
-	}
-	if t.pollOwner != nil {
-		t.pollOwner[wr] = c
 	}
 }
 

@@ -116,12 +116,9 @@ type Options struct {
 
 	// --- Submission-path batching (DESIGN.md §16) ---
 
-	// Batching configures WR postlist submission, per-thread doorbell
-	// coalescing, and shared-CQ polling. The zero value (off) keeps the
-	// submission path byte-identical to the pre-batching model.
-	// SharedCQPoll requires a per-thread-CQ policy (PerThreadQP,
-	// PerThreadContext, or PerThreadDoorbell): a per-thread polling
-	// loop on a CQ shared across threads would steal completions.
+	// Batching configures WR postlist submission and per-thread
+	// doorbell coalescing. The zero value (off) keeps the submission
+	// path byte-identical to the pre-batching model.
 	Batching verbs.Batching
 
 	// --- Fault recovery (only matters when faults are injected) ---
@@ -165,21 +162,6 @@ func Smart() Options {
 		DynamicLimit:    true,
 		CoroThrottle:    true,
 	}
-}
-
-// Validate reports option combinations no runtime can be built from;
-// New calls it, and spec lowering calls it up front so an impossible
-// configuration is a usage error rather than a panicking sweep point.
-func (o Options) Validate() error {
-	if o.Batching.SharedCQPoll {
-		switch o.Policy {
-		case SharedQP, MultiplexedQP:
-			// A per-thread polling loop over a CQ shared across threads
-			// would steal the other threads' completions.
-			return fmt.Errorf("core: Batching.SharedCQPoll requires a per-thread-CQ policy, not %v", o.Policy)
-		}
-	}
-	return nil
 }
 
 // withDefaults fills unset fields in place.

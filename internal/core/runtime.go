@@ -32,9 +32,6 @@ func New(nic *rnic.RNIC, targets []verbs.Target, nThreads int, opts Options) (*R
 		return nil, fmt.Errorf("core: need at least one memory blade")
 	}
 	opts.withDefaults()
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	rt := &Runtime{eng: nic.Engine(), nic: nic, targets: targets, opts: opts}
 
 	for i := 0; i < nThreads; i++ {

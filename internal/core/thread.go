@@ -42,13 +42,9 @@ type Thread struct {
 	cmax        int
 	wrCompleted uint64 // monotone counter the epoch tuner samples
 
-	// Submission-path batching (DESIGN.md §16). coal buffers postings
-	// for doorbell coalescing; pollOwner, under shared-CQ polling, maps
-	// each in-flight WR to the context that posted it so the thread's
-	// polling loop can dispatch completions (inserted at post, deleted
-	// at dispatch, never ranged — map order can never leak).
-	coal      *coalescer
-	pollOwner map[*verbs.WR]*Ctx
+	// Submission-path batching (DESIGN.md §16): coal buffers postings
+	// for doorbell coalescing.
+	coal *coalescer
 
 	// Conflict avoidance (§4.3). γ is "the percentage of retries for
 	// all operations": unsuccessful CAS attempts over completed
@@ -157,32 +153,6 @@ func (t *Thread) start() {
 	if o.Batching.Coalesce {
 		t.coal = newCoalescer(t)
 		t.coal.flusher = t.rt.eng.Go(fmt.Sprintf("t%d-coal-flusher", t.ID), t.coal.run)
-	}
-	if o.Batching.SharedCQPoll {
-		t.pollOwner = make(map[*verbs.WR]*Ctx)
-		t.rt.eng.Go(fmt.Sprintf("t%d-cq-poller", t.ID), t.poller)
-	}
-}
-
-// poller is the shared-CQ polling strategy: one loop per thread
-// draining the thread's CQ and dispatching each completion to the
-// posting context, instead of per-completion OnComplete callbacks.
-// Completions (including watchdog Expires) buffer as CQEs until this
-// loop runs; stale attempts are dropped by the CQ's guard before ever
-// reaching it. Unwound by Engine.Stop while parked in WaitAny.
-func (t *Thread) poller(p *sim.Proc) {
-	for {
-		ents := t.cq.WaitAny(p)
-		if t.rt.stopped {
-			return
-		}
-		for i := range ents {
-			wr := ents[i].WR
-			c := t.pollOwner[wr]
-			delete(t.pollOwner, wr)
-			c.onComplete(wr)
-		}
-		t.cq.Recycle(ents)
 	}
 }
 

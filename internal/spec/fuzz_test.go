@@ -47,6 +47,7 @@ func FuzzScenarioSpecParse(f *testing.F) {
 		`{"spec":1,"name":"x","scenario":"quantum"}`,
 		`{"spec":1,"name":"x","scenario":"micro","bogus":true}`,
 		`{"spec":1,"name":"x","scenario":"serving","faults":"default"}`,
+		`{"spec":1,"name":"x","scenario":"micro","batching":"coalesce:sharedcq","micro":{"profiles":[{"name":"p","policy":"shared-qp"}],"panels":[{"id":"a","title":"t","op":"read","x":"threads","threads":[8],"batch":[8],"seed":1}]}}`,
 		`{"spec":1,"name":"x","scenario":"micro","micro":{"profiles":[{"name":"p","policy":"per-thread-qp","update_delta":"-4us"}],"panels":[]}}`,
 		`{"spec":1,"name":"x","scenario":"micro","micro":{"profiles":[{"name":"p","policy":"per-thread-qp"}],"panels":[{"id":"a","title":"t","op":"read","x":"threads","threads":[8],"batch":[8],"seed":1}]}} {}`,
 	} {

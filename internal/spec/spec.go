@@ -95,9 +95,9 @@ type Spec struct {
 	// Batching is an embedded WR-batching sub-spec
 	// (verbs.ParseBatching grammar). For micro scenarios it applies
 	// verbatim to every point; for the batching scenario it is the
-	// knob template whose batch=/deadline=/sharedcq overrides apply to
-	// the swept modes (the mode axis itself is what the ablation
-	// sweeps). Does not apply to serving.
+	// knob template whose batch=/deadline= overrides apply to the
+	// swept modes (the mode axis itself is what the ablation sweeps).
+	// Does not apply to serving.
 	Batching string `json:"batching,omitempty"`
 
 	// Micro is the panel-grid section ("micro" scenario).

@@ -35,17 +35,10 @@ type Batching struct {
 	// FlushDeadline bounds how long a buffered WR may wait before the
 	// coalescer submits it (default 2µs, roughly one unloaded RTT).
 	FlushDeadline sim.Time
-
-	// SharedCQPoll routes completions through one per-thread CQ polling
-	// loop (a coroutine draining the thread's CQ and dispatching to the
-	// posting contexts) instead of per-completion callbacks — the
-	// shared-CQ polling strategy option. Requires a per-thread-CQ
-	// allocation policy.
-	SharedCQPoll bool
 }
 
 // Enabled reports whether any batching technique is on.
-func (b Batching) Enabled() bool { return b.Postlist || b.Coalesce || b.SharedCQPoll }
+func (b Batching) Enabled() bool { return b.Postlist || b.Coalesce }
 
 // WithDefaults returns b with unset knobs filled in.
 func (b Batching) WithDefaults() Batching {
@@ -80,9 +73,6 @@ func (b Batching) String() string {
 	if b.Coalesce && b.FlushDeadline > 0 {
 		opts = append(opts, fmt.Sprintf("deadline=%dns", int64(b.FlushDeadline)))
 	}
-	if b.SharedCQPoll {
-		opts = append(opts, "sharedcq")
-	}
 	if len(opts) == 0 {
 		return mode
 	}
@@ -96,11 +86,10 @@ func (b Batching) String() string {
 //	mode := "off" | "postlist" | "coalesce" | "both"
 //	opt  := "batch=" n      (coalesce flush-by-full threshold)
 //	      | "deadline=" dur (coalesce flush deadline; ns/us/ms/s suffix)
-//	      | "sharedcq"      (shared-CQ polling strategy)
 //
-// Examples: "postlist", "coalesce:batch=32,deadline=4us",
-// "both:sharedcq". Defaults are filled by WithDefaults; malformed
-// specs return an error, never panic.
+// Examples: "postlist", "coalesce:batch=32,deadline=4us", "both".
+// Defaults are filled by WithDefaults; malformed specs return an error,
+// never panic.
 func ParseBatching(spec string) (Batching, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -123,8 +112,6 @@ func ParseBatching(spec string) (Batching, error) {
 		for _, opt := range strings.Split(opts, ",") {
 			key, val, isKV := strings.Cut(opt, "=")
 			switch {
-			case opt == "sharedcq":
-				b.SharedCQPoll = true
 			case isKV && key == "batch":
 				n, err := strconv.Atoi(val)
 				if err != nil || n < 1 || n > 1<<16 {

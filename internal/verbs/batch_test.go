@@ -21,8 +21,6 @@ func TestParseBatching(t *testing.T) {
 		{"coalesce:batch=4", Batching{Coalesce: true, CoalesceBatch: 4, FlushDeadline: 2 * sim.Microsecond}},
 		{"both:batch=32,deadline=5us", Batching{Postlist: true, Coalesce: true, CoalesceBatch: 32, FlushDeadline: 5 * sim.Microsecond}},
 		{"coalesce:deadline=800ns", Batching{Coalesce: true, CoalesceBatch: 16, FlushDeadline: 800 * sim.Nanosecond}},
-		{"postlist:sharedcq", Batching{Postlist: true, SharedCQPoll: true}},
-		{"off:sharedcq", Batching{SharedCQPoll: true}},
 	}
 	for _, g := range good {
 		got, err := ParseBatching(g.spec)
@@ -44,6 +42,7 @@ func TestParseBatching(t *testing.T) {
 		"", "none", "postlist:batch=4", "off:deadline=1us", "coalesce:batch=0",
 		"coalesce:batch=70000", "coalesce:deadline=0ns", "coalesce:deadline=2h",
 		"coalesce:deadline=5", "coalesce:batch=x", "both:frobnicate", "both:batch",
+		"postlist:sharedcq", "off:sharedcq",
 	}
 	for _, s := range bad {
 		if b, err := ParseBatching(s); err == nil {
@@ -62,9 +61,6 @@ func TestBatchingWithDefaults(t *testing.T) {
 	}
 	if !b.Enabled() || (Batching{}).Enabled() {
 		t.Error("Enabled() wrong")
-	}
-	if !(Batching{SharedCQPoll: true}).Enabled() {
-		t.Error("sharedcq alone must count as enabled (it changes the polling path)")
 	}
 }
 

@@ -67,7 +67,7 @@ func BenchmarkCQEPollWait(b *testing.B) {
 
 	const batch = 8
 	drained := 0
-	eng.Go("poller", func(p *sim.Proc) {
+	eng.Go("consumer", func(p *sim.Proc) {
 		cq := ctx.CreateCQ()
 		qp := ctx.CreateQP(cq, Target{NIC: mn, Mem: mem})
 		buf := make([]byte, 8)

@@ -141,28 +141,6 @@ func TestAllErrorBatchWakesWaitN(t *testing.T) {
 	}
 }
 
-func TestAllErrorWakesWaitAny(t *testing.T) {
-	r := newRig(24)
-	defer r.eng.Stop()
-	r.ctx.NIC().SetFault(failKind(rnic.OpRead))
-	addr := r.mem.Alloc(8)
-	woke := false
-	r.eng.Go("client", func(p *sim.Proc) {
-		cq := r.ctx.CreateCQ()
-		qp := r.ctx.CreateQP(cq, r.tgt)
-		qp.PostSend(p, Read(addr, make([]byte, 8)))
-		ces := cq.WaitAny(p)
-		if len(ces) != 1 || ces[0].Status != rnic.StatusRemoteAccessErr {
-			t.Errorf("WaitAny = %v", ces)
-		}
-		woke = true
-	})
-	r.eng.Run(0)
-	if !woke {
-		t.Fatal("WaitAny parked forever on an error completion")
-	}
-}
-
 func TestExpireAndStaleCompletions(t *testing.T) {
 	r := newRig(25)
 	defer r.eng.Stop()

@@ -132,9 +132,9 @@ type cqWaiter struct {
 }
 
 // CQ is a completion queue. Completion entries are delivered by the
-// card model; consumers either Poll (non-blocking) or block in WaitN /
-// WaitAny. Work requests with an OnComplete callback bypass the entry
-// buffer entirely — that is how SMART's per-thread poller coroutine is
+// card model; consumers either Poll (non-blocking) or block in WaitN.
+// Work requests with an OnComplete callback bypass the entry buffer
+// entirely — that is how SMART's per-thread CQ-polling coroutine is
 // modeled (the framework routes each completion straight to the
 // owning coroutine).
 type CQ struct {
@@ -226,10 +226,10 @@ func (q *CQ) Poll(max int) []CQE {
 	return out
 }
 
-// Recycle returns a buffer previously obtained from Poll, WaitN, or
-// WaitAny to the queue's buffer pool for reuse by a later drain. The
-// caller must not touch buf (or the CQEs in it) afterwards. Recycling
-// is optional — unreturned buffers are simply collected as garbage.
+// Recycle returns a buffer previously obtained from Poll or WaitN to
+// the queue's buffer pool for reuse by a later drain. The caller must
+// not touch buf (or the CQEs in it) afterwards. Recycling is optional —
+// unreturned buffers are simply collected as garbage.
 func (q *CQ) Recycle(buf []CQE) {
 	if cap(buf) == 0 {
 		return
@@ -248,18 +248,6 @@ func (q *CQ) WaitN(p *sim.Proc, n int) []CQE {
 		p.Suspend()
 	}
 	out := q.Poll(n)
-	q.kick()
-	return out
-}
-
-// WaitAny blocks p until at least one entry is available and drains
-// everything present.
-func (q *CQ) WaitAny(p *sim.Proc) []CQE {
-	for len(q.entries) == 0 {
-		q.waiters = append(q.waiters, cqWaiter{p: p, need: 1})
-		p.Suspend()
-	}
-	out := q.Poll(0)
 	q.kick()
 	return out
 }
