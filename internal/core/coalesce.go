@@ -32,6 +32,7 @@ type coalescer struct {
 	firstAt sim.Time    // enqueue time of the oldest buffered entry
 	gen     uint64      // bumped per flush; invalidates stale deadline timers
 	due     bool
+	idle    bool // the flusher is parked in run's idle loop, not in a post
 	flusher *sim.Proc
 
 	// CoalesceStats counters (harvested by Collect when batching is on).
@@ -87,8 +88,10 @@ func (co *coalescer) enqueue(p *sim.Proc, wr *verbs.WR) {
 // armTimer schedules the flush-by-deadline timer for the current
 // buffer generation. The callback runs in engine context — it cannot
 // submit (submission sleeps on locks) — so it marks the buffer due and
-// wakes the flusher process. A flush for any other reason bumps gen
-// first, making the pending timer a no-op.
+// wakes the flusher process if it is idle. A flusher still inside an
+// earlier flush's post is not woken: it is parked on the QP lock or
+// doorbell, and finds due set when that flush returns. A flush for any
+// other reason bumps gen first, making the pending timer a no-op.
 func (co *coalescer) armTimer() {
 	d := co.t.rt.opts.Batching.FlushDeadline
 	if d <= 0 || co.flusher == nil {
@@ -100,7 +103,9 @@ func (co *coalescer) armTimer() {
 			return
 		}
 		co.due = true
-		co.flusher.Wake()
+		if co.idle {
+			co.flusher.Wake()
+		}
 	})
 }
 
@@ -111,7 +116,9 @@ func (co *coalescer) armTimer() {
 func (co *coalescer) run(p *sim.Proc) {
 	for {
 		for !co.due {
+			co.idle = true
 			p.Suspend()
+			co.idle = false
 		}
 		if co.t.rt.stopped {
 			return
