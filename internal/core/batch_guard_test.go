@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -106,4 +107,50 @@ func TestCoalescerStopHoldsUnflushedWRs(t *testing.T) {
 		}
 		assertHeld(t, cl, rt)
 	})
+}
+
+// Regression: the deadline timer must not wake the flusher while it is
+// still inside an earlier flush's post. With a FlushDeadline shorter
+// than one post, and throttled coroutines whose WRs wait in the buffer
+// for a credit-starved Sync, a buffer refilled during a deadline flush
+// comes due before that flush's QP-lock and doorbell holds end. Waking
+// the flusher then panics in the sim kernel (a Wake of a process
+// blocked in a post); the flush in progress must pick the due buffer
+// up when it returns instead.
+func TestCoalescerDeadlineShorterThanPost(t *testing.T) {
+	cl := cluster.New(cluster.Config{
+		ComputeBlades: 1,
+		MemoryBlades:  1,
+		BladeCapacity: 1 << 20,
+		Seed:          11,
+	})
+	defer cl.Stop()
+	opts := Baseline(PerThreadDoorbell)
+	opts.WorkReqThrottle = true
+	opts.Batching = verbs.Batching{Coalesce: true, CoalesceBatch: 64, FlushDeadline: 50 * sim.Nanosecond}
+	rt, err := New(cl.Computes[0].NIC, cl.Targets(), 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := cl.Memories[0].Mem.Alloc(4096)
+	th := rt.Thread(0)
+	for k := 0; k < 8; k++ {
+		th.Spawn(fmt.Sprintf("c%d", k), func(c *Ctx) {
+			for i := uint64(0); ; i++ {
+				for j := uint64(0); j < 3; j++ {
+					c.Read(region.Add((i*3+j)%512*8), make([]byte, 8))
+				}
+				c.PostSend()
+				c.Sync()
+			}
+		})
+	}
+	cl.Eng.Run(200 * sim.Microsecond)
+	st := th.CoalesceStats()
+	if st.FlushDeadline == 0 || st.Overruns == 0 {
+		t.Fatalf("no deadline flush ran late (%+v): the case this pins never happened", st)
+	}
+	if th.Stats.WRs == 0 {
+		t.Fatal("no WR completed")
+	}
 }

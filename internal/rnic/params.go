@@ -127,8 +127,8 @@ type Params struct {
 	// DBChainedHold is the incremental spinlock hold per additional
 	// work request in a chained (postlist) doorbell update: the extra
 	// WQE write under the lock, without the per-WR MMIO the chain
-	// amortizes away. Only the batched submission path (verbs
-	// RingN/PostList) pays it.
+	// amortizes away. Only a chain of two or more (verbs PostList)
+	// pays it.
 	DBChainedHold sim.Time
 
 	// QPLockHold and QPBouncePerWaiter model the userspace QP lock that

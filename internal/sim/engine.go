@@ -17,7 +17,8 @@
 // Hot-path design (DESIGN.md §14): timed callbacks live in a
 // value-typed 4-ary min-heap ([]event, branchless comparisons, no
 // per-event allocation); same-timestamp process activations
-// (Proc.Wake, zero Sleeps — every CQE delivery and mutex handoff)
+// (Proc.Wake, zero Sleeps — every CQE delivery and mutex handoff,
+// including those that run a blocked process's stage, see Proc.Block)
 // bypass the heap through a FIFO run queue; and monotone streams —
 // Server departures and fixed-delay Lines, the RNIC pipelines and wire
 // hops that carry most in-flight WRs — bypass it through per-source
@@ -136,13 +137,18 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// Parks reports how many times any process parked (handed the baton
-// back to the engine) over the engine's lifetime. Telemetry reads it
-// as a scheduler-pressure signal.
+// Parks reports how many times any process parked — reached a
+// simulated blocking point (a Sleep, a Suspend, a contended Lock) —
+// over the engine's lifetime. A park is simulated, not a host cost: a
+// process blocked in staged work (see Proc.Block) parks at every stage
+// without a coroutine switch. Telemetry reads it as a
+// scheduler-pressure signal.
 func (e *Engine) Parks() uint64 { return e.parks }
 
-// Wakes reports how many times any process was activated. Paired with
-// Parks it bounds how much baton traffic a configuration generates.
+// Wakes reports how many times any process was woken from a park,
+// whether the engine switched into it or a stage ran on its behalf.
+// Paired with Parks it bounds how much blocking a configuration
+// generates.
 func (e *Engine) Wakes() uint64 { return e.wakes }
 
 // Events reports how many events the engine has executed — timer

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // These tests pin the engine's lifecycle guards: what Schedule, Run,
 // Step, and Wake are allowed to do after Stop, and what waking a
@@ -136,5 +140,127 @@ func TestEventsCounter(t *testing.T) {
 	// Activations count too: initial activation + 3 zero-sleeps.
 	if e.Events() != 5+4 {
 		t.Fatalf("Events after park/wake chain = %d, want 9", e.Events())
+	}
+}
+
+// TestWakeDuringSleepPanics: only a Sleep's own timer may resume the
+// process. A Wake meanwhile would resume it early and leave the timer
+// to resume it again from whatever it parks on next, so it panics,
+// naming the process.
+func TestWakeDuringSleepPanics(t *testing.T) {
+	e := New(1)
+	defer e.Stop()
+	sleeper := e.Go("sleeper", func(p *Proc) { p.Sleep(10 * Nanosecond) })
+	e.Schedule(5*Nanosecond, func() { sleeper.Wake() })
+	msg := mustPanic(t, func() { e.Run(0) })
+	if !strings.Contains(msg, "sleeper") || !strings.Contains(msg, "Sleep") {
+		t.Fatalf("panic %q does not name the sleeping process", msg)
+	}
+}
+
+// TestWakeDuringStagesPanics: a process blocked while stages run on its
+// behalf is resumed only by the last stage; a Wake panics, naming it.
+func TestWakeDuringStagesPanics(t *testing.T) {
+	e := New(1)
+	defer e.Stop()
+	poster := e.Go("poster", func(p *Proc) {
+		stage := func() {
+			p.Woken()
+			p.Resume()
+		}
+		if !p.SleepStage(10*Nanosecond, stage) {
+			p.Block()
+		}
+	})
+	e.Schedule(5*Nanosecond, func() { poster.Wake() })
+	msg := mustPanic(t, func() { e.Run(0) })
+	if !strings.Contains(msg, "poster") || !strings.Contains(msg, "stages") {
+		t.Fatalf("panic %q does not name the blocked process", msg)
+	}
+}
+
+// TestMutexWaiterWokenWithoutHandoffPanics: a Mutex waiter resumed by a
+// stray Wake rather than Unlock's handoff would run inside the lock
+// alongside its holder, so it panics, naming the waiter.
+func TestMutexWaiterWokenWithoutHandoffPanics(t *testing.T) {
+	e := New(1)
+	defer e.Stop()
+	m := NewMutex(e)
+	e.Go("holder", func(p *Proc) {
+		m.Lock(p)
+		p.Sleep(10 * Nanosecond)
+		m.Unlock()
+	})
+	waiter := e.Go("waiter", func(p *Proc) {
+		m.Lock(p)
+		m.Unlock()
+	})
+	e.Schedule(5*Nanosecond, func() { waiter.Wake() })
+	msg := mustPanic(t, func() { e.Run(0) })
+	if !strings.Contains(msg, "waiter") || !strings.Contains(msg, "handed") {
+		t.Fatalf("panic %q does not name the waiter", msg)
+	}
+}
+
+// TestStagedWorkCountsAsProcess: a lock-and-hold run as stages on a
+// blocked process draws the same (at, seq) and counts the same events,
+// parks and wakes as the process doing it itself, contended or not.
+func TestStagedWorkCountsAsProcess(t *testing.T) {
+	run := func(staged bool) (out []string, events, parks, wakes uint64) {
+		e := New(1)
+		defer e.Stop()
+		m := NewMutex(e)
+		for k := 0; k < 3; k++ {
+			e.Go("worker", func(p *Proc) {
+				for i := 0; i < 3; i++ {
+					hold := Time(k) * Nanosecond // worker 0 holds for zero
+					if staged {
+						step := 0
+						var stage func()
+						advance := func() bool {
+							for {
+								switch step {
+								case 0:
+									step = 1
+									if !m.LockStage(p, stage) {
+										return false
+									}
+								case 1:
+									step = 2
+									if !p.SleepStage(hold, stage) {
+										return false
+									}
+								default:
+									m.Unlock()
+									return true
+								}
+							}
+						}
+						stage = func() {
+							p.Woken()
+							if advance() {
+								p.Resume()
+							}
+						}
+						if !advance() {
+							p.Block()
+						}
+					} else {
+						m.Lock(p)
+						p.Sleep(hold)
+						m.Unlock()
+					}
+					out = append(out, fmt.Sprintf("w%d#%d@%v", k, i, p.Now()))
+				}
+			})
+		}
+		e.Run(0)
+		return out, e.Events(), e.Parks(), e.Wakes()
+	}
+	o1, ev1, pk1, wk1 := run(false)
+	o2, ev2, pk2, wk2 := run(true)
+	if fmt.Sprint(o1) != fmt.Sprint(o2) || ev1 != ev2 || pk1 != pk2 || wk1 != wk2 {
+		t.Fatalf("staged %v (events %d, parks %d, wakes %d) vs process %v (events %d, parks %d, wakes %d)",
+			o2, ev2, pk2, wk2, o1, ev1, pk1, wk1)
 	}
 }

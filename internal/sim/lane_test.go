@@ -36,12 +36,14 @@ func (q *oracleHeap) Pop() interface{} {
 
 // engineScript drives one engine through every event source from a
 // byte script — Schedule, three Servers, two Lines, two processes'
-// Sleeps and Wakes, and Run(until) — and checks every firing against
-// the oracle. It mirrors the engine's sequence counter and each
-// server's busyUntil, so the (at, seq) filed for each call is derived
-// from the call, not read back from the engine. Every fired event pops
-// the oracle and must be its top; it then consumes one script byte and
-// may schedule more work from engine context.
+// Sleeps (some holding a Mutex) and Wakes, a third process's staged
+// lock-and-hold jobs, and Run(until) — and checks every firing against
+// the oracle. It mirrors the engine's sequence counter, each server's
+// busyUntil and the Mutex's FCFS queue, so the (at, seq) filed for
+// each call is derived from the call, not read back from the engine.
+// Every fired event pops the oracle and must be its top; it then
+// consumes one script byte and may schedule more work from engine
+// context.
 type engineScript struct {
 	t       *testing.T
 	e       *Engine
@@ -53,9 +55,95 @@ type engineScript struct {
 	servers [3]*Server
 	busy    [3]Time // mirror of each server's busyUntil
 	lines   [2]*Line
-	procs   [2]*Proc
-	idle    [2]bool   // process suspended with no wake pending
-	sleeps  [2][]Time // each process's queued Sleep durations
+	procs   [3]*Proc
+	idle    [3]bool       // process suspended with no wake pending
+	sleeps  [3][]Time     // each process's queued Sleeps, or the stager's jobs' holds
+	locked  [2][]bool     // whether each queued Sleep holds mu
+	mu      *Mutex        // shared by locked Sleeps and staged jobs
+	muHeld  bool          // mirror of mu: held,
+	muQueue []int         // and its waiters in FCFS order
+	stager  *scriptStager // process 2's staged job in progress
+}
+
+// stagerProc is the process whose jobs run as stages: each job takes
+// mu through LockStage, holds it for a SleepStage and unlocks, with
+// the process blocked throughout and resumed once.
+const stagerProc = 2
+
+// scriptStager is process 2's job in progress, in the shape of
+// verbs.QP.PostList's poster.
+type scriptStager struct {
+	s     *engineScript
+	p     *Proc
+	step  int
+	stage func()
+}
+
+// advance runs the job's steps until one parks, and reports whether
+// the job finished. Every wake the process would have taken fires the
+// oracle, whether its stage ran or the wake was taken inline.
+func (g *scriptStager) advance() bool {
+	s := g.s
+	for {
+		switch g.step {
+		case 0:
+			g.step = 1
+			if s.lock(stagerProc) {
+				if !s.mu.LockStage(g.p, g.stage) {
+					s.t.Fatal("LockStage of a free Mutex parked")
+				}
+				continue
+			}
+			if s.mu.LockStage(g.p, g.stage) {
+				s.t.Fatal("LockStage of a held Mutex took it")
+			}
+			return false
+		case 1:
+			g.step = 2
+			d := s.sleeps[stagerProc][0]
+			s.sleeps[stagerProc] = s.sleeps[stagerProc][1:]
+			s.draw(s.e.Now()+d, stagerProc)
+			if !g.p.SleepStage(d, g.stage) {
+				return false
+			}
+			s.fire(0, stagerProc)
+		default:
+			s.unlock()
+			return true
+		}
+	}
+}
+
+// resume is the stager's stage callback.
+func (g *scriptStager) resume() {
+	g.p.Woken()
+	g.s.fire(0, stagerProc)
+	if g.advance() {
+		g.p.Resume()
+	}
+}
+
+// lock mirrors a Lock of mu by process k, reporting whether it is
+// taken at once; otherwise k joins the mirrored queue.
+func (s *engineScript) lock(k int) bool {
+	if !s.muHeld {
+		s.muHeld = true
+		return true
+	}
+	s.muQueue = append(s.muQueue, k)
+	return false
+}
+
+// unlock mirrors, then performs, Unlock of mu: a handoff draws the
+// next waiter's activation.
+func (s *engineScript) unlock() {
+	if len(s.muQueue) > 0 {
+		s.draw(s.e.Now(), s.muQueue[0])
+		s.muQueue = s.muQueue[1:]
+	} else {
+		s.muHeld = false
+	}
+	s.mu.Unlock()
 }
 
 // runEngineScript replays script on a fresh engine. The first byte
@@ -74,7 +162,8 @@ func runEngineScript(t *testing.T, script []byte) {
 	for k := range s.servers {
 		s.servers[k] = NewServer(s.e)
 	}
-	for k := range s.procs {
+	s.mu = NewMutex(s.e)
+	for k := range s.procs[:stagerProc] {
 		s.draw(0, k)
 		s.procs[k] = s.e.Go("scripted", func(p *Proc) {
 			s.fire(0, k)
@@ -82,16 +171,45 @@ func runEngineScript(t *testing.T, script []byte) {
 				if len(s.sleeps[k]) == 0 {
 					s.idle[k] = true
 					p.Suspend()
-				} else {
-					d := s.sleeps[k][0]
-					s.sleeps[k] = s.sleeps[k][1:]
-					s.draw(p.Now()+d, k)
-					p.Sleep(d)
+					s.fire(0, k)
+					continue
 				}
+				d, locked := s.sleeps[k][0], s.locked[k][0]
+				s.sleeps[k], s.locked[k] = s.sleeps[k][1:], s.locked[k][1:]
+				if locked {
+					waits := !s.lock(k)
+					s.mu.Lock(p)
+					if waits {
+						s.fire(0, k)
+					}
+				}
+				s.draw(p.Now()+d, k)
+				p.Sleep(d)
 				s.fire(0, k)
+				if locked {
+					s.unlock()
+				}
 			}
 		})
 	}
+	s.draw(0, stagerProc)
+	s.procs[stagerProc] = s.e.Go("stager", func(p *Proc) {
+		g := &scriptStager{s: s, p: p}
+		g.stage = g.resume
+		s.fire(0, stagerProc)
+		for {
+			if len(s.sleeps[stagerProc]) == 0 {
+				s.idle[stagerProc] = true
+				p.Suspend()
+				s.fire(0, stagerProc)
+				continue
+			}
+			g.step = 0
+			if !g.advance() {
+				p.Block()
+			}
+		}
+	})
 	for {
 		b, ok := s.next()
 		if !ok {
@@ -173,9 +291,15 @@ func (s *engineScript) op(b byte, outside bool) {
 		l := s.lines[arg%2]
 		seq := s.draw(now+l.Delay(), -1)
 		l.Schedule(func() { s.fire(seq, -1) })
-	case 4: // queue a process Sleep (zero included), waking it if suspended
-		k := int(arg) % 2
-		s.sleeps[k] = append(s.sleeps[k], Time(arg/2)%4)
+	case 4, 6: // queue a process Sleep or staged job (zero holds included), waking it if suspended
+		k := int(arg) % 3
+		if b%8 == 6 {
+			k = stagerProc
+		}
+		s.sleeps[k] = append(s.sleeps[k], Time(arg/3)%4)
+		if k != stagerProc {
+			s.locked[k] = append(s.locked[k], arg >= 192)
+		}
 		if s.idle[k] {
 			s.idle[k] = false
 			s.draw(now, k)
@@ -212,16 +336,19 @@ func (s *engineScript) runUntil(arg byte) {
 }
 
 // FuzzEngineOrdering is the engine-level ordering contract: whichever
-// structure holds an event — event heap, run queue, or a Server's or
-// Line's lane — the engine fires everything in the (at, seq) order a
-// single container/heap over the same calls gives, with Events and
-// Pending agreeing at every step. CI runs it with a short -fuzztime
-// budget beside FuzzEventQueueOrdering.
+// structure holds an event — event heap, run queue (process activations
+// and stage callbacks alike), or a Server's or Line's lane — the engine
+// fires everything in the (at, seq) order a single container/heap over
+// the same calls gives, with Events and Pending agreeing at every step,
+// and Mutex handoffs, to waiting processes and to stages, in FCFS
+// order. CI runs it with a short -fuzztime budget beside
+// FuzzEventQueueOrdering.
 func FuzzEngineOrdering(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 0, 3, 1, 3, 0, 5, 255})
 	f.Add([]byte{9, 1, 0, 2, 3, 1, 6, 3, 0, 3, 1, 4, 0, 4, 1, 5, 7, 0, 4, 5, 40})
 	f.Add([]byte{0x3a, 4, 2, 4, 3, 4, 0, 1, 240, 2, 241, 0, 4, 5, 2, 3, 1, 3, 0})
+	f.Add([]byte{0x11, 6, 1, 4, 200, 6, 0, 4, 193, 6, 7, 5, 3, 4, 195, 6, 4, 5, 30, 0, 2, 5, 255})
 	f.Fuzz(runEngineScript)
 }
 

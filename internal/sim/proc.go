@@ -2,7 +2,10 @@
 
 package sim
 
-import "iter"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulated process: a runtime coroutine (iter.Pull) that
 // runs in lockstep with the engine. Exactly one of {engine, some
@@ -45,7 +48,20 @@ type Proc struct {
 	stop       func()                  // unwind a parked (or never started) process
 	activateFn func()                  // pre-bound activate, reused by every timed wake
 	done       bool
+	wait       waitKind // what the parked process waits for; Wake must not cut it short
+	stage      func()   // while blocked in stages: what its run-queue activation runs
 }
+
+// waitKind names a park that only its own wake may end: a Sleep's
+// timer, or the last stage of a staged post (see Block). Wake panics on
+// either instead of resuming the process early.
+type waitKind uint8
+
+const (
+	waitAny   waitKind = iota // running, or suspended until any Wake
+	waitSleep                 // in Sleep
+	waitStage                 // blocked while stages run on its behalf
+)
 
 // killProc is panicked inside a parked process when the engine shuts
 // down, unwinding the coroutine so long-lived simulations do not leak.
@@ -94,10 +110,15 @@ func (p *Proc) Done() bool { return p.done }
 // activate resumes the process and returns when it has parked again or
 // finished. It runs in engine context, from the run queue or as the
 // pre-bound callback (activateFn) that timed wakes schedule on the
-// event heap.
+// event heap. A process blocked in stages is not resumed: its
+// run-queue activation runs the stage armed on its behalf instead.
 func (p *Proc) activate() {
 	if p.done {
 		return // spurious wake after the process finished
+	}
+	if p.wait == waitStage {
+		p.stage()
+		return
 	}
 	p.eng.wakes++
 	p.next()
@@ -107,48 +128,60 @@ func (p *Proc) activate() {
 // again. Whoever wants to wake the process must have arranged an
 // activation (event or queue signal) before the park, or must do so
 // from engine context later.
-//
-// Self-wake short-circuit: when the next thing the engine would do is
-// activate this very process at this same timestamp (Sleep(0), or a
-// wake arranged before parking), control would bounce engine -> this
-// process at once, so park takes its own run-queue entry and keeps
-// running. The entry is taken only when it precedes the heap top in
-// (timestamp, seq) order, and is counted as the event and the wake the
-// engine would have counted, so the execution order and the
-// Events/Parks/Wakes telemetry are those of a real switch.
 func (p *Proc) park() {
-	e := p.eng
-	e.parks++
-	for e.runqFirst() {
-		head := e.runq.first().p
-		if head != p && !head.done {
-			break // a live process is due first: the engine activates it
-		}
-		e.runq.pop()
-		if head == p {
-			e.wakes++
-			e.events++
-			return
-		}
-		// Else a stale wake of a finished process ahead of ours, dropped
-		// here without counting an event: the pinned Events totals (the
-		// goldens' telemetry) were taken with it dropped at this point.
+	if p.stall() {
+		return
 	}
 	if !p.yield(struct{}{}) {
 		panic(killProc{})
 	}
 }
 
+// stall counts the park p makes at a simulated blocking point and
+// reports whether p runs on at once, without a coroutine switch.
+//
+// Self-wake short-circuit: when the next thing the engine would do is
+// activate this very process at this same timestamp (Sleep(0), or a
+// wake arranged before parking), control would bounce engine -> this
+// process at once, so stall takes its own run-queue entry and reports
+// true. The entry is taken only when it precedes the heap top in
+// (timestamp, seq) order, and is counted as the event and the wake the
+// engine would have counted, so the execution order and the
+// Events/Parks/Wakes telemetry are those of a real switch.
+func (p *Proc) stall() bool {
+	e := p.eng
+	e.parks++
+	for e.runqFirst() {
+		head := e.runq.first().p
+		if head != p && !head.done {
+			return false // a live process is due first: the engine activates it
+		}
+		e.runq.pop()
+		if head == p {
+			e.wakes++
+			e.events++
+			return true
+		}
+		// Else a stale wake of a finished process ahead of ours, dropped
+		// here without counting an event: the pinned Events totals (the
+		// goldens' telemetry) were taken with it dropped at this point.
+	}
+	return false
+}
+
 // Sleep suspends the process for d of virtual time. Zero and negative
 // durations still yield to events queued ahead of the process at the
-// current timestamp, re-running it after them.
+// current timestamp, re-running it after them. Only the Sleep's own
+// timer resumes the process: Wake panics meanwhile.
 func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		p.eng.enqueueRun(p)
 	} else {
 		p.eng.ScheduleAt(p.eng.now+d, p.activateFn)
 	}
+	p.wait = waitSleep
 	p.park()
+	p.wait = waitAny
 }
 
 // Suspend parks the process until another component calls Wake. It is
@@ -162,10 +195,88 @@ func (p *Proc) Suspend() {
 // currently suspended (or about to suspend at this timestamp); the
 // engine's run-to-completion semantics make the pairing safe as long
 // as the waker arranged the suspension. Waking a process that already
-// finished is a no-op that enqueues nothing and counts no wake.
+// finished is a no-op that enqueues nothing and counts no wake. Waking
+// one parked in Sleep or blocked in staged work panics, naming it:
+// that wake would resume it while its timer or stages are still
+// pending.
 func (p *Proc) Wake() {
 	if p.done {
 		return
 	}
+	if p.wait != waitAny {
+		panic(fmt.Sprintf("sim: Wake of %s while it is %s", p.name, p.wait))
+	}
 	p.eng.enqueueRun(p)
+}
+
+func (w waitKind) String() string {
+	if w == waitSleep {
+		return "in Sleep"
+	}
+	return "blocked in stages"
+}
+
+// Staged work. A process that is blocked until some multi-step
+// simulated action finishes (a post through the QP lock and doorbell,
+// in internal/verbs) need not be switched into at every step: after
+// its first park it stays blocked, the steps run as engine-context
+// stage callbacks, and the last stage resumes it once. A coroutine
+// switch is a host cost; a park is a simulated blocking point. So each
+// stage fires at the (at, seq) the process's own wake would have drawn,
+// and counts the park and the wake the process would have made, and
+// Events, Parks, Wakes, Pending and every random draw are those of the
+// process stepping through the action itself.
+//
+// The protocol, for a process p (see verbs.QP.PostList):
+//
+//   - at each blocking point, SleepStage or Mutex.LockStage arms the
+//     next stage and counts the park. A true result means p's wake was
+//     due at once: the caller runs the next step inline, as p would
+//     have;
+//   - on the first false result, while still in p's body, p calls
+//     Block, which switches out without counting a second park;
+//   - each stage callback first calls Woken, runs its step, and on
+//     finishing the work calls Resume, which switches into p inside the
+//     current event.
+
+// SleepStage arms stage to run where Sleep(d) would have woken p — at
+// the same (at, seq), as p's own run-queue activation when d <= 0 —
+// and counts the park Sleep would make. It reports true if p's wake was
+// due at once (the entry was taken and the wake counted, so stage does
+// not run and the caller continues inline), false if stage will run.
+func (p *Proc) SleepStage(d Time, stage func()) bool {
+	e := p.eng
+	if d <= 0 {
+		p.stage = stage
+		e.enqueueRun(p)
+	} else {
+		e.ScheduleAt(e.now+d, stage)
+	}
+	return p.stall()
+}
+
+// Block switches out of a process whose park a SleepStage or LockStage
+// has already counted, until a stage calls Resume. Wake panics
+// meanwhile. Must be called from the process's own body.
+func (p *Proc) Block() {
+	p.wait = waitStage
+	if !p.yield(struct{}{}) {
+		panic(killProc{})
+	}
+}
+
+// Woken counts the wake of a blocked process whose stage is now
+// running: every stage callback calls it first, as activate counts the
+// wake of a process it resumes.
+func (p *Proc) Woken() { p.eng.wakes++ }
+
+// Resume switches into the blocked process inside the current event,
+// with its wake already counted by Woken, and returns when it has
+// parked again or finished. Only a stage callback may call it.
+func (p *Proc) Resume() {
+	if p.wait != waitStage {
+		panic(fmt.Sprintf("sim: Resume of %s, which is not blocked in stages", p.name))
+	}
+	p.wait, p.stage = waitAny, nil
+	p.next()
 }

@@ -138,47 +138,130 @@ func ParseBatching(spec string) (Batching, error) {
 	return b.WithDefaults(), nil
 }
 
-// RingN posts one doorbell update covering a chain of n linked work
-// requests: it takes the spinlock, holds it for one MMIO write and n
-// WQE writes (inflated by present waiters), and releases it. Called
-// with the QP lock held, as in mlx5. The amortization is the point of
-// postlist submission — per-chain cost is DBHold + (n-1)·DBChainedHold
-// rather than n·DBHold, and the spinlock is contended once instead of
-// n times.
-func (d *Doorbell) RingN(p *sim.Proc, n int) {
-	d.mu.Lock(p)
-	waiters := d.mu.Waiters()
-	hold := d.p.DBHold + sim.Time(n-1)*d.p.DBChainedHold + sim.Time(waiters)*d.p.DBBouncePerWaiter
-	p.Sleep(hold)
-	d.Rings++
-	d.HoldTicks += hold
-	d.mu.Unlock()
-}
-
 // PostList posts a chain of linked work requests as one submission:
 // the calling thread pays the userspace QP lock once and the doorbell
 // ring once for the whole chain, then every WR travels through the
 // card model individually. PostSend is PostList one WR at a time.
 // Batching changes when work is submitted, never what completes.
+//
+// The thread holds the QP lock for QPLockHold + (n-1)·QPChainedHold
+// (inflated by present waiters), and inside it the doorbell spinlock
+// for one MMIO write and n WQE writes, DBHold + (n-1)·DBChainedHold
+// (inflated likewise), as in mlx5. The amortization is the point of
+// postlist submission: the locks are contended once per chain instead
+// of once per WR.
+//
+// The thread is blocked for the whole post, so after its first park
+// the rest runs as engine-context stages on a pooled poster, and the
+// thread is switched into once, by the last stage (see sim.Proc.Block).
 func (q *QP) PostList(p *sim.Proc, wrs ...*WR) {
 	if len(wrs) == 0 {
 		return
 	}
-	par := &q.ctx.nic.P
 	for _, wr := range wrs {
 		if wr.Remote.Blade != q.remote.Mem.ID {
 			panic(fmt.Sprintf("verbs: WR for blade %d posted on QP connected to blade %d",
 				wr.Remote.Blade, q.remote.Mem.ID))
 		}
 	}
-	q.lock.Lock(p)
-	hold := par.QPLockHold + sim.Time(len(wrs)-1)*par.QPChainedHold +
-		sim.Time(q.lock.Waiters())*par.QPBouncePerWaiter
-	p.Sleep(hold)
-	q.db.RingN(p, len(wrs))
-	q.lock.Unlock()
-	for _, wr := range wrs {
-		q.Posted++
-		q.launch(wr)
+	if !q.poster(p, wrs).advance() {
+		p.Block()
+	}
+}
+
+// poster is one PostList in progress. Posters are pooled per QP, and
+// stage is bound once, when the poster is first created, so a staged
+// post allocates nothing, like the card model's flights.
+type poster struct {
+	q      *QP
+	p      *sim.Proc
+	wrs    []*WR // the chain, copied: the caller's slice does not escape
+	step   int
+	dbHold sim.Time // the doorbell hold, charged to the doorbell as it ends
+	stage  func()   // resume, bound once
+}
+
+// A post's steps, in order. Each of the first four may park the
+// posting thread; the next step runs when it would have woken.
+const (
+	lockQP = iota
+	holdQP
+	lockDB
+	holdDB
+	launchWRs
+)
+
+// poster returns a pooled (or freshly bound) poster for one PostList.
+func (q *QP) poster(p *sim.Proc, wrs []*WR) *poster {
+	var s *poster
+	if n := len(q.posters); n > 0 {
+		s = q.posters[n-1]
+		q.posters[n-1] = nil
+		q.posters = q.posters[:n-1]
+	} else {
+		s = &poster{q: q}
+		s.stage = s.resume
+	}
+	s.p, s.wrs, s.step = p, append(s.wrs, wrs...), lockQP
+	return s
+}
+
+// advance runs the post's steps until one parks the thread, and
+// reports whether the post finished: the locks released, every WR
+// launched and the poster back in its pool.
+func (s *poster) advance() bool {
+	q, p, par := s.q, s.p, &s.q.ctx.nic.P
+	n := sim.Time(len(s.wrs) - 1)
+	for {
+		switch s.step {
+		case lockQP:
+			s.step = holdQP
+			if !q.lock.LockStage(p, s.stage) {
+				return false
+			}
+		case holdQP:
+			s.step = lockDB
+			hold := par.QPLockHold + n*par.QPChainedHold +
+				sim.Time(q.lock.Waiters())*par.QPBouncePerWaiter
+			if !p.SleepStage(hold, s.stage) {
+				return false
+			}
+		case lockDB:
+			s.step = holdDB
+			if !q.db.mu.LockStage(p, s.stage) {
+				return false
+			}
+		case holdDB:
+			s.step = launchWRs
+			s.dbHold = par.DBHold + n*par.DBChainedHold +
+				sim.Time(q.db.mu.Waiters())*par.DBBouncePerWaiter
+			if !p.SleepStage(s.dbHold, s.stage) {
+				return false
+			}
+		default: // launchWRs
+			q.db.Rings++
+			q.db.HoldTicks += s.dbHold
+			q.db.mu.Unlock()
+			q.lock.Unlock()
+			for _, wr := range s.wrs {
+				q.Posted++
+				q.launch(wr)
+			}
+			clear(s.wrs)
+			s.p, s.wrs = nil, s.wrs[:0]
+			q.posters = append(q.posters, s)
+			return true
+		}
+	}
+}
+
+// resume is the stage callback: the thread's wake at its last park,
+// run in engine context. It carries the post on and, once the post
+// finishes, switches into the thread inside the current event.
+func (s *poster) resume() {
+	p := s.p
+	p.Woken()
+	if s.advance() {
+		p.Resume()
 	}
 }

@@ -70,10 +70,17 @@ func TestBatchingWithDefaults(t *testing.T) {
 func TestRingNAccounting(t *testing.T) {
 	r := newRig(3)
 	defer r.eng.Stop()
-	db := r.ctx.Doorbells()[0]
+	addr := r.mem.Alloc(8)
+	var db *Doorbell
 	r.eng.Go("ringer", func(p *sim.Proc) {
-		db.RingN(p, 1)
-		db.RingN(p, 8)
+		qp := r.ctx.CreateQP(r.ctx.CreateCQ(), r.tgt)
+		db = qp.Doorbell()
+		qp.PostList(p, Read(addr, make([]byte, 8)))
+		wrs := make([]*WR, 8)
+		for i := range wrs {
+			wrs[i] = Read(addr, make([]byte, 8))
+		}
+		qp.PostList(p, wrs...)
 	})
 	r.eng.Run(0)
 	if db.Rings != 2 {

@@ -1,6 +1,7 @@
 package verbs
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/blade"
@@ -89,5 +90,54 @@ func BenchmarkCQEPollWait(b *testing.B) {
 	eng.Stop()
 	if drained < b.N {
 		b.Fatalf("drained %d CQEs, want at least %d", drained, b.N)
+	}
+}
+
+// BenchmarkPostList measures the post path: posters processes, each
+// with its own QP and all on one doorbell, post one-WR chains through
+// PostList, a window of four at a time, and drain the window's
+// completions with WaitN. One iteration is one post. With eight
+// posters the QP locks are private but the doorbell spinlock is
+// contended, so most posts wait for a handoff.
+func BenchmarkPostList(b *testing.B) {
+	for _, posters := range []int{1, 8} {
+		b.Run(fmt.Sprintf("posters=%d", posters), func(b *testing.B) {
+			eng := sim.New(1)
+			cn := rnic.New(eng, "compute", rnic.Default())
+			mn := rnic.New(eng, "memory", rnic.Default())
+			mem := blade.New(1, blade.DRAM, 1<<20)
+			ctx := Open(cn)
+			if err := ctx.SetMediumDoorbells(1); err != nil {
+				b.Fatal(err)
+			}
+			addr := mem.Alloc(4096)
+			const window = 4
+			posted := 0
+			for k := 0; k < posters; k++ {
+				eng.Go("poster", func(p *sim.Proc) {
+					cq := ctx.CreateCQ()
+					qp := ctx.CreateQP(cq, Target{NIC: mn, Mem: mem})
+					wrs := make([]*WR, window)
+					for i := range wrs {
+						wrs[i] = Read(addr.Add(uint64(8*i)), make([]byte, 8))
+					}
+					for posted < b.N {
+						for _, wr := range wrs {
+							qp.PostList(p, wr)
+							posted++
+						}
+						cq.Recycle(cq.WaitN(p, window))
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			eng.Run(0)
+			b.StopTimer()
+			eng.Stop()
+			if posted < b.N {
+				b.Fatalf("posted %d, want at least %d", posted, b.N)
+			}
+		})
 	}
 }

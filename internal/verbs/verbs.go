@@ -333,12 +333,13 @@ func (w *WR) payload() int {
 // QP is a reliably connected queue pair bound to one remote memory
 // blade. All of a QP's completions land on its CQ.
 type QP struct {
-	ctx    *Context
-	cq     *CQ
-	db     *Doorbell
-	remote Target
-	lock   *sim.Mutex // userspace QP lock (mlx5 sq.lock)
-	free   []*launch  // recycled in-flight slots (see launch)
+	ctx     *Context
+	cq      *CQ
+	db      *Doorbell
+	remote  Target
+	lock    *sim.Mutex // userspace QP lock (mlx5 sq.lock)
+	free    []*launch  // recycled in-flight slots (see launch)
+	posters []*poster  // recycled PostList state (see poster)
 
 	Posted uint64
 }
