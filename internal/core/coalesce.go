@@ -13,14 +13,15 @@ const (
 )
 
 // coalescer is the per-thread doorbell coalescing buffer (DESIGN.md
-// §16): post() enqueues instead of submitting (the posting context's
-// bookkeeping has already run), and the buffer is flushed — WRs
-// submitted to the card, in enqueue order — when it fills to
+// §16): the submission loop enqueues instead of submitting (the posting
+// context's bookkeeping has already run), and the buffer is flushed —
+// WRs submitted to the card, in enqueue order — when it fills to
 // CoalesceBatch, when the oldest entry's FlushDeadline
 // expires (an engine timer wakes the thread's flusher process), or
 // explicitly at Sync, which is what keeps the happens-before contract:
 // a coroutine entering Sync has everything it posted submitted before
-// it parks.
+// it parks. Every flush runs in the flushing process's sender (see
+// sender), as one more stretch of its submission loop.
 //
 // All state is engine-context-only, like the rest of the thread: the
 // buffer is touched from posting coroutines, the flusher process, and
@@ -32,8 +33,9 @@ type coalescer struct {
 	firstAt sim.Time    // enqueue time of the oldest buffered entry
 	gen     uint64      // bumped per flush; invalidates stale deadline timers
 	due     bool
-	idle    bool // the flusher is parked in run's idle loop, not in a post
+	idle    bool // the flusher is parked in run's idle loop, not in a flush
 	flusher *sim.Proc
+	send    sender // the flusher's submission loop
 
 	// CoalesceStats counters (harvested by Collect when batching is on).
 	flushes   [3]uint64 // by reason
@@ -72,25 +74,23 @@ func (t *Thread) CoalesceStats() CoalesceStats {
 func (co *coalescer) Buffered() int { return len(co.buf) }
 
 // enqueue buffers one posting, arming the deadline timer on the first
-// entry and flushing inline (in the posting coroutine's context) when
-// the buffer fills.
-func (co *coalescer) enqueue(p *sim.Proc, wr *verbs.WR) {
+// entry, and reports whether the buffer is now full: the caller's
+// sender then flushes it inline (flush-by-full).
+func (co *coalescer) enqueue(wr *verbs.WR) (full bool) {
 	co.buf = append(co.buf, wr)
 	if len(co.buf) == 1 {
 		co.firstAt = co.t.rt.eng.Now()
 		co.armTimer()
 	}
-	if len(co.buf) >= co.t.rt.opts.Batching.CoalesceBatch {
-		co.flush(p, flushFull)
-	}
+	return len(co.buf) >= co.t.rt.opts.Batching.CoalesceBatch
 }
 
 // armTimer schedules the flush-by-deadline timer for the current
 // buffer generation. The callback runs in engine context — it cannot
 // submit (submission sleeps on locks) — so it marks the buffer due and
 // wakes the flusher process if it is idle. A flusher still inside an
-// earlier flush's post is not woken: it is parked on the QP lock or
-// doorbell, and finds due set when that flush returns. A flush for any
+// earlier flush is not woken: it is blocked in that flush's stages,
+// and finds due set when the flush returns. A flush for any
 // other reason bumps gen first, making the pending timer a no-op.
 func (co *coalescer) armTimer() {
 	d := co.t.rt.opts.Batching.FlushDeadline
@@ -110,9 +110,10 @@ func (co *coalescer) armTimer() {
 }
 
 // run is the flusher process: parked until a deadline timer marks the
-// buffer due, then flushes in its own context. Unwound by Engine.Stop
-// while parked; checks the runtime's stop flag like the other
-// housekeeping processes so a stopped runtime submits nothing more.
+// buffer due, then flushes through its own sender. Unwound by
+// Engine.Stop while parked; checks the runtime's stop flag like the
+// other housekeeping processes so a stopped runtime submits nothing
+// more.
 func (co *coalescer) run(p *sim.Proc) {
 	for {
 		for !co.due {
@@ -124,18 +125,20 @@ func (co *coalescer) run(p *sim.Proc) {
 			return
 		}
 		co.due = false
-		co.flush(p, flushDeadline)
+		co.send.flushBuffer(flushDeadline)
 	}
 }
 
-// flush detaches the buffer and submits it in enqueue order, one
-// same-QP run at a time. Detaching first makes the flush
-// reentrancy-safe: submission sleeps on the QP lock and doorbell, and
-// other coroutines of this thread may enqueue — or even trigger the
-// next flush — meanwhile.
-func (co *coalescer) flush(p *sim.Proc, reason int) {
+// detach takes the buffer for a flush and counts the flush, or returns
+// nil if the buffer is empty. Detaching first makes flushes
+// reentrancy-safe: a flush's posts park on the QP lock and doorbell,
+// and other coroutines of this thread may enqueue — or even flush the
+// refilled buffer — meanwhile. The flushing sender submits the
+// detached WRs in enqueue order, one same-QP run at a time, and hands
+// them back to recycle.
+func (co *coalescer) detach(reason int) []*verbs.WR {
 	if len(co.buf) == 0 {
-		return
+		return nil
 	}
 	t := co.t
 	wrs := co.buf
@@ -148,15 +151,11 @@ func (co *coalescer) flush(p *sim.Proc, reason int) {
 	if d := t.rt.opts.Batching.FlushDeadline; d > 0 && t.rt.eng.Now() > co.firstAt+d {
 		co.overruns++
 	}
-	for i := 0; i < len(wrs); {
-		qp := t.qpFor(wrs[i])
-		j := i + 1
-		for j < len(wrs) && t.qpFor(wrs[j]) == qp {
-			j++
-		}
-		t.submit(p, qp, wrs[i:j])
-		i = j
-	}
+	return wrs
+}
+
+// recycle keeps a flushed buffer as the spare for a later detach.
+func (co *coalescer) recycle(wrs []*verbs.WR) {
 	clear(wrs)
 	co.spare = wrs[:0]
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // testRig builds a 1-compute, nBlades-memory cluster and a runtime.
-func testRig(t *testing.T, nThreads, nBlades int, opts Options) (*cluster.Cluster, *Runtime) {
+func testRig(t testing.TB, nThreads, nBlades int, opts Options) (*cluster.Cluster, *Runtime) {
 	t.Helper()
 	cl := cluster.New(cluster.Config{
 		ComputeBlades: 1,

@@ -22,6 +22,7 @@ type Ctx struct {
 	T      *Thread
 	proc   *sim.Proc
 	onDone func(*verbs.WR) // c.onComplete, bound once by Thread.Spawn
+	send   sender          // the coroutine's submission loop, bound by Thread.Spawn
 
 	buf     []*verbs.WR
 	pending int
@@ -140,53 +141,14 @@ func (c *Ctx) PostSend() {
 	wrs := c.buf
 	c.buf = nil
 	t := c.T
-	c.post(wrs, t.rt.opts.Batching.Postlist && t.coal == nil)
+	c.send.post(wrs, t.rt.opts.Batching.Postlist && t.coal == nil)
 	// Posted WRs are tracked by the card and, inside an op, by opWRs
 	// until EndOp; the batch buffer must not keep them alive as well.
 	clear(wrs)
 	// Reclaim the batch buffer for the next Read/Write/CAS/FAA round:
-	// only this coroutine appends to it, and the coroutine was parked
-	// inside post, so nothing else touched c.buf meanwhile.
+	// only this coroutine appends to it, and the coroutine was blocked
+	// in the post, so nothing else touched c.buf meanwhile.
 	c.buf = wrs[:0]
-}
-
-// post sends WRs through the throttler to the card, shared by PostSend
-// and Sync's transparent retry. Each WR first takes the pending count
-// and a throttling credit (possibly stalling). With chain set (postlist
-// batching without coalescing) consecutive same-QP WRs submit as one
-// linked chain, which extends only while a credit is immediately
-// available — so the coroutine stalls at exactly the same points, in
-// the same credit-acquisition order, as one WR at a time, and a batch
-// larger than the free credit balance slides through as several
-// chains. Under doorbell coalescing each WR is buffered instead; the
-// coalescer submits it at flush time.
-func (c *Ctx) post(wrs []*verbs.WR, chain bool) {
-	t := c.T
-	for i := 0; i < len(wrs); {
-		qp := t.qpFor(wrs[i])
-		c.acquire()
-		j := i + 1
-		for chain && j < len(wrs) && t.qpFor(wrs[j]) == qp &&
-			(t.credits == nil || (t.credits.Waiters() == 0 && t.credits.Available() >= 1)) {
-			c.acquire()
-			j++
-		}
-		if t.coal != nil {
-			t.coal.enqueue(c.proc, wrs[i])
-		} else {
-			t.submit(c.proc, qp, wrs[i:j])
-		}
-		i = j
-	}
-}
-
-// acquire runs one WR's pre-submission bookkeeping (see post).
-func (c *Ctx) acquire() {
-	t := c.T
-	c.pending++
-	if t.credits != nil {
-		t.credits.Acquire(c.proc, 1)
-	}
 }
 
 // onComplete runs in engine context when one of this coroutine's WRs
@@ -233,7 +195,7 @@ func (c *Ctx) Sync() {
 	// buffer invisible to the happens-before contract (a deadline can
 	// only delay WRs nobody is waiting for yet).
 	if t.coal != nil {
-		t.coal.flush(c.proc, flushSync)
+		c.send.flushBuffer(flushSync)
 	}
 	if c.pending > 0 {
 		c.syncing = true
@@ -248,9 +210,9 @@ func (c *Ctx) Sync() {
 		retry := c.failed
 		c.failed = nil
 		t.Stats.FaultRetries += uint64(len(retry))
-		c.post(retry, false)
+		c.send.post(retry, false)
 		if t.coal != nil {
-			t.coal.flush(c.proc, flushSync)
+			c.send.flushBuffer(flushSync)
 		}
 		if c.pending > 0 {
 			c.syncing = true

@@ -153,28 +153,7 @@ func (t *Thread) start() {
 	if o.Batching.Coalesce {
 		t.coal = newCoalescer(t)
 		t.coal.flusher = t.rt.eng.Go(fmt.Sprintf("t%d-coal-flusher", t.ID), t.coal.run)
-	}
-}
-
-// submit is the one place the framework hands work requests to a QP
-// (DESIGN.md §16): a same-QP run posts as one linked chain under
-// postlist batching and one WR at a time otherwise. Only after the
-// whole run is posted does each WR enter the outstanding-WR gauge and,
-// when configured, arm its watchdog — against the attempt the post just
-// launched, which is why the coalescer submits at flush time rather
-// than post time.
-func (t *Thread) submit(p *sim.Proc, qp *verbs.QP, wrs []*verbs.WR) {
-	if t.rt.opts.Batching.Postlist {
-		qp.PostList(p, wrs...)
-	} else {
-		qp.PostSend(p, wrs...)
-	}
-	for _, wr := range wrs {
-		t.noteOWR(1)
-		if d := t.rt.opts.WRTimeout; d > 0 {
-			cq, attempt := qp.CQ(), wr.Attempt()
-			t.rt.eng.Schedule(d, func() { cq.Expire(wr, attempt) })
-		}
+		t.coal.send.bind(t, nil, t.coal.flusher)
 	}
 }
 
@@ -203,6 +182,7 @@ func (t *Thread) Spawn(name string, fn func(c *Ctx)) *Ctx {
 	c.proc = t.rt.eng.Go(name, func(p *sim.Proc) {
 		fn(c)
 	})
+	c.send.bind(t, c, c.proc)
 	return c
 }
 

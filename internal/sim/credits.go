@@ -1,16 +1,19 @@
 package sim
 
+import "fmt"
+
 // Credits is a counting semaphore whose balance may be adjusted (even
 // below zero) at runtime. It models SMART's credit-based work-request
 // throttling (Algorithm 1): posting a batch of size n acquires n
 // credits, completion replenishes them, and the epoch tuner moves the
 // ceiling by adding a (possibly negative) delta.
 type Credits struct {
-	eng   *Engine
-	avail int64
-	q     []creditWaiter
+	eng     *Engine
+	avail   int64
+	q       []creditWaiter
+	granted uint64 // waiters served so far; waiter k (from 0, in queue order) holds a grant once granted > k
 
-	// Waits counts Acquire calls that had to block.
+	// Waits counts Acquire and AcquireStage calls that had to block.
 	Waits uint64
 }
 
@@ -33,22 +36,65 @@ func (c *Credits) Waiters() int { return len(c.q) }
 
 // Acquire takes n credits, parking p until the balance allows it.
 // Waiters are served strictly in FIFO order so a large request cannot
-// be starved by a stream of small ones.
+// be starved by a stream of small ones. A waiter resumed by anything
+// but a grant panics, naming it.
 func (c *Credits) Acquire(p *Proc, n int64) {
+	if c.take(n) {
+		return
+	}
+	ticket := c.enqueue(p, n)
+	p.Suspend()
+	c.checkGranted(p, ticket)
+}
+
+// AcquireStage is Acquire for staged work (see Proc.SleepStage), shaped
+// like Mutex.LockStage: it reports true if p took the credits at once;
+// otherwise it queues p in FIFO order, counts the park Acquire would
+// make and reports false, and a later Release or Add grants the credits
+// by running stage on p's behalf in engine context.
+func (c *Credits) AcquireStage(p *Proc, n int64, stage func()) bool {
+	if c.take(n) {
+		return true
+	}
+	ticket := c.enqueue(p, n)
+	p.stage = stage
+	if p.stall() {
+		c.checkGranted(p, ticket) // a wake arranged before the park cannot be a grant
+	}
+	return false
+}
+
+// take debits n credits if no one is queued ahead and the balance
+// allows it.
+func (c *Credits) take(n int64) bool {
 	if n < 0 {
 		panic("sim: negative credit acquire")
 	}
 	if len(c.q) == 0 && c.avail >= n {
 		c.avail -= n
-		return
+		return true
 	}
-	c.Waits++
-	c.q = append(c.q, creditWaiter{p: p, n: n})
-	p.Suspend()
-	// Release/Add already debited our credits before waking us.
+	return false
 }
 
-// Release returns n credits and wakes any waiters the new balance can
+// enqueue queues p for n credits and returns its place in the grant
+// order.
+func (c *Credits) enqueue(p *Proc, n int64) (ticket uint64) {
+	ticket = c.Waits
+	c.Waits++
+	c.q = append(c.q, creditWaiter{p: p, n: n})
+	return ticket
+}
+
+// checkGranted panics unless drain has granted the waiter queued at
+// ticket.
+func (c *Credits) checkGranted(p *Proc, ticket uint64) {
+	if c.granted <= ticket {
+		panic(fmt.Sprintf("sim: %s resumed from a credit wait without a grant", p.name))
+	}
+}
+
+// Release returns n credits and grants any waiters the new balance can
 // satisfy.
 func (c *Credits) Release(n int64) {
 	if n < 0 {
@@ -58,19 +104,25 @@ func (c *Credits) Release(n int64) {
 	c.drain()
 }
 
-// Add adjusts the balance by delta (which may be negative) and wakes
+// Add adjusts the balance by delta (which may be negative) and grants
 // newly satisfiable waiters.
 func (c *Credits) Add(delta int64) {
 	c.avail += delta
 	c.drain()
 }
 
+// drain grants the front waiters the balance covers, in FIFO order. A
+// grant debits the waiter's credits and hands them over through the
+// run queue, as Mutex.Unlock hands over the lock: the waiter is
+// resumed, or its stage runs if it is blocked in stages (see
+// AcquireStage). No Wake: that panics on a process blocked in stages.
 func (c *Credits) drain() {
 	for len(c.q) > 0 && c.avail >= c.q[0].n {
 		w := c.q[0]
 		copy(c.q, c.q[1:])
 		c.q = c.q[:len(c.q)-1]
 		c.avail -= w.n
-		w.p.Wake()
+		c.granted++
+		c.eng.enqueueRun(w.p)
 	}
 }

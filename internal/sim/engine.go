@@ -17,8 +17,9 @@
 // Hot-path design (DESIGN.md §14): timed callbacks live in a
 // value-typed 4-ary min-heap ([]event, branchless comparisons, no
 // per-event allocation); same-timestamp process activations
-// (Proc.Wake, zero Sleeps — every CQE delivery and mutex handoff,
-// including those that run a blocked process's stage, see Proc.Block)
+// (Proc.Wake, zero Sleeps — every CQE delivery, mutex handoff and
+// credit grant, including those that run a blocked process's stage,
+// see Proc.Block)
 // bypass the heap through a FIFO run queue; and monotone streams —
 // Server departures and fixed-delay Lines, the RNIC pipelines and wire
 // hops that carry most in-flight WRs — bypass it through per-source
@@ -97,18 +98,19 @@ func ParseDuration(s string) (Time, error) {
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct one with New.
 type Engine struct {
-	now     Time
-	eq      eventQueue
-	runq    runQueue
-	lanes   laneHeap // the non-empty lanes, by head (see lane)
-	seq     uint64
-	rng     *rand.Rand
-	stopped bool
-	procs   int     // live (started, not finished) processes, for diagnostics
-	live    []*Proc // every process ever spawned; Stop unwinds the parked ones
-	parks   uint64  // times any process handed the baton back (park)
-	wakes   uint64  // times any process was resumed (activate)
-	events  uint64  // events executed (timer fires + process activations)
+	now      Time
+	eq       eventQueue
+	runq     runQueue
+	lanes    laneHeap // the non-empty lanes, by head (see lane)
+	seq      uint64
+	rng      *rand.Rand
+	stopped  bool
+	procs    int     // live (started, not finished) processes, for diagnostics
+	live     []*Proc // every process ever spawned; Stop unwinds the parked ones
+	parks    uint64  // times any process reached a simulated blocking point
+	wakes    uint64  // times any process was woken from a park
+	switches uint64  // coroutine switches into a process (activate, Resume)
+	events   uint64  // events executed (timer fires + process activations)
 }
 
 // New returns an engine whose clock starts at zero and whose random
@@ -138,11 +140,11 @@ func (e *Engine) Pending() int {
 }
 
 // Parks reports how many times any process parked — reached a
-// simulated blocking point (a Sleep, a Suspend, a contended Lock) —
-// over the engine's lifetime. A park is simulated, not a host cost: a
-// process blocked in staged work (see Proc.Block) parks at every stage
-// without a coroutine switch. Telemetry reads it as a
-// scheduler-pressure signal.
+// simulated blocking point (a Sleep, a Suspend, a contended Lock or
+// credit Acquire) — over the engine's lifetime. A park is simulated,
+// not a host cost: a process blocked in staged work (see Proc.Block)
+// parks at every stage without a coroutine switch. Telemetry reads it
+// as a scheduler-pressure signal.
 func (e *Engine) Parks() uint64 { return e.parks }
 
 // Wakes reports how many times any process was woken from a park,
@@ -150,6 +152,16 @@ func (e *Engine) Parks() uint64 { return e.parks }
 // Paired with Parks it bounds how much blocking a configuration
 // generates.
 func (e *Engine) Wakes() uint64 { return e.wakes }
+
+// Switches reports how many times the engine switched into a process:
+// a coroutine switch, the host cost that Parks and Wakes do not
+// measure. A wake taken by the self-wake short-circuit, or by a stage
+// run on a blocked process's behalf, switches nowhere; a process
+// blocked through a whole staged submission is switched into once, by
+// its last stage. Unlike Parks and Wakes it is not exported to
+// telemetry: it is a property of the host implementation, not of the
+// simulated run, and the goldens must not move when it does.
+func (e *Engine) Switches() uint64 { return e.switches }
 
 // Events reports how many events the engine has executed — timer
 // callbacks plus process activations, including run-queue activations

@@ -202,6 +202,49 @@ func TestMutexWaiterWokenWithoutHandoffPanics(t *testing.T) {
 	}
 }
 
+// TestCreditWaiterWokenWithoutGrantPanics: a credit waiter resumed by a
+// stray Wake rather than a grant would post without a credit, so it
+// panics, naming the waiter.
+func TestCreditWaiterWokenWithoutGrantPanics(t *testing.T) {
+	e := New(1)
+	defer e.Stop()
+	c := NewCredits(e, 1)
+	e.Go("holder", func(p *Proc) {
+		c.Acquire(p, 1)
+		p.Sleep(10 * Nanosecond)
+		c.Release(1)
+	})
+	waiter := e.Go("waiter", func(p *Proc) {
+		c.Acquire(p, 1)
+		c.Release(1)
+	})
+	e.Schedule(5*Nanosecond, func() { waiter.Wake() })
+	msg := mustPanic(t, func() { e.Run(0) })
+	if !strings.Contains(msg, "waiter") || !strings.Contains(msg, "grant") {
+		t.Fatalf("panic %q does not name the waiter", msg)
+	}
+}
+
+// TestCreditStageWokenWithoutGrantPanics: the staged form of the same
+// failure. A wake arranged before AcquireStage's park is taken by the
+// self-wake short-circuit, and it cannot be a grant, so it panics,
+// naming the waiter, instead of running on as if granted.
+func TestCreditStageWokenWithoutGrantPanics(t *testing.T) {
+	e := New(1)
+	defer e.Stop()
+	c := NewCredits(e, 0)
+	e.Go("waiter", func(p *Proc) {
+		p.Wake() // a wake arranged before the park
+		if !c.AcquireStage(p, 1, func() { p.Woken(); p.Resume() }) {
+			p.Block()
+		}
+	})
+	msg := mustPanic(t, func() { e.Run(0) })
+	if !strings.Contains(msg, "waiter") || !strings.Contains(msg, "grant") {
+		t.Fatalf("panic %q does not name the waiter", msg)
+	}
+}
+
 // TestStagedWorkCountsAsProcess: a lock-and-hold run as stages on a
 // blocked process draws the same (at, seq) and counts the same events,
 // parks and wakes as the process doing it itself, contended or not.

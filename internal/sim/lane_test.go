@@ -36,11 +36,13 @@ func (q *oracleHeap) Pop() interface{} {
 
 // engineScript drives one engine through every event source from a
 // byte script — Schedule, three Servers, two Lines, two processes'
-// Sleeps (some holding a Mutex) and Wakes, a third process's staged
-// lock-and-hold jobs, and Run(until) — and checks every firing against
-// the oracle. It mirrors the engine's sequence counter, each server's
-// busyUntil and the Mutex's FCFS queue, so the (at, seq) filed for
-// each call is derived from the call, not read back from the engine.
+// Sleeps (some holding a Mutex or a credit) and Wakes, a third
+// process's staged lock-and-hold and credit-and-hold jobs, and
+// Run(until) — and checks every firing against the oracle. It mirrors
+// the engine's sequence counter, each server's busyUntil, the Mutex's
+// FCFS queue and the Credits' balance and FIFO queue, so the (at, seq)
+// filed for each call is derived from the call, not read back from the
+// engine.
 // Every fired event pops the oracle and must be its top; it then
 // consumes one script byte and may schedule more work from engine
 // context.
@@ -58,16 +60,28 @@ type engineScript struct {
 	procs   [3]*Proc
 	idle    [3]bool       // process suspended with no wake pending
 	sleeps  [3][]Time     // each process's queued Sleeps, or the stager's jobs' holds
-	locked  [2][]bool     // whether each queued Sleep holds mu
+	holds   [3][]holdKind // what each queued Sleep or job holds
 	mu      *Mutex        // shared by locked Sleeps and staged jobs
 	muHeld  bool          // mirror of mu: held,
 	muQueue []int         // and its waiters in FCFS order
-	stager  *scriptStager // process 2's staged job in progress
+	cr      *Credits      // one credit, shared by credit Sleeps and staged jobs
+	crAvail int64         // mirror of cr: its balance,
+	crQueue []int         // and its waiters in FIFO order
 }
 
+// holdKind is what a process holds across one queued Sleep or job.
+type holdKind uint8
+
+const (
+	holdNothing holdKind = iota // a plain Sleep (the stager's jobs always hold something)
+	holdMutex                   // mu, through Lock or LockStage
+	holdCredit                  // cr's credit, through Acquire or AcquireStage
+)
+
 // stagerProc is the process whose jobs run as stages: each job takes
-// mu through LockStage, holds it for a SleepStage and unlocks, with
-// the process blocked throughout and resumed once.
+// mu through LockStage or the credit through AcquireStage, holds it for
+// a SleepStage and gives it back, with the process blocked throughout
+// and resumed once.
 const stagerProc = 2
 
 // scriptStager is process 2's job in progress, in the shape of
@@ -76,6 +90,7 @@ type scriptStager struct {
 	s     *engineScript
 	p     *Proc
 	step  int
+	hold  holdKind
 	stage func()
 }
 
@@ -88,6 +103,16 @@ func (g *scriptStager) advance() bool {
 		switch g.step {
 		case 0:
 			g.step = 1
+			if g.hold == holdCredit {
+				free := s.acquire(stagerProc)
+				if s.cr.AcquireStage(g.p, 1, g.stage) != free {
+					s.t.Fatalf("AcquireStage took the credit: %v, mirror: %v", !free, free)
+				}
+				if free {
+					continue
+				}
+				return false
+			}
 			if s.lock(stagerProc) {
 				if !s.mu.LockStage(g.p, g.stage) {
 					s.t.Fatal("LockStage of a free Mutex parked")
@@ -108,7 +133,7 @@ func (g *scriptStager) advance() bool {
 			}
 			s.fire(0, stagerProc)
 		default:
-			s.unlock()
+			s.release(g.hold)
 			return true
 		}
 	}
@@ -134,9 +159,39 @@ func (s *engineScript) lock(k int) bool {
 	return false
 }
 
-// unlock mirrors, then performs, Unlock of mu: a handoff draws the
-// next waiter's activation.
-func (s *engineScript) unlock() {
+// acquire mirrors an Acquire of the credit by process k, reporting
+// whether it is taken at once; otherwise k joins the mirrored queue.
+func (s *engineScript) acquire(k int) bool {
+	if len(s.crQueue) == 0 && s.crAvail >= 1 {
+		s.crAvail--
+		return true
+	}
+	s.crQueue = append(s.crQueue, k)
+	return false
+}
+
+// take mirrors taking what h names by process k, reporting whether it
+// is taken at once.
+func (s *engineScript) take(h holdKind, k int) bool {
+	if h == holdCredit {
+		return s.acquire(k)
+	}
+	return s.lock(k)
+}
+
+// release mirrors, then performs, the Unlock of mu or the Release of
+// the credit: a handoff or grant draws the next waiter's activation.
+func (s *engineScript) release(h holdKind) {
+	if h == holdCredit {
+		s.crAvail++
+		if len(s.crQueue) > 0 {
+			s.crAvail--
+			s.draw(s.e.Now(), s.crQueue[0])
+			s.crQueue = s.crQueue[1:]
+		}
+		s.cr.Release(1)
+		return
+	}
 	if len(s.muQueue) > 0 {
 		s.draw(s.e.Now(), s.muQueue[0])
 		s.muQueue = s.muQueue[1:]
@@ -163,6 +218,7 @@ func runEngineScript(t *testing.T, script []byte) {
 		s.servers[k] = NewServer(s.e)
 	}
 	s.mu = NewMutex(s.e)
+	s.cr, s.crAvail = NewCredits(s.e, 1), 1
 	for k := range s.procs[:stagerProc] {
 		s.draw(0, k)
 		s.procs[k] = s.e.Go("scripted", func(p *Proc) {
@@ -174,11 +230,15 @@ func runEngineScript(t *testing.T, script []byte) {
 					s.fire(0, k)
 					continue
 				}
-				d, locked := s.sleeps[k][0], s.locked[k][0]
-				s.sleeps[k], s.locked[k] = s.sleeps[k][1:], s.locked[k][1:]
-				if locked {
-					waits := !s.lock(k)
-					s.mu.Lock(p)
+				d, h := s.sleeps[k][0], s.holds[k][0]
+				s.sleeps[k], s.holds[k] = s.sleeps[k][1:], s.holds[k][1:]
+				if h != holdNothing {
+					waits := !s.take(h, k)
+					if h == holdCredit {
+						s.cr.Acquire(p, 1)
+					} else {
+						s.mu.Lock(p)
+					}
 					if waits {
 						s.fire(0, k)
 					}
@@ -186,8 +246,8 @@ func runEngineScript(t *testing.T, script []byte) {
 				s.draw(p.Now()+d, k)
 				p.Sleep(d)
 				s.fire(0, k)
-				if locked {
-					s.unlock()
+				if h != holdNothing {
+					s.release(h)
 				}
 			}
 		})
@@ -204,7 +264,8 @@ func runEngineScript(t *testing.T, script []byte) {
 				s.fire(0, stagerProc)
 				continue
 			}
-			g.step = 0
+			g.step, g.hold = 0, s.holds[stagerProc][0]
+			s.holds[stagerProc] = s.holds[stagerProc][1:]
 			if !g.advance() {
 				p.Block()
 			}
@@ -297,9 +358,14 @@ func (s *engineScript) op(b byte, outside bool) {
 			k = stagerProc
 		}
 		s.sleeps[k] = append(s.sleeps[k], Time(arg/3)%4)
-		if k != stagerProc {
-			s.locked[k] = append(s.locked[k], arg >= 192)
+		h := holdNothing
+		switch {
+		case k == stagerProc && arg%2 == 0, k != stagerProc && arg >= 224:
+			h = holdCredit
+		case k == stagerProc, arg >= 192:
+			h = holdMutex
 		}
+		s.holds[k] = append(s.holds[k], h)
 		if s.idle[k] {
 			s.idle[k] = false
 			s.draw(now, k)
@@ -340,8 +406,8 @@ func (s *engineScript) runUntil(arg byte) {
 // and stage callbacks alike), or a Server's or Line's lane — the engine
 // fires everything in the (at, seq) order a single container/heap over
 // the same calls gives, with Events and Pending agreeing at every step,
-// and Mutex handoffs, to waiting processes and to stages, in FCFS
-// order. CI runs it with a short -fuzztime budget beside
+// and Mutex handoffs and credit grants, to waiting processes and to
+// stages, in FCFS order. CI runs it with a short -fuzztime budget beside
 // FuzzEventQueueOrdering.
 func FuzzEngineOrdering(f *testing.F) {
 	f.Add([]byte{})

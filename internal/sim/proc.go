@@ -53,7 +53,7 @@ type Proc struct {
 }
 
 // waitKind names a park that only its own wake may end: a Sleep's
-// timer, or the last stage of a staged post (see Block). Wake panics on
+// timer, or the last stage of staged work (see Block). Wake panics on
 // either instead of resuming the process early.
 type waitKind uint8
 
@@ -121,6 +121,7 @@ func (p *Proc) activate() {
 		return
 	}
 	p.eng.wakes++
+	p.eng.switches++
 	p.next()
 }
 
@@ -218,7 +219,8 @@ func (w waitKind) String() string {
 
 // Staged work. A process that is blocked until some multi-step
 // simulated action finishes (a post through the QP lock and doorbell,
-// in internal/verbs) need not be switched into at every step: after
+// in internal/verbs, and core's whole submission loop of credit waits
+// and posts around it) need not be switched into at every step: after
 // its first park it stays blocked, the steps run as engine-context
 // stage callbacks, and the last stage resumes it once. A coroutine
 // switch is a host cost; a park is a simulated blocking point. So each
@@ -229,15 +231,18 @@ func (w waitKind) String() string {
 //
 // The protocol, for a process p (see verbs.QP.PostList):
 //
-//   - at each blocking point, SleepStage or Mutex.LockStage arms the
-//     next stage and counts the park. A true result means p's wake was
-//     due at once: the caller runs the next step inline, as p would
-//     have;
+//   - at each blocking point, SleepStage, Mutex.LockStage or
+//     Credits.AcquireStage arms the next stage and counts the park. A
+//     true result means p's wake was due at once, or the lock or
+//     credits were free: the caller runs the next step inline, as p
+//     would have;
 //   - on the first false result, while still in p's body, p calls
 //     Block, which switches out without counting a second park;
 //   - each stage callback first calls Woken, runs its step, and on
 //     finishing the work calls Resume, which switches into p inside the
-//     current event.
+//     current event — or hands on to the next layer's continuation,
+//     which carries p's work on within the same event (see
+//     verbs.QP.PostListStage).
 
 // SleepStage arms stage to run where Sleep(d) would have woken p — at
 // the same (at, seq), as p's own run-queue activation when d <= 0 —
@@ -255,8 +260,8 @@ func (p *Proc) SleepStage(d Time, stage func()) bool {
 	return p.stall()
 }
 
-// Block switches out of a process whose park a SleepStage or LockStage
-// has already counted, until a stage calls Resume. Wake panics
+// Block switches out of a process whose park a SleepStage, LockStage
+// or AcquireStage has already counted, until a stage calls Resume. Wake panics
 // meanwhile. Must be called from the process's own body.
 func (p *Proc) Block() {
 	p.wait = waitStage
@@ -278,5 +283,6 @@ func (p *Proc) Resume() {
 		panic(fmt.Sprintf("sim: Resume of %s, which is not blocked in stages", p.name))
 	}
 	p.wait, p.stage = waitAny, nil
+	p.eng.switches++
 	p.next()
 }

@@ -152,11 +152,25 @@ func ParseBatching(spec string) (Batching, error) {
 // of once per WR.
 //
 // The thread is blocked for the whole post, so after its first park
-// the rest runs as engine-context stages on a pooled poster, and the
+// the rest runs as engine-context stages (see PostListStage), and the
 // thread is switched into once, by the last stage (see sim.Proc.Block).
 func (q *QP) PostList(p *sim.Proc, wrs ...*WR) {
+	if !q.PostListStage(p, wrs, nil) {
+		p.Block()
+	}
+}
+
+// PostListStage is PostList for staged work (see sim.Proc.SleepStage):
+// it carries the post as far as it goes without parking p, and reports
+// true if it finished — every WR launched — or false if p parked on the
+// way. Then the rest of the post runs as engine-context stages on a
+// pooled poster while p stays blocked, and the stage that launches the
+// last WR runs then inside the same event: a caller with more staged
+// work continues it there, and a nil then resumes p (sim.Proc.Resume).
+// A caller in p's own body that gets false calls p.Block.
+func (q *QP) PostListStage(p *sim.Proc, wrs []*WR, then func()) bool {
 	if len(wrs) == 0 {
-		return
+		return true
 	}
 	for _, wr := range wrs {
 		if wr.Remote.Blade != q.remote.Mem.ID {
@@ -164,9 +178,7 @@ func (q *QP) PostList(p *sim.Proc, wrs ...*WR) {
 				wr.Remote.Blade, q.remote.Mem.ID))
 		}
 	}
-	if !q.poster(p, wrs).advance() {
-		p.Block()
-	}
+	return q.poster(p, wrs, then).advance()
 }
 
 // poster is one PostList in progress. Posters are pooled per QP, and
@@ -178,6 +190,7 @@ type poster struct {
 	wrs    []*WR // the chain, copied: the caller's slice does not escape
 	step   int
 	dbHold sim.Time // the doorbell hold, charged to the doorbell as it ends
+	then   func()   // the caller's continuation; nil resumes p
 	stage  func()   // resume, bound once
 }
 
@@ -192,7 +205,7 @@ const (
 )
 
 // poster returns a pooled (or freshly bound) poster for one PostList.
-func (q *QP) poster(p *sim.Proc, wrs []*WR) *poster {
+func (q *QP) poster(p *sim.Proc, wrs []*WR, then func()) *poster {
 	var s *poster
 	if n := len(q.posters); n > 0 {
 		s = q.posters[n-1]
@@ -202,7 +215,7 @@ func (q *QP) poster(p *sim.Proc, wrs []*WR) *poster {
 		s = &poster{q: q}
 		s.stage = s.resume
 	}
-	s.p, s.wrs, s.step = p, append(s.wrs, wrs...), lockQP
+	s.p, s.wrs, s.step, s.then = p, append(s.wrs, wrs...), lockQP, then
 	return s
 }
 
@@ -248,7 +261,7 @@ func (s *poster) advance() bool {
 				q.launch(wr)
 			}
 			clear(s.wrs)
-			s.p, s.wrs = nil, s.wrs[:0]
+			s.p, s.wrs, s.then = nil, s.wrs[:0], nil
 			q.posters = append(q.posters, s)
 			return true
 		}
@@ -257,11 +270,18 @@ func (s *poster) advance() bool {
 
 // resume is the stage callback: the thread's wake at its last park,
 // run in engine context. It carries the post on and, once the post
-// finishes, switches into the thread inside the current event.
+// finishes, runs the caller's continuation or switches into the thread
+// inside the current event. The poster is back in its pool by then, so
+// a continuation that posts on this QP again may reuse it.
 func (s *poster) resume() {
-	p := s.p
+	p, then := s.p, s.then
 	p.Woken()
-	if s.advance() {
+	if !s.advance() {
+		return
+	}
+	if then != nil {
+		then()
+	} else {
 		p.Resume()
 	}
 }
