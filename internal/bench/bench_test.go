@@ -1,14 +1,10 @@
 package bench
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/result"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -71,38 +67,6 @@ func TestBTVariantStrings(t *testing.T) {
 	}
 	if ShermanPlus.Speculative() || !SmartBT.Speculative() {
 		t.Fatal("Speculative() wrong")
-	}
-}
-
-func TestExperimentQuickSmoke(t *testing.T) {
-	// Run one cheap experiment end to end and sanity-check the typed
-	// tables plus their rendering. fig4-quick is the fastest
-	// registered experiment.
-	if testing.Short() {
-		t.Skip("runs a real sweep")
-	}
-	tables := ByID("fig4").Run(quickEnv(sweep.Sequential()))
-	if len(tables) != 2 {
-		t.Fatalf("fig4 returned %d tables, want 2", len(tables))
-	}
-	for _, id := range []string{"fig4a", "fig4b"} {
-		if result.Find(tables, id) == nil {
-			t.Fatalf("missing table %q", id)
-		}
-	}
-	if got := len(result.Find(tables, "fig4a").Series); got != 3 {
-		t.Fatalf("fig4a quick grid has %d series, want 3 OWR columns", got)
-	}
-	if _, ok := result.Find(tables, "fig4a").Get("owr=8", 96); !ok {
-		t.Fatal("fig4a missing the 96x8 point")
-	}
-	var buf bytes.Buffer
-	result.Text(&buf, tables)
-	out := buf.String()
-	for _, want := range []string{"Fig. 4a", "Fig. 4b", "threads", "owr=8"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -64,19 +64,14 @@ func TestChaosDeterminism(t *testing.T) {
 		t.Skip("runs the full chaos family three times")
 	}
 	render := func(seed int64) []byte {
-		doc := &result.Document{
+		return renderJSON(t, &result.Document{
 			Generator: "determinism-test",
 			Quick:     true,
 			Seed:      seed,
 			Experiments: []result.Experiment{
 				{ID: "chaos", Tables: runChaos(Env{Sweeper: sweep.New(2), Seed: seed, Quick: true})},
 			},
-		}
-		var buf bytes.Buffer
-		if err := result.JSON(&buf, doc); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		})
 	}
 
 	a, b := render(7), render(7)

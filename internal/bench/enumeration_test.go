@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -37,17 +36,5 @@ func TestEnumerationPinned(t *testing.T) {
 		}
 	}
 
-	golden := filepath.Join("testdata", "enumeration.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update-golden to create): %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("enumeration drifted from %s (%d bytes, want %d); diff against a -update-golden run", golden, got.Len(), len(want))
-	}
+	checkGolden(t, filepath.Join("testdata", "enumeration.golden"), got.Bytes())
 }

@@ -3,82 +3,143 @@ package bench
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/result"
-	"repro/internal/sweep"
 )
 
 //smartlint:ignore sharedstate — test flag, written only by the flag package before tests run
-var updateGolden = flag.Bool("update-golden", false, "rewrite the checked-in golden files")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/enumeration.golden and the golden spec files")
 
-// TestFig3QuickGolden extends the same-seed determinism contract to
-// the output layer: the fig3 quick sweep, run sequentially without a
-// registry and as quickRun's shared GOMAXPROCS-wide run with one (which
-// must change no table), must render to identical text — the sweep
-// scheduler's merge-order guarantee and telemetry neutrality made
-// concrete in one executed pair — and that text must match the
-// checked-in golden byte for byte. The golden spec file
-// testdata/specs/fig3_quick.json is pinned to this experiment by
-// TestGoldenSpecsPinned and executed against the same golden by
-// smartbench's TestSpecRunEndToEnd. Regenerate with
-// `go test ./internal/bench -run Fig3QuickGolden -update-golden`.
-func TestFig3QuickGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real sweep twice")
-	}
-	first := ByID("fig3").Run(quickEnv(sweep.Sequential()))
-	second := quickRun(t, "fig3").tables
-
-	var a, b bytes.Buffer
-	result.Text(&a, first)
-	result.Text(&b, second)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("the sequential sweep and the shared parallel instrumented sweep rendered differently:\n--- sequential\n%s\n--- parallel, instrumented\n%s", a.String(), b.String())
-	}
-
-	golden := filepath.Join("testdata", "fig3_quick.golden")
+// checkGolden holds got to the checked-in file at path, rewriting the
+// file first under -update-golden.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, a.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden (run with -update-golden to create): %v", err)
 	}
-	if !bytes.Equal(a.Bytes(), want) {
-		t.Errorf("text output drifted from golden:\n--- got\n%s\n--- want\n%s", a.String(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted; a deliberate change regenerates it with -update-golden. %s", path, firstDiff(got, want))
 	}
+}
 
-	// JSON round-trip: rendered bytes, parsed and re-rendered, must
-	// reproduce themselves exactly.
-	doc := &result.Document{
-		Generator: "smartbench",
-		Paper:     "SMART (ASPLOS 2024)",
-		Quick:     true,
-		Experiments: []result.Experiment{
-			{ID: "fig3", Title: ByID("fig3").Title, Tables: first},
-		},
+// firstDiff describes the first line at which got and want differ.
+func firstDiff(got, want []byte) string {
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	at := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "<end of input>"
 	}
-	var j1 bytes.Buffer
-	if err := result.JSON(&j1, doc); err != nil {
+	for i := 0; i < max(len(g), len(w)); i++ {
+		if at(g, i) != at(w, i) {
+			return fmt.Sprintf("First difference at line %d:\n--- got\n%s\n--- want\n%s", i+1, at(g, i), at(w, i))
+		}
+	}
+	return "No line differs."
+}
+
+// quickRegen writes the quick goldens: they are the CLI's own documents.
+const quickRegen = "go run ./cmd/smartbench -exp all -quick -format json " +
+	"-out internal/bench/testdata/quick.json -telemetry internal/bench/testdata/quick_telemetry.json"
+
+// TestQuickGolden holds the quick tables to testdata/quick.json and
+// quick_telemetry.json, the results and telemetry documents quickRegen
+// writes; a deliberate change to a simulated number regenerates them,
+// and their diff is the review. Each golden must re-render to itself
+// through ParseJSON and JSON and list exactly the registered
+// experiments (results) or the instrumented ones (telemetry), in ID
+// order. Every table set quickRun holds, substituted into its entry,
+// must render the golden's bytes, so the test adds no run; CI's quick
+// sweep cmps both whole documents, which covers the experiments this
+// binary does not run. The goldens are amd64 bytes, the architecture CI
+// runs on: elsewhere the compiler may fuse a multiply-add and move a
+// last digit.
+func TestQuickGolden(t *testing.T) {
+	var registered []string
+	for _, e := range All() {
+		registered = append(registered, e.ID)
+	}
+	for _, g := range []struct {
+		file   string
+		kind   string   // which experiments it lists
+		ids    []string // the IDs of those, in order
+		tables func(*quickOutcome) []result.Table
+	}{
+		{"quick.json", "registered", registered, func(o *quickOutcome) []result.Table { return o.tables }},
+		{"quick_telemetry.json", "instrumented", instrumentedIDs(), func(o *quickOutcome) []result.Table { return o.telem }},
+	} {
+		t.Run(g.file, func(t *testing.T) {
+			path := filepath.Join("testdata", g.file)
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden (regenerate with %s): %v", quickRegen, err)
+			}
+			doc, err := result.ParseJSON(bytes.NewReader(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderJSON(t, doc); !bytes.Equal(got, want) {
+				t.Fatalf("%s does not re-render to itself. %s", path, firstDiff(got, want))
+			}
+
+			var listed []string
+			for _, e := range doc.Experiments {
+				listed = append(listed, e.ID)
+			}
+			if !slices.Equal(listed, g.ids) {
+				for _, id := range g.ids {
+					if !slices.Contains(listed, id) {
+						t.Errorf("%s lacks %s experiment %s", path, g.kind, id)
+					}
+				}
+				for _, id := range listed {
+					if !slices.Contains(g.ids, id) {
+						t.Errorf("%s lists %s, which is not a %s experiment", path, id, g.kind)
+					}
+				}
+				t.Fatalf("%s lists %v, want %v; regenerate with %s", path, listed, g.ids, quickRegen)
+			}
+			if testing.Short() {
+				return
+			}
+
+			for i, e := range doc.Experiments {
+				if !slices.Contains(quickIDs(), e.ID) {
+					continue
+				}
+				t.Run(e.ID, func(t *testing.T) {
+					golden := e.Tables
+					doc.Experiments[i].Tables = g.tables(quickRun(t, e.ID))
+					got := renderJSON(t, doc)
+					doc.Experiments[i].Tables = golden
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s's tables drifted from %s; a deliberate change regenerates it with %s. %s", e.ID, path, quickRegen, firstDiff(got, want))
+					}
+				})
+			}
+		})
+	}
+}
+
+// renderJSON renders doc the way smartbench writes it.
+func renderJSON(t *testing.T, doc *result.Document) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := result.JSON(&buf, doc); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := result.ParseJSON(bytes.NewReader(j1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var j2 bytes.Buffer
-	if err := result.JSON(&j2, parsed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1.Bytes(), j2.Bytes()) {
-		t.Error("JSON output does not round-trip to identical bytes")
-	}
+	return buf.Bytes()
 }

@@ -24,14 +24,24 @@ var quickRuns struct {
 	m map[string]*quickOutcome
 }
 
+// quickIDs returns the experiments the test binary runs through quickRun.
+// The three most expensive checked sweeps (fig7, fig8, tab1) would push
+// the package past go test's default 10-minute binary timeout on a
+// single core, so they and the unchecked experiments are left to CI's
+// `smartbench -exp all -quick -check` step, which gates every checked
+// experiment and cmps every table against the quick goldens.
+func quickIDs() []string {
+	return []string{"fig4", "fig3", "fig13", "fig14", "chaos", "serving", "batching"}
+}
+
 // quickRun runs experiment id once per test binary, at quick density on
 // a GOMAXPROCS-wide sweeper — both to cut wall-clock on multi-core
 // runners and to exercise the parallel scheduler (and the
 // probe-registry isolation, under -race) in the tier-1 suite. An
 // instrumented experiment runs with a registry, as smartbench runs it.
-// TestShapesQuick checks the tables (TestFig3QuickGolden also diffs
-// fig3's against a sequential run), TestTelemetryShapes and
-// TestTelemetryGolden the registry's export of the same run.
+// TestShapesQuick checks the tables' shapes and TestTelemetryShapes the
+// registry export's; TestQuickGolden holds both to the quick goldens,
+// which the CLI wrote with a registry on its own worker count.
 func quickRun(t *testing.T, id string) *quickOutcome {
 	t.Helper()
 	e := ByID(id)
@@ -62,17 +72,13 @@ func quickRun(t *testing.T, id string) *quickOutcome {
 }
 
 // TestShapesQuick is the regression gate behind EXPERIMENTS.md: it
-// runs the quick sweeps through quickRun and asserts that every encoded
-// qualitative outcome of the paper still holds. The three most
-// expensive checked sweeps (fig7, fig8, tab1) would push the package
-// past go test's default 10-minute binary timeout on a single core, so
-// they are left to CI's `smartbench -exp all -quick -check` step, which
-// gates every checked experiment.
+// runs the quickIDs sweeps through quickRun and asserts that every
+// encoded qualitative outcome of the paper still holds.
 func TestShapesQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real quick sweeps")
 	}
-	for _, id := range []string{"fig4", "fig3", "fig13", "fig14", "chaos", "serving", "batching"} {
+	for _, id := range quickIDs() {
 		t.Run(id, func(t *testing.T) {
 			for _, v := range Check(id, quickRun(t, id).tables) {
 				t.Errorf("shape violation %s: %s", v.Check, v.Detail)

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -43,27 +41,12 @@ func TestGoldenSpecsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "specs", g.file)
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, want, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden spec (run with -update-golden to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("golden spec drifted from the in-code section:\n--- file\n%s\n--- in-code\n%s", got, want)
-			}
+			checkGolden(t, filepath.Join("testdata", "specs", g.file), want)
 
-			// The file must parse back to the exact in-code value — the
-			// round-trip that makes "spec file == experiment" a theorem
-			// rather than a convention.
-			parsed, err := spec.Parse(got)
+			// The encoding, which the file must equal, must parse back to
+			// the exact in-code value — the round-trip that makes "spec
+			// file == experiment" a theorem rather than a convention.
+			parsed, err := spec.Parse(want)
 			if err != nil {
 				t.Fatalf("golden spec does not parse: %v", err)
 			}
@@ -125,7 +108,7 @@ func TestSpecProbeEnumeration(t *testing.T) {
 // accepts either fails to lower — with an error, up front — or
 // returns a Run that cannot fail. Every golden spec must enumerate
 // through a probe (the registered experiments execute the same
-// lowerings in TestShapesQuick and TestFig3QuickGolden), and
+// lowerings in TestShapesQuick and TestQuickGolden), and
 // FuzzScenarioSpecParse's seed documents, which are a few points each,
 // are executed for real. Exactly one of them is a document that
 // passes the schema but fails at lowering: a serving load past the

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -98,11 +96,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 	}
 	render := func(sw *sweep.Sweeper) ([]byte, uint64) {
 		reg, _ := runInstrumented(sw, "chaos", 32)
-		var buf bytes.Buffer
-		if err := result.JSON(&buf, telemetryDoc("chaos", reg.Tables(""))); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), reg.Trace().Total()
+		return renderJSON(t, telemetryDoc("chaos", reg.Tables(""))), reg.Trace().Total()
 	}
 	j1, total1 := render(sweep.Sequential())
 	j2, total2 := render(sweep.New(4))
@@ -114,49 +108,6 @@ func TestTelemetryDeterminism(t *testing.T) {
 	}
 	if total1 == 0 {
 		t.Error("instrumented chaos run emitted no trace events")
-	}
-}
-
-// TestTelemetryGolden freezes the text of fig13's registry export
-// against a checked-in golden, and checks the telemetry document JSON
-// round-trips. It reads the run TestShapesQuick shares. Regenerate with
-// `go test ./internal/bench -run TelemetryGolden -update-golden`.
-func TestTelemetryGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the fig13 quick sweep")
-	}
-	tables := quickRun(t, "fig13").telem
-
-	var text bytes.Buffer
-	result.Text(&text, tables)
-	golden := filepath.Join("testdata", "fig13_telemetry_quick.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, text.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update-golden to create): %v", err)
-	}
-	if !bytes.Equal(text.Bytes(), want) {
-		t.Errorf("telemetry text drifted from golden:\n--- got\n%s\n--- want\n%s", text.String(), want)
-	}
-
-	var j1 bytes.Buffer
-	if err := result.JSON(&j1, telemetryDoc("fig13", tables)); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := result.ParseJSON(bytes.NewReader(j1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var j2 bytes.Buffer
-	if err := result.JSON(&j2, parsed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1.Bytes(), j2.Bytes()) {
-		t.Error("telemetry JSON does not round-trip to identical bytes")
 	}
 }
 
