@@ -157,8 +157,9 @@ func runFig3(env Env) []result.Table {
 			if acq > 0 {
 				frac = float64(cont) / float64(acq)
 			}
-			cg.SeriesDef(p, "", 3).Record(float64(thr), frac)
-			raw.Series(p).Record(float64(thr), float64(cont))
+			cg.Add(p, float64(thr), frac) // the table's precision, 3
+			raw.Def(p, "", 0)
+			raw.Add(p, float64(thr), float64(cont))
 		}
 	}
 	return tables

@@ -43,18 +43,19 @@ func (rt *Runtime) Collect(reg *telemetry.Registry) {
 	// shape checks consume.
 	dbg := reg.Group(pre+"doorbells",
 		"Doorbell register totals (driver spinlock, §3.1)", "register")
-	rings := dbg.Series("rings")
-	acq := dbg.Series("acquisitions")
-	cont := dbg.Series("contended")
-	hold := dbg.SeriesDef("hold-us", "us", 1)
+	dbg.Def("rings", "", 0)
+	dbg.Def("acquisitions", "", 0)
+	dbg.Def("contended", "", 0)
+	dbg.Def("hold-us", "us", 1)
 	var ringsT, acqT, contT, holdT uint64
 	idx := 0
 	for _, ctx := range rt.ctxs {
 		for _, d := range ctx.Doorbells() {
-			rings.Record(float64(idx), float64(d.Rings))
-			acq.Record(float64(idx), float64(d.Acquisitions()))
-			cont.Record(float64(idx), float64(d.Contended()))
-			hold.Record(float64(idx), float64(d.HoldTicks)/1000)
+			x := float64(idx)
+			dbg.Add("rings", x, float64(d.Rings))
+			dbg.Add("acquisitions", x, float64(d.Acquisitions()))
+			dbg.Add("contended", x, float64(d.Contended()))
+			dbg.Add("hold-us", x, float64(d.HoldTicks)/1000)
 			ringsT += d.Rings
 			acqT += d.Acquisitions()
 			contT += d.Contended()
@@ -96,30 +97,29 @@ func (rt *Runtime) Collect(reg *telemetry.Registry) {
 
 	// Per-thread operation statistics over the thread index.
 	tg := reg.Group(pre+"threads", "Per-thread lifetime statistics", "thread")
-	ops := tg.Series("ops")
-	wrs := tg.Series("wrs")
-	casf := tg.Series("cas-failed")
-	owrMax := tg.Series("owr-max")
-	owrMean := tg.SeriesDef("owr-mean", "", 2)
-	latP50 := tg.SeriesDef("lat-p50-us", "us", 1)
-	latP99 := tg.SeriesDef("lat-p99-us", "us", 1)
+	for _, name := range [...]string{"ops", "wrs", "cas-failed", "owr-max"} {
+		tg.Def(name, "", 0)
+	}
+	tg.Def("owr-mean", "", 2)
+	tg.Def("lat-p50-us", "us", 1)
+	tg.Def("lat-p99-us", "us", 1)
 	now := rt.eng.Now()
 	for _, t := range rt.threads {
 		x := float64(t.ID)
-		ops.Record(x, float64(t.Stats.Ops))
-		wrs.Record(x, float64(t.Stats.WRs))
-		casf.Record(x, float64(t.Stats.CASFailed))
-		owrMax.Record(x, float64(t.owrMax))
+		tg.Add("ops", x, float64(t.Stats.Ops))
+		tg.Add("wrs", x, float64(t.Stats.WRs))
+		tg.Add("cas-failed", x, float64(t.Stats.CASFailed))
+		tg.Add("owr-max", x, float64(t.owrMax))
 		if now > 0 {
 			t.noteOWR(0) // flush the gauge integral up to now
-			owrMean.Record(x, float64(t.owrArea)/float64(now))
+			tg.Add("owr-mean", x, float64(t.owrArea)/float64(now))
 		}
 		// Latency percentiles only exist for threads that completed
 		// operations; zero-op threads stay absent rather than
 		// reporting a fake 0 latency.
 		if s := t.lat.Summary(); s.Count > 0 {
-			latP50.Record(x, float64(s.P50)/1000)
-			latP99.Record(x, float64(s.P99)/1000)
+			tg.Add("lat-p50-us", x, float64(s.P50)/1000)
+			tg.Add("lat-p99-us", x, float64(s.P99)/1000)
 		}
 	}
 
@@ -127,7 +127,7 @@ func (rt *Runtime) Collect(reg *telemetry.Registry) {
 	// first-seen order. Shared policies alias QPs across threads, so
 	// dedup by identity; the map is lookup-only.
 	qg := reg.Group(pre+"qps", "Work requests posted per queue pair", "qp")
-	posted := qg.Series("posted")
+	qg.Def("posted", "", 0)
 	seen := make(map[*verbs.QP]bool)
 	qi := 0
 	for _, t := range rt.threads {
@@ -136,7 +136,7 @@ func (rt *Runtime) Collect(reg *telemetry.Registry) {
 				continue
 			}
 			seen[qp] = true
-			posted.Record(float64(qi), float64(qp.Posted))
+			qg.Add("posted", float64(qi), float64(qp.Posted))
 			qi++
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/result"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -66,8 +67,11 @@ type Thread struct {
 	owrAt   sim.Time // last time owr changed
 	owrArea int64    // ∫ owr dt, WR·ns
 
-	tel                             *telemetry.Registry // nil when not instrumented
-	sCMax, sTMax, sCMaxCoro, sGamma *telemetry.Series   // trajectory series (nil past the cap)
+	tel *telemetry.Registry // nil when not instrumented
+	// Trajectory tables this thread records its column, trajName, into
+	// (nil past the cap).
+	trajCMax, trajTMax, trajCMaxCoro, trajGamma *result.Table
+	trajName                                    string
 
 	Stats ThreadStats
 }
@@ -107,33 +111,28 @@ func newThread(rt *Runtime, id int) *Thread {
 func (t *Thread) initTrajectories() {
 	o := &t.rt.opts
 	pre := o.TelemetryPrefix
-	name := fmt.Sprintf("t%d", t.ID)
-	if o.WorkReqThrottle {
-		g := t.tel.Group(pre+"cmax-trajectory",
-			"C_max ceiling per epoch (Algorithm 1)", "time")
+	t.trajName = fmt.Sprintf("t%d", t.ID)
+	traj := func(id, title string, prec int) *result.Table {
+		g := t.tel.Group(pre+id, title, "time")
 		g.XUnit = "us"
-		t.sCMax = g.Series(name)
-		t.sCMax.Record(0, float64(t.cmax))
+		g.Def(t.trajName, "", prec)
+		return g
+	}
+	if o.WorkReqThrottle {
+		t.trajCMax = traj("cmax-trajectory", "C_max ceiling per epoch (Algorithm 1)", 0)
+		t.trajCMax.Add(t.trajName, 0, float64(t.cmax))
 	}
 	if o.DynamicLimit {
-		g := t.tel.Group(pre+"tmax-trajectory",
-			"Backoff ceiling t_max over time (§4.3)", "time")
-		g.XUnit, g.YUnit = "us", "us"
-		t.sTMax = g.SeriesDef(name, "", 2)
-		t.sTMax.Record(0, float64(t.tmax)/1000)
+		t.trajTMax = traj("tmax-trajectory", "Backoff ceiling t_max over time (§4.3)", 2)
+		t.trajTMax.YUnit = "us"
+		t.trajTMax.Add(t.trajName, 0, float64(t.tmax)/1000)
 	}
 	if o.CoroThrottle {
-		g := t.tel.Group(pre+"cmax-coro-trajectory",
-			"Coroutine credit ceiling c_max over time (§4.3)", "time")
-		g.XUnit = "us"
-		t.sCMaxCoro = g.Series(name)
-		t.sCMaxCoro.Record(0, float64(t.cmaxCoro))
+		t.trajCMaxCoro = traj("cmax-coro-trajectory", "Coroutine credit ceiling c_max over time (§4.3)", 0)
+		t.trajCMaxCoro.Add(t.trajName, 0, float64(t.cmaxCoro))
 	}
 	if o.DynamicLimit || o.CoroThrottle {
-		g := t.tel.Group(pre+"gamma",
-			"Observed CAS retry rate γ per window (§4.3)", "time")
-		g.XUnit = "us"
-		t.sGamma = g.SeriesDef(name, "", 3)
+		t.trajGamma = traj("gamma", "Observed CAS retry rate γ per window (§4.3)", 3)
 	}
 }
 
@@ -213,8 +212,8 @@ func (t *Thread) cmaxTuner(p *sim.Proc) {
 			}
 		}
 		t.updateCMax(best)
-		if t.sCMax != nil {
-			t.sCMax.Record(t.usNow(), float64(best))
+		if t.trajCMax != nil {
+			t.trajCMax.Add(t.trajName, t.usNow(), float64(best))
 		}
 		if t.tel.Tracing() {
 			t.tel.Emit(t.rt.eng.Now(), "cmax-adopt",
@@ -237,8 +236,8 @@ func (t *Thread) retryTicker(p *sim.Proc) {
 			continue
 		}
 		gamma := float64(retries) / float64(ops)
-		if t.sGamma != nil {
-			t.sGamma.Record(t.usNow(), gamma)
+		if t.trajGamma != nil {
+			t.trajGamma.Add(t.trajName, t.usNow(), gamma)
 		}
 		if t.tel.Tracing() {
 			t.tel.Emit(t.rt.eng.Now(), "gamma-sample",
@@ -262,11 +261,11 @@ func (t *Thread) retryTicker(p *sim.Proc) {
 				}
 			}
 		}
-		if t.sTMax != nil && t.tmax != before {
-			t.sTMax.Record(t.usNow(), float64(t.tmax)/1000)
+		if t.trajTMax != nil && t.tmax != before {
+			t.trajTMax.Add(t.trajName, t.usNow(), float64(t.tmax)/1000)
 		}
-		if t.sCMaxCoro != nil && t.cmaxCoro != beforeCoro {
-			t.sCMaxCoro.Record(t.usNow(), float64(t.cmaxCoro))
+		if t.trajCMaxCoro != nil && t.cmaxCoro != beforeCoro {
+			t.trajCMaxCoro.Add(t.trajName, t.usNow(), float64(t.cmaxCoro))
 		}
 	}
 }

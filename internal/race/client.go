@@ -231,7 +231,7 @@ func (cl *Client) swapExisting(c *core.Ctx, e dirEntry, key uint64, newSlot slot
 				v = cl.refetch(c, v)
 				ns, _ := v.slotAt(i)
 				if ns.empty() || ns.fp() != fp {
-					return false // slot deleted/replaced: restart outer
+					return false // slot scrubbed by a split or replaced: restart outer
 				}
 				if k, _ := cl.readKV(c, e.bladeID(), ns); k != key {
 					return false
@@ -254,42 +254,4 @@ func (cl *Client) refetch(c *core.Ctx, v pairView) pairView {
 	nv := pairView{raw: c.Buf(PairBytes), ref: v.ref}
 	c.ReadSync(v.ref.addr, nv.raw)
 	return nv
-}
-
-// Delete removes key, returning whether it was present.
-func (cl *Client) Delete(c *core.Ctx, key uint64) bool {
-	c.BeginOp()
-	defer c.EndOp()
-	fp := fingerprint(key)
-	for {
-		e := cl.entry(c, key)
-		views := cl.readPairs(c, e, key)
-		if !fresh(views[0].headerOfMain(), key) {
-			cl.refresh(c, key)
-			continue
-		}
-		for _, v := range views {
-			for i := 0; i < totalSlots; i++ {
-				s, addr := v.slotAt(i)
-				if s.empty() || s.fp() != fp {
-					continue
-				}
-				if k, _ := cl.readKV(c, e.bladeID(), s); k != key {
-					continue
-				}
-				for {
-					if _, ok := c.BackoffCASSync(addr, s.word(), 0); ok {
-						return true
-					}
-					v = cl.refetch(c, v)
-					ns, _ := v.slotAt(i)
-					if ns.empty() || ns.fp() != fp {
-						return false
-					}
-					s = ns
-				}
-			}
-		}
-		return false
-	}
 }

@@ -9,52 +9,47 @@ import (
 	"repro/internal/sim"
 )
 
-// Property: after an arbitrary interleaving of RDMA-path updates and
-// deletes from one client, the table agrees with a map model.
+// Property: RDMA-path updates of present and absent keys agree with a
+// map model through segment splits. Segments of two groups make the
+// inserts split the table many times over. Two writers share the
+// table, so each also meets the other's splits through a stale
+// directory cache; a third client only looks up, so its global depth
+// can grow only through refresh.
 func TestClientMapModelProperty(t *testing.T) {
 	cl := newCluster(t, 2)
-	tbl := Create(cl.Targets(), Config{Groups: 64})
-	client := NewClient(tbl)
+	tbl := Create(cl.Targets(), Config{Groups: 2, InitialDepth: 1, MaxDepth: 10})
+	writers := [2]*Client{NewClient(tbl), NewClient(tbl)}
+	reader := NewClient(tbl)
+	const keys = 300
 	model := map[uint64]uint64{}
 	rng := rand.New(rand.NewSource(31))
 	runClient(t, cl, core.Smart(), func(c *core.Ctx) {
-		for i := 0; i < 600; i++ {
-			k := uint64(rng.Intn(100))
-			switch rng.Intn(3) {
-			case 0, 1:
-				v := rng.Uint64()
-				client.Update(c, k, v)
-				model[k] = v
-			case 2:
-				client.Delete(c, k)
-				delete(model, k)
-			}
+		for i := 0; i < 900; i++ {
+			k, v := uint64(rng.Intn(keys)), rng.Uint64()
+			writers[rng.Intn(2)].Update(c, k, v)
+			model[k] = v
 		}
-		for k := uint64(0); k < 100; k++ {
-			got, ok := client.Lookup(c, k)
+		for k := uint64(0); k < keys; k++ {
 			want, wantOK := model[k]
-			if ok != wantOK || (ok && got != want) {
-				t.Errorf("key %d: table=(%d,%v) model=(%d,%v)", k, got, ok, want, wantOK)
-				return
+			for _, client := range [...]*Client{writers[0], writers[1], reader} {
+				if got, ok := client.Lookup(c, k); ok != wantOK || got != want {
+					t.Errorf("key %d: table=(%d,%v) model=(%d,%v)", k, got, ok, want, wantOK)
+					return
+				}
 			}
 		}
 	})
-}
-
-func TestDeleteThenReinsert(t *testing.T) {
-	cl := newCluster(t, 1)
-	tbl := Create(cl.Targets(), Config{Groups: 64})
-	client := NewClient(tbl)
-	runClient(t, cl, core.Smart(), func(c *core.Ctx) {
-		client.Update(c, 9, 1)
-		if !client.Delete(c, 9) {
-			t.Error("delete failed")
+	if writers[0].Splits == 0 || writers[1].Splits == 0 {
+		t.Fatalf("splits = %d, %d; want both writers to split", writers[0].Splits, writers[1].Splits)
+	}
+	if reader.gd <= 1 || reader.gd != tbl.GlobalDepth() {
+		t.Fatalf("reader depth %d, table depth %d: the reader never refreshed", reader.gd, tbl.GlobalDepth())
+	}
+	for k, want := range model {
+		if got, ok := tbl.GetDirect(k); !ok || got != want {
+			t.Fatalf("direct view of key %d = %d,%v, want %d", k, got, ok, want)
 		}
-		client.Update(c, 9, 2)
-		if v, ok := client.Lookup(c, 9); !ok || v != 2 {
-			t.Errorf("after reinsert: %d,%v", v, ok)
-		}
-	})
+	}
 }
 
 func TestFreshDetectsStaleEntries(t *testing.T) {

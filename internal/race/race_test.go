@@ -145,7 +145,7 @@ func runClient(t *testing.T, cl *cluster.Cluster, opts core.Options, fn func(c *
 	}
 }
 
-func TestClientLookupUpdateDelete(t *testing.T) {
+func TestClientLookupUpdate(t *testing.T) {
 	cl := newCluster(t, 2)
 	tbl := Create(cl.Targets(), Config{Groups: 64})
 	for i := uint64(0); i < 200; i++ {
@@ -168,15 +168,6 @@ func TestClientLookupUpdateDelete(t *testing.T) {
 		client.Update(c, 7777, 1) // fresh insert through RDMA path
 		if v, ok := client.Lookup(c, 7777); !ok || v != 1 {
 			t.Errorf("inserted key: %d,%v", v, ok)
-		}
-		if !client.Delete(c, 50) {
-			t.Error("delete existing failed")
-		}
-		if _, ok := client.Lookup(c, 50); ok {
-			t.Error("deleted key still present")
-		}
-		if client.Delete(c, 424242) {
-			t.Error("delete of absent key reported success")
 		}
 	})
 	// Direct view agrees.

@@ -217,6 +217,11 @@ func Run(cfg Config) Result {
 		telShed = cfg.Telemetry.Counter("serve/shed")
 		telCompleted = cfg.Telemetry.Counter("serve/completed")
 		g := cfg.Telemetry.Group("serve/qdepth", "admission queue depth", "us")
+		names := make([]string, len(queues))
+		for i := range names {
+			names[i] = fmt.Sprintf("r%d", i)
+			g.Def(names[i], "", 0)
+		}
 		interval := cfg.Measure / 64
 		if interval < sim.Microsecond {
 			interval = sim.Microsecond
@@ -224,7 +229,7 @@ func Run(cfg Config) Result {
 		eng.Every(interval, horizon, func(now sim.Time) {
 			x := float64(now) / 1e3
 			for i, q := range queues {
-				g.Series(fmt.Sprintf("r%d", i)).Record(x, float64(q.n))
+				g.Add(names[i], x, float64(q.n))
 			}
 		})
 	}

@@ -108,30 +108,30 @@ func (cl *Client) localLock(leaf uint64) *sim.Mutex {
 	return m
 }
 
-// walkPath descends the cached internals, returning the path of
-// internal nodes and the packed leaf address. ok is false when the
-// cache is missing a node on the path (another blade restructured the
-// tree); the caller must refreshPath and retry.
-func (cl *Client) walkPath(key uint64) (path []*cachedInternal, leaf uint64, ok bool) {
+// walkPath descends the cached internals to the packed address of
+// key's leaf. ok is false when the cache is missing a node on the path
+// (another blade restructured the tree); the caller must refreshPath
+// and retry.
+func (cl *Client) walkPath(key uint64) (leaf uint64, ok bool) {
 	n := cl.root
 	for {
-		path = append(path, n)
 		c := n.child(key)
 		if n.leafKids {
-			return path, c, true
+			return c, true
 		}
 		n = cl.nodes[c]
 		if n == nil {
-			return nil, 0, false
+			return 0, false
 		}
 	}
 }
 
 // refreshPath re-reads the root pointer and the internal nodes along
 // key's path from their authoritative remote copies, repairing a stale
-// index cache after another blade's split. The images are op-scoped
-// (core.Ctx.Buf): parseInternal copies what the cache keeps.
-func (cl *Client) refreshPath(c *core.Ctx, key uint64) {
+// index cache after another blade's split, and returns that path from
+// the root down. The images are op-scoped (core.Ctx.Buf):
+// parseInternal copies what the cache keeps.
+func (cl *Client) refreshPath(c *core.Ctx, key uint64) (path []*cachedInternal) {
 	w := c.Buf(8)
 	c.ReadSync(cl.t.rootPtrAddr(), w)
 	rootPacked := binary.LittleEndian.Uint64(w)
@@ -141,11 +141,12 @@ func (cl *Client) refreshPath(c *core.Ctx, key uint64) {
 		c.ReadSync(addr, buf)
 		n := parseInternal(addr, buf)
 		cl.nodes[packAddr(addr)] = n
+		path = append(path, n)
 		if packAddr(addr) == rootPacked {
 			cl.root = n
 		}
 		if n.leafKids {
-			return
+			return path
 		}
 		addr = unpackAddr(n.child(key))
 	}
@@ -168,7 +169,7 @@ func (cl *Client) Lookup(c *core.Ctx, key uint64) (uint64, bool) {
 
 func (cl *Client) lookup(c *core.Ctx, key uint64) (uint64, bool) {
 	for {
-		_, leaf, ok := cl.walkPath(key)
+		leaf, ok := cl.walkPath(key)
 		if !ok {
 			cl.refreshPath(c, key)
 			continue
@@ -243,7 +244,7 @@ func (cl *Client) Update(c *core.Ctx, key, val uint64) {
 	c.BeginOp()
 	defer c.EndOp()
 	for {
-		path, leaf, ok := cl.walkPath(key)
+		leaf, ok := cl.walkPath(key)
 		if !ok {
 			cl.refreshPath(c, key)
 			continue
@@ -280,54 +281,10 @@ func (cl *Client) Update(c *core.Ctx, key, val uint64) {
 			}
 			return
 		default:
-			cl.splitLeaf(c, path, v)
+			cl.splitLeaf(c, v)
 			cl.unlockLeaf(c, leaf, local)
 			// Retry: the key now maps to one of the halves.
 		}
-	}
-}
-
-// Delete removes key from the tree, returning whether it was present.
-// It takes the hierarchical leaf lock, rewrites the leaf without the
-// entry, and releases the lock in the same WRITE. Leaves are not
-// merged on underflow (Sherman doesn't either); fence keys stay valid.
-func (cl *Client) Delete(c *core.Ctx, key uint64) bool {
-	c.BeginOp()
-	defer c.EndOp()
-	for {
-		_, leaf, ok := cl.walkPath(key)
-		if !ok {
-			cl.refreshPath(c, key)
-			continue
-		}
-		local := cl.lockLeaf(c, leaf)
-		v := cl.readLeaf(c, leaf)
-		if !v.covers(key) {
-			cl.unlockLeaf(c, leaf, local)
-			cl.refreshPath(c, key)
-			continue
-		}
-		i, found := v.search(key)
-		if !found {
-			cl.unlockLeaf(c, leaf, local)
-			return false
-		}
-		n := v.n()
-		buf := c.Buf(NodeBytes)
-		copy(buf, v.raw)
-		copy(buf[entryOff(i):entryOff(n-1)+16], v.raw[entryOff(i)+16:entryOff(n)+16])
-		binary.LittleEndian.PutUint64(buf[entryOff(n-1):], 0)
-		binary.LittleEndian.PutUint64(buf[entryOff(n-1)+8:], 0)
-		binary.LittleEndian.PutUint64(buf[leafNOff:], uint64(n-1))
-		binary.LittleEndian.PutUint64(buf[leafLockOff:], 0) // release with the write
-		c.Write(v.addr, buf)
-		c.PostSend()
-		c.Sync()
-		local.Unlock()
-		if cl.spec != nil {
-			delete(cl.spec, key)
-		}
-		return true
 	}
 }
 

@@ -201,7 +201,8 @@ func BulkLoad(targets []verbs.Target, keys []uint64, fill float64) *Tree {
 	}
 
 	// Build leaves: pre-allocate their addresses so each leaf can be
-	// written with its right-sibling pointer (the Scan chain).
+	// written with its right-sibling pointer (Sherman's leaf chain; a
+	// split threads the new right half into it).
 	type leafRef struct {
 		addr     blade.Addr
 		lo       uint64

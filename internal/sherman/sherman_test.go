@@ -261,3 +261,82 @@ func putU64(b []byte, off uint64, v uint64) {
 		b[off+uint64(i)] = byte(v >> (8 * i))
 	}
 }
+
+// Property: Update over present and absent keys agrees with a map
+// model under both Lookup and LookupSpec, through leaf splits, internal
+// splits and a root split. Two speculative clients share the tree, so
+// each meets the other's splits through a stale index cache, and the
+// final reads go through speculative entries that splits and inserts
+// have moved.
+func TestClientMapModelProperty(t *testing.T) {
+	cl := newCluster(t)
+	const keys = 4096
+	var even []uint64
+	for k := uint64(0); k < keys; k += 2 {
+		even = append(even, k)
+	}
+	tree := BulkLoad(cl.Targets(), even, 1.0) // full leaves: the first odd insert splits
+	height := tree.Height()
+	clients := [2]*Client{NewClient(tree, cl.Eng, true), NewClient(tree, cl.Eng, true)}
+	model := map[uint64]uint64{}
+	for _, k := range even {
+		model[k] = k
+	}
+	check := func(c *core.Ctx, client *Client, k uint64, spec bool) bool {
+		read := client.Lookup
+		if spec {
+			read = client.LookupSpec
+		}
+		got, ok := read(c, k)
+		want, wantOK := model[k]
+		if ok != wantOK || got != want {
+			t.Errorf("key %d (spec=%v): tree=(%d,%v) model=(%d,%v)", k, spec, got, ok, want, wantOK)
+			return false
+		}
+		return true
+	}
+	stale := 0
+	rng := rand.New(rand.NewSource(17))
+	runClient(t, cl, func(c *core.Ctx) {
+		for i := 0; i < 6000; i++ {
+			client, k := clients[rng.Intn(2)], uint64(rng.Intn(keys))
+			if rng.Intn(3) == 0 {
+				if !check(c, client, k, true) {
+					return
+				}
+				continue
+			}
+			v := rng.Uint64()
+			client.Update(c, k, v)
+			model[k] = v
+		}
+		// Count the speculative entries that no longer point at their
+		// key: the reads below must take the fallback for each.
+		for _, client := range clients {
+			for k, e := range client.spec {
+				at := unpackAddr(e.leaf).Add(entryOff(e.slot))
+				if tree.mem(at.Blade).Load8(at.Offset) != k {
+					stale++
+				}
+			}
+		}
+		for k := uint64(0); k < keys; k++ {
+			for _, client := range clients {
+				if !check(c, client, k, true) || !check(c, client, k, false) {
+					return
+				}
+			}
+		}
+	})
+	for i, client := range clients {
+		if client.Splits == 0 || client.SpecHits == 0 {
+			t.Errorf("client %d: %d splits, %d spec hits; want both", i, client.Splits, client.SpecHits)
+		}
+	}
+	if stale == 0 {
+		t.Error("no speculative entry was moved by a split or insert")
+	}
+	if tree.Height() <= height {
+		t.Errorf("height %d → %d: the root never split", height, tree.Height())
+	}
+}

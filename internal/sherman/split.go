@@ -13,7 +13,7 @@ import (
 // lock; other blades discover the change lazily through fence-key
 // mismatches and refresh their index caches. The caller still holds
 // the leaf lock and must release it afterwards.
-func (cl *Client) splitLeaf(c *core.Ctx, path []*cachedInternal, v leafView) {
+func (cl *Client) splitLeaf(c *core.Ctx, v leafView) {
 	cl.treeLock.Lock(c.Proc())
 	for {
 		if _, ok := c.BackoffCASSync(cl.t.treeLockAddr(), 0, uint64(c.T.ID+1)); ok {
@@ -25,6 +25,10 @@ func (cl *Client) splitLeaf(c *core.Ctx, path []*cachedInternal, v leafView) {
 	n := v.n()
 	mid := n / 2
 	sep := v.key(mid)
+	// insertSeparator rewrites internal nodes from this blade's cache,
+	// so re-read the path under the tree lock: another blade's split
+	// may have changed it, and a stale image would drop its separator.
+	path := cl.refreshPath(c, sep)
 	newAddr := cl.t.allocNode()
 
 	// Right half: entries [mid, n), unlocked.

@@ -1,9 +1,9 @@
 // Package telemetry is the reproduction's software Neo-Host: a
-// deterministic registry of named counters and x/y series, plus an
+// deterministic registry of named counters and x/y tables, plus an
 // optional ring-buffered event trace, that the simulated layers fill
 // in where the paper reads Mellanox hardware counters.
 //
-// Determinism is the design constraint. Counters and series groups are
+// Determinism is the design constraint. Counters and group tables are
 // stored in registration order and exported by iterating slices — maps
 // exist only as name→index lookups and are never ranged — so the same
 // run always renders the same bytes. Values derive exclusively from
@@ -11,9 +11,10 @@
 // two runs with equal seeds produce byte-identical telemetry
 // documents, which is what the CI determinism gate compares.
 //
-// Snapshots export through the internal/result table schema
-// (Registry.Tables), so telemetry rides the existing text and JSON
-// renderers and the shape-check machinery for free.
+// A group is an internal/result table from the start (Registry.Group),
+// and Registry.Tables exports copies of them, so telemetry rides the
+// existing text and JSON renderers and the shape-check machinery for
+// free.
 //
 // A Registry is deliberately not synchronized: the sweep scheduler
 // (internal/sweep) runs experiment points concurrently, and the
@@ -26,7 +27,11 @@
 // sweeps under -race audit this contract.
 package telemetry
 
-import "repro/internal/result"
+import (
+	"slices"
+
+	"repro/internal/result"
+)
 
 // Counter is one monotonically written named counter. Handles are
 // stable: registering the same name twice returns the same counter.
@@ -49,64 +54,12 @@ func (c *Counter) Set(n uint64) { c.v = n }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
-// Point is one series sample.
-type Point struct {
-	X float64
-	V float64
-}
-
-// Series is one named column of a group: an append-only list of
-// (x, value) samples in record order.
-type Series struct {
-	Name string
-	Unit string
-	Prec int
-	pts  []Point
-}
-
-// Record appends one sample.
-func (s *Series) Record(x, v float64) { s.pts = append(s.pts, Point{X: x, V: v}) }
-
-// Len returns the number of recorded samples.
-func (s *Series) Len() int { return len(s.pts) }
-
-// Group is one exported table: a shared x axis and the series recorded
-// against it, in registration order.
-type Group struct {
-	ID     string
-	Title  string
-	XLabel string
-	XUnit  string
-	YUnit  string
-	Prec   int
-
-	series []*Series
-	index  map[string]int
-}
-
-// Series returns the named series, registering it with the group's
-// default precision on first use.
-func (g *Group) Series(name string) *Series { return g.SeriesDef(name, "", 0) }
-
-// SeriesDef returns the named series, registering it with an explicit
-// unit and precision on first use (later calls keep the first
-// definition).
-func (g *Group) SeriesDef(name, unit string, prec int) *Series {
-	if i, ok := g.index[name]; ok {
-		return g.series[i]
-	}
-	s := &Series{Name: name, Unit: unit, Prec: prec}
-	g.index[name] = len(g.series)
-	g.series = append(g.series, s)
-	return s
-}
-
-// Registry is the software Neo-Host: every counter, series group, and
+// Registry is the software Neo-Host: every counter, group table, and
 // (optionally) the event trace of one instrumented run.
 type Registry struct {
 	counters []*Counter
 	cindex   map[string]int
-	groups   []*Group
+	groups   []*result.Table
 	gindex   map[string]int
 	trace    *Trace
 }
@@ -140,22 +93,27 @@ func (r *Registry) Value(name string) uint64 {
 	return 0
 }
 
-// Group returns the named series group, registering it on first use
-// (later calls keep the first identity fields).
-func (r *Registry) Group(id, title, xlabel string) *Group {
+// Group returns the table registered under id, registering it on
+// first use (later calls keep the first identity fields). The registry
+// owns the table, and the caller records into it with Def and Add: Add
+// gives an undeclared series the table's precision (2 by default), so
+// a column that wants another declares it with Def first.
+func (r *Registry) Group(id, title, xlabel string) *result.Table {
 	if i, ok := r.gindex[id]; ok {
 		return r.groups[i]
 	}
-	g := &Group{ID: id, Title: title, XLabel: xlabel, index: make(map[string]int)}
+	t := result.NewTable(id, title, xlabel)
 	r.gindex[id] = len(r.groups)
-	r.groups = append(r.groups, g)
-	return g
+	r.groups = append(r.groups, t)
+	return t
 }
 
 // Tables exports the registry as result tables: one "counters" table
-// (one labeled row per counter, in registration order) followed by one
-// table per group. prefix, when non-empty, namespaces every table ID
-// as "<prefix>-<id>" so several registries can share one document.
+// (one labeled row per counter, in registration order) followed by a
+// copy of each group table, which the caller may change without
+// writing into the registry. prefix, when non-empty, namespaces every
+// table ID as "<prefix>-<id>" so several registries can share one
+// document.
 func (r *Registry) Tables(prefix string) []result.Table {
 	var out []result.Table
 	if len(r.counters) > 0 {
@@ -169,18 +127,13 @@ func (r *Registry) Tables(prefix string) []result.Table {
 		out = append(out, *t)
 	}
 	for _, g := range r.groups {
-		t := result.NewTable(joinID(prefix, g.ID), g.Title, g.XLabel)
-		t.XUnit, t.YUnit = g.XUnit, g.YUnit
-		if g.Prec > 0 {
-			t.Prec = g.Prec
+		t := *g
+		t.ID = joinID(prefix, g.ID)
+		t.Series = slices.Clone(g.Series)
+		for i := range t.Series {
+			t.Series[i].Points = slices.Clone(t.Series[i].Points)
 		}
-		for _, s := range g.series {
-			t.Def(s.Name, s.Unit, s.Prec)
-			for _, p := range s.pts {
-				t.Add(s.Name, p.X, p.V)
-			}
-		}
-		out = append(out, *t)
+		out = append(out, t)
 	}
 	return out
 }
