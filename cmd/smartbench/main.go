@@ -15,13 +15,13 @@
 //	    -faults default -seed 7            # fault injection + recovery gate
 //	smartbench -exp all -parallel 4 \
 //	    -stats bench_stats.json            # sweep points on 4 workers
+//	smartbench -exp all -quick -dryrun     # point counts; nothing runs
 //
 // Every flag reaches a simulation by one route: run parses the flags
-// into a single bench.Env (sweeper, seed, quick, the chaos fault plan,
-// and — for an instrumented experiment under -telemetry or -trace — a
-// telemetry registry), and every selection, a registered experiment or
-// a -spec scenario lowered to one by bench.FromSpec, goes through the
-// same loop calling e.Run(env) once.
+// into a single bench.Env (sweeper, seed, quick, the three templates
+// below, and — for an instrumented experiment under -telemetry or
+// -trace — a telemetry registry), and every selected experiment goes
+// through the same loop calling e.Run(env) once.
 // Nothing is installed in package state, so concurrent run calls in
 // one process do not see each other's flags.
 //
@@ -75,38 +75,24 @@
 // The batching shape checks are calibrated against the default knobs;
 // overridden knobs run fine but may legitimately fail -check.
 //
-// -spec FILE runs a declarative scenario spec (internal/spec) instead
-// of a registered experiment: a versioned JSON document carrying the
-// scenario, its sweep grids and seeds, and the fault/arrival/batching
-// templates as embedded sub-specs (faults on micro scenarios, arrival
-// on serving, batching on micro and batching). -spec is mutually
-// exclusive with -exp and -quick (a spec's grids are its density) and
-// composes with -check (the spec names its check groups), -format,
-// -out, -seed, -parallel, -stats, -telemetry/-trace (for serving
-// scenarios with an overload point), and the profile flags. -faults,
-// -arrival, and -batching override the corresponding spec field —
-// under -exp they set the same field on the serving or batching
-// experiment's own spec. Either way bench.FromSpec validates and
-// lowers the result once, and everything that can be wrong with it —
-// a malformed or inapplicable template, a serving load past its
-// arrival's rate cap — is a usage error there, so the run itself
-// cannot fail. -dryrun enumerates the lowered spec on a probing
-// sweeper (nothing executes) and prints the point count —
-// TestSpecDryRunGoldens runs exactly that over every golden spec. Golden
-// specs for fig3, fig13, serving, and batching live under
-// internal/bench/testdata/specs/ and reproduce those experiments
-// byte-identically.
+// Each template is parsed by its own grammar before anything runs, and
+// an experiment that can still refuse one (serving, whose load
+// fractions can rescale an -arrival template past the arrival model's
+// rate cap) checks it through Experiment.Validate then: everything that
+// can be wrong with the flags is a usage error, so the run itself
+// cannot fail. -dryrun stops there and prints each selected
+// experiment's point count, enumerated on a probing sweeper (nothing
+// executes).
 //
 // Exit status: 0 on success, 1 when -check finds shape violations or
 // -perf-baseline finds a throughput regression, 2 on usage errors (no
-// -exp or -spec, unknown ID, bad flag values, negative -parallel,
+// -exp, unknown ID, bad flag values, negative -parallel,
 // -telemetry or -trace with no instrumented experiment selected,
 // -faults with a malformed spec or without the chaos experiment
 // selected, -arrival with a malformed spec or without the serving
 // experiment selected, -batching with a malformed spec or without the
-// batching experiment selected, -spec with -exp or -quick or an
-// unreadable/invalid spec file, -dryrun without -spec, a spec check
-// group no shape checks exist for, an unwritable
+// batching experiment selected, an -arrival template some serving
+// point rescales past its rate cap, an unwritable
 // -cpuprofile/-memprofile path, or an unreadable -perf-baseline
 // record).
 package main
@@ -118,16 +104,18 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/arrival"
 	"repro/internal/bench"
 	"repro/internal/fault"
 	"repro/internal/perf"
 	"repro/internal/result"
-	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
+	"repro/internal/verbs"
 )
 
 // benchSeq is the sequence number stamped into the perf records this
@@ -144,8 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		exp      = fs.String("exp", "", "experiment id(s), comma separated, or 'all'")
-		specPath = fs.String("spec", "", "run a declarative scenario spec (JSON file; see internal/spec)")
-		dryrun   = fs.Bool("dryrun", false, "with -spec: validate and enumerate the spec's points without executing")
+		dryrun   = fs.Bool("dryrun", false, "validate the flags and print each experiment's point count without executing")
 		quick    = fs.Bool("quick", false, "sparse sweeps (faster, fewer points)")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		format   = fs.String("format", "text", "output format: text or json")
@@ -172,23 +159,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printList(stdout)
 		return 0
 	}
-	if *specPath != "" {
-		if *exp != "" {
-			fmt.Fprintln(stderr, "smartbench: -spec and -exp are mutually exclusive; the spec selects its own scenario")
-			return 2
-		}
-		if *quick {
-			fmt.Fprintln(stderr, "smartbench: -quick does not apply to -spec runs; a spec's grids are its density")
-			return 2
-		}
-	} else if *dryrun {
-		fmt.Fprintln(stderr, "smartbench: -dryrun needs -spec")
-		return 2
-	}
-	if *exp == "" && *specPath == "" {
+	if *exp == "" {
 		// Usage error: same message shape and exit code whether the
 		// binary was run bare or with unrelated flags.
-		fmt.Fprintln(stderr, "smartbench: no experiment selected; run with -exp <id> (or -exp all, or -spec FILE)")
+		fmt.Fprintln(stderr, "smartbench: no experiment selected; run with -exp <id> (or -exp all)")
 		fs.Usage()
 		printList(stderr)
 		return 2
@@ -213,7 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var selected []*bench.Experiment
 	if *exp == "all" {
 		selected = bench.All()
-	} else if *exp != "" {
+	} else {
 		for _, id := range strings.Split(*exp, ",") {
 			id = strings.TrimSpace(id)
 			e := bench.ByID(id)
@@ -231,78 +205,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var scenario *spec.Spec
-	if *specPath != "" {
-		s, err := spec.Load(*specPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "smartbench: -spec: %v\n", err)
-			return 2
-		}
-		scenario = s
-	}
-
-	// The three scenario-template flags set a string field on a spec —
-	// the -spec document, or a fresh copy of the selected experiment's
-	// own spec — and bench.FromSpec, the one place a spec is validated
-	// and lowered, turns a malformed or inapplicable value into the
-	// usage error. chaos has no spec, so -faults in experiment mode is
-	// parsed here and rides on the Env instead.
+	// Each template flag is parsed by its own grammar onto the Env, and
+	// only the experiment that reads it may be selected with it.
 	env := bench.Env{Seed: *seed, Quick: *quick}
 	for _, tf := range []struct {
 		name, value, expID string
-		field              func(*spec.Spec) *string
+		parse              func(string) error
 	}{
-		{"faults", *faults, "chaos", func(s *spec.Spec) *string { return &s.Faults }},
-		{"arrival", *arrv, "serving", func(s *spec.Spec) *string { return &s.Arrival }},
-		{"batching", *batching, "batching", func(s *spec.Spec) *string { return &s.Batching }},
+		{"faults", *faults, "chaos", func(v string) (err error) { env.Faults, err = fault.Parse(v); return err }},
+		{"arrival", *arrv, "serving", func(v string) (err error) { env.Arrival, err = arrival.Parse(v); return err }},
+		{"batching", *batching, "batching", func(v string) (err error) { env.Batching, err = verbs.ParseBatching(v); return err }},
 	} {
 		if tf.value == "" {
 			continue
 		}
-		if scenario != nil {
-			*tf.field(scenario) = tf.value
-			continue
-		}
-		applied := false
-		for i, e := range selected {
-			if e.ID != tf.expID {
-				continue
-			}
-			applied = true
-			var err error
-			if e.Spec == nil {
-				env.Faults, err = fault.Parse(tf.value)
-			} else {
-				s := e.Spec(*quick)
-				*tf.field(s) = tf.value
-				selected[i], err = withSpec(e, s)
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "smartbench: -%s: %v\n", tf.name, err)
-				return 2
-			}
-		}
-		if !applied {
+		if !slices.ContainsFunc(selected, func(e *bench.Experiment) bool { return e.ID == tf.expID }) {
 			fmt.Fprintf(stderr, "smartbench: -%s only applies to the %s experiment; add %s to -exp\n",
 				tf.name, tf.expID, tf.expID)
 			return 2
 		}
-	}
-	// A spec that lowers joins the selection as one more experiment;
-	// from here on both CLI modes are the same loop over the same values.
-	if scenario != nil {
-		e, err := bench.FromSpec(scenario)
-		if err != nil {
-			fmt.Fprintf(stderr, "smartbench: -spec: %s: %v\n", *specPath, err)
+		if err := tf.parse(tf.value); err != nil {
+			fmt.Fprintf(stderr, "smartbench: -%s: %v\n", tf.name, err)
 			return 2
 		}
-		selected = append(selected, e)
+	}
+	for _, e := range selected {
+		if e.Validate == nil {
+			continue
+		}
+		if err := e.Validate(env); err != nil {
+			fmt.Fprintf(stderr, "smartbench: %s: %v\n", e.ID, err)
+			return 2
+		}
 	}
 
 	// -telemetry and -trace only make sense against instrumented
-	// experiments (or an instrumented spec scenario); reject empty
-	// selections up front rather than silently writing an empty
-	// document.
+	// experiments; reject empty selections up front rather than
+	// silently writing an empty document.
 	instrumented := 0
 	for _, e := range selected {
 		if e.Instrumented {
@@ -310,45 +249,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *telem != "" && instrumented == 0 {
-		if scenario != nil {
-			fmt.Fprintf(stderr, "smartbench: -telemetry needs an instrumented scenario; %q has no instrumented variant\n",
-				scenario.Scenario)
-			return 2
-		}
 		fmt.Fprintf(stderr, "smartbench: -telemetry needs an instrumented experiment; have: %s\n",
 			instrumentedIDs())
 		return 2
 	}
 	if *trace > 0 && instrumented != 1 {
-		if scenario != nil {
-			fmt.Fprintf(stderr, "smartbench: -trace follows a single instrumented run; scenario %q has no instrumented variant\n",
-				scenario.Scenario)
-			return 2
-		}
 		fmt.Fprintf(stderr, "smartbench: -trace follows a single instrumented run; select exactly one of: %s\n",
 			instrumentedIDs())
 		return 2
 	}
 
-	// A spec may only reference check groups that exist: -check against
-	// an unknown group would silently assert nothing.
-	if scenario != nil && *check {
-		for _, c := range scenario.Checks {
-			if len(bench.CheckNames(c)) == 0 {
-				fmt.Fprintf(stderr, "smartbench: -spec: no shape checks registered for group %q\n", c)
-				return 2
+	// An instrumented experiment fills a fresh registry (with -trace's
+	// event ring) during its one run.
+	telemetryWanted := *telem != "" || *trace > 0
+	envFor := func(e *bench.Experiment) bench.Env {
+		renv := env
+		if telemetryWanted && e.Instrumented {
+			renv.Telemetry = telemetry.New()
+			if *trace > 0 {
+				renv.Telemetry.EnableTrace(*trace)
 			}
 		}
+		return renv
 	}
 
-	// -dryrun runs the lowered spec on a probing sweeper: full
-	// enumeration (labels, seeds, counts), zero execution.
+	// -dryrun enumerates each experiment on a probing sweeper: its
+	// labels, seeds and count, with nothing executed.
 	if *dryrun {
-		points := 0
-		env.Sweeper = sweep.Probe(func(s *sweep.Set) { points += s.Len() })
-		selected[0].Run(env) // -spec excludes -exp: the spec is the whole selection
-		fmt.Fprintf(stdout, "smartbench: spec %s (%s scenario) enumerates %d points\n",
-			scenario.Name, scenario.Scenario, points)
+		for _, e := range selected {
+			points := 0
+			renv := envFor(e)
+			renv.Sweeper = sweep.Probe(func(s *sweep.Set) { points += s.Len() })
+			e.Run(renv)
+			fmt.Fprintf(stdout, "smartbench: %s enumerates %d points\n", e.ID, points)
+		}
 		return 0
 	}
 
@@ -414,7 +348,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Quick:     *quick,
 		Seed:      *seed,
 	}
-	telemetryWanted := *telem != "" || *trace > 0
 	telemDoc := &result.Document{
 		Generator: "smartbench-telemetry",
 		Paper:     doc.Paper,
@@ -438,15 +371,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			points++
 			fmt.Fprintf(progress, "[%s %d/%d %s]\n", e.ID, done, total, p.Label)
 		})
-		// An instrumented experiment fills a fresh registry (with
-		// -trace's event ring) during its one run.
-		renv := env
-		if telemetryWanted && e.Instrumented {
-			renv.Telemetry = telemetry.New()
-			if *trace > 0 {
-				renv.Telemetry.EnableTrace(*trace)
-			}
-		}
+		renv := envFor(e)
 		tables := e.Run(renv)
 		doc.Experiments = append(doc.Experiments, result.Experiment{
 			ID: e.ID, Title: e.Title, Tables: tables,
@@ -455,9 +380,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			result.Text(render, tables)
 		}
 		if *check {
-			for _, c := range e.Checks {
-				violations = append(violations, bench.Check(c, tables)...)
-			}
+			violations = append(violations, bench.Check(e.ID, tables)...)
 		}
 		if reg := renv.Telemetry; reg != nil {
 			ttables := reg.Tables("")
@@ -465,9 +388,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				ID: e.ID, Title: e.Title, Tables: ttables,
 			})
 			if *check {
-				for _, c := range e.Checks {
-					violations = append(violations, bench.CheckTelemetry(c, ttables)...)
-				}
+				violations = append(violations, bench.CheckTelemetry(e.ID, ttables)...)
 			}
 			if *trace > 0 {
 				reg.Trace().Write(progress)
@@ -581,22 +502,7 @@ func printList(w io.Writer) {
 	fmt.Fprintln(w, "to choose the swept arrival-process template; the batching")
 	fmt.Fprintln(w, "experiment accepts -batching <spec> (see internal/verbs) to")
 	fmt.Fprintln(w, "override the coalescing knobs its mode axis shares.")
-	fmt.Fprintln(w, "Alternatively, -spec <file.json> runs a declarative scenario spec")
-	fmt.Fprintln(w, "(see internal/spec and internal/bench/testdata/specs) instead of a")
-	fmt.Fprintln(w, "registered experiment; -dryrun prints its point count and exits.")
-}
-
-// withSpec returns a copy of the registered experiment e that runs s,
-// its own spec with a template overridden: ID, title and checks stay
-// e's, and the registry's value is not touched.
-func withSpec(e *bench.Experiment, s *spec.Spec) (*bench.Experiment, error) {
-	lowered, err := bench.FromSpec(s)
-	if err != nil {
-		return nil, err
-	}
-	override := *e
-	override.Run = lowered.Run
-	return &override, nil
+	fmt.Fprintln(w, "-dryrun prints each selected experiment's point count and exits.")
 }
 
 // instrumentedIDs lists the instrumented registered experiments, in ID

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,9 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/perf"
 	"repro/internal/result"
-	"repro/internal/spec"
+	"repro/internal/sweep"
 )
 
 // runCLI invokes run with captured output streams.
@@ -21,33 +23,11 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errBuf.String()
 }
 
-// goldenSpec resolves a checked-in golden spec file relative to this
-// package's test working directory.
-func goldenSpec(name string) string {
-	return filepath.Join("..", "..", "internal", "bench", "testdata", "specs", name)
-}
-
-// seedSpec resolves one of FuzzScenarioSpecParse's seed documents.
-func seedSpec(name string) string {
-	return filepath.Join("..", "..", "internal", "spec", "testdata", "seeds", name)
-}
-
 func TestUsageErrorsExit2(t *testing.T) {
-	// A serving spec without an overload point reads no registry, so it
-	// is not instrumented.
-	noOverload := filepath.Join(t.TempDir(), "serving_no_overload.json")
-	s, err := spec.Load(goldenSpec("serving_quick.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Serving.Overload = nil
-	data, err := s.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(noOverload, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// An MMPP template whose on-phase rate, rescaled to the lightest
+	// serving load (a quarter of the 1x8 topology's capacity), passes
+	// the arrival model's rate cap.
+	overCap := "mmpp:high=1000,low=0,on=1us,off=999us"
 	cases := []struct {
 		name string
 		args []string
@@ -76,16 +56,26 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"unwritable cpuprofile", []string{"-exp", "fig4", "-cpuprofile", "no/such/dir/cpu.prof"}, "-cpuprofile"},
 		{"unwritable memprofile", []string{"-exp", "fig4", "-memprofile", "no/such/dir/mem.prof"}, "-memprofile"},
 		{"missing perf baseline", []string{"-exp", "fig4", "-quick", "-perf-baseline", "no/such/baseline.json"}, "-perf-baseline"},
-		{"spec with exp", []string{"-spec", "x.json", "-exp", "fig3"}, "mutually exclusive"},
-		{"spec with quick", []string{"-spec", "x.json", "-quick"}, "does not apply to -spec runs"},
-		{"dryrun without spec", []string{"-dryrun", "-exp", "fig4"}, "-dryrun needs -spec"},
-		{"missing spec file", []string{"-spec", "no/such/spec.json"}, "-spec"},
-		{"arrival on micro spec", []string{"-spec", goldenSpec("fig3_quick.json"), "-arrival", "poisson:rate=4"}, "arrival only applies to serving scenarios"},
-		{"batching on serving spec", []string{"-spec", goldenSpec("serving_quick.json"), "-batching", "both"}, "batching does not apply to serving scenarios"},
-		{"malformed faults on spec", []string{"-spec", goldenSpec("fig3_quick.json"), "-faults", "explode@1ms-2ms"}, "unknown action"},
-		{"telemetry on uninstrumented spec", []string{"-spec", goldenSpec("fig3_quick.json"), "-telemetry", "t.json"}, "has no instrumented variant"},
-		{"trace on uninstrumented spec", []string{"-spec", goldenSpec("fig3_quick.json"), "-trace", "16"}, "has no instrumented variant"},
-		{"telemetry on serving spec without overload", []string{"-spec", noOverload, "-telemetry", "t.json"}, "has no instrumented variant"},
+		{"spec flag is gone", []string{"-spec", "x.json"}, "flag provided but not defined: -spec"},
+		{"arrival past the rate cap at some load", []string{"-exp", "serving", "-quick", "-arrival", overCap}, "at load"},
+		{"arrival past the rate cap, dryrun", []string{"-exp", "serving", "-quick", "-dryrun", "-arrival", overCap}, "at load"},
+		{"arrival past the rate cap among other experiments", []string{"-exp", "fig4,serving", "-quick", "-arrival", overCap}, "smartbench: serving: topology 1x8 at load 0.25: "},
+		// The default MMPP burst fits every quick load but not the full
+		// grid's heaviest: 2.5x the 4x32 topology's capacity.
+		{"default mmpp at full density", []string{"-exp", "serving", "-arrival", "mmpp"}, "topology 4x32 at load 2.5: "},
+		{"default mmpp at full density, dryrun", []string{"-exp", "serving", "-dryrun", "-arrival", "mmpp"}, "topology 4x32 at load 2.5: "},
+		{"arrival on a micro experiment", []string{"-exp", "fig3", "-arrival", "poisson:rate=4"}, "only applies to the serving experiment"},
+		{"batching on serving", []string{"-exp", "serving", "-batching", "both"}, "only applies to the batching experiment"},
+		{"faults on batching", []string{"-exp", "batching", "-faults", "default"}, "only applies to the chaos experiment"},
+		{"faults on batching, dryrun", []string{"-exp", "batching", "-dryrun", "-faults", "default"}, "only applies to the chaos experiment"},
+		{"malformed faults spec, dryrun", []string{"-exp", "chaos", "-dryrun", "-faults", "explode@1ms-2ms"}, "unknown action"},
+		{"malformed arrival spec, dryrun", []string{"-exp", "serving", "-dryrun", "-arrival", "weibull:rate=4"}, "unknown kind"},
+		{"malformed batching spec, dryrun", []string{"-exp", "batching", "-dryrun", "-batching", "turbo:batch=32"}, "unknown mode"},
+		{"batching spec with sharedcq, dryrun", []string{"-exp", "batching", "-dryrun", "-batching", "both:sharedcq"}, "unknown option"},
+		{"dryrun without experiment", []string{"-dryrun"}, "no experiment selected"},
+		{"dryrun with unknown experiment", []string{"-exp", "fig33", "-dryrun"}, "did you mean"},
+		{"telemetry without instrumented run, dryrun", []string{"-exp", "fig4", "-dryrun", "-telemetry", "t.json"}, "needs an instrumented experiment"},
+		{"trace across two instrumented runs, dryrun", []string{"-exp", "fig3,fig13", "-dryrun", "-trace", "16"}, "exactly one of"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -478,11 +468,12 @@ func TestChaosRunEndToEnd(t *testing.T) {
 // CI runs this test).
 func TestOverridesAreCallScoped(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the chaos and serving quick sweeps four times each")
+		t.Skip("runs the chaos, serving and batching quick sweeps four times each")
 	}
 	for _, tc := range []struct{ exp, flag, value string }{
 		{"chaos", "-faults", "delay@2ms-3ms:x=6;fail@3ms-4ms:kind=cas,p=0.7"},
 		{"serving", "-arrival", "mmpp"},
+		{"batching", "-batching", "both:batch=32"},
 	} {
 		t.Run(tc.exp, func(t *testing.T) {
 			base := []string{"-exp", tc.exp, "-quick", "-format", "json"}
@@ -516,107 +507,128 @@ func TestOverridesAreCallScoped(t *testing.T) {
 	}
 }
 
-// TestSpecFileErrorsExit2 pins the exit-2 discipline for spec files
-// that exist but are unusable: malformed JSON, schema violations, and
-// check groups no shape checks are registered for.
-func TestSpecFileErrorsExit2(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	badJSON := write("bad.json", "{ not json")
-	badSchema := write("schema.json", `{"spec":1,"name":"x","scenario":"quantum"}`)
-	badCheck := write("check.json", `{"spec":1,"name":"x","scenario":"micro","micro":{"profiles":[{"name":"b","policy":"per-thread-qp"}],"panels":[{"id":"p","title":"t","op":"read","x":"threads","threads":[8],"batch":[8],"seed":1}]},"checks":["nonesuch"]}`)
-	sharedCQ := write("sharedcq.json", `{"spec":1,"name":"x","scenario":"micro","batching":"coalesce:sharedcq","micro":{"profiles":[{"name":"b","policy":"per-thread-qp"}],"panels":[{"id":"p","title":"t","op":"read","x":"threads","threads":[8],"batch":[8],"seed":1}]}}`)
-
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"malformed json", []string{"-spec", badJSON}, "-spec"},
-		{"schema violation", []string{"-spec", badSchema}, "unknown scenario"},
-		{"unknown check group", []string{"-spec", badCheck, "-check"}, "no shape checks registered"},
-		{"sharedcq batching template", []string{"-spec", sharedCQ}, "unknown option"},
-		// Documents that parse but cannot run are usage errors too, with
-		// -dryrun (what TestSpecDryRunGoldens runs) and without it.
-		{"faults on batching", []string{"-spec", seedSpec("batching_faults.json")}, "faults only apply to micro scenarios"},
-		{"faults on batching, dryrun", []string{"-spec", seedSpec("batching_faults.json"), "-dryrun"}, "faults only apply to micro scenarios"},
-		{"faults flag on batching spec", []string{"-spec", goldenSpec("batching_quick.json"), "-faults", "default", "-dryrun"}, "faults only apply to micro scenarios"},
-		{"serving load past the arrival rate cap", []string{"-spec", seedSpec("serving_rate_over_cap.json")}, "topology 1x4 at load 5: serve: arrival: poisson rate 2000"},
-		{"serving load past the arrival rate cap, dryrun", []string{"-spec", seedSpec("serving_rate_over_cap.json"), "-dryrun"}, "topology 1x4 at load 5: serve: arrival: poisson rate 2000"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			code, _, stderr := runCLI(c.args...)
-			if code != 2 {
-				t.Fatalf("exit %d, want 2; stderr:\n%s", code, stderr)
-			}
-			if !strings.Contains(stderr, c.want) {
-				t.Errorf("stderr missing %q:\n%s", c.want, stderr)
-			}
-			if !strings.HasPrefix(stderr, "smartbench: -spec") || strings.Count(stderr, "\n") != 1 {
-				t.Errorf("want a one-line smartbench: -spec message, got:\n%s", stderr)
-			}
-		})
-	}
-
-	// Without -check the unknown group is dormant, so a -dryrun of the
-	// same spec is fine — the gate fires only when checks would run.
-	code, stdout, stderr := runCLI("-spec", badCheck, "-dryrun")
-	if code != 0 {
-		t.Errorf("dryrun without -check: exit %d; stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stdout, "enumerates") {
-		t.Errorf("dryrun stdout missing the point count:\n%s", stdout)
-	}
+// probeCount enumerates e on a probing sweeper, as -dryrun does, and
+// returns its point count.
+func probeCount(e *bench.Experiment, env bench.Env) int {
+	points := 0
+	env.Sweeper = sweep.Probe(func(s *sweep.Set) { points += s.Len() })
+	e.Run(env)
+	return points
 }
 
-// TestSpecDryRunGoldens is the golden-spec gate: `smartbench -spec FILE
-// -dryrun` over every checked-in golden spec, which must parse,
-// validate, and lower through the probing sweeper to a positive point
-// count without executing a point.
-func TestSpecDryRunGoldens(t *testing.T) {
-	files, err := filepath.Glob(goldenSpec("*.json"))
-	if err != nil {
-		t.Fatal(err)
+// dryRunCounts parses -dryrun's stdout: one "ID enumerates N points"
+// line per selected experiment, in selection order.
+func dryRunCounts(t *testing.T, stdout string) (ids []string, counts []int) {
+	t.Helper()
+	for _, line := range strings.Split(strings.TrimSuffix(stdout, "\n"), "\n") {
+		var id string
+		var points int
+		if _, err := fmt.Sscanf(line, "smartbench: %s enumerates %d points", &id, &points); err != nil {
+			t.Fatalf("dryrun line %q: %v", line, err)
+		}
+		ids = append(ids, id)
+		counts = append(counts, points)
 	}
-	if len(files) == 0 {
-		t.Fatal("no golden specs found")
+	return ids, counts
+}
+
+// TestDryRunCountsEveryExperiment pins -dryrun at both densities: every
+// registered experiment reports, one line each and in selection order,
+// the positive point count its sweeps enumerate on a probe, without a
+// point executing.
+func TestDryRunCountsEveryExperiment(t *testing.T) {
+	all := bench.All()
+	if len(all) != 21 {
+		t.Fatalf("%d registered experiments, want 21", len(all))
 	}
-	for _, f := range files {
-		t.Run(filepath.Base(f), func(t *testing.T) {
-			code, stdout, stderr := runCLI("-spec", f, "-dryrun")
+	for _, quick := range []bool{true, false} {
+		density, args := "full", []string{"-exp", "all", "-dryrun"}
+		if quick {
+			density, args = "quick", append(args, "-quick")
+		}
+		t.Run(density, func(t *testing.T) {
+			code, stdout, stderr := runCLI(args...)
 			if code != 0 {
 				t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
 			}
-			if !strings.Contains(stdout, "enumerates") || strings.Contains(stdout, "enumerates 0 points") {
-				t.Errorf("dryrun did not report a positive point count:\n%s", stdout)
+			ids, counts := dryRunCounts(t, stdout)
+			if len(ids) != len(all) {
+				t.Fatalf("%d dryrun lines, want %d:\n%s", len(ids), len(all), stdout)
+			}
+			for i, e := range all {
+				t.Run(e.ID, func(t *testing.T) {
+					want := probeCount(e, bench.Env{Quick: quick})
+					if ids[i] != e.ID || counts[i] != want || want <= 0 {
+						t.Errorf("line %d reports %s with %d points, want %s with %d (> 0)", i+1, ids[i], counts[i], e.ID, want)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestSpecRunEndToEnd runs the fig3 golden spec through the CLI with
-// checks and JSON output on two workers: the document must carry the
-// spec's name as its experiment ID and the panel tables the spec
-// declares, and those tables, substituted into the fig3 entry of
-// internal/bench's quick golden, must render its bytes. The golden was
-// written with a registry attached and on its own worker count, so this
-// registry-free run is the test binary's witness that neither a registry
-// nor the worker count moves a fig3 byte (CI's telemetry-determinism job
-// covers the other instrumented experiments).
-func TestSpecRunEndToEnd(t *testing.T) {
+// TestDryRunAcceptsTemplates runs -dryrun with valid -faults, -arrival
+// and -batching templates: each parses onto the Env, passes the
+// experiment's Validate at both densities (serving's rescales the
+// template to every load), and leaves the enumeration as it is — a
+// template changes what each point runs, not which points run.
+func TestDryRunAcceptsTemplates(t *testing.T) {
+	for _, tc := range []struct{ exp, flag, value string }{
+		{"chaos", "-faults", "default"},
+		{"chaos", "-faults", "delay@1ms-2ms"},
+		{"chaos", "-faults", "fail@0ns-1us:status=retry-exceeded"},
+		{"chaos", "-faults", "fail@2ms-4ms:kind=cas+faa,p=0.7,status=remote-access"},
+		{"chaos", "-faults", "drop@500us-900us:kind=read,drops=3,p=0.25"},
+		{"chaos", "-faults", "blackhole@3600us-4ms:kind=read+write,p=0.15"},
+		{"chaos", "-faults", "delay@2ms-3ms:x=6,kind=read+write;drop@3ms-3600us:drops=2,p=0.6"},
+		{"serving", "-arrival", "poisson"},
+		{"serving", "-arrival", "poisson:rate=0.25"},
+		{"serving", "-arrival", "mmpp:high=4,low=1,on=200us,off=600us"},
+		{"serving", "-arrival", "mmpp:high=2,low=0,on=1ms,off=1ms"},
+		{"serving", "-arrival", "trace:gaps=1us+2us+500ns"},
+		{"serving", "-arrival", "trace:gaps=1us"},
+		{"batching", "-batching", "off"},
+		{"batching", "-batching", "postlist"},
+		{"batching", "-batching", "coalesce"},
+		{"batching", "-batching", "both:batch=32"},
+		{"batching", "-batching", "coalesce:batch=32,deadline=4us"},
+		{"batching", "-batching", "both:batch=1,deadline=2000ns"},
+		{"batching", "-batching", "coalesce:deadline=50us"},
+	} {
+		t.Run(tc.exp+" "+tc.value, func(t *testing.T) {
+			for _, quick := range []bool{true, false} {
+				args := []string{"-exp", tc.exp, "-dryrun", tc.flag, tc.value}
+				if quick {
+					args = append(args, "-quick")
+				}
+				code, stdout, stderr := runCLI(args...)
+				if code != 0 {
+					t.Fatalf("quick=%v: exit %d, want 0; stderr:\n%s", quick, code, stderr)
+				}
+				ids, counts := dryRunCounts(t, stdout)
+				want := probeCount(bench.ByID(tc.exp), bench.Env{Quick: quick})
+				if len(ids) != 1 || ids[0] != tc.exp || counts[0] != want {
+					t.Errorf("quick=%v: dryrun reported %v with %v points, want %s with %d", quick, ids, counts, tc.exp, want)
+				}
+			}
+		})
+	}
+}
+
+// TestFig3RunEndToEnd runs fig3 through the CLI with checks and JSON
+// output on two workers and no registry: its tables, substituted into
+// the fig3 entry of internal/bench's quick golden, must render its
+// bytes. The golden was written with a registry attached and on its own
+// worker count, so this run is the test binary's witness that neither a
+// registry nor the worker count moves a fig3 byte (CI's
+// telemetry-determinism job covers the other instrumented experiments).
+func TestFig3RunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep")
 	}
-	out := filepath.Join(t.TempDir(), "spec.json")
+	out := filepath.Join(t.TempDir(), "fig3.json")
 	code, stdout, stderr := runCLI(
-		"-spec", goldenSpec("fig3_quick.json"), "-check",
+		"-exp", "fig3", "-quick", "-check",
 		"-format", "json", "-out", out, "-parallel", "2")
 	if code != 0 {
 		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
@@ -634,15 +646,10 @@ func TestSpecRunEndToEnd(t *testing.T) {
 	defer f.Close()
 	doc, err := result.ParseJSON(f)
 	if err != nil {
-		t.Fatalf("spec output is not valid JSON: %v", err)
+		t.Fatalf("fig3 output is not valid JSON: %v", err)
 	}
-	if len(doc.Experiments) != 1 || doc.Experiments[0].ID != "fig3-quick" {
-		t.Fatalf("experiments = %+v, want one fig3-quick entry", doc.Experiments)
-	}
-	for _, id := range []string{"fig3-read", "fig3-write"} {
-		if result.Find(doc.Experiments[0].Tables, id) == nil {
-			t.Errorf("spec document missing table %q", id)
-		}
+	if len(doc.Experiments) != 1 || doc.Experiments[0].ID != "fig3" {
+		t.Fatalf("experiments = %+v, want one fig3 entry", doc.Experiments)
 	}
 	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "bench", "testdata", "quick.json"))
 	if err != nil {
@@ -666,41 +673,6 @@ func TestSpecRunEndToEnd(t *testing.T) {
 		var g, w bytes.Buffer
 		result.Text(&g, doc.Experiments[0].Tables)
 		result.Text(&w, fig3)
-		t.Errorf("spec tables drifted from the fig3 entry of the quick golden:\n--- got\n%s\n--- want\n%s", g.String(), w.String())
-	}
-}
-
-// TestSpecTelemetryEndToEnd exercises the spec path's instrumented
-// branch: the serving golden spec with -telemetry must write a second
-// document harvested from the overload point's registry.
-func TestSpecTelemetryEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the serving sweep twice")
-	}
-	dir := t.TempDir()
-	telem := filepath.Join(dir, "telem.json")
-	code, _, stderr := runCLI(
-		"-spec", goldenSpec("serving_quick.json"),
-		"-format", "json", "-out", filepath.Join(dir, "out.json"), "-telemetry", telem)
-	if code != 0 {
-		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
-	}
-	f, err := os.Open(telem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	doc, err := result.ParseJSON(f)
-	if err != nil {
-		t.Fatalf("telemetry output is not valid JSON: %v", err)
-	}
-	if doc.Generator != "smartbench-telemetry" {
-		t.Errorf("generator = %q, want smartbench-telemetry", doc.Generator)
-	}
-	if len(doc.Experiments) != 1 || doc.Experiments[0].ID != "serving-quick" {
-		t.Fatalf("telemetry experiments = %+v, want one serving-quick entry", doc.Experiments)
-	}
-	if result.Find(doc.Experiments[0].Tables, "counters") == nil {
-		t.Error("telemetry document missing the counters table")
+		t.Errorf("fig3 tables drifted from the fig3 entry of the quick golden:\n--- got\n%s\n--- want\n%s", g.String(), w.String())
 	}
 }

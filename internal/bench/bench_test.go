@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/arrival"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -24,6 +26,55 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if ByID("nope") != nil {
 		t.Error("unknown ID resolved")
+	}
+}
+
+// TestServingValidate pins the one Validate hook: it rescales the
+// arrival template to every point's load and refuses the first point
+// that lands past the arrival rate cap, naming it. The default template
+// passes at both densities; the default MMPP burst passes the quick
+// grid but not the full grid's heaviest load; a 1000x on-phase over a
+// mean of 1 op/us already breaks the lightest quick load.
+func TestServingValidate(t *testing.T) {
+	e := ByID("serving")
+	for _, tc := range []struct {
+		template        string // "" = the calibrated Poisson default
+		wantQ, wantFull string // "" = accepted, else the error's prefix
+	}{
+		{"", "", ""},
+		{"poisson", "", ""},
+		{"poisson:rate=0.25", "", ""},
+		{"mmpp", "", "topology 4x32 at load 2.5: "},
+		{"mmpp:high=4,low=1,on=200us,off=600us", "", ""},
+		{"mmpp:high=1000,low=0,on=1us,off=999us", "topology 1x8 at load 0.25: ", "topology 1x8 at load 0.25: "},
+		{"trace:gaps=1us+2us+500ns", "", ""},
+		{"trace:gaps=1us", "", ""},
+	} {
+		name := tc.template
+		if name == "" {
+			name = "default"
+		}
+		t.Run(name, func(t *testing.T) {
+			var a *arrival.Spec
+			if tc.template != "" {
+				var err error
+				if a, err = arrival.Parse(tc.template); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, d := range []struct {
+				quick bool
+				want  string
+			}{{true, tc.wantQ}, {false, tc.wantFull}} {
+				err := e.Validate(Env{Quick: d.quick, Arrival: a})
+				switch {
+				case d.want == "" && err != nil:
+					t.Errorf("quick=%v: rejected: %v", d.quick, err)
+				case d.want != "" && (err == nil || !strings.HasPrefix(err.Error(), d.want)):
+					t.Errorf("quick=%v: Validate = %v, want an error starting %q", d.quick, err, d.want)
+				}
+			}
+		})
 	}
 }
 

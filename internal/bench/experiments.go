@@ -3,12 +3,13 @@ package bench
 import (
 	"sort"
 
+	"repro/internal/arrival"
 	"repro/internal/fault"
 	"repro/internal/result"
 	"repro/internal/sim"
-	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
+	"repro/internal/verbs"
 )
 
 // Env is everything an experiment's Run takes from its caller — the
@@ -27,20 +28,19 @@ type Env struct {
 	// wrappers and the shape-check gate); the full sweep is the CLI
 	// default.
 	Quick bool
-	// Faults is the chaos experiment's injected plan (-faults; nil
-	// means fault.Default()). It is the one template Env carries,
-	// because chaos has no spec for it to ride in: -arrival and
-	// -batching are fields of the serving and batching specs.
-	Faults *fault.Plan
-	// probes hands a registry to the micro points with these labels:
-	// runMicroPanels copies each into its point's config. fig3 and
-	// fig13 are spec-lowered, so this is how their runners attach
-	// telemetry to points they do not build.
-	probes map[string]*telemetry.Registry
+	// The three templates, each parsed by its own grammar and read by
+	// one experiment. Faults is chaos's injected plan (-faults; nil
+	// means fault.Default()). Arrival is the arrival process serving
+	// rescales per point (-arrival; nil means the calibrated Poisson
+	// default). Batching holds the batch=/deadline= overrides the
+	// batching ablation applies to its swept modes (-batching; the
+	// zero value keeps the sweep's defaults).
+	Faults   *fault.Plan
+	Arrival  *arrival.Spec
+	Batching verbs.Batching
 }
 
-// Experiment is one reproducible table or figure from the paper, or
-// what FromSpec makes of a scenario spec.
+// Experiment is one reproducible table or figure from the paper.
 type Experiment struct {
 	ID    string
 	Title string
@@ -54,15 +54,11 @@ type Experiment struct {
 	// experiments never read env.Telemetry, so callers gate on this
 	// field.
 	Instrumented bool
-	// Checks names the shape-check groups that apply to the tables
-	// (default: the experiment's own ID).
-	Checks []string
-	// Spec, when set, builds the experiment's sweep as data at the
-	// given density, and Run is that spec lowered through FromSpec
-	// (register derives it when Run is left nil) — so the CLI's
-	// -arrival/-batching apply by setting a field on a fresh spec,
-	// exactly as they override a -spec file.
-	Spec func(quick bool) *spec.Spec
+	// Validate, when set, reports an env that some point of Run could
+	// not execute, so the caller can refuse it before any sweep time is
+	// spent. Only serving sets it: an -arrival template can be rescaled
+	// past the arrival model's rate cap.
+	Validate func(env Env) error
 	// Run executes the experiment and returns its typed tables (one
 	// per panel). The body enumerates the sweep's points through a
 	// grid (grid.go) and executes them on env.Sweeper — points run on
@@ -81,12 +77,6 @@ var registry = map[string]*Experiment{}
 func register(e *Experiment) {
 	if e.Category == "" {
 		e.Category = "figures"
-	}
-	if e.Checks == nil {
-		e.Checks = []string{e.ID}
-	}
-	if e.Run == nil {
-		e.Run = func(env Env) []result.Table { return runSpec(e.Spec, env) }
 	}
 	registry[e.ID] = e
 }

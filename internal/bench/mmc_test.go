@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/arrival"
 	"repro/internal/serve"
-	"repro/internal/spec"
 )
 
 func TestErlangFormulas(t *testing.T) {
@@ -63,13 +61,10 @@ func TestServingKneeMatchesErlangC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serving runs in -short")
 	}
-	topo := spec.Topo{Runtimes: 1, Threads: 8}
-	sv := servingSpec(true).Serving
-	nominal := servingNominal(sv, topo) // ops/us
+	small := topo{1, 8}
+	nominal := small.nominal() // ops/us
 	run := func(frac float64) serve.Result {
-		aspec := (&arrival.Spec{Kind: arrival.KindPoisson, Rate: 4}).
-			WithMeanRate(frac * nominal)
-		return servingSectionConfig(sv, topo, aspec).run(sv.Seed, true)
+		return servingConfig(small, servingTemplate(Env{}), frac).run(servingSeed, true)
 	}
 	sub := run(0.5)  // comfortably below the knee
 	near := run(0.8) // approaching it
@@ -78,7 +73,7 @@ func TestServingKneeMatchesErlangC(t *testing.T) {
 	// The station: c parallel servers (threads x worker coroutines),
 	// per-server rate from the measured sub-knee mean service time
 	// (ns -> ops/us).
-	c := topo.Threads * 4
+	c := small.threads * 4
 	if sub.Service.Mean <= 0 {
 		t.Fatalf("no service samples at 0.5x load")
 	}

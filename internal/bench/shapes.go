@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/result"
@@ -704,29 +703,4 @@ func Check(id string, tables []result.Table) []Violation {
 // over its *instrumented-variant* tables.
 func CheckTelemetry(id string, tables []result.Table) []Violation {
 	return runChecks(telemetryShapeChecks, id, tables)
-}
-
-// CheckNames returns the names of the checks registered for id.
-func CheckNames(id string) []string {
-	var out []string
-	for _, c := range shapeChecks {
-		if c.exp == id {
-			out = append(out, c.name)
-		}
-	}
-	return out
-}
-
-// CheckedExperiments returns the IDs that have shape checks, sorted.
-func CheckedExperiments() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range shapeChecks {
-		if !seen[c.exp] {
-			seen[c.exp] = true
-			out = append(out, c.exp)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

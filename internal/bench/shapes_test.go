@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -94,7 +95,7 @@ func TestCheckRegistry(t *testing.T) {
 	total := 0
 	seen := map[string]bool{}
 	for _, id := range required {
-		names := CheckNames(id)
+		names := checkNames(id)
 		if len(names) == 0 {
 			t.Errorf("experiment %s has no shape checks", id)
 		}
@@ -112,11 +113,11 @@ func TestCheckRegistry(t *testing.T) {
 	if total < 10 {
 		t.Errorf("only %d shape checks registered, want >= 10", total)
 	}
-	if got := CheckedExperiments(); len(got) != len(required) {
-		t.Errorf("CheckedExperiments() = %v", got)
+	if got := checkedExperiments(); len(got) != len(required) {
+		t.Errorf("checkedExperiments() = %v", got)
 	}
 	// Every checked ID must be a registered experiment.
-	for _, id := range CheckedExperiments() {
+	for _, id := range checkedExperiments() {
 		if ByID(id) == nil {
 			t.Errorf("checks reference unknown experiment %q", id)
 		}
@@ -194,4 +195,29 @@ func TestCheckPredicatesOnSyntheticTables(t *testing.T) {
 	if !found {
 		t.Errorf("expected fig4/thrash-halves-96x32 violation, got %v", vs)
 	}
+}
+
+// checkNames returns the names of the checks registered for id.
+func checkNames(id string) []string {
+	var out []string
+	for _, c := range shapeChecks {
+		if c.exp == id {
+			out = append(out, c.name)
+		}
+	}
+	return out
+}
+
+// checkedExperiments returns the IDs that have shape checks, sorted.
+func checkedExperiments() []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, c := range shapeChecks {
+		if !seen[c.exp] {
+			seen[c.exp] = true
+			out = append(out, c.exp)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

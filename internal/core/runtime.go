@@ -110,9 +110,6 @@ func (rt *Runtime) open() *verbs.Context {
 	return ctx
 }
 
-// Contexts returns the runtime's device contexts in creation order.
-func (rt *Runtime) Contexts() []*verbs.Context { return rt.ctxs }
-
 // MustNew is New that panics on error, for benchmarks and examples.
 func MustNew(nic *rnic.RNIC, targets []verbs.Target, nThreads int, opts Options) *Runtime {
 	rt, err := New(nic, targets, nThreads, opts)

@@ -76,12 +76,6 @@ func Create(targets []verbs.Target, cfg Config) *Table {
 	return t
 }
 
-// Config returns the effective configuration.
-func (t *Table) Config() Config { return t.cfg }
-
-// Targets returns the memory blades backing the table.
-func (t *Table) Targets() []verbs.Target { return t.targets }
-
 func (t *Table) mem(bladeID int) *blade.Blade {
 	for _, tgt := range t.targets {
 		if tgt.Mem.ID == bladeID {

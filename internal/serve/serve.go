@@ -134,9 +134,10 @@ func (q *queue) pop() request {
 	return r
 }
 
-// Validate reports a configuration Run cannot execute. Spec lowering
-// (bench.FromSpec) calls it for every point up front, so a bad document
-// is a usage error rather than a panicking sweep point.
+// Validate reports a configuration Run cannot execute. The serving
+// experiment's Validate calls it for every point up front, so a bad
+// -arrival template is a usage error rather than a panicking sweep
+// point.
 func (cfg Config) Validate() error {
 	if cfg.Runtimes < 1 || cfg.ThreadsPerRuntime < 1 {
 		return fmt.Errorf("serve: need at least one runtime and one thread")

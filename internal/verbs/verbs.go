@@ -131,12 +131,11 @@ type cqWaiter struct {
 	need int
 }
 
-// CQ is a completion queue. Completion entries are delivered by the
-// card model; consumers either Poll (non-blocking) or block in WaitN.
-// Work requests with an OnComplete callback bypass the entry buffer
-// entirely — that is how SMART's per-thread CQ-polling coroutine is
-// modeled (the framework routes each completion straight to the
-// owning coroutine).
+// CQ is a completion queue. The simulator's framework and applications
+// complete every work request through its OnComplete callback, which
+// bypasses the entry buffer. Only a WR without one leaves a CQE here for
+// Poll (non-blocking) or WaitN (blocking); the one users of that are
+// perf's doorbell kernel path and e2ebench's ladder.
 type CQ struct {
 	eng     *sim.Engine
 	entries []CQE
