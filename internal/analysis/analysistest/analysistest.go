@@ -16,12 +16,7 @@ package analysistest
 
 import (
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -33,16 +28,13 @@ import (
 	"repro/internal/analysis/framework"
 )
 
-// The FileSet and stdlib source importer are shared by every Run call
-// in a test binary: the source importer re-type-checks $GOROOT/src on
-// first use of each package, which costs seconds, so the cache must
+// One loader per testdata directory is shared by every Run call in a
+// test binary: its stdlib source importer re-type-checks $GOROOT/src
+// on first use of each package, which costs seconds, so the cache must
 // outlive a single fixture package.
 var (
-	mu       sync.Mutex
-	fset     = token.NewFileSet()
-	stdOnce  sync.Once
-	stdImp   types.Importer
-	fixtures = make(map[string]*types.Package)
+	mu      sync.Mutex
+	loaders = make(map[string]*framework.Loader)
 )
 
 // Run loads each fixture package under testdata/src and reports, via
@@ -76,8 +68,12 @@ func RunSuite(t *testing.T, testdata string, suite *framework.Suite, pkgs ...str
 
 func runOne(t *testing.T, testdata, name, pkgPath string, run func(*framework.Package) ([]framework.Diagnostic, error)) {
 	t.Helper()
-	imp := &fixtureImporter{testdata: testdata}
-	pkg, err := imp.load(pkgPath)
+	ld, ok := loaders[testdata]
+	if !ok {
+		ld = framework.NewSrcLoader(filepath.Join(testdata, "src"))
+		loaders[testdata] = ld
+	}
+	pkg, err := ld.Load(pkgPath)
 	if err != nil {
 		t.Errorf("%s: loading fixture %s: %v", name, pkgPath, err)
 		return
@@ -96,7 +92,7 @@ func runOne(t *testing.T, testdata, name, pkgPath string, run func(*framework.Pa
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				pos := fset.Position(c.Pos())
+				pos := pkg.Fset.Position(c.Pos())
 				for _, pat := range wantPatterns(t, pos, c.Text) {
 					k := key{pos.Filename, pos.Line}
 					wants[k] = append(wants[k], pat)
@@ -106,7 +102,7 @@ func runOne(t *testing.T, testdata, name, pkgPath string, run func(*framework.Pa
 	}
 
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
+		pos := pkg.Fset.Position(d.Pos)
 		k := key{pos.Filename, pos.Line}
 		matched := false
 		for i, pat := range wants[k] {
@@ -169,74 +165,3 @@ func wantPatterns(t *testing.T, pos token.Position, text string) []*regexp.Regex
 }
 
 var stringLits = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
-
-// fixtureImporter resolves fixture-local packages from testdata/src
-// and delegates everything else to the shared stdlib source importer.
-type fixtureImporter struct {
-	testdata string
-	loading  map[string]bool
-}
-
-func (imp *fixtureImporter) Import(path string) (*types.Package, error) {
-	dir := filepath.Join(imp.testdata, "src", path)
-	if st, err := os.Stat(dir); err == nil && st.IsDir() {
-		if tpkg, ok := fixtures[dir]; ok {
-			return tpkg, nil
-		}
-		if imp.loading[path] {
-			return nil, fmt.Errorf("fixture import cycle through %s", path)
-		}
-		pkg, err := imp.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	stdOnce.Do(func() { stdImp = importer.ForCompiler(fset, "source", nil) })
-	return stdImp.Import(path)
-}
-
-// load parses and type-checks one fixture package.
-func (imp *fixtureImporter) load(pkgPath string) (*framework.Package, error) {
-	if imp.loading == nil {
-		imp.loading = make(map[string]bool)
-	}
-	imp.loading[pkgPath] = true
-	defer delete(imp.loading, pkgPath)
-
-	dir := filepath.Join(imp.testdata, "src", pkgPath)
-	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil || len(names) == 0 {
-		return nil, fmt.Errorf("no fixture files in %s (%v)", dir, err)
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking fixture %s: %v", pkgPath, err)
-	}
-	fixtures[dir] = tpkg
-	return &framework.Package{
-		PkgPath: pkgPath,
-		Dir:     dir,
-		Fset:    fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-	}, nil
-}

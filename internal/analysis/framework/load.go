@@ -65,22 +65,15 @@ func LoadModule(dir string, includeTests bool, patterns ...string) ([]*Package, 
 	if err != nil {
 		return nil, err
 	}
-	ld := &loader{
-		dir:          dir,
-		fset:         token.NewFileSet(),
-		mod:          make(map[string]*listedPkg),
-		withTests:    make(map[string]bool),
-		cache:        make(map[string]*Package),
-		building:     make(map[string]bool),
-		includeTests: includeTests,
-	}
+	mod := make(map[string]*listedPkg)
 	for _, p := range universe {
 		if !p.Standard {
-			ld.mod[p.ImportPath] = p
+			mod[p.ImportPath] = p
 		}
 	}
+	ld := newLoader(dir, func(path string) *listedPkg { return mod[path] })
 	for _, p := range targets {
-		ld.mod[p.ImportPath] = p
+		mod[p.ImportPath] = p
 		// Target packages are built exactly once, with their
 		// in-package test files compiled in, whether they are reached
 		// first as an analysis target or as an import of one: a
@@ -90,7 +83,7 @@ func LoadModule(dir string, includeTests bool, patterns ...string) ([]*Package, 
 
 	var out []*Package
 	for _, p := range targets {
-		pkg, err := ld.get(p.ImportPath)
+		pkg, err := ld.Load(p.ImportPath)
 		if err != nil {
 			return nil, err
 		}
@@ -134,30 +127,60 @@ func goList(dir string, args []string) ([]*listedPkg, error) {
 	return pkgs, nil
 }
 
-// loader type-checks module packages on demand, memoizing results so
-// each package is checked exactly once per LoadModule call.
-type loader struct {
-	dir          string
-	fset         *token.FileSet
-	mod          map[string]*listedPkg
-	withTests    map[string]bool
-	cache        map[string]*Package
-	building     map[string]bool
-	includeTests bool
-	std          types.Importer
+// A Loader type-checks packages on demand, memoizing results so each
+// package is checked exactly once per Loader. Its find function
+// resolves an import path to the package's files; a path find does not
+// know is the standard library's, which the stdlib source importer
+// type-checks from $GOROOT/src.
+type Loader struct {
+	dir       string
+	fset      *token.FileSet
+	find      func(path string) *listedPkg // nil: not one of the loader's packages
+	withTests map[string]bool
+	cache     map[string]*Package
+	building  map[string]bool
+	std       types.Importer
 }
 
-// get returns the memoized build of a module package, checking it on
-// first use. It returns (nil, nil) for a package with no compilable
-// files (e.g. a directory holding only external tests when tests are
-// excluded).
-func (l *loader) get(path string) (*Package, error) {
+func newLoader(dir string, find func(path string) *listedPkg) *Loader {
+	return &Loader{
+		dir:       dir,
+		fset:      token.NewFileSet(),
+		find:      find,
+		withTests: make(map[string]bool),
+		cache:     make(map[string]*Package),
+		building:  make(map[string]bool),
+	}
+}
+
+// NewSrcLoader returns a Loader for analyzer fixtures, laid out as a
+// GOPATH src tree: import path p is the package in src/p, made of its
+// *.go files in name order; any other path is the standard library's.
+func NewSrcLoader(src string) *Loader {
+	return newLoader(src, func(path string) *listedPkg {
+		dir := filepath.Join(src, path)
+		names, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		if len(names) == 0 {
+			return nil
+		}
+		for i, name := range names {
+			names[i] = filepath.Base(name)
+		}
+		return &listedPkg{Dir: dir, GoFiles: names}
+	})
+}
+
+// Load returns the memoized build of one of the loader's packages,
+// checking it on first use. It returns (nil, nil) for a package with no
+// compilable files (e.g. a directory holding only external tests when
+// tests are excluded).
+func (l *Loader) Load(path string) (*Package, error) {
 	if pkg, ok := l.cache[path]; ok {
 		return pkg, nil
 	}
-	p, ok := l.mod[path]
-	if !ok {
-		return nil, fmt.Errorf("unknown module package %s", path)
+	p := l.find(path)
+	if p == nil {
+		return nil, fmt.Errorf("unknown package %s", path)
 	}
 	if l.building[path] {
 		return nil, fmt.Errorf("import cycle through %s", path)
@@ -174,14 +197,14 @@ func (l *loader) get(path string) (*Package, error) {
 }
 
 // Import implements types.Importer.
-func (l *loader) Import(path string) (*types.Package, error) {
-	if _, ok := l.mod[path]; ok {
-		pkg, err := l.get(path)
+func (l *Loader) Import(path string) (*types.Package, error) {
+	if l.find(path) != nil {
+		pkg, err := l.Load(path)
 		if err != nil {
 			return nil, err
 		}
 		if pkg == nil {
-			return nil, fmt.Errorf("module package %s has no compilable Go files", path)
+			return nil, fmt.Errorf("package %s has no compilable Go files", path)
 		}
 		return pkg.Types, nil
 	}
@@ -195,7 +218,7 @@ func (l *loader) Import(path string) (*types.Package, error) {
 }
 
 // check parses and type-checks one package from explicit files.
-func (l *loader) check(pkgPath, dir string, filenames []string) (*Package, error) {
+func (l *Loader) check(pkgPath, dir string, filenames []string) (*Package, error) {
 	l.building[pkgPath] = true
 	defer delete(l.building, pkgPath)
 

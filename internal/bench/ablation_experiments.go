@@ -35,7 +35,7 @@ func init() {
 				// raises medium DBs to min(threads, MaxDoorbells).
 				p := rnic.Default()
 				p.MaxDoorbells = n
-				p.DefaultMediumDBs = minInt(n, p.DefaultMediumDBs)
+				p.DefaultMediumDBs = min(n, p.DefaultMediumDBs)
 				add(g, fmt.Sprintf("abl-db/n=%d", n), 41,
 					MicroConfig{
 						Opts: core.Baseline(core.PerThreadDoorbell), Threads: 96, Batch: 8,
@@ -202,11 +202,4 @@ func init() {
 			return g.run()
 		},
 	})
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

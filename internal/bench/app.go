@@ -8,7 +8,6 @@ import (
 	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // app describes one closed-loop point to runApp: how big a cluster it
@@ -21,7 +20,12 @@ type app struct {
 	cluster cluster.Config // blade counts, memory kind and size, seed
 	threads int            // per compute blade; zero = 16
 	coros   int            // coroutines per thread; zero = the runtime's Depth
-	opts    core.Options   // as the runtimes get them; the applications apply ScaleAdaptation first
+
+	// opts is what every runtime gets (the applications apply
+	// ScaleAdaptation first). Its Telemetry, when set, receives every
+	// runtime's instrumentation; with several compute blades each one's
+	// names are prefixed "b<i>/".
+	opts core.Options
 
 	warmup, measure sim.Time // zero = 5 ms / 4 ms
 
@@ -29,10 +33,6 @@ type app struct {
 	// operations per microsecond in aggregate: each coroutine spaces
 	// its operations so that all of them together hit the target.
 	targetRate float64
-
-	// telemetry, when set, receives every runtime's instrumentation;
-	// with several compute blades each one's names are prefixed "b<i>/".
-	telemetry *telemetry.Registry
 
 	// faults, when set, is installed on every compute blade's RNIC for
 	// the whole run. nil keeps the cards byte-identical to the
@@ -117,7 +117,6 @@ func runApp(a app) appResult {
 		a.measure = 4 * sim.Millisecond
 	}
 	horizon := a.warmup + a.measure
-	a.opts.Telemetry = a.telemetry
 
 	cl := cluster.New(a.cluster)
 	defer cl.Stop()
@@ -150,7 +149,7 @@ func runApp(a app) appResult {
 	runtimes := make([]*core.Runtime, len(cl.Computes))
 	tasks := 0
 	for b, comp := range cl.Computes {
-		if a.telemetry != nil && len(cl.Computes) > 1 {
+		if a.opts.Telemetry != nil && len(cl.Computes) > 1 {
 			a.opts.TelemetryPrefix = fmt.Sprintf("b%d/", b)
 		}
 		rt := core.MustNew(comp.NIC, cl.Targets(), a.threads, a.opts)
@@ -199,7 +198,7 @@ func runApp(a app) appResult {
 	failed, nic := snapshot()
 	for _, rt := range runtimes {
 		rt.Stop()
-		rt.Collect(a.telemetry)
+		rt.Collect(a.opts.Telemetry)
 	}
 
 	sum := lat.Summary()

@@ -302,8 +302,10 @@ time (us)      t0     t1      t2     t3     t4     t5      t6      t7
 func TestAppHarnessTelemetryPrefix(t *testing.T) {
 	harvest := func(computeBlades int) *telemetry.Registry {
 		reg := telemetry.New()
-		RunHT(HTConfig{Opts: core.Smart(), ComputeBlades: computeBlades, ThreadsPerBlade: 2, Keys: 2_000,
-			Mix: workload.WriteHeavy, Seed: 3, Telemetry: reg,
+		opts := core.Smart()
+		opts.Telemetry = reg
+		RunHT(HTConfig{Opts: opts, ComputeBlades: computeBlades, ThreadsPerBlade: 2, Keys: 2_000,
+			Mix: workload.WriteHeavy, Seed: 3,
 			Warmup: 100 * sim.Microsecond, Measure: 200 * sim.Microsecond})
 		return reg
 	}

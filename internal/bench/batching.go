@@ -22,10 +22,11 @@ import (
 // batchingFor builds one swept point's batching config: the mode's
 // postlist/coalesce bits, the point's coalesce threshold, and the knob
 // template's overrides. The template is env.Batching (which -batching
-// sets): its batch=/deadline= values override the sweep's defaults for
-// the batched mode variants (the mode axis itself is what the ablation
-// sweeps, so the template's mode bits are ignored). The shape checks
-// are calibrated against the zero template.
+// sets): a batch= or deadline= it names overrides the sweep's value
+// for the batched mode variants, and a knob it leaves unset keeps the
+// sweep's threshold and the runtime's default deadline (the mode axis
+// itself is what the ablation sweeps, so the template's mode bits are
+// ignored). The shape checks are calibrated against the zero template.
 func batchingFor(knobs, mode verbs.Batching, coalesceBatch int) verbs.Batching {
 	b := mode
 	if b.Coalesce {
@@ -33,11 +34,9 @@ func batchingFor(knobs, mode verbs.Batching, coalesceBatch int) verbs.Batching {
 		if knobs.CoalesceBatch > 0 {
 			b.CoalesceBatch = knobs.CoalesceBatch
 		}
-		if knobs.FlushDeadline > 0 {
-			b.FlushDeadline = knobs.FlushDeadline
-		}
+		b.FlushDeadline = knobs.FlushDeadline
 	}
-	return b.WithDefaults()
+	return b
 }
 
 // batchingModes returns the ablation's mode axis (a func, not a
@@ -102,8 +101,9 @@ func runBatching(env Env) []result.Table {
 			probe := telemetry.New()
 			opts := core.Baseline(core.PerThreadQP)
 			opts.Batching = batchingFor(env.Batching, m.b, b)
+			opts.Telemetry = probe
 			add(g, fmt.Sprintf("batching/depth/%s/b=%d", m.name, b), 47,
-				MicroConfig{Opts: opts, Threads: fixedThreads, Batch: b, Op: rnic.OpRead, Telemetry: probe},
+				MicroConfig{Opts: opts, Threads: fixedThreads, Batch: b, Op: rnic.OpRead},
 				func(r MicroResult) {
 					depth.Add(m.name, float64(b), r.MOPS)
 					contended := probe.Value("db/contended-total")

@@ -7,6 +7,7 @@ import (
 	"repro/internal/arrival"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/verbs"
 	"repro/internal/workload"
 )
 
@@ -141,5 +142,33 @@ func TestScaleAdaptationPreservesExplicit(t *testing.T) {
 	s2 := ScaleAdaptation(core.Smart())
 	if s2.UpdateDelta == 0 || s2.RetryWindow == 0 {
 		t.Fatal("defaults not applied")
+	}
+}
+
+// TestBatchingTemplateKeepsSweptThreshold pins that a -batching
+// template overrides only the knobs it names: a spec without batch=
+// leaves every swept point's coalesce threshold where the zero template
+// puts it, and a deadline= reaches the point as written.
+func TestBatchingTemplateKeepsSweptThreshold(t *testing.T) {
+	for _, spec := range []string{"coalesce", "both", "coalesce:deadline=4us"} {
+		knobs, err := verbs.ParseBatching(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range batchingModes() {
+			// The depth grid; it holds the thread and C_max panels'
+			// thresholds (16 and 8) too.
+			for _, b := range []int{2, 4, 8, 16, 32} {
+				got, want := batchingFor(knobs, m.b, b), batchingFor(verbs.Batching{}, m.b, b)
+				if got.CoalesceBatch != want.CoalesceBatch {
+					t.Errorf("-batching %s, %s, batch %d: CoalesceBatch %d, want %d",
+						spec, m.name, b, got.CoalesceBatch, want.CoalesceBatch)
+				}
+				if m.b.Coalesce && got.FlushDeadline != knobs.FlushDeadline {
+					t.Errorf("-batching %s, %s, batch %d: FlushDeadline %d, want %d",
+						spec, m.name, b, got.FlushDeadline, knobs.FlushDeadline)
+				}
+			}
+		}
 	}
 }

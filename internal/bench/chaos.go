@@ -85,10 +85,10 @@ func (c chaosPoint) run(seed int64, quick bool) []chaosSamplePoint {
 	opts := core.Baseline(core.PerThreadDoorbell)
 	opts.WRTimeout = 300 * sim.Microsecond
 	opts.MaxWRRetries = 3
+	opts.Telemetry = c.reg
 	cfg := MicroConfig{
 		Opts: opts, Threads: threads, Batch: 8, Op: rnic.OpRead,
 		Warmup: c.warmup, Measure: c.horizon - c.warmup,
-		Telemetry:   c.reg,
 		SampleEvery: chaosSample,
 		OnSample: func(now sim.Time, snap rnic.Counters) {
 			samples = append(samples, chaosSamplePoint{now, snap.Completed})
@@ -225,14 +225,14 @@ func runStorm(quick bool, seed int64, reg *telemetry.Registry, plan *fault.Plan,
 			// reposted by Sync — it surfaces to BackoffCASSync as an
 			// unsuccessful attempt and feeds γ.
 			WRTimeout:       100 * sim.Microsecond,
+			Telemetry:       reg,
 			TelemetryPrefix: "storm/",
 		},
 		// The storm reports lifetime trajectories, not a window, so only
 		// the sum of the two matters.
-		warmup:    horizon / 2,
-		measure:   horizon - horizon/2,
-		telemetry: reg,
-		faults:    plan,
+		warmup:  horizon / 2,
+		measure: horizon - horizon/2,
+		faults:  plan,
 		load: func(cl *cluster.Cluster) newBladeFunc {
 			region := cl.Memories[0].Mem.Alloc(8 * stormHotSlots)
 			return func(int, *core.Runtime) newCoroFunc {

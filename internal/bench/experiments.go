@@ -33,8 +33,9 @@ type Env struct {
 	// means fault.Default()). Arrival is the arrival process serving
 	// rescales per point (-arrival; nil means the calibrated Poisson
 	// default). Batching holds the batch=/deadline= overrides the
-	// batching ablation applies to its swept modes (-batching; the
-	// zero value keeps the sweep's defaults).
+	// batching ablation applies to its swept modes (-batching): a knob
+	// it leaves zero keeps the sweep's threshold and the runtime's
+	// default deadline, so the zero value changes nothing.
 	Faults   *fault.Plan
 	Arrival  *arrival.Spec
 	Batching verbs.Batching

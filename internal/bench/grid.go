@@ -90,13 +90,12 @@ func (c DTXConfig) run(seed int64, quick bool) DTXResult {
 	return RunDTX(c)
 }
 
-// servePoint is a serving point. Its windows are the serving study's
-// own, shorter in quick sweeps.
+// servePoint is a serving point. It runs in serve.Run's windows
+// (400 µs / 2 ms), shorter in quick sweeps.
 type servePoint serve.Config
 
 func (c servePoint) run(seed int64, quick bool) serve.Result {
 	c.Seed = seed
-	c.Warmup, c.Measure = 400*sim.Microsecond, 2*sim.Millisecond
 	if quick {
 		c.Warmup, c.Measure = 200*sim.Microsecond, sim.Millisecond
 	}

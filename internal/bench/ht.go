@@ -9,7 +9,6 @@ import (
 	"repro/internal/race"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -33,11 +32,6 @@ type HTConfig struct {
 	// this aggregate operation rate (the Fig. 9 latency-throughput
 	// sweep). Each task spaces its operations to hit the target.
 	TargetMOPS float64
-
-	// Telemetry, when set, receives the run's software Neo-Host
-	// instrumentation. With several compute blades, each blade's
-	// counters are namespaced "b<i>/".
-	Telemetry *telemetry.Registry
 }
 
 // HTResult is one measured point of a hash-table run.
@@ -91,7 +85,6 @@ func RunHT(cfg HTConfig) HTResult {
 		warmup:     cfg.Warmup,
 		measure:    cfg.Measure,
 		targetRate: cfg.TargetMOPS,
-		telemetry:  cfg.Telemetry,
 		load: func(cl *cluster.Cluster) newBladeFunc {
 			tbl := race.Create(cl.Targets(), race.Config{
 				Groups:       groupsFor(cfg.Keys),

@@ -222,7 +222,7 @@ func init() {
 					// rate γ: the full stack at 96 threads records all
 					// three trajectories (nil without a registry).
 					if c.name == "+CoroThrot" && thr == 96 {
-						cfg.Telemetry = env.Telemetry
+						cfg.Opts.Telemetry = env.Telemetry
 					}
 					add(g, fmt.Sprintf("fig14/%s/thr=%d", c.name, thr), 25, cfg,
 						func(r HTResult) {

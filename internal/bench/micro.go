@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/rnic"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // microRegion is the bytes of target region per memory blade.
@@ -44,11 +43,6 @@ type MicroConfig struct {
 	// [DynamicMin, Threads] every interval.
 	DynamicInterval sim.Time
 	DynamicMin      int
-
-	// Telemetry, when set, receives the run's software Neo-Host
-	// instrumentation: live controller trajectories during the run and
-	// the full layer-counter harvest afterwards.
-	Telemetry *telemetry.Registry
 
 	// Faults, when set, is installed on the compute blade's RNIC for
 	// the whole run (the chaos experiments). nil keeps the card
@@ -110,7 +104,6 @@ func RunMicro(cfg MicroConfig) MicroResult {
 		opts:        cfg.Opts,
 		warmup:      cfg.Warmup,
 		measure:     cfg.Measure,
-		telemetry:   cfg.Telemetry,
 		faults:      cfg.Faults,
 		sampleEvery: cfg.SampleEvery,
 		onSample:    cfg.OnSample,

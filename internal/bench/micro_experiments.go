@@ -175,8 +175,10 @@ func runMicroPanels(env Env, profiles []microProfile, panels []microPanel, probe
 			}
 			for _, prof := range profiles {
 				label := fmt.Sprintf("%s/%s/%s=%d", p.id, prof.name, xShort, v)
+				opts := prof.opts
+				opts.Telemetry = probes[label]
 				add(g, label, p.seed,
-					MicroConfig{Opts: prof.opts, Threads: threads, Batch: batch, Op: p.op, Telemetry: probes[label]},
+					MicroConfig{Opts: opts, Threads: threads, Batch: batch, Op: p.op},
 					func(r MicroResult) { t.Add(prof.name, float64(v), r.MOPS) })
 			}
 		}

@@ -192,7 +192,7 @@ func runServing(env Env) []result.Table {
 	// exclusively.
 	if env.Telemetry != nil {
 		cfg := servingConfig(small, template, servingOverloadFrac)
-		cfg.Telemetry = env.Telemetry
+		cfg.Opts.Telemetry = env.Telemetry
 		add(g, fmt.Sprintf("serving/telemetry/%s/load=%.2f", small.label(), servingOverloadFrac), servingSeed,
 			cfg, nil)
 	}

@@ -220,7 +220,7 @@ func (p *Plan) validate() error {
 			q := &p.rules[j]
 			if r.Kinds&q.Kinds != 0 && r.Start < q.End && q.Start < r.End {
 				return fmt.Errorf("fault: rules %d and %d overlap on kinds %s in [%s, %s)",
-					j, i, r.Kinds&q.Kinds, maxTime(r.Start, q.Start), minTime(r.End, q.End))
+					j, i, r.Kinds&q.Kinds, max(r.Start, q.Start), min(r.End, q.End))
 			}
 		}
 	}
@@ -261,20 +261,6 @@ func validateRule(r *Rule) error {
 		return fmt.Errorf("action %d is not injectable", r.Action)
 	}
 	return nil
-}
-
-func minTime(a, b sim.Time) sim.Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Default returns the canonical chaos plan the `chaos` experiment uses

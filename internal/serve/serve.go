@@ -68,16 +68,15 @@ type Config struct {
 
 	QueueDepth int // per-runtime admission queue bound (default 64×threads)
 
-	Warmup  sim.Time // excluded from measurement (default 200 µs)
+	Warmup  sim.Time // excluded from measurement (default 400 µs)
 	Measure sim.Time // measurement window (default 2 ms)
 	Seed    int64
 
-	Opts core.Options // runtime configuration (policy, SMART knobs)
-
+	// Opts is every runtime's configuration (policy, SMART knobs). Its
 	// Telemetry, when set, receives serve/* admission counters, a
 	// serve/qdepth trajectory group, and every runtime's layer harvest
 	// under an "r<i>/" prefix.
-	Telemetry *telemetry.Registry
+	Opts core.Options
 }
 
 // Result is the measured outcome of one serving run. All counters
@@ -168,7 +167,7 @@ func Run(cfg Config) Result {
 		cfg.QueueDepth = 64 * cfg.ThreadsPerRuntime
 	}
 	if cfg.Warmup == 0 {
-		cfg.Warmup = 200 * sim.Microsecond
+		cfg.Warmup = 400 * sim.Microsecond
 	}
 	if cfg.Measure == 0 {
 		cfg.Measure = 2 * sim.Millisecond
@@ -183,6 +182,7 @@ func Run(cfg Config) Result {
 	defer cl.Stop()
 	eng := cl.Eng
 	horizon := cfg.Warmup + cfg.Measure
+	reg := cfg.Opts.Telemetry
 
 	regions := make([]blade.Addr, cfg.Runtimes)
 	for i, m := range cl.Memories {
@@ -192,8 +192,7 @@ func Run(cfg Config) Result {
 	runtimes := make([]*core.Runtime, cfg.Runtimes)
 	for i, cb := range cl.Computes {
 		opts := cfg.Opts
-		if cfg.Telemetry != nil {
-			opts.Telemetry = cfg.Telemetry
+		if reg != nil {
 			opts.TelemetryPrefix = fmt.Sprintf("r%d/", i)
 		}
 		runtimes[i] = core.MustNew(cb.NIC, cl.Targets(), cfg.ThreadsPerRuntime, opts)
@@ -212,12 +211,12 @@ func Run(cfg Config) Result {
 	waitHist, svcHist := stats.NewHist(), stats.NewHist()
 
 	var telOffered, telAdmitted, telShed, telCompleted *telemetry.Counter
-	if cfg.Telemetry != nil {
-		telOffered = cfg.Telemetry.Counter("serve/offered")
-		telAdmitted = cfg.Telemetry.Counter("serve/admitted")
-		telShed = cfg.Telemetry.Counter("serve/shed")
-		telCompleted = cfg.Telemetry.Counter("serve/completed")
-		g := cfg.Telemetry.Group("serve/qdepth", "admission queue depth", "us")
+	if reg != nil {
+		telOffered = reg.Counter("serve/offered")
+		telAdmitted = reg.Counter("serve/admitted")
+		telShed = reg.Counter("serve/shed")
+		telCompleted = reg.Counter("serve/completed")
+		g := reg.Group("serve/qdepth", "admission queue depth", "us")
 		names := make([]string, len(queues))
 		for i := range names {
 			names[i] = fmt.Sprintf("r%d", i)
@@ -350,7 +349,7 @@ func Run(cfg Config) Result {
 	eng.Run(horizon)
 	for _, rt := range runtimes {
 		rt.Stop()
-		rt.Collect(cfg.Telemetry)
+		rt.Collect(reg)
 	}
 
 	us := float64(cfg.Measure) / 1e3

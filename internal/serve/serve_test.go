@@ -148,7 +148,7 @@ func TestUnderloadKeepsUp(t *testing.T) {
 func TestTelemetryCounters(t *testing.T) {
 	cfg := baseConfig(19)
 	reg := telemetry.New()
-	cfg.Telemetry = reg
+	cfg.Opts.Telemetry = reg
 	r := Run(cfg)
 	off := reg.Value("serve/offered")
 	adm := reg.Value("serve/admitted")
@@ -187,7 +187,7 @@ func TestTelemetryCounters(t *testing.T) {
 func TestTelemetryOffDrawsIdentically(t *testing.T) {
 	plain := Run(baseConfig(23))
 	cfg := baseConfig(23)
-	cfg.Telemetry = telemetry.New()
+	cfg.Opts.Telemetry = telemetry.New()
 	instr := Run(cfg)
 	if plain.Offered != instr.Offered || plain.Completed != instr.Completed ||
 		plain.Op != instr.Op || plain.Wait != instr.Wait {

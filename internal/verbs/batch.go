@@ -40,7 +40,10 @@ type Batching struct {
 // Enabled reports whether any batching technique is on.
 func (b Batching) Enabled() bool { return b.Postlist || b.Coalesce }
 
-// WithDefaults returns b with unset knobs filled in.
+// WithDefaults returns b with unset knobs filled in. A runtime's
+// options fill them when the runtime is built (core.Options), and
+// nothing else does: a parsed or assembled config keeps zero for every
+// knob it does not name.
 func (b Batching) WithDefaults() Batching {
 	if b.Coalesce {
 		if b.CoalesceBatch <= 0 {
@@ -88,8 +91,9 @@ func (b Batching) String() string {
 //	      | "deadline=" dur (coalesce flush deadline; ns/us/ms/s suffix)
 //
 // Examples: "postlist", "coalesce:batch=32,deadline=4us", "both".
-// Defaults are filled by WithDefaults; malformed specs return an error,
-// never panic.
+// A knob the spec does not name stays zero, so a caller can tell it
+// from a set one; the runtime fills the defaults (WithDefaults).
+// Malformed specs return an error, never panic.
 func ParseBatching(spec string) (Batching, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -135,7 +139,7 @@ func ParseBatching(spec string) (Batching, error) {
 	if (b.CoalesceBatch > 0 || b.FlushDeadline > 0) && !b.Coalesce {
 		return Batching{}, fmt.Errorf("batching: batch=/deadline= only apply to coalesce/both modes")
 	}
-	return b.WithDefaults(), nil
+	return b, nil
 }
 
 // PostList posts a chain of linked work requests as one submission:

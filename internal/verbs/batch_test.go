@@ -16,11 +16,12 @@ func TestParseBatching(t *testing.T) {
 	}{
 		{"off", Batching{}},
 		{"postlist", Batching{Postlist: true}},
-		{"coalesce", Batching{Coalesce: true, CoalesceBatch: 16, FlushDeadline: 2 * sim.Microsecond}},
-		{"both", Batching{Postlist: true, Coalesce: true, CoalesceBatch: 16, FlushDeadline: 2 * sim.Microsecond}},
-		{"coalesce:batch=4", Batching{Coalesce: true, CoalesceBatch: 4, FlushDeadline: 2 * sim.Microsecond}},
+		// Unset knobs stay zero: the runtime fills the defaults.
+		{"coalesce", Batching{Coalesce: true}},
+		{"both", Batching{Postlist: true, Coalesce: true}},
+		{"coalesce:batch=4", Batching{Coalesce: true, CoalesceBatch: 4}},
 		{"both:batch=32,deadline=5us", Batching{Postlist: true, Coalesce: true, CoalesceBatch: 32, FlushDeadline: 5 * sim.Microsecond}},
-		{"coalesce:deadline=800ns", Batching{Coalesce: true, CoalesceBatch: 16, FlushDeadline: 800 * sim.Nanosecond}},
+		{"coalesce:deadline=800ns", Batching{Coalesce: true, FlushDeadline: 800 * sim.Nanosecond}},
 	}
 	for _, g := range good {
 		got, err := ParseBatching(g.spec)
