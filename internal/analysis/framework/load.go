@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // Package is one type-checked package ready for analysis.
@@ -36,6 +37,7 @@ type listedPkg struct {
 	TestGoFiles  []string
 	XTestGoFiles []string
 	Standard     bool
+	ForTest      string // set on a test variant that -test synthesizes
 }
 
 // LoadModule lists the packages matching patterns in the module rooted
@@ -60,14 +62,24 @@ func LoadModule(dir string, includeTests bool, patterns ...string) ([]*Package, 
 	}
 	// A second, -deps listing supplies metadata for module packages
 	// that are imported by the targets but not matched by the
-	// patterns themselves.
-	universe, err := goList(dir, append([]string{"-deps"}, patterns...))
+	// patterns themselves — with tests, by their test files too: a
+	// module package missing here would fall through to the source
+	// importer and be type-checked a second time, as a distinct
+	// package.
+	deps := []string{"-deps"}
+	if includeTests {
+		deps = append(deps, "-test")
+	}
+	universe, err := goList(dir, append(deps, patterns...))
 	if err != nil {
 		return nil, err
 	}
 	mod := make(map[string]*listedPkg)
 	for _, p := range universe {
-		if !p.Standard {
+		// -test also lists each target's synthesized test variants
+		// ("p [p.test]") and test main ("p.test"); the loader builds
+		// tests from the plain entry.
+		if !p.Standard && p.ForTest == "" && !strings.HasSuffix(p.ImportPath, ".test") {
 			mod[p.ImportPath] = p
 		}
 	}

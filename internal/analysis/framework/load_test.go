@@ -61,6 +61,24 @@ func TestLoadModuleWithTests(t *testing.T) {
 	t.Fatalf("no _test.go file compiled into repro/internal/stats: %v", paths(pkgs))
 }
 
+// TestLoadModuleTestOnlyImports loads a package whose tests import a
+// module package its own files do not (race's tests build a cluster).
+// That package must be loaded from the module's metadata, not
+// type-checked a second time by the source importer, or the test files
+// see two distinct verbs packages and fail to type-check.
+func TestLoadModuleTestOnlyImports(t *testing.T) {
+	pkgs, err := LoadModule("../../..", true, "./internal/race")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkgs {
+		if p.PkgPath == "repro/internal/race" {
+			return
+		}
+	}
+	t.Fatalf("LoadModule did not return repro/internal/race: %v", paths(pkgs))
+}
+
 func paths(pkgs []*Package) []string {
 	var out []string
 	for _, p := range pkgs {

@@ -10,9 +10,9 @@ import (
 	"repro/internal/stats"
 )
 
-// app describes one closed-loop point to runApp: how big a cluster it
-// needs, how it is configured, and how its state and coroutines are
-// built. RunMicro, RunHT, RunBT, RunDTX and the chaos storm each map
+// app describes one point to runApp: how big a cluster it needs, how
+// it is configured, and how its state and coroutines are built.
+// RunMicro, RunHT, RunBT, RunDTX, RunServe and the chaos storm each map
 // their config onto one of these; everything else about running a point
 // is runApp's.
 type app struct {
@@ -39,22 +39,18 @@ type app struct {
 	// fault-free model.
 	faults rnic.Injector
 
-	// sampleEvery and onSample, when both set, hand onSample a snapshot
-	// of each compute RNIC's lifetime counters (blade order) every
-	// sampleEvery of virtual time, until the horizon.
-	sampleEvery sim.Time
-	onSample    func(now sim.Time, snap rnic.Counters)
-
 	// load preloads the application onto the cluster's memory blades
-	// and returns the per-compute-blade client constructor.
+	// and returns the per-compute-blade client constructor. It runs
+	// before any runtime exists, so an engine call it makes (a
+	// sampler's Every, serving's client processes) precedes theirs.
 	load func(cl *cluster.Cluster) newBladeFunc
 }
 
 // newBladeFunc builds compute blade b's client (the state its
 // coroutines share) on the blade's runtime and returns that blade's
-// coroutine constructor. It runs once the runtime, injector and sampler
-// are in place and before the blade's coroutines are spawned, so a
-// process it starts precedes them.
+// coroutine constructor. It runs once the runtime and injector are in
+// place and before the blade's coroutines are spawned, so a process it
+// starts precedes them.
 type newBladeFunc func(b int, rt *core.Runtime) newCoroFunc
 
 // newCoroFunc builds coroutine d of thread ti — its generator, seeded
@@ -100,12 +96,12 @@ func ScaleAdaptation(o core.Options) core.Options {
 	return o
 }
 
-// runApp executes one point: a closed loop of threads × coros
-// coroutines per compute blade, each issuing a's operations back to
-// back (or paced to a.targetRate) until the horizon. The order of its
-// engine calls — per blade: runtime, injector, sampler, newBlade, then
-// spawns thread-major — fixes event sequence numbers and with them
-// every published number (DESIGN.md §12.1).
+// runApp executes one point: threads × coros coroutines per compute
+// blade, each issuing a's operations back to back (or paced to
+// a.targetRate) until the horizon. The order of its engine calls —
+// load, then per blade: runtime, injector, newBlade, then spawns
+// thread-major — fixes event sequence numbers and with them every
+// published number (DESIGN.md §12.1).
 func runApp(a app) appResult {
 	if a.threads <= 0 {
 		a.threads = 16
@@ -156,10 +152,6 @@ func runApp(a app) appResult {
 		runtimes[b] = rt
 		if a.faults != nil {
 			comp.NIC.SetFault(a.faults)
-		}
-		if a.sampleEvery > 0 && a.onSample != nil {
-			nic := comp.NIC
-			cl.Eng.Every(a.sampleEvery, horizon, func(now sim.Time) { a.onSample(now, nic.Snapshot()) })
 		}
 		coros := a.coros
 		if coros == 0 {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"repro/internal/result"
-	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -90,14 +89,12 @@ func (c DTXConfig) run(seed int64, quick bool) DTXResult {
 	return RunDTX(c)
 }
 
-// servePoint is a serving point. It runs in serve.Run's windows
-// (400 µs / 2 ms), shorter in quick sweeps.
-type servePoint serve.Config
-
-func (c servePoint) run(seed int64, quick bool) serve.Result {
+// A serving point runs in RunServe's windows (400 µs / 2 ms), shorter
+// in quick sweeps.
+func (c ServeConfig) run(seed int64, quick bool) ServeResult {
 	c.Seed = seed
 	if quick {
 		c.Warmup, c.Measure = 200*sim.Microsecond, sim.Millisecond
 	}
-	return serve.Run(serve.Config(c))
+	return RunServe(c)
 }

@@ -1,10 +1,10 @@
-// Package bench holds the measurement harnesses and, on top of them,
-// one experiment runner per table and figure of the paper. There are two
-// harnesses: runApp (app.go), the closed loop every point but serving
-// runs on, and internal/serve's open loop. RunMicro (this file, the
-// §3.1 bench tool), RunHT, RunBT, RunDTX and the chaos storm each
-// describe themselves to runApp — cluster sizing, options, how to load
-// and what one operation is — and map its result onto their own. Each
+// Package bench holds the measurement harness and, on top of it, one
+// experiment runner per table and figure of the paper. The harness is
+// runApp (app.go), which every point runs on: RunMicro (this file, the
+// §3.1 bench tool), RunHT, RunBT, RunDTX, RunServe (the open-loop
+// serving point) and the chaos storm each describe themselves to
+// runApp — cluster sizing, options, how to load and what one operation
+// is — and map its result onto their own. Each
 // runner enumerates its points into a sweep.Set and fills typed result
 // tables with the rows or series the paper reports; cmd/smartbench is
 // the CLI over the registry.
@@ -99,15 +99,17 @@ func RunMicro(cfg MicroConfig) MicroResult {
 			Seed:          cfg.Seed,
 			Params:        cfg.Params,
 		},
-		threads:     cfg.Threads,
-		coros:       1,
-		opts:        cfg.Opts,
-		warmup:      cfg.Warmup,
-		measure:     cfg.Measure,
-		faults:      cfg.Faults,
-		sampleEvery: cfg.SampleEvery,
-		onSample:    cfg.OnSample,
+		threads: cfg.Threads,
+		coros:   1,
+		opts:    cfg.Opts,
+		warmup:  cfg.Warmup,
+		measure: cfg.Measure,
+		faults:  cfg.Faults,
 		load: func(cl *cluster.Cluster) newBladeFunc {
+			if cfg.SampleEvery > 0 && cfg.OnSample != nil {
+				nic := cl.Computes[0].NIC
+				cl.Eng.Every(cfg.SampleEvery, horizon, func(now sim.Time) { cfg.OnSample(now, nic.Snapshot()) })
+			}
 			regions := make([]blade.Addr, cfg.Blades)
 			for i, m := range cl.Memories {
 				regions[i] = m.Mem.Alloc(microRegion)

@@ -3,8 +3,6 @@ package bench
 import (
 	"math"
 	"testing"
-
-	"repro/internal/serve"
 )
 
 func TestErlangFormulas(t *testing.T) {
@@ -63,7 +61,7 @@ func TestServingKneeMatchesErlangC(t *testing.T) {
 	}
 	small := topo{1, 8}
 	nominal := small.nominal() // ops/us
-	run := func(frac float64) serve.Result {
+	run := func(frac float64) ServeResult {
 		return servingConfig(small, servingTemplate(Env{}), frac).run(servingSeed, true)
 	}
 	sub := run(0.5)  // comfortably below the knee
@@ -87,13 +85,13 @@ func TestServingKneeMatchesErlangC(t *testing.T) {
 			cap, nominal)
 	}
 
-	predict := func(r serve.Result) float64 { return MMCWait(c, r.OfferedRate, mu) }
-	measured := func(r serve.Result) float64 { return float64(r.Wait.Mean) / 1000 }
+	predict := func(r ServeResult) float64 { return MMCWait(c, r.OfferedRate, mu) }
+	measured := func(r ServeResult) float64 { return float64(r.Wait.Mean) / 1000 }
 
 	t.Logf("c=%d mu=%.4f/us svc=%.2fus", c, mu, svc)
 	for _, p := range []struct {
 		frac float64
-		r    serve.Result
+		r    ServeResult
 	}{{0.5, sub}, {0.8, near}, {1.2, over}} {
 		t.Logf("load %.1fx: offered %.2f/us wait mean %.3fus (M/M/c predicts %.3fus)",
 			p.frac, p.r.OfferedRate, measured(p.r), predict(p.r))
@@ -105,7 +103,7 @@ func TestServingKneeMatchesErlangC(t *testing.T) {
 	slack := 0.2 * svc
 	for _, p := range []struct {
 		frac float64
-		r    serve.Result
+		r    ServeResult
 	}{{0.5, sub}, {0.8, near}} {
 		if w, pr := measured(p.r), predict(p.r); w > pr+slack {
 			t.Errorf("load %.1fx: measured wait %.3fus > M/M/c %.3fus + %.3fus slack",

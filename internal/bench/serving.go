@@ -2,16 +2,358 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/arrival"
+	"repro/internal/blade"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/result"
-	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
+// Serving is the open-loop point: client machines generate requests at
+// a configured arrival rate (internal/arrival) whether or not the
+// cluster keeps up, an admission stage routes each request to a
+// compute blade's runtime, and a bounded per-runtime FIFO queue feeds
+// the runtime's worker coroutines, which serve the request against the
+// memory blades with ordinary one-sided verbs. It is one more runApp
+// descriptor: load sets up the open-loop half (clients, admission,
+// queues), and each worker's operation takes one request and serves it.
+//
+// The pipeline is admission → routing → queue → service:
+//
+//   - Admission happens at arrival time, in the generating client's
+//     event context. If the chosen runtime's queue is full the request
+//     is shed immediately (load is dropped, never buffered without
+//     bound), which is what keeps latency finite past saturation.
+//   - Routing is deterministic: join-shortest-queue with lowest-index
+//     tie-break.
+//   - Each runtime owns one bounded FIFO of serveQueueSlots requests
+//     per thread; its serveCoros worker coroutines per thread park on
+//     a wait queue when it drains.
+//
+// The cluster has one memory blade per runtime; each request READs
+// servePayload bytes at a uniformly drawn slot of a uniformly drawn
+// blade.
+//
+// Latency is accounted in two parts so overload is diagnosable: queue
+// wait (admission to dequeue) and service time (dequeue to
+// completion); the op histogram spans the full arrival-to-completion
+// interval via core.Ctx.BeginOpSince. All percentiles include p999 —
+// the SLO tail the capacity-planning experiment reports.
+//
+// Every random draw comes from a per-client rand stream seeded from
+// ServeConfig.Seed and routing reads only engine-ordered state, so
+// equal seeds give byte-identical results at any sweep parallelism.
+const (
+	serveCoros      = 4       // worker coroutines per thread
+	serveQueueSlots = 64      // admission queue bound per thread
+	servePayload    = 8       // bytes per READ
+	serveRegion     = 1 << 20 // bytes of request targets per memory blade
+)
+
+// ServeConfig describes one open-loop serving run.
+type ServeConfig struct {
+	Runtimes          int // compute blades, one core.Runtime each
+	ThreadsPerRuntime int
+	Clients           int // client machines (default 4)
+
+	// Arrival is the aggregate arrival spec across all clients; each
+	// client carries an equal share. Required and must be valid.
+	Arrival *arrival.Spec
+
+	// TxnFrac is the fraction of requests that are transactions (a
+	// READ followed by a FAA) rather than plain READs.
+	TxnFrac float64
+
+	Warmup  sim.Time // excluded from measurement (default 400 µs)
+	Measure sim.Time // measurement window (default 2 ms)
+	Seed    int64
+
+	// Opts is every runtime's configuration (policy, SMART knobs). Its
+	// Telemetry, when set, receives serve/* admission counters, a
+	// serve/qdepth trajectory group, and every runtime's layer harvest
+	// (prefixed "b<i>/" when there are several runtimes, as in runApp).
+	Opts core.Options
+}
+
+// ServeResult is the measured outcome of one serving run. All counters
+// cover requests that arrived inside the measurement window; latency
+// summaries likewise only sample measured requests.
+type ServeResult struct {
+	Offered   uint64 // requests that arrived
+	Admitted  uint64 // requests that entered a queue
+	Shed      uint64 // requests dropped at admission (queue full)
+	Completed uint64 // requests fully served before the horizon
+
+	OfferedRate float64 // arrivals per µs over the window
+	Goodput     float64 // completions per µs over the window
+	ShedFrac    float64 // Shed / Offered (0 when nothing arrived)
+
+	Op      stats.Summary // arrival → completion (what a client sees)
+	Txn     stats.Summary // same, transactions only
+	Wait    stats.Summary // arrival → dequeue
+	Service stats.Summary // dequeue → completion
+
+	PerRuntime []uint64 // admitted per runtime
+	PerBlade   []uint64 // completed per memory blade
+
+	QueueDepthPeak int // deepest any runtime queue ever got
+}
+
+// request is one open-loop unit of work.
+type request struct {
+	at     sim.Time // arrival (admission) time
+	txn    bool
+	addr   blade.Addr
+	bladeI int // index into PerBlade
+}
+
+// queue is one runtime's bounded FIFO plus the wait queue its workers
+// park on when it drains.
+type queue struct {
+	reqs []request // ring buffer, head..head+n
+	head int
+	n    int
+	wq   *sim.WaitQueue
+}
+
+func (q *queue) push(r request) {
+	i := (q.head + q.n) % len(q.reqs)
+	q.reqs[i] = r
+	q.n++
+}
+
+func (q *queue) pop() request {
+	r := q.reqs[q.head]
+	q.head = (q.head + 1) % len(q.reqs)
+	q.n--
+	return r
+}
+
+// Validate reports a configuration RunServe cannot execute. The serving
+// experiment's Validate calls it for every point up front, so a bad
+// -arrival template is a usage error rather than a panicking sweep
+// point.
+func (cfg ServeConfig) Validate() error {
+	if cfg.Runtimes < 1 || cfg.ThreadsPerRuntime < 1 {
+		return fmt.Errorf("serve: need at least one runtime and one thread")
+	}
+	if cfg.Arrival == nil {
+		return fmt.Errorf("serve: ServeConfig.Arrival is required")
+	}
+	if err := cfg.Arrival.Validate(); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	if !(cfg.TxnFrac >= 0 && cfg.TxnFrac <= 1) {
+		return fmt.Errorf("serve: TxnFrac must be in [0, 1]")
+	}
+	return nil
+}
+
+// RunServe executes one open-loop serving simulation and returns its
+// measured result. It panics with Validate's error on a configuration
+// that cannot run.
+func RunServe(cfg ServeConfig) ServeResult {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	if cfg.Clients <= 0 {
+		cfg.Clients = 4
+	}
+	if cfg.Warmup == 0 {
+		cfg.Warmup = 400 * sim.Microsecond
+	}
+	if cfg.Measure == 0 {
+		cfg.Measure = 2 * sim.Millisecond
+	}
+	horizon := cfg.Warmup + cfg.Measure
+	reg := cfg.Opts.Telemetry
+
+	res := ServeResult{
+		PerRuntime: make([]uint64, cfg.Runtimes),
+		PerBlade:   make([]uint64, cfg.Runtimes),
+	}
+	opHist, txnHist := stats.NewHist(), stats.NewHist()
+	waitHist, svcHist := stats.NewHist(), stats.NewHist()
+	measured := func(at sim.Time) bool { return at >= cfg.Warmup }
+
+	// load stages the open-loop half before any runtime exists: the
+	// request regions, the queues, the serve/* instrumentation and the
+	// client arrival processes. Workers get their runtime's queue.
+	load := func(cl *cluster.Cluster) newBladeFunc {
+		eng := cl.Eng
+		regions := make([]blade.Addr, cfg.Runtimes)
+		for i, m := range cl.Memories {
+			regions[i] = m.Mem.Alloc(serveRegion)
+		}
+		queues := make([]*queue, cfg.Runtimes)
+		for i := range queues {
+			queues[i] = &queue{reqs: make([]request, serveQueueSlots*cfg.ThreadsPerRuntime), wq: sim.NewWaitQueue(eng)}
+		}
+
+		var telOffered, telAdmitted, telShed, telCompleted *telemetry.Counter
+		if reg != nil {
+			telOffered = reg.Counter("serve/offered")
+			telAdmitted = reg.Counter("serve/admitted")
+			telShed = reg.Counter("serve/shed")
+			telCompleted = reg.Counter("serve/completed")
+			g := reg.Group("serve/qdepth", "admission queue depth", "us")
+			names := make([]string, len(queues))
+			for i := range names {
+				names[i] = fmt.Sprintf("r%d", i)
+				g.Def(names[i], "", 0)
+			}
+			interval := max(cfg.Measure/64, sim.Microsecond)
+			eng.Every(interval, horizon, func(now sim.Time) {
+				x := float64(now) / 1e3
+				for i, q := range queues {
+					g.Add(names[i], x, float64(q.n))
+				}
+			})
+		}
+
+		// route picks the runtime queue for the next request: the
+		// shortest, ties to the lowest index.
+		route := func() int {
+			best := 0
+			for i := 1; i < cfg.Runtimes; i++ {
+				if queues[i].n < queues[best].n {
+					best = i
+				}
+			}
+			return best
+		}
+
+		// admit runs the admission + routing stage for one request, in
+		// the generating client's event context. It never grows a queue
+		// past its bound, so the peak is at most the bound; the
+		// backpressure test pins that shedding, not buffering, absorbs
+		// overload.
+		admit := func(r request) {
+			if measured(r.at) {
+				res.Offered++
+			}
+			if telOffered != nil {
+				telOffered.Inc()
+			}
+			qi := route()
+			q := queues[qi]
+			if q.n == len(q.reqs) {
+				if measured(r.at) {
+					res.Shed++
+				}
+				if telShed != nil {
+					telShed.Inc()
+				}
+				return
+			}
+			q.push(r)
+			res.QueueDepthPeak = max(res.QueueDepthPeak, q.n)
+			if measured(r.at) {
+				res.Admitted++
+				res.PerRuntime[qi]++
+			}
+			if telAdmitted != nil {
+				telAdmitted.Inc()
+			}
+			q.wq.Signal()
+		}
+
+		const slots = serveRegion / servePayload
+		for ci := range cl.Clients {
+			rng := rand.New(rand.NewSource(cfg.Seed + int64(ci)*9973 + 101))
+			proc := cfg.Arrival.New(rng, cfg.Clients)
+			eng.Go(fmt.Sprintf("client-%d", ci), func(p *sim.Proc) {
+				for {
+					p.Sleep(proc.Next())
+					if p.Now() >= horizon {
+						return
+					}
+					b := rng.Intn(cfg.Runtimes)
+					off := uint64(rng.Int63n(slots)) * servePayload
+					admit(request{
+						at:     p.Now(),
+						txn:    rng.Float64() < cfg.TxnFrac,
+						addr:   regions[b].Add(off),
+						bladeI: b,
+					})
+				}
+			})
+		}
+
+		return func(b int, _ *core.Runtime) newCoroFunc {
+			q := queues[b]
+			return func(_, _ int) opFunc {
+				buf := make([]byte, servePayload)
+				// One operation: wait for a request, then serve it.
+				return func(c *core.Ctx, _ sim.Time) int {
+					for q.n == 0 {
+						q.wq.Wait(c.Proc())
+					}
+					req := q.pop()
+					start := c.Now()
+					c.BeginOpSince(req.at)
+					c.ReadSync(req.addr, buf)
+					if req.txn {
+						c.FAASync(req.addr, 1)
+					}
+					c.EndOp()
+					if measured(req.at) {
+						now := c.Now()
+						res.Completed++
+						res.PerBlade[req.bladeI]++
+						opHist.Add(now - req.at)
+						waitHist.Add(start - req.at)
+						svcHist.Add(now - start)
+						if req.txn {
+							txnHist.Add(now - req.at)
+						}
+						if telCompleted != nil {
+							telCompleted.Inc()
+						}
+					}
+					return noCount
+				}
+			}
+		}
+	}
+
+	runApp(app{
+		name: "serve",
+		cluster: cluster.Config{
+			ComputeBlades: cfg.Runtimes,
+			MemoryBlades:  cfg.Runtimes,
+			Clients:       cfg.Clients,
+			BladeCapacity: serveRegion + (1 << 16),
+			Seed:          cfg.Seed,
+		},
+		threads: cfg.ThreadsPerRuntime,
+		coros:   serveCoros,
+		opts:    cfg.Opts,
+		warmup:  cfg.Warmup,
+		measure: cfg.Measure,
+		load:    load,
+	})
+
+	us := float64(cfg.Measure) / 1e3
+	res.OfferedRate = float64(res.Offered) / us
+	res.Goodput = float64(res.Completed) / us
+	if res.Offered > 0 {
+		res.ShedFrac = float64(res.Shed) / float64(res.Offered)
+	}
+	res.Op = opHist.Summary()
+	res.Txn = txnHist.Summary()
+	res.Wait = waitHist.Summary()
+	res.Service = svcHist.Summary()
+	return res
+}
+
 // The serving experiment is the open-loop capacity-planning study
-// over internal/serve: sweep the offered arrival rate × the
+// over RunServe: sweep the offered arrival rate × the
 // blade/thread topology and report SLO percentiles (p50/p99/p999 op
 // and txn latency split into queue wait and service time), goodput,
 // and shed fraction. Load is expressed as a fraction of each
@@ -81,8 +423,8 @@ func servingTemplate(env Env) *arrival.Spec {
 // servingConfig is one serving point: topology t offered a at frac
 // times t's nominal capacity. The M/M/c sanity test shares it, so the
 // analytic knee check measures the exact station the sweep runs.
-func servingConfig(t topo, a *arrival.Spec, frac float64) servePoint {
-	return servePoint{
+func servingConfig(t topo, a *arrival.Spec, frac float64) ServeConfig {
+	return ServeConfig{
 		Runtimes:          t.runtimes,
 		ThreadsPerRuntime: t.threads,
 		Arrival:           a.WithMeanRate(frac * t.nominal()),
@@ -92,12 +434,12 @@ func servingConfig(t topo, a *arrival.Spec, frac float64) servePoint {
 }
 
 // validateServing rejects an arrival template that some point's load
-// rescales into a configuration serve.Run refuses (a rate past the
+// rescales into a configuration RunServe refuses (a rate past the
 // arrival model's cap), before any point runs.
 func validateServing(env Env) error {
 	a := servingTemplate(env)
 	check := func(t topo, frac float64) error {
-		if err := serve.Config(servingConfig(t, a, frac)).Validate(); err != nil {
+		if err := servingConfig(t, a, frac).Validate(); err != nil {
 			return fmt.Errorf("topology %s at load %v: %w", t.label(), frac, err)
 		}
 		return nil
@@ -140,7 +482,7 @@ func runServing(env Env) []result.Table {
 		for _, frac := range fracs {
 			add(g, fmt.Sprintf("serving/%s/load=%.2f", cfgLabel, frac), servingSeed,
 				servingConfig(t, template, frac),
-				func(r serve.Result) {
+				func(r ServeResult) {
 					p99.Add(cfgLabel, frac, us(r.Op.P99))
 					good.Add(cfgLabel, frac, r.Goodput)
 					good.Add(cfgLabel+"-offered", frac, r.OfferedRate)
@@ -182,7 +524,7 @@ func runServing(env Env) []result.Table {
 			// back toward Poisson.
 			cfg.Clients = 1
 			add(g, fmt.Sprintf("serving/burst/%s/load=%.2f", b.name, frac), servingSeed,
-				cfg, func(r serve.Result) { burst.Add(b.name, frac, us(r.Op.P99)) })
+				cfg, func(r ServeResult) { burst.Add(b.name, frac, us(r.Op.P99)) })
 		}
 	}
 

@@ -21,7 +21,7 @@ type Config struct {
 	MemoryBlades  int
 
 	// Clients is the number of client machines generating open-loop
-	// traffic into the cluster (internal/serve). Clients hold no RNIC —
+	// traffic into the cluster (bench.RunServe). Clients hold no RNIC —
 	// they model the front-end fleet upstream of the compute blades —
 	// so 0 is fine for closed-loop experiments.
 	Clients int
@@ -59,7 +59,7 @@ type Memory struct {
 // Client is one client machine: an open-loop traffic source upstream
 // of the compute blades. It owns no simulated hardware — request
 // generation is pure event-loop work — so the type is just a stable
-// identity that serve's generators and telemetry key on.
+// identity that serving's generators key on.
 type Client struct {
 	ID int
 }
