@@ -47,8 +47,8 @@ func TestErlangFormulas(t *testing.T) {
 	}
 }
 
-// TestServingKneeMatchesErlangC is the closed-form sanity check from
-// ROADMAP item 1: the measured open-loop serving knee must land where
+// TestServingKneeMatchesErlangC is the closed-form sanity check on the
+// serving model: the measured open-loop serving knee must land where
 // Erlang-C says an M/M/c station with the same c, lambda, and measured
 // mean service time saturates. Service in the model is
 // near-deterministic, so M/M/c over-predicts the queueing delay

@@ -74,8 +74,10 @@ type ServeConfig struct {
 	Seed    int64
 
 	// Opts is every runtime's configuration (policy, SMART knobs). Its
-	// Telemetry, when set, receives serve/* admission counters, a
-	// serve/qdepth trajectory group, and every runtime's layer harvest
+	// Telemetry, when set, receives serve/* counters over the whole run
+	// (offered = admitted + shed; completed counts every request served
+	// before the horizon), a serve/qdepth trajectory group with one
+	// column "b<i>" per runtime, and every runtime's layer harvest
 	// (prefixed "b<i>/" when there are several runtimes, as in runApp).
 	Opts core.Options
 }
@@ -204,7 +206,7 @@ func RunServe(cfg ServeConfig) ServeResult {
 			g := reg.Group("serve/qdepth", "admission queue depth", "us")
 			names := make([]string, len(queues))
 			for i := range names {
-				names[i] = fmt.Sprintf("r%d", i)
+				names[i] = fmt.Sprintf("b%d", i)
 				g.Def(names[i], "", 0)
 			}
 			interval := max(cfg.Measure/64, sim.Microsecond)
@@ -312,9 +314,9 @@ func RunServe(cfg ServeConfig) ServeResult {
 						if req.txn {
 							txnHist.Add(now - req.at)
 						}
-						if telCompleted != nil {
-							telCompleted.Inc()
-						}
+					}
+					if telCompleted != nil {
+						telCompleted.Inc()
 					}
 					return noCount
 				}

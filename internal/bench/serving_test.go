@@ -1,10 +1,13 @@
 package bench
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/arrival"
 	"repro/internal/core"
+	"repro/internal/result"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -142,9 +145,10 @@ func TestUnderloadKeepsUp(t *testing.T) {
 }
 
 // TestTelemetryCounters checks the serve/* instrumentation: admission
-// counters cover the whole run (warmup included) and reconcile, the
-// qdepth trajectory exists, and per-runtime harvests follow runApp's
-// one prefix rule: "b<i>/" with several runtimes, none with one.
+// and completion counters cover the whole run (warmup included) and
+// reconcile, the qdepth trajectory has one b<i> column per runtime, and
+// per-runtime harvests follow runApp's one prefix rule: "b<i>/" with
+// several runtimes, none with one.
 func TestTelemetryCounters(t *testing.T) {
 	cfg := serveBaseConfig(19)
 	reg := telemetry.New()
@@ -160,14 +164,22 @@ func TestTelemetryCounters(t *testing.T) {
 	if off < r.Offered {
 		t.Fatalf("telemetry offered %d < measured offered %d", off, r.Offered)
 	}
-	if reg.Value("serve/completed") < r.Completed {
-		t.Fatalf("telemetry completed %d < measured %d", reg.Value("serve/completed"), r.Completed)
+	// Completions are on the same whole-run basis: whatever was admitted
+	// but not completed was still queued or in service at the horizon.
+	done := reg.Value("serve/completed")
+	if done < r.Completed || done > adm {
+		t.Fatalf("telemetry completed %d outside [measured %d, admitted %d]", done, r.Completed, adm)
+	}
+	inFlight := uint64(cfg.Runtimes*cfg.ThreadsPerRuntime*serveCoros + cfg.Runtimes*r.QueueDepthPeak)
+	if adm-done > inFlight {
+		t.Fatalf("admitted %d - completed %d = %d exceeds what workers and queues hold (%d)", adm, done, adm-done, inFlight)
 	}
 	tables := reg.Tables("")
 	var sawQdepth, sawB0 bool
 	for _, tb := range tables {
 		if tb.ID == "serve/qdepth" {
 			sawQdepth = true
+			checkQdepthColumns(t, tb, cfg.Runtimes)
 		}
 	}
 	if reg.Value("b0/nic/completed") > 0 || reg.Value("b1/nic/completed") > 0 {
@@ -191,12 +203,32 @@ func TestTelemetryCounters(t *testing.T) {
 	}
 	var sawDoorbells bool
 	for _, tb := range one.Tables("") {
-		if tb.ID == "doorbells" {
+		switch tb.ID {
+		case "doorbells":
 			sawDoorbells = true
+		case "serve/qdepth":
+			checkQdepthColumns(t, tb, 1)
 		}
 	}
 	if !sawDoorbells {
 		t.Error("one runtime: no unprefixed doorbells table")
+	}
+}
+
+// checkQdepthColumns requires serve/qdepth to have exactly one column
+// per runtime, named b<i> like that runtime's harvest prefix.
+func checkQdepthColumns(t *testing.T, tb result.Table, runtimes int) {
+	t.Helper()
+	var got []string
+	for _, s := range tb.Series {
+		got = append(got, s.Name)
+	}
+	var want []string
+	for i := range runtimes {
+		want = append(want, fmt.Sprintf("b%d", i))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("serve/qdepth columns %v, want %v", got, want)
 	}
 }
 

@@ -8,8 +8,8 @@ import "testing"
 // directly the kernel's per-event cost and allocs/op is the per-event
 // allocation rate the refactor targets; BenchmarkSpawnStop is the
 // exception, one iteration being a whole point's process set-up and
-// teardown. DESIGN.md §14 records pre/post pairs of these numbers;
-// rerun with
+// teardown. CHANGES.md records pre/post pairs of these numbers under
+// the change that measured them; rerun with
 //
 //	go test ./internal/sim -run '^$' -bench . -benchmem
 //
