@@ -59,21 +59,24 @@ type newBladeFunc func(b int, rt *core.Runtime) newCoroFunc
 // every key sequence.
 type newCoroFunc func(ti, d int) opFunc
 
-// opFunc performs one operation that starts at start and returns the
-// protocol's per-operation count (HT: failed CAS attempts of an update,
-// DTX: aborts before the commit), or noCount for an operation that has
-// none. appResult.counts is the distribution of these.
-type opFunc func(c *core.Ctx, start sim.Time) int
+// opFunc performs one operation that runApp calls at start. It returns
+// the operation's origin, the instant its latency runs from: start for
+// a closed-loop op, or an earlier arrival for one that waited before
+// the call (serving's request, admitted then queued). It also returns
+// the protocol's per-operation count (HT: failed CAS attempts of an
+// update, DTX: aborts before the commit), or noCount for an operation
+// that has none. appResult.counts is the distribution of these.
+type opFunc func(c *core.Ctx, start sim.Time) (origin sim.Time, n int)
 
 const noCount = -1
 
 // appResult is what every point measures. All of it is taken over the
 // measurement window only.
 type appResult struct {
-	ops       uint64 // operations that started after warm-up and finished by the horizon
+	ops       uint64 // operations whose origin is past warm-up and that finished by the horizon
 	mops      float64
-	p50, p99  sim.Time
-	casFailed uint64 // unsuccessful CAS attempts, all runtimes
+	lat       stats.Summary // origin → return of the same ops
+	casFailed uint64        // unsuccessful CAS attempts, all runtimes
 	counts    *stats.CountDist
 
 	// Compute-RNIC counters, summed over the compute blades.
@@ -125,10 +128,10 @@ func runApp(a app) appResult {
 		return func(c *core.Ctx) {
 			for c.Now() < horizon {
 				start := c.Now()
-				n := op(c, start)
-				if start >= a.warmup && c.Now() <= horizon {
+				origin, n := op(c, start)
+				if origin >= a.warmup && c.Now() <= horizon {
 					ops++
-					lat.Add(c.Now() - start)
+					lat.Add(c.Now() - origin)
 					if n != noCount {
 						counts.Add(n)
 					}
@@ -193,14 +196,12 @@ func runApp(a app) appResult {
 		rt.Collect(a.opts.Telemetry)
 	}
 
-	sum := lat.Summary()
 	windowUs := float64(a.measure) / 1e3
 	completed := nic.Completed - nicAtWarmup.Completed
 	return appResult{
 		ops:       ops,
 		mops:      float64(ops) / windowUs,
-		p50:       sum.P50,
-		p99:       sum.P99,
+		lat:       lat.Summary(),
 		casFailed: failed - failedAtWarmup,
 		counts:    counts,
 		completed: completed,

@@ -122,7 +122,7 @@ func RunBT(cfg BTConfig) BTResult {
 				return func(ti, d int) opFunc {
 					seed := cfg.Seed + int64(b)*999_983 + int64(ti)*1_013 + int64(d)*17 + 1
 					gen := ycsb.WithRand(rand.New(rand.NewSource(seed)))
-					return func(c *core.Ctx, start sim.Time) int {
+					return func(c *core.Ctx, start sim.Time) (sim.Time, int) {
 						op, key := gen.Next()
 						key++ // tree keys are 1-based
 						if op == workload.Update {
@@ -132,7 +132,7 @@ func RunBT(cfg BTConfig) BTResult {
 						} else {
 							client.Lookup(c, key)
 						}
-						return noCount
+						return start, noCount
 					}
 				}
 			}
@@ -141,8 +141,8 @@ func RunBT(cfg BTConfig) BTResult {
 
 	res := BTResult{
 		MOPS:     r.mops,
-		Median:   r.p50,
-		P99:      r.p99,
+		Median:   r.lat.P50,
+		P99:      r.lat.P99,
 		Ops:      r.ops,
 		VerbMOPS: r.verbMOPS,
 	}

@@ -239,7 +239,7 @@ func runStorm(quick bool, seed int64, reg *telemetry.Registry, plan *fault.Plan,
 				return func(ti, _ int) opFunc {
 					rng := rand.New(rand.NewSource(seed + int64(ti)*727 + 5))
 					buf := make([]byte, 8)
-					return func(c *core.Ctx, _ sim.Time) int {
+					return func(c *core.Ctx, start sim.Time) (sim.Time, int) {
 						addr := region.Add(uint64(rng.Intn(stormHotSlots)) * 8)
 						c.BeginOp()
 						// Learn the counter's current value first, so an
@@ -257,7 +257,7 @@ func runStorm(quick bool, seed int64, reg *telemetry.Registry, plan *fault.Plan,
 							expect = old
 						}
 						c.EndOp()
-						return noCount
+						return start, noCount
 					}
 				}
 			}

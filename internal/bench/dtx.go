@@ -102,15 +102,15 @@ func RunDTX(cfg DTXConfig) DTXResult {
 			return func(int, *core.Runtime) newCoroFunc {
 				return func(ti, d int) opFunc {
 					rng := rand.New(rand.NewSource(cfg.Seed + int64(ti)*1_021 + int64(d)*19 + 1))
-					return func(c *core.Ctx, _ sim.Time) int { return runTxn(c, rng) }
+					return func(c *core.Ctx, start sim.Time) (sim.Time, int) { return start, runTxn(c, rng) }
 				}
 			}
 		},
 	})
 	return DTXResult{
 		MTPS:      r.mops,
-		Median:    r.p50,
-		P99:       r.p99,
+		Median:    r.lat.P50,
+		P99:       r.lat.P99,
 		AbortRate: r.counts.Mean(), // every transaction reports its aborts
 		Txns:      r.ops,
 	}

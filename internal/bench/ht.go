@@ -40,9 +40,9 @@ type HTResult struct {
 	Median sim.Time
 	P99    sim.Time
 	// AvgRetries is total unsuccessful CAS attempts during the window
-	// divided by operations completed in it — the unbiased Fig. 14b
-	// metric (per-completed-op averages hide operations still stuck
-	// retrying when the window closes).
+	// divided by the updates completed in it (RetryDist.Total()) — the
+	// unbiased Fig. 14b metric (per-completed-op averages hide
+	// operations still stuck retrying when the window closes).
 	AvgRetries float64
 	// RetryDist is the per-operation retry-count distribution over
 	// operations that completed inside the window (Fig. 14c).
@@ -101,13 +101,13 @@ func RunHT(cfg HTConfig) HTResult {
 				return func(ti, d int) opFunc {
 					seed := cfg.Seed + int64(b)*1_000_003 + int64(ti)*1_009 + int64(d)*13 + 1
 					gen := ycsb.WithRand(rand.New(rand.NewSource(seed)))
-					return func(c *core.Ctx, start sim.Time) int {
+					return func(c *core.Ctx, start sim.Time) (sim.Time, int) {
 						op, key := gen.Next()
 						if op != workload.Update {
 							client.Lookup(c, key)
-							return noCount
+							return start, noCount
 						}
-						return client.Update(c, key, uint64(start))
+						return start, client.Update(c, key, uint64(start))
 					}
 				}
 			}
@@ -116,15 +116,14 @@ func RunHT(cfg HTConfig) HTResult {
 
 	res := HTResult{
 		MOPS:      r.mops,
-		Median:    r.p50,
-		P99:       r.p99,
+		Median:    r.lat.P50,
+		P99:       r.lat.P99,
 		RetryDist: r.counts,
 		Ops:       r.ops,
 		VerbMOPS:  r.verbMOPS,
 	}
-	// The share of completed ops that were updates is taken from the mix.
-	if updates := float64(r.ops) * cfg.Mix.UpdateFrac; updates > 0 {
-		res.AvgRetries = float64(r.casFailed) / updates
+	if updates := r.counts.Total(); updates > 0 {
+		res.AvgRetries = float64(r.casFailed) / float64(updates)
 	}
 	return res
 }

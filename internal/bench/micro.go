@@ -144,7 +144,7 @@ func RunMicro(cfg MicroConfig) MicroResult {
 				return func(ti, _ int) opFunc {
 					rng := rand.New(rand.NewSource(cfg.Seed + int64(ti)*1009 + 1))
 					buf := make([]byte, cfg.Payload)
-					return func(c *core.Ctx, _ sim.Time) int {
+					return func(c *core.Ctx, start sim.Time) (sim.Time, int) {
 						for ti >= active && c.Now() < horizon {
 							gates[ti].Wait(c.Proc())
 						}
@@ -167,7 +167,7 @@ func RunMicro(cfg MicroConfig) MicroResult {
 						c.PostSend()
 						c.Sync()
 						c.EndOp()
-						return noCount
+						return start, noCount
 					}
 				}
 			}

@@ -39,11 +39,13 @@ import (
 // servePayload bytes at a uniformly drawn slot of a uniformly drawn
 // blade.
 //
-// Latency is accounted in two parts so overload is diagnosable: queue
-// wait (admission to dequeue) and service time (dequeue to
-// completion); the op histogram spans the full arrival-to-completion
-// interval via core.Ctx.BeginOpSince. All percentiles include p999 —
-// the SLO tail the capacity-planning experiment reports.
+// A worker's operation reports the request's arrival as its origin, so
+// runApp's one op record counts and times each request from arrival to
+// completion (core.Ctx.BeginOpSince gives the runtime's op span the
+// same start). Latency is also split in two so overload is
+// diagnosable: queue wait (arrival to dequeue) and service time
+// (dequeue to completion). All percentiles include p999, the SLO tail
+// the capacity-planning experiment reports.
 //
 // Every random draw comes from a per-client rand stream seeded from
 // ServeConfig.Seed and routing reads only engine-ordered state, so
@@ -53,6 +55,7 @@ const (
 	serveQueueSlots = 64      // admission queue bound per thread
 	servePayload    = 8       // bytes per READ
 	serveRegion     = 1 << 20 // bytes of request targets per memory blade
+	serveTxnFrac    = 0.2     // fraction of requests that are a READ+FAA transaction, not a plain READ
 )
 
 // ServeConfig describes one open-loop serving run.
@@ -65,26 +68,24 @@ type ServeConfig struct {
 	// client carries an equal share. Required and must be valid.
 	Arrival *arrival.Spec
 
-	// TxnFrac is the fraction of requests that are transactions (a
-	// READ followed by a FAA) rather than plain READs.
-	TxnFrac float64
-
 	Warmup  sim.Time // excluded from measurement (default 400 µs)
 	Measure sim.Time // measurement window (default 2 ms)
 	Seed    int64
 
 	// Opts is every runtime's configuration (policy, SMART knobs). Its
-	// Telemetry, when set, receives serve/* counters over the whole run
-	// (offered = admitted + shed; completed counts every request served
-	// before the horizon), a serve/qdepth trajectory group with one
-	// column "b<i>" per runtime, and every runtime's layer harvest
-	// (prefixed "b<i>/" when there are several runtimes, as in runApp).
+	// Telemetry, when set, receives serve/* counters over the whole run,
+	// set once it is over (offered = admitted + shed; completed counts
+	// every request served before the horizon), a serve/qdepth
+	// trajectory group with one column "b<i>" per runtime, and every
+	// runtime's layer harvest (prefixed "b<i>/" when there are several
+	// runtimes, as in runApp).
 	Opts core.Options
 }
 
 // ServeResult is the measured outcome of one serving run. All counters
 // cover requests that arrived inside the measurement window; latency
-// summaries likewise only sample measured requests.
+// summaries likewise only sample measured requests. Completed, Goodput
+// and Op are runApp's op record: its count, rate and latency summary.
 type ServeResult struct {
 	Offered   uint64 // requests that arrived
 	Admitted  uint64 // requests that entered a queue
@@ -100,18 +101,14 @@ type ServeResult struct {
 	Wait    stats.Summary // arrival → dequeue
 	Service stats.Summary // dequeue → completion
 
-	PerRuntime []uint64 // admitted per runtime
-	PerBlade   []uint64 // completed per memory blade
-
 	QueueDepthPeak int // deepest any runtime queue ever got
 }
 
 // request is one open-loop unit of work.
 type request struct {
-	at     sim.Time // arrival (admission) time
-	txn    bool
-	addr   blade.Addr
-	bladeI int // index into PerBlade
+	at   sim.Time // arrival (admission) time
+	txn  bool
+	addr blade.Addr
 }
 
 // queue is one runtime's bounded FIFO plus the wait queue its workers
@@ -150,9 +147,6 @@ func (cfg ServeConfig) Validate() error {
 	if err := cfg.Arrival.Validate(); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	if !(cfg.TxnFrac >= 0 && cfg.TxnFrac <= 1) {
-		return fmt.Errorf("serve: TxnFrac must be in [0, 1]")
-	}
 	return nil
 }
 
@@ -175,13 +169,13 @@ func RunServe(cfg ServeConfig) ServeResult {
 	horizon := cfg.Warmup + cfg.Measure
 	reg := cfg.Opts.Telemetry
 
-	res := ServeResult{
-		PerRuntime: make([]uint64, cfg.Runtimes),
-		PerBlade:   make([]uint64, cfg.Runtimes),
-	}
-	opHist, txnHist := stats.NewHist(), stats.NewHist()
-	waitHist, svcHist := stats.NewHist(), stats.NewHist()
+	var res ServeResult
+	txnHist, waitHist, svcHist := stats.NewHist(), stats.NewHist(), stats.NewHist()
 	measured := func(at sim.Time) bool { return at >= cfg.Warmup }
+	// The whole-run books, warm-up included, that the serve/* counters
+	// are set to once the run is over.
+	var offered, admitted, shed, completed uint64
+	var telOffered, telAdmitted, telShed, telCompleted *telemetry.Counter
 
 	// load stages the open-loop half before any runtime exists: the
 	// request regions, the queues, the serve/* instrumentation and the
@@ -197,8 +191,9 @@ func RunServe(cfg ServeConfig) ServeResult {
 			queues[i] = &queue{reqs: make([]request, serveQueueSlots*cfg.ThreadsPerRuntime), wq: sim.NewWaitQueue(eng)}
 		}
 
-		var telOffered, telAdmitted, telShed, telCompleted *telemetry.Counter
 		if reg != nil {
+			// Registered before any runtime's harvest, which fixes
+			// their export order.
 			telOffered = reg.Counter("serve/offered")
 			telAdmitted = reg.Counter("serve/admitted")
 			telShed = reg.Counter("serve/shed")
@@ -236,31 +231,23 @@ func RunServe(cfg ServeConfig) ServeResult {
 		// backpressure test pins that shedding, not buffering, absorbs
 		// overload.
 		admit := func(r request) {
+			offered++
 			if measured(r.at) {
 				res.Offered++
 			}
-			if telOffered != nil {
-				telOffered.Inc()
-			}
-			qi := route()
-			q := queues[qi]
+			q := queues[route()]
 			if q.n == len(q.reqs) {
+				shed++
 				if measured(r.at) {
 					res.Shed++
-				}
-				if telShed != nil {
-					telShed.Inc()
 				}
 				return
 			}
 			q.push(r)
 			res.QueueDepthPeak = max(res.QueueDepthPeak, q.n)
+			admitted++
 			if measured(r.at) {
 				res.Admitted++
-				res.PerRuntime[qi]++
-			}
-			if telAdmitted != nil {
-				telAdmitted.Inc()
 			}
 			q.wq.Signal()
 		}
@@ -278,10 +265,9 @@ func RunServe(cfg ServeConfig) ServeResult {
 					b := rng.Intn(cfg.Runtimes)
 					off := uint64(rng.Int63n(slots)) * servePayload
 					admit(request{
-						at:     p.Now(),
-						txn:    rng.Float64() < cfg.TxnFrac,
-						addr:   regions[b].Add(off),
-						bladeI: b,
+						at:   p.Now(),
+						txn:  rng.Float64() < serveTxnFrac,
+						addr: regions[b].Add(off),
 					})
 				}
 			})
@@ -291,40 +277,36 @@ func RunServe(cfg ServeConfig) ServeResult {
 			q := queues[b]
 			return func(_, _ int) opFunc {
 				buf := make([]byte, servePayload)
-				// One operation: wait for a request, then serve it.
-				return func(c *core.Ctx, _ sim.Time) int {
+				// One operation: wait for a request, then serve it. Its
+				// origin is the request's arrival.
+				return func(c *core.Ctx, _ sim.Time) (sim.Time, int) {
 					for q.n == 0 {
 						q.wq.Wait(c.Proc())
 					}
 					req := q.pop()
-					start := c.Now()
+					dequeued := c.Now()
 					c.BeginOpSince(req.at)
 					c.ReadSync(req.addr, buf)
 					if req.txn {
 						c.FAASync(req.addr, 1)
 					}
 					c.EndOp()
+					completed++
 					if measured(req.at) {
 						now := c.Now()
-						res.Completed++
-						res.PerBlade[req.bladeI]++
-						opHist.Add(now - req.at)
-						waitHist.Add(start - req.at)
-						svcHist.Add(now - start)
+						waitHist.Add(dequeued - req.at)
+						svcHist.Add(now - dequeued)
 						if req.txn {
 							txnHist.Add(now - req.at)
 						}
 					}
-					if telCompleted != nil {
-						telCompleted.Inc()
-					}
-					return noCount
+					return req.at, noCount
 				}
 			}
 		}
 	}
 
-	runApp(app{
+	r := runApp(app{
 		name: "serve",
 		cluster: cluster.Config{
 			ComputeBlades: cfg.Runtimes,
@@ -341,13 +323,17 @@ func RunServe(cfg ServeConfig) ServeResult {
 		load:    load,
 	})
 
-	us := float64(cfg.Measure) / 1e3
-	res.OfferedRate = float64(res.Offered) / us
-	res.Goodput = float64(res.Completed) / us
+	if reg != nil {
+		telOffered.Set(offered)
+		telAdmitted.Set(admitted)
+		telShed.Set(shed)
+		telCompleted.Set(completed)
+	}
+	res.Completed, res.Goodput, res.Op = r.ops, r.mops, r.lat
+	res.OfferedRate = float64(res.Offered) / (float64(cfg.Measure) / 1e3)
 	if res.Offered > 0 {
 		res.ShedFrac = float64(res.Shed) / float64(res.Offered)
 	}
-	res.Op = opHist.Summary()
 	res.Txn = txnHist.Summary()
 	res.Wait = waitHist.Summary()
 	res.Service = svcHist.Summary()
@@ -370,10 +356,6 @@ func RunServe(cfg ServeConfig) ServeResult {
 // 1 runtime × 8 threads saturates at ≈ 9.17 ops/us, 2×16 at ≈ 36.7 —
 // both ≈ 1.15 per thread. Load fraction 1.0 sits right at the knee.
 const servingPerThreadCapacity = 1.15
-
-// servingTxnFrac is the transaction mix of the serving workload: one
-// in five requests is a READ+FAA transaction.
-const servingTxnFrac = 0.2
 
 // servingSeed is every serving point's base workload seed.
 const servingSeed = 15
@@ -430,7 +412,6 @@ func servingConfig(t topo, a *arrival.Spec, frac float64) ServeConfig {
 		Runtimes:          t.runtimes,
 		ThreadsPerRuntime: t.threads,
 		Arrival:           a.WithMeanRate(frac * t.nominal()),
-		TxnFrac:           servingTxnFrac,
 		Opts:              core.Baseline(core.PerThreadDoorbell),
 	}
 }

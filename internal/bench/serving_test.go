@@ -19,7 +19,6 @@ func serveBaseConfig(seed int64) ServeConfig {
 		ThreadsPerRuntime: 4,
 		Clients:           3,
 		Arrival:           &arrival.Spec{Kind: arrival.KindPoisson, Rate: 1},
-		TxnFrac:           0.25,
 		Warmup:            100 * sim.Microsecond,
 		Measure:           500 * sim.Microsecond,
 		Seed:              seed,
@@ -28,9 +27,9 @@ func serveBaseConfig(seed int64) ServeConfig {
 }
 
 // TestRoutingDeterminism pins the serving determinism contract: the
-// same seed must route, shed, and complete byte-identically — per
-// runtime and per blade — while a different seed must actually change
-// the request stream. CI runs this under -race to prove the pipeline
+// same seed must admit, shed and complete the same requests with the
+// same latencies, while a different seed must actually change the
+// request stream. CI runs this under -race to prove the pipeline
 // shares no state with anything concurrent.
 func TestRoutingDeterminism(t *testing.T) {
 	a := RunServe(serveBaseConfig(42))
@@ -41,16 +40,6 @@ func TestRoutingDeterminism(t *testing.T) {
 	if a.Offered != b.Offered || a.Admitted != b.Admitted ||
 		a.Shed != b.Shed || a.Completed != b.Completed {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
-	}
-	for i := range a.PerRuntime {
-		if a.PerRuntime[i] != b.PerRuntime[i] {
-			t.Fatalf("per-runtime counts diverged: %v vs %v", a.PerRuntime, b.PerRuntime)
-		}
-	}
-	for i := range a.PerBlade {
-		if a.PerBlade[i] != b.PerBlade[i] {
-			t.Fatalf("per-blade counts diverged: %v vs %v", a.PerBlade, b.PerBlade)
-		}
 	}
 	if a.Op != b.Op || a.Wait != b.Wait || a.Service != b.Service {
 		t.Fatalf("latency summaries diverged")
@@ -118,7 +107,7 @@ func TestLatencyAccounting(t *testing.T) {
 			r.Wait.P99, r.Service.P99)
 	}
 	if r.Txn.Count == 0 {
-		t.Fatal("no transactions measured despite TxnFrac > 0")
+		t.Fatal("no transactions measured despite the transaction mix")
 	}
 	if r.Txn.Count >= r.Op.Count {
 		t.Fatalf("txn count %d not a strict subset of ops %d", r.Txn.Count, r.Op.Count)

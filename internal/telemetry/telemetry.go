@@ -33,22 +33,17 @@ import (
 	"repro/internal/result"
 )
 
-// Counter is one monotonically written named counter. Handles are
-// stable: registering the same name twice returns the same counter.
+// Counter is one named counter. Handles are stable: registering the
+// same name twice returns the same counter.
 type Counter struct {
 	Name string
 	v    uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Set overwrites the value. Used for idempotent harvests of state
-// shared between collectors (e.g. engine-wide scheduler counts that
-// several runtimes on one engine would otherwise double-add).
+// Set overwrites the value. It is the only write: a collector harvests
+// its whole-run total once the run is over, so a harvest is idempotent
+// (engine-wide scheduler counts that several runtimes on one engine
+// share are set, never double-added).
 func (c *Counter) Set(n uint64) { c.v = n }
 
 // Value returns the current count.

@@ -13,9 +13,9 @@ import (
 
 func TestCounterRegistrationOrder(t *testing.T) {
 	r := New()
-	r.Counter("b").Add(2)
-	r.Counter("a").Inc()
-	r.Counter("b").Inc() // same handle, not a new registration
+	r.Counter("b").Set(2)
+	r.Counter("a").Set(1)
+	r.Counter("b").Set(3) // same handle, not a new registration
 
 	if got := r.Value("b"); got != 3 {
 		t.Errorf("Value(b) = %d, want 3", got)
@@ -96,7 +96,7 @@ func TestGroupSeriesAndTables(t *testing.T) {
 func TestGroupsExportInRegistrationOrder(t *testing.T) {
 	r := New()
 	r.Group("zeta", "Z", "x").Add("s", 0, 1)
-	r.Counter("ops").Inc()
+	r.Counter("ops").Set(1)
 	r.Group("alpha", "A", "x").Add("s", 0, 2)
 	r.Group("zeta", "Z again", "x").Add("s", 1, 3)
 
@@ -117,7 +117,7 @@ func TestGroupsExportInRegistrationOrder(t *testing.T) {
 // registry, so a second export still shows what was recorded.
 func TestTablesIsSnapshot(t *testing.T) {
 	r := New()
-	r.Counter("ops").Add(3)
+	r.Counter("ops").Set(3)
 	g := r.Group("traj", "trajectory", "t")
 	g.Def("v", "", 0)
 	g.Add("v", 0, 1)
@@ -155,8 +155,8 @@ func TestTablesIsSnapshot(t *testing.T) {
 func TestTablesDeterministic(t *testing.T) {
 	build := func() *Registry {
 		r := New()
-		r.Counter("db/rings-total").Add(7)
-		r.Counter("nic/completed").Add(41)
+		r.Counter("db/rings-total").Set(7)
+		r.Counter("nic/completed").Set(41)
 		g := r.Group("gamma", "Retry rate", "window")
 		g.Def("gamma", "", 3)
 		g.Add("gamma", 1, 0.25)
@@ -260,8 +260,8 @@ func TestNilRegistrySafety(t *testing.T) {
 func TestRegistryPerPointIsolation(t *testing.T) {
 	fill := func(r *Registry, point int) {
 		pre := fmt.Sprintf("b%d/", point%3)
-		r.Counter(pre + "ops").Add(uint64(100 + point))
-		r.Counter(pre + "retries").Add(uint64(point))
+		r.Counter(pre + "ops").Set(uint64(100 + point))
+		r.Counter(pre + "retries").Set(uint64(point))
 		g := r.Group("traj", "trajectory", "t")
 		g.Def("v", "", 0)
 		for x := 0; x < 4; x++ {
