@@ -52,11 +52,11 @@ func run(w io.Writer, seed int64) summary {
 		c.ReadSync(buf, got)
 		fmt.Fprintf(w, "[%v] thread 0 read back: %q\n", c.Now(), got)
 
-		// Batch several work requests into one post_send + sync.
+		// Batch several work requests behind one doorbell: Sync posts
+		// whatever is still buffered, then waits for it.
 		a, b := make([]byte, 8), make([]byte, 8)
 		c.Read(buf, a)
 		c.Read(buf.Add(8), b)
-		c.PostSend()
 		c.Sync()
 		fmt.Fprintf(w, "[%v] thread 0 batched 2 READs in one doorbell ring\n", c.Now())
 	})

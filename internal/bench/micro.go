@@ -164,7 +164,6 @@ func RunMicro(cfg MicroConfig) MicroResult {
 								c.Read(addr, buf)
 							}
 						}
-						c.PostSend()
 						c.Sync()
 						c.EndOp()
 						return start, noCount

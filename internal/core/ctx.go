@@ -11,9 +11,11 @@ import (
 
 // Ctx is the per-coroutine handle exposing SMART's programming
 // interface (§5.1): read/write/cas/faa buffer work requests,
-// post_send posts them through the throttler, sync suspends the
-// coroutine until everything posted completes, and backoff_cas_sync
-// adds conflict avoidance. BeginOp/EndOp bracket one application
+// post_send posts them through the throttler, sync posts whatever is
+// still buffered and suspends the coroutine until everything posted
+// completes, and backoff_cas_sync adds conflict avoidance. A round trip
+// is the buffering calls then Sync; PostSend alone lets WRs fly while
+// the coroutine goes on. BeginOp/EndOp bracket one application
 // operation for the coroutine-depth throttle and the statistics, and
 // scope the op's memory: the WRs and Buf buffers an op takes are the
 // Ctx's to reuse once EndOp has run, and a *Sync helper's WR once the
@@ -23,6 +25,8 @@ type Ctx struct {
 	proc   *sim.Proc
 	onDone func(*verbs.WR) // c.onComplete, bound once by Thread.Spawn
 	send   sender          // the coroutine's submission loop, bound by Thread.Spawn
+
+	slept, regained func() // the backoff's stages, backoffWoke and creditRegained, bound by Thread.Spawn
 
 	buf     []*verbs.WR
 	pending int
@@ -137,11 +141,15 @@ func (c *Ctx) Buf(n int) []byte {
 // while the thread's credits are depleted (batches larger than C_max
 // slide through as a window). Completions replenish credits and are
 // routed back to this coroutine.
-func (c *Ctx) PostSend() {
+func (c *Ctx) PostSend() { c.post(false) }
+
+// post posts every buffered work request and, with wait set, waits for
+// them as Sync does (see sender.post).
+func (c *Ctx) post(wait bool) {
 	wrs := c.buf
 	c.buf = nil
 	t := c.T
-	c.send.post(wrs, t.rt.opts.Batching.Postlist && t.coal == nil)
+	c.send.post(wrs, t.rt.opts.Batching.Postlist && t.coal == nil, wait)
 	// Posted WRs are tracked by the card and, inside an op, by opWRs
 	// until EndOp; the batch buffer must not keep them alive as well.
 	clear(wrs)
@@ -183,24 +191,21 @@ func (c *Ctx) onComplete(wr *verbs.WR) {
 	}
 }
 
-// Sync suspends the coroutine until all previously posted work
-// requests have completed. Work requests that completed with an error
-// are transparently reposted for up to MaxWRRetries rounds; whatever
-// still fails after the budget is abandoned (counted, statuses left on
-// the WRs for the caller to inspect).
+// Sync posts whatever is still buffered, as PostSend would, and
+// suspends the coroutine until all posted work requests have
+// completed. Work requests that completed with an error are
+// transparently reposted for up to MaxWRRetries rounds; whatever still
+// fails after the budget is abandoned (counted, statuses left on the
+// WRs for the caller to inspect). Before waiting, each round flushes
+// the thread's coalescing buffer: everything this thread posted is
+// submitted before anyone parks, which is what keeps the buffer
+// invisible to the happens-before contract (a deadline can only delay
+// WRs nobody is waiting for yet). Calling Sync alone rather than
+// PostSend then Sync saves a coroutine switch per round trip (see
+// sender.post).
 func (c *Ctx) Sync() {
+	c.post(true)
 	t := c.T
-	// Explicit flush before waiting: everything this thread posted is
-	// submitted before anyone parks, which is what keeps the coalescing
-	// buffer invisible to the happens-before contract (a deadline can
-	// only delay WRs nobody is waiting for yet).
-	if t.coal != nil {
-		c.send.flushBuffer(flushSync)
-	}
-	if c.pending > 0 {
-		c.syncing = true
-		c.proc.Suspend()
-	}
 	for round := 0; len(c.failed) > 0; round++ {
 		if round >= t.rt.opts.MaxWRRetries {
 			t.Stats.FaultAbandoned += uint64(len(c.failed))
@@ -210,31 +215,22 @@ func (c *Ctx) Sync() {
 		retry := c.failed
 		c.failed = nil
 		t.Stats.FaultRetries += uint64(len(retry))
-		c.send.post(retry, false)
-		if t.coal != nil {
-			c.send.flushBuffer(flushSync)
-		}
-		if c.pending > 0 {
-			c.syncing = true
-			c.proc.Suspend()
-		}
+		c.send.post(retry, false, true)
 	}
 }
 
-// ReadSync is Read + PostSend + Sync. The *Sync helpers hand their WR
-// back as they return (see releaseHelper), so a retry chain inside one
-// op reuses one WR instead of taking a new one per round.
+// ReadSync is Read + Sync. The *Sync helpers hand their WR back as
+// they return (see releaseHelper), so a retry chain inside one op
+// reuses one WR instead of taking a new one per round.
 func (c *Ctx) ReadSync(addr blade.Addr, buf []byte) {
 	wr := c.Read(addr, buf)
-	c.PostSend()
 	c.Sync()
 	c.releaseHelper(wr)
 }
 
-// WriteSync is Write + PostSend + Sync.
+// WriteSync is Write + Sync.
 func (c *Ctx) WriteSync(addr blade.Addr, src []byte) {
 	wr := c.Write(addr, src)
-	c.PostSend()
 	c.Sync()
 	c.releaseHelper(wr)
 }
@@ -261,7 +257,6 @@ func (c *Ctx) releaseHelper(wr *verbs.WR) {
 // BackoffCASSync.
 func (c *Ctx) CASSync(addr blade.Addr, compare, swap uint64) (old uint64, swapped bool) {
 	wr := c.CAS(addr, compare, swap)
-	c.PostSend()
 	c.Sync()
 	swapped = wr.Succeeded()
 	old = wr.Result
@@ -290,7 +285,6 @@ func (c *Ctx) CASSync(addr blade.Addr, compare, swap uint64) (old uint64, swappe
 // rather than read out of the dead request's payload.
 func (c *Ctx) FAASync(addr blade.Addr, add uint64) (old uint64) {
 	wr := c.FAA(addr, add)
-	c.PostSend()
 	c.Sync()
 	if wr.Status == rnic.StatusSuccess {
 		old = wr.Result
@@ -329,18 +323,44 @@ func (c *Ctx) BackoffCASSync(addr blade.Addr, compare, swap uint64) (old uint64,
 		// operation credit for the duration of the delay so the
 		// thread's other coroutines can run conflict-free operations,
 		// and re-acquires it before retrying.
-		holdsCredit := c.inOp && t.coroCredits != nil
-		if holdsCredit {
+		if c.inOp && t.coroCredits != nil {
 			t.coroCredits.Release(1)
-		}
-		c.proc.Sleep(d)
-		if holdsCredit {
-			t.coroCredits.Acquire(c.proc, 1)
+			c.sleepReacquire(d)
+		} else {
+			c.proc.Sleep(d)
 		}
 	} else {
 		c.casAttempts++
 	}
 	return old, false
+}
+
+// sleepReacquire is Sleep(d) then an Acquire of one operation credit,
+// with the Acquire run as a stage of the sleep's wake (DESIGN.md §14,
+// "Staged submission"): a coroutine that waits for both is switched
+// into once, holding its credit again.
+func (c *Ctx) sleepReacquire(d sim.Time) {
+	if !c.proc.SleepStage(d, c.slept) {
+		c.proc.Block()
+		return
+	}
+	c.T.coroCredits.Acquire(c.proc, 1)
+}
+
+// backoffWoke is the backoff sleep's stage: the coroutine's wake, then
+// its credit Acquire, which resumes it at once or, granted later,
+// through regained.
+func (c *Ctx) backoffWoke() {
+	c.proc.Woken()
+	if c.T.coroCredits.AcquireStage(c.proc, 1, c.regained) {
+		c.proc.Resume()
+	}
+}
+
+// creditRegained is the stage of the credit grant that ends a backoff.
+func (c *Ctx) creditRegained() {
+	c.proc.Woken()
+	c.proc.Resume()
 }
 
 // BeginOp marks the start of one application operation. Under

@@ -160,7 +160,9 @@ func (c *Ctx) refSync() {
 // of coroutines, each running ops of one or two PostSends of mixed
 // READ/WRITE/CAS/FAA batches over two blades and a Sync, under one
 // batching mode, with or without work-request throttling, faults and
-// a watchdog.
+// a watchdog. In a fused op the staged side leaves its last batch
+// buffered for Sync to post, against the reference's refPostSend then
+// refSync.
 type subScript struct {
 	seed      int64
 	batching  verbs.Batching
@@ -174,10 +176,11 @@ type subScript struct {
 }
 
 // subOp is one op: a Sleep of gap, then PostSends of posts[k] WRs each,
-// then one Sync.
+// then one Sync; with fuse set, the last batch is posted by the Sync.
 type subOp struct {
 	gap   sim.Time
 	posts []int
+	fuse  bool
 }
 
 // subHorizon bounds every run: past fault.Default()'s windows (2–4 ms).
@@ -221,7 +224,9 @@ func decodeSubScript(b []byte) subScript {
 		v := next()
 		k := v % len(s.coroutine)
 		op := subOp{gap: sim.Time(v/len(s.coroutine)%8) * 100 * sim.Microsecond}
-		for n := 1 + next()%2; n > 0; n-- {
+		v = next()
+		op.fuse = v&2 == 0
+		for n := 1 + v%2; n > 0; n-- {
 			op.posts = append(op.posts, 1+next()%24)
 		}
 		s.coroutine[k] = append(s.coroutine[k], op)
@@ -354,7 +359,7 @@ func runSubScript(s subScript, ref bool) subOutcome {
 				c.Proc().Sleep(op.gap)
 				c.BeginOp()
 				round = round[:0]
-				for _, n := range op.posts {
+				for b, n := range op.posts {
 					for j := 0; j < n; j++ {
 						addr := regions[rng.Intn(2)].Add(uint64(rng.Intn(64)) * 8)
 						var wr *verbs.WR
@@ -373,12 +378,18 @@ func runSubScript(s subScript, ref bool) subOutcome {
 						rec.track(wr)
 						round = append(round, wr)
 					}
+					if op.fuse && b == len(op.posts)-1 {
+						break // the Sync below posts the last batch
+					}
 					if ref {
 						c.refPostSend()
 					} else {
 						c.PostSend()
 					}
 					out.Returns = append(out.Returns, fmt.Sprintf("c%d#%d post@%v", k, i, c.Now()))
+				}
+				if ref && op.fuse {
+					c.refPostSend()
 				}
 				if ref {
 					c.refSync()
@@ -472,4 +483,127 @@ func FuzzStagedSubmission(f *testing.F) {
 	f.Add([]byte{0x4e, 9, 12, 2, 255, 0, 100, 1, 4, 2, 15, 3, 3, 1, 0, 0, 200})
 	f.Add([]byte{0x8b, 3, 40, 7, 60, 2, 23, 23, 9, 1, 23, 4, 7, 0, 22, 11, 5, 1})
 	f.Fuzz(checkStagedSubmission)
+}
+
+// refBackoffCASSync is BackoffCASSync as it was before its credit
+// re-acquire ran as a stage of the sleep's wake, kept verbatim (renamed)
+// as the reference: the coroutine is switched into at the sleep's end
+// and again when its operation credit is granted.
+func (c *Ctx) refBackoffCASSync(addr blade.Addr, compare, swap uint64) (old uint64, swapped bool) {
+	old, swapped = c.CASSync(addr, compare, swap)
+	if swapped {
+		return old, true
+	}
+	t := c.T
+	if t.rt.opts.Backoff {
+		t0 := t.rt.opts.BackoffUnit
+		d := t0 << uint(c.casAttempts)
+		if d > t.tmax || d <= 0 {
+			d = t.tmax
+		}
+		d += sim.Time(t.rt.eng.Rand().Int63n(int64(t0)))
+		c.casAttempts++
+		if t.tel.Tracing() {
+			t.tel.Emit(t.rt.eng.Now(), "backoff",
+				fmt.Sprintf("t%d sleep=%s tmax=%s", t.ID, d, t.tmax))
+		}
+		holdsCredit := c.inOp && t.coroCredits != nil
+		if holdsCredit {
+			t.coroCredits.Release(1)
+		}
+		c.proc.Sleep(d)
+		if holdsCredit {
+			t.coroCredits.Acquire(c.proc, 1)
+		}
+	} else {
+		c.casAttempts++
+	}
+	return old, false
+}
+
+// TestBackoffReacquireMatchesReference runs lock-protected updates on
+// two hot words under SMART's backoff, with coroutine throttling at a
+// depth of 2 (so a coroutine leaving its backoff often waits for its
+// credit) and without, through BackoffCASSync and the reference. Every
+// op's end time, CAS and retry count, the thread stats, the hot words,
+// Events/Parks/Wakes/Pending, the next rand draw and the after-Stop
+// counts must be equal; the staged form must switch less whenever a
+// re-acquire waited.
+func TestBackoffReacquireMatchesReference(t *testing.T) {
+	type outcome struct {
+		Ops                  []string
+		Stats                []ThreadStats
+		Words                [2]uint64
+		Events, Parks, Wakes uint64
+		Pending              int
+		NextRand             int64
+		AfterStop            [3]uint64
+	}
+	run := func(coroThrottle, ref bool, seed int64) (outcome, uint64) {
+		opts := Smart()
+		opts.CoroThrottle = coroThrottle
+		opts.Depth = 2
+		opts.UpdateDelta = 40 * sim.Microsecond
+		cl, rt := testRig(t, 2, 1, opts)
+		hot := [2]blade.Addr{cl.Memories[0].Mem.Alloc(8), cl.Memories[0].Mem.Alloc(8)}
+		data := cl.Memories[0].Mem.Alloc(64)
+		var out outcome
+		for k := 0; k < 12; k++ {
+			rng := rand.New(rand.NewSource(seed*100 + int64(k)))
+			rt.Thread(k%2).Spawn(fmt.Sprintf("c%d", k), func(c *Ctx) {
+				for i := 0; ; i++ {
+					c.BeginOp()
+					w := hot[rng.Intn(2)]
+					cas := 0
+					for {
+						cas++
+						var ok bool
+						if ref {
+							_, ok = c.refBackoffCASSync(w, 0, uint64(k+1))
+						} else {
+							_, ok = c.BackoffCASSync(w, 0, uint64(k+1))
+						}
+						if ok {
+							break
+						}
+					}
+					c.Write(data.Add(8*uint64(rng.Intn(8))), c.Buf(8))
+					c.Sync()
+					c.WriteSync(w, c.Buf(8))
+					retries := c.EndOp()
+					out.Ops = append(out.Ops, fmt.Sprintf("c%d#%d@%v cas=%d retries=%d", k, i, c.Now(), cas, retries))
+				}
+			})
+		}
+		cl.Eng.Run(300 * sim.Microsecond)
+		eng := cl.Eng
+		for _, th := range rt.threads {
+			out.Stats = append(out.Stats, th.Stats)
+		}
+		out.Words = [2]uint64{cl.Memories[0].Mem.Load8(hot[0].Offset), cl.Memories[0].Mem.Load8(hot[1].Offset)}
+		out.Events, out.Parks, out.Wakes = eng.Events(), eng.Parks(), eng.Wakes()
+		out.Pending = eng.Pending()
+		out.NextRand = eng.Rand().Int63()
+		switches := eng.Switches()
+		rt.Stop()
+		eng.Stop()
+		out.AfterStop = [3]uint64{eng.Events(), eng.Parks(), eng.Wakes()}
+		return out, switches
+	}
+	for _, coroThrottle := range []bool{false, true} {
+		for seed := int64(1); seed <= 3; seed++ {
+			staged, sw := run(coroThrottle, false, seed)
+			ref, refSw := run(coroThrottle, true, seed)
+			if !reflect.DeepEqual(staged, ref) {
+				t.Fatalf("coroThrottle=%v seed %d: staged backoff %+v, reference %+v", coroThrottle, seed, staged, ref)
+			}
+			if len(staged.Ops) < 50 || staged.Stats[0].CASFailed == 0 {
+				t.Fatalf("coroThrottle=%v seed %d: %d ops, %d failed CAS on thread 0: no contention", coroThrottle, seed, len(staged.Ops), staged.Stats[0].CASFailed)
+			}
+			t.Logf("coroThrottle=%v seed %d: %d ops, switches %d, reference %d", coroThrottle, seed, len(staged.Ops), sw, refSw)
+			if coroThrottle && sw >= refSw || !coroThrottle && sw != refSw {
+				t.Errorf("coroThrottle=%v seed %d: staged backoff switched %d times, the reference %d", coroThrottle, seed, sw, refSw)
+			}
+		}
+	}
 }

@@ -12,7 +12,8 @@ import (
 // its first park — on a credit, the QP lock or the doorbell — the rest
 // runs as engine-context stages, each firing where the process's own
 // wake would have and counting that park and wake, and the process is
-// switched into once, after its last WR is launched. Each Ctx carries
+// switched into once, after its last WR is launched — or, for a Sync,
+// not until its completions wake it. Each Ctx carries
 // one sender for its coroutine and each coalescer one for its flusher,
 // with the stages bound once, so a post allocates nothing.
 type sender struct {
@@ -20,9 +21,11 @@ type sender struct {
 	c *Ctx // the posting coroutine; nil for the flusher, which only flushes
 	p *sim.Proc
 
-	wrs   []*verbs.WR // the batch post walks
-	next  int         // wrs[next:] have not taken their credit yet
-	chain bool        // same-QP WRs with a free credit ride one chain
+	wrs       []*verbs.WR // the batch post walks
+	next      int         // wrs[next:] have not taken their credit yet
+	chain     bool        // same-QP WRs with a free credit ride one chain
+	wait      bool        // a Sync: the coroutine then waits on its pending WRs
+	syncFlush bool        // a Sync's coalescer flush is still to come
 
 	flush   []*verbs.WR // a detached coalescing buffer being submitted
 	flushed int         // flush[:flushed] have been handed to submit
@@ -54,21 +57,46 @@ func (s *sender) bind(t *Thread, c *Ctx, p *sim.Proc) {
 }
 
 // post sends wrs through the throttler to the card, shared by
-// Ctx.PostSend and Sync's transparent retry. Each WR first takes the
-// pending count and a throttling credit (possibly stalling). With chain
-// set (postlist batching without coalescing) consecutive same-QP WRs
-// submit as one linked chain, which extends only while a credit is
-// immediately available — so the coroutine stalls at exactly the same
-// points, in the same credit-acquisition order, as one WR at a time,
-// and a batch larger than the free credit balance slides through as
-// several chains. Under doorbell coalescing each WR is buffered
+// Ctx.PostSend, Sync and Sync's transparent retry. Each WR first
+// takes the pending count and a throttling credit (possibly stalling).
+// With chain set (postlist batching without coalescing) consecutive
+// same-QP WRs submit as one linked chain, which extends only while a
+// credit is immediately available — so the coroutine stalls at exactly
+// the same points, in the same credit-acquisition order, as one WR at a
+// time, and a batch larger than the free credit balance slides through
+// as several chains. Under doorbell coalescing each WR is buffered
 // instead; the coalescer submits it at flush time. The coroutine is
 // blocked until the last WR is launched or buffered.
-func (s *sender) post(wrs []*verbs.WR, chain bool) {
+//
+// With wait set (a Sync) the loop goes on to flush the thread's
+// coalescing buffer, and the coroutine then waits until every WR it
+// has pending completes. A loop that finishes in a stage leaves it
+// parked on those completions (sim.Proc.Await) rather than switching
+// into it only for it to park again, so a dependent round trip costs
+// one switch: the wake of its last completion.
+func (s *sender) post(wrs []*verbs.WR, chain, wait bool) {
 	s.wrs, s.next, s.chain = wrs, 0, chain
+	s.wait, s.syncFlush = wait, wait && s.t.coal != nil
 	if !s.advance() {
 		s.p.Block()
+	} else if s.awaiting() {
+		s.p.Suspend()
 	}
+}
+
+// awaiting ends the loop: it reports whether the coroutine, in a Sync,
+// has WRs pending to wait for, and if so marks it syncing, so that the
+// last completion wakes it.
+func (s *sender) awaiting() bool {
+	if !s.wait {
+		return false
+	}
+	s.wait = false
+	if s.c.pending == 0 {
+		return false
+	}
+	s.c.syncing = true
+	return true
 }
 
 // flushBuffer submits the thread's coalescing buffer, blocking the
@@ -103,6 +131,12 @@ func (s *sender) advance() bool {
 			}
 			if s.next == len(s.wrs) {
 				s.wrs, s.next = nil, 0
+				if s.syncFlush {
+					s.syncFlush = false
+					if s.detach(flushSync) {
+						continue
+					}
+				}
 				return true
 			}
 			s.qp = t.qpFor(s.wrs[s.next])
@@ -169,10 +203,17 @@ func (s *sender) wake() {
 	s.carryOn()
 }
 
-// carryOn continues the loop from a stage, and switches into the
-// process inside the current event once the loop finishes.
+// carryOn continues the loop from a stage. Once the loop finishes it
+// switches into the process inside the current event, unless the
+// process is in a Sync with WRs pending: then it leaves it parked on
+// their completions, the last of which wakes it.
 func (s *sender) carryOn() {
-	if s.advance() {
+	if !s.advance() {
+		return
+	}
+	if s.awaiting() {
+		s.p.Await()
+	} else {
 		s.p.Resume()
 	}
 }

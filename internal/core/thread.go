@@ -178,6 +178,7 @@ func (t *Thread) qpFor(wr *verbs.WR) *verbs.QP { return t.QP(wr.Remote.Blade) }
 func (t *Thread) Spawn(name string, fn func(c *Ctx)) *Ctx {
 	c := &Ctx{T: t}
 	c.onDone = c.onComplete // one method value for every WR the coroutine posts
+	c.slept, c.regained = c.backoffWoke, c.creditRegained
 	c.proc = t.rt.eng.Go(name, func(p *sim.Proc) {
 		fn(c)
 	})

@@ -161,7 +161,6 @@ func (tx *Tx) Commit() error {
 		for i, e := range tx.rs {
 			c.Read(e.addr.Add(8), vers[8*i:8*i+8])
 		}
-		c.PostSend()
 		c.Sync()
 		for i, e := range tx.rs {
 			if binary.LittleEndian.Uint64(vers[8*i:]) != e.version {
@@ -207,7 +206,6 @@ func (tx *Tx) Commit() error {
 		l := tx.db.logFor(c.T.ID, bladeID)
 		c.Write(l.next(uint64(n)), img)
 	}
-	c.PostSend()
 	c.Sync()
 
 	// Install: one WRITE per record rewrites [lock=0 | version+1 |
@@ -226,7 +224,6 @@ func (tx *Tx) Commit() error {
 			c.Write(bk, rec)
 		}
 	}
-	c.PostSend()
 	c.Sync()
 	tx.finish()
 	return nil
@@ -246,7 +243,6 @@ func (tx *Tx) Abort() {
 		}
 	}
 	if n > 0 {
-		tx.c.PostSend()
 		tx.c.Sync()
 	}
 	tx.finish()

@@ -112,7 +112,6 @@ func (cl *Client) readPairs(c *core.Ctx, e dirEntry, key uint64) [2]pairView {
 		views[i] = pairView{raw: c.Buf(PairBytes), ref: pr}
 		c.Read(pr.addr, views[i].raw)
 	}
-	c.PostSend()
 	c.Sync()
 	return views
 }

@@ -74,7 +74,6 @@ func (cl *Client) split(c *core.Ctx, key uint64, seen dirEntry) {
 		if len(kvBufs) == 0 {
 			return
 		}
-		c.PostSend()
 		c.Sync()
 		for i := range kvBufs {
 			occ[len(occ)-len(kvBufs)+i].key = binary.LittleEndian.Uint64(kvBufs[i][:8])
@@ -136,7 +135,6 @@ func (cl *Client) split(c *core.Ctx, key uint64, seen dirEntry) {
 			cl.dir[i] = oldEntry
 		}
 	}
-	c.PostSend()
 	c.Sync()
 	c.WriteSync(e.segAddr(), segBuf)
 	cl.gd = gd

@@ -53,7 +53,6 @@ func (cl *Client) splitLeaf(c *core.Ctx, v leafView) {
 	// following a stale pointer still finds consistent fences.
 	c.Write(newAddr, right)
 	c.Write(v.addr, left)
-	c.PostSend()
 	c.Sync()
 
 	cl.insertSeparator(c, path, len(path)-1, sep, packAddr(newAddr))
@@ -84,7 +83,6 @@ func (cl *Client) insertSeparator(c *core.Ctx, path []*cachedInternal, level int
 		var ptr [8]byte
 		binary.LittleEndian.PutUint64(ptr[:], packAddr(newRoot.addr))
 		c.Write(cl.t.rootPtrAddr(), ptr[:])
-		c.PostSend()
 		c.Sync()
 		return
 	}
@@ -116,7 +114,6 @@ func (cl *Client) insertSeparator(c *core.Ctx, path []*cachedInternal, level int
 	cl.nodes[packAddr(rightNode.addr)] = rightNode
 	c.Write(rightNode.addr, remoteInternalBytes(rightNode))
 	c.Write(node.addr, remoteInternalBytes(node))
-	c.PostSend()
 	c.Sync()
 	cl.insertSeparator(c, path, level-1, promote, packAddr(rightNode.addr))
 }

@@ -109,7 +109,7 @@ type Engine struct {
 	live     []*Proc // every process ever spawned; Stop unwinds the parked ones
 	parks    uint64  // times any process reached a simulated blocking point
 	wakes    uint64  // times any process was woken from a park
-	switches uint64  // coroutine switches into a process (activate, Resume)
+	switches uint64  // coroutine switches into a process (activate, Resume, Await)
 	events   uint64  // events executed (timer fires + process activations)
 }
 
@@ -158,7 +158,8 @@ func (e *Engine) Wakes() uint64 { return e.wakes }
 // measure. A wake taken by the self-wake short-circuit, or by a stage
 // run on a blocked process's behalf, switches nowhere; a process
 // blocked through a whole staged submission is switched into once, by
-// its last stage. Unlike Parks and Wakes it is not exported to
+// its last stage, or by the wake it awaits when that stage leaves it
+// suspended (Proc.Await). Unlike Parks and Wakes it is not exported to
 // telemetry: it is a property of the host implementation, not of the
 // simulated run, and the goldens must not move when it does.
 func (e *Engine) Switches() uint64 { return e.switches }

@@ -307,3 +307,96 @@ func TestStagedWorkCountsAsProcess(t *testing.T) {
 			o2, ev2, pk2, wk2, o1, ev1, pk1, wk1)
 	}
 }
+
+// TestAwaitMatchesResumeThenSuspend: a stage that ends staged work with
+// Await leaves the process where Resume followed at once by Suspend
+// would: the same resume times and the same Events, Parks, Wakes and
+// Pending, with one switch fewer per round. Variants: the wake a timer
+// (one switch saved per round), a stale run-queue entry of a finished
+// process ahead of the park (dropped uncounted by both), and the
+// process's own entry already queued (the self-wake short-circuit: it
+// runs on at once, and both switch into it once).
+func TestAwaitMatchesResumeThenSuspend(t *testing.T) {
+	type outcome struct {
+		out                  string
+		events, parks, wakes uint64
+		pending              int
+	}
+	const rounds = 3
+	run := func(await, stale, self bool) (outcome, uint64) {
+		e := New(1)
+		defer e.Stop()
+		q := e.Go("q", func(p *Proc) { p.Suspend() })
+		var out []string
+		e.Go("p", func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				finish := func() {
+					if self {
+						e.enqueueRun(p)
+					} else {
+						e.Schedule(10*Nanosecond, p.Wake)
+					}
+					if await {
+						p.Await()
+					} else {
+						p.Resume()
+					}
+				}
+				stage2 := func() {
+					p.Woken()
+					finish()
+				}
+				stage1 := func() {
+					p.Woken()
+					if i > 0 || !stale {
+						finish()
+						return
+					}
+					// q's first entry runs (and q finishes) before
+					// stage2; its second is stale when stage2 parks p.
+					q.Wake()
+					if p.SleepStage(0, stage2) {
+						t.Error("SleepStage(0) behind q's wake ran inline")
+					}
+					q.Wake()
+				}
+				if !p.SleepStage(Time(i+1)*Nanosecond, stage1) {
+					p.Block()
+				}
+				if !await {
+					p.Suspend()
+				}
+				out = append(out, fmt.Sprintf("#%d@%v", i, p.Now()))
+			}
+		})
+		e.Run(0)
+		return outcome{fmt.Sprint(out), e.Events(), e.Parks(), e.Wakes(), e.Pending()}, e.Switches()
+	}
+	for _, v := range []struct {
+		name        string
+		stale, self bool
+		saved       uint64
+	}{{"timer", false, false, rounds}, {"stale", true, false, rounds}, {"self", false, true, 0}} {
+		ref, refSw := run(false, v.stale, v.self)
+		got, sw := run(true, v.stale, v.self)
+		if got != ref {
+			t.Errorf("%s: Await %+v, Resume then Suspend %+v", v.name, got, ref)
+		}
+		if sw+v.saved != refSw {
+			t.Errorf("%s: Await switched %d times, Resume then Suspend %d: want %d fewer", v.name, sw, refSw, v.saved)
+		}
+	}
+}
+
+// TestAwaitOutsideStagesPanics: only a stage may end staged work, so
+// Await of a process that is not blocked in stages panics, naming it.
+func TestAwaitOutsideStagesPanics(t *testing.T) {
+	e := New(1)
+	defer e.Stop()
+	idle := e.Go("idle", func(p *Proc) { p.Suspend() })
+	e.Schedule(5*Nanosecond, idle.Await)
+	msg := mustPanic(t, func() { e.Run(0) })
+	if !strings.Contains(msg, "idle") || !strings.Contains(msg, "stages") {
+		t.Fatalf("panic %q does not name the process", msg)
+	}
+}

@@ -240,8 +240,10 @@ func (w waitKind) String() string {
 //     Block, which switches out without counting a second park;
 //   - each stage callback first calls Woken, runs its step, and on
 //     finishing the work calls Resume, which switches into p inside the
-//     current event — or hands on to the next layer's continuation,
-//     which carries p's work on within the same event (see
+//     current event; or Await, when p's next step would be to Suspend
+//     on a wake already arranged, which leaves p suspended without a
+//     switch; or hands on to the next layer's continuation, which
+//     carries p's work on within the same event (see
 //     verbs.QP.PostListStage).
 
 // SleepStage arms stage to run where Sleep(d) would have woken p — at
@@ -261,8 +263,9 @@ func (p *Proc) SleepStage(d Time, stage func()) bool {
 }
 
 // Block switches out of a process whose park a SleepStage, LockStage
-// or AcquireStage has already counted, until a stage calls Resume. Wake panics
-// meanwhile. Must be called from the process's own body.
+// or AcquireStage has already counted, until a stage calls Resume, or
+// Await and then a Wake. Wake panics while stages run. Must be called
+// from the process's own body.
 func (p *Proc) Block() {
 	p.wait = waitStage
 	if !p.yield(struct{}{}) {
@@ -285,4 +288,25 @@ func (p *Proc) Resume() {
 	p.wait, p.stage = waitAny, nil
 	p.eng.switches++
 	p.next()
+}
+
+// Await ends staged work with the process suspended until a Wake, as
+// if the last stage had called Resume and the process had called
+// Suspend at once. It counts that park through stall, as Suspend
+// would, stale run-queue entries included, but switches nowhere: the
+// process is switched into once, by the Wake's activation, so of the
+// engine's counters only Switches differs from Resume then Suspend.
+// Whoever wakes the process must have arranged it before the call, as
+// for Suspend. Should the park's self-wake short-circuit take the
+// process's own run-queue entry, it runs on at once, and Await
+// switches into it as Resume would. Only a stage callback may call it.
+func (p *Proc) Await() {
+	if p.wait != waitStage {
+		panic(fmt.Sprintf("sim: Await of %s, which is not blocked in stages", p.name))
+	}
+	p.wait, p.stage = waitAny, nil
+	if p.stall() {
+		p.eng.switches++
+		p.next()
+	}
 }
