@@ -97,7 +97,7 @@ func RunBT(cfg BTConfig) BTResult {
 			ComputeBlades: cfg.Servers,
 			MemoryBlades:  cfg.Servers,
 			// The +64 MB of slack is an OOM guard, not a memory cost:
-			// blades only commit the bytes written.
+			// blades only commit the pages written.
 			BladeCapacity: cfg.Keys*40/uint64(cfg.Servers) + (64 << 20),
 			Seed:          cfg.Seed,
 		},

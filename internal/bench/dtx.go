@@ -76,7 +76,7 @@ func RunDTX(cfg DTXConfig) DTXResult {
 			MemoryBlades:  cfg.MemoryBlades,
 			MemoryKind:    blade.NVM,
 			// +128 MB of slack for undo logs: an OOM guard, not a memory
-			// cost, since blades only commit the bytes written.
+			// cost, since blades only commit the pages written.
 			BladeCapacity: cfg.Records*600/uint64(cfg.MemoryBlades) + (128 << 20),
 			Seed:          cfg.Seed,
 		},

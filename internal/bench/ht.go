@@ -138,9 +138,9 @@ func groupsFor(keys uint64) int {
 }
 
 // bladeCapacityFor sizes each memory blade for a RACE table of keys
-// spread over blades, with 64 MB of slack. Blades are grow-on-write, so
-// the capacity is only the bound past which Alloc panics (an OOM
-// guard), not host memory the point pays for.
+// spread over blades, with 64 MB of slack. Blades allocate a page on
+// its first write, so the capacity is only the bound past which Alloc
+// panics (an OOM guard), not host memory the point pays for.
 func bladeCapacityFor(keys uint64, blades int) uint64 {
 	per := keys * 64 / uint64(blades)
 	return max(per, 64<<20) + (64 << 20)

@@ -3,7 +3,9 @@
 // its memory through one-sided operations only (READ, WRITE, CAS, FAA)
 // — exactly the interface the RNIC executes on behalf of remote
 // compute blades — plus a bump allocator that stands in for the
-// registration-time carving of memory regions.
+// registration-time carving of memory regions. Its memory is a table
+// of fixed-size pages allocated on first write, so a blade costs the
+// host only the pages written to it.
 //
 // Because the simulation engine is single-threaded, operations applied
 // at their virtual execution time are automatically linearized, which
@@ -50,20 +52,30 @@ func (a Addr) String() string { return fmt.Sprintf("b%d+0x%x", a.Blade, a.Offset
 // Add returns the address displaced by d bytes.
 func (a Addr) Add(d uint64) Addr { return Addr{Blade: a.Blade, Offset: a.Offset + d} }
 
+// pageShift sets the size of a blade page, the unit in which a blade
+// commits host memory: 64 KiB (DESIGN.md §14, "Blade memory").
+const (
+	pageShift = 16
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
 // Blade is one memory blade: a large region of simulated memory with
 // near-zero compute. The first 8 bytes are reserved so that offset 0
 // can serve as a null pointer.
 //
-// Memory is grow-on-write: mem holds the prefix that writes have
-// reached and grows by doubling, never past capacity. Bytes past
-// len(mem) have never been written, so they read as zero, just as an
-// untouched byte of a full-capacity array would. A blade therefore
-// costs host memory in proportion to what it stores, not to its
-// configured size.
+// Memory is a table of fixed-size pages, each allocated zeroed on its
+// first write; the last page stops at capacity. A page never written
+// reads as zero and costs nothing, so a blade costs host memory in
+// proportion to the pages it has stored into, not to its configured
+// size, and growing it never copies what is already stored.
 type Blade struct {
-	ID       int
-	Kind     Kind
-	mem      []byte
+	ID   int
+	Kind Kind
+	// pages[i] holds bytes [i*pageSize, (i+1)*pageSize), or is nil if
+	// none of them was ever written. The table itself ends after the
+	// highest page written.
+	pages    [][]byte
 	capacity uint64
 	next     uint64 // bump-allocation cursor
 
@@ -87,12 +99,14 @@ func (b *Blade) Capacity() uint64 { return b.capacity }
 // returns their global address. It panics when the blade is full;
 // sizing is a configuration decision, not a runtime condition.
 func (b *Blade) Alloc(size uint64) Addr {
-	size = (size + 7) &^ 7
-	if b.next+size > b.capacity {
+	// The cursor stays 8-aligned, so size fits when it is at most the
+	// free space rounded down to 8; testing that before rounding keeps
+	// a size near 2^64 from wrapping to a small one.
+	if size > (b.capacity-b.next)&^7 {
 		panic(fmt.Sprintf("blade %d: out of memory (%d + %d > %d)", b.ID, b.next, size, b.capacity))
 	}
 	off := b.next
-	b.next += size
+	b.next += (size + 7) &^ 7
 	return Addr{Blade: b.ID, Offset: off}
 }
 
@@ -106,33 +120,37 @@ func (b *Blade) Read(off uint64, n int) []byte {
 // ReadInto copies len(dst) bytes at off into dst.
 func (b *Blade) ReadInto(off uint64, dst []byte) {
 	b.Reads++
-	if end := off + uint64(len(dst)); end <= uint64(len(b.mem)) {
-		copy(dst, b.mem[off:end])
-	} else {
-		b.readPastEnd(off, dst)
+	if p, i := b.page(off), off&pageMask; i+uint64(len(dst)) <= uint64(len(p)) {
+		copy(dst, p[i:])
+		return
 	}
+	b.readSlow(off, dst)
 }
 
 // Write copies src into the blade at off.
 func (b *Blade) Write(off uint64, src []byte) {
 	b.Writes++
-	copy(b.span(off, uint64(len(src))), src)
+	if p, i := b.page(off), off&pageMask; i+uint64(len(src)) <= uint64(len(p)) {
+		copy(p[i:], src)
+		return
+	}
+	b.writeSlow(off, src)
 }
 
 // Load8 returns the 8-byte little-endian word at off.
 func (b *Blade) Load8(off uint64) uint64 {
-	if off+8 <= uint64(len(b.mem)) {
-		return binary.LittleEndian.Uint64(b.mem[off : off+8])
+	if p, i := b.page(off), off&pageMask; i+8 <= uint64(len(p)) {
+		return binary.LittleEndian.Uint64(p[i : i+8])
 	}
 	var w [8]byte
-	b.readPastEnd(off, w[:])
+	b.readSlow(off, w[:])
 	return binary.LittleEndian.Uint64(w[:])
 }
 
 // Store8 writes the 8-byte little-endian word v at off.
 func (b *Blade) Store8(off uint64, v uint64) {
 	b.Writes++
-	binary.LittleEndian.PutUint64(b.span(off, 8), v)
+	b.store8(off, v)
 }
 
 // CAS atomically compares the 8-byte word at off with expect and, on
@@ -143,7 +161,7 @@ func (b *Blade) CAS(off uint64, expect, swap uint64) (old uint64, swapped bool) 
 	b.Atomics++
 	old = b.Load8(off)
 	if old == expect {
-		binary.LittleEndian.PutUint64(b.span(off, 8), swap)
+		b.store8(off, swap)
 		return old, true
 	}
 	return old, false
@@ -154,38 +172,69 @@ func (b *Blade) CAS(off uint64, expect, swap uint64) (old uint64, swapped bool) 
 func (b *Blade) FAA(off uint64, delta uint64) (old uint64) {
 	b.Atomics++
 	old = b.Load8(off)
-	binary.LittleEndian.PutUint64(b.span(off, 8), old+delta)
+	b.store8(off, old+delta)
 	return old
 }
 
-// readPastEnd serves a read that ends past the written prefix: the
-// prefix part is copied and the rest reads as zero.
-func (b *Blade) readPastEnd(off uint64, dst []byte) {
+// store8 is Store8 without the counter.
+func (b *Blade) store8(off uint64, v uint64) {
+	if p, i := b.page(off), off&pageMask; i+8 <= uint64(len(p)) {
+		binary.LittleEndian.PutUint64(p[i:i+8], v)
+		return
+	}
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	b.writeSlow(off, w[:])
+}
+
+// page returns the page holding off, or nil if that page was never
+// written or off lies past the page table.
+func (b *Blade) page(off uint64) []byte {
+	if i := off >> pageShift; i < uint64(len(b.pages)) {
+		return b.pages[i]
+	}
+	return nil
+}
+
+// readSlow serves a read that crosses a page boundary, touches a page
+// never written, or is out of range: written pages are copied, the
+// rest reads as zero, and nothing is allocated.
+func (b *Blade) readSlow(off uint64, dst []byte) {
 	b.check(off, off+uint64(len(dst)))
-	n := 0
-	if off < uint64(len(b.mem)) {
-		n = copy(dst, b.mem[off:])
+	for len(dst) > 0 {
+		i := off & pageMask
+		n := min(uint64(len(dst)), pageSize-i)
+		if p := b.page(off); p != nil {
+			copy(dst[:n], p[i:])
+		} else {
+			clear(dst[:n])
+		}
+		dst, off = dst[n:], off+n
 	}
-	clear(dst[n:])
 }
 
-// span returns mem[off:off+n] for writing, growing mem when the span
-// ends past it.
-func (b *Blade) span(off, n uint64) []byte {
-	if end := off + n; end <= uint64(len(b.mem)) {
-		return b.mem[off:end]
+// writeSlow serves a write that crosses a page boundary, lands on a
+// page never written, or is out of range, allocating each page it
+// touches for the first time.
+func (b *Blade) writeSlow(off uint64, src []byte) {
+	b.check(off, off+uint64(len(src)))
+	for len(src) > 0 {
+		n := copy(b.commit(off >> pageShift)[off&pageMask:], src)
+		src, off = src[n:], off+uint64(n)
 	}
-	return b.grow(off, off+n)
 }
 
-// grow doubles mem (at least to end, at most to capacity) and returns
-// mem[off:end].
-func (b *Blade) grow(off, end uint64) []byte {
-	b.check(off, end)
-	mem := make([]byte, min(max(2*uint64(len(b.mem)), end), b.capacity))
-	copy(mem, b.mem)
-	b.mem = mem
-	return mem[off:end]
+// commit returns page i, allocating it (zeroed, and cut short at
+// capacity if it is the last page) and extending the page table to
+// reach it on first use.
+func (b *Blade) commit(i uint64) []byte {
+	if i >= uint64(len(b.pages)) {
+		b.pages = append(b.pages, make([][]byte, i+1-uint64(len(b.pages)))...)
+	}
+	if b.pages[i] == nil {
+		b.pages[i] = make([]byte, min(pageSize, b.capacity-i<<pageShift))
+	}
+	return b.pages[i]
 }
 
 // check panics unless [off, end) lies inside the blade's capacity. An

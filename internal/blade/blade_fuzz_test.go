@@ -3,6 +3,7 @@ package blade
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"slices"
 	"testing"
 )
@@ -16,12 +17,13 @@ type flat struct {
 }
 
 func (f *flat) alloc(size uint64) uint64 {
-	size = (size + 7) &^ 7
-	if f.next+size > uint64(len(f.mem)) {
+	size, c1 := bits.Add64(size, 7, 0)
+	end, c2 := bits.Add64(f.next, size&^7, 0)
+	if c1|c2 != 0 || end > uint64(len(f.mem)) {
 		panic("out of memory")
 	}
 	off := f.next
-	f.next += size
+	f.next = end
 	return off
 }
 
@@ -70,43 +72,66 @@ func panics(op func()) (p bool) {
 	return false
 }
 
-// FuzzBladeMatchesFlat runs a scripted op sequence against a
-// grow-on-write blade and a full-capacity flat array and requires
-// identical results, identical panics, and identical memory after
-// every op. Each op is four script bytes: opcode, offset region, and
-// two operands. The regions put the op's offset below the blade's
-// written prefix, straddling its end, past it within capacity, and
-// past capacity (including offsets whose span wraps around).
+// FuzzBladeMatchesFlat runs a scripted op sequence against a paged
+// blade and a full-capacity flat array and requires identical results,
+// identical panics, and identical memory after every op. The first
+// script byte sets a capacity of three whole pages plus a partial
+// fourth; then each op is four script bytes: opcode, offset region,
+// and two operands. The regions put the op's offset inside a written
+// page, straddling a page boundary into a written or an unwritten
+// page, inside an unwritten page, and past capacity (including offsets
+// whose span wraps around). No read and no failed CAS may allocate a
+// page.
 func FuzzBladeMatchesFlat(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{200, 1, 2, 40, 16, 5, 1, 9, 3, 6, 2, 7, 8, 7, 1, 0, 0})
 	f.Add([]byte{64, 1, 0, 3, 200, 5, 3, 0, 8, 7, 1, 0, 0, 8, 2, 1, 255, 2, 1, 5, 0})
 	f.Add([]byte{255, 5, 2, 250, 7, 6, 1, 4, 4, 2, 3, 1, 3, 3, 3, 2, 2, 0, 3, 255, 255, 8, 2, 9, 1})
+	f.Add([]byte{9, 5, 3, 7, 23, 1, 1, 9, 22, 3, 2, 200, 21, 8, 4, 3, 255, 0, 0, 15, 255, 0, 7, 4, 6})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
 			return
 		}
-		capacity := max(uint64(script[0])*8, 64)
-		b := New(1, DRAM, uint64(script[0])*8)
+		capacity := 3*pageSize + 1 + uint64(script[0])*9
+		b := New(1, DRAM, capacity)
 		ref := &flat{mem: make([]byte, capacity), next: 8}
 		if b.Capacity() != capacity {
 			t.Fatalf("Capacity = %d, want %d", b.Capacity(), capacity)
 		}
+		const lastPage = 3
+		zero := make([]byte, pageSize)
 		script = script[1:]
 		for i := 0; len(script) >= 4; i++ {
 			op, region, x, y := script[0], script[1], script[2], script[3]
 			script = script[4:]
 
+			before := committed(b)
+			// pick returns the (y mod k)-th of the k pages from first
+			// on whose written state is want, or first when none is.
+			pick := func(first uint64, want bool) uint64 {
+				var ps []uint64
+				for p := first; p <= lastPage; p++ {
+					if (p < uint64(len(before)) && before[p]) == want {
+						ps = append(ps, p)
+					}
+				}
+				if len(ps) == 0 {
+					return first
+				}
+				return ps[uint64(y)%uint64(len(ps))]
+			}
 			var off uint64
-			prefix := uint64(len(b.mem))
-			switch region % 4 {
-			case 0: // inside the written prefix
-				off = uint64(x) % (prefix + 1)
-			case 1: // straddling its end
-				off = prefix - min(prefix, uint64(x%16))
-			case 2: // past it, within capacity
-				off = prefix + uint64(x)%(capacity-prefix+1)
-			case 3: // past capacity, or wrapping around
+			within := (uint64(x)*257 + uint64(y)%8) & pageMask // anywhere in a page
+			switch region % 5 {
+			case 0: // inside a written page
+				off = pick(0, true)<<pageShift + within
+			case 1: // straddling a boundary into a written page
+				off = pick(1, true)<<pageShift - uint64(x%24)
+			case 2: // straddling a boundary into an unwritten page
+				off = pick(1, false)<<pageShift - uint64(x%24)
+			case 3: // inside an unwritten page
+				off = pick(0, false)<<pageShift + within
+			case 4: // past capacity, or wrapping around
 				if y&1 == 0 {
 					off = capacity - 8 + uint64(x%16)
 				} else {
@@ -118,10 +143,13 @@ func FuzzBladeMatchesFlat(f *testing.F) {
 
 			var got, want any
 			var gotP, wantP bool
-			reads := true // the op may not grow mem
+			reads := true // the op may not allocate a page
 			switch op % 9 {
 			case 0:
 				size := uint64(y) * uint64(x%8)
+				if x%8 == 7 { // a size near 2^64 rounds to 0 or wraps the cursor
+					size = ^uint64(0) - uint64(y)
+				}
 				gotP = panics(func() { got = b.Alloc(size).Offset })
 				wantP = panics(func() { want = ref.alloc(size) })
 			case 1:
@@ -167,17 +195,24 @@ func FuzzBladeMatchesFlat(f *testing.F) {
 				t.Fatalf("op %d (%d at %d, n=%d): blade %v, flat %v", i, op%9, off, n, got, want)
 			}
 
-			if reads && uint64(len(b.mem)) != prefix {
-				t.Fatalf("op %d (%d at %d, n=%d): a read grew mem from %d to %d", i, op%9, off, n, prefix, len(b.mem))
+			after := committed(b)
+			if reads && !slices.Equal(after, before) {
+				t.Fatalf("op %d (%d at %d, n=%d): a read or failed CAS allocated: pages %v, then %v", i, op%9, off, n, before, after)
 			}
-			if uint64(len(b.mem)) > capacity {
-				t.Fatalf("op %d: len(mem) = %d past capacity %d", i, len(b.mem), capacity)
+			if uint64(len(after)) > lastPage+1 {
+				t.Fatalf("op %d: page table has %d entries past capacity %d", i, len(after), capacity)
 			}
-			if !bytes.Equal(b.mem, ref.mem[:len(b.mem)]) {
-				t.Fatalf("op %d: written prefix differs from flat", i)
-			}
-			if slices.ContainsFunc(ref.mem[len(b.mem):], func(c byte) bool { return c != 0 }) {
-				t.Fatalf("op %d: flat has nonzero bytes past the blade's prefix", i)
+			for p := uint64(0); p <= lastPage; p++ {
+				lo := p << pageShift
+				hi := min(lo+pageSize, capacity)
+				written := p < uint64(len(after)) && after[p]
+				page := zero[:hi-lo] // a page never written reads as zero
+				if written {
+					page = b.pages[p]
+				}
+				if !bytes.Equal(page, ref.mem[lo:hi]) {
+					t.Fatalf("op %d: page %d (written %v) differs from flat", i, p, written)
+				}
 			}
 			if b.next != ref.next || b.Reads != ref.reads || b.Writes != ref.writes || b.Atomics != ref.atomics {
 				t.Fatalf("op %d: cursor/counters %d %d/%d/%d, flat %d %d/%d/%d", i,
@@ -185,6 +220,16 @@ func FuzzBladeMatchesFlat(f *testing.F) {
 			}
 		}
 	})
+}
+
+// committed reports, for each entry of b's page table, whether that
+// page is allocated.
+func committed(b *Blade) []bool {
+	c := make([]bool, len(b.pages))
+	for i, p := range b.pages {
+		c[i] = p != nil
+	}
+	return c
 }
 
 func equal(a, b any) bool {

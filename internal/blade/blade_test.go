@@ -2,7 +2,10 @@ package blade
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -22,14 +25,20 @@ func TestAllocAlignmentAndReservation(t *testing.T) {
 	}
 }
 
+// Alloc panics on a size past the free space, including one near 2^64
+// that would round to 0 or carry the cursor past 2^64 and back below
+// capacity, and a refused Alloc leaves the cursor where it was.
 func TestAllocExhaustionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on exhaustion")
+	for _, size := range []uint64{128, 64 - 16 + 1, ^uint64(0), ^uint64(0) - 6, ^uint64(0) - 15, 1 << 63} {
+		b := New(1, DRAM, 64)
+		b.Alloc(8)
+		if !panics(func() { b.Alloc(size) }) {
+			t.Fatalf("Alloc(%#x) on a 64-byte blade did not panic", size)
 		}
-	}()
-	b := New(1, DRAM, 64)
-	b.Alloc(128)
+		if a := b.Alloc(64 - 16); a.Offset != 16 {
+			t.Fatalf("after the refused Alloc(%#x), the free space starts at %d, want 16", size, a.Offset)
+		}
+	}
 }
 
 func TestReadWriteRoundtrip(t *testing.T) {
@@ -150,8 +159,8 @@ func TestCASProperty(t *testing.T) {
 
 // A blade costs host memory for what is written to it, not for its
 // capacity: building a 1 GiB blade and reading untouched offsets
-// across it allocates almost nothing, and a failed CAS past the
-// written prefix does not grow it.
+// across it allocates almost nothing, page table included, and a
+// failed CAS on an unwritten page does not allocate it.
 func TestNewCommitsNoCapacity(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -171,11 +180,110 @@ func TestNewCommitsNoCapacity(t *testing.T) {
 	}
 
 	b.Store8(64, 7)
-	n := len(b.mem)
+	pages := committed(b)
 	if _, ok := b.CAS(1<<29, 1, 2); ok {
 		t.Fatal("CAS on untouched memory matched a nonzero expect")
 	}
-	if len(b.mem) != n {
-		t.Fatalf("failed CAS grew mem from %d to %d bytes", n, len(b.mem))
+	if !slices.Equal(committed(b), pages) {
+		t.Fatalf("failed CAS allocated: pages %v, then %v", pages, committed(b))
 	}
+}
+
+// Allocation follows the bytes touched: sequential writes over 32 MiB
+// allocate those 32 MiB once, plus the page table and at most a page
+// (a slice grown by doubling would allocate every size on the way and
+// overshoot the last), and 8-byte stores into k distinct pages
+// allocate exactly those k pages.
+func TestWritesAllocateTouchedPages(t *testing.T) {
+	const span = 32 << 20
+	b := New(1, DRAM, 2*span)
+	chunk := bytes.Repeat([]byte{0xa5}, 4000) // not a divisor of the page size
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for off := uint64(0); off < span; off += uint64(len(chunk)) {
+		b.Write(off, chunk[:min(uint64(len(chunk)), span-off)])
+	}
+	runtime.ReadMemStats(&after)
+	// The table is grown by append, which allocates at most about
+	// twice its final size on the way there; 64 KiB covers 512 entries.
+	const table = 64 << 10
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > span+table+pageSize {
+		t.Fatalf("writing %d bytes allocated %d, want at most %d", span, grew, span+table+pageSize)
+	}
+	if got := b.Load8(span - 8); got != 0xa5a5a5a5a5a5a5a5 {
+		t.Fatalf("last word = %#x", got)
+	}
+
+	b = New(2, DRAM, 1<<30)
+	touched := []uint64{0, 3, 4, 9, 100, 257, 511} // page indices, all below 512
+	runtime.ReadMemStats(&before)
+	for i, p := range touched {
+		b.Store8(p<<pageShift+pageSize/2, uint64(i)+1)
+	}
+	runtime.ReadMemStats(&after)
+	k := uint64(len(touched))
+	if grew := after.TotalAlloc - before.TotalAlloc; grew < k*pageSize || grew > k*pageSize+table {
+		t.Fatalf("stores into %d pages allocated %d bytes, want %d plus the page table", k, grew, k*pageSize)
+	}
+	n := 0
+	for _, c := range committed(b) {
+		if c {
+			n++
+		}
+	}
+	if n != len(touched) {
+		t.Fatalf("stores into %d pages committed %d", len(touched), n)
+	}
+	for i, p := range touched {
+		if got := b.Load8(p<<pageShift + pageSize/2); got != uint64(i)+1 {
+			t.Fatalf("page %d word = %d, want %d", p, got, i+1)
+		}
+	}
+}
+
+// sink keeps the compiler from discarding the benchmarked loads.
+var sink uint64
+
+// BenchmarkBladeAccess times each access kind at random 8-aligned
+// offsets over a 16 MiB region written beforehand, so every access
+// finds its memory committed and the time is the lookup and the copy.
+func BenchmarkBladeAccess(b *testing.B) {
+	const region = 16 << 20
+	m := New(1, DRAM, region)
+	m.Write(0, make([]byte, region))
+	rng := rand.New(rand.NewSource(1))
+	const mask = 1<<12 - 1
+	offs := make([]uint64, mask+1)
+	for i := range offs {
+		offs[i] = uint64(rng.Int63n(region-1024)) &^ 7
+	}
+	buf := make([]byte, 1024)
+	b.Run("Load8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += m.Load8(offs[i&mask])
+		}
+	})
+	b.Run("Store8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.Store8(offs[i&mask], uint64(i))
+		}
+	})
+	b.Run("CAS", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			old, _ := m.CAS(offs[i&mask], uint64(i), uint64(i)+1)
+			sink += old
+		}
+	})
+	for _, n := range []int{16, 1024} {
+		b.Run(fmt.Sprintf("ReadInto%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.ReadInto(offs[i&mask], buf[:n])
+			}
+		})
+	}
+	b.Run("Write32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.Write(offs[i&mask], buf[:32])
+		}
+	})
 }

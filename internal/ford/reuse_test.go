@@ -35,12 +35,13 @@ func TestRunOneAllocsZero(t *testing.T) {
 			db, runOne := w.load(cl)
 			rt := core.MustNew(cl.Computes[0].NIC, cl.Targets(), 1, core.Smart())
 			t.Cleanup(rt.Stop)
-			// Grow each blade over its undo-log ring up front: a blade
-			// grows by doubling on first write, which a long run pays
-			// once and a short window would count against the op path.
+			// Commit every page of each undo-log ring up front (writing
+			// its bytes back unchanged): a blade allocates a page on its
+			// first write, which a long run pays once and a short window
+			// would count against the op path.
 			for _, tgt := range db.Targets() {
 				l := db.logFor(rt.Thread(0).ID, tgt.Mem.ID)
-				tgt.Mem.Store8(l.base.Offset+l.size-8, 0)
+				tgt.Mem.Write(l.base.Offset, tgt.Mem.Read(l.base.Offset, int(l.size)))
 			}
 			const coros = 4
 			aborts := 0
