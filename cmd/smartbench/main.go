@@ -30,6 +30,15 @@
 // order, so every document — text, JSON, telemetry — is byte-identical
 // at any worker count; only the progress stream's timing lines differ.
 //
+// -check judges the shape checks of internal/bench after each selected
+// experiment's run (its telemetry checks too, when a registry filled
+// one) and prints one line per check on the progress stream: "[check
+// NAME margin +12.3%]", the check's smallest signed relative distance
+// to failing over its comparisons, or "[check NAME FAIL]". Margins are
+// deterministic, so these lines are the same at any worker count. After
+// the run each failing check gets a FAIL line with its detail on
+// stderr, and the exit status is 1.
+//
 // -stats writes the versioned perf record (internal/perf.Record, the
 // BENCH_<n>.json schema): worker count, per-experiment point counts,
 // wall-clock and points/sec, plus kernel hot-path stats (events/sec
@@ -362,7 +371,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	env.Sweeper = sw
 	rec := &perf.Record{Schema: perf.SchemaVersion, Bench: benchSeq, Workers: sw.Workers(), Quick: *quick}
 	totalStart := time.Now()
-	var violations []bench.Violation
+	var violations []bench.Verdict
 	for _, e := range selected {
 		start := time.Now()
 		fmt.Fprintf(progress, "\n################ %s: %s\n", e.ID, e.Title)
@@ -379,8 +388,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *format == "text" {
 			result.Text(render, tables)
 		}
+		var verdicts []bench.Verdict
 		if *check {
-			violations = append(violations, bench.Check(e.ID, tables)...)
+			verdicts = bench.Check(e.ID, tables)
 		}
 		if reg := renv.Telemetry; reg != nil {
 			ttables := reg.Tables("")
@@ -388,11 +398,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 				ID: e.ID, Title: e.Title, Tables: ttables,
 			})
 			if *check {
-				violations = append(violations, bench.CheckTelemetry(e.ID, ttables)...)
+				verdicts = append(verdicts, bench.CheckTelemetry(e.ID, ttables)...)
 			}
 			if *trace > 0 {
 				reg.Trace().Write(progress)
 			}
+		}
+		for _, v := range verdicts {
+			if v.Detail != "" {
+				fmt.Fprintf(progress, "[check %s FAIL]\n", v.Check)
+				violations = append(violations, v)
+				continue
+			}
+			fmt.Fprintf(progress, "[check %s margin %+.1f%%]\n", v.Check, 100*v.Margin)
 		}
 		wallMS := time.Since(start).Milliseconds()
 		rec.Experiments = append(rec.Experiments, perf.Experiment{

@@ -639,6 +639,23 @@ func TestFig3RunEndToEnd(t *testing.T) {
 	if !strings.Contains(stderr, "all shape checks passed") {
 		t.Errorf("progress stream missing the check verdict:\n%s", stderr)
 	}
+	// -check reports each check's margin on the progress stream, one
+	// line per check.
+	var margins []string
+	for _, l := range strings.Split(stderr, "\n") {
+		if strings.HasPrefix(l, "[check ") {
+			margins = append(margins, strings.Fields(l)[1])
+			if !strings.Contains(l, " margin ") {
+				t.Errorf("check line without a margin: %s", l)
+			}
+		}
+	}
+	if want := []string{
+		"fig3/doorbell-beats-per-thread-qp", "fig3/shared-qp-collapses", "fig3/per-thread-qp-peaks-early",
+		"fig3/doorbell-saturates-ceiling", "fig3/policies-tie-at-few-threads",
+	}; !slices.Equal(margins, want) {
+		t.Errorf("margin lines name %v, want one for each of fig3's checks: %v", margins, want)
+	}
 	f, err := os.Open(out)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/result"
@@ -15,19 +17,81 @@ import (
 // against both the quick and the full sweeps with margin: they assert
 // the paper's qualitative shape, not the exact measured value, so
 // legitimate model retuning passes while a broken mechanism does not.
+//
+// A check only records comparisons on its view (atLeast, atMost,
+// above); judge decides the verdict and words the detail for all of
+// them, and each verdict carries the check's margin.
 
-// Violation is one failed expectation.
-type Violation struct {
-	Check  string // the named check, e.g. "fig3/doorbell-beats-per-thread-qp"
-	Detail string // measured values versus the expectation
+// Verdict is one shape check judged over an experiment's tables.
+type Verdict struct {
+	Check  string  // the named check, e.g. "fig3/doorbell-beats-per-thread-qp"
+	Detail string  // why the check failed; "" when it held
+	Margin float64 // smallest signed relative distance to failing over its clauses (clause.margin)
 }
 
-// tv is the lookup view the check bodies use. Missing tables, series,
-// or points are recorded instead of panicking, and surface as their
-// own violation — a silently renamed series must not pass the gate.
+// clause is one comparison a check recorded: got against the bound
+// factor·base, in direction dir.
+type clause struct {
+	what                     string
+	got, factor, base, bound float64
+	dir                      string // ">=", "<=" or ">"
+}
+
+func (c clause) holds() bool {
+	switch c.dir {
+	case ">=":
+		return c.got >= c.bound
+	case "<=":
+		return c.got <= c.bound
+	}
+	return c.got > c.bound
+}
+
+// margin is the clause's signed relative distance to failing: how far
+// got lies on the passing side of its bound, as a fraction of |bound|
+// (0.25: got can move a quarter of the bound before the clause fails),
+// negative on the failing side. A bound of 0 has no scale, and the
+// claims it encodes ("nothing shed", "faults were injected") are exact:
+// such a clause's margin is 1 when it holds and -1 when it fails.
+func (c clause) margin() float64 {
+	switch {
+	case c.bound == 0 && c.holds():
+		return 1
+	case c.bound == 0:
+		return -1
+	case c.dir == "<=":
+		return (c.bound - c.got) / math.Abs(c.bound)
+	}
+	return (c.got - c.bound) / math.Abs(c.bound)
+}
+
+// String words a clause for a FAIL line: the measured value, and the
+// bound as factor × base when neither is 1.
+func (c clause) String() string {
+	need := strconv.FormatFloat(c.bound, 'g', 6, 64)
+	if c.factor != 1 && c.base != 1 {
+		need = num(c.factor) + " × " + strconv.FormatFloat(c.base, 'g', 6, 64) + " = " + need
+	}
+	return fmt.Sprintf("%s: %.6g (need %s %s)", c.what, c.got, c.dir, need)
+}
+
+// tv is the recording view a check runs on. Its lookups record a
+// missing table, series or point instead of panicking, and its
+// comparisons record clauses; judge turns both into the verdict.
 type tv struct {
 	tables  []result.Table
 	missing []string
+	clauses []clause
+}
+
+// atLeast records got >= factor·base, atMost got <= factor·base, and
+// above got > factor·base. A fixed bound is the factor, with base 1.
+func (v *tv) atLeast(what string, got, factor, base float64) { v.record(what, got, factor, base, ">=") }
+func (v *tv) atMost(what string, got, factor, base float64)  { v.record(what, got, factor, base, "<=") }
+func (v *tv) above(what string, got, factor, base float64)   { v.record(what, got, factor, base, ">") }
+
+func (v *tv) record(what string, got, factor, base float64, dir string) {
+	v.clauses = append(v.clauses, clause{what, got, factor, base, factor * base, dir})
 }
 
 func (v *tv) at(tableID, series string, x float64) float64 {
@@ -50,361 +114,274 @@ func (v *tv) atLabel(tableID, series, label string) float64 {
 	return 0
 }
 
-// minMaxFrom returns the extremes of a series over points with X >= from.
-func (v *tv) minMaxFrom(tableID, series string, from float64) (min, max float64) {
-	t := result.Find(v.tables, tableID)
-	if t == nil {
-		v.missing = append(v.missing, tableID)
-		return 0, 0
-	}
-	pts := t.Points(series)
-	n := 0
-	for _, p := range pts {
-		if p.X < from {
-			continue
-		}
-		if n == 0 || p.Value < min {
-			min = p.Value
-		}
-		if n == 0 || p.Value > max {
-			max = p.Value
-		}
-		n++
-	}
-	if n == 0 {
-		v.missing = append(v.missing, fmt.Sprintf("%s[%s @ x>=%g]", tableID, series, from))
-	}
-	return min, max
-}
-
 // points returns a series' points, recording an empty or missing
-// series as a violation.
+// series as missing data.
 func (v *tv) points(tableID, series string) []result.Point {
-	t := result.Find(v.tables, tableID)
-	if t == nil {
-		v.missing = append(v.missing, tableID)
-		return nil
+	var pts []result.Point
+	if t := result.Find(v.tables, tableID); t != nil {
+		pts = t.Points(series)
 	}
-	pts := t.Points(series)
 	if len(pts) == 0 {
-		v.missing = append(v.missing, fmt.Sprintf("%s[%s]", tableID, series))
+		v.missing = append(v.missing, tableID+"["+series+"]")
 	}
 	return pts
 }
 
-// seriesMax returns the largest value across every series of a table.
-func (v *tv) seriesMax(tableID string) float64 {
-	t := result.Find(v.tables, tableID)
-	if t == nil {
-		v.missing = append(v.missing, tableID)
-		return 0
+// span returns the extremes of a series over its points with X >= from,
+// recording a series with no such point as missing data.
+func (v *tv) span(tableID, series string, from float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	pts := v.points(tableID, series)
+	for _, p := range pts {
+		if p.X >= from {
+			lo, hi = min(lo, p.Value), max(hi, p.Value)
+		}
 	}
-	var max float64
-	for _, s := range t.Series {
-		for _, p := range s.Points {
-			if p.Value > max {
-				max = p.Value
+	if len(pts) > 0 && lo > hi {
+		v.missing = append(v.missing, tableID+"["+series+" @ x>="+num(from)+"]")
+	}
+	return lo, hi
+}
+
+// seriesMax returns the largest value across every series of a table,
+// recording a missing table or one with no points as missing data.
+func (v *tv) seriesMax(tableID string) float64 {
+	hi := math.Inf(-1)
+	if t := result.Find(v.tables, tableID); t != nil {
+		for _, s := range t.Series {
+			for _, p := range s.Points {
+				hi = max(hi, p.Value)
 			}
 		}
 	}
-	return max
+	if math.IsInf(hi, -1) {
+		v.missing = append(v.missing, tableID)
+	}
+	return hi
+}
+
+// num formats a table value or grid coordinate for a clause's text.
+func num(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+
+// last returns a series' last point, or the zero point when it has
+// none (points has then recorded it as missing).
+func last(pts []result.Point) result.Point {
+	if len(pts) == 0 {
+		return result.Point{}
+	}
+	return pts[len(pts)-1]
 }
 
 type shapeCheck struct {
 	exp  string // experiment ID the check consumes
 	name string
-	// fn returns the measured-vs-expected detail and whether the
-	// expectation held.
-	fn func(v *tv) (string, bool)
-}
-
-// ratioCheck asserts got >= factor*base with a uniform detail string.
-func ratio(what string, got, base, factor float64) (string, bool) {
-	return fmt.Sprintf("%s: %.2f vs %.2f (need >= %.2fx)", what, got, base, factor),
-		got >= factor*base
+	fn   func(v *tv) // records the check's comparisons on v
 }
 
 //smartlint:ignore sharedstate — initialized once at package load, read-only afterwards
 var shapeChecks = []shapeCheck{
 	// Fig. 3 — QP allocation policies (§3.1).
-	{"fig3", "fig3/doorbell-beats-per-thread-qp", func(v *tv) (string, bool) {
+	{"fig3", "fig3/doorbell-beats-per-thread-qp", func(v *tv) {
 		// Paper: beyond 32 threads per-thread QP collapses on doorbell
 		// spinlocks while per-thread doorbell keeps scaling.
 		for _, id := range []string{"fig3-read", "fig3-write"} {
-			db, qp := v.at(id, "per-thread-doorbell", 96), v.at(id, "per-thread-qp", 96)
-			if db < 2*qp {
-				return fmt.Sprintf("%s@96thr: doorbell %.1f vs per-thread-qp %.1f (need >= 2x)", id, db, qp), false
-			}
+			v.atLeast(id+"@96thr doorbell vs per-thread-qp", v.at(id, "per-thread-doorbell", 96), 2, v.at(id, "per-thread-qp", 96))
 		}
-		return "doorbell >= 2x per-thread-qp at 96 threads (READ and WRITE)", true
 	}},
-	{"fig3", "fig3/shared-qp-collapses", func(v *tv) (string, bool) {
+	{"fig3", "fig3/shared-qp-collapses", func(v *tv) {
 		// Paper: shared QP is two orders of magnitude off at scale.
-		db, sh := v.at("fig3-read", "per-thread-doorbell", 96), v.at("fig3-read", "shared-qp", 96)
-		return ratio("READ@96thr doorbell vs shared-qp", db, sh, 20)
+		v.atLeast("READ@96thr doorbell vs shared-qp", v.at("fig3-read", "per-thread-doorbell", 96), 20, v.at("fig3-read", "shared-qp", 96))
 	}},
-	{"fig3", "fig3/per-thread-qp-peaks-early", func(v *tv) (string, bool) {
+	{"fig3", "fig3/per-thread-qp-peaks-early", func(v *tv) {
 		// Paper: per-thread QP is at least cut in half from its peak by
 		// 96 threads.
-		at48, at96 := v.at("fig3-read", "per-thread-qp", 48), v.at("fig3-read", "per-thread-qp", 96)
-		return fmt.Sprintf("READ per-thread-qp: %.1f@48thr -> %.1f@96thr (need <= 0.6x)", at48, at96),
-			at96 <= 0.6*at48
+		v.atMost("READ per-thread-qp @96thr vs @48thr", v.at("fig3-read", "per-thread-qp", 96), 0.6, v.at("fig3-read", "per-thread-qp", 48))
 	}},
-	{"fig3", "fig3/doorbell-saturates-ceiling", func(v *tv) (string, bool) {
+	{"fig3", "fig3/doorbell-saturates-ceiling", func(v *tv) {
 		// Paper: per-thread doorbell reaches the hardware IOPS limit
 		// (110 MOPS on CX-6; the calibrated model tops out ~103).
-		db := v.at("fig3-read", "per-thread-doorbell", 96)
-		return fmt.Sprintf("READ doorbell@96thr: %.1f MOPS (need >= 85)", db), db >= 85
+		v.atLeast("READ doorbell@96thr MOPS", v.at("fig3-read", "per-thread-doorbell", 96), 85, 1)
 	}},
-	{"fig3", "fig3/policies-tie-at-few-threads", func(v *tv) (string, bool) {
+	{"fig3", "fig3/policies-tie-at-few-threads", func(v *tv) {
 		// Paper: with fewer threads than the 12 default doorbells no two
 		// threads share one, so per-thread QP and per-thread doorbell
 		// perform alike.
 		for _, id := range []string{"fig3-read", "fig3-write"} {
 			qp, db := v.at(id, "per-thread-qp", 8), v.at(id, "per-thread-doorbell", 8)
-			if qp < 0.7*db || qp > 1.3*db {
-				return fmt.Sprintf("%s@8thr: per-thread-qp %.1f vs doorbell %.1f (need within [0.7,1.3]x)", id, qp, db), false
-			}
+			v.atLeast(id+"@8thr per-thread-qp vs doorbell", qp, 0.7, db)
+			v.atMost(id+"@8thr per-thread-qp vs doorbell", qp, 1.3, db)
 		}
-		return "per-thread-qp within [0.7,1.3]x of doorbell at 8 threads (READ and WRITE)", true
 	}},
 
 	// Fig. 7 — hash table, RACE vs SMART-HT (§6.2.1).
-	{"fig7", "fig7/smart-ht-beats-race-write-heavy", func(v *tv) (string, bool) {
+	{"fig7", "fig7/smart-ht-beats-race-write-heavy", func(v *tv) {
 		// Paper: 5.7 vs RACE's 2.8 MOP/s peak; by 48 threads RACE has
 		// collapsed on conflicts while SMART-HT keeps scaling.
-		smart, race := v.at("fig7-scaleup-write-heavy", "SMART-HT", 48), v.at("fig7-scaleup-write-heavy", "RACE", 48)
-		return ratio("write-heavy@48thr SMART-HT vs RACE", smart, race, 1.5)
+		v.atLeast("write-heavy@48thr SMART-HT vs RACE", v.at("fig7-scaleup-write-heavy", "SMART-HT", 48), 1.5, v.at("fig7-scaleup-write-heavy", "RACE", 48))
 	}},
-	{"fig7", "fig7/smart-ht-beats-race-read-only", func(v *tv) (string, bool) {
+	{"fig7", "fig7/smart-ht-beats-race-read-only", func(v *tv) {
 		// Paper: without conflicts the win is thread-aware allocation
 		// alone — smaller, but still clear at 48 threads.
-		smart, race := v.at("fig7-scaleup-read-only", "SMART-HT", 48), v.at("fig7-scaleup-read-only", "RACE", 48)
-		return ratio("read-only@48thr SMART-HT vs RACE", smart, race, 1.3)
+		v.atLeast("read-only@48thr SMART-HT vs RACE", v.at("fig7-scaleup-read-only", "SMART-HT", 48), 1.3, v.at("fig7-scaleup-read-only", "RACE", 48))
 	}},
 
 	// Fig. 4 — WQE cache thrashing from outstanding work requests.
-	{"fig4", "fig4/best-near-96x8", func(v *tv) (string, bool) {
+	{"fig4", "fig4/best-near-96x8", func(v *tv) {
 		// Paper: 96 threads x 8 OWRs is the sweet spot (~768
 		// outstanding). The 36x32 grid point lands within noise of it,
 		// so assert "within 5% of the global maximum", not argmax.
-		best, peak := v.at("fig4a", "owr=8", 96), v.seriesMax("fig4a")
-		return fmt.Sprintf("MOPS@96x8 %.1f vs grid max %.1f (need >= 0.95x)", best, peak),
-			best >= 0.95*peak
+		v.atLeast("MOPS@96x8 vs grid max", v.at("fig4a", "owr=8", 96), 0.95, v.seriesMax("fig4a"))
 	}},
-	{"fig4", "fig4/thrash-halves-96x32", func(v *tv) (string, bool) {
+	{"fig4", "fig4/thrash-halves-96x32", func(v *tv) {
 		// Paper: at 96x32 throughput drops to ~half of 96x8.
-		deep, best := v.at("fig4a", "owr=32", 96), v.at("fig4a", "owr=8", 96)
-		return fmt.Sprintf("MOPS@96x32 %.1f vs @96x8 %.1f (need <= 0.65x)", deep, best),
-			deep <= 0.65*best
+		v.atMost("MOPS@96x32 vs @96x8", v.at("fig4a", "owr=32", 96), 0.65, v.at("fig4a", "owr=8", 96))
 	}},
-	{"fig4", "fig4/dma-grows-96x32", func(v *tv) (string, bool) {
+	{"fig4", "fig4/dma-grows-96x32", func(v *tv) {
 		// Paper: DRAM traffic per WR grows ~1.9x once the WQE cache
 		// thrashes.
-		deep, best := v.at("fig4b", "owr=32", 96), v.at("fig4b", "owr=8", 96)
-		return ratio("DMA B/WR @96x32 vs @96x8", deep, best, 1.5)
+		v.atLeast("DMA B/WR @96x32 vs @96x8", v.at("fig4b", "owr=32", 96), 1.5, v.at("fig4b", "owr=8", 96))
 	}},
-	{"fig4", "fig4/few-threads-need-deep-batches", func(v *tv) (string, bool) {
+	{"fig4", "fig4/few-threads-need-deep-batches", func(v *tv) {
 		// Paper: 36 threads only approach peak throughput with ~32 OWRs.
-		deep, shallow := v.at("fig4a", "owr=32", 36), v.at("fig4a", "owr=8", 36)
-		return ratio("MOPS@36x32 vs @36x8", deep, shallow, 1.3)
+		v.atLeast("MOPS@36x32 vs @36x8", v.at("fig4a", "owr=32", 36), 1.3, v.at("fig4a", "owr=8", 36))
 	}},
 
 	// Fig. 8 — SMART-HT technique breakdown (§6.2.1).
-	{"fig8", "fig8/conflict-avoid-wins-write-heavy", func(v *tv) (string, bool) {
+	{"fig8", "fig8/conflict-avoid-wins-write-heavy", func(v *tv) {
 		// Paper: conflict avoidance dominates the write-heavy mix at
 		// high thread counts.
 		ca := v.at("fig8-write-heavy", "+ConflictAvoid", 96)
 		for _, other := range []string{"RACE", "+ThdResAlloc", "+WorkReqThrot"} {
-			o := v.at("fig8-write-heavy", other, 96)
-			if ca < 1.3*o {
-				return fmt.Sprintf("write-heavy@96thr: +ConflictAvoid %.2f vs %s %.2f (need >= 1.3x)", ca, other, o), false
-			}
+			v.atLeast("write-heavy@96thr +ConflictAvoid vs "+other, ca, 1.3, v.at("fig8-write-heavy", other, 96))
 		}
-		return "+ConflictAvoid >= 1.3x every other config at 96 threads", true
 	}},
-	{"fig8", "fig8/thd-res-alloc-dominates-read-only", func(v *tv) (string, bool) {
+	{"fig8", "fig8/thd-res-alloc-dominates-read-only", func(v *tv) {
 		// Paper: thread-aware resource allocation is the read-side win;
 		// the later techniques add little on read-only.
 		thd := v.at("fig8-read-only", "+ThdResAlloc", 96)
-		race := v.at("fig8-read-only", "RACE", 96)
-		ca := v.at("fig8-read-only", "+ConflictAvoid", 96)
-		if thd < 2*race {
-			return fmt.Sprintf("read-only@96thr: +ThdResAlloc %.2f vs RACE %.2f (need >= 2x)", thd, race), false
-		}
-		return fmt.Sprintf("read-only@96thr: +ThdResAlloc %.2f vs full SMART %.2f (need >= 0.8x)", thd, ca),
-			thd >= 0.8*ca
+		v.atLeast("read-only@96thr +ThdResAlloc vs RACE", thd, 2, v.at("fig8-read-only", "RACE", 96))
+		v.atLeast("read-only@96thr +ThdResAlloc vs full SMART", thd, 0.8, v.at("fig8-read-only", "+ConflictAvoid", 96))
 	}},
-	{"fig8", "fig8/smart-beats-race-at-scale", func(v *tv) (string, bool) {
+	{"fig8", "fig8/smart-beats-race-at-scale", func(v *tv) {
 		// Paper: the full technique stack beats RACE on every mix once
 		// thread counts grow (RACE can edge it out at 8 threads).
 		for _, mix := range []string{"write-heavy", "read-heavy", "read-only"} {
 			for _, thr := range []float64{48, 96} {
-				ca := v.at("fig8-"+mix, "+ConflictAvoid", thr)
-				race := v.at("fig8-"+mix, "RACE", thr)
-				if ca < race {
-					return fmt.Sprintf("%s@%gthr: +ConflictAvoid %.2f < RACE %.2f", mix, thr, ca, race), false
-				}
+				v.atLeast(mix+"@"+num(thr)+"thr +ConflictAvoid vs RACE",
+					v.at("fig8-"+mix, "+ConflictAvoid", thr), 1, v.at("fig8-"+mix, "RACE", thr))
 			}
 		}
-		return "full SMART >= RACE on every mix at 48 and 96 threads", true
 	}},
 
 	// Fig. 13 — allocation + throttling in the micro-benchmark (§6.3).
-	{"fig13", "fig13/throttle-flat-high-threads", func(v *tv) (string, bool) {
+	{"fig13", "fig13/throttle-flat-high-threads", func(v *tv) {
 		// Paper: +WorkReqThrot stays flat at >= 56 threads while
 		// +ThdResAlloc alone degrades. Grid points from 48 up.
-		min, max := v.minMaxFrom("fig13a", "+WorkReqThrot", 48)
-		return fmt.Sprintf("+WorkReqThrot over threads>=48: min %.1f vs max %.1f (need >= 0.85x)", min, max),
-			min >= 0.85*max
+		lo, hi := v.span("fig13a", "+WorkReqThrot", 48)
+		v.atLeast("+WorkReqThrot over threads>=48: min vs max", lo, 0.85, hi)
 	}},
-	{"fig13", "fig13/throttle-flat-deep-batches", func(v *tv) (string, bool) {
+	{"fig13", "fig13/throttle-flat-deep-batches", func(v *tv) {
 		// Paper: throttling holds the ceiling at batch sizes > 8 where
 		// the static allocations thrash the WQE cache.
-		min, max := v.minMaxFrom("fig13b", "+WorkReqThrot", 8)
-		return fmt.Sprintf("+WorkReqThrot over batch>=8: min %.1f vs max %.1f (need >= 0.9x)", min, max),
-			min >= 0.9*max
+		lo, hi := v.span("fig13b", "+WorkReqThrot", 8)
+		v.atLeast("+WorkReqThrot over batch>=8: min vs max", lo, 0.9, hi)
 	}},
-	{"fig13", "fig13/throttle-beats-per-thread-qp", func(v *tv) (string, bool) {
-		wrt, qp := v.at("fig13a", "+WorkReqThrot", 96), v.at("fig13a", "per-thread-qp", 96)
-		return ratio("batch16@96thr +WorkReqThrot vs per-thread-qp", wrt, qp, 2)
+	{"fig13", "fig13/throttle-beats-per-thread-qp", func(v *tv) {
+		v.atLeast("batch16@96thr +WorkReqThrot vs per-thread-qp", v.at("fig13a", "+WorkReqThrot", 96), 2, v.at("fig13a", "per-thread-qp", 96))
 	}},
-	{"fig13", "fig13/alloc-reaches-ceiling", func(v *tv) (string, bool) {
+	{"fig13", "fig13/alloc-reaches-ceiling", func(v *tv) {
 		// Paper: +ThdResAlloc reaches the hardware limit somewhere on
 		// the sweep (it peaks mid-grid, then degrades without
 		// throttling).
-		_, max := v.minMaxFrom("fig13a", "+ThdResAlloc", 0)
-		return fmt.Sprintf("+ThdResAlloc peak %.1f MOPS (need >= 85)", max), max >= 85
+		_, hi := v.span("fig13a", "+ThdResAlloc", 0)
+		v.atLeast("+ThdResAlloc peak MOPS", hi, 85, 1)
 	}},
 
 	// Table 1 — dynamically changing thread counts.
-	{"tab1", "tab1/throttle-recovers-throughput", func(v *tv) (string, bool) {
+	{"tab1", "tab1/throttle-recovers-throughput", func(v *tv) {
 		// Paper: with throttling 95.7-109 MOPS vs 73-75 without; our
 		// model shows an even wider gap. Require >= 1.3x per interval.
-		t := result.Find(v.tables, "tab1")
-		if t == nil {
-			v.missing = append(v.missing, "tab1")
-			return "", false
+		for _, p := range v.points("tab1", "w/o WorkReqThrot") {
+			v.atLeast("interval "+num(p.X)+"ms w/ vs w/o WorkReqThrot", v.at("tab1", "w/  WorkReqThrot", p.X), 1.3, p.Value)
 		}
-		for _, p := range t.Points("w/o WorkReqThrot") {
-			with := v.at("tab1", "w/  WorkReqThrot", p.X)
-			if with < 1.3*p.Value {
-				return fmt.Sprintf("interval %gms: w/ %.1f vs w/o %.1f (need >= 1.3x)", p.X, with, p.Value), false
-			}
-		}
-		return "throttling >= 1.3x unthrottled at every changing interval", true
 	}},
-	{"tab1", "tab1/throttle-near-max-at-long-intervals", func(v *tv) (string, bool) {
+	{"tab1", "tab1/throttle-near-max-at-long-intervals", func(v *tv) {
 		// Paper: intervals at or above the tuner epoch are near-maximal.
-		t := result.Find(v.tables, "tab1")
-		if t == nil {
-			v.missing = append(v.missing, "tab1")
-			return "", false
-		}
-		pts := t.Points("w/  WorkReqThrot")
-		if len(pts) == 0 {
-			v.missing = append(v.missing, "tab1[w/  WorkReqThrot]")
-			return "", false
-		}
-		longest := pts[len(pts)-1].Value
-		_, max := v.minMaxFrom("tab1", "w/  WorkReqThrot", 0)
-		return fmt.Sprintf("longest interval %.1f vs series max %.1f (need >= 0.9x)", longest, max),
-			longest >= 0.9*max
+		_, hi := v.span("tab1", "w/  WorkReqThrot", 0)
+		v.atLeast("w/ WorkReqThrot longest interval vs series max", last(v.points("tab1", "w/  WorkReqThrot")).Value, 0.9, hi)
 	}},
 
 	// Fig. 14 — conflict avoidance breakdown.
-	{"fig14", "fig14/full-ca-mostly-retry-free", func(v *tv) (string, bool) {
+	{"fig14", "fig14/full-ca-mostly-retry-free", func(v *tv) {
 		// Paper: 93.3% of updates complete without a single retry under
 		// the full conflict-avoidance stack.
-		frac := v.atLabel("fig14c", "+CoroThrot", "0")
-		return fmt.Sprintf("retry-free updates with full CA: %.1f%% (need >= 85%%)", frac), frac >= 85
+		v.atLeast("retry-free updates with full CA (%)", v.atLabel("fig14c", "+CoroThrot", "0"), 85, 1)
 	}},
-	{"fig14", "fig14/backoff-slashes-retries", func(v *tv) (string, bool) {
+	{"fig14", "fig14/backoff-slashes-retries", func(v *tv) {
 		// Paper: ~11.5 avg retries/update without CA vs ~1.1 with the
 		// full stack at 96 threads.
-		none, full := v.at("fig14b", "w/o CA", 96), v.at("fig14b", "+CoroThrot", 96)
-		return ratio("avg retries@96thr w/o CA vs full CA", none, full, 4)
+		v.atLeast("avg retries@96thr w/o CA vs full CA", v.at("fig14b", "w/o CA", 96), 4, v.at("fig14b", "+CoroThrot", 96))
 	}},
-	{"fig14", "fig14/backoff-bounds-retries", func(v *tv) (string, bool) {
+	{"fig14", "fig14/backoff-bounds-retries", func(v *tv) {
 		// Paper: exponential backoff alone keeps retries below ~1.7.
-		bo := v.at("fig14b", "+Backoff", 96)
-		return fmt.Sprintf("+Backoff avg retries@96thr: %.2f (need <= 2.5)", bo), bo <= 2.5
+		v.atMost("+Backoff avg retries@96thr", v.at("fig14b", "+Backoff", 96), 2.5, 1)
 	}},
-	{"fig14", "fig14/ca-throughput-wins", func(v *tv) (string, bool) {
+	{"fig14", "fig14/ca-throughput-wins", func(v *tv) {
 		// Paper: the added mechanisms buy throughput, not only fewer
 		// retries.
-		full, none := v.at("fig14a", "+CoroThrot", 96), v.at("fig14a", "w/o CA", 96)
-		return ratio("MOPS@96thr full CA vs w/o CA", full, none, 1.3)
+		v.atLeast("MOPS@96thr full CA vs w/o CA", v.at("fig14a", "+CoroThrot", 96), 1.3, v.at("fig14a", "w/o CA", 96))
 	}},
 
 	// Chaos — recovery under injected RNIC faults (DESIGN.md §11).
 	// These are calibrated against fault.Default(); a custom -faults
 	// plan runs fine but may legitimately fail the gate.
-	{"chaos", "chaos/throughput-dips-in-window", func(v *tv) (string, bool) {
+	{"chaos", "chaos/throughput-dips-in-window", func(v *tv) {
 		// While the fault window is open the READ run must lose a large
 		// fraction of its throughput to delays, retransmits, and
 		// watchdog-covered blackholes.
-		during := v.atLabel("chaos-recovery", "faulted", "during")
-		base := v.atLabel("chaos-recovery", "faulted", "baseline")
-		return fmt.Sprintf("faulted MOPS during window %.2f vs baseline %.2f (need <= 0.6x)", during, base),
-			during <= 0.6*base
+		v.atMost("faulted MOPS during window vs baseline", v.atLabel("chaos-recovery", "faulted", "during"), 0.6, v.atLabel("chaos-recovery", "faulted", "baseline"))
 	}},
-	{"chaos", "chaos/throughput-reconverges", func(v *tv) (string, bool) {
+	{"chaos", "chaos/throughput-reconverges", func(v *tv) {
 		// After the window closes the faulted run must return to within
 		// a band of its identically seeded fault-free twin: recovery is
 		// complete, not merely partial.
-		after := v.atLabel("chaos-recovery", "faulted", "after")
-		clean := v.atLabel("chaos-recovery", "fault-free", "after")
-		return fmt.Sprintf("faulted MOPS after window %.2f vs fault-free %.2f (need within [0.85,1.15]x)",
-			after, clean), after >= 0.85*clean && after <= 1.15*clean
+		after, clean := v.atLabel("chaos-recovery", "faulted", "after"), v.atLabel("chaos-recovery", "fault-free", "after")
+		v.atLeast("faulted MOPS after window vs fault-free", after, 0.85, clean)
+		v.atMost("faulted MOPS after window vs fault-free", after, 1.15, clean)
 	}},
-	{"chaos", "chaos/faults-injected-and-recovered", func(v *tv) (string, bool) {
+	{"chaos", "chaos/faults-injected-and-recovered", func(v *tv) {
 		// The injector must have actually fired, and the watchdog +
 		// Sync-retry path must have both expired and reposted WRs.
-		inj := v.atLabel("counters", "value", "fault/injected")
-		ret := v.atLabel("counters", "value", "fault/retries")
-		to := v.atLabel("counters", "value", "fault/timeouts")
-		return fmt.Sprintf("injected %.0f, retries %.0f, timeouts %.0f (need all > 0)", inj, ret, to),
-			inj > 0 && ret > 0 && to > 0
+		for _, c := range []string{"fault/injected", "fault/retries", "fault/timeouts"} {
+			v.above(c, v.atLabel("counters", "value", c), 0, 1)
+		}
 	}},
-	{"chaos", "chaos/storm-gamma-spikes", func(v *tv) (string, bool) {
+	{"chaos", "chaos/storm-gamma-spikes", func(v *tv) {
 		// §4.3: the injected CAS-NAK storm must drive the sampled retry
 		// rate well past the γ_H = 0.5 widening threshold.
-		peak := v.seriesMax("storm/gamma")
-		return fmt.Sprintf("peak storm gamma sample %.2f (need >= 0.5)", peak), peak >= 0.5
+		v.atLeast("peak storm gamma sample", v.seriesMax("storm/gamma"), 0.5, 1)
 	}},
-	{"chaos", "chaos/storm-tmax-widens-and-recovers", func(v *tv) (string, bool) {
+	{"chaos", "chaos/storm-tmax-widens-and-recovers", func(v *tv) {
 		// §4.3: t_max must stay near t0 before the default window opens
 		// at 2 ms, widen visibly under the storm, and decay back to at
 		// most half its peak once the injected conflicts stop.
 		pts := v.points("storm/tmax-trajectory", "t0")
-		if len(pts) == 0 {
-			return "", false
-		}
-		var peak float64
+		peak := math.Inf(-1)
 		for _, p := range pts {
-			if p.X < 2000 && p.Value > 7 {
-				return fmt.Sprintf("t_max %.1fus at t=%gus, before the fault window (need <= 2x t0)",
-					p.Value, p.X), false
+			if p.X < 2000 {
+				v.atMost("t_max (us) at t="+num(p.X)+"us, before the fault window", p.Value, 7, 1)
 			}
-			if p.Value > peak {
-				peak = p.Value
-			}
+			peak = max(peak, p.Value)
 		}
-		final := pts[len(pts)-1].Value
-		if peak < 10 {
-			return fmt.Sprintf("t_max peak %.1fus (need >= 10us widening)", peak), false
-		}
-		return fmt.Sprintf("t_max peak %.1fus, final %.1fus (need final <= 0.5x peak)", peak, final),
-			final <= 0.5*peak
+		v.atLeast("t_max peak (us)", peak, 10, 1)
+		v.atMost("t_max final vs peak (us)", last(pts).Value, 0.5, peak)
 	}},
-	{"chaos", "chaos/storm-abandons-injected-cas", func(v *tv) (string, bool) {
+	{"chaos", "chaos/storm-abandons-injected-cas", func(v *tv) {
 		// The storm runs with MaxWRRetries=0, so injected atomic NAKs
 		// must surface as abandoned WRs (the conflicts that feed γ).
-		inj := v.atLabel("counters", "value", "storm/fault/injected")
-		ab := v.atLabel("counters", "value", "storm/fault/abandoned")
-		return fmt.Sprintf("storm injected %.0f, abandoned %.0f (need both > 0)", inj, ab),
-			inj > 0 && ab > 0
+		for _, c := range []string{"storm/fault/injected", "storm/fault/abandoned"} {
+			v.above(c, v.atLabel("counters", "value", c), 0, 1)
+		}
 	}},
 
 	// Serving — open-loop capacity planning (saturation knee). The
@@ -413,166 +390,114 @@ var shapeChecks = []shapeCheck{
 	// Calibrated: sub-knee p99 ≈ 7.4 µs (service-bound), post-knee
 	// ≈ 74 µs (bounded-queue wait), saturated goodput ≈ 7.3 (1x8) and
 	// ≈ 29 (2x16) ops/us.
-	{"serving", "serving/p99-flat-below-knee", func(v *tv) (string, bool) {
+	{"serving", "serving/p99-flat-below-knee", func(v *tv) {
 		// Below the knee, doubling load must leave the tail untouched:
 		// latency is service time, not queueing.
 		for _, cfg := range []string{"1x8", "2x16"} {
-			lo, hi := v.at("serving-p99", cfg, 0.25), v.at("serving-p99", cfg, 0.5)
-			if hi > 1.5*lo {
-				return fmt.Sprintf("%s: p99 %.2fus at 0.25x vs %.2fus at 0.5x (need <= 1.5x)", cfg, lo, hi), false
-			}
+			v.atMost(cfg+" p99 at 0.5x vs 0.25x load", v.at("serving-p99", cfg, 0.5), 1.5, v.at("serving-p99", cfg, 0.25))
 		}
-		return "p99 flat from 0.25x to 0.5x load on both topologies", true
 	}},
-	{"serving", "serving/p99-superlinear-past-knee", func(v *tv) (string, bool) {
+	{"serving", "serving/p99-superlinear-past-knee", func(v *tv) {
 		// Crossing the knee (0.5x -> 1.5x, a 3x load step) must blow
 		// the tail up superlinearly — the bounded queue pins it at the
 		// full-queue wait, >= 5x the service-bound sub-knee p99.
 		for _, cfg := range []string{"1x8", "2x16"} {
-			sub, over := v.at("serving-p99", cfg, 0.5), v.at("serving-p99", cfg, 1.5)
-			if over < 5*sub {
-				return fmt.Sprintf("%s: p99 %.2fus at 0.5x vs %.2fus at 1.5x (need >= 5x)", cfg, sub, over), false
-			}
+			v.atLeast(cfg+" p99 at 1.5x vs 0.5x load", v.at("serving-p99", cfg, 1.5), 5, v.at("serving-p99", cfg, 0.5))
 		}
-		return "p99 grows >= 5x across the knee on both topologies", true
 	}},
-	{"serving", "serving/goodput-tracks-offered-below-knee", func(v *tv) (string, bool) {
+	{"serving", "serving/goodput-tracks-offered-below-knee", func(v *tv) {
 		// Below the knee nothing is shed and completions keep pace
 		// with arrivals.
 		for _, cfg := range []string{"1x8", "2x16"} {
 			for _, frac := range []float64{0.25, 0.5} {
-				g := v.at("serving-goodput", cfg, frac)
-				o := v.at("serving-goodput", cfg+"-offered", frac)
-				if g < 0.9*o {
-					return fmt.Sprintf("%s at %.2fx: goodput %.2f vs offered %.2f ops/us (need >= 0.9x)",
-						cfg, frac, g, o), false
-				}
-				if s := v.at("serving-shed", cfg, frac); s > 0 {
-					return fmt.Sprintf("%s at %.2fx: shed fraction %.4f (need 0)", cfg, frac, s), false
-				}
+				at := cfg + " at " + num(frac) + "x"
+				v.atLeast(at+" goodput vs offered", v.at("serving-goodput", cfg, frac), 0.9, v.at("serving-goodput", cfg+"-offered", frac))
+				v.atMost(at+" shed fraction", v.at("serving-shed", cfg, frac), 0, 1)
 			}
 		}
-		return "goodput >= 0.9x offered with zero shed at 0.25x and 0.5x load", true
 	}},
-	{"serving", "serving/goodput-plateaus-under-overload", func(v *tv) (string, bool) {
+	{"serving", "serving/goodput-plateaus-under-overload", func(v *tv) {
 		// Past the knee, offered load keeps growing but goodput
 		// plateaus at capacity and the excess is shed, not buffered.
 		for _, cfg := range []string{"1x8", "2x16"} {
 			g15, g25 := v.at("serving-goodput", cfg, 1.5), v.at("serving-goodput", cfg, 2.5)
-			o15, o25 := v.at("serving-goodput", cfg+"-offered", 1.5), v.at("serving-goodput", cfg+"-offered", 2.5)
-			if o25 < 1.5*o15 {
-				return fmt.Sprintf("%s: offered %.2f -> %.2f ops/us (need >= 1.5x growth)", cfg, o15, o25), false
-			}
-			if g25 > 1.15*g15 || g15 > 1.15*g25 {
-				return fmt.Sprintf("%s: goodput %.2f at 1.5x vs %.2f at 2.5x (need within 1.15x)", cfg, g15, g25), false
-			}
-			if s := v.at("serving-shed", cfg, 2.5); s <= 0 {
-				return fmt.Sprintf("%s: no load shed at 2.5x capacity", cfg), false
-			}
+			v.atLeast(cfg+" offered at 2.5x vs 1.5x", v.at("serving-goodput", cfg+"-offered", 2.5), 1.5, v.at("serving-goodput", cfg+"-offered", 1.5))
+			v.atMost(cfg+" goodput at 2.5x vs 1.5x", g25, 1.15, g15)
+			v.atMost(cfg+" goodput at 1.5x vs 2.5x", g15, 1.15, g25)
+			v.above(cfg+" shed fraction at 2.5x", v.at("serving-shed", cfg, 2.5), 0, 1)
 		}
-		return "goodput flat (within 1.15x) from 1.5x to 2.5x offered load, with shedding", true
 	}},
-	{"serving", "serving/capacity-scales-with-topology", func(v *tv) (string, bool) {
+	{"serving", "serving/capacity-scales-with-topology", func(v *tv) {
 		// 2x16 has 4x the threads of 1x8, so its saturated goodput
 		// must be at least 2x (it measures ~4x).
-		small, big := v.at("serving-goodput", "1x8", 2.5), v.at("serving-goodput", "2x16", 2.5)
-		return ratio("saturated goodput 2x16 vs 1x8", big, small, 2)
+		v.atLeast("saturated goodput 2x16 vs 1x8", v.at("serving-goodput", "2x16", 2.5), 2, v.at("serving-goodput", "1x8", 2.5))
 	}},
-	{"serving", "serving/burst-hurts-tail", func(v *tv) (string, bool) {
+	{"serving", "serving/burst-hurts-tail", func(v *tv) {
 		// At the same sub-knee mean rate, correlated mmpp on-phases
 		// transiently exceed capacity and must cost the tail >= 2x
 		// what a memoryless stream pays (it measures ~10x).
-		pp, mm := v.at("serving-burst", "poisson", 0.5), v.at("serving-burst", "mmpp", 0.5)
-		return ratio("p99 mmpp vs poisson at 0.5x load", mm, pp, 2)
+		v.atLeast("p99 mmpp vs poisson at 0.5x load", v.at("serving-burst", "mmpp", 0.5), 2, v.at("serving-burst", "poisson", 0.5))
 	}},
 	// Batching — WR postlist + doorbell coalescing (DESIGN.md §16).
 	// Calibrated against both densities: the quick grid keeps batch
 	// points {4, 16} and thread points {8, 48, 96}, so every predicate
 	// runs in both modes.
-	{"batching", "batching/contended-fraction-falls-with-batch", func(v *tv) (string, bool) {
+	{"batching", "batching/contended-fraction-falls-with-batch", func(v *tv) {
 		// Chaining B WRs per doorbell ring divides lock acquisitions by
 		// B, so the contended fraction per posted WR must fall
 		// monotonically with batch size and collapse overall (measured:
-		// 0.044 -> 0.001 over the quick grid).
+		// 0.044 -> 0.001 over the quick grid). A single batch point has
+		// nothing to fall between, so it counts as missing data.
 		for _, series := range []string{"postlist", "both"} {
 			pts := v.points("batching-contention", series)
-			if len(pts) < 2 {
-				return fmt.Sprintf("%s: %d contention points (need >= 2)", series, len(pts)), false
+			if len(pts) == 1 {
+				v.missing = append(v.missing, "batching-contention["+series+"] second point")
 			}
 			for i := 1; i < len(pts); i++ {
-				if pts[i].Value > pts[i-1].Value+1e-9 {
-					return fmt.Sprintf("%s: contended/WR rose batch %g -> %g: %.4f -> %.4f",
-						series, pts[i-1].X, pts[i].X, pts[i-1].Value, pts[i].Value), false
-				}
+				v.atMost(series+" contended/WR at batch "+num(pts[i].X)+" vs the batch before", pts[i].Value, 1, pts[i-1].Value+1e-9)
 			}
-			first, last := pts[0].Value, pts[len(pts)-1].Value
-			if first < 4*last {
-				return fmt.Sprintf("%s: contended/WR %.4f at batch %g vs %.4f at batch %g (need >= 4x fall)",
-					series, first, pts[0].X, last, pts[len(pts)-1].X), false
+			if len(pts) > 0 {
+				v.atLeast(series+" contended/WR at the smallest vs the largest batch", pts[0].Value, 4, last(pts).Value)
 			}
 		}
-		return "contended/WR falls monotonically (and >= 4x overall) with batch for postlist and both", true
 	}},
-	{"batching", "batching/unbatched-stays-contended", func(v *tv) (string, bool) {
+	{"batching", "batching/unbatched-stays-contended", func(v *tv) {
 		// The control: without chaining, 96 threads on 12 doorbells keep
 		// the per-WR contended fraction near 1 at the largest batch.
-		pts := v.points("batching-contention", "off")
-		if len(pts) == 0 {
-			return "", false
-		}
-		last := pts[len(pts)-1]
-		return fmt.Sprintf("off: contended/WR %.3f at batch %g (need >= 0.5)", last.Value, last.X),
-			last.Value >= 0.5
+		v.atLeast("off contended/WR at the largest batch", last(v.points("batching-contention", "off")).Value, 0.5, 1)
 	}},
-	{"batching", "batching/postlist-throughput-wins", func(v *tv) (string, bool) {
+	{"batching", "batching/postlist-throughput-wins", func(v *tv) {
 		// Amortizing the doorbell must buy real throughput on the
 		// doorbell-bound config: >= 1.5x at every batch >= 4 (measured
 		// 2.1-3.6x), and >= 2x at 96 threads on the thread sweep.
 		for _, p := range v.points("batching-depth", "off") {
-			if p.X < 4 {
-				continue
-			}
-			pl := v.at("batching-depth", "postlist", p.X)
-			if pl < 1.5*p.Value {
-				return fmt.Sprintf("batch %g: postlist %.1f vs off %.1f MOPS (need >= 1.5x)",
-					p.X, pl, p.Value), false
+			if p.X >= 4 {
+				v.atLeast("batch "+num(p.X)+" postlist vs off MOPS", v.at("batching-depth", "postlist", p.X), 1.5, p.Value)
 			}
 		}
-		pl, off := v.at("batching-threads", "postlist", 96), v.at("batching-threads", "off", 96)
-		return ratio("96thr batch16 postlist vs off", pl, off, 2)
+		v.atLeast("96thr batch16 postlist vs off", v.at("batching-threads", "postlist", 96), 2, v.at("batching-threads", "off", 96))
 	}},
-	{"batching", "batching/cmax-larger-under-coalescing", func(v *tv) (string, bool) {
+	{"batching", "batching/cmax-larger-under-coalescing", func(v *tv) {
 		// §4.2 coupling: chaining the coalesced buffer into one post
 		// rewards larger credit grants, so with both on the controller
 		// must adopt a higher mean C_max than unbatched (measured 10.3
 		// vs 4.9), always within the candidate range [4, 12]. Coalescing
 		// alone carries no bound against off (measured 4.2 vs 4.9):
 		// without chaining a flush still posts one WR at a time.
-		off := v.atLabel("batching-cmax", "cmax-mean", "off")
-		co := v.atLabel("batching-cmax", "cmax-mean", "coalesce")
-		both := v.atLabel("batching-cmax", "cmax-mean", "both")
-		for _, m := range []struct {
-			name string
-			val  float64
-		}{{"off", off}, {"coalesce", co}, {"both", both}} {
-			if m.val < 4 || m.val > 12 {
-				return fmt.Sprintf("%s: mean C_max %.2f outside candidate range [4,12]", m.name, m.val), false
-			}
+		for _, mode := range []string{"off", "coalesce", "both"} {
+			mean := v.atLabel("batching-cmax", "cmax-mean", mode)
+			v.atLeast(mode+" mean C_max", mean, 4, 1)
+			v.atMost(mode+" mean C_max", mean, 12, 1)
 		}
-		return fmt.Sprintf("C_max off %.2f < coalesce %.2f, both %.2f (need both >= 1.3x off)", off, co, both),
-			both >= 1.3*off
+		v.atLeast("both vs off mean C_max", v.atLabel("batching-cmax", "cmax-mean", "both"), 1.3, v.atLabel("batching-cmax", "cmax-mean", "off"))
 	}},
 
-	{"serving", "serving/queue-wait-dominates-overload", func(v *tv) (string, bool) {
+	{"serving", "serving/queue-wait-dominates-overload", func(v *tv) {
 		// The latency split must attribute the post-knee explosion to
 		// queue wait: service p99 stays flat while wait p99 dwarfs it.
-		svcSub := v.at("serving-latency", "service-p99", 0.5)
 		svcOver := v.at("serving-latency", "service-p99", 2.5)
-		wait := v.at("serving-latency", "wait-p99", 2.5)
-		if svcOver > 2*svcSub {
-			return fmt.Sprintf("service p99 grew %.2f -> %.2fus past the knee (need <= 2x)", svcSub, svcOver), false
-		}
-		return ratio("overload wait p99 vs service p99", wait, svcOver, 4)
+		v.atMost("service p99 at 2.5x vs 0.5x load", svcOver, 2, v.at("serving-latency", "service-p99", 0.5))
+		v.atLeast("overload wait p99 vs service p99", v.at("serving-latency", "wait-p99", 2.5), 4, svcOver)
 	}},
 }
 
@@ -585,7 +510,7 @@ var shapeChecks = []shapeCheck{
 //
 //smartlint:ignore sharedstate — initialized once at package load, read-only afterwards
 var telemetryShapeChecks = []shapeCheck{
-	{"fig3", "telemetry/fig3/contention-grows-with-thread-db-ratio", func(v *tv) (string, bool) {
+	{"fig3", "telemetry/fig3/contention-grows-with-thread-db-ratio", func(v *tv) {
 		// §4.1: with the driver's 12 medium doorbells, the fraction of
 		// doorbell lock acquisitions that contend grows with the
 		// thread/doorbell ratio — near zero when threads <= doorbells,
@@ -593,67 +518,48 @@ var telemetryShapeChecks = []shapeCheck{
 		// monotone: total rings collapse with throughput.)
 		pts := v.points("db-contention", "per-thread-qp")
 		for i := 1; i < len(pts); i++ {
-			if pts[i].Value < pts[i-1].Value-0.02 {
-				return fmt.Sprintf("contended fraction fell %g->%g threads: %.3f -> %.3f",
-					pts[i-1].X, pts[i].X, pts[i-1].Value, pts[i].Value), false
-			}
+			v.atLeast("per-thread-qp contended fraction at "+num(pts[i].X)+" threads vs the count before", pts[i].Value, 1, pts[i-1].Value-0.02)
 		}
-		if len(pts) == 0 {
-			return "", false
-		}
-		lastFrac := pts[len(pts)-1].Value
-		return fmt.Sprintf("per-thread-qp contended fraction non-decreasing, %.3f at %g threads (need >= 0.5)",
-			lastFrac, pts[len(pts)-1].X), lastFrac >= 0.5
+		v.atLeast("per-thread-qp contended fraction at the most threads", last(pts).Value, 0.5, 1)
 	}},
-	{"fig3", "telemetry/fig3/private-doorbells-kill-contention", func(v *tv) (string, bool) {
+	{"fig3", "telemetry/fig3/private-doorbells-kill-contention", func(v *tv) {
 		// §4.1: thread-aware allocation gives every thread a private
 		// doorbell, so the contention that dominates per-thread-qp all
 		// but disappears.
 		qp := v.at("db-contention", "per-thread-qp", 96)
-		db := v.at("db-contention", "per-thread-doorbell", 96)
-		return fmt.Sprintf("contended fraction @96thr: per-thread-doorbell %.3f vs per-thread-qp %.3f (need <= 0.1x)",
-			db, qp), qp >= 0.5 && db <= 0.1*qp
+		v.atLeast("per-thread-qp contended fraction @96thr", qp, 0.5, 1)
+		v.atMost("contended fraction @96thr per-thread-doorbell vs per-thread-qp", v.at("db-contention", "per-thread-doorbell", 96), 0.1, qp)
 	}},
-	{"fig13", "telemetry/fig13/cmax-trajectory-recorded", func(v *tv) (string, bool) {
+	{"fig13", "telemetry/fig13/cmax-trajectory-recorded", func(v *tv) {
 		// §4.2: Algorithm 1 must actually retune — the trajectory needs
 		// the initial ceiling plus at least one epoch adoption, and
 		// every adopted value must come from the candidate list [4,12].
 		pts := v.points("cmax-trajectory", "t0")
-		if len(pts) < 2 {
-			return fmt.Sprintf("C_max trajectory has %d points (need >= 2: initial + adoption)", len(pts)), false
-		}
+		v.atLeast("C_max trajectory points (initial + adoptions)", float64(len(pts)), 2, 1)
 		for _, p := range pts {
-			if p.Value < 4 || p.Value > 12 {
-				return fmt.Sprintf("C_max %g at t=%gus outside candidate range [4,12]", p.Value, p.X), false
-			}
+			at := "C_max at t=" + num(p.X) + "us"
+			v.atLeast(at, p.Value, 4, 1)
+			v.atMost(at, p.Value, 12, 1)
 		}
-		return fmt.Sprintf("C_max trajectory: %d points, all within [4,12]", len(pts)), true
 	}},
-	{"fig14", "telemetry/fig14/gamma-sampled", func(v *tv) (string, bool) {
+	{"fig14", "telemetry/fig14/gamma-sampled", func(v *tv) {
 		// §4.3: the retry-rate ticker must produce a γ sample stream
 		// (several windows) and every sample is a valid rate >= 0.
 		pts := v.points("gamma", "t0")
-		if len(pts) < 3 {
-			return fmt.Sprintf("gamma series has %d samples (need >= 3 windows)", len(pts)), false
-		}
+		v.atLeast("gamma samples", float64(len(pts)), 3, 1)
 		for _, p := range pts {
-			if p.Value < 0 {
-				return fmt.Sprintf("gamma %g at t=%gus negative", p.Value, p.X), false
-			}
+			v.atLeast("gamma at t="+num(p.X)+"us", p.Value, 0, 1)
 		}
-		return fmt.Sprintf("gamma sampled %d windows, all >= 0", len(pts)), true
 	}},
-	{"fig14", "telemetry/fig14/tmax-within-bounds", func(v *tv) (string, bool) {
+	{"fig14", "telemetry/fig14/tmax-within-bounds", func(v *tv) {
 		// §4.3: t_max moves only between t0 (3.3 us) and t_M (1024*t0).
-		pts := v.points("tmax-trajectory", "t0")
-		for _, p := range pts {
-			if p.Value < 3.2 || p.Value > 3400 {
-				return fmt.Sprintf("t_max %.2fus at t=%gus outside [t0, t_M] = [3.3, 3380]us", p.Value, p.X), false
-			}
+		for _, p := range v.points("tmax-trajectory", "t0") {
+			at := "t_max (us) at t=" + num(p.X) + "us"
+			v.atLeast(at, p.Value, 3.2, 1)
+			v.atMost(at, p.Value, 3400, 1)
 		}
-		return fmt.Sprintf("t_max trajectory: %d points within [t0, t_M]", len(pts)), true
 	}},
-	{"serving", "telemetry/serving/admission-books-balance", func(v *tv) (string, bool) {
+	{"serving", "telemetry/serving/admission-books-balance", func(v *tv) {
 		// The instrumented point runs at 2.5x capacity: every arrival
 		// is either admitted or shed (never silently dropped), and
 		// overload must actually shed. Every admitted request not yet
@@ -663,48 +569,62 @@ var telemetryShapeChecks = []shapeCheck{
 		adm := v.atLabel("counters", "value", "serve/admitted")
 		shed := v.atLabel("counters", "value", "serve/shed")
 		done := v.atLabel("counters", "value", "serve/completed")
-		ok := off > 0 && shed > 0 && off == adm+shed && done <= adm && adm-done <= 544
-		return fmt.Sprintf("offered %.0f, admitted %.0f, shed %.0f, completed %.0f (need offered = admitted + shed, shed > 0, 0 <= admitted - completed <= 544)",
-			off, adm, shed, done), ok
+		v.above("offered", off, 0, 1)
+		v.above("shed", shed, 0, 1)
+		v.atLeast("offered vs admitted + shed", off, 1, adm+shed)
+		v.atMost("offered vs admitted + shed", off, 1, adm+shed)
+		v.atMost("completed vs admitted", done, 1, adm)
+		v.atMost("admitted - completed", adm-done, 544, 1)
 	}},
-	{"serving", "telemetry/serving/qdepth-bounded", func(v *tv) (string, bool) {
+	{"serving", "telemetry/serving/qdepth-bounded", func(v *tv) {
 		// The qdepth trajectory must show a saturated but bounded
 		// queue: samples never exceed the 1x8 point's bound (64
 		// threads-worth = 512) and overload pushes it near full.
 		peak := v.seriesMax("serve/qdepth")
-		return fmt.Sprintf("peak sampled queue depth %.0f (need in [256, 512])", peak),
-			peak >= 256 && peak <= 512
+		v.atLeast("peak sampled queue depth", peak, 256, 1)
+		v.atMost("peak sampled queue depth", peak, 512, 1)
 	}},
 }
 
-func runChecks(checks []shapeCheck, id string, tables []result.Table) []Violation {
-	var out []Violation
+// judge runs the checks registered for experiment id over its tables
+// and returns one verdict per check, in registration order. A check
+// fails when a lookup found no data, when it recorded no clause (a loop
+// over an empty series proves nothing), or when any clause fails; the
+// detail words the first failing clause.
+func judge(checks []shapeCheck, id string, tables []result.Table) []Verdict {
+	var out []Verdict
 	for _, c := range checks {
 		if c.exp != id {
 			continue
 		}
 		v := &tv{tables: tables}
-		detail, ok := c.fn(v)
-		if len(v.missing) > 0 {
-			out = append(out, Violation{c.name, "missing data: " + strings.Join(v.missing, ", ")})
-			continue
+		c.fn(v)
+		vd := Verdict{Check: c.name, Margin: math.Inf(1)}
+		for _, cl := range v.clauses {
+			vd.Margin = min(vd.Margin, cl.margin())
+			if vd.Detail == "" && !cl.holds() {
+				vd.Detail = cl.String()
+			}
 		}
-		if !ok {
-			out = append(out, Violation{c.name, detail})
+		switch {
+		case len(v.missing) > 0:
+			vd.Detail = "missing data: " + strings.Join(v.missing, ", ")
+		case len(v.clauses) == 0:
+			vd.Detail = "no comparison recorded"
 		}
+		out = append(out, vd)
 	}
 	return out
 }
 
-// Check runs every registered shape check for experiment id over its
-// tables and returns the violations (nil when the shape holds or the
-// experiment has no checks).
-func Check(id string, tables []result.Table) []Violation {
-	return runChecks(shapeChecks, id, tables)
+// Check judges every registered shape check for experiment id over its
+// tables (nil when the experiment has no checks).
+func Check(id string, tables []result.Table) []Verdict {
+	return judge(shapeChecks, id, tables)
 }
 
-// CheckTelemetry runs the telemetry shape checks for experiment id
+// CheckTelemetry judges the telemetry shape checks for experiment id
 // over its *instrumented-variant* tables.
-func CheckTelemetry(id string, tables []result.Table) []Violation {
-	return runChecks(telemetryShapeChecks, id, tables)
+func CheckTelemetry(id string, tables []result.Table) []Verdict {
+	return judge(telemetryShapeChecks, id, tables)
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -31,6 +33,7 @@ var quickRuns struct {
 // single core, so they and the unchecked experiments are left to CI's
 // `smartbench -exp all -quick -check` step, which gates every checked
 // experiment and cmps every table against the quick goldens.
+// TestShapeChecksOnGoldens judges their checks on those goldens.
 func quickIDs() []string {
 	return []string{"fig4", "fig3", "fig13", "fig14", "chaos", "serving", "batching"}
 }
@@ -81,7 +84,7 @@ func TestShapesQuick(t *testing.T) {
 	}
 	for _, id := range quickIDs() {
 		t.Run(id, func(t *testing.T) {
-			for _, v := range Check(id, quickRun(t, id).tables) {
+			for _, v := range violations(Check(id, quickRun(t, id).tables)) {
 				t.Errorf("shape violation %s: %s", v.Check, v.Detail)
 			}
 		})
@@ -122,12 +125,27 @@ func TestCheckRegistry(t *testing.T) {
 			t.Errorf("checks reference unknown experiment %q", id)
 		}
 	}
+	// smartbench judges the telemetry checks only on a registry's
+	// export, and only instrumented experiments fill one: a telemetry
+	// check on any other experiment would never run.
+	for _, c := range telemetryShapeChecks {
+		if !strings.HasPrefix(c.name, "telemetry/"+c.exp+"/") {
+			t.Errorf("telemetry check %q not namespaced under telemetry/%s/", c.name, c.exp)
+		}
+		if seen[c.name] {
+			t.Errorf("duplicate check name %q", c.name)
+		}
+		seen[c.name] = true
+		if e := ByID(c.exp); e == nil || !e.Instrumented {
+			t.Errorf("telemetry check %q reads %q, which is not a registered instrumented experiment", c.name, c.exp)
+		}
+	}
 }
 
 func TestCheckMissingDataIsViolation(t *testing.T) {
 	// An experiment that stops emitting the series a check consumes
 	// must fail the gate, not silently pass it.
-	vs := Check("fig3", nil)
+	vs := violations(Check("fig3", nil))
 	if len(vs) == 0 {
 		t.Fatal("empty tables passed the fig3 checks")
 	}
@@ -135,6 +153,39 @@ func TestCheckMissingDataIsViolation(t *testing.T) {
 		if !strings.Contains(v.Detail, "missing data") {
 			t.Errorf("violation %s does not flag missing data: %s", v.Check, v.Detail)
 		}
+	}
+}
+
+// TestJudgeClauses pins judge's rules on hand-built checks: a check
+// with no clause fails, the detail words the first failing clause, and
+// the margin is the smallest relative distance to failing, ±1 for a
+// bound of 0.
+func TestJudgeClauses(t *testing.T) {
+	checks := []shapeCheck{
+		{"x", "x/silent", func(v *tv) {}},
+		{"x", "x/holds", func(v *tv) {
+			v.atLeast("a", 3, 2, 1)   // 3 >= 2: margin 0.5
+			v.atMost("b", 1, 2, 2)    // 1 <= 4: margin 0.75
+			v.above("c", 5, 0, 1)     // 5 > 0: bound 0, margin 1
+			v.atMost("d", 0, 0, 1)    // 0 <= 0: bound 0, margin 1
+			v.atLeast("e", -1, 1, -2) // -1 >= -2: margin 0.5
+		}},
+		{"x", "x/fails", func(v *tv) {
+			v.atLeast("ok", 2, 1, 1)
+			v.atMost("first", 3, 2, 1.25)
+			v.above("second", 0, 0, 1) // fails too; bound 0, margin -1
+		}},
+		{"x", "x/missing", func(v *tv) { v.atLeast("m", v.at("t", "s", 1), 1, 1) }},
+	}
+	got := judge(checks, "x", nil)
+	want := []Verdict{
+		{"x/silent", "no comparison recorded", math.Inf(1)},
+		{"x/holds", "", 0.5},
+		{"x/fails", "first: 3 (need <= 2 × 1.25 = 2.5)", -1},
+		{"x/missing", "missing data: t[s @ 1]", -1},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("judge = %v, want %v", got, want)
 	}
 }
 
@@ -166,7 +217,7 @@ func syntheticFig4() []result.Table {
 }
 
 func TestCheckPredicatesOnSyntheticTables(t *testing.T) {
-	if vs := Check("fig4", syntheticFig4()); len(vs) != 0 {
+	if vs := violations(Check("fig4", syntheticFig4())); len(vs) != 0 {
 		t.Fatalf("healthy synthetic fig4 flagged: %v", vs)
 	}
 
@@ -182,7 +233,7 @@ func TestCheckPredicatesOnSyntheticTables(t *testing.T) {
 			}
 		}
 	}
-	vs := Check("fig4", broken)
+	vs := violations(Check("fig4", broken))
 	if len(vs) == 0 {
 		t.Fatal("flattened 96x32 point passed the thrashing check")
 	}
@@ -195,6 +246,17 @@ func TestCheckPredicatesOnSyntheticTables(t *testing.T) {
 	if !found {
 		t.Errorf("expected fig4/thrash-halves-96x32 violation, got %v", vs)
 	}
+}
+
+// violations returns the verdicts that failed.
+func violations(vs []Verdict) []Verdict {
+	var out []Verdict
+	for _, v := range vs {
+		if v.Detail != "" {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // checkNames returns the names of the checks registered for id.
