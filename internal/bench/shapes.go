@@ -357,9 +357,23 @@ var shapeChecks = []shapeCheck{
 		}
 	}},
 	{"chaos", "chaos/storm-gamma-spikes", func(v *tv) {
-		// §4.3: the injected CAS-NAK storm must drive the sampled retry
-		// rate well past the γ_H = 0.5 widening threshold.
-		v.atLeast("peak storm gamma sample", v.seriesMax("storm/gamma"), 0.5, 1)
+		// §4.3: the sampled retry rate of each storm thread t0–t7 (all
+		// of the quick storm's, half of the full one's) must stay at or
+		// below the γ_H = 0.5 widening threshold before the default
+		// window opens at 2 ms, and the injected CAS-NAK storm must drive
+		// it to at least 4·γ_H inside the window, [2, 4] ms.
+		for i := range 8 {
+			thread := "t" + strconv.Itoa(i)
+			peak := math.Inf(-1)
+			for _, p := range v.points("storm/gamma", thread) {
+				if p.X < 2000 {
+					v.atMost(thread+" gamma at t="+num(p.X)+"us, before the fault window", p.Value, 0.5, 1)
+				} else if p.X <= 4000 {
+					peak = max(peak, p.Value)
+				}
+			}
+			v.atLeast(thread+" peak gamma in the fault window", peak, 4, 0.5)
+		}
 	}},
 	{"chaos", "chaos/storm-tmax-widens-and-recovers", func(v *tv) {
 		// §4.3: t_max must stay near t0 before the default window opens

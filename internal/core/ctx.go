@@ -26,7 +26,7 @@ type Ctx struct {
 	onDone func(*verbs.WR) // c.onComplete, bound once by Thread.Spawn
 	send   sender          // the coroutine's submission loop, bound by Thread.Spawn
 
-	slept, regained func() // the backoff's stages, backoffWoke and creditRegained, bound by Thread.Spawn
+	slept, regained func() // the backoff's stages, backoffWoke and proc.Resume, bound by Thread.Spawn
 
 	buf     []*verbs.WR
 	pending int
@@ -164,7 +164,6 @@ func (c *Ctx) post(wait bool) {
 // wakes the coroutine once a pending Sync is satisfied.
 func (c *Ctx) onComplete(wr *verbs.WR) {
 	t := c.T
-	t.wrCompleted++
 	t.Stats.WRs++
 	t.noteOWR(-1)
 	if t.credits != nil {
@@ -237,19 +236,25 @@ func (c *Ctx) WriteSync(addr blade.Addr, src []byte) {
 
 // releaseHelper ends the life of wr, the one WR a *Sync helper took,
 // when the helper returns: the caller never saw it, so nothing can
-// read it later. It applies EndOp's rule — inside an op, with no
-// timeout seen and nothing pending, buffered or awaiting retry — and
-// only to the op's newest WR; otherwise wr stays in opWRs for EndOp
-// to decide.
+// read it later. It applies EndOp's rule — inside an op and not busy —
+// and only to the op's newest WR; otherwise wr stays in opWRs for
+// EndOp to decide.
 func (c *Ctx) releaseHelper(wr *verbs.WR) {
 	n := len(c.opWRs)
-	if !c.inOp || n == 0 || c.opWRs[n-1] != wr ||
-		c.timedOut || c.pending > 0 || len(c.buf) > 0 || len(c.failed) > 0 {
+	if !c.inOp || n == 0 || c.opWRs[n-1] != wr || c.busy() {
 		return
 	}
 	c.opWRs[n-1] = nil
 	c.opWRs = c.opWRs[:n-1]
 	c.freeWRs = append(c.freeWRs, wr)
+}
+
+// busy reports whether the card may still write into the WRs or arena
+// the coroutine has taken since its last EndOp: a completion timed out
+// (a timed-out launch can execute late), or WRs are pending, buffered
+// or awaiting retry. Such memory is never reused.
+func (c *Ctx) busy() bool {
+	return c.timedOut || c.pending > 0 || len(c.buf) > 0 || len(c.failed) > 0
 }
 
 // CASSync performs one CAS and waits for it, recording retry
@@ -347,20 +352,13 @@ func (c *Ctx) sleepReacquire(d sim.Time) {
 	c.T.coroCredits.Acquire(c.proc, 1)
 }
 
-// backoffWoke is the backoff sleep's stage: the coroutine's wake, then
-// its credit Acquire, which resumes it at once or, granted later,
-// through regained.
+// backoffWoke is the backoff sleep's stage: the coroutine's credit
+// Acquire, which resumes it at once or, granted later, through
+// regained.
 func (c *Ctx) backoffWoke() {
-	c.proc.Woken()
 	if c.T.coroCredits.AcquireStage(c.proc, 1, c.regained) {
 		c.proc.Resume()
 	}
-}
-
-// creditRegained is the stage of the credit grant that ends a backoff.
-func (c *Ctx) creditRegained() {
-	c.proc.Woken()
-	c.proc.Resume()
 }
 
 // BeginOp marks the start of one application operation. Under
@@ -405,7 +403,7 @@ func (c *Ctx) EndOp() (retries int) {
 		t.coroCredits.Release(1)
 	}
 	c.inOp = false
-	if c.timedOut || c.pending > 0 || len(c.buf) > 0 || len(c.failed) > 0 {
+	if c.busy() {
 		clear(c.opWRs)
 		c.arena = nil
 	} else {

@@ -35,8 +35,7 @@ type sender struct {
 	sent int         // run[:sent] are posted
 	step int
 
-	granted func() // the credit grant's stage, bound once
-	posted  func() // PostListStage's continuation, bound once
+	carry func() // carryOn, bound once: the credit grant's stage and PostListStage's continuation
 }
 
 // The loop's steps. Each of acquire and post may park the process;
@@ -52,8 +51,7 @@ const (
 // stages.
 func (s *sender) bind(t *Thread, c *Ctx, p *sim.Proc) {
 	s.t, s.c, s.p = t, c, p
-	s.granted = s.wake
-	s.posted = s.carryOn
+	s.carry = s.carryOn
 }
 
 // post sends wrs through the throttler to the card, shared by
@@ -182,7 +180,7 @@ func (s *sender) advance() bool {
 // then a throttling credit, which may park the process.
 func (s *sender) acquire() bool {
 	s.c.pending++
-	return s.t.credits == nil || s.t.credits.AcquireStage(s.p, 1, s.granted)
+	return s.t.credits == nil || s.t.credits.AcquireStage(s.p, 1, s.carry)
 }
 
 // flushRun sets up the next same-QP run of the flush in progress.
@@ -196,14 +194,8 @@ func (s *sender) flushRun() {
 	s.run, s.sent, s.flushed = s.flush[i:j], 0, j
 }
 
-// wake is the credit grant's stage: the process's wake from its credit
-// wait, run in engine context.
-func (s *sender) wake() {
-	s.p.Woken()
-	s.carryOn()
-}
-
-// carryOn continues the loop from a stage. Once the loop finishes it
+// carryOn continues the loop from a stage: the credit grant's, or the
+// post's once its last WR is launched. Once the loop finishes it
 // switches into the process inside the current event, unless the
 // process is in a Sync with WRs pending: then it leaves it parked on
 // their completions, the last of which wakes it.
@@ -230,7 +222,7 @@ func (t *Thread) submit(s *sender) bool {
 		wrs = wrs[:1]
 	}
 	s.sent += len(wrs)
-	return s.qp.PostListStage(s.p, wrs, s.posted)
+	return s.qp.PostListStage(s.p, wrs, s.carry)
 }
 
 // launched enters each WR of a posted run in the outstanding-WR gauge

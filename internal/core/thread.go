@@ -39,9 +39,8 @@ type Thread struct {
 	cq  *verbs.CQ
 
 	// Work request throttling (§4.2).
-	credits     *sim.Credits
-	cmax        int
-	wrCompleted uint64 // monotone counter the epoch tuner samples
+	credits *sim.Credits
+	cmax    int
 
 	// Submission-path batching (DESIGN.md §16): coal buffers postings
 	// for doorbell coalescing.
@@ -178,10 +177,11 @@ func (t *Thread) qpFor(wr *verbs.WR) *verbs.QP { return t.QP(wr.Remote.Blade) }
 func (t *Thread) Spawn(name string, fn func(c *Ctx)) *Ctx {
 	c := &Ctx{T: t}
 	c.onDone = c.onComplete // one method value for every WR the coroutine posts
-	c.slept, c.regained = c.backoffWoke, c.creditRegained
+	c.slept = c.backoffWoke
 	c.proc = t.rt.eng.Go(name, func(p *sim.Proc) {
 		fn(c)
 	})
+	c.regained = c.proc.Resume
 	c.send.bind(t, c, c.proc)
 	return c
 }
@@ -203,12 +203,12 @@ func (t *Thread) cmaxTuner(p *sim.Proc) {
 		first := true
 		for _, target := range [...]int{4, 6, 8, 10, 12} { // Algorithm 1's target_list
 			t.updateCMax(target)
-			start := t.wrCompleted
+			start := t.Stats.WRs
 			p.Sleep(o.UpdateDelta)
 			if t.rt.stopped {
 				return
 			}
-			if completed := t.wrCompleted - start; first || completed > bestP {
+			if completed := t.Stats.WRs - start; first || completed > bestP {
 				best, bestP, first = target, completed, false
 			}
 		}

@@ -108,13 +108,14 @@ type Params struct {
 
 	// --- Doorbells (counts only; behaviour lives in verbs) ---
 
-	// DefaultLowLatencyDBs and DefaultMediumDBs are the per-context
-	// doorbell register counts of the unmodified driver (§2.2: 4 + 12).
+	// DefaultMediumDBs is the per-context count of medium-latency
+	// doorbell registers in the unmodified driver (§2.2: 4 low-latency
+	// + 12 medium). QPs are bound to the medium ones only (see
+	// verbs.Context), so the 4 low-latency ones are not modelled.
 	// MaxDoorbells is the hardware limit reached with the patched
 	// driver (512 for ConnectX-6).
-	DefaultLowLatencyDBs int
-	DefaultMediumDBs     int
-	MaxDoorbells         int
+	DefaultMediumDBs int
+	MaxDoorbells     int
 
 	// DBHold is the time the doorbell spinlock is held per posted work
 	// request (WQE write + MMIO), and DBBouncePerWaiter the extra hold
@@ -187,9 +188,8 @@ func Default() Params {
 
 		BaseDMABytes: 85,
 
-		DefaultLowLatencyDBs: 4,
-		DefaultMediumDBs:     12,
-		MaxDoorbells:         512,
+		DefaultMediumDBs: 12,
+		MaxDoorbells:     512,
 
 		DBHold:            110,
 		DBBouncePerWaiter: 60,

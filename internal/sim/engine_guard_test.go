@@ -165,7 +165,6 @@ func TestWakeDuringStagesPanics(t *testing.T) {
 	defer e.Stop()
 	poster := e.Go("poster", func(p *Proc) {
 		stage := func() {
-			p.Woken()
 			p.Resume()
 		}
 		if !p.SleepStage(10*Nanosecond, stage) {
@@ -235,7 +234,7 @@ func TestCreditStageWokenWithoutGrantPanics(t *testing.T) {
 	c := NewCredits(e, 0)
 	e.Go("waiter", func(p *Proc) {
 		p.Wake() // a wake arranged before the park
-		if !c.AcquireStage(p, 1, func() { p.Woken(); p.Resume() }) {
+		if !c.AcquireStage(p, 1, p.Resume) {
 			p.Block()
 		}
 	})
@@ -280,7 +279,6 @@ func TestStagedWorkCountsAsProcess(t *testing.T) {
 							}
 						}
 						stage = func() {
-							p.Woken()
 							if advance() {
 								p.Resume()
 							}
@@ -343,11 +341,9 @@ func TestAwaitMatchesResumeThenSuspend(t *testing.T) {
 					}
 				}
 				stage2 := func() {
-					p.Woken()
 					finish()
 				}
 				stage1 := func() {
-					p.Woken()
 					if i > 0 || !stale {
 						finish()
 						return

@@ -141,7 +141,6 @@ func (g *scriptStager) advance() bool {
 
 // resume is the stager's stage callback.
 func (g *scriptStager) resume() {
-	g.p.Woken()
 	g.s.fire(0, stagerProc)
 	if g.advance() {
 		g.p.Resume()

@@ -49,7 +49,7 @@ type Proc struct {
 	activateFn func()                  // pre-bound activate, reused by every timed wake
 	done       bool
 	wait       waitKind // what the parked process waits for; Wake must not cut it short
-	stage      func()   // while blocked in stages: what its run-queue activation runs
+	stage      func()   // while blocked in stages: what its activation runs
 }
 
 // waitKind names a park that only its own wake may end: a Sleep's
@@ -107,20 +107,21 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// activate resumes the process and returns when it has parked again or
-// finished. It runs in engine context, from the run queue or as the
-// pre-bound callback (activateFn) that timed wakes schedule on the
-// event heap. A process blocked in stages is not resumed: its
-// run-queue activation runs the stage armed on its behalf instead.
+// activate counts the process's wake and resumes it, returning when it
+// has parked again or finished. It runs in engine context, from the run
+// queue or as the pre-bound callback (activateFn) that timed wakes
+// schedule on the event heap. A process blocked in stages is not
+// resumed: its activation runs the stage armed on its behalf instead,
+// and that wake is counted here all the same.
 func (p *Proc) activate() {
 	if p.done {
 		return // spurious wake after the process finished
 	}
+	p.eng.wakes++
 	if p.wait == waitStage {
 		p.stage()
 		return
 	}
-	p.eng.wakes++
 	p.eng.switches++
 	p.next()
 }
@@ -175,14 +176,21 @@ func (p *Proc) stall() bool {
 // current timestamp, re-running it after them. Only the Sleep's own
 // timer resumes the process: Wake panics meanwhile.
 func (p *Proc) Sleep(d Time) {
+	p.wakeIn(d)
+	p.wait = waitSleep
+	p.park()
+	p.wait = waitAny
+}
+
+// wakeIn arranges p's activation d from now: through the run queue,
+// behind what is already queued at this timestamp, when d <= 0, and on
+// the event heap otherwise.
+func (p *Proc) wakeIn(d Time) {
 	if d <= 0 {
 		p.eng.enqueueRun(p)
 	} else {
 		p.eng.ScheduleAt(p.eng.now+d, p.activateFn)
 	}
-	p.wait = waitSleep
-	p.park()
-	p.wait = waitAny
 }
 
 // Suspend parks the process until another component calls Wake. It is
@@ -225,9 +233,10 @@ func (w waitKind) String() string {
 // stage callbacks, and the last stage resumes it once. A coroutine
 // switch is a host cost; a park is a simulated blocking point. So each
 // stage fires at the (at, seq) the process's own wake would have drawn,
-// and counts the park and the wake the process would have made, and
-// Events, Parks, Wakes, Pending and every random draw are those of the
-// process stepping through the action itself.
+// as that wake: the process's activation runs it and counts the wake,
+// and the arming call counts the park. Events, Parks, Wakes, Pending
+// and every random draw are those of the process stepping through the
+// action itself.
 //
 // The protocol, for a process p (see verbs.QP.PostList):
 //
@@ -238,27 +247,21 @@ func (w waitKind) String() string {
 //     would have;
 //   - on the first false result, while still in p's body, p calls
 //     Block, which switches out without counting a second park;
-//   - each stage callback first calls Woken, runs its step, and on
-//     finishing the work calls Resume, which switches into p inside the
-//     current event; or Await, when p's next step would be to Suspend
-//     on a wake already arranged, which leaves p suspended without a
-//     switch; or hands on to the next layer's continuation, which
-//     carries p's work on within the same event (see
-//     verbs.QP.PostListStage).
+//   - each stage callback runs its step and, on finishing the work,
+//     calls Resume, which switches into p inside the current event; or
+//     Await, when p's next step would be to Suspend on a wake already
+//     arranged, which leaves p suspended without a switch; or hands on
+//     to the next layer's continuation, which carries p's work on
+//     within the same event (see verbs.QP.PostListStage).
 
-// SleepStage arms stage to run where Sleep(d) would have woken p — at
-// the same (at, seq), as p's own run-queue activation when d <= 0 —
-// and counts the park Sleep would make. It reports true if p's wake was
-// due at once (the entry was taken and the wake counted, so stage does
-// not run and the caller continues inline), false if stage will run.
+// SleepStage arms stage to run where Sleep(d) would have woken p — by
+// p's own activation, at the same (at, seq) — and counts the park Sleep
+// would make. It reports true if p's wake was due at once (the entry
+// was taken and the wake counted, so stage does not run and the caller
+// continues inline), false if stage will run.
 func (p *Proc) SleepStage(d Time, stage func()) bool {
-	e := p.eng
-	if d <= 0 {
-		p.stage = stage
-		e.enqueueRun(p)
-	} else {
-		e.ScheduleAt(e.now+d, stage)
-	}
+	p.stage = stage
+	p.wakeIn(d)
 	return p.stall()
 }
 
@@ -273,13 +276,8 @@ func (p *Proc) Block() {
 	}
 }
 
-// Woken counts the wake of a blocked process whose stage is now
-// running: every stage callback calls it first, as activate counts the
-// wake of a process it resumes.
-func (p *Proc) Woken() { p.eng.wakes++ }
-
 // Resume switches into the blocked process inside the current event,
-// with its wake already counted by Woken, and returns when it has
+// with its wake already counted by activate, and returns when it has
 // parked again or finished. Only a stage callback may call it.
 func (p *Proc) Resume() {
 	if p.wait != waitStage {

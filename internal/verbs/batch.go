@@ -279,7 +279,6 @@ func (s *poster) advance() bool {
 // a continuation that posts on this QP again may reuse it.
 func (s *poster) resume() {
 	p, then := s.p, s.then
-	p.Woken()
 	if !s.advance() {
 		return
 	}
