@@ -393,7 +393,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			verdicts = bench.Check(e.ID, tables)
 		}
 		if reg := renv.Telemetry; reg != nil {
-			ttables := reg.Tables("")
+			ttables := reg.Tables()
 			telemDoc.Experiments = append(telemDoc.Experiments, result.Experiment{
 				ID: e.ID, Title: e.Title, Tables: ttables,
 			})

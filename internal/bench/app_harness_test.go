@@ -279,7 +279,7 @@ func TestAppHarnessPinned(t *testing.T) {
 		stormPlan := fault.MustPlan([]fault.Rule{{Start: 400 * sim.Microsecond, End: 800 * sim.Microsecond,
 			Kinds: fault.MaskAtomic, Prob: 0.7, Action: rnic.ActFail, Status: rnic.StatusRemoteAccessErr}})
 		runStorm(true, 3, reg, stormPlan, 1200*sim.Microsecond)
-		tables := reg.Tables("")
+		tables := reg.Tables()
 		var got bytes.Buffer
 		for _, id := range []string{"counters", "storm/tmax-trajectory", "storm/gamma"} {
 			result.Text(&got, []result.Table{*result.Find(tables, id)})

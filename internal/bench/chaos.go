@@ -187,7 +187,7 @@ func runChaos(env Env) []result.Table {
 	}
 
 	tables := []result.Table{*rec, *traj}
-	return append(tables, reg.Tables("")...)
+	return append(tables, reg.Tables()...)
 }
 
 // stormHotSlots sizes the storm's contended region: wide enough that

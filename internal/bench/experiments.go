@@ -22,7 +22,7 @@ type Env struct {
 	Seed int64
 	// Telemetry, when non-nil, is the registry an Instrumented
 	// experiment fills during its one run. It changes no returned
-	// table: the caller exports it with Telemetry.Tables("").
+	// table: the caller exports it with Telemetry.Tables().
 	Telemetry *telemetry.Registry
 	// Quick trades sweep density for runtime (used by the testing.B
 	// wrappers and the shape-check gate); the full sweep is the CLI

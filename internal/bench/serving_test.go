@@ -163,7 +163,7 @@ func TestTelemetryCounters(t *testing.T) {
 	if adm-done > inFlight {
 		t.Fatalf("admitted %d - completed %d = %d exceeds what workers and queues hold (%d)", adm, done, adm-done, inFlight)
 	}
-	tables := reg.Tables("")
+	tables := reg.Tables()
 	var sawQdepth, sawB0 bool
 	for _, tb := range tables {
 		if tb.ID == "serve/qdepth" {
@@ -191,7 +191,7 @@ func TestTelemetryCounters(t *testing.T) {
 		t.Error("one runtime: nic/completed not harvested unprefixed")
 	}
 	var sawDoorbells bool
-	for _, tb := range one.Tables("") {
+	for _, tb := range one.Tables() {
 		switch tb.ID {
 		case "doorbells":
 			sawDoorbells = true

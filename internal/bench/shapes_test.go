@@ -69,7 +69,7 @@ func quickRun(t *testing.T, id string) *quickOutcome {
 		}
 		o.tables = e.Run(env)
 		if env.Telemetry != nil {
-			o.telem = env.Telemetry.Tables("")
+			o.telem = env.Telemetry.Tables()
 		}
 	})
 	return o

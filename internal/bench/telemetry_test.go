@@ -79,7 +79,7 @@ func TestTelemetryRegistry(t *testing.T) {
 	if plain, with := enumerate(nil), enumerate(reg); !reflect.DeepEqual(plain, with) {
 		t.Errorf("fig4 enumerates different points with a registry:\n%v\n%v", plain, with)
 	}
-	if tables := reg.Tables(""); len(tables) != 0 {
+	if tables := reg.Tables(); len(tables) != 0 {
 		t.Errorf("fig4 recorded %d telemetry tables into a registry it should ignore", len(tables))
 	}
 }
@@ -96,7 +96,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 	}
 	render := func(sw *sweep.Sweeper) ([]byte, uint64) {
 		reg, _ := runInstrumented(sw, "chaos", 32)
-		return renderJSON(t, telemetryDoc("chaos", reg.Tables(""))), reg.Trace().Total()
+		return renderJSON(t, telemetryDoc("chaos", reg.Tables())), reg.Trace().Total()
 	}
 	j1, total1 := render(sweep.Sequential())
 	j2, total2 := render(sweep.New(4))

@@ -195,7 +195,7 @@ func TestRetryExceededSurfacesToSync(t *testing.T) {
 // counterLabels collects the labels of the "counters" telemetry table.
 func counterLabels(reg *telemetry.Registry) []string {
 	var out []string
-	if tb := result.Find(reg.Tables(""), "counters"); tb != nil {
+	if tb := result.Find(reg.Tables(), "counters"); tb != nil {
 		for _, s := range tb.Series {
 			for _, p := range s.Points {
 				out = append(out, p.Label)

@@ -81,7 +81,7 @@ func TestZeroOpThreadStats(t *testing.T) {
 
 	reg := telemetry.New()
 	rt.Collect(reg)
-	tab := result.Find(reg.Tables(""), "threads")
+	tab := result.Find(reg.Tables(), "threads")
 	if tab == nil {
 		t.Fatal("Collect did not export a threads table")
 	}
@@ -173,7 +173,7 @@ func TestCollectIdempotentAndDeterministic(t *testing.T) {
 	render := func(r *telemetry.Registry) []byte {
 		rt.Collect(r)
 		doc := &result.Document{Generator: "test", Experiments: []result.Experiment{
-			{ID: "t", Title: "t", Tables: r.Tables("")},
+			{ID: "t", Title: "t", Tables: r.Tables()},
 		}}
 		var buf bytes.Buffer
 		if err := result.JSON(&buf, doc); err != nil {

@@ -47,11 +47,11 @@ func (c *Credits) Acquire(p *Proc, n int64) {
 	c.checkGranted(p, ticket)
 }
 
-// AcquireStage is Acquire for staged work (see Proc.SleepStage), shaped
-// like Mutex.LockStage: it reports true if p took the credits at once;
-// otherwise it queues p in FIFO order, counts the park Acquire would
-// make and reports false, and a later Release or Add grants the credits
-// by running stage on p's behalf in engine context.
+// AcquireStage is Acquire for staged work (see Proc.SleepStage): it
+// reports true if p took the credits at once; otherwise it queues p in
+// FIFO order, counts the park Acquire would make and reports false, and
+// a later Release or Add grants the credits by running stage on p's
+// behalf in engine context.
 func (c *Credits) AcquireStage(p *Proc, n int64, stage func()) bool {
 	if c.take(n) {
 		return true
@@ -90,7 +90,7 @@ func (c *Credits) enqueue(p *Proc, n int64) (ticket uint64) {
 // ticket.
 func (c *Credits) checkGranted(p *Proc, ticket uint64) {
 	if c.granted <= ticket {
-		panic(fmt.Sprintf("sim: %s resumed from a credit wait without a grant", p.name))
+		panic(fmt.Sprintf("sim: %s resumed from a credit or lock wait without being handed its grant", p.name))
 	}
 }
 
@@ -113,9 +113,10 @@ func (c *Credits) Add(delta int64) {
 
 // drain grants the front waiters the balance covers, in FIFO order. A
 // grant debits the waiter's credits and hands them over through the
-// run queue, as Mutex.Unlock hands over the lock: the waiter is
-// resumed, or its stage runs if it is blocked in stages (see
-// AcquireStage). No Wake: that panics on a process blocked in stages.
+// run queue, the one FCFS hand-off of the kernel (a Mutex's Unlock
+// hands over its one credit here too): the waiter is resumed, or its
+// stage runs if it is blocked in stages (see AcquireStage). No Wake:
+// that panics on a process blocked in stages.
 func (c *Credits) drain() {
 	for len(c.q) > 0 && c.avail >= c.q[0].n {
 		w := c.q[0]

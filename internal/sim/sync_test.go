@@ -30,7 +30,7 @@ func TestMutexMutualExclusion(t *testing.T) {
 	if maxInside != 1 {
 		t.Fatalf("max concurrent holders = %d, want 1", maxInside)
 	}
-	if m.held {
+	if m.c.Available() != 1 {
 		t.Fatal("mutex still held at end")
 	}
 }
@@ -82,8 +82,8 @@ func TestMutexWaitersAndStats(t *testing.T) {
 		})
 	}
 	e.Run(0)
-	if m.Acquisitions != 3 || m.Contended != 2 {
-		t.Fatalf("Acquisitions=%d Contended=%d, want 3 and 2", m.Acquisitions, m.Contended)
+	if m.Acquisitions != 3 || m.Contended() != 2 {
+		t.Fatalf("Acquisitions=%d Contended=%d, want 3 and 2", m.Acquisitions, m.Contended())
 	}
 }
 

@@ -106,13 +106,11 @@ func (r *Registry) Group(id, title, xlabel string) *result.Table {
 // Tables exports the registry as result tables: one "counters" table
 // (one labeled row per counter, in registration order) followed by a
 // copy of each group table, which the caller may change without
-// writing into the registry. prefix, when non-empty, namespaces every
-// table ID as "<prefix>-<id>" so several registries can share one
-// document.
-func (r *Registry) Tables(prefix string) []result.Table {
+// writing into the registry.
+func (r *Registry) Tables() []result.Table {
 	var out []result.Table
 	if len(r.counters) > 0 {
-		t := result.NewTable(joinID(prefix, "counters"),
+		t := result.NewTable("counters",
 			"Telemetry counters (software Neo-Host totals)", "counter")
 		t.Prec = 0
 		t.Def("value", "", 0)
@@ -123,7 +121,6 @@ func (r *Registry) Tables(prefix string) []result.Table {
 	}
 	for _, g := range r.groups {
 		t := *g
-		t.ID = joinID(prefix, g.ID)
 		t.Series = slices.Clone(g.Series)
 		for i := range t.Series {
 			t.Series[i].Points = slices.Clone(t.Series[i].Points)
@@ -131,11 +128,4 @@ func (r *Registry) Tables(prefix string) []result.Table {
 		out = append(out, t)
 	}
 	return out
-}
-
-func joinID(prefix, id string) string {
-	if prefix == "" {
-		return id
-	}
-	return prefix + "-" + id
 }

@@ -27,7 +27,7 @@ func TestCounterRegistrationOrder(t *testing.T) {
 		t.Errorf("Value(missing) = %d, want 0", got)
 	}
 
-	tabs := r.Tables("")
+	tabs := r.Tables()
 	if len(tabs) != 1 {
 		t.Fatalf("Tables: got %d tables, want 1", len(tabs))
 	}
@@ -70,13 +70,13 @@ func TestGroupSeriesAndTables(t *testing.T) {
 		t.Error("second Group call returned a different table")
 	}
 
-	tabs := r.Tables("fig13")
+	tabs := r.Tables()
 	if len(tabs) != 1 {
 		t.Fatalf("Tables: got %d, want 1 (no counters registered)", len(tabs))
 	}
 	tab := tabs[0]
-	if tab.ID != "fig13-cmax" || tab.Title != "C_max trajectory" {
-		t.Errorf("group table ID/title = %q/%q, want fig13-cmax/C_max trajectory", tab.ID, tab.Title)
+	if tab.ID != "cmax" || tab.Title != "C_max trajectory" {
+		t.Errorf("group table ID/title = %q/%q, want cmax/C_max trajectory", tab.ID, tab.Title)
 	}
 	if tab.XUnit != "us" {
 		t.Errorf("XUnit = %q", tab.XUnit)
@@ -91,8 +91,7 @@ func TestGroupSeriesAndTables(t *testing.T) {
 }
 
 // TestGroupsExportInRegistrationOrder: group tables follow the counters
-// table in the order they were first registered, not by ID, and the
-// prefix namespaces every exported ID.
+// table in the order they were first registered, not by ID.
 func TestGroupsExportInRegistrationOrder(t *testing.T) {
 	r := New()
 	r.Group("zeta", "Z", "x").Add("s", 0, 1)
@@ -101,10 +100,10 @@ func TestGroupsExportInRegistrationOrder(t *testing.T) {
 	r.Group("zeta", "Z again", "x").Add("s", 1, 3)
 
 	var ids []string
-	for _, tab := range r.Tables("p") {
+	for _, tab := range r.Tables() {
 		ids = append(ids, tab.ID)
 	}
-	if want := []string{"p-counters", "p-zeta", "p-alpha"}; !slices.Equal(ids, want) {
+	if want := []string{"counters", "zeta", "alpha"}; !slices.Equal(ids, want) {
 		t.Errorf("exported IDs %v, want %v", ids, want)
 	}
 	if n := len(r.Group("zeta", "", "").Points("s")); n != 2 {
@@ -127,9 +126,9 @@ func TestTablesIsSnapshot(t *testing.T) {
 		result.Text(&buf, tabs)
 		return buf.String()
 	}
-	want := render(r.Tables(""))
+	want := render(r.Tables())
 
-	first := r.Tables("")
+	first := r.Tables()
 	traj := result.Find(first, "traj")
 	traj.Series[0].Points[0].Value = 99
 	traj.Series[0].Points = append(traj.Series[0].Points, result.Point{X: 2, Value: 3})
@@ -137,7 +136,7 @@ func TestTablesIsSnapshot(t *testing.T) {
 	traj.Title = "changed"
 	first[0].Series[0].Points[0].Value = 42
 
-	if got := render(r.Tables("")); got != want {
+	if got := render(r.Tables()); got != want {
 		t.Errorf("changing an export wrote into the registry:\n--- before\n%s\n--- after\n%s", want, got)
 	}
 	// Nor does recording after an export reach it: traj holds the two
@@ -166,7 +165,7 @@ func TestTablesDeterministic(t *testing.T) {
 	}
 	render := func(r *Registry) []byte {
 		doc := &result.Document{Generator: "test", Experiments: []result.Experiment{
-			{ID: "x", Title: "x", Tables: r.Tables("x")},
+			{ID: "x", Title: "x", Tables: r.Tables()},
 		}}
 		var buf bytes.Buffer
 		if err := result.JSON(&buf, doc); err != nil {
@@ -271,7 +270,7 @@ func TestRegistryPerPointIsolation(t *testing.T) {
 	}
 	render := func(r *Registry) string {
 		var buf bytes.Buffer
-		result.Text(&buf, r.Tables(""))
+		result.Text(&buf, r.Tables())
 		return buf.String()
 	}
 

@@ -16,10 +16,10 @@ import (
 // PostList must reproduce event for event: the posting thread itself
 // parks in the QP lock, the QP-lock hold, the doorbell spinlock and the
 // doorbell hold, and is switched into at every one of them.
-func (d *Doorbell) refRingN(p *sim.Proc, n int) {
+func (d *Doorbell) refRingN(p *sim.Proc, par *rnic.Params, n int) {
 	d.mu.Lock(p)
 	waiters := d.mu.Waiters()
-	hold := d.p.DBHold + sim.Time(n-1)*d.p.DBChainedHold + sim.Time(waiters)*d.p.DBBouncePerWaiter
+	hold := par.DBHold + sim.Time(n-1)*par.DBChainedHold + sim.Time(waiters)*par.DBBouncePerWaiter
 	p.Sleep(hold)
 	d.Rings++
 	d.HoldTicks += hold
@@ -41,7 +41,7 @@ func (q *QP) refPostList(p *sim.Proc, wrs ...*WR) {
 	hold := par.QPLockHold + sim.Time(len(wrs)-1)*par.QPChainedHold +
 		sim.Time(q.lock.Waiters())*par.QPBouncePerWaiter
 	p.Sleep(hold)
-	q.db.refRingN(p, len(wrs))
+	q.db.refRingN(p, par, len(wrs))
 	q.lock.Unlock()
 	for _, wr := range wrs {
 		q.Posted++
@@ -227,7 +227,7 @@ func runPostScript(s postScript, post func(*QP, *sim.Proc, []*WR)) postOutcome {
 	}
 	for _, qp := range qps {
 		out.QPAcq = append(out.QPAcq, qp.lock.Acquisitions)
-		out.QPContended = append(out.QPContended, qp.lock.Contended)
+		out.QPContended = append(out.QPContended, qp.lock.Contended())
 		out.Posted = append(out.Posted, qp.Posted)
 	}
 	out.Events, out.Parks, out.Wakes = eng.Events(), eng.Parks(), eng.Wakes()

@@ -40,7 +40,6 @@ type Target struct {
 type Doorbell struct {
 	Index int
 	mu    *sim.Mutex
-	p     *rnic.Params
 
 	Rings uint64
 
@@ -58,7 +57,7 @@ func (d *Doorbell) Waiters() int { return d.mu.Waiters() }
 func (d *Doorbell) Acquisitions() uint64 { return d.mu.Acquisitions }
 
 // Contended reports how many of those takes had to queue first.
-func (d *Doorbell) Contended() uint64 { return d.mu.Contended }
+func (d *Doorbell) Contended() uint64 { return d.mu.Contended() }
 
 // Context is an open device context. Doorbell registers belong to the
 // context; queue pairs created on the context are bound to its
@@ -82,7 +81,7 @@ func Open(nic *rnic.RNIC) *Context {
 func (c *Context) setMedium(n int) {
 	c.medium = make([]*Doorbell, n)
 	for i := range c.medium {
-		c.medium[i] = &Doorbell{Index: i, mu: sim.NewMutex(c.eng), p: &c.nic.P}
+		c.medium[i] = &Doorbell{Index: i, mu: sim.NewMutex(c.eng)}
 	}
 }
 
