@@ -278,7 +278,7 @@ func TestAppHarnessPinned(t *testing.T) {
 		reg := telemetry.New()
 		stormPlan := fault.MustPlan([]fault.Rule{{Start: 400 * sim.Microsecond, End: 800 * sim.Microsecond,
 			Kinds: fault.MaskAtomic, Prob: 0.7, Action: rnic.ActFail, Status: rnic.StatusRemoteAccessErr}})
-		runStorm(true, 3, reg, stormPlan, 1200*sim.Microsecond)
+		runStorm(true, 3, reg, stormPlan, 1200*sim.Microsecond, nil)
 		tables := reg.Tables()
 		var got bytes.Buffer
 		for _, id := range []string{"counters", "storm/tmax-trajectory", "storm/gamma"} {

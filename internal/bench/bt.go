@@ -64,6 +64,10 @@ type BTConfig struct {
 	// SpecCacheEntries overrides the speculative cache bound
 	// (0 = sherman.DefaultSpecCacheEntries). Used by the ablation.
 	SpecCacheEntries int
+
+	// fingerprint, when set, receives the run's event fingerprint
+	// (app.fingerprint); grid.add sets it.
+	fingerprint *uint64
 }
 
 // BTResult is one measured point.
@@ -92,7 +96,8 @@ func RunBT(cfg BTConfig) BTResult {
 	speculative := cfg.Variant.Speculative()
 	var clients []*sherman.Client
 	r := runApp(app{
-		name: "bt",
+		name:        "bt",
+		fingerprint: cfg.fingerprint,
 		cluster: cluster.Config{
 			ComputeBlades: cfg.Servers,
 			MemoryBlades:  cfg.Servers,

@@ -76,7 +76,7 @@ type chaosPoint struct {
 }
 
 // run returns the point's completed-WR samples, one per chaosSample.
-func (c chaosPoint) run(seed int64, quick bool) []chaosSamplePoint {
+func (c chaosPoint) run(seed int64, quick bool, fp *uint64) []chaosSamplePoint {
 	threads := 48
 	if quick {
 		threads = 24
@@ -99,9 +99,9 @@ func (c chaosPoint) run(seed int64, quick bool) []chaosSamplePoint {
 		// defeat RunMicro's Faults==nil fast path.
 		cfg.Faults = c.plan
 	}
-	cfg.run(seed, quick)
+	cfg.run(seed, quick, fp)
 	if c.plan != nil {
-		runStorm(quick, seed-chaosSeed, c.reg, c.plan, c.horizon)
+		runStorm(quick, seed-chaosSeed, c.reg, c.plan, c.horizon, fp)
 	}
 	return samples
 }
@@ -200,13 +200,14 @@ const stormHotSlots = 128
 // transparent WR retries, so every injected atomic NAK registers as a
 // failed CAS and feeds the §4.3 retry rate γ. Telemetry (γ samples,
 // the t_max trajectory, fault counters) lands in reg under "storm/".
-func runStorm(quick bool, seed int64, reg *telemetry.Registry, plan *fault.Plan, horizon sim.Time) {
+func runStorm(quick bool, seed int64, reg *telemetry.Registry, plan *fault.Plan, horizon sim.Time, fp *uint64) {
 	threads := 16
 	if quick {
 		threads = 8
 	}
 	runApp(app{
-		name: "storm",
+		name:        "storm",
+		fingerprint: fp,
 		cluster: cluster.Config{
 			ComputeBlades: 1,
 			MemoryBlades:  1,

@@ -42,6 +42,10 @@ type DTXConfig struct {
 	// TargetMTPS throttles to ~this committed-transaction rate for the
 	// Fig. 11 latency sweep.
 	TargetMTPS float64
+
+	// fingerprint, when set, receives the run's event fingerprint
+	// (app.fingerprint); grid.add sets it.
+	fingerprint *uint64
 }
 
 // DTXResult is one measured point.
@@ -70,7 +74,8 @@ func RunDTX(cfg DTXConfig) DTXResult {
 		opts = core.Baseline(core.PerThreadQP)
 	}
 	r := runApp(app{
-		name: "dtx",
+		name:        "dtx",
+		fingerprint: cfg.fingerprint,
 		cluster: cluster.Config{
 			ComputeBlades: 1,
 			MemoryBlades:  cfg.MemoryBlades,

@@ -39,6 +39,13 @@ type Env struct {
 	Faults   *fault.Plan
 	Arrival  *arrival.Spec
 	Batching verbs.Batching
+
+	// Fingerprints, when set, receives each point's label and event
+	// fingerprint (sim.Engine.Fingerprint, folded over the point's
+	// engines) on the Run caller's goroutine, in enumeration order,
+	// after the point's merge. It observes only: no table moves. The
+	// tests pin it per point in testdata/fingerprints.golden.
+	Fingerprints func(label string, fp uint64)
 }
 
 // Experiment is one reproducible table or figure from the paper.

@@ -32,6 +32,10 @@ type HTConfig struct {
 	// this aggregate operation rate (the Fig. 9 latency-throughput
 	// sweep). Each task spaces its operations to hit the target.
 	TargetMOPS float64
+
+	// fingerprint, when set, receives the run's event fingerprint
+	// (app.fingerprint); grid.add sets it.
+	fingerprint *uint64
 }
 
 // HTResult is one measured point of a hash-table run.
@@ -73,7 +77,8 @@ func RunHT(cfg HTConfig) HTResult {
 		cfg.Mix = workload.ReadOnly
 	}
 	r := runApp(app{
-		name: "ht",
+		name:        "ht",
+		fingerprint: cfg.fingerprint,
 		cluster: cluster.Config{
 			ComputeBlades: cfg.ComputeBlades,
 			MemoryBlades:  cfg.MemoryBlades,

@@ -55,6 +55,10 @@ type MicroConfig struct {
 	// reads counters, so it cannot perturb the run.
 	SampleEvery sim.Time
 	OnSample    func(now sim.Time, snap rnic.Counters)
+
+	// fingerprint, when set, receives the run's event fingerprint
+	// (app.fingerprint); grid.add sets it.
+	fingerprint *uint64
 }
 
 // MicroResult is one measured point.
@@ -91,7 +95,8 @@ func RunMicro(cfg MicroConfig) MicroResult {
 	slots := microRegion / uint64(cfg.Payload)
 	var rt *core.Runtime
 	r := runApp(app{
-		name: "bench",
+		name:        "bench",
+		fingerprint: cfg.fingerprint,
 		cluster: cluster.Config{
 			ComputeBlades: 1,
 			MemoryBlades:  cfg.Blades,

@@ -80,6 +80,10 @@ type ServeConfig struct {
 	// runtime's layer harvest (prefixed "b<i>/" when there are several
 	// runtimes, as in runApp).
 	Opts core.Options
+
+	// fingerprint, when set, receives the run's event fingerprint
+	// (app.fingerprint); grid.add sets it.
+	fingerprint *uint64
 }
 
 // ServeResult is the measured outcome of one serving run. All counters
@@ -307,7 +311,8 @@ func RunServe(cfg ServeConfig) ServeResult {
 	}
 
 	r := runApp(app{
-		name: "serve",
+		name:        "serve",
+		fingerprint: cfg.fingerprint,
 		cluster: cluster.Config{
 			ComputeBlades: cfg.Runtimes,
 			MemoryBlades:  cfg.Runtimes,

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -13,12 +14,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// quickOutcome is one experiment's shared quick run: its tables and,
-// when it is instrumented, its registry's export.
+// quickOutcome is one experiment's shared quick run: its tables, when
+// it is instrumented its registry's export, and one "label fingerprint"
+// line per point (Env.Fingerprints), in enumeration order.
 type quickOutcome struct {
 	once   sync.Once
 	tables []result.Table
 	telem  []result.Table
+	fps    []string
 }
 
 //smartlint:ignore sharedstate — test memo of finished runs, guarded by its mutex
@@ -64,6 +67,9 @@ func quickRun(t *testing.T, id string) *quickOutcome {
 	quickRuns.Unlock()
 	o.once.Do(func() {
 		env := quickEnv(sweep.New(0))
+		env.Fingerprints = func(label string, fp uint64) {
+			o.fps = append(o.fps, fmt.Sprintf("%s %016x", label, fp))
+		}
 		if e.Instrumented {
 			env.Telemetry = telemetry.New()
 		}

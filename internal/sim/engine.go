@@ -111,12 +111,19 @@ type Engine struct {
 	wakes    uint64  // times any process was woken from a park
 	switches uint64  // coroutine switches into a process (activate, Resume, Await)
 	events   uint64  // events executed (timer fires + process activations)
+	fp       uint64  // running hash of every executed event's (at, seq), see Fingerprint
 }
+
+// FNV-1a's 64-bit offset basis and prime, the fingerprint's hash.
+const (
+	fpBasis = 0xcbf29ce484222325
+	fpPrime = 0x100000001b3
+)
 
 // New returns an engine whose clock starts at zero and whose random
 // stream is seeded with seed. Equal seeds give identical runs.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), fp: fpBasis}
 }
 
 // Now returns the current virtual time.
@@ -171,6 +178,20 @@ func (e *Engine) Switches() uint64 { return e.switches }
 // table, but like every engine counter it is deterministic for a
 // given seed.
 func (e *Engine) Events() uint64 { return e.events }
+
+// Fingerprint returns a running 64-bit hash of every event the engine
+// has executed, each as its (timestamp, sequence number): two runs
+// with equal fingerprints executed the same events in the same order,
+// which equal counts and equal rounded tables do not prove. Like
+// Switches it feeds no result table; tests pin it per sweep point.
+func (e *Engine) Fingerprint() uint64 { return e.fp }
+
+// mix folds one executed event into the fingerprint. Every site that
+// counts an event calls it.
+func (e *Engine) mix(at Time, seq uint64) {
+	e.fp = (e.fp ^ uint64(at)) * fpPrime
+	e.fp = (e.fp ^ seq) * fpPrime
+}
 
 // Schedule queues fn to run after delay. A negative delay is treated
 // as zero. Must be called from engine context.
@@ -253,6 +274,7 @@ func (e *Engine) fireTimed(fromLane bool) {
 	}
 	e.now = ev.at
 	e.events++
+	e.mix(ev.at, ev.seq)
 	ev.fn()
 }
 
@@ -272,6 +294,7 @@ func (e *Engine) Run(until Time) Time {
 				return e.now
 			}
 			e.events++
+			e.mix(e.now, e.runq.first().seq)
 			e.runq.pop().activate()
 			continue
 		}
@@ -305,6 +328,7 @@ func (e *Engine) Step() bool {
 	}
 	if e.runqFirst() {
 		e.events++
+		e.mix(e.now, e.runq.first().seq)
 		e.runq.pop().activate()
 		return true
 	}

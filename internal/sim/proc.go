@@ -154,14 +154,15 @@ func (p *Proc) stall() bool {
 	e := p.eng
 	e.parks++
 	for e.runqFirst() {
-		head := e.runq.first().p
-		if head != p && !head.done {
+		head := e.runq.first()
+		if head.p != p && !head.p.done {
 			return false // a live process is due first: the engine activates it
 		}
 		e.runq.pop()
-		if head == p {
+		if head.p == p {
 			e.wakes++
 			e.events++
+			e.mix(e.now, head.seq)
 			return true
 		}
 		// Else a stale wake of a finished process ahead of ours, dropped
