@@ -95,6 +95,18 @@ func New(id int, kind Kind, capacity uint64) *Blade {
 // Capacity returns the blade's total memory in bytes.
 func (b *Blade) Capacity() uint64 { return b.capacity }
 
+// Pages returns how many 64 KiB pages the blade has committed: the host
+// memory its stores have cost, in pages.
+func (b *Blade) Pages() int {
+	n := 0
+	for _, p := range b.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // Alloc carves size bytes (8-byte aligned) out of the blade and
 // returns their global address. It panics when the blade is full;
 // sizing is a configuration decision, not a runtime condition.

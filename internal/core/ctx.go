@@ -135,6 +135,22 @@ func (c *Ctx) Buf(n int) []byte {
 	return b
 }
 
+// ReuseBuf returns b, zeroed as Buf returns a buffer, for another
+// n-byte READ inside the same op, so a retry loop re-reads into the
+// buffers its first round carved instead of carving new ones each
+// round. It returns a fresh Buf(n) instead when b is not n bytes long
+// (the loop's first round passes nil) or when the card may still
+// write into b: a completion since the last EndOp timed out (a
+// timed-out launch can execute late) or WRs are pending, buffered or
+// awaiting retry — the rule EndOp applies to the whole arena.
+func (c *Ctx) ReuseBuf(b []byte, n int) []byte {
+	if len(b) != n || c.busy() {
+		return c.Buf(n)
+	}
+	clear(b)
+	return b
+}
+
 // PostSend posts every buffered work request. With work request
 // throttling enabled this is Algorithm 1's SMARTPOSTSEND: each WR
 // consumes a credit before reaching the card, and the coroutine stalls

@@ -115,6 +115,65 @@ func TestHelperChainReusesOneWR(t *testing.T) {
 	}
 }
 
+// TestReuseBufKeepsBufferUnlessTimedOut pins Ctx.ReuseBuf, the retry
+// loop's way back to its own buffer: inside an op, after a READ into b
+// completed, it returns b's backing array, zeroed; a nil b or another
+// length carves a fresh Buf; and once a completion of the op has timed
+// out it returns a fresh buffer, so the timed-out READ's late execution
+// lands in the old one, which nobody reads again (EndOp's rule,
+// TestTimedOutOpIsNotReused).
+func TestReuseBufKeepsBufferUnlessTimedOut(t *testing.T) {
+	cl, rt := testRig(t, 1, 1, faultOpts(10*sim.Microsecond, 0))
+	inj := &countInjector{}
+	cl.Computes[0].NIC.SetFault(inj)
+	mem := cl.Memories[0].Mem
+	slow, fast := mem.Alloc(8), mem.Alloc(8)
+	mem.Store8(slow.Offset, 42)
+	mem.Store8(fast.Offset, 7)
+
+	var first, again, other, late, fresh []byte
+	var readBack, zeroed uint64
+	rt.Thread(0).Spawn("w", func(c *Ctx) {
+		c.BeginOp()
+		first = c.ReuseBuf(nil, 8)
+		c.ReadSync(fast, first)
+		again = c.ReuseBuf(first, 8)
+		c.ReadSync(fast, again)
+		readBack = binary.LittleEndian.Uint64(again)
+		again = c.ReuseBuf(again, 8)
+		zeroed = binary.LittleEndian.Uint64(again)
+		other = c.ReuseBuf(again, 16)
+		c.EndOp()
+
+		c.BeginOp()
+		inj.n, inj.verdict = 1, rnic.Verdict{Action: rnic.ActDelay, Factor: 50}
+		late = c.ReuseBuf(nil, 8)
+		c.ReadSync(slow, late)
+		fresh = c.ReuseBuf(late, 8)
+		c.EndOp()
+	})
+	cl.Eng.Run(sim.Millisecond)
+
+	if len(first) != 8 || &again[0] != &first[0] {
+		t.Fatal("ReuseBuf after a completed READ did not return the same buffer")
+	}
+	if readBack != 7 || zeroed != 0 {
+		t.Errorf("reused buffer: read %d, then %d after ReuseBuf; want 7, then zeroed", readBack, zeroed)
+	}
+	if len(other) != 16 || &other[0] == &first[0] {
+		t.Error("ReuseBuf of another length did not carve a fresh buffer")
+	}
+	if &fresh[0] == &late[0] {
+		t.Fatal("ReuseBuf after a watchdog timeout returned the timed-out READ's buffer")
+	}
+	if got := binary.LittleEndian.Uint64(late); got != 42 {
+		t.Errorf("late card READ never landed in the old buffer: %d", got)
+	}
+	if got := binary.LittleEndian.Uint64(fresh); got != 0 {
+		t.Errorf("the fresh buffer holds %d, want 0: the late READ reached it", got)
+	}
+}
+
 // TestTimedOutOpIsNotReused pins EndOp's exception: an op one of whose
 // WRs timed out may still be executed by the card, so its WR and Buf
 // are dropped, not recycled. A delay fault well past WRTimeout makes

@@ -2,10 +2,12 @@ package race
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/blade"
 	"repro/internal/core"
+	"repro/internal/rnic"
 	"repro/internal/sim"
 )
 
@@ -86,28 +88,105 @@ func TestPairsForDistinctAndInRange(t *testing.T) {
 	}
 }
 
-func TestArenaChunking(t *testing.T) {
+// TestKVPlacement pins where the client puts KV blocks: each from the
+// blade's own cursor, so blocks are distinct and 8-aligned, and T
+// threads × N updates commit at most ⌈T·N·KVBytes / 64 KiB⌉ + 1 blade
+// pages — the pages the blocks fill, plus one the cursor may straddle —
+// not a page per thread as per-thread chunks would.
+func TestKVPlacement(t *testing.T) {
 	cl := newCluster(t, 1)
 	tbl := Create(cl.Targets(), Config{Groups: 64})
 	client := NewClient(tbl)
-	// Allocate beyond one chunk; addresses must be distinct and
-	// 8-aligned.
 	seen := map[uint64]bool{}
-	for i := 0; i < (arenaChunk/KVBytes)+10; i++ {
-		a := client.alloc(0, 1)
-		if a.Offset%8 != 0 {
-			t.Fatalf("unaligned arena alloc: %#x", a.Offset)
+	for i := 0; i < 2<<16/KVBytes; i++ {
+		a := client.alloc(1)
+		if a.Blade != 1 || a.Offset%8 != 0 {
+			t.Fatalf("KV block at %v: want blade 1, 8-aligned", a)
 		}
 		if seen[a.Offset] {
-			t.Fatalf("duplicate arena address %#x", a.Offset)
+			t.Fatalf("duplicate KV block at %v", a)
 		}
 		seen[a.Offset] = true
 	}
-	// Separate threads get separate arenas.
-	a0 := client.alloc(0, 1)
-	a1 := client.alloc(1, 1)
-	if a0 == a1 {
-		t.Fatal("thread arenas collide")
+
+	const threads, updates = 8, 300
+	const keys = 64
+	for k := uint64(1); k <= keys; k++ {
+		tbl.LoadDirect(k, 0)
+	}
+	mem := cl.Memories[0].Mem
+	before := mem.Pages()
+	rt := core.MustNew(cl.Computes[0].NIC, cl.Targets(), threads, core.Smart())
+	for ti := 0; ti < threads; ti++ {
+		rt.Thread(ti).Spawn("u", func(c *core.Ctx) {
+			for i := 0; i < updates; i++ {
+				client.Update(c, uint64(ti*updates+i)%keys+1, uint64(i))
+			}
+		})
+	}
+	cl.Eng.Run(10 * sim.Second)
+	rt.Stop()
+	if ops := rt.TotalStats().Ops; ops != threads*updates {
+		t.Fatalf("%d updates ran, want %d", ops, threads*updates)
+	}
+	limit := (threads*updates*KVBytes+1<<16-1)>>16 + 1
+	if got := mem.Pages() - before; got > limit {
+		t.Errorf("%d×%d updates committed %d pages, want at most %d", threads, updates, got, limit)
+	}
+}
+
+// casNAKs fails the next n CAS work requests at the responder.
+type casNAKs struct{ n int }
+
+func (f *casNAKs) Decide(kind rnic.OpKind, _ sim.Time, _ *rand.Rand) rnic.Verdict {
+	if kind != rnic.OpCAS || f.n == 0 {
+		return rnic.Verdict{}
+	}
+	f.n--
+	return rnic.Verdict{Action: rnic.ActFail}
+}
+
+// TestUpdateRetriesReuseBuffers pins §3.3's retry loop to the buffers
+// its first round carved: an update whose slot CAS fails k times
+// re-reads the bucket pair and the KV block k times into the same two
+// buffers (core.Ctx.ReuseBuf), so it carves the same arena bytes for
+// every k, and once the coroutine's arena has grown to one update's
+// footprint, no k allocates. Carving a fresh pair and block per round
+// outgrows the arena as k grows.
+func TestUpdateRetriesReuseBuffers(t *testing.T) {
+	cl := newCluster(t, 1)
+	tbl := Create(cl.Targets(), Config{Groups: 64})
+	tbl.LoadDirect(1, 0)
+	client := NewClient(tbl)
+	rt := core.MustNew(cl.Computes[0].NIC, cl.Targets(), 1, core.Baseline(core.PerThreadDoorbell))
+	naks := &casNAKs{}
+	cl.Computes[0].NIC.SetFault(naks)
+	var k, retries int
+	c := rt.Thread(0).Spawn("u", func(c *core.Ctx) {
+		for {
+			c.Proc().Suspend()
+			naks.n = k
+			retries = client.Update(c, 1, uint64(k))
+		}
+	})
+	cl.Eng.Run(0)
+	var ms runtime.MemStats
+	for i, n := range []int{1, 1, 2, 4, 8, 16, 32, 64} {
+		k = n
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		c.Proc().Wake()
+		cl.Eng.Run(0)
+		runtime.ReadMemStats(&ms)
+		if retries != k {
+			t.Fatalf("update with %d CAS NAKs reported %d retries", k, retries)
+		}
+		if allocs := ms.Mallocs - before; i > 0 && allocs != 0 {
+			t.Errorf("update retrying %d CAS allocated %d times, want 0", k, allocs)
+		}
+	}
+	if got, _ := tbl.GetDirect(1); got != 64 {
+		t.Errorf("key 1 holds %d after the last update, want 64", got)
 	}
 }
 
