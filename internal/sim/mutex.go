@@ -36,12 +36,17 @@ func (m *Mutex) LockStage(p *Proc, stage func()) bool {
 
 // Unlock releases the mutex, handing it directly to the oldest waiter
 // if any. Must be called by the current holder, from engine context or
-// the holding process.
+// the holding process. It returns the one credit itself rather than
+// through Release, whose negative-count check it does not need, so an
+// uncontended Unlock is inlined and makes no call.
 func (m *Mutex) Unlock() {
 	if m.c.avail > 0 {
 		panic("sim: Unlock of unheld Mutex")
 	}
-	m.c.Release(1)
+	m.c.avail++
+	if len(m.c.q) > 0 {
+		m.c.drain()
+	}
 }
 
 // Waiters returns the number of processes queued on the mutex.
