@@ -100,7 +100,9 @@ func (s *Spec) MeanRate() float64 {
 	case KindPoisson:
 		return s.Rate
 	case KindMMPP:
-		return (s.High*float64(s.On) + s.Low*float64(s.Off)) / float64(s.On+s.Off)
+		// Each product is rounded explicitly, so no architecture fuses
+		// one into a multiply-add (DESIGN.md §8).
+		return (float64(s.High*float64(s.On)) + float64(s.Low*float64(s.Off))) / float64(s.On+s.Off)
 	case KindTrace:
 		var sum sim.Time
 		for _, g := range s.Gaps {

@@ -346,7 +346,7 @@ func (r *RNIC) Submit(op *Op, target *RNIC, targetKind blade.Kind) {
 			if f < 1 {
 				f = 1
 			}
-			owl = sim.Time(float64(owl)*f + 0.5)
+			owl = sim.Time(float64(float64(owl)*f) + 0.5) // rounded product: no fused multiply-add
 		case ActDrop:
 			r.C.Injected++
 			drops := v.Drops

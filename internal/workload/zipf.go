@@ -71,5 +71,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < z.half {
 		return 1
 	}
-	return uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	// The explicit conversion rounds the product, so no architecture
+	// fuses it into a multiply-add and draws another key (DESIGN.md §8).
+	return uint64(float64(z.n) * math.Pow(float64(z.eta*u)-z.eta+1, z.alpha))
 }
