@@ -129,3 +129,22 @@ func TestMeasureKernel(t *testing.T) {
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
+
+func TestGateKernelAllocs(t *testing.T) {
+	base := rec(100, PathStats{Path: "doorbell", EventsPerSec: 1e6, AllocsPerEvent: 0.152})
+	for _, c := range []struct {
+		allocs float64
+		fails  bool
+	}{
+		{0.152, false},
+		{0.152 + AllocSlack/2, false},
+		{0.1, false},
+		{0.152 + 2*AllocSlack, true},
+		{1.152, true},
+	} {
+		cur := rec(100, PathStats{Path: "doorbell", EventsPerSec: 1e6, AllocsPerEvent: c.allocs})
+		if v := Gate(base, cur, 0.25); (len(v) == 1) != c.fails || len(v) > 1 {
+			t.Errorf("allocs/event %v against baseline 0.152: violations %v, want failing=%v", c.allocs, v, c.fails)
+		}
+	}
+}
