@@ -257,7 +257,7 @@ func RunServe(cfg ServeConfig) ServeResult {
 		}
 
 		const slots = serveRegion / servePayload
-		for ci := range cl.Clients {
+		for ci := range cfg.Clients {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(ci)*9973 + 101))
 			proc := cfg.Arrival.New(rng, cfg.Clients)
 			eng.Go(fmt.Sprintf("client-%d", ci), func(p *sim.Proc) {
@@ -316,7 +316,6 @@ func RunServe(cfg ServeConfig) ServeResult {
 		cluster: cluster.Config{
 			ComputeBlades: cfg.Runtimes,
 			MemoryBlades:  cfg.Runtimes,
-			Clients:       cfg.Clients,
 			BladeCapacity: serveRegion + (1 << 16),
 			Seed:          cfg.Seed,
 		},

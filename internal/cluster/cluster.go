@@ -20,12 +20,6 @@ type Config struct {
 	ComputeBlades int
 	MemoryBlades  int
 
-	// Clients is the number of client machines generating open-loop
-	// traffic into the cluster (bench.RunServe). Clients hold no RNIC —
-	// they model the front-end fleet upstream of the compute blades —
-	// so 0 is fine for closed-loop experiments.
-	Clients int
-
 	// MemoryKind selects DRAM (default) or NVM storage on memory
 	// blades (FORD's configuration).
 	MemoryKind blade.Kind
@@ -56,20 +50,11 @@ type Memory struct {
 	Mem *blade.Blade
 }
 
-// Client is one client machine: an open-loop traffic source upstream
-// of the compute blades. It owns no simulated hardware — request
-// generation is pure event-loop work — so the type is just a stable
-// identity that serving's generators key on.
-type Client struct {
-	ID int
-}
-
 // Cluster is the assembled topology.
 type Cluster struct {
 	Eng      *sim.Engine
 	Computes []*Compute
 	Memories []*Memory
-	Clients  []*Client
 }
 
 // New builds a cluster per cfg, with a fresh simulation engine.
@@ -99,9 +84,6 @@ func New(cfg Config) *Cluster {
 			NIC: rnic.New(eng, fmt.Sprintf("memory-%d", id), params),
 			Mem: blade.New(id, cfg.MemoryKind, cfg.BladeCapacity),
 		})
-	}
-	for i := 0; i < cfg.Clients; i++ {
-		c.Clients = append(c.Clients, &Client{ID: i})
 	}
 	return c
 }

@@ -48,25 +48,6 @@ func TestTargetsAndBladeFor(t *testing.T) {
 	}
 }
 
-func TestClientMachines(t *testing.T) {
-	cl := New(Config{ComputeBlades: 1, MemoryBlades: 1, Clients: 4, BladeCapacity: 1 << 20})
-	defer cl.Stop()
-	if len(cl.Clients) != 4 {
-		t.Fatalf("clients = %d, want 4", len(cl.Clients))
-	}
-	for i, c := range cl.Clients {
-		if c.ID != i {
-			t.Fatalf("client %d has ID %d", i, c.ID)
-		}
-	}
-	// Closed-loop configs get no clients by default.
-	cl2 := New(Config{ComputeBlades: 1, MemoryBlades: 1, BladeCapacity: 1 << 20})
-	defer cl2.Stop()
-	if len(cl2.Clients) != 0 {
-		t.Fatalf("default clients = %d, want 0", len(cl2.Clients))
-	}
-}
-
 func TestNVMKindPropagates(t *testing.T) {
 	cl := New(Config{ComputeBlades: 1, MemoryBlades: 1, MemoryKind: blade.NVM, BladeCapacity: 1 << 20})
 	defer cl.Stop()
