@@ -120,13 +120,15 @@ type runEntry struct {
 // only ever enqueued at the current virtual time and drained before
 // the clock advances, so a plain FIFO ring suffices; seq is kept per
 // entry to interleave deterministically with heap events at the same
-// timestamp.
+// timestamp. Each process counts its own pending entries (Proc.queued),
+// which the stray-wake guard reads (Proc.arm).
 type runQueue struct {
 	buf  []runEntry
 	head int
 }
 
 func (q *runQueue) push(seq uint64, p *Proc) {
+	p.queued++
 	q.buf = append(q.buf, runEntry{seq: seq, p: p})
 }
 
@@ -144,6 +146,7 @@ func (q *runQueue) first() runEntry { return q.buf[q.head] }
 // nothing.
 func (q *runQueue) pop() *Proc {
 	p := q.buf[q.head].p
+	p.queued--
 	q.buf[q.head].p = nil
 	q.head++
 	if q.head == len(q.buf) {
