@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/result"
 	"repro/internal/telemetry"
 	"repro/internal/verbs"
 )
@@ -13,15 +14,25 @@ import (
 // doorbell spinlock totals, scheduler baton traffic, and per-thread
 // operation statistics.
 //
-// Collect is idempotent (harvested values are Set, not accumulated)
-// and deterministic: every walk is over slices in creation order, and
-// the one map involved (QP dedup) is only ever looked up, never
-// ranged.
+// Collect is idempotent (counters are Set, and a repeat harvest
+// replaces the rows of Collect's own groups rather than appending to
+// them) and deterministic: every walk is over slices in creation
+// order, and the one map involved (QP dedup) is only ever looked up,
+// never ranged.
 func (rt *Runtime) Collect(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	pre := rt.opts.TelemetryPrefix
+	// group returns one of Collect's own groups, emptied of an earlier
+	// harvest's rows.
+	group := func(id, title, xlabel string) *result.Table {
+		g := reg.Group(pre+id, title, xlabel)
+		for i := range g.Series {
+			g.Series[i].Points = g.Series[i].Points[:0]
+		}
+		return g
+	}
 
 	// RNIC pipeline totals (each runtime fronts one card).
 	c := rt.nic.Snapshot()
@@ -41,7 +52,7 @@ func (rt *Runtime) Collect(reg *telemetry.Registry) {
 	// Doorbell registers: the §3.1 contention evidence. Per-register
 	// series over a global register index, plus aggregate counters the
 	// shape checks consume.
-	dbg := reg.Group(pre+"doorbells",
+	dbg := group("doorbells",
 		"Doorbell register totals (driver spinlock, §3.1)", "register")
 	dbg.Def("rings", "", 0)
 	dbg.Def("acquisitions", "", 0)
@@ -96,13 +107,15 @@ func (rt *Runtime) Collect(reg *telemetry.Registry) {
 	reg.Counter("engine/wakes").Set(rt.eng.Wakes())
 
 	// Per-thread operation statistics over the thread index.
-	tg := reg.Group(pre+"threads", "Per-thread lifetime statistics", "thread")
+	tg := group("threads", "Per-thread lifetime statistics", "thread")
 	for _, name := range [...]string{"ops", "wrs", "cas-failed", "owr-max"} {
 		tg.Def(name, "", 0)
 	}
 	tg.Def("owr-mean", "", 2)
-	tg.Def("lat-p50-us", "us", 1)
-	tg.Def("lat-p99-us", "us", 1)
+	if rt.opts.Telemetry != nil { // the threads' latency histograms exist
+		tg.Def("lat-p50-us", "us", 1)
+		tg.Def("lat-p99-us", "us", 1)
+	}
 	now := rt.eng.Now()
 	for _, t := range rt.threads {
 		x := float64(t.ID)
@@ -114,9 +127,12 @@ func (rt *Runtime) Collect(reg *telemetry.Registry) {
 			t.noteOWR(0) // flush the gauge integral up to now
 			tg.Add("owr-mean", x, float64(t.owrArea)/float64(now))
 		}
-		// Latency percentiles only exist for threads that completed
-		// operations; zero-op threads stay absent rather than
-		// reporting a fake 0 latency.
+		// Latency percentiles only exist for threads that keep a
+		// histogram and completed operations; zero-op threads stay
+		// absent rather than reporting a fake 0 latency.
+		if t.lat == nil {
+			continue
+		}
 		if s := t.lat.Summary(); s.Count > 0 {
 			tg.Add("lat-p50-us", x, float64(s.P50)/1000)
 			tg.Add("lat-p99-us", x, float64(s.P99)/1000)
@@ -126,7 +142,7 @@ func (rt *Runtime) Collect(reg *telemetry.Registry) {
 	// WQE postings per unique QP, in thread-major/blade-minor
 	// first-seen order. Shared policies alias QPs across threads, so
 	// dedup by identity; the map is lookup-only.
-	qg := reg.Group(pre+"qps", "Work requests posted per queue pair", "qp")
+	qg := group("qps", "Work requests posted per queue pair", "qp")
 	qg.Def("posted", "", 0)
 	seen := make(map[*verbs.QP]bool)
 	qi := 0

@@ -430,7 +430,9 @@ func (c *Ctx) EndOp() (retries int) {
 	c.timedOut = false
 	t.Stats.Ops++
 	t.winOps++
-	t.lat.Add(t.rt.eng.Now() - c.opStart)
+	if t.lat != nil {
+		t.lat.Add(t.rt.eng.Now() - c.opStart)
+	}
 	if t.tel.Tracing() {
 		t.tel.Emit(t.rt.eng.Now(), "op-end",
 			fmt.Sprintf("t%d lat=%s retries=%d", t.ID, t.rt.eng.Now()-c.opStart, c.opRetries))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/blade"
@@ -10,11 +11,18 @@ import (
 	"repro/internal/telemetry"
 )
 
+// instrumented returns opts with a fresh telemetry registry, the
+// condition under which each thread keeps its latency histogram.
+func instrumented(opts Options) Options {
+	opts.Telemetry = telemetry.New()
+	return opts
+}
+
 // TestThreadStatsAccumulation pins the basic bookkeeping contract:
 // every BeginOp/EndOp bracket counts one op, every completed WR counts
 // once, and TotalStats is the exact per-thread sum.
 func TestThreadStatsAccumulation(t *testing.T) {
-	_, rt := testRig(t, 2, 1, Baseline(PerThreadQP))
+	_, rt := testRig(t, 2, 1, instrumented(Baseline(PerThreadQP)))
 	addr := blade.Addr{Blade: 1, Offset: 64}
 	const opsPer = 5
 	for _, th := range rt.Threads() {
@@ -57,7 +65,7 @@ func TestThreadStatsAccumulation(t *testing.T) {
 // never run an operation must report zeroes (not garbage), an empty
 // latency histogram, and must not contribute latency rows to Collect.
 func TestZeroOpThreadStats(t *testing.T) {
-	_, rt := testRig(t, 4, 1, Baseline(PerThreadQP))
+	_, rt := testRig(t, 4, 1, instrumented(Baseline(PerThreadQP)))
 	addr := blade.Addr{Blade: 1, Offset: 0}
 	rt.Thread(0).Spawn("only-worker", func(c *Ctx) {
 		buf := make([]byte, 8)
@@ -104,7 +112,7 @@ func TestZeroOpThreadStats(t *testing.T) {
 func TestStatsAfterStopUnwind(t *testing.T) {
 	// The C_max tuner holds its first candidate for Δ (8 ms), so the
 	// ceiling stays put over this 200 µs run.
-	cl, rt := testRig(t, 3, 1, Smart())
+	cl, rt := testRig(t, 3, 1, instrumented(Smart()))
 	addr := blade.Addr{Blade: 1, Offset: 8}
 	for _, th := range rt.Threads() {
 		for k := 0; k < 2; k++ {
@@ -187,12 +195,15 @@ func TestCollectIdempotentAndDeterministic(t *testing.T) {
 		t.Error("two Collect harvests rendered differently")
 	}
 
-	rt.Collect(reg)
-	first := reg.Value("nic/completed")
-	rt.Collect(reg)
-	if reg.Value("nic/completed") != first {
-		t.Errorf("repeat Collect changed nic/completed: %d -> %d",
-			first, reg.Value("nic/completed"))
+	// A repeat harvest into the same registry replaces Collect's rows
+	// and counters: the rendered registry is unchanged, with one
+	// threads/ops row per thread, not two.
+	once := render(reg)
+	if twice := render(reg); !bytes.Equal(once, twice) {
+		t.Error("a repeat Collect into one registry changed its rendering")
+	}
+	if got := len(result.Find(reg.Tables(), "threads").Points("ops")); got != 4 {
+		t.Errorf("threads/ops rows after two harvests = %d, want 4", got)
 	}
 	if reg.Value("db/acquisitions-total") == 0 {
 		t.Error("doorbell acquisitions not harvested")
@@ -200,5 +211,49 @@ func TestCollectIdempotentAndDeterministic(t *testing.T) {
 	if reg.Value("db/rings-total") != rt.TotalStats().WRs {
 		t.Errorf("db/rings-total = %d, want one ring per WR (%d)",
 			reg.Value("db/rings-total"), rt.TotalStats().WRs)
+	}
+}
+
+// TestNoLatencyHistogramWithoutTelemetry pins the uninstrumented
+// thread: it keeps no latency histogram, EndOp records nothing, and
+// Collect into a fresh registry (as a caller that harvests counters
+// from an uninstrumented runtime does) exports the threads group's
+// op rows and no lat-* rows.
+func TestNoLatencyHistogramWithoutTelemetry(t *testing.T) {
+	_, rt := testRig(t, 2, 1, Baseline(PerThreadQP))
+	addr := blade.Addr{Blade: 1, Offset: 0}
+	for _, th := range rt.Threads() {
+		th.Spawn("w", func(c *Ctx) {
+			buf := make([]byte, 8)
+			for i := 0; i < 3; i++ {
+				c.BeginOp()
+				c.ReadSync(addr, buf)
+				c.EndOp()
+			}
+		})
+	}
+	rt.Engine().Run(0)
+
+	for _, th := range rt.Threads() {
+		if th.LatHist() != nil {
+			t.Errorf("thread %d has a latency histogram without telemetry", th.ID)
+		}
+		if th.Stats.Ops != 3 {
+			t.Errorf("thread %d Ops = %d, want 3", th.ID, th.Stats.Ops)
+		}
+	}
+	reg := telemetry.New()
+	rt.Collect(reg)
+	tab := result.Find(reg.Tables(), "threads")
+	if tab == nil {
+		t.Fatal("Collect did not export a threads table")
+	}
+	if got := len(tab.Points("ops")); got != 2 {
+		t.Errorf("ops rows = %d, want one per thread (2)", got)
+	}
+	for _, s := range tab.Series {
+		if strings.HasPrefix(s.Name, "lat-") {
+			t.Errorf("threads table has a %s column without telemetry", s.Name)
+		}
 	}
 }

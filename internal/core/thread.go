@@ -56,10 +56,11 @@ type Thread struct {
 	winOps      uint64 // operations completed in the current γ window
 	winRetries  uint64 // unsuccessful CAS attempts in the window
 
-	// Telemetry (software Neo-Host). lat is always allocated — it is
-	// cheap and lets the zero-op edge case export a well-defined empty
-	// summary. The outstanding-WR gauge integrates occupancy over time
-	// (owrArea, in WR·ns) so Collect can report the mean OWR depth.
+	// Telemetry (software Neo-Host). lat, the op latency histogram
+	// behind Collect's lat-* rows, exists only under Options.Telemetry:
+	// nothing else reads it. The outstanding-WR gauge integrates
+	// occupancy over time (owrArea, in WR·ns) so Collect can report the
+	// mean OWR depth.
 	lat     *stats.Hist
 	owr     int      // outstanding WRs right now
 	owrMax  int      // high-water mark
@@ -76,7 +77,7 @@ type Thread struct {
 }
 
 func newThread(rt *Runtime, id int) *Thread {
-	t := &Thread{rt: rt, ID: id, lat: stats.NewHist()}
+	t := &Thread{rt: rt, ID: id}
 	o := &rt.opts
 	if o.WorkReqThrottle {
 		t.cmax = initialCMax
@@ -97,8 +98,11 @@ func newThread(rt *Runtime, id int) *Thread {
 		t.tmax = o.backoffMax()
 	}
 	t.tel = o.Telemetry
-	if t.tel != nil && id < telTrajectoryThreads {
-		t.initTrajectories()
+	if t.tel != nil {
+		t.lat = stats.NewHist()
+		if id < telTrajectoryThreads {
+			t.initTrajectories()
+		}
 	}
 	return t
 }
@@ -284,7 +288,8 @@ func (t *Thread) noteOWR(delta int) {
 	}
 }
 
-// LatHist returns the thread's per-operation latency histogram.
+// LatHist returns the thread's per-operation latency histogram, or nil
+// when the runtime was built without Options.Telemetry.
 func (t *Thread) LatHist() *stats.Hist { return t.lat }
 
 // OWRMax returns the high-water mark of outstanding work requests.

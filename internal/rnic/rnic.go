@@ -172,11 +172,11 @@ type RNIC struct {
 }
 
 // flight is one op's trip through the card pipelines: the per-op state
-// every stage of the path needs, with each stage callback bound to the
-// flight exactly once, at creation. Flights are pooled per requester
-// card — before pooling, every submitted op allocated a fresh closure
-// per pipeline stage (about ten per op), which dominated the data
-// path's allocation rate once the verbs layer stopped allocating.
+// every stage of the path needs. Flights are pooled per requester card,
+// so a posted op allocates nothing here. A flight's stages form a chain
+// with exactly one pending callback at a time, so one callback, fnStep,
+// bound at creation, serves them all: a stage hands off with
+// f.then((*flight).nextStage), whose method expression allocates nothing.
 //
 // A flight is recycled at its terminal stage: deliver, for both
 // successful and error completions (failAfter funnels into the same
@@ -199,12 +199,8 @@ type flight struct {
 	failStatus        Status   // failAfter: error to report
 	failWait          sim.Time // failAfter: NAK round trip / retry budget
 
-	// Stage callbacks, bound once: fnX invokes method X.
-	fnAfterReqPipe, fnAfterLinkOut, fnAtResponder func()
-	fnAfterRespPipe, fnFinish, fnFire             func()
-	fnAfterReturnWire, fnAtCompletion             func()
-	fnPreDeliver, fnDeliver                       func()
-	fnFailPipe, fnFailLink, fnFailDeliver         func()
+	next   func(*flight) // the stage fnStep runs
+	fnStep func()        // f.step, bound once
 }
 
 // newFlight returns a pooled (or freshly bound) flight for one op.
@@ -216,21 +212,18 @@ func (r *RNIC) newFlight() *flight {
 		return f
 	}
 	f := &flight{r: r}
-	f.fnAfterReqPipe = f.afterReqPipe
-	f.fnAfterLinkOut = f.afterLinkOut
-	f.fnAtResponder = f.atResponder
-	f.fnAfterRespPipe = f.afterRespPipe
-	f.fnFinish = f.finish
-	f.fnFire = f.fire
-	f.fnAfterReturnWire = f.afterReturnWire
-	f.fnAtCompletion = f.atCompletion
-	f.fnPreDeliver = f.preDeliver
-	f.fnDeliver = f.deliver
-	f.fnFailPipe = f.failPipe
-	f.fnFailLink = f.failLink
-	f.fnFailDeliver = f.failDeliver
+	f.fnStep = f.step
 	return f
 }
+
+// then makes next the flight's pending stage and returns the callback
+// that runs it.
+func (f *flight) then(next func(*flight)) func() {
+	f.next = next
+	return f.fnStep
+}
+
+func (f *flight) step() { f.next(f) }
 
 // New returns an RNIC bound to the engine with the given parameters.
 func New(eng *sim.Engine, name string, p Params) *RNIC {
@@ -385,7 +378,7 @@ func (r *RNIC) Submit(op *Op, target *RNIC, targetKind blade.Kind) {
 	f.op, f.target, f.targetKind = op, target, targetKind
 	f.outBytes, f.inBytes = outBytes, inBytes
 	f.owl, f.extraLat = owl, extraLat
-	r.reqPipe.Submit(service, f.fnAfterReqPipe)
+	r.reqPipe.Submit(service, f.then((*flight).afterReqPipe))
 }
 
 // failAfter runs op through the requester pipeline and outbound link,
@@ -396,13 +389,13 @@ func (r *RNIC) failAfter(op *Op, st Status, service sim.Time, outBytes int, wait
 	f := r.newFlight()
 	f.op, f.outBytes = op, outBytes
 	f.failStatus, f.failWait = st, wait
-	r.reqPipe.Submit(service, f.fnFailPipe)
+	r.reqPipe.Submit(service, f.then((*flight).failPipe))
 }
 
 // The outbound stages: requester pipeline, outbound link, wire.
 
 func (f *flight) afterReqPipe() {
-	f.r.linkOut.Submit(f.r.linkTime(f.outBytes), f.fnAfterLinkOut)
+	f.r.linkOut.Submit(f.r.linkTime(f.outBytes), f.then((*flight).afterLinkOut))
 }
 
 // afterLinkOut puts the request on the wire. The plain hop rides the
@@ -410,9 +403,9 @@ func (f *flight) afterReqPipe() {
 // lengthens it, and that hop goes through the event heap instead.
 func (f *flight) afterLinkOut() {
 	if d := f.owl + f.extraLat; d == f.r.wire.Delay() {
-		f.r.wire.Schedule(f.fnAtResponder)
+		f.r.wire.Schedule(f.then((*flight).atResponder))
 	} else {
-		f.r.eng.Schedule(d, f.fnAtResponder)
+		f.r.eng.Schedule(d, f.then((*flight).atResponder))
 	}
 }
 
@@ -433,14 +426,14 @@ func (f *flight) atResponder() {
 			f.mediaLat = t.P.NVMWriteExtra
 		}
 	}
-	t.respPipe.Submit(t.P.ResponderService, f.fnAfterRespPipe)
+	t.respPipe.Submit(t.P.ResponderService, f.then((*flight).afterRespPipe))
 }
 
 func (f *flight) afterRespPipe() {
 	t := f.target
 	if f.op.Kind == OpCAS || f.op.Kind == OpFAA {
 		t.C.AtomicOps++
-		t.atomicUnit.Submit(t.P.AtomicUnitService, f.fnFinish)
+		t.atomicUnit.Submit(t.P.AtomicUnitService, f.then((*flight).finish))
 	} else {
 		f.finish()
 	}
@@ -448,7 +441,7 @@ func (f *flight) afterRespPipe() {
 
 func (f *flight) finish() {
 	if f.mediaLat > 0 {
-		f.r.eng.Schedule(f.mediaLat, f.fnFire)
+		f.r.eng.Schedule(f.mediaLat, f.then((*flight).fire))
 	} else {
 		f.fire()
 	}
@@ -462,14 +455,14 @@ func (f *flight) fire() {
 	// injected delay lengthened the hop); charge the requester's inbound
 	// link, then process the completion.
 	if f.owl == f.r.wire.Delay() {
-		f.r.wire.Schedule(f.fnAfterReturnWire)
+		f.r.wire.Schedule(f.then((*flight).afterReturnWire))
 	} else {
-		f.r.eng.Schedule(f.owl, f.fnAfterReturnWire)
+		f.r.eng.Schedule(f.owl, f.then((*flight).afterReturnWire))
 	}
 }
 
 func (f *flight) afterReturnWire() {
-	f.r.linkIn.Submit(f.r.linkTime(f.inBytes), f.fnAtCompletion)
+	f.r.linkIn.Submit(f.r.linkTime(f.inBytes), f.then((*flight).atCompletion))
 }
 
 // The completion stages: WQE cache lookup (with outstanding-dependent
@@ -490,12 +483,12 @@ func (f *flight) atCompletion() {
 			f.dma += p.WQEMissDMABytes
 		}
 	}
-	r.reqPipe.Submit(service, f.fnPreDeliver)
+	r.reqPipe.Submit(service, f.then((*flight).preDeliver))
 }
 
 func (f *flight) preDeliver() {
 	if f.missLat > 0 {
-		f.r.eng.Schedule(f.missLat, f.fnDeliver)
+		f.r.eng.Schedule(f.missLat, f.then((*flight).deliver))
 	} else {
 		f.deliver()
 	}
@@ -530,11 +523,11 @@ func (f *flight) deliver() {
 // into the shared completion stages.
 
 func (f *flight) failPipe() {
-	f.r.linkOut.Submit(f.r.linkTime(f.outBytes), f.fnFailLink)
+	f.r.linkOut.Submit(f.r.linkTime(f.outBytes), f.then((*flight).failLink))
 }
 
 func (f *flight) failLink() {
-	f.r.eng.Schedule(f.failWait, f.fnFailDeliver)
+	f.r.eng.Schedule(f.failWait, f.then((*flight).failDeliver))
 }
 
 func (f *flight) failDeliver() {
