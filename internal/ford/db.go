@@ -63,21 +63,68 @@ type logKey struct {
 }
 
 // logRegion is a per-thread, per-blade persistent ring for undo logs.
+// An entry is live from its undo WRITE in Commit until its transaction
+// finishes; next never hands out bytes that overlap a live entry, so
+// the ring must hold everything a thread's coroutines can have in
+// flight at once, and no more: nothing reads an entry back.
 type logRegion struct {
+	key  logKey
 	base blade.Addr
 	size uint64
 	off  uint64
+	live []logEntry // entries of unfinished transactions
+	laps int        // times the ring wrapped to its start
 }
 
-const logRegionBytes = 256 << 10
+// logEntry is the byte range [off, off+n) of one undo entry in a ring.
+type logEntry struct{ off, n uint64 }
 
-func (l *logRegion) next(n uint64) blade.Addr {
+// logRegionBytes sizes each ring. At 8 to 96 threads under FORD+ and
+// SMART-DTX, at most 1 872 B of a ring (TATP; SmallBank 432 B) lay
+// between a live entry's start and a new entry's end, and no entry was
+// over 352 B: 16 KiB is more than 8x that. Only the pages a ring writes
+// cost host memory (DESIGN.md §14, "Blade memory").
+const logRegionBytes = 16 << 10
+
+// next reserves n bytes for an undo entry and returns their offset in
+// the ring, wrapping to its start when they do not fit before its end.
+// It panics, naming the thread and
+// blade, when the entry is larger than the ring or would overlap a live
+// one: an undo log the ring overwrote before its transaction finished
+// could not undo it.
+func (l *logRegion) next(n uint64) uint64 {
+	if n > l.size {
+		panic(fmt.Sprintf("ford: thread %d's undo entry of %d B for blade %d is larger than its %d B ring",
+			l.key.thread, n, l.key.blade, l.size))
+	}
 	if l.off+n > l.size {
 		l.off = 0
+		l.laps++
 	}
-	a := l.base.Add(l.off)
+	for _, e := range l.live {
+		if l.off < e.off+e.n && e.off < l.off+n {
+			panic(fmt.Sprintf("ford: thread %d's undo ring on blade %d (%d B) wrapped onto a live entry: "+
+				"[%d, %d) overlaps [%d, %d) of an unfinished transaction",
+				l.key.thread, l.key.blade, l.size, l.off, l.off+n, e.off, e.off+e.n))
+		}
+	}
+	off := l.off
+	l.live = append(l.live, logEntry{off: off, n: n})
 	l.off += n
-	return a
+	return off
+}
+
+// release ends the life of the live entry at off.
+func (l *logRegion) release(off uint64) {
+	for i, e := range l.live {
+		if e.off == off {
+			last := len(l.live) - 1
+			l.live[i] = l.live[last]
+			l.live = l.live[:last]
+			return
+		}
+	}
+	panic(fmt.Sprintf("ford: thread %d's undo ring on blade %d has no live entry at %d", l.key.thread, l.key.blade, off))
 }
 
 // NewDB creates the tables in blade memory. Records are zeroed with
@@ -157,7 +204,7 @@ func (db *DB) logFor(thread, bladeID int) *logRegion {
 	k := logKey{thread: thread, blade: bladeID}
 	l := db.logs[k]
 	if l == nil {
-		l = &logRegion{base: db.mem(bladeID).Alloc(logRegionBytes), size: logRegionBytes}
+		l = &logRegion{key: k, base: db.mem(bladeID).Alloc(logRegionBytes), size: logRegionBytes}
 		db.logs[k] = l
 	}
 	return l

@@ -2,6 +2,7 @@ package ford
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -70,13 +71,71 @@ func TestLogRegionWraps(t *testing.T) {
 	l := &logRegion{size: 100}
 	a := l.next(40)
 	b := l.next(40)
-	if a.Offset == b.Offset {
+	if a == b {
 		t.Fatal("log entries overlap")
 	}
+	// The wrap reuses a's bytes, so a's transaction must have finished.
+	l.release(a)
 	cNext := l.next(40) // 120 > 100: wraps to 0
-	if cNext.Offset != a.Offset {
-		t.Fatalf("expected wraparound to start, got %#x", cNext.Offset)
+	if cNext != a {
+		t.Fatalf("expected wraparound to start, got %#x", cNext)
 	}
+	if l.laps != 1 {
+		t.Fatalf("laps = %d, want 1", l.laps)
+	}
+}
+
+// TestLogRegionGuard pins the ring's two loud failures: a wrap onto an
+// entry whose transaction has not finished, and an entry larger than
+// the ring. Both name the thread and the blade.
+func TestLogRegionGuard(t *testing.T) {
+	mustPanic := func(t *testing.T, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			msg, _ := r.(string)
+			if r == nil {
+				t.Fatal("no panic")
+			}
+			for _, w := range []string{"thread 3", "blade 2", want} {
+				if !strings.Contains(msg, w) {
+					t.Fatalf("panic %q does not name %q", msg, w)
+				}
+			}
+		}()
+		f()
+	}
+	ring := func() *logRegion { return &logRegion{key: logKey{thread: 3, blade: 2}, size: 300} }
+
+	t.Run("WrapOntoLive", func(t *testing.T) {
+		l := ring()
+		l.next(100)
+		l.next(100)
+		mustPanic(t, "[0, 150) overlaps [0, 100)", func() { l.next(150) })
+	})
+	t.Run("WrapPastFreedOntoLive", func(t *testing.T) {
+		l := ring()
+		a := l.next(100)
+		l.next(100)
+		l.release(a)
+		if c := l.next(100); c != 200 {
+			t.Fatalf("third entry at %d, want 200", c)
+		}
+		mustPanic(t, "[0, 150) overlaps [100, 200)", func() { l.next(150) })
+	})
+	t.Run("EntryLargerThanRing", func(t *testing.T) {
+		mustPanic(t, "larger than its 300 B ring", func() { ring().next(301) })
+	})
+	t.Run("FreedBytesAreReused", func(t *testing.T) {
+		l := ring()
+		for i := 0; i < 30; i++ { // ten laps, one live entry at a time
+			l.release(l.next(100))
+		}
+		if l.laps != 9 || len(l.live) != 0 {
+			t.Fatalf("laps = %d, live = %v; want 9 laps and nothing live", l.laps, l.live)
+		}
+	})
 }
 
 func TestWriteWithoutLockPanics(t *testing.T) {

@@ -40,7 +40,14 @@ type Tx struct {
 	c    *core.Ctx
 	rs   []rsEntry
 	ws   []wsEntry
+	logs []undoHold // undo entries written by Commit, live until finish
 	done bool
+}
+
+// undoHold is one undo entry a transaction holds in a ring.
+type undoHold struct {
+	l   *logRegion
+	off uint64
 }
 
 // Begin starts a transaction attempt on the coroutine c. The caller is
@@ -61,14 +68,18 @@ func (db *DB) Begin(c *core.Ctx) *Tx {
 	return tx
 }
 
-// finish marks tx done and hands it back to its DB. Clearing the
-// entries drops every payload reference, which points into the op's
-// Buf arena or the caller's staged data.
+// finish marks tx done, releases its undo entries and hands it back to
+// its DB. Clearing the entries drops every payload reference, which
+// points into the op's Buf arena or the caller's staged data.
 func (tx *Tx) finish() {
 	tx.done = true
+	for _, h := range tx.logs {
+		h.l.release(h.off)
+	}
 	clear(tx.rs)
 	clear(tx.ws)
-	tx.rs, tx.ws = tx.rs[:0], tx.ws[:0]
+	clear(tx.logs)
+	tx.rs, tx.ws, tx.logs = tx.rs[:0], tx.ws[:0], tx.logs[:0]
 	tx.c = nil
 	tx.db.freeTxs = append(tx.db.freeTxs, tx)
 }
@@ -204,7 +215,9 @@ func (tx *Tx) Commit() error {
 			}
 		}
 		l := tx.db.logFor(c.T.ID, bladeID)
-		c.Write(l.next(uint64(n)), img)
+		at := l.next(uint64(n))
+		tx.logs = append(tx.logs, undoHold{l: l, off: at})
+		c.Write(l.base.Add(at), img)
 	}
 	c.Sync()
 
