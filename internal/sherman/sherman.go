@@ -208,7 +208,7 @@ func BulkLoad(targets []verbs.Target, keys []uint64, fill float64) *Tree {
 		lo       uint64
 		from, to int // key range [from, to)
 	}
-	var leaves []leafRef
+	leaves := make([]leafRef, 0, max(1, (len(keys)+perLeaf-1)/perLeaf))
 	for i := 0; i < len(keys); i += perLeaf {
 		end := i + perLeaf
 		if end > len(keys) {
@@ -252,7 +252,7 @@ func BulkLoad(targets []verbs.Target, keys []uint64, fill float64) *Tree {
 	leafLevel := true
 	t.height = 1
 	for len(level) > 1 || leafLevel {
-		var next []nodeRef
+		next := make([]nodeRef, 0, (len(level)+IntCap-1)/IntCap)
 		for i := 0; i < len(level); i += IntCap {
 			end := i + IntCap
 			if end > len(level) {
