@@ -88,10 +88,9 @@ const logRegionBytes = 16 << 10
 
 // next reserves n bytes for an undo entry and returns their offset in
 // the ring, wrapping to its start when they do not fit before its end.
-// It panics, naming the thread and
-// blade, when the entry is larger than the ring or would overlap a live
-// one: an undo log the ring overwrote before its transaction finished
-// could not undo it.
+// It panics, naming the thread and blade, when the entry is larger than
+// the ring or would overlap a live one: an undo log the ring overwrote
+// before its transaction finished could not undo it.
 func (l *logRegion) next(n uint64) uint64 {
 	if n > l.size {
 		panic(fmt.Sprintf("ford: thread %d's undo entry of %d B for blade %d is larger than its %d B ring",
