@@ -112,9 +112,9 @@ func TestFinishedTxIsReset(t *testing.T) {
 				t.Errorf("after %s: Begin did not reuse the finished Tx", end)
 				return
 			}
-			if len(again.rs) != 0 || len(again.ws) != 0 || len(again.logs) != 0 || again.done {
-				t.Errorf("after %s: reused Tx has %d reads, %d writes, %d undo entries, done=%v",
-					end, len(again.rs), len(again.ws), len(again.logs), again.done)
+			if len(again.rs) != 0 || len(again.ws) != 0 || again.done {
+				t.Errorf("after %s: reused Tx has %d reads, %d writes, done=%v",
+					end, len(again.rs), len(again.ws), again.done)
 				return
 			}
 			for k, l := range db.logs {

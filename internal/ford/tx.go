@@ -40,11 +40,10 @@ type Tx struct {
 	c    *core.Ctx
 	rs   []rsEntry
 	ws   []wsEntry
-	logs []undoHold // undo entries written by Commit, live until finish
 	done bool
 }
 
-// undoHold is one undo entry a transaction holds in a ring.
+// undoHold is one undo entry a committing transaction holds in a ring.
 type undoHold struct {
 	l   *logRegion
 	off uint64
@@ -68,18 +67,14 @@ func (db *DB) Begin(c *core.Ctx) *Tx {
 	return tx
 }
 
-// finish marks tx done, releases its undo entries and hands it back to
-// its DB. Clearing the entries drops every payload reference, which
-// points into the op's Buf arena or the caller's staged data.
+// finish marks tx done and hands it back to its DB. Clearing the
+// entries drops every payload reference, which points into the op's
+// Buf arena or the caller's staged data.
 func (tx *Tx) finish() {
 	tx.done = true
-	for _, h := range tx.logs {
-		h.l.release(h.off)
-	}
 	clear(tx.rs)
 	clear(tx.ws)
-	clear(tx.logs)
-	tx.rs, tx.ws, tx.logs = tx.rs[:0], tx.ws[:0], tx.logs[:0]
+	tx.rs, tx.ws = tx.rs[:0], tx.ws[:0]
 	tx.c = nil
 	tx.db.freeTxs = append(tx.db.freeTxs, tx)
 }
@@ -199,6 +194,8 @@ func (tx *Tx) Commit() error {
 		}
 	}
 	slices.Sort(bladeIDs)
+	var held [8]undoHold
+	holds := held[:0]
 	for _, bladeID := range bladeIDs {
 		n := 0
 		for _, e := range tx.ws {
@@ -216,7 +213,7 @@ func (tx *Tx) Commit() error {
 		}
 		l := tx.db.logFor(c.T.ID, bladeID)
 		at := l.next(uint64(n))
-		tx.logs = append(tx.logs, undoHold{l: l, off: at})
+		holds = append(holds, undoHold{l: l, off: at})
 		c.Write(l.base.Add(at), img)
 	}
 	c.Sync()
@@ -238,6 +235,10 @@ func (tx *Tx) Commit() error {
 		}
 	}
 	c.Sync()
+	// The install is durable, so the undo entries need not survive.
+	for _, h := range holds {
+		h.l.release(h.off)
+	}
 	tx.finish()
 	return nil
 }
