@@ -14,7 +14,8 @@ import (
 // it is configured, and how its state and coroutines are built.
 // RunMicro, RunHT, RunBT, RunDTX, RunServe and the chaos storm each map
 // their config onto one of these; everything else about running a point
-// is runApp's.
+// is runApp's. It is a value: what the run measures comes back in
+// runApp's appResult, the engine's fingerprint included.
 type app struct {
 	name    string         // coroutine-name prefix
 	cluster cluster.Config // blade counts, memory kind and size, seed
@@ -44,13 +45,6 @@ type app struct {
 	// before any runtime exists, so an engine call it makes (a
 	// sampler's Every, serving's client processes) precedes theirs.
 	load func(cl *cluster.Cluster) newBladeFunc
-
-	// fingerprint, when set, receives the engine's event fingerprint
-	// (sim.Engine.Fingerprint) once the horizon is reached, folded into
-	// what it already holds, so a point that runs several engines
-	// (chaos's faulted run, then its storm) gets one value for all of
-	// them. It reads the engine only: no result moves.
-	fingerprint *uint64
 }
 
 // newBladeFunc builds compute blade b's client (the state its
@@ -89,6 +83,11 @@ type appResult struct {
 	// Compute-RNIC counters, summed over the compute blades.
 	completed, dmaBytes, wqeMisses uint64
 	verbMOPS                       float64 // completed per microsecond
+
+	// fingerprint is the engine's event fingerprint at the horizon
+	// (sim.Engine.Fingerprint), over the whole run. It reads the engine
+	// only: no other result moves with it.
+	fingerprint uint64
 }
 
 // ScaleAdaptation shrinks SMART's adaptive time constants so that both
@@ -108,10 +107,11 @@ func ScaleAdaptation(o core.Options) core.Options {
 
 // runApp executes one point: threads × coros coroutines per compute
 // blade, each issuing a's operations back to back (or paced to
-// a.targetRate) until the horizon. The order of its engine calls —
-// load, then per blade: runtime, injector, newBlade, then spawns
-// thread-major — fixes event sequence numbers and with them every
-// published number (DESIGN.md §12.1).
+// a.targetRate) until the horizon, and returns what it measured and the
+// engine's fingerprint. The order of its engine calls — load, then per
+// blade: runtime, injector, newBlade, then spawns thread-major — fixes
+// event sequence numbers and with them every published number
+// (DESIGN.md §12.1).
 func runApp(a app) appResult {
 	if a.threads <= 0 {
 		a.threads = 16
@@ -197,9 +197,6 @@ func runApp(a app) appResult {
 	var nicAtWarmup rnic.Counters
 	cl.Eng.Schedule(a.warmup, func() { failedAtWarmup, nicAtWarmup = snapshot() })
 	cl.Eng.Run(horizon)
-	if a.fingerprint != nil {
-		*a.fingerprint = (*a.fingerprint ^ cl.Eng.Fingerprint()) * 0x100000001b3 // an FNV-1a step
-	}
 	failed, nic := snapshot()
 	for _, rt := range runtimes {
 		rt.Stop()
@@ -209,14 +206,15 @@ func runApp(a app) appResult {
 	windowUs := float64(a.measure) / 1e3
 	completed := nic.Completed - nicAtWarmup.Completed
 	return appResult{
-		ops:       ops,
-		mops:      float64(ops) / windowUs,
-		lat:       lat.Summary(),
-		casFailed: failed - failedAtWarmup,
-		counts:    counts,
-		completed: completed,
-		dmaBytes:  nic.DMABytes - nicAtWarmup.DMABytes,
-		wqeMisses: nic.WQEMisses - nicAtWarmup.WQEMisses,
-		verbMOPS:  float64(completed) / windowUs,
+		ops:         ops,
+		mops:        float64(ops) / windowUs,
+		lat:         lat.Summary(),
+		casFailed:   failed - failedAtWarmup,
+		counts:      counts,
+		completed:   completed,
+		dmaBytes:    nic.DMABytes - nicAtWarmup.DMABytes,
+		wqeMisses:   nic.WQEMisses - nicAtWarmup.WQEMisses,
+		verbMOPS:    float64(completed) / windowUs,
+		fingerprint: cl.Eng.Fingerprint(),
 	}
 }

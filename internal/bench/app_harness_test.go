@@ -3,7 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"slices"
+	"reflect"
 	"testing"
 
 	"repro/internal/arrival"
@@ -32,18 +32,19 @@ type pinned struct {
 	RetryMean  float64 // RetryDist.Mean()
 	SpecHit    float64
 	AbortRate  float64
+	FP         uint64 // Fingerprint
 }
 
 func (p pinned) String() string {
-	return fmt.Sprintf("{Ops: %d, Rate: %v, P50: %d, P99: %d, VerbMOPS: %v, AvgRetries: %v, RetryN: %d, RetryMean: %v, SpecHit: %v, AbortRate: %v}",
-		p.Ops, p.Rate, p.P50, p.P99, p.VerbMOPS, p.AvgRetries, p.RetryN, p.RetryMean, p.SpecHit, p.AbortRate)
+	return fmt.Sprintf("{Ops: %d, Rate: %v, P50: %d, P99: %d, VerbMOPS: %v, AvgRetries: %v, RetryN: %d, RetryMean: %v, SpecHit: %v, AbortRate: %v, FP: %#x}",
+		p.Ops, p.Rate, p.P50, p.P99, p.VerbMOPS, p.AvgRetries, p.RetryN, p.RetryMean, p.SpecHit, p.AbortRate, p.FP)
 }
 
 func pinHT(cfg HTConfig) func(*testing.T) (pinned, string) {
 	return func(*testing.T) (pinned, string) {
 		r := RunHT(cfg)
 		return pinned{Ops: r.Ops, Rate: r.MOPS, P50: int64(r.Median), P99: int64(r.P99), VerbMOPS: r.VerbMOPS,
-			AvgRetries: r.AvgRetries, RetryN: r.RetryDist.Total(), RetryMean: r.RetryDist.Mean()}, r.String()
+			AvgRetries: r.AvgRetries, RetryN: r.RetryDist.Total(), RetryMean: r.RetryDist.Mean(), FP: r.Fingerprint}, r.String()
 	}
 }
 
@@ -54,14 +55,14 @@ func pinBT(cfg BTConfig) func(*testing.T) (pinned, string) {
 			t.Errorf("%v: spec-cache hit rate %v, want >0 exactly when the variant is speculative", cfg.Variant, r.SpecHit)
 		}
 		return pinned{Ops: r.Ops, Rate: r.MOPS, P50: int64(r.Median), P99: int64(r.P99), VerbMOPS: r.VerbMOPS,
-			SpecHit: r.SpecHit}, r.String()
+			SpecHit: r.SpecHit, FP: r.Fingerprint}, r.String()
 	}
 }
 
 func pinDTX(cfg DTXConfig) func(*testing.T) (pinned, string) {
 	return func(*testing.T) (pinned, string) {
 		r := RunDTX(cfg)
-		return pinned{Ops: r.Txns, Rate: r.MTPS, P50: int64(r.Median), P99: int64(r.P99), AbortRate: r.AbortRate}, r.String()
+		return pinned{Ops: r.Txns, Rate: r.MTPS, P50: int64(r.Median), P99: int64(r.P99), AbortRate: r.AbortRate, FP: r.Fingerprint}, r.String()
 	}
 }
 
@@ -77,7 +78,12 @@ func pinDTX(cfg DTXConfig) func(*testing.T) (pinned, string) {
 // accounting, variant dispatch, the spec-cache bound, NVM blades and
 // both OLTP mixes. AvgRetries is failed CAS attempts per counted update
 // (RetryN): in the mixed-mix rows it alone was re-derived from
-// aca7988's numbers.
+// aca7988's numbers. Every row's fingerprint, and the micro rows'
+// whole-run doorbell and WR totals, were captured at 4e7205b, while the
+// fingerprint still reached the grid through a pointer on the config
+// (its value there was foldFingerprint(0, Fingerprint)) and the totals
+// only through Collect's db/acquisitions-total, db/contended-total and
+// core/wrs.
 func TestAppHarnessPinned(t *testing.T) {
 	const warmup, measure = 500 * sim.Microsecond, sim.Millisecond
 	depth4 := core.Smart()
@@ -89,54 +95,54 @@ func TestAppHarnessPinned(t *testing.T) {
 	}{
 		{"ht/smart/write-heavy", pinHT(HTConfig{Opts: core.Smart(), ThreadsPerBlade: 4, Keys: 5_000,
 			Theta: 0.9, Mix: workload.WriteHeavy, Seed: 3, Warmup: warmup, Measure: measure}),
-			pinned{Ops: 2036, Rate: 2.036, P50: 12993, P99: 75458, VerbMOPS: 9.221, AvgRetries: 0.2523452157598499, RetryN: 1066, RetryMean: 0.2101313320825516}},
+			pinned{Ops: 2036, Rate: 2.036, P50: 12993, P99: 75458, VerbMOPS: 9.221, AvgRetries: 0.2523452157598499, RetryN: 1066, RetryMean: 0.2101313320825516, FP: 0x7ca4a21907d652cd}},
 		{"ht/smart/write-heavy/2-compute-blades", pinHT(HTConfig{Opts: core.Smart(), ComputeBlades: 2, ThreadsPerBlade: 4, Keys: 5_000,
 			Theta: 0.9, Mix: workload.WriteHeavy, Seed: 3, Warmup: warmup, Measure: measure}),
-			pinned{Ops: 3522, Rate: 3.522, P50: 12143, P99: 138727, VerbMOPS: 17.815, AvgRetries: 0.6445578231292517, RetryN: 1764, RetryMean: 0.5204081632653061}},
+			pinned{Ops: 3522, Rate: 3.522, P50: 12143, P99: 138727, VerbMOPS: 17.815, AvgRetries: 0.6445578231292517, RetryN: 1764, RetryMean: 0.5204081632653061, FP: 0x82e9c6a473f3759d}},
 		{"ht/race/read-heavy", pinHT(HTConfig{Opts: RACEBaseline(), ThreadsPerBlade: 8, Keys: 20_000,
 			Theta: 0.99, Mix: workload.ReadHeavy, Seed: 7, Warmup: warmup, Measure: measure}),
-			pinned{Ops: 8752, Rate: 8.752, P50: 7067, P99: 11349, VerbMOPS: 27.479, AvgRetries: 0.06136363636363636, RetryN: 440, RetryMean: 0.06136363636363636}},
+			pinned{Ops: 8752, Rate: 8.752, P50: 7067, P99: 11349, VerbMOPS: 27.479, AvgRetries: 0.06136363636363636, RetryN: 440, RetryMean: 0.06136363636363636, FP: 0x494378ec17b7934a}},
 		{"ht/smart/update-only", pinHT(HTConfig{Opts: core.Smart(), ThreadsPerBlade: 8, Keys: 20_000,
 			Theta: 0.99, Mix: workload.UpdateOnly, Seed: 8, Warmup: warmup, Measure: measure}),
-			pinned{Ops: 971, Rate: 0.971, P50: 43917, P99: 334310, VerbMOPS: 6.229, AvgRetries: 0.38105046343975285, RetryN: 971, RetryMean: 0.23789907312049433}},
+			pinned{Ops: 971, Rate: 0.971, P50: 43917, P99: 334310, VerbMOPS: 6.229, AvgRetries: 0.38105046343975285, RetryN: 971, RetryMean: 0.23789907312049433, FP: 0xe48e17e4b1a720ea}},
 		{"ht/smart/target", pinHT(HTConfig{Opts: core.Smart(), ThreadsPerBlade: 8, Keys: 20_000,
 			Theta: 0, Mix: workload.ReadOnly, Seed: 4, Warmup: warmup, Measure: measure, TargetMOPS: 1}),
-			pinned{Ops: 1024, Rate: 1.024, P50: 11349, P99: 14876, VerbMOPS: 3.089}},
+			pinned{Ops: 1024, Rate: 1.024, P50: 11349, P99: 14876, VerbMOPS: 3.089, FP: 0xc63e95ed57b038c4}},
 		{"ht/smart/target/depth-4", pinHT(HTConfig{Opts: depth4, ThreadsPerBlade: 8, Keys: 20_000,
 			Theta: 0.99, Mix: workload.WriteHeavy, Seed: 4, Warmup: warmup, Measure: measure, TargetMOPS: 0.5}),
-			pinned{Ops: 512, Rate: 0.512, P50: 10606, P99: 31312, VerbMOPS: 2.106, AvgRetries: 0.08764940239043825, RetryN: 251, RetryMean: 0.08764940239043825}},
+			pinned{Ops: 512, Rate: 0.512, P50: 10606, P99: 31312, VerbMOPS: 2.106, AvgRetries: 0.08764940239043825, RetryN: 251, RetryMean: 0.08764940239043825, FP: 0xfdc5249b6190aa73}},
 
 		{"bt/sherman+", pinBT(BTConfig{Variant: ShermanPlus, ThreadsPerBlade: 4, Keys: 5_000,
 			Theta: 0.9, Mix: workload.ReadHeavy, Seed: 5, Warmup: warmup, Measure: measure}),
-			pinned{Ops: 5247, Rate: 5.247, P50: 3592, P99: 121169, VerbMOPS: 6.034}},
+			pinned{Ops: 5247, Rate: 5.247, P50: 3592, P99: 121169, VerbMOPS: 6.034, FP: 0x5fd06fc49abf236a}},
 		{"bt/sherman+sl", pinBT(BTConfig{Variant: ShermanPlusSL, ThreadsPerBlade: 4, Keys: 5_000,
 			Theta: 0.9, Mix: workload.ReadHeavy, Seed: 5, Warmup: warmup, Measure: measure}),
-			pinned{Ops: 5295, Rate: 5.295, P50: 3592, P99: 113242, VerbMOPS: 6.092, SpecHit: 0.7043992796501157}},
+			pinned{Ops: 5295, Rate: 5.295, P50: 3592, P99: 113242, VerbMOPS: 6.092, SpecHit: 0.7043992796501157, FP: 0x789ea9570124e29e}},
 		{"bt/smart", pinBT(BTConfig{Variant: SmartBT, ThreadsPerBlade: 4, Keys: 5_000,
 			Theta: 0.9, Mix: workload.ReadHeavy, Seed: 5, Warmup: warmup, Measure: measure}),
-			pinned{Ops: 5133, Rate: 5.133, P50: 3592, P99: 121169, VerbMOPS: 5.891, SpecHit: 0.6893862815884476}},
+			pinned{Ops: 5133, Rate: 5.133, P50: 3592, P99: 121169, VerbMOPS: 5.891, SpecHit: 0.6893862815884476, FP: 0x981c2bbe1df36ac3}},
 		{"bt/smart/2-servers", pinBT(BTConfig{Variant: SmartBT, Servers: 2, ThreadsPerBlade: 4, Keys: 20_000,
 			Theta: 0.99, Mix: workload.WriteHeavy, Seed: 9, Warmup: warmup, Measure: measure}),
-			pinned{Ops: 435, Rate: 0.435, P50: 3592, P99: 334310, VerbMOPS: 1.133, SpecHit: 0.37675350701402804}},
+			pinned{Ops: 435, Rate: 0.435, P50: 3592, P99: 334310, VerbMOPS: 1.133, SpecHit: 0.37675350701402804, FP: 0xeccdad21eb03fc78}},
 		{"bt/sherman+sl/spec-cache-64", pinBT(BTConfig{Variant: ShermanPlusSL, ThreadsPerBlade: 8, Keys: 20_000,
 			Theta: 0.99, Mix: workload.ReadOnly, Seed: 10, Warmup: warmup, Measure: measure, SpecCacheEntries: 64}),
-			pinned{Ops: 17547, Rate: 17.547, P50: 3844, P99: 4113, VerbMOPS: 17.611, SpecHit: 0.1838265944143393}},
+			pinned{Ops: 17547, Rate: 17.547, P50: 3844, P99: 4113, VerbMOPS: 17.611, SpecHit: 0.1838265944143393, FP: 0xf865b298fb6e2d79}},
 
 		{"dtx/smallbank/smart", pinDTX(DTXConfig{Workload: SmallBank, Threads: 4, Records: 2_000, Seed: 6,
 			Warmup: warmup, Measure: measure}),
-			pinned{Ops: 1022, Rate: 1.022, P50: 25560, P99: 105834, AbortRate: 0.25929549902152643}},
+			pinned{Ops: 1022, Rate: 1.022, P50: 25560, P99: 105834, AbortRate: 0.25929549902152643, FP: 0xe4f3afb1bc23a80e}},
 		{"dtx/smallbank/ford+", pinDTX(DTXConfig{Workload: SmallBank, FORDPlus: true, Threads: 4, Records: 2_000, Seed: 6,
 			Warmup: warmup, Measure: measure}),
-			pinned{Ops: 1484, Rate: 1.484, P50: 22325, P99: 53800, AbortRate: 0.25134770889487873}},
+			pinned{Ops: 1484, Rate: 1.484, P50: 22325, P99: 53800, AbortRate: 0.25134770889487873, FP: 0xded638abf364157d}},
 		{"dtx/tatp/smart", pinDTX(DTXConfig{Workload: TATP, Threads: 4, Records: 2_000, Seed: 6,
 			Warmup: warmup, Measure: measure}),
-			pinned{Ops: 2843, Rate: 2.843, P50: 8658, P99: 33504, AbortRate: 0.005979599015124868}},
+			pinned{Ops: 2843, Rate: 2.843, P50: 8658, P99: 33504, AbortRate: 0.005979599015124868, FP: 0x5060366ae9e9ac70}},
 		{"dtx/tatp/ford+", pinDTX(DTXConfig{Workload: TATP, FORDPlus: true, Threads: 8, Records: 10_000, Seed: 11,
 			Warmup: warmup, Measure: measure}),
-			pinned{Ops: 6801, Rate: 6.801, P50: 7067, P99: 23382, AbortRate: 0.00176444640494045}},
+			pinned{Ops: 6801, Rate: 6.801, P50: 7067, P99: 23382, AbortRate: 0.00176444640494045, FP: 0x8717e0e379e542b0}},
 		{"dtx/smallbank/smart/target", pinDTX(DTXConfig{Workload: SmallBank, Threads: 8, Records: 10_000, Seed: 12,
 			Warmup: warmup, Measure: measure, TargetMTPS: 0.2}),
-			pinned{Ops: 192, Rate: 0.192, P50: 23888, P99: 46991, AbortRate: 0.020833333333333332}},
+			pinned{Ops: 192, Rate: 0.192, P50: 23888, P99: 46991, AbortRate: 0.020833333333333332, FP: 0x999e09719fc73d27}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -182,12 +188,6 @@ func TestAppHarnessPinned(t *testing.T) {
 	})
 	smallCache := rnic.Default()
 	smallCache.WQECacheEntries = 8
-	type sample struct {
-		ns        int64 // plain integer, as in pinned
-		completed uint64
-	}
-	var sampled []sample
-	wantSampled := []sample{{100000, 401}, {200000, 816}, {300000, 1232}, {400000, 1312}, {500000, 1394}, {600000, 1417}, {700000, 1808}, {800000, 2224}}
 	micro := []struct {
 		name string
 		cfg  MicroConfig
@@ -195,40 +195,45 @@ func TestAppHarnessPinned(t *testing.T) {
 	}{
 		{"micro/read", MicroConfig{Opts: core.Baseline(core.PerThreadDoorbell), Threads: 4, Batch: 4,
 			Op: rnic.OpRead, Seed: 1, Warmup: 200 * sim.Microsecond, Measure: 500 * sim.Microsecond},
-			MicroResult{MOPS: 4.128, DMABytesPerWR: 95.01550387596899, Completed: 2064}},
+			MicroResult{MOPS: 4.128, DMABytesPerWR: 95.01550387596899, Completed: 2064,
+				DBAcquisitions: 2896, DBContended: 0, WRs: 2880, Fingerprint: 0x66491c2239dace7d}},
 		{"micro/write", MicroConfig{Opts: core.Baseline(core.PerThreadDoorbell), Threads: 4, Batch: 4,
 			Op: rnic.OpWrite, Payload: 256, Params: &smallCache, Seed: 1, Warmup: 200 * sim.Microsecond, Measure: 500 * sim.Microsecond},
-			MicroResult{MOPS: 3.9, DMABytesPerWR: 378.8410256410256, WQEMissRate: 0.2794871794871795, Completed: 1950}},
+			MicroResult{MOPS: 3.9, DMABytesPerWR: 378.8410256410256, WQEMissRate: 0.2794871794871795, Completed: 1950,
+				DBAcquisitions: 2723, DBContended: 0, WRs: 2718, Fingerprint: 0x3c3d21677a2eae6}},
 		{"micro/read/throttled/2-memory-blades", MicroConfig{Opts: throttled, Threads: 8, Batch: 16, Blades: 2,
 			Op: rnic.OpRead, Seed: 2, Warmup: 200 * sim.Microsecond, Measure: 500 * sim.Microsecond},
-			MicroResult{MOPS: 17.544, DMABytesPerWR: 95.05015959872321, Completed: 8772, CMaxMean: 12}},
+			MicroResult{MOPS: 17.544, DMABytesPerWR: 95.05015959872321, Completed: 8772, CMaxMean: 12,
+				DBAcquisitions: 11929, DBContended: 1290, WRs: 11890, Fingerprint: 0x1292e553b9cd2f6d}},
 		{"micro/write/throttled/2-memory-blades", MicroConfig{Opts: throttled, Threads: 8, Batch: 16, Blades: 2,
 			Op: rnic.OpWrite, Seed: 2, Warmup: 200 * sim.Microsecond, Measure: 500 * sim.Microsecond},
-			MicroResult{MOPS: 17.53, DMABytesPerWR: 95.05179691956646, Completed: 8765, CMaxMean: 12}},
+			MicroResult{MOPS: 17.53, DMABytesPerWR: 95.05179691956646, Completed: 8765, CMaxMean: 12,
+				DBAcquisitions: 11932, DBContended: 943, WRs: 11892, Fingerprint: 0x8aeb08c29a916d82}},
 		{"micro/read/throttled/dynamic", MicroConfig{Opts: throttled, Threads: 8, Batch: 8,
 			Op: rnic.OpRead, Seed: 2, Warmup: 200 * sim.Microsecond, Measure: 2 * sim.Millisecond,
 			DynamicInterval: 300 * sim.Microsecond, DynamicMin: 2},
-			MicroResult{MOPS: 8.645, DMABytesPerWR: 94.93221515326779, Completed: 17290, CMaxMean: 7}},
+			MicroResult{MOPS: 8.645, DMABytesPerWR: 94.93221515326779, Completed: 17290, CMaxMean: 7,
+				DBAcquisitions: 19907, DBContended: 0, WRs: 19875, Fingerprint: 0xc3f607c71d2f8c8}},
 		{"micro/read/postlist+coalesce", MicroConfig{Opts: batched, Threads: 4, Batch: 8,
 			Op: rnic.OpRead, Seed: 5, Warmup: 200 * sim.Microsecond, Measure: 500 * sim.Microsecond},
-			MicroResult{MOPS: 8.642, DMABytesPerWR: 94.68849803286277, Completed: 4321}},
+			MicroResult{MOPS: 8.642, DMABytesPerWR: 94.68849803286277, Completed: 4321,
+				DBAcquisitions: 759, DBContended: 0, WRs: 6040, Fingerprint: 0xcfa8c9c5c11932ea}},
 		{"micro/read/faults+sampler", MicroConfig{Opts: recovering, Threads: 4, Batch: 4,
 			Op: rnic.OpRead, Seed: 6, Warmup: 200 * sim.Microsecond, Measure: 600 * sim.Microsecond,
-			Faults: plan, SampleEvery: 100 * sim.Microsecond,
-			OnSample: func(now sim.Time, snap rnic.Counters) { sampled = append(sampled, sample{int64(now), snap.Completed}) }},
-			MicroResult{MOPS: 2.3466666666666667, DMABytesPerWR: 94.86363636363636, Completed: 1408}},
+			Faults: plan, SampleEvery: 100 * sim.Microsecond},
+			MicroResult{MOPS: 2.3466666666666667, DMABytesPerWR: 94.86363636363636, Completed: 1408,
+				DBAcquisitions: 2246, DBContended: 0, WRs: 2231, Fingerprint: 0x6e1a7622ac13ce42,
+				Samples: []MicroSample{{100 * sim.Microsecond, 401}, {200 * sim.Microsecond, 816}, {300 * sim.Microsecond, 1232}, {400 * sim.Microsecond, 1312},
+					{500 * sim.Microsecond, 1394}, {600 * sim.Microsecond, 1417}, {700 * sim.Microsecond, 1808}, {800 * sim.Microsecond, 2224}}}},
 	}
 	for _, row := range micro {
 		t.Run(row.name, func(t *testing.T) {
 			got := RunMicro(row.cfg)
-			if got != row.want {
+			if !reflect.DeepEqual(got, row.want) {
 				t.Errorf("result moved:\n got %#v\nwant %#v", got, row.want)
 			}
 			if got.Completed == 0 || got.MOPS <= 0 {
 				t.Errorf("no throughput measured: %+v", got)
-			}
-			if row.cfg.OnSample != nil && !slices.Equal(sampled, wantSampled) {
-				t.Errorf("sampled (t, Completed) series moved:\n got %v\nwant %v", sampled, wantSampled)
 			}
 		})
 	}
@@ -244,6 +249,7 @@ func TestAppHarnessPinned(t *testing.T) {
 			OfferedRate, Goodput, ShedFrac     float64
 			Op, Txn, Wait, Service             summary
 			QueueDepthPeak                     int
+			Fingerprint                        uint64
 			Counters                           [4]uint64 // serve/offered, admitted, shed, completed
 		}
 		pin := func(s stats.Summary) summary {
@@ -255,7 +261,7 @@ func TestAppHarnessPinned(t *testing.T) {
 		cfg.Opts.Telemetry = reg
 		r := RunServe(cfg)
 		got := servePin{r.Offered, r.Admitted, r.Shed, r.Completed, r.OfferedRate, r.Goodput, r.ShedFrac,
-			pin(r.Op), pin(r.Txn), pin(r.Wait), pin(r.Service), r.QueueDepthPeak,
+			pin(r.Op), pin(r.Txn), pin(r.Wait), pin(r.Service), r.QueueDepthPeak, r.Fingerprint,
 			[4]uint64{reg.Value("serve/offered"), reg.Value("serve/admitted"), reg.Value("serve/shed"), reg.Value("serve/completed")}}
 		want := servePin{
 			Offered: 12043, Admitted: 3938, Shed: 8105, Completed: 3395,
@@ -265,6 +271,7 @@ func TestAppHarnessPinned(t *testing.T) {
 			Wait:           summary{Count: 3395, Mean: 65049, Min: 61437, P50: 65908, P99: 68107, P999: 68107, Max: 68107},
 			Service:        summary{Count: 3395, Mean: 4050, Min: 3379, P50: 3592, P99: 7425, P999: 7425, Max: 7425},
 			QueueDepthPeak: 256,
+			Fingerprint:    0x3127a5cfb7448542,
 			Counters:       [4]uint64{14395, 5246, 9149, 4703},
 		}
 		if got != want {
@@ -278,7 +285,9 @@ func TestAppHarnessPinned(t *testing.T) {
 		reg := telemetry.New()
 		stormPlan := fault.MustPlan([]fault.Rule{{Start: 400 * sim.Microsecond, End: 800 * sim.Microsecond,
 			Kinds: fault.MaskAtomic, Prob: 0.7, Action: rnic.ActFail, Status: rnic.StatusRemoteAccessErr}})
-		runStorm(true, 3, reg, stormPlan, 1200*sim.Microsecond, nil)
+		if fp := runStorm(true, 3, reg, stormPlan, 1200*sim.Microsecond); fp != 0x9d029ab2d951a41c {
+			t.Errorf("storm fingerprint %#x, want 0x9d029ab2d951a41c", fp)
+		}
 		tables := reg.Tables()
 		var got bytes.Buffer
 		for _, id := range []string{"counters", "storm/tmax-trajectory", "storm/gamma"} {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/result"
 	"repro/internal/rnic"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/verbs"
 )
 
@@ -92,25 +91,19 @@ func runBatching(env Env) []result.Table {
 		thr.Def(m.name, "", 1)
 	}
 
-	// Depth sweep + contention fractions: every point harvests into its
-	// own probe registry (per-point isolation); the shared tables are
-	// written in the merges, on the caller's goroutine, in enumeration
-	// order.
+	// Depth sweep + contention fractions: each point's result carries
+	// its whole-run doorbell and WR totals.
 	for _, b := range batches {
 		for _, m := range batchingModes() {
-			probe := telemetry.New()
 			opts := core.Baseline(core.PerThreadQP)
 			opts.Batching = batchingFor(env.Batching, m.b, b)
-			opts.Telemetry = probe
 			add(g, fmt.Sprintf("batching/depth/%s/b=%d", m.name, b), 47,
 				MicroConfig{Opts: opts, Threads: fixedThreads, Batch: b, Op: rnic.OpRead},
 				func(r MicroResult) {
 					depth.Add(m.name, float64(b), r.MOPS)
-					contended := probe.Value("db/contended-total")
-					wrs := probe.Value("core/wrs")
 					frac := 0.0
-					if wrs > 0 {
-						frac = float64(contended) / float64(wrs)
+					if r.WRs > 0 {
+						frac = float64(r.DBContended) / float64(r.WRs)
 					}
 					cont.Add(m.name, float64(b), frac)
 				})

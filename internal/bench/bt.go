@@ -64,10 +64,6 @@ type BTConfig struct {
 	// SpecCacheEntries overrides the speculative cache bound
 	// (0 = sherman.DefaultSpecCacheEntries). Used by the ablation.
 	SpecCacheEntries int
-
-	// fingerprint, when set, receives the run's event fingerprint
-	// (app.fingerprint); grid.add sets it.
-	fingerprint *uint64
 }
 
 // BTResult is one measured point.
@@ -78,6 +74,10 @@ type BTResult struct {
 	Ops      uint64
 	SpecHit  float64 // fast-path hit rate (0 when disabled)
 	VerbMOPS float64
+
+	// Fingerprint is the run's event fingerprint, sim.Engine.Fingerprint
+	// at the horizon: equal for two runs that executed the same events.
+	Fingerprint uint64
 }
 
 func (r BTResult) String() string {
@@ -96,8 +96,7 @@ func RunBT(cfg BTConfig) BTResult {
 	speculative := cfg.Variant.Speculative()
 	var clients []*sherman.Client
 	r := runApp(app{
-		name:        "bt",
-		fingerprint: cfg.fingerprint,
+		name: "bt",
 		cluster: cluster.Config{
 			ComputeBlades: cfg.Servers,
 			MemoryBlades:  cfg.Servers,
@@ -145,11 +144,12 @@ func RunBT(cfg BTConfig) BTResult {
 	})
 
 	res := BTResult{
-		MOPS:     r.mops,
-		Median:   r.lat.P50,
-		P99:      r.lat.P99,
-		Ops:      r.ops,
-		VerbMOPS: r.verbMOPS,
+		MOPS:        r.mops,
+		Median:      r.lat.P50,
+		P99:         r.lat.P99,
+		Ops:         r.ops,
+		VerbMOPS:    r.verbMOPS,
+		Fingerprint: r.fingerprint,
 	}
 	var hits, misses uint64
 	for _, c := range clients {

@@ -32,27 +32,22 @@ import (
 // trajectories.
 const chaosSample = 250 * sim.Microsecond
 
-type chaosSamplePoint struct {
-	t         sim.Time
-	completed uint64
-}
-
 // completedAt returns the last sample at or before t.
-func completedAt(samples []chaosSamplePoint, t sim.Time) (sim.Time, uint64) {
+func completedAt(samples []MicroSample, t sim.Time) (sim.Time, uint64) {
 	var bt sim.Time
 	var bc uint64
 	for _, s := range samples {
-		if s.t > t {
+		if s.At > t {
 			break
 		}
-		bt, bc = s.t, s.completed
+		bt, bc = s.At, s.Completed
 	}
 	return bt, bc
 }
 
 // phaseRate returns MOPS (completed WRs per microsecond) over
 // [from, to], measured between the nearest sample boundaries.
-func phaseRate(samples []chaosSamplePoint, from, to sim.Time) float64 {
+func phaseRate(samples []MicroSample, from, to sim.Time) float64 {
 	t0, c0 := completedAt(samples, from)
 	t1, c1 := completedAt(samples, to)
 	if t1 <= t0 {
@@ -75,13 +70,13 @@ type chaosPoint struct {
 	reg             *telemetry.Registry
 }
 
-// run returns the point's completed-WR samples, one per chaosSample.
-func (c chaosPoint) run(seed int64, quick bool, fp *uint64) []chaosSamplePoint {
+// run returns the point's completed-WR samples, one per chaosSample,
+// and its fingerprint: the READ run's, with the storm's folded in.
+func (c chaosPoint) run(seed int64, quick bool) ([]MicroSample, uint64) {
 	threads := 48
 	if quick {
 		threads = 24
 	}
-	var samples []chaosSamplePoint
 	opts := core.Baseline(core.PerThreadDoorbell)
 	opts.WRTimeout = 300 * sim.Microsecond
 	opts.MaxWRRetries = 3
@@ -90,20 +85,17 @@ func (c chaosPoint) run(seed int64, quick bool, fp *uint64) []chaosSamplePoint {
 		Opts: opts, Threads: threads, Batch: 8, Op: rnic.OpRead,
 		Warmup: c.warmup, Measure: c.horizon - c.warmup,
 		SampleEvery: chaosSample,
-		OnSample: func(now sim.Time, snap rnic.Counters) {
-			samples = append(samples, chaosSamplePoint{now, snap.Completed})
-		},
 	}
 	if c.plan != nil {
 		// Assigned only when set: a typed nil in the interface would
 		// defeat RunMicro's Faults==nil fast path.
 		cfg.Faults = c.plan
 	}
-	cfg.run(seed, quick, fp)
+	r, fp := cfg.run(seed, quick)
 	if c.plan != nil {
-		runStorm(quick, seed-chaosSeed, c.reg, c.plan, c.horizon, fp)
+		fp = foldFingerprint(fp, runStorm(quick, seed-chaosSeed, c.reg, c.plan, c.horizon))
 	}
-	return samples
+	return r.Samples, fp
 }
 
 // runChaos executes the family: the faulted READ run, its fault-free
@@ -138,14 +130,14 @@ func runChaos(env Env) []result.Table {
 		horizon = warmup + 2*sim.Millisecond
 	}
 
-	var faulted, clean []chaosSamplePoint
+	var faulted, clean []MicroSample
 	g := newGrid(env)
 	add(g, "chaos/faulted+storm", chaosSeed,
 		chaosPoint{warmup: warmup, horizon: horizon, plan: plan, reg: reg},
-		func(s []chaosSamplePoint) { faulted = s })
+		func(s []MicroSample) { faulted = s })
 	add(g, "chaos/fault-free", chaosSeed,
 		chaosPoint{warmup: warmup, horizon: horizon},
-		func(s []chaosSamplePoint) { clean = s })
+		func(s []MicroSample) { clean = s })
 	g.run()
 
 	traj := result.NewTable("chaos-throughput",
@@ -153,14 +145,14 @@ func runChaos(env Env) []result.Table {
 	traj.XUnit, traj.YUnit = "us", "MOPS"
 	traj.Def("faulted", "", 2)
 	traj.Def("fault-free", "", 2)
-	addRates := func(name string, samples []chaosSamplePoint) {
+	addRates := func(name string, samples []MicroSample) {
 		for i := 1; i < len(samples); i++ {
-			dt := float64(samples[i].t-samples[i-1].t) / 1e3
+			dt := float64(samples[i].At-samples[i-1].At) / 1e3
 			if dt <= 0 {
 				continue
 			}
-			traj.Add(name, float64(samples[i].t)/1e3,
-				float64(samples[i].completed-samples[i-1].completed)/dt)
+			traj.Add(name, float64(samples[i].At)/1e3,
+				float64(samples[i].Completed-samples[i-1].Completed)/dt)
 		}
 	}
 	addRates("faulted", faulted)
@@ -200,14 +192,14 @@ const stormHotSlots = 128
 // transparent WR retries, so every injected atomic NAK registers as a
 // failed CAS and feeds the §4.3 retry rate γ. Telemetry (γ samples,
 // the t_max trajectory, fault counters) lands in reg under "storm/".
-func runStorm(quick bool, seed int64, reg *telemetry.Registry, plan *fault.Plan, horizon sim.Time, fp *uint64) {
+// It returns the storm engine's event fingerprint.
+func runStorm(quick bool, seed int64, reg *telemetry.Registry, plan *fault.Plan, horizon sim.Time) uint64 {
 	threads := 16
 	if quick {
 		threads = 8
 	}
-	runApp(app{
-		name:        "storm",
-		fingerprint: fp,
+	return runApp(app{
+		name: "storm",
 		cluster: cluster.Config{
 			ComputeBlades: 1,
 			MemoryBlades:  1,
@@ -263,7 +255,7 @@ func runStorm(quick bool, seed int64, reg *telemetry.Registry, plan *fault.Plan,
 				}
 			}
 		},
-	})
+	}).fingerprint
 }
 
 func init() {

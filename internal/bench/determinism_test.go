@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -37,7 +38,7 @@ func TestMicroDeterminism(t *testing.T) {
 
 	a := RunMicro(cfg(42))
 	b := RunMicro(cfg(42))
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed, different results:\n  run 1: %+v\n  run 2: %+v", a, b)
 	}
 	if a.Completed == 0 {
@@ -47,7 +48,7 @@ func TestMicroDeterminism(t *testing.T) {
 	// Guard against the seed being ignored outright, which would make
 	// the equality above meaningless.
 	c := RunMicro(cfg(43))
-	if a == c {
+	if reflect.DeepEqual(a, c) {
 		t.Errorf("different seeds produced identical results %+v; is Seed wired through?", a)
 	}
 }

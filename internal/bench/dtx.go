@@ -42,10 +42,6 @@ type DTXConfig struct {
 	// TargetMTPS throttles to ~this committed-transaction rate for the
 	// Fig. 11 latency sweep.
 	TargetMTPS float64
-
-	// fingerprint, when set, receives the run's event fingerprint
-	// (app.fingerprint); grid.add sets it.
-	fingerprint *uint64
 }
 
 // DTXResult is one measured point.
@@ -55,6 +51,10 @@ type DTXResult struct {
 	P99       sim.Time
 	AbortRate float64 // aborts per committed transaction
 	Txns      uint64
+
+	// Fingerprint is the run's event fingerprint, sim.Engine.Fingerprint
+	// at the horizon: equal for two runs that executed the same events.
+	Fingerprint uint64
 }
 
 func (r DTXResult) String() string {
@@ -74,8 +74,7 @@ func RunDTX(cfg DTXConfig) DTXResult {
 		opts = core.Baseline(core.PerThreadQP)
 	}
 	r := runApp(app{
-		name:        "dtx",
-		fingerprint: cfg.fingerprint,
+		name: "dtx",
 		cluster: cluster.Config{
 			ComputeBlades: 1,
 			MemoryBlades:  cfg.MemoryBlades,
@@ -113,10 +112,11 @@ func RunDTX(cfg DTXConfig) DTXResult {
 		},
 	})
 	return DTXResult{
-		MTPS:      r.mops,
-		Median:    r.lat.P50,
-		P99:       r.lat.P99,
-		AbortRate: r.counts.Mean(), // every transaction reports its aborts
-		Txns:      r.ops,
+		MTPS:        r.mops,
+		Median:      r.lat.P50,
+		P99:         r.lat.P99,
+		AbortRate:   r.counts.Mean(), // every transaction reports its aborts
+		Txns:        r.ops,
+		Fingerprint: r.fingerprint,
 	}
 }

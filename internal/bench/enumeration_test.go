@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/sweep"
@@ -12,26 +13,36 @@ import (
 
 // TestEnumerationPinned pins every experiment's points — label and
 // seed, in enumeration order — at both densities with a non-zero
-// Env.Seed; an instrumented experiment's both without and with a
-// registry. The sweeps run on a probe, so nothing executes and the
-// whole registry enumerates in milliseconds. Regenerate with
-// `go test ./internal/bench -run EnumerationPinned -update-golden`.
+// Env.Seed. A registry adds no point: an instrumented experiment must
+// enumerate the same points with one, so the golden lists each
+// experiment once, without. The sweeps run on a probe, so nothing
+// executes and the whole registry enumerates in milliseconds.
+// Regenerate with `go test ./internal/bench -run EnumerationPinned
+// -update-golden`.
 func TestEnumerationPinned(t *testing.T) {
+	enumerate := func(e *Experiment, quick bool, reg *telemetry.Registry) []string {
+		var points []string
+		probe := sweep.Probe(func(s *sweep.Set) {
+			for _, p := range s.Points() {
+				points = append(points, fmt.Sprintf("%s %d", p.Label, p.Seed))
+			}
+		})
+		e.Run(Env{Sweeper: probe, Seed: 3, Quick: quick, Telemetry: reg})
+		return points
+	}
 	var got bytes.Buffer
-	probe := sweep.Probe(func(s *sweep.Set) {
-		for _, p := range s.Points() {
-			fmt.Fprintf(&got, "%s %d\n", p.Label, p.Seed)
-		}
-	})
 	for _, e := range All() {
 		for _, quick := range []bool{true, false} {
-			variants := []*telemetry.Registry{nil}
-			if e.Instrumented {
-				variants = append(variants, telemetry.New())
+			plain := enumerate(e, quick, nil)
+			fmt.Fprintf(&got, "# %s quick=%v telemetry=false\n", e.ID, quick)
+			for _, p := range plain {
+				fmt.Fprintln(&got, p)
 			}
-			for _, reg := range variants {
-				fmt.Fprintf(&got, "# %s quick=%v telemetry=%v\n", e.ID, quick, reg != nil)
-				e.Run(Env{Sweeper: probe, Seed: 3, Quick: quick, Telemetry: reg})
+			if !e.Instrumented {
+				continue
+			}
+			if with := enumerate(e, quick, telemetry.New()); !slices.Equal(with, plain) {
+				t.Errorf("%s quick=%v enumerates other points with a registry:\n%v\nwithout one:\n%v", e.ID, quick, with, plain)
 			}
 		}
 	}

@@ -43,8 +43,9 @@ type Env struct {
 	// Fingerprints, when set, receives each point's label and event
 	// fingerprint (sim.Engine.Fingerprint, folded over the point's
 	// engines) on the Run caller's goroutine, in enumeration order,
-	// after the point's merge. It observes only: no table moves. The
-	// tests pin it per point in testdata/fingerprints.golden.
+	// after the point's merge; the point returns it beside its result.
+	// It observes only: no table moves. The tests pin it per point in
+	// testdata/fingerprints.golden.
 	Fingerprints func(label string, fp uint64)
 }
 
@@ -57,8 +58,9 @@ type Experiment struct {
 	// "chaos", or "serving".
 	Category string
 	// Instrumented marks experiments that read software Neo-Host
-	// telemetry: Run with a non-nil env.Telemetry fills that registry
-	// during the same run and returns the same tables. The other
+	// telemetry: Run with a non-nil env.Telemetry puts that registry on
+	// one of the points it runs anyway, fills it during the same run,
+	// and returns the same tables from the same points. The other
 	// experiments never read env.Telemetry, so callers gate on this
 	// field.
 	Instrumented bool

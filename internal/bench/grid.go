@@ -39,10 +39,17 @@ func (g *grid) run() []result.Table {
 }
 
 // A point is a config the grid can run: run executes it at the given
-// seed, in quick windows when quick is set, and folds its engines'
-// event fingerprints into fp when fp is not nil.
+// seed, in quick windows when quick is set, and returns its result and
+// its event fingerprint. Nothing else crosses the point's boundary: the
+// config goes in by value, and the result and fingerprint come out.
 type point[R any] interface {
-	run(seed int64, quick bool, fp *uint64) R
+	run(seed int64, quick bool) (R, uint64)
+}
+
+// ran is what a point's exec hands its merge.
+type ran[R any] struct {
+	result      R
+	fingerprint uint64
 }
 
 // add enumerates one point. Its seed is base + env.Seed: the one value
@@ -52,20 +59,24 @@ type point[R any] interface {
 // receives the point's event fingerprint.
 func add[C point[R], R any](g *grid, label string, base int64, cfg C, merge func(R)) {
 	seed, quick, observe := base+g.env.Seed, g.env.Quick, g.env.Fingerprints
-	var fp *uint64
-	if observe != nil {
-		fp = new(uint64)
-	}
-	//smartlint:ignore pointisolation — fp is this point's own sink: add allocates it per point, only this exec writes it, and only this point's merge reads it, after the exec completes
-	sweep.Add(&g.set, label, seed, cfg, func(c C) R { return c.run(seed, quick, fp) }, func(r R) {
+	sweep.Add(&g.set, label, seed, cfg, func(c C) ran[R] {
+		r, fp := c.run(seed, quick)
+		return ran[R]{r, fp}
+	}, func(out ran[R]) {
 		if merge != nil {
-			merge(r)
+			merge(out.result)
 		}
 		if observe != nil {
-			observe(label, *fp)
+			observe(label, out.fingerprint)
 		}
 	})
 }
+
+// foldFingerprint folds one engine's event fingerprint into a point's
+// with an FNV-1a step. A point's fingerprint is the fold from 0 over
+// the engines it runs, in run order: chaos's faulted run and its storm
+// give one value.
+func foldFingerprint(acc, engine uint64) uint64 { return (acc ^ engine) * 0x100000001b3 }
 
 // quickWindows shrinks an app config's measurement windows for quick
 // sweeps; adaptation still converges (warmup covers the scaled tuner
@@ -80,35 +91,40 @@ func quickWindows(quick bool) (warmup, measure sim.Time) {
 // The three application points run in quick windows: they replace
 // whatever the config carried. A micro point keeps its own windows.
 
-func (c MicroConfig) run(seed int64, _ bool, fp *uint64) MicroResult {
-	c.Seed, c.fingerprint = seed, fp
-	return RunMicro(c)
+func (c MicroConfig) run(seed int64, _ bool) (MicroResult, uint64) {
+	c.Seed = seed
+	r := RunMicro(c)
+	return r, foldFingerprint(0, r.Fingerprint)
 }
 
-func (c HTConfig) run(seed int64, quick bool, fp *uint64) HTResult {
-	c.Seed, c.fingerprint = seed, fp
+func (c HTConfig) run(seed int64, quick bool) (HTResult, uint64) {
+	c.Seed = seed
 	c.Warmup, c.Measure = quickWindows(quick)
-	return RunHT(c)
+	r := RunHT(c)
+	return r, foldFingerprint(0, r.Fingerprint)
 }
 
-func (c BTConfig) run(seed int64, quick bool, fp *uint64) BTResult {
-	c.Seed, c.fingerprint = seed, fp
+func (c BTConfig) run(seed int64, quick bool) (BTResult, uint64) {
+	c.Seed = seed
 	c.Warmup, c.Measure = quickWindows(quick)
-	return RunBT(c)
+	r := RunBT(c)
+	return r, foldFingerprint(0, r.Fingerprint)
 }
 
-func (c DTXConfig) run(seed int64, quick bool, fp *uint64) DTXResult {
-	c.Seed, c.fingerprint = seed, fp
+func (c DTXConfig) run(seed int64, quick bool) (DTXResult, uint64) {
+	c.Seed = seed
 	c.Warmup, c.Measure = quickWindows(quick)
-	return RunDTX(c)
+	r := RunDTX(c)
+	return r, foldFingerprint(0, r.Fingerprint)
 }
 
 // A serving point runs in RunServe's windows (400 µs / 2 ms), shorter
 // in quick sweeps.
-func (c ServeConfig) run(seed int64, quick bool, fp *uint64) ServeResult {
-	c.Seed, c.fingerprint = seed, fp
+func (c ServeConfig) run(seed int64, quick bool) (ServeResult, uint64) {
+	c.Seed = seed
 	if quick {
 		c.Warmup, c.Measure = 200*sim.Microsecond, sim.Millisecond
 	}
-	return RunServe(c)
+	r := RunServe(c)
+	return r, foldFingerprint(0, r.Fingerprint)
 }

@@ -32,10 +32,6 @@ type HTConfig struct {
 	// this aggregate operation rate (the Fig. 9 latency-throughput
 	// sweep). Each task spaces its operations to hit the target.
 	TargetMOPS float64
-
-	// fingerprint, when set, receives the run's event fingerprint
-	// (app.fingerprint); grid.add sets it.
-	fingerprint *uint64
 }
 
 // HTResult is one measured point of a hash-table run.
@@ -53,6 +49,10 @@ type HTResult struct {
 	RetryDist *stats.CountDist
 	Ops       uint64
 	VerbMOPS  float64 // completed verbs per microsecond (wasted-IOPS view)
+
+	// Fingerprint is the run's event fingerprint, sim.Engine.Fingerprint
+	// at the horizon: equal for two runs that executed the same events.
+	Fingerprint uint64
 }
 
 func (r HTResult) String() string {
@@ -77,8 +77,7 @@ func RunHT(cfg HTConfig) HTResult {
 		cfg.Mix = workload.ReadOnly
 	}
 	r := runApp(app{
-		name:        "ht",
-		fingerprint: cfg.fingerprint,
+		name: "ht",
 		cluster: cluster.Config{
 			ComputeBlades: cfg.ComputeBlades,
 			MemoryBlades:  cfg.MemoryBlades,
@@ -120,12 +119,13 @@ func RunHT(cfg HTConfig) HTResult {
 	})
 
 	res := HTResult{
-		MOPS:      r.mops,
-		Median:    r.lat.P50,
-		P99:       r.lat.P99,
-		RetryDist: r.counts,
-		Ops:       r.ops,
-		VerbMOPS:  r.verbMOPS,
+		MOPS:        r.mops,
+		Median:      r.lat.P50,
+		P99:         r.lat.P99,
+		RetryDist:   r.counts,
+		Ops:         r.ops,
+		VerbMOPS:    r.verbMOPS,
+		Fingerprint: r.fingerprint,
 	}
 	if updates := r.counts.Total(); updates > 0 {
 		res.AvgRetries = float64(r.casFailed) / float64(updates)

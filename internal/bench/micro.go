@@ -49,16 +49,13 @@ type MicroConfig struct {
 	// byte-identical to the fault-free model.
 	Faults rnic.Injector
 
-	// SampleEvery and OnSample, when both set, snapshot the compute
-	// RNIC's counters every SampleEvery of virtual time — the recovery
-	// trajectories the chaos shape checks consume. The sampler only
-	// reads counters, so it cannot perturb the run.
+	// SampleEvery, when set, reads the compute RNIC's completed-WR
+	// counter every SampleEvery of virtual time into
+	// MicroResult.Samples — the recovery trajectories the chaos shape
+	// checks consume. The sampler schedules engine events, so it is
+	// part of the run's config, set the same way with or without a
+	// registry.
 	SampleEvery sim.Time
-	OnSample    func(now sim.Time, snap rnic.Counters)
-
-	// fingerprint, when set, receives the run's event fingerprint
-	// (app.fingerprint); grid.add sets it.
-	fingerprint *uint64
 }
 
 // MicroResult is one measured point.
@@ -72,11 +69,34 @@ type MicroResult struct {
 	// (0 unless WorkReqThrottle) — the batching ablation reads it to
 	// show the §4.2 controller adopting larger grants under coalescing.
 	CMaxMean float64
+
+	// Whole-run totals, warm-up included, as core.Runtime.Collect
+	// harvests them: doorbell spinlock acquisitions and the contended
+	// ones among them (db/acquisitions-total, db/contended-total), and
+	// posted work requests (core/wrs). fig3's contention groups and the
+	// batching ablation's contention table read them.
+	DBAcquisitions, DBContended, WRs uint64
+
+	// Samples is the compute RNIC's completed-WR count every
+	// MicroConfig.SampleEvery, first one period in (nil without it).
+	Samples []MicroSample
+
+	// Fingerprint is the run's event fingerprint, sim.Engine.Fingerprint
+	// at the horizon: equal for two runs that executed the same events.
+	Fingerprint uint64
+}
+
+// MicroSample is one reading of the compute RNIC's completed-WR counter.
+type MicroSample struct {
+	At        sim.Time
+	Completed uint64
 }
 
 // RunMicro executes the micro-benchmark and returns the measured
-// point: one coroutine per thread, each operation one post round. Unlike
-// the applications it leaves cfg.Opts' adaptive time constants alone —
+// point: one coroutine per thread, each operation one post round. Its
+// result is all it hands back: the counter samples, the doorbell and WR
+// totals and the fingerprint ride in MicroResult. Unlike the
+// applications it leaves cfg.Opts' adaptive time constants alone —
 // callers that throttle pick their own Δ.
 func RunMicro(cfg MicroConfig) MicroResult {
 	if cfg.Blades <= 0 {
@@ -94,9 +114,9 @@ func RunMicro(cfg MicroConfig) MicroResult {
 	horizon := cfg.Warmup + cfg.Measure
 	slots := microRegion / uint64(cfg.Payload)
 	var rt *core.Runtime
+	var samples []MicroSample
 	r := runApp(app{
-		name:        "bench",
-		fingerprint: cfg.fingerprint,
+		name: "bench",
 		cluster: cluster.Config{
 			ComputeBlades: 1,
 			MemoryBlades:  cfg.Blades,
@@ -111,9 +131,9 @@ func RunMicro(cfg MicroConfig) MicroResult {
 		measure: cfg.Measure,
 		faults:  cfg.Faults,
 		load: func(cl *cluster.Cluster) newBladeFunc {
-			if cfg.SampleEvery > 0 && cfg.OnSample != nil {
+			if cfg.SampleEvery > 0 {
 				nic := cl.Computes[0].NIC
-				cl.Eng.Every(cfg.SampleEvery, horizon, func(now sim.Time) { cfg.OnSample(now, nic.Snapshot()) })
+				cl.Eng.Every(cfg.SampleEvery, horizon, func(now sim.Time) { samples = append(samples, MicroSample{now, nic.C.Completed}) })
 			}
 			regions := make([]blade.Addr, cfg.Blades)
 			for i, m := range cl.Memories {
@@ -178,7 +198,12 @@ func RunMicro(cfg MicroConfig) MicroResult {
 		},
 	})
 
-	res := MicroResult{MOPS: r.verbMOPS, Completed: r.completed}
+	res := MicroResult{MOPS: r.verbMOPS, Completed: r.completed,
+		WRs: rt.TotalStats().WRs, Samples: samples, Fingerprint: r.fingerprint}
+	for _, d := range rt.Doorbells() {
+		res.DBAcquisitions += d.Acquisitions()
+		res.DBContended += d.Contended()
+	}
 	if cfg.Opts.WorkReqThrottle {
 		sum := 0
 		for _, th := range rt.Threads() {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/result"
 	"repro/internal/rnic"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 func init() {
@@ -76,8 +75,8 @@ func init() {
 			// §4.2's Algorithm 1 is a feedback controller: the throttled
 			// profile at the top thread count records its epoch-by-epoch
 			// C_max trajectory, which the throughput table cannot show.
-			probes := map[string]*telemetry.Registry{"fig13a/+WorkReqThrot/thr=96": env.Telemetry}
-			return runMicroPanels(env, profiles, panels, probes)
+			tables, _ := runMicroPanels(env, profiles, panels, "fig13a/+WorkReqThrot/thr=96")
+			return tables
 		},
 	})
 
@@ -157,10 +156,12 @@ type microPanel struct {
 
 // runMicroPanels runs fig3's and fig13's shape of sweep: every panel
 // crosses its grid with the profiles, one table per panel, and all
-// panels' points run in one sweep. A point whose label probes names
-// harvests into that registry.
-func runMicroPanels(env Env, profiles []microProfile, panels []microPanel, probes map[string]*telemetry.Registry) []result.Table {
+// panels' points run in one sweep. It returns the tables and every
+// point's result by label. The point labelled telemetryLabel carries
+// env.Telemetry.
+func runMicroPanels(env Env, profiles []microProfile, panels []microPanel, telemetryLabel string) ([]result.Table, map[string]MicroResult) {
 	g := newGrid(env)
+	results := map[string]MicroResult{}
 	for _, p := range panels {
 		t := g.table(p.id, p.title, p.x)
 		t.YUnit, t.Prec = "MOPS", 1
@@ -176,25 +177,31 @@ func runMicroPanels(env Env, profiles []microProfile, panels []microPanel, probe
 			for _, prof := range profiles {
 				label := fmt.Sprintf("%s/%s/%s=%d", p.id, prof.name, xShort, v)
 				opts := prof.opts
-				opts.Telemetry = probes[label]
+				if label == telemetryLabel {
+					opts.Telemetry = env.Telemetry
+				}
 				add(g, label, p.seed,
 					MicroConfig{Opts: opts, Threads: threads, Batch: batch, Op: p.op},
-					func(r MicroResult) { t.Add(prof.name, float64(v), r.MOPS) })
+					func(r MicroResult) {
+						t.Add(prof.name, float64(v), r.MOPS)
+						results[label] = r
+					})
 			}
 		}
 	}
-	return g.run()
+	return g.run(), results
 }
 
 // runFig3 runs the §3.1 QP-allocation comparison. With a registry it
 // also measures what §3.1 blames the per-thread-QP collapse on: the
-// contended fraction of doorbell spinlock acquisitions. Every fig3-read
-// per-thread-qp and per-thread-doorbell point harvests into its own
-// probe, except the heaviest contended one (per-thread-qp at the top of
-// the grid), which harvests into the registry itself as the
-// representative run whose full counter set and trace the registry
-// exports. The two groups are registered first, so they export first,
-// and recorded from the probes after the sweep, in enumeration order.
+// contended fraction of doorbell spinlock acquisitions, for every
+// fig3-read per-thread-qp and per-thread-doorbell point, from the
+// whole-run totals each point's result carries. The heaviest contended
+// point (per-thread-qp at the top of the grid) carries the registry as
+// the representative run whose full counter set and trace it exports.
+// The two groups are registered first, so they export first, and are
+// recorded after the sweep, in enumeration order, so no merge writes
+// the registry while that point runs.
 func runFig3(env Env) []result.Table {
 	threads := threadGrid(env.Quick)
 	profiles := []microProfile{
@@ -209,36 +216,30 @@ func runFig3(env Env) []result.Table {
 		{id: "fig3-write", title: "Fig. 3 — 8-byte WRITE, MOPS vs threads",
 			op: rnic.OpWrite, x: "threads", grid: threads, fixed: 8, seed: 11},
 	}
-	reg := env.Telemetry
-	if reg == nil {
-		return runMicroPanels(env, profiles, panels, nil)
-	}
-	cg := reg.Group("db-contention",
-		"Contended fraction of doorbell spinlock acquisitions (§3.1)", "threads")
-	cg.Prec = 3
-	raw := reg.Group("db-contended",
-		"Contended doorbell acquisitions (raw count)", "threads")
-	policies := []string{"per-thread-qp", "per-thread-doorbell"}
 	label := func(policy string, thr int) string { return fmt.Sprintf("fig3-read/%s/thr=%d", policy, thr) }
-	probes := map[string]*telemetry.Registry{}
-	for _, thr := range threads {
-		for _, p := range policies {
-			probes[label(p, thr)] = telemetry.New()
-		}
+	reg := env.Telemetry
+	var cg, raw *result.Table
+	if reg != nil {
+		cg = reg.Group("db-contention",
+			"Contended fraction of doorbell spinlock acquisitions (§3.1)", "threads")
+		cg.Prec = 3
+		raw = reg.Group("db-contended",
+			"Contended doorbell acquisitions (raw count)", "threads")
 	}
-	probes[label("per-thread-qp", threads[len(threads)-1])] = reg
-	tables := runMicroPanels(env, profiles, panels, probes)
+	tables, results := runMicroPanels(env, profiles, panels, label("per-thread-qp", threads[len(threads)-1]))
+	if reg == nil {
+		return tables
+	}
 	for _, thr := range threads {
-		for _, p := range policies {
-			probe := probes[label(p, thr)]
-			acq, cont := probe.Value("db/acquisitions-total"), probe.Value("db/contended-total")
+		for _, p := range []string{"per-thread-qp", "per-thread-doorbell"} {
+			r := results[label(p, thr)]
 			frac := 0.0
-			if acq > 0 {
-				frac = float64(cont) / float64(acq)
+			if r.DBAcquisitions > 0 {
+				frac = float64(r.DBContended) / float64(r.DBAcquisitions)
 			}
 			cg.Add(p, float64(thr), frac) // the table's precision, 3
 			raw.Def(p, "", 0)
-			raw.Add(p, float64(thr), float64(cont))
+			raw.Add(p, float64(thr), float64(r.DBContended))
 		}
 	}
 	return tables

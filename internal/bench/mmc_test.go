@@ -130,7 +130,8 @@ func TestServingKneeMatcheserlangC(t *testing.T) {
 	small := topo{1, 8}
 	nominal := small.nominal() // ops/us
 	run := func(frac float64) ServeResult {
-		return servingConfig(small, servingTemplate(Env{}), frac).run(servingSeed, true, nil)
+		r, _ := servingConfig(small, servingTemplate(Env{}), frac).run(servingSeed, true)
+		return r
 	}
 	sub := run(0.5)  // comfortably below the knee
 	near := run(0.8) // approaching it

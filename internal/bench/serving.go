@@ -78,12 +78,11 @@ type ServeConfig struct {
 	// every request served before the horizon), a serve/qdepth
 	// trajectory group with one column "b<i>" per runtime, and every
 	// runtime's layer harvest (prefixed "b<i>/" when there are several
-	// runtimes, as in runApp).
+	// runtimes, as in runApp). The serve/qdepth sampler is the one piece
+	// of instrumentation that schedules engine events (Engine.Every), so
+	// a registry leaves the ServeResult as it is but moves
+	// ServeResult.Fingerprint.
 	Opts core.Options
-
-	// fingerprint, when set, receives the run's event fingerprint
-	// (app.fingerprint); grid.add sets it.
-	fingerprint *uint64
 }
 
 // ServeResult is the measured outcome of one serving run. All counters
@@ -106,6 +105,10 @@ type ServeResult struct {
 	Service stats.Summary // dequeue → completion
 
 	QueueDepthPeak int // deepest any runtime queue ever got
+
+	// Fingerprint is the run's event fingerprint, sim.Engine.Fingerprint
+	// at the horizon: equal for two runs that executed the same events.
+	Fingerprint uint64
 }
 
 // request is one open-loop unit of work.
@@ -311,8 +314,7 @@ func RunServe(cfg ServeConfig) ServeResult {
 	}
 
 	r := runApp(app{
-		name:        "serve",
-		fingerprint: cfg.fingerprint,
+		name: "serve",
 		cluster: cluster.Config{
 			ComputeBlades: cfg.Runtimes,
 			MemoryBlades:  cfg.Runtimes,
@@ -333,7 +335,7 @@ func RunServe(cfg ServeConfig) ServeResult {
 		telShed.Set(shed)
 		telCompleted.Set(completed)
 	}
-	res.Completed, res.Goodput, res.Op = r.ops, r.mops, r.lat
+	res.Completed, res.Goodput, res.Op, res.Fingerprint = r.ops, r.mops, r.lat, r.fingerprint
 	res.OfferedRate = float64(res.Offered) / (float64(cfg.Measure) / 1e3)
 	if res.Offered > 0 {
 		res.ShedFrac = float64(res.Shed) / float64(res.Offered)
@@ -364,11 +366,6 @@ const servingPerThreadCapacity = 1.15
 // servingSeed is every serving point's base workload seed.
 const servingSeed = 15
 
-// servingOverloadFrac places the instrumented overload point an
-// -telemetry run adds: the swept template at this multiple of the small
-// topology's nominal capacity.
-const servingOverloadFrac = 2.5
-
 // topo is one serving topology: compute blades (= memory blades) and
 // threads per runtime.
 type topo struct{ runtimes, threads int }
@@ -385,8 +382,9 @@ func (t topo) nominal() float64 {
 // servingGrid returns the topology × load-fraction grid. The quick
 // grid keeps the exact fractions and the two smaller topologies the
 // shape checks reference, so -quick -check exercises every predicate.
-// topos[0] also carries the burstiness panel and the overload point,
-// and topos[1] gets the latency-breakdown table.
+// topos[0] also carries the burstiness panel, and its point at the top
+// load fraction is the overloaded one that carries a registry; topos[1]
+// gets the latency-breakdown table.
 func servingGrid(quick bool) (topos []topo, fracs []float64) {
 	topos = []topo{{1, 8}, {2, 16}}
 	fracs = []float64{0.25, 0.5, 1.5, 2.5}
@@ -425,26 +423,21 @@ func servingConfig(t topo, a *arrival.Spec, frac float64) ServeConfig {
 // arrival model's cap), before any point runs.
 func validateServing(env Env) error {
 	a := servingTemplate(env)
-	check := func(t topo, frac float64) error {
-		if err := servingConfig(t, a, frac).Validate(); err != nil {
-			return fmt.Errorf("topology %s at load %v: %w", t.label(), frac, err)
-		}
-		return nil
-	}
 	topos, fracs := servingGrid(env.Quick)
 	for _, t := range topos {
 		for _, frac := range fracs {
-			if err := check(t, frac); err != nil {
-				return err
+			if err := servingConfig(t, a, frac).Validate(); err != nil {
+				return fmt.Errorf("topology %s at load %v: %w", t.label(), frac, err)
 			}
 		}
 	}
-	return check(topos[0], servingOverloadFrac)
+	return nil
 }
 
-// runServing runs the topology × load-fraction grid, the burstiness
-// panel, and — when env.Telemetry is non-nil — the instrumented
-// overload point, which fills the registry and adds no table.
+// runServing runs the topology × load-fraction grid and the burstiness
+// panel. A non-nil env.Telemetry rides on the grid's overloaded point,
+// the small topology at the top load fraction, which runs with or
+// without it; the registry adds no point and no table.
 func runServing(env Env) []result.Table {
 	template := servingTemplate(env)
 	topos, fracs := servingGrid(env.Quick)
@@ -466,9 +459,14 @@ func runServing(env Env) []result.Table {
 
 	for _, t := range topos {
 		cfgLabel := t.label()
-		for _, frac := range fracs {
-			add(g, fmt.Sprintf("serving/%s/load=%.2f", cfgLabel, frac), servingSeed,
-				servingConfig(t, template, frac),
+		for i, frac := range fracs {
+			cfg := servingConfig(t, template, frac)
+			if t == small && i == len(fracs)-1 {
+				// The overloaded point carries the registry: admission
+				// counters, the qdepth trajectory, the runtime harvest.
+				cfg.Opts.Telemetry = env.Telemetry
+			}
+			add(g, fmt.Sprintf("serving/%s/load=%.2f", cfgLabel, frac), servingSeed, cfg,
 				func(r ServeResult) {
 					p99.Add(cfgLabel, frac, us(r.Op.P99))
 					good.Add(cfgLabel, frac, r.Goodput)
@@ -515,24 +513,13 @@ func runServing(env Env) []result.Table {
 		}
 	}
 
-	// With a registry, one overloaded point carries it (admission
-	// counters, qdepth trajectory, runtime harvests). Enumerated last so
-	// the plain grid above is untouched; the point owns the registry
-	// exclusively.
-	if env.Telemetry != nil {
-		cfg := servingConfig(small, template, servingOverloadFrac)
-		cfg.Opts.Telemetry = env.Telemetry
-		add(g, fmt.Sprintf("serving/telemetry/%s/load=%.2f", small.label(), servingOverloadFrac), servingSeed,
-			cfg, nil)
-	}
-
 	return g.run()
 }
 
 // -arrival sets env.Arrival; the burst-comparison table always runs its
 // own poisson and mmpp processes regardless of it. A non-nil
-// env.Telemetry adds the instrumented overload point, whose registry
-// export rides along after the result tables.
+// env.Telemetry rides on the overloaded grid point, and the caller
+// exports it.
 func init() {
 	register(&Experiment{
 		ID:           "serving",

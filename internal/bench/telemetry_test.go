@@ -2,13 +2,21 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/result"
+	"repro/internal/rnic"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // quickEnv is the tests' standard environment: quick density, seed 0,
@@ -122,6 +130,89 @@ func TestTelemetryShapes(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			for _, v := range violations(CheckTelemetry(id, quickRun(t, id).telem)) {
 				t.Errorf("%s: %s", v.Check, v.Detail)
+			}
+		})
+	}
+}
+
+// TestRegistrySchedulesNoEvents pins DESIGN.md §10's rule (4) on the
+// points that carry a registry in the instrumented experiments' quick
+// runs: each runs with and without one. Recording schedules no engine
+// event, so fig3's, fig13's, fig14's and chaos's points give the same
+// result and the same fingerprint either way. serving's qdepth sampler
+// is the one instrumentation that schedules events (Engine.Every), so
+// its overloaded point gives the same ServeResult and a different
+// fingerprint, pinned here. The registry-carrying run must read the
+// fingerprint fingerprints.golden holds for the label, so each config
+// here is the experiment's own.
+func TestRegistrySchedulesNoEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs five quick points twice")
+	}
+	golden := map[string]string{}
+	data, err := os.ReadFile(filepath.Join("testdata", "fingerprints.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if label, fp, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			golden[label] = fp
+		}
+	}
+
+	micro := func(cfg MicroConfig, seed int64) func(*telemetry.Registry) (any, uint64) {
+		return func(reg *telemetry.Registry) (any, uint64) {
+			cfg.Opts.Telemetry = reg
+			return cfg.run(seed, true)
+		}
+	}
+	throttled := core.Baseline(core.PerThreadDoorbell)
+	throttled.WorkReqThrottle = true
+	throttled.UpdateDelta = 400 * sim.Microsecond
+	plan := fault.Default()
+	_, wEnd := plan.Envelope()
+	topos, fracs := servingGrid(true)
+	serving := servingConfig(topos[0], servingTemplate(Env{}), fracs[len(fracs)-1])
+	for _, c := range []struct {
+		label string
+		run   func(*telemetry.Registry) (any, uint64)
+		bare  string // the registry-free fingerprint where a sampler moves it; "" = the golden's
+	}{
+		{"fig3-read/per-thread-qp/thr=96",
+			micro(MicroConfig{Opts: core.Baseline(core.PerThreadQP), Threads: 96, Batch: 8, Op: rnic.OpRead}, 11), ""},
+		{"fig13a/+WorkReqThrot/thr=96",
+			micro(MicroConfig{Opts: throttled, Threads: 96, Batch: 16, Op: rnic.OpRead}, 13), ""},
+		{"fig14/+CoroThrot/thr=96", func(reg *telemetry.Registry) (any, uint64) {
+			cfg := HTConfig{Opts: core.Smart(), ThreadsPerBlade: 96, Theta: 0.99, Mix: workload.UpdateOnly, Keys: htKeys}
+			cfg.Opts.Telemetry = reg
+			return cfg.run(25, true)
+		}, ""},
+		{"chaos/faulted+storm", func(reg *telemetry.Registry) (any, uint64) {
+			return chaosPoint{warmup: sim.Millisecond, horizon: wEnd + 3*sim.Millisecond, plan: plan, reg: reg}.run(chaosSeed, true)
+		}, ""},
+		{"serving/1x8/load=2.50", func(reg *telemetry.Registry) (any, uint64) {
+			cfg := serving
+			cfg.Opts.Telemetry = reg
+			r, fp := cfg.run(servingSeed, true)
+			r.Fingerprint = 0 // compared through fp
+			return r, fp
+		}, "57759475f177d892"},
+	} {
+		t.Run(c.label, func(t *testing.T) {
+			with, withFP := c.run(telemetry.New())
+			if got := fmt.Sprintf("%016x", withFP); got != golden[c.label] {
+				t.Fatalf("with a registry the point reads %s, fingerprints.golden %q: not the experiment's config", got, golden[c.label])
+			}
+			without, withoutFP := c.run(nil)
+			if !reflect.DeepEqual(with, without) {
+				t.Errorf("a registry moved the result:\n with    %+v\n without %+v", with, without)
+			}
+			want := golden[c.label]
+			if c.bare != "" {
+				want = c.bare
+			}
+			if got := fmt.Sprintf("%016x", withoutFP); got != want {
+				t.Errorf("without a registry the point reads %s, want %s", got, want)
 			}
 		})
 	}

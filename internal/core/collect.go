@@ -59,20 +59,16 @@ func (rt *Runtime) Collect(reg *telemetry.Registry) {
 	dbg.Def("contended", "", 0)
 	dbg.Def("hold-us", "us", 1)
 	var ringsT, acqT, contT, holdT uint64
-	idx := 0
-	for _, ctx := range rt.ctxs {
-		for _, d := range ctx.Doorbells() {
-			x := float64(idx)
-			dbg.Add("rings", x, float64(d.Rings))
-			dbg.Add("acquisitions", x, float64(d.Acquisitions()))
-			dbg.Add("contended", x, float64(d.Contended()))
-			dbg.Add("hold-us", x, float64(d.HoldTicks)/1000)
-			ringsT += d.Rings
-			acqT += d.Acquisitions()
-			contT += d.Contended()
-			holdT += uint64(d.HoldTicks)
-			idx++
-		}
+	for idx, d := range rt.Doorbells() {
+		x := float64(idx)
+		dbg.Add("rings", x, float64(d.Rings))
+		dbg.Add("acquisitions", x, float64(d.Acquisitions()))
+		dbg.Add("contended", x, float64(d.Contended()))
+		dbg.Add("hold-us", x, float64(d.HoldTicks)/1000)
+		ringsT += d.Rings
+		acqT += d.Acquisitions()
+		contT += d.Contended()
+		holdT += uint64(d.HoldTicks)
 	}
 	reg.Counter(pre + "db/rings-total").Set(ringsT)
 	reg.Counter(pre + "db/acquisitions-total").Set(acqT)

@@ -103,11 +103,22 @@ func New(nic *rnic.RNIC, targets []verbs.Target, nThreads int, opts Options) (*R
 }
 
 // open opens a device context on the card and records it for
-// telemetry harvesting (Collect walks every context's doorbells).
+// Doorbells' walk.
 func (rt *Runtime) open() *verbs.Context {
 	ctx := verbs.Open(rt.nic)
 	rt.ctxs = append(rt.ctxs, ctx)
 	return ctx
+}
+
+// Doorbells returns the doorbell registers of every device context the
+// runtime opened, context by context in open order: the one walk over
+// them, which Collect's doorbell rows and totals take too.
+func (rt *Runtime) Doorbells() []*verbs.Doorbell {
+	var dbs []*verbs.Doorbell
+	for _, ctx := range rt.ctxs {
+		dbs = append(dbs, ctx.Doorbells()...)
+	}
+	return dbs
 }
 
 // MustNew is New that panics on error, for benchmarks and examples.

@@ -180,10 +180,8 @@ type RNIC struct {
 //
 // A flight is recycled at its terminal stage: deliver, for both
 // successful and error completions (failAfter funnels into the same
-// completion stages). Blackholed ops never reach a terminal stage and
-// never take a flight — that path keeps its closures and leaves the
-// cleanup to the garbage collector, faults being far too rare to pool
-// for.
+// completion stages), or vanish, for a blackholed op, which ends
+// without a completion.
 type flight struct {
 	r          *RNIC // requester: pipelines on the way out and back, counters, pool
 	op         *Op
@@ -199,8 +197,9 @@ type flight struct {
 	failStatus        Status   // failAfter: error to report
 	failWait          sim.Time // failAfter: NAK round trip / retry budget
 
-	next   func(*flight) // the stage fnStep runs
-	fnStep func()        // f.step, bound once
+	next    func(*flight) // the stage fnStep runs
+	failEnd func(*flight) // failAfter's last stage: failDeliver, or vanish
+	fnStep  func()        // f.step, bound once
 }
 
 // newFlight returns a pooled (or freshly bound) flight for one op.
@@ -331,7 +330,7 @@ func (r *RNIC) Submit(op *Op, target *RNIC, targetKind blade.Kind) {
 			}
 			// The request pays the path out; the responder NAKs
 			// without executing and the NAK travels straight back.
-			r.failAfter(op, st, service, outBytes, extraLat+2*p.OneWayLatency)
+			r.failAfter(op, st, service, outBytes, extraLat+2*p.OneWayLatency, (*flight).failDeliver)
 			return
 		case ActDelay:
 			r.C.Injected++
@@ -351,7 +350,7 @@ func (r *RNIC) Submit(op *Op, target *RNIC, targetKind blade.Kind) {
 				// locally once the whole retry budget elapses.
 				r.C.Retransmits += uint64(p.MaxRetransmits)
 				r.failAfter(op, StatusRetryExceeded, service, outBytes,
-					sim.Time(p.MaxRetransmits+1)*p.RetransmitTimeout)
+					sim.Time(p.MaxRetransmits+1)*p.RetransmitTimeout, (*flight).failDeliver)
 				return
 			}
 			// The copy after the last drop gets through; everything
@@ -360,16 +359,11 @@ func (r *RNIC) Submit(op *Op, target *RNIC, targetKind blade.Kind) {
 			extraLat += sim.Time(drops) * p.RetransmitTimeout
 		case ActBlackhole:
 			r.C.Injected++
-			r.reqPipe.Submit(service, func() {
-				r.linkOut.Submit(r.linkTime(outBytes), func() {
-					r.eng.Schedule(sim.Time(p.MaxRetransmits+1)*p.RetransmitTimeout, func() {
-						// No completion, ever: the op vanishes and only
-						// the send-queue slot is reclaimed. A software
-						// watchdog is the only recovery.
-						r.outstanding--
-					})
-				})
-			})
+			// No completion, ever: once the retry budget elapses the op
+			// vanishes (with no status) and only its send-queue slot is
+			// reclaimed. A software watchdog is the only recovery.
+			r.failAfter(op, StatusSuccess, service, outBytes,
+				sim.Time(p.MaxRetransmits+1)*p.RetransmitTimeout, (*flight).vanish)
 			return
 		}
 	}
@@ -382,13 +376,15 @@ func (r *RNIC) Submit(op *Op, target *RNIC, targetKind blade.Kind) {
 }
 
 // failAfter runs op through the requester pipeline and outbound link,
-// then delivers an error completion after wait (the NAK round trip or
-// the exhausted transport retry budget). The responder is never
-// touched: an erroring op applies no memory side effect.
-func (r *RNIC) failAfter(op *Op, st Status, service sim.Time, outBytes int, wait sim.Time) {
+// then, after wait (the NAK round trip or the exhausted transport retry
+// budget), runs end: failDeliver delivers an error completion with
+// status st, and vanish (a blackholed op) ends it with no completion.
+// The responder is never touched: a failing op applies no memory side
+// effect.
+func (r *RNIC) failAfter(op *Op, st Status, service sim.Time, outBytes int, wait sim.Time, end func(*flight)) {
 	f := r.newFlight()
 	f.op, f.outBytes = op, outBytes
-	f.failStatus, f.failWait = st, wait
+	f.failStatus, f.failWait, f.failEnd = st, wait, end
 	r.reqPipe.Submit(service, f.then((*flight).failPipe))
 }
 
@@ -519,20 +515,28 @@ func (f *flight) deliver() {
 }
 
 // The failAfter stages: requester pipeline and outbound link as usual,
-// then the error verdict lands after the configured wait and funnels
-// into the shared completion stages.
+// then, after the configured wait, the error verdict lands and funnels
+// into the shared completion stages, or a blackholed op vanishes.
 
 func (f *flight) failPipe() {
 	f.r.linkOut.Submit(f.r.linkTime(f.outBytes), f.then((*flight).failLink))
 }
 
 func (f *flight) failLink() {
-	f.r.eng.Schedule(f.failWait, f.then((*flight).failDeliver))
+	f.r.eng.Schedule(f.failWait, f.then(f.failEnd))
 }
 
 func (f *flight) failDeliver() {
 	f.op.Status = f.failStatus
 	f.atCompletion()
+}
+
+// vanish is a blackholed op's terminal stage: it recycles the flight
+// and reclaims the send-queue slot, and nothing completes.
+func (f *flight) vanish() {
+	f.op = nil
+	f.r.flights = append(f.r.flights, f)
+	f.r.outstanding--
 }
 
 // Snapshot returns a copy of the counters, for windowed measurements.
